@@ -43,6 +43,10 @@ class Dataset:
             )
         if design.shape[0] < 1 or design.shape[1] < 1:
             raise ValueError("design must have at least one row and one column")
+        for name, values in (("design", design), ("response", response)):
+            if not np.all(np.isfinite(values)):
+                index = tuple(int(i) for i in np.argwhere(~np.isfinite(values))[0])
+                raise ValueError(f"{name} has a non-finite value at index {index}")
         object.__setattr__(self, "design", design)
         object.__setattr__(self, "response", response)
 

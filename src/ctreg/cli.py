@@ -33,7 +33,6 @@ from .metrics import (
     effective_rank,
     joint_effective_dimension,
     mse_fixed,
-    relative_error,
     snr,
     threshold_scale,
 )
@@ -97,7 +96,15 @@ def read_csv(path: str) -> Tuple[Optional[List[str]], np.ndarray]:
             rows.append([float(cell) for cell in cells])
         except ValueError as exc:
             raise UsageError(f"CSV {path}: non-numeric value in row {index + 1}") from exc
-    return header, np.asarray(rows, dtype=np.float64)
+    data = np.asarray(rows, dtype=np.float64)
+    bad = np.argwhere(~np.isfinite(data))
+    if bad.size:
+        row, col = (int(i) for i in bad[0])
+        name = f" ({header[col]})" if header is not None else ""
+        raise UsageError(
+            f"CSV {path}: non-finite value in row {row + 1}, column {col + 1}{name}"
+        )
+    return header, data
 
 
 def _response_column(
@@ -226,6 +233,13 @@ def _kernel_model_json(model: KernelModel) -> str:
     return json.dumps(payload, indent=2)
 
 
+# keys each model kind must carry for predict
+_MODEL_KEYS = {
+    "linear": ("beta",),
+    "kernel": ("kernel", "training_points", "dual_coeffs", "config", "decomposition"),
+}
+
+
 def _load_model(path: str) -> dict:
     try:
         with open(path) as handle:
@@ -234,10 +248,20 @@ def _load_model(path: str) -> dict:
         raise UsageError(f"cannot read model {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise UsageError(f"model {path} is not valid JSON") from exc
+    if not isinstance(payload, dict):
+        raise UsageError(f"model {path} is not a JSON object")
     if payload.get("schema_version") != SCHEMA_VERSION:
         raise UsageError(
             f"unsupported model schema version {payload.get('schema_version')!r}"
         )
+    kind = payload.get("model_kind")
+    if kind is None:
+        raise UsageError(f"model {path} lacks model_kind")
+    if not isinstance(kind, str) or kind not in _MODEL_KEYS:
+        raise UsageError(f"model {path} has unknown model_kind {kind!r}")
+    missing = [key for key in _MODEL_KEYS[kind] if key not in payload]
+    if missing:
+        raise UsageError(f"{kind} model {path} lacks {', '.join(missing)}")
     return payload
 
 
@@ -346,26 +370,32 @@ def cmd_predict(args: argparse.Namespace) -> int:
     header, data = read_csv(args.input)
 
     if payload["model_kind"] == "linear":
-        beta = np.asarray(payload["beta"], dtype=np.float64)
+        try:
+            beta = np.asarray(payload["beta"], dtype=np.float64)
+            centering = payload.get("centering")
+            if centering:
+                x_means = np.asarray(centering["x_means"], dtype=np.float64)
+                y_mean = float(centering["y_mean"])
+        except (KeyError, TypeError, ValueError) as exc:
+            raise UsageError(f"malformed linear model {args.model}: {exc!r}") from exc
         if data.shape[1] != beta.shape[0]:
             raise CtregError(
                 f"model expects {beta.shape[0]} columns, input has {data.shape[1]}"
             )
         preds = data @ beta
-        if payload.get("centering"):
-            x_means = np.asarray(payload["centering"]["x_means"])
-            y_mean = payload["centering"]["y_mean"]
+        if centering:
             preds = y_mean + (data - x_means) @ beta
-    elif payload["model_kind"] == "kernel":
-        model = _kernel_model_from_json(payload)
+    else:
+        try:
+            model = _kernel_model_from_json(payload)
+        except (KeyError, TypeError, ValueError) as exc:
+            raise UsageError(f"malformed kernel model {args.model}: {exc!r}") from exc
         if data.shape[1] != model.training_points.shape[1]:
             raise CtregError(
                 f"model expects {model.training_points.shape[1]} columns, "
                 f"input has {data.shape[1]}"
             )
         preds = predict_kernel_batch(model, data)
-    else:
-        raise UsageError(f"unknown model kind {payload['model_kind']!r}")
 
     text = "\n".join(repr(float(value)) for value in preds) + "\n"
     if args.output is not None:

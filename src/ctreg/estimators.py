@@ -82,14 +82,41 @@ def gct_theta(
     return apply_rule(config.rule, w * theta_ls.values, config.tau) / w
 
 
-def _finish(
-    dataset: Dataset,
-    dec: CanonicalDecomposition,
-    theta_hat: FloatArray,
-    config: MethodConfig,
+def _fit(
+    dec: CanonicalDecomposition, theta_hat: FloatArray, config: MethodConfig
 ) -> FitResult:
     beta = to_beta(dec, CanonicalCoefficients(theta_hat))
     return FitResult(beta=beta, theta_hat=theta_hat, config=config, decomposition=dec)
+
+
+def _gct_fit(
+    dec: CanonicalDecomposition, theta_ls: CanonicalCoefficients, config: GctConfig
+) -> FitResult:
+    return _fit(dec, gct_theta(dec, theta_ls, config), config)
+
+
+def _pcr_fit(
+    dec: CanonicalDecomposition, theta_ls: CanonicalCoefficients, m: int
+) -> FitResult:
+    if not 0 <= m <= dec.rank:
+        raise ValueError(f"m must lie in [0, {dec.rank}], got {m}")
+    theta_hat = theta_ls.values.copy()
+    theta_hat[m:] = 0.0
+    return _fit(dec, theta_hat, PcrConfig(components=m))
+
+
+def _ridge_fit(
+    dec: CanonicalDecomposition, theta_ls: CanonicalCoefficients, lambda_reg: float
+) -> FitResult:
+    shrink = dec.eigenvalues / (dec.eigenvalues + lambda_reg)
+    return _fit(dec, shrink * theta_ls.values, RidgeConfig(lambda_reg=lambda_reg))
+
+
+def _decompose(
+    dataset: Dataset, rank_rel_tol: float
+) -> Tuple[CanonicalDecomposition, CanonicalCoefficients]:
+    dec = canonicalize(dataset, rank_rel_tol)
+    return dec, canonical_ls(dec, dataset.response)
 
 
 def fit_gct(
@@ -98,10 +125,7 @@ def fit_gct(
     rank_rel_tol: float = DEFAULT_RANK_REL_TOL,
 ) -> FitResult:
     """Generalized canonical thresholding fit."""
-    dec = canonicalize(dataset, rank_rel_tol)
-    theta_ls = canonical_ls(dec, dataset.response)
-    theta_hat = gct_theta(dec, theta_ls, config)
-    return _finish(dataset, dec, theta_hat, config)
+    return _gct_fit(*_decompose(dataset, rank_rel_tol), config)
 
 
 def fit_nct(
@@ -126,13 +150,7 @@ def fit_pcr(
     rank_rel_tol: float = DEFAULT_RANK_REL_TOL,
 ) -> FitResult:
     """Least squares on the first m principal-component scores."""
-    dec = canonicalize(dataset, rank_rel_tol)
-    if not 0 <= m <= dec.rank:
-        raise ValueError(f"m must lie in [0, {dec.rank}], got {m}")
-    theta_ls = canonical_ls(dec, dataset.response)
-    theta_hat = theta_ls.values.copy()
-    theta_hat[m:] = 0.0
-    return _finish(dataset, dec, theta_hat, PcrConfig(components=m))
+    return _pcr_fit(*_decompose(dataset, rank_rel_tol), m)
 
 
 def fit_ridge(
@@ -143,11 +161,7 @@ def fit_ridge(
     """Ridge regression restricted to the row space, in spectral form."""
     if lambda_reg < 0 or math.isnan(lambda_reg):
         raise ValueError(f"lambda_reg must be nonnegative, got {lambda_reg!r}")
-    dec = canonicalize(dataset, rank_rel_tol)
-    theta_ls = canonical_ls(dec, dataset.response)
-    shrink = dec.eigenvalues / (dec.eigenvalues + lambda_reg)
-    theta_hat = shrink * theta_ls.values
-    return _finish(dataset, dec, theta_hat, RidgeConfig(lambda_reg=lambda_reg))
+    return _ridge_fit(*_decompose(dataset, rank_rel_tol), lambda_reg)
 
 
 def predict(fit: FitResult, Xnew: FloatArray) -> FloatArray:

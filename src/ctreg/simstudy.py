@@ -20,20 +20,21 @@ from typing import Dict, List, Optional, Sequence, Tuple, Union
 import numpy as np
 from numpy.typing import NDArray
 
-from .canonical import Dataset
-from .estimators import (
-    GctConfig,
-    fit_gct,
-    fit_min_norm_ls,
-    fit_pcr,
-    fit_ridge,
+from .canonical import (
+    CanonicalCoefficients,
+    CanonicalDecomposition,
+    Dataset,
+    canonical_ls,
+    canonicalize,
 )
+from .estimators import GctConfig, _gct_fit, _pcr_fit, _ridge_fit
 from .thresholding import SOFT_RULE
-from .tuning import kfold_cv, kfold_cv_pcr, kfold_cv_ridge
+from .tuning import _FoldSpectra, _fold_spectra, _path_cv, _pcr_cv, _ridge_cv
 
 FloatArray = NDArray[np.float64]
 
 CV_FOLDS = 10
+RIDGE_GRID = np.logspace(-8, 2, 40)
 
 _ROLE_X = 0
 _ROLE_NOISE = 1
@@ -153,29 +154,50 @@ def generate_scenario(spec: ScenarioSpec, d: int, replicate: int) -> ScenarioDra
     )
 
 
+def _shared_decompositions(
+    spec: ScenarioSpec, dataset: Dataset, cv_seed: int
+) -> Tuple[
+    Optional[CanonicalDecomposition],
+    Optional[CanonicalCoefficients],
+    Optional[_FoldSpectra],
+]:
+    """The full-data decomposition and the CV fold spectra of one replicate,
+    each computed once, and only when some method needs it."""
+    dec = theta_ls = spectra = None
+    if any(method != "Zero" for method in spec.methods):
+        dec = canonicalize(dataset)
+        theta_ls = canonical_ls(dec, dataset.response)
+    if any(method.endswith("-CV") for method in spec.methods):
+        spectra = _fold_spectra(dataset, CV_FOLDS, cv_seed)
+    return dec, theta_ls, spectra
+
+
 def _fit_method(
-    method: str, spec: ScenarioSpec, draw: ScenarioDraw, cv_seed: int
+    method: str,
+    spec: ScenarioSpec,
+    d: int,
+    dec: Optional[CanonicalDecomposition],
+    theta_ls: Optional[CanonicalCoefficients],
+    spectra: Optional[_FoldSpectra],
 ) -> FloatArray:
-    dataset = draw.dataset
+    """One method's estimate from the shared decompositions: the same as the
+    public tuner with the replicate's CV seed followed by the matching fit_*."""
     if method == "Zero":
-        return np.zeros(dataset.d)
+        return np.zeros(d)
+    assert dec is not None and theta_ls is not None
     if method == "OLS":
-        return fit_min_norm_ls(dataset).beta
-    if method == "NCT-CV":
-        result = kfold_cv(dataset, CV_FOLDS, phi=0.0, rule=SOFT_RULE, seed=cv_seed)
-        return fit_gct(dataset, GctConfig(tau=result.tau_cv, phi=0.0)).beta
-    if method == "GCT-CV":
-        result = kfold_cv(
-            dataset, CV_FOLDS, phi=spec.gct_phi, rule=SOFT_RULE, seed=cv_seed
-        )
-        return fit_gct(dataset, GctConfig(tau=result.tau_cv, phi=spec.gct_phi)).beta
+        return _gct_fit(dec, theta_ls, GctConfig(tau=0.0)).beta
+    assert spectra is not None
+    if method in ("NCT-CV", "GCT-CV"):
+        phi = 0.0 if method == "NCT-CV" else spec.gct_phi
+        tau = _path_cv(spectra, phi, SOFT_RULE).tau_cv
+        return _gct_fit(dec, theta_ls, GctConfig(tau=tau, phi=phi)).beta
     if method == "PCR-CV":
-        m, _ = kfold_cv_pcr(dataset, CV_FOLDS, seed=cv_seed)
-        return fit_pcr(dataset, m).beta
+        m, _ = _pcr_cv(spectra)
+        return _pcr_fit(dec, theta_ls, m).beta
     if method == "Ridge-CV":
-        grid = np.logspace(-8, 2, 40)
-        lam, _ = kfold_cv_ridge(dataset, CV_FOLDS, grid, seed=cv_seed)
-        return fit_ridge(dataset, lam).beta
+        lam, _ = _ridge_cv(spectra, RIDGE_GRID)
+        return _ridge_fit(dec, theta_ls, lam).beta
     raise ValueError(f"unknown method {method!r}")
 
 
@@ -219,9 +241,15 @@ def run_experiment(spec: ScenarioSpec) -> ExperimentTable:
                     [spec.base_seed, d, replicate, 3]
                 ).generate_state(1)[0]
             )
+            try:
+                shared = _shared_decompositions(spec, draw.dataset, cv_seed)
+            except Exception as exc:
+                raise RuntimeError(
+                    f"decomposition failed at d={d}, replicate={replicate}"
+                ) from exc
             for method in spec.methods:
                 try:
-                    beta_hat = _fit_method(method, spec, draw, cv_seed)
+                    beta_hat = _fit_method(method, spec, d, *shared)
                 except Exception as exc:
                     raise RuntimeError(
                         f"method {method} failed at d={d}, replicate={replicate}"

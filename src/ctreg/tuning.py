@@ -4,8 +4,17 @@ As tau sweeps [0, inf) the thresholded support only changes at the finite
 set of weighted coefficient magnitudes, so the CV objective is piecewise
 quadratic in tau for the soft rule (minimized in closed form per segment)
 and piecewise constant for the hard rule (one evaluation per segment).
-A brute-force grid oracle with identical fold construction is provided
-for testing.
+
+Every tuner works on one fold-spectra object: each training block is
+decomposed once, and the phi-independent pieces (canonical LS
+coefficients, eigenvalues, validation scores, validation responses) are
+kept.  Along each fold's coordinates sorted by weighted magnitude, the
+validation residual u_k and the soft-rule slope v_k after k active
+coordinates are cumulative sums of score columns, so every segment's
+quadratic, every hard-rule candidate and every PCR prefix is a gather
+from per-fold prefix arrays.  A brute-force grid oracle and a single-tau
+evaluator with identical fold construction do not use that engine and
+are kept for testing.
 """
 
 from __future__ import annotations
@@ -30,6 +39,14 @@ FloatArray = NDArray[np.float64]
 
 FoldMode = Literal["seeded-random", "contiguous"]
 
+# Path errors within TIE_RTOL times the zero-estimator CV error C0 of the
+# smallest one count as tied, and the largest tied tau is chosen.  The path
+# engine's roundoff on well-conditioned folds is near 1e-15 C0 (measured at
+# n=1000, d=200 and n=200, d=400); near a smooth minimum, distinct segment
+# minima lie within 1e-12 C0 of each other often enough that a looser
+# tolerance would move tau_cv off the true minimizer.
+TIE_RTOL = 1e-14
+
 
 @dataclass(frozen=True)
 class PathSegment:
@@ -51,6 +68,12 @@ class CvResult:
     path_segments: List[PathSegment]
 
 
+def _magnitudes(eigenvalues: FloatArray, theta: FloatArray, phi: float) -> FloatArray:
+    """Weighted magnitudes lam_j^(phi/2)|theta_j|: coordinate j leaves the
+    support when tau reaches its magnitude."""
+    return eigenvalues ** (phi / 2.0) * np.abs(theta)
+
+
 def breakpoints(
     dec: CanonicalDecomposition,
     theta_ls: CanonicalCoefficients,
@@ -63,8 +86,7 @@ def breakpoints(
     """
     if theta_ls.values.shape != (dec.rank,):
         raise ValueError("theta length must equal decomposition rank")
-    weights = dec.eigenvalues ** (phi / 2.0)
-    vals = weights * np.abs(theta_ls.values)
+    vals = _magnitudes(dec.eigenvalues, theta_ls.values, phi)
     return np.unique(np.concatenate(([0.0], vals)))
 
 
@@ -94,19 +116,25 @@ def fold_assignment(
 
 @dataclass(frozen=True)
 class _Fold:
-    """Per-fold precomputation: validation scores against the training basis."""
+    """One training block's spectrum, seen from its validation block."""
 
     theta_ls: FloatArray
     eigenvalues: FloatArray
-    weights: FloatArray  # lam_j^(phi/2) on the training part
-    scores: FloatArray  # X_val @ U @ Lambda^{-1}, shape m x r
+    scores: FloatArray  # X_val @ U @ Lambda^{-1/2}, shape m x r
     y_val: FloatArray
-    bps: FloatArray
 
 
-def _prepare_folds(
-    dataset: Dataset, L: int, phi: float, seed: int, fold_mode: FoldMode
-) -> Tuple[NDArray[np.int64], List[_Fold]]:
+@dataclass(frozen=True)
+class _FoldSpectra:
+    """Everything CV needs from one fold split; independent of phi and of the method."""
+
+    assignment: NDArray[np.int64]
+    folds: Tuple[_Fold, ...]
+
+
+def _fold_spectra(
+    dataset: Dataset, L: int, seed: int, fold_mode: FoldMode = "seeded-random"
+) -> _FoldSpectra:
     assignment = fold_assignment(dataset.n, L, seed, fold_mode)
     folds: List[_Fold] = []
     for fold_id in range(L):
@@ -116,30 +144,30 @@ def _prepare_folds(
         )
         dec = canonicalize(train)
         theta = canonical_ls(dec, train.response)
-        scores = (
-            dataset.design[val_mask] @ dec.right_vectors / dec.singular_values
-        )
+        scores = dataset.design[val_mask] @ dec.right_vectors / dec.singular_values
         folds.append(
             _Fold(
                 theta_ls=theta.values,
                 eigenvalues=dec.eigenvalues,
-                weights=dec.eigenvalues ** (phi / 2.0),
                 scores=scores,
                 y_val=dataset.response[val_mask],
-                bps=breakpoints(dec, theta, phi),
             )
         )
-    return assignment, folds
+    return _FoldSpectra(assignment=assignment, folds=tuple(folds))
 
 
-def _fold_error(fold: _Fold, rule: ThresholdRule, tau: float) -> float:
-    theta_hat = apply_rule(rule, fold.weights * fold.theta_ls, tau) / fold.weights
+def _fold_error(fold: _Fold, rule: ThresholdRule, tau: float, phi: float) -> float:
+    weights = fold.eigenvalues ** (phi / 2.0)
+    theta_hat = apply_rule(rule, weights * fold.theta_ls, tau) / weights
     residual = fold.y_val - fold.scores @ theta_hat
     return float(residual @ residual) / fold.y_val.shape[0]
 
 
-def _cv_error(folds: Sequence[_Fold], rule: ThresholdRule, tau: float) -> float:
-    return sum(_fold_error(fold, rule, tau) for fold in folds) / len(folds)
+def _cv_error(
+    spectra: _FoldSpectra, rule: ThresholdRule, tau: float, phi: float
+) -> float:
+    folds = spectra.folds
+    return sum(_fold_error(fold, rule, tau, phi) for fold in folds) / len(folds)
 
 
 def cv_error_at(
@@ -152,43 +180,137 @@ def cv_error_at(
     fold_mode: FoldMode = "seeded-random",
 ) -> float:
     """Evaluate the K-fold CV objective at a single threshold level."""
-    _, folds = _prepare_folds(dataset, L, phi, seed, fold_mode)
-    return _cv_error(folds, rule, tau)
+    return _cv_error(_fold_spectra(dataset, L, seed, fold_mode), rule, tau, phi)
 
 
-def _soft_segment_quadratic(
-    folds: Sequence[_Fold], lo: float
-) -> Tuple[float, float, float]:
-    """Coefficients (A, B, C) of the average CV error A tau^2 + B tau + C on
-    the segment whose open interior starts at ``lo``."""
-    A = B = C = 0.0
-    for fold in folds:
-        active = fold.weights * np.abs(fold.theta_ls) > lo
-        theta_active = np.where(active, fold.theta_ls, 0.0)
-        slope = np.where(active, np.sign(fold.theta_ls) / fold.weights, 0.0)
-        u = fold.y_val - fold.scores @ theta_active
-        v = fold.scores @ slope
+def _prefix_residuals(fold: _Fold, order: NDArray[np.int64]) -> FloatArray:
+    """Validation residuals with the first k coordinates of ``order`` fitted.
+
+    Column k of the m x (len(order) + 1) result is y_val minus the
+    cumulative sum of score columns times their LS coefficients.
+    """
+    terms = fold.scores[:, order] * fold.theta_ls[order]
+    residuals = np.empty((fold.y_val.shape[0], order.shape[0] + 1))
+    residuals[:, 0] = fold.y_val
+    np.cumsum(terms, axis=1, out=residuals[:, 1:])
+    residuals[:, 1:] = fold.y_val[:, None] - residuals[:, 1:]
+    return residuals
+
+
+def _mean_sq(columns: FloatArray) -> FloatArray:
+    return np.sum(columns * columns, axis=0) / columns.shape[0]
+
+
+def _last_tied_minimum(errors: FloatArray, tol: float) -> int:
+    """Index of the last error within ``tol`` of the smallest one."""
+    return int(np.flatnonzero(errors <= np.min(errors) + tol)[-1])
+
+
+def _soft_path(
+    spectra: _FoldSpectra, magnitudes: List[FloatArray], phi: float, merged: FloatArray
+) -> Tuple[FloatArray, FloatArray, FloatArray, FloatArray]:
+    """Closed-form minimum of A tau^2 + B tau + C on every merged segment.
+
+    On the segment starting at lo, fold f has its k_f coordinates with
+    magnitude above lo active, with residual u_{k_f} + tau v_{k_f}.
+    Returns (lo, hi, tau*, error*) arrays, one entry per segment.
+    """
+    lo, hi = merged[:-1], merged[1:]
+    A = np.zeros_like(lo)
+    B = np.zeros_like(lo)
+    C = np.zeros_like(lo)
+    for fold, mags in zip(spectra.folds, magnitudes):
+        order = np.argsort(-mags, kind="stable")
+        u = _prefix_residuals(fold, order)
+        slopes = fold.scores[:, order] * (
+            np.sign(fold.theta_ls[order]) / fold.eigenvalues[order] ** (phi / 2.0)
+        )
+        v = np.zeros_like(u)
+        np.cumsum(slopes, axis=1, out=v[:, 1:])
         m = fold.y_val.shape[0]
-        A += float(v @ v) / m
-        B += 2.0 * float(u @ v) / m
-        C += float(u @ u) / m
-    L = len(folds)
-    return A / L, B / L, C / L
+        active = mags.shape[0] - np.searchsorted(np.sort(mags), lo, side="right")
+        A += np.sum(v * v, axis=0)[active] / m
+        B += 2.0 * np.sum(u * v, axis=0)[active] / m
+        C += np.sum(u * u, axis=0)[active] / m
+    L = len(spectra.folds)
+    A, B, C = A / L, B / L, C / L
 
+    def value(t: FloatArray) -> FloatArray:
+        return A * t * t + B * t + C
 
-def _minimize_quadratic(
-    A: float, B: float, C: float, lo: float, hi: float
-) -> Tuple[float, float]:
-    """Minimize on [lo, hi]; exact ties resolved toward the larger tau."""
-    value = lambda t: A * t * t + B * t + C
-    best_tau, best_err = hi, value(hi)
-    if A > 0:
+    # on [lo, hi]: hi unless the vertex, then lo, is strictly lower
+    tau, err = hi.copy(), value(hi)
+    with np.errstate(divide="ignore", invalid="ignore"):
         vertex = -B / (2.0 * A)
-        if lo < vertex < hi and value(vertex) < best_err:
-            best_tau, best_err = vertex, value(vertex)
-    if value(lo) < best_err:
-        best_tau, best_err = lo, value(lo)
-    return best_tau, best_err
+    at_vertex = value(vertex)
+    inside = (A > 0) & (lo < vertex) & (vertex < hi) & (at_vertex < err)
+    tau, err = np.where(inside, vertex, tau), np.where(inside, at_vertex, err)
+    at_lo = value(lo)
+    lower = at_lo < err
+    tau, err = np.where(lower, lo, tau), np.where(lower, at_lo, err)
+    return lo, hi, tau, err
+
+
+def _hard_path(
+    spectra: _FoldSpectra, magnitudes: List[FloatArray], candidates: FloatArray
+) -> FloatArray:
+    """CV error at each candidate: the boundary component is kept, so fold f
+    fits the coordinates with magnitude >= tau, a prefix of the sorted order."""
+    errors = np.zeros_like(candidates)
+    for fold, mags in zip(spectra.folds, magnitudes):
+        order = np.argsort(-mags, kind="stable")
+        active = mags.shape[0] - np.searchsorted(np.sort(mags), candidates, side="left")
+        errors += _mean_sq(_prefix_residuals(fold, order))[active]
+    return errors / len(spectra.folds)
+
+
+def _path_cv(spectra: _FoldSpectra, phi: float, rule: ThresholdRule) -> CvResult:
+    """The exact tau path of one phi on shared fold spectra (see kfold_cv)."""
+    magnitudes = [
+        _magnitudes(fold.eigenvalues, fold.theta_ls, phi) for fold in spectra.folds
+    ]
+    fold_bps = [np.unique(np.concatenate(([0.0], mags))) for mags in magnitudes]
+    merged = np.unique(np.concatenate(fold_bps))
+    zero_error = sum(
+        float(fold.y_val @ fold.y_val) / fold.y_val.shape[0] for fold in spectra.folds
+    ) / len(spectra.folds)
+    tol = TIE_RTOL * zero_error
+
+    segments: List[PathSegment] = []
+    if rule.kind is RuleKind.SOFT:
+        candidates = merged
+        if merged.shape[0] == 1:
+            best_tau = float(merged[0])  # every theta is zero
+            error = _cv_error(spectra, rule, best_tau, phi)
+            segments.append(PathSegment(best_tau, best_tau, best_tau, error))
+        else:
+            lo, hi, taus, errors = _soft_path(spectra, magnitudes, phi, merged)
+            columns = (lo.tolist(), hi.tolist(), taus.tolist(), errors.tolist())
+            segments = [PathSegment(*values) for values in zip(*columns)]
+            best_tau = float(taus[_last_tied_minimum(errors, tol)])
+    else:
+        if rule.kind is RuleKind.HARD:
+            candidates = merged
+            if merged[-1] > 0:
+                candidates = np.append(candidates, math.inf)
+            errors = _hard_path(spectra, magnitudes, candidates)
+        else:
+            midpoints = (merged[:-1] + merged[1:]) / 2.0
+            extra = [merged[-1] * 1.5] if merged[-1] > 0 else []
+            candidates = np.unique(np.concatenate((merged, midpoints, extra)))
+            errors = np.array(
+                [_cv_error(spectra, rule, float(tau), phi) for tau in candidates]
+            )
+        best_tau = float(candidates[_last_tied_minimum(errors, tol)])
+
+    return CvResult(
+        tau_cv=best_tau,
+        cv_error_at_tau=_cv_error(spectra, rule, best_tau, phi),
+        fold_breakpoints=fold_bps,
+        candidate_set=np.asarray(candidates, dtype=np.float64),
+        fold_assignment=spectra.assignment,
+        path_segments=segments,
+    )
 
 
 def kfold_cv(
@@ -206,57 +328,32 @@ def kfold_cv(
     per merged breakpoint plus a sentinel above the maximum representing the
     zero estimator (the boundary component is still kept at tau equal to a
     breakpoint).  Custom rules: finite evaluation at breakpoints and segment
-    midpoints.  Exact ties are broken toward the largest tau.
+    midpoints.
+
+    After the fold SVDs the soft and hard paths cost O(L m r) for L folds
+    of m validation rows and rank r, plus an O(L) gather per segment or
+    candidate: the errors are read off cumulative sums of score columns.
+
+    Accuracy and ties: summation order differs from a direct evaluation, so
+    a path error agrees with ``cv_error_at`` at the same tau to within
+    4 r eps S, where S is the fold mean of (|y_i| + sum_j |s_ij theta_j|)^2
+    over validation rows, the squared size of the summed terms (the tests
+    check this bound).  On well-conditioned folds S is a small multiple of
+    the zero estimator's CV error C0, and the difference is near 1e-15 C0.
+    Path errors within ``TIE_RTOL * C0`` of the smallest one are ties, so
+    an exact tie that roundoff splits is still found, and ties go to the
+    largest tau.  ``cv_error_at_tau`` is the direct evaluation at
+    ``tau_cv`` and equals ``cv_error_at(..., tau_cv)``.
     """
-    assignment, folds = _prepare_folds(dataset, L, phi, seed, fold_mode)
-    fold_bps = [fold.bps for fold in folds]
-    merged = np.unique(np.concatenate(fold_bps))
-
-    segments: List[PathSegment] = []
-    if rule.kind is RuleKind.SOFT:
-        candidates = merged
-        best_tau, best_err = math.nan, math.inf
-        if merged.shape[0] == 1:
-            tau0 = float(merged[0])
-            err0 = _cv_error(folds, rule, tau0)
-            segments.append(PathSegment(tau0, tau0, tau0, err0))
-            best_tau, best_err = tau0, err0
-        for lo, hi in zip(merged[:-1], merged[1:]):
-            A, B, C = _soft_segment_quadratic(folds, float(lo))
-            tau_star, err_star = _minimize_quadratic(A, B, C, float(lo), float(hi))
-            segments.append(PathSegment(float(lo), float(hi), tau_star, err_star))
-            if err_star <= best_err:
-                best_tau, best_err = tau_star, err_star
-    else:
-        if rule.kind is RuleKind.HARD:
-            candidates = merged
-            if merged[-1] > 0:
-                candidates = np.append(candidates, math.inf)
-        else:
-            midpoints = (merged[:-1] + merged[1:]) / 2.0
-            extra = [merged[-1] * 1.5] if merged[-1] > 0 else []
-            candidates = np.unique(np.concatenate((merged, midpoints, extra)))
-        best_tau, best_err = math.nan, math.inf
-        for tau in candidates:
-            err = _cv_error(folds, rule, float(tau))
-            if err <= best_err:
-                best_tau, best_err = float(tau), err
-
-    return CvResult(
-        tau_cv=best_tau,
-        cv_error_at_tau=best_err,
-        fold_breakpoints=fold_bps,
-        candidate_set=np.asarray(candidates, dtype=np.float64),
-        fold_assignment=assignment,
-        path_segments=segments,
-    )
+    return _path_cv(_fold_spectra(dataset, L, seed, fold_mode), phi, rule)
 
 
 def _fold_errors_on_grid(
-    fold: _Fold, rule: ThresholdRule, taus: FloatArray
+    fold: _Fold, rule: ThresholdRule, taus: FloatArray, phi: float
 ) -> FloatArray:
     """Validation error of one fold at every grid point at once."""
-    weighted = fold.weights * fold.theta_ls
+    weights = fold.eigenvalues ** (phi / 2.0)
+    weighted = weights * fold.theta_ls
     if rule.kind is RuleKind.SOFT:
         shrunk = np.sign(weighted)[:, None] * np.maximum(
             np.abs(weighted)[:, None] - taus[None, :], 0.0
@@ -266,8 +363,8 @@ def _fold_errors_on_grid(
             np.abs(weighted)[:, None] >= taus[None, :], weighted[:, None], 0.0
         )
     else:
-        return np.array([_fold_error(fold, rule, float(tau)) for tau in taus])
-    theta_hat = shrunk / fold.weights[:, None]  # r x m
+        return np.array([_fold_error(fold, rule, float(tau), phi) for tau in taus])
+    theta_hat = shrunk / weights[:, None]  # r x m
     residual = fold.y_val[:, None] - fold.scores @ theta_hat
     return np.sum(residual**2, axis=0) / fold.y_val.shape[0]
 
@@ -285,9 +382,11 @@ def grid_cv_oracle(
     grid = np.asarray(grid, dtype=np.float64)
     if grid.size == 0:
         raise ValueError("empty grid")
-    _, folds = _prepare_folds(dataset, L, phi, seed, fold_mode)
+    folds = _fold_spectra(dataset, L, seed, fold_mode).folds
     taus = np.sort(grid)
-    errors = sum(_fold_errors_on_grid(fold, rule, taus) for fold in folds) / len(folds)
+    errors = sum(_fold_errors_on_grid(fold, rule, taus, phi) for fold in folds) / len(
+        folds
+    )
     # scan ascending with <= so exact ties resolve toward the largest tau
     best_tau, best_err = math.nan, math.inf
     for tau, err in zip(taus, errors):
@@ -306,18 +405,30 @@ def joint_cv(
 ) -> Tuple[float, float, CvResult]:
     """Tune (tau, phi) by running the exact tau path for each phi candidate.
 
-    Returns (phi, tau, result) with the smallest CV error; ties go to the
-    smaller phi.
+    The folds are decomposed once and shared by every phi.  Returns
+    (phi, tau, result) with the smallest CV error; ties go to the smaller
+    phi.
     """
     if len(phi_grid) == 0:
         raise ValueError("empty phi grid")
+    spectra = _fold_spectra(dataset, L, seed, fold_mode)
     best: Optional[Tuple[float, float, CvResult]] = None
     for phi in phi_grid:
-        result = kfold_cv(dataset, L, phi, rule, seed, fold_mode)
+        result = _path_cv(spectra, float(phi), rule)
         if best is None or result.cv_error_at_tau < best[2].cv_error_at_tau:
             best = (float(phi), result.tau_cv, result)
     assert best is not None
     return best
+
+
+def _pcr_cv(spectra: _FoldSpectra) -> Tuple[int, float]:
+    folds = spectra.folds
+    max_m = min(fold.theta_ls.shape[0] for fold in folds)
+    errors = np.zeros(max_m + 1)
+    for fold in folds:
+        errors += _mean_sq(_prefix_residuals(fold, np.arange(max_m))) / len(folds)
+    best_m = int(np.argmin(errors))
+    return best_m, float(errors[best_m])
 
 
 def kfold_cv_pcr(
@@ -331,20 +442,20 @@ def kfold_cv_pcr(
     Components beyond the smallest per-fold rank are not considered.  Ties
     go to the smaller model.
     """
-    _, folds = _prepare_folds(dataset, L, 0.0, seed, fold_mode)
-    max_m = min(fold.theta_ls.shape[0] for fold in folds)
-    errors = np.zeros(max_m + 1)
-    for fold in folds:
-        m_val = fold.y_val.shape[0]
-        pred = np.zeros(m_val)
-        errors[0] += float(np.sum((fold.y_val - pred) ** 2)) / m_val / len(folds)
-        for m in range(1, max_m + 1):
-            pred = pred + fold.scores[:, m - 1] * fold.theta_ls[m - 1]
-            errors[m] += (
-                float(np.sum((fold.y_val - pred) ** 2)) / m_val / len(folds)
-            )
-    best_m = int(np.argmin(errors))
-    return best_m, float(errors[best_m])
+    return _pcr_cv(_fold_spectra(dataset, L, seed, fold_mode))
+
+
+def _ridge_cv(spectra: _FoldSpectra, lambda_grid: FloatArray) -> Tuple[float, float]:
+    lambdas = np.sort(np.asarray(lambda_grid, dtype=np.float64))
+    errors = np.zeros_like(lambdas)
+    for fold in spectra.folds:
+        theta_hat = fold.theta_ls[:, None] / (
+            1.0 + lambdas[None, :] / fold.eigenvalues[:, None]
+        )  # r x |grid|
+        residual = fold.y_val[:, None] - fold.scores @ theta_hat
+        errors += _mean_sq(residual) / len(spectra.folds)
+    best = _last_tied_minimum(errors, 0.0)
+    return float(lambdas[best]), float(errors[best])
 
 
 def kfold_cv_ridge(
@@ -354,18 +465,10 @@ def kfold_cv_ridge(
     seed: int = 0,
     fold_mode: FoldMode = "seeded-random",
 ) -> Tuple[float, float]:
-    """Select the ridge penalty by K-fold CV over an explicit grid."""
-    lambda_grid = np.asarray(lambda_grid, dtype=np.float64)
-    if lambda_grid.size == 0:
+    """Select the ridge penalty by K-fold CV over an explicit grid.
+
+    Ties go to the larger penalty.
+    """
+    if np.asarray(lambda_grid).size == 0:
         raise ValueError("empty lambda grid")
-    _, folds = _prepare_folds(dataset, L, 0.0, seed, fold_mode)
-    best_lam, best_err = math.nan, math.inf
-    for lam in np.sort(lambda_grid):
-        err = 0.0
-        for fold in folds:
-            theta_hat = fold.theta_ls / (1.0 + lam / fold.eigenvalues)
-            residual = fold.y_val - fold.scores @ theta_hat
-            err += float(residual @ residual) / fold.y_val.shape[0] / len(folds)
-        if err <= best_err:
-            best_lam, best_err = float(lam), err
-    return best_lam, best_err
+    return _ridge_cv(_fold_spectra(dataset, L, seed, fold_mode), lambda_grid)

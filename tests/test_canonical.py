@@ -31,6 +31,17 @@ class TestDataset:
         with pytest.raises(ValueError):
             Dataset(np.ones((0, 2)), np.ones(0))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_rejected(self, bad):
+        design = np.ones((3, 2))
+        design[2, 1] = bad
+        with pytest.raises(ValueError, match=r"design .* index \(2, 1\)"):
+            Dataset(design, np.ones(3))
+        response = np.ones(3)
+        response[1] = bad
+        with pytest.raises(ValueError, match=r"response .* index \(1,\)"):
+            Dataset(np.ones((3, 2)), response)
+
     def test_properties(self):
         ds = Dataset(np.ones((5, 3)), np.ones(5))
         assert ds.n == 5 and ds.d == 3

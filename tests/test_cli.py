@@ -64,6 +64,16 @@ class TestCsvIo:
         with pytest.raises(UsageError):
             read_csv(path)
 
+    @pytest.mark.parametrize("cell", ["nan", "inf", "-inf"])
+    def test_non_finite_value_usage_error(self, tmp_path, cell):
+        from ctreg.cli import UsageError
+
+        path = str(tmp_path / "f.csv")
+        with open(path, "w") as handle:
+            handle.write(f"a,b\n1,2\n3,{cell}\n")
+        with pytest.raises(UsageError, match=r"row 2, column 2 \(b\)"):
+            read_csv(path)
+
 
 class TestExitCodes:
     def test_missing_required_flag(self):
@@ -85,6 +95,15 @@ class TestExitCodes:
         code = main(["fit", "--input", path, "--response", "2", "--no-center",
                      "--method", "ols", "--output", out])
         assert code == 1
+
+    def test_non_finite_csv_exit_two(self, data_csv, tmp_path, capsys):
+        path, _, _ = data_csv
+        with open(path, "a") as handle:
+            handle.write("1,2,nan,4,5\n")
+        for command in ("fit", "cv"):
+            out = ["--output", str(tmp_path / "m.json")] if command == "fit" else []
+            assert main([command, "--input", path, "--response", "y"] + out) == 2
+        assert "non-finite value in row 13, column 3 (x2)" in capsys.readouterr().err
 
     def test_missing_input_file(self, tmp_path):
         assert (
@@ -205,6 +224,50 @@ class TestPredict:
         with open(model_path, "w") as handle:
             json.dump(payload, handle)
         assert main(["predict", "--model", model_path, "--input", path]) == 2
+
+    @pytest.mark.parametrize(
+        "mutate, message",
+        [
+            (lambda p: p.pop("model_kind"), "lacks model_kind"),
+            (lambda p: p.update(model_kind="tree"), "unknown model_kind 'tree'"),
+            (lambda p: p.pop("beta"), "lacks beta"),
+        ],
+    )
+    def test_malformed_model_exit_two(self, data_csv, tmp_path, capsys, mutate, message):
+        path, X, _ = data_csv
+        model_path = str(tmp_path / "m.json")
+        main(["fit", "--input", path, "--response", "y", "--method", "ols",
+              "--output", model_path])
+        payload = json.load(open(model_path))
+        mutate(payload)
+        with open(model_path, "w") as handle:
+            json.dump(payload, handle)
+        newdata = str(tmp_path / "new.csv")
+        np.savetxt(newdata, X, delimiter=",")
+        assert main(["predict", "--model", model_path, "--input", newdata]) == 2
+        assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "method, mutate",
+        [
+            ("kernel-fit", lambda p: p["kernel"].pop("kind")),
+            ("kernel-fit", lambda p: p["config"].pop("tau")),
+            ("fit", lambda p: p["centering"].pop("x_means")),
+        ],
+    )
+    def test_malformed_model_fields_exit_two(self, data_csv, tmp_path, method, mutate):
+        path, X, _ = data_csv
+        model_path = str(tmp_path / "m.json")
+        extra = ["--kernel", "rbf:0.5"] if method == "kernel-fit" else []
+        assert main([method, "--input", path, "--response", "y", "--output",
+                     model_path] + extra) == 0
+        payload = json.load(open(model_path))
+        mutate(payload)
+        with open(model_path, "w") as handle:
+            json.dump(payload, handle)
+        newdata = str(tmp_path / "new.csv")
+        np.savetxt(newdata, X, delimiter=",")
+        assert main(["predict", "--model", model_path, "--input", newdata]) == 2
 
 
 class TestCv:

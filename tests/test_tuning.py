@@ -4,12 +4,17 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ctreg import (
     CanonicalCoefficients,
     Dataset,
+    GctConfig,
     HARD_RULE,
+    PolyDecay,
     SOFT_RULE,
+    ScenarioSpec,
+    ZeroDesignError,
     breakpoints,
     canonical_ls,
     canonicalize,
@@ -20,8 +25,13 @@ from ctreg import (
     kfold_cv,
     kfold_cv_pcr,
     kfold_cv_ridge,
+    fit_gct,
+    fit_min_norm_ls,
+    generate_scenario,
+    run_experiment,
 )
 from ctreg.estimators import fit_pcr, fit_ridge
+from ctreg.tuning import TIE_RTOL, _fold_errors_on_grid, _fold_spectra
 
 
 def random_dataset(seed, n, d, noise=1.0):
@@ -92,6 +102,47 @@ class TestKfoldCv:
         result = kfold_cv(Dataset(X, np.zeros(12)), 3)
         assert result.tau_cv == max(float(bp.max()) for bp in result.fold_breakpoints)
         assert result.tau_cv == 0.0
+
+    def test_exact_tie_across_segments(self):
+        # leave-one-out on a diagonal design: each held-out row loads on the
+        # one column its training block lacks, so every validation prediction
+        # is 0 and every tau ties; the largest candidate wins
+        Y = np.array([1.0, -2.0, 0.5, 3.0, -1.0, 2.0])
+        ds = Dataset(np.diag(np.arange(1.0, 7.0)), Y)
+        soft = kfold_cv(ds, 6)
+        assert len({segment.error for segment in soft.path_segments}) == 1
+        assert len(soft.path_segments) > 1
+        assert soft.tau_cv == max(float(bp.max()) for bp in soft.fold_breakpoints)
+        assert kfold_cv(ds, 6, rule=HARD_RULE).tau_cv == math.inf
+        assert soft.cv_error_at_tau == float(np.mean(Y**2))
+
+    @pytest.mark.parametrize("delta, tied", [(1e-15, True), (1e-13, False)])
+    def test_tie_tolerance_edge(self, delta, tied):
+        # perturbing the diagonal design spreads the tied errors by about
+        # delta * C0: below TIE_RTOL * C0 they still tie, above it they don't
+        Y = np.array([1.0, -2.0, 0.5, 3.0, -1.0, 2.0])
+        noise = np.random.default_rng(0).standard_normal((6, 6))
+        ds = Dataset(np.diag(np.arange(1.0, 7.0)) + delta * noise, Y)
+        soft = kfold_cv(ds, 6)
+        errors = np.array([segment.error for segment in soft.path_segments])
+        zero_error = float(np.mean(Y**2))
+        assert (np.ptp(errors) <= TIE_RTOL * zero_error) == tied
+        top = max(float(bp.max()) for bp in soft.fold_breakpoints)
+        assert (soft.tau_cv == top) == tied
+        assert (kfold_cv(ds, 6, rule=HARD_RULE).tau_cv == math.inf) == tied
+
+    def test_repeated_magnitudes_within_fold(self):
+        # fold 0 trains on 2 I_4 with responses +-1: all four |theta_j| are
+        # 1/2 and leave the support together, and its zero validation response
+        # is fit exactly once they have; fold 1 trains on zero responses
+        X = np.vstack([2.0 * np.eye(4), 2.0 * np.eye(4)])
+        Y = np.array([0.0, 0.0, 0.0, 0.0, 1.0, -1.0, 1.0, -1.0])
+        ds = Dataset(X, Y)
+        for rule, tau in ((SOFT_RULE, 0.5), (HARD_RULE, math.inf)):
+            result = kfold_cv(ds, 2, rule=rule, fold_mode="contiguous")
+            np.testing.assert_array_equal(result.fold_breakpoints[0], [0.0, 0.5])
+            assert result.tau_cv == tau
+            assert result.cv_error_at_tau == 0.5
 
     def test_leave_one_out_beats_grid(self):
         ds = random_dataset(1, 20, 10)
@@ -238,3 +289,123 @@ class TestBaselineCv:
                 best = (float(lam), total)
         assert lam_star == pytest.approx(best[0])
         assert err_star == pytest.approx(best[1], abs=1e-10)
+
+
+@st.composite
+def cv_problems(draw):
+    """Small random CV problems, including the degenerate shapes."""
+    n = draw(st.integers(4, 14))
+    d = draw(st.integers(1, 10))
+    L = draw(st.one_of(st.just(n), st.integers(2, n)))
+    shape = draw(
+        st.sampled_from(
+            ["plain", "duplicate_columns", "duplicate_rows", "zero_response", "rank_one"]
+        )
+    )
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    X = rng.standard_normal((n, d))
+    if shape == "duplicate_columns":
+        X[:, 1::2] = X[:, :1]
+    elif shape == "duplicate_rows":
+        # with L = n, repeated rows give folds with identical breakpoints
+        X[n // 2 :] = X[: n - n // 2]
+    elif shape == "rank_one":
+        X = np.outer(rng.standard_normal(n), rng.standard_normal(d))
+    Y = X @ rng.standard_normal(d) + draw(st.floats(0.0, 2.0)) * rng.standard_normal(n)
+    if shape == "duplicate_rows":
+        Y[n // 2 :] = Y[: n - n // 2]
+    if shape == "zero_response":
+        Y[:] = 0.0
+    return Dataset(X, Y), L, draw(st.integers(0, 1000))
+
+
+def roundoff_scale(spectra):
+    """r * eps * mean (|y| + sum_j |s_j theta_j|)^2: the size of the summed
+    terms, on which the path engine's accuracy is stated."""
+    folds = spectra.folds
+    size = np.mean(
+        [
+            np.mean((np.abs(f.y_val) + np.abs(f.scores * f.theta_ls).sum(axis=1)) ** 2)
+            for f in folds
+        ]
+    )
+    r = max(f.theta_ls.shape[0] for f in folds)
+    return r * np.finfo(float).eps * size
+
+
+class TestPathEngineAgainstOracles:
+    @settings(max_examples=60, deadline=None)
+    @given(cv_problems(), st.sampled_from([0.0, 1.0]))
+    def test_engine_matches_direct_evaluation(self, problem, phi):
+        ds, L, seed = problem
+        try:
+            spectra = _fold_spectra(ds, L, seed)
+        except ZeroDesignError:
+            return  # a training block with an all-zero design
+        accuracy = 4.0 * roundoff_scale(spectra)
+        zero_error = np.mean([np.mean(f.y_val**2) for f in spectra.folds])
+        for rule in (SOFT_RULE, HARD_RULE):
+            result = kfold_cv(ds, L, phi, rule, seed)
+            direct = cv_error_at(ds, L, phi, rule, seed, result.tau_cv)
+            assert result.cv_error_at_tau == pytest.approx(direct, rel=1e-12, abs=1e-300)
+
+            candidates = result.candidate_set[np.isfinite(result.candidate_set)]
+            grid = np.concatenate((candidates, np.linspace(0.0, 1.05 * candidates.max(), 400)))
+            _, grid_err = grid_cv_oracle(ds, L, phi, rule, grid, seed)
+            assert result.cv_error_at_tau <= grid_err + TIE_RTOL * zero_error + accuracy
+
+            if rule is SOFT_RULE:
+                taus = np.array([segment.tau for segment in result.path_segments])
+                errors = np.array([segment.error for segment in result.path_segments])
+                direct_errors = sum(
+                    _fold_errors_on_grid(fold, rule, taus, phi) for fold in spectra.folds
+                ) / L
+                assert np.max(np.abs(errors - direct_errors)) <= accuracy
+
+
+def test_run_experiment_matches_public_calls():
+    spec = ScenarioSpec(
+        n=30,
+        d_grid=(8, 40),
+        eigen_decay_a=1.0,
+        coef_pattern=PolyDecay(b=1.0),
+        snr_target=5.0,
+        replicates=2,
+        base_seed=77,
+        methods=("NCT-CV", "GCT-CV", "PCR-CV", "OLS", "Ridge-CV", "Zero"),
+        gct_phi=1.0,
+    )
+    table = run_experiment(spec)
+    for d in spec.d_grid:
+        rel_mse = {method: [] for method in spec.methods}
+        rel_pe = {method: [] for method in spec.methods}
+        for replicate in range(spec.replicates):
+            draw = generate_scenario(spec, d, replicate)
+            ds, beta = draw.dataset, draw.beta
+            seed = int(
+                np.random.SeedSequence([spec.base_seed, d, replicate, 3]).generate_state(1)[0]
+            )
+            nct = kfold_cv(ds, 10, 0.0, SOFT_RULE, seed).tau_cv
+            gct = kfold_cv(ds, 10, spec.gct_phi, SOFT_RULE, seed).tau_cv
+            m, _ = kfold_cv_pcr(ds, 10, seed)
+            lam, _ = kfold_cv_ridge(ds, 10, np.logspace(-8, 2, 40), seed)
+            estimates = {
+                "NCT-CV": fit_gct(ds, GctConfig(tau=nct)).beta,
+                "GCT-CV": fit_gct(ds, GctConfig(tau=gct, phi=spec.gct_phi)).beta,
+                "PCR-CV": fit_pcr(ds, m).beta,
+                "OLS": fit_min_norm_ls(ds).beta,
+                "Ridge-CV": fit_ridge(ds, lam).beta,
+                "Zero": np.zeros(d),
+            }
+            for method, estimate in estimates.items():
+                diff = estimate - beta
+                rel_mse[method].append(
+                    float(np.sum((ds.design @ diff) ** 2)) / float(np.sum((ds.design @ beta) ** 2))
+                )
+                rel_pe[method].append(
+                    float(np.sum(draw.sigma_diag * diff**2))
+                    / float(np.sum(draw.sigma_diag * beta**2))
+                )
+        for row in (row for row in table.rows if row.d == d):
+            assert row.median_rel_mse == pytest.approx(np.median(rel_mse[row.method]), rel=1e-12)
+            assert row.median_rel_pe == pytest.approx(np.median(rel_pe[row.method]), rel=1e-12)

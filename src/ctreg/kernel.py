@@ -17,6 +17,7 @@ from typing import Optional, Tuple
 import numpy as np
 from numpy.typing import NDArray
 
+from .canonical import _gram_spectrum, _pivot_signs
 from .errors import NotPositiveSemidefiniteError, ZeroDesignError
 from .estimators import GctConfig
 from .thresholding import apply_rule
@@ -66,6 +67,9 @@ def gram(points: FloatArray, spec: KernelSpec) -> FloatArray:
     points = np.asarray(points, dtype=np.float64)
     if points.ndim != 2 or points.shape[0] < 1:
         raise ValueError("points must be a nonempty 2-D array")
+    if not np.all(np.isfinite(points)):
+        row, column = (int(i) for i in np.argwhere(~np.isfinite(points))[0])
+        raise ValueError(f"points has a non-finite value at row {row}, column {column}")
     K = _cross_gram(spec, points, points)
     if not np.all(np.isfinite(K)):
         raise ValueError("non-finite kernel matrix entries")
@@ -77,9 +81,11 @@ def kernel_canonicalize(
 ) -> Tuple[FloatArray, FloatArray]:
     """Eigendecomposition of K/n with the small-spectrum floor applied.
 
-    Returns (eigenvalues, left_vectors) with eigenvalues non-increasing.
-    Eigenvalues within rank_rel_tol of zero (relative to the top one) are
-    dropped; materially negative ones raise an error.
+    Returns (eigenvalues, left_vectors) with eigenvalues non-increasing,
+    from the spectral core that ``canonicalize`` uses.  Eigenvalues within
+    rank_rel_tol of zero (relative to the top one) are dropped; materially
+    negative ones raise an error.  Each left vector's largest-magnitude
+    entry is positive.
     """
     K = np.asarray(K, dtype=np.float64)
     n = K.shape[0]
@@ -90,22 +96,10 @@ def kernel_canonicalize(
     if not np.any(K):
         raise ZeroDesignError("zero kernel matrix")
 
-    eig, vec = np.linalg.eigh(K / n)
-    eig, vec = eig[::-1], vec[:, ::-1]
-    top = eig[0]
-    if top <= 0:
+    eig, vec, smallest = _gram_spectrum(K / n, rank_rel_tol)
+    if eig.size == 0 or smallest < -rank_rel_tol * eig[0]:
         raise NotPositiveSemidefiniteError("kernel matrix not positive semidefinite")
-    if eig[-1] < -rank_rel_tol * top:
-        raise NotPositiveSemidefiniteError("kernel matrix not positive semidefinite")
-    keep = eig > rank_rel_tol * top
-    eig, vec = eig[keep], vec[:, keep]
-
-    # deterministic sign, matching the linear-module convention
-    r = eig.shape[0]
-    pivot = np.argmax(np.abs(vec), axis=0)
-    signs = np.sign(vec[pivot, np.arange(r)])
-    signs[signs == 0] = 1.0
-    return eig, vec * signs
+    return eig, vec * _pivot_signs(vec)
 
 
 @dataclass(frozen=True)

@@ -8,11 +8,15 @@ and piecewise constant for the hard rule (one evaluation per segment).
 Every tuner works on one fold-spectra object: each training block is
 decomposed once, and the phi-independent pieces (canonical LS
 coefficients, eigenvalues, validation scores, validation responses) are
-kept.  Along each fold's coordinates sorted by weighted magnitude, the
-validation residual u_k and the soft-rule slope v_k after k active
-coordinates are cumulative sums of score columns, so every segment's
-quadratic, every hard-rule candidate and every PCR prefix is a gather
-from per-fold prefix arrays.  A brute-force grid oracle and a single-tau
+kept.  A training block with no more rows than columns is an ``eigh`` of
+its block of the full Gram matrix X X^T, formed once per split, and its
+validation scores come from the cross block without touching the
+columns; a taller block is an ``eigh`` of its own X^T X.  Along each
+fold's coordinates sorted by weighted magnitude, the validation residual
+u_k and the soft-rule slope v_k after k active coordinates are
+cumulative sums of score columns, so every segment's quadratic, every
+hard-rule candidate and every PCR prefix is a gather from per-fold
+prefix arrays.  A brute-force grid oracle and a single-tau
 evaluator with identical fold construction do not use that engine and
 are kept for testing.
 """
@@ -27,12 +31,13 @@ import numpy as np
 from numpy.typing import NDArray
 
 from .canonical import (
+    DEFAULT_RANK_REL_TOL,
     CanonicalCoefficients,
     CanonicalDecomposition,
     Dataset,
-    canonical_ls,
-    canonicalize,
+    _gram_spectrum,
 )
+from .errors import ZeroDesignError
 from .thresholding import RuleKind, SOFT_RULE, ThresholdRule, apply_rule
 
 FloatArray = NDArray[np.float64]
@@ -66,6 +71,11 @@ class CvResult:
     candidate_set: FloatArray
     fold_assignment: NDArray[np.int64]
     path_segments: List[PathSegment]
+    # per-fold spectrum diagnostics: retained rank and smallest over largest
+    # retained eigenvalue, on which the fold's accuracy depends (see
+    # ``canonicalize``)
+    fold_ranks: NDArray[np.int64]
+    fold_eigenvalue_ratios: FloatArray
 
 
 def _magnitudes(eigenvalues: FloatArray, theta: FloatArray, phi: float) -> FloatArray:
@@ -135,23 +145,35 @@ class _FoldSpectra:
 def _fold_spectra(
     dataset: Dataset, L: int, seed: int, fold_mode: FoldMode = "seeded-random"
 ) -> _FoldSpectra:
+    X, Y = dataset.design, dataset.response
     assignment = fold_assignment(dataset.n, L, seed, fold_mode)
+    gram: Optional[FloatArray] = None  # X X^T, formed once if a fold needs it
     folds: List[_Fold] = []
     for fold_id in range(L):
-        val_mask = assignment == fold_id
-        train = Dataset(
-            dataset.design[~val_mask], dataset.response[~val_mask], dataset.centered
-        )
-        dec = canonicalize(train)
-        theta = canonical_ls(dec, train.response)
-        scores = dataset.design[val_mask] @ dec.right_vectors / dec.singular_values
-        folds.append(
-            _Fold(
-                theta_ls=theta.values,
-                eigenvalues=dec.eigenvalues,
-                scores=scores,
-                y_val=dataset.response[val_mask],
+        val = assignment == fold_id
+        train = ~val
+        n_t = int(np.count_nonzero(train))
+        if n_t <= dataset.d:
+            if gram is None:
+                gram = X @ X.T
+            root_n = math.sqrt(n_t)
+            eig, V, _ = _gram_spectrum(
+                gram[np.ix_(train, train)] / n_t, DEFAULT_RANK_REL_TOL
             )
+            theta = V.T @ Y[train] / root_n
+            scores = gram[np.ix_(val, train)] @ V / (root_n * eig)
+        else:
+            X_t = X[train]
+            eig, U, _ = _gram_spectrum(X_t.T @ X_t / n_t, DEFAULT_RANK_REL_TOL)
+            s = np.sqrt(eig)
+            theta = U.T @ (X_t.T @ Y[train]) / (n_t * s)
+            scores = X[val] @ U / s
+        if eig.size == 0:
+            raise ZeroDesignError(
+                f"fold {fold_id}: zero design matrix in its training block"
+            )
+        folds.append(
+            _Fold(theta_ls=theta, eigenvalues=eig, scores=scores, y_val=Y[val])
         )
     return _FoldSpectra(assignment=assignment, folds=tuple(folds))
 
@@ -310,6 +332,10 @@ def _path_cv(spectra: _FoldSpectra, phi: float, rule: ThresholdRule) -> CvResult
         candidate_set=np.asarray(candidates, dtype=np.float64),
         fold_assignment=spectra.assignment,
         path_segments=segments,
+        fold_ranks=np.array([fold.eigenvalues.shape[0] for fold in spectra.folds]),
+        fold_eigenvalue_ratios=np.array(
+            [fold.eigenvalues[-1] / fold.eigenvalues[0] for fold in spectra.folds]
+        ),
     )
 
 
@@ -330,9 +356,10 @@ def kfold_cv(
     breakpoint).  Custom rules: finite evaluation at breakpoints and segment
     midpoints.
 
-    After the fold SVDs the soft and hard paths cost O(L m r) for L folds
-    of m validation rows and rank r, plus an O(L) gather per segment or
-    candidate: the errors are read off cumulative sums of score columns.
+    After the fold decompositions the soft and hard paths cost O(L m r) for
+    L folds of m validation rows and rank r, plus an O(L) gather per
+    segment or candidate: the errors are read off cumulative sums of score
+    columns.
 
     Accuracy and ties: summation order differs from a direct evaluation, so
     a path error agrees with ``cv_error_at`` at the same tau to within

@@ -22,6 +22,23 @@ def random_dataset(seed, n, d, noise=1.0):
     return Dataset(X, Y), beta
 
 
+def conditioned_dataset(seed, n, d, ratio, noise=0.1):
+    """Rank min(n, d) design whose X^T X / n has eigenvalues log-spaced
+    from 1 down to 1 / ratio."""
+    rng = np.random.default_rng(seed)
+    r = min(n, d)
+    left, _ = np.linalg.qr(rng.standard_normal((n, r)))
+    right, _ = np.linalg.qr(rng.standard_normal((d, r)))
+    eigenvalues = np.logspace(0.0, -np.log10(ratio), r)
+    X = np.sqrt(n) * (left * np.sqrt(eigenvalues)) @ right.T
+    Y = X @ rng.standard_normal(d) + noise * rng.standard_normal(n)
+    return Dataset(X, Y)
+
+
+# n < d, n > d and n = d: the two Gram routes and the boundary between them
+SHAPES = [(40, 80), (80, 40), (50, 50)]
+
+
 class TestDataset:
     def test_shape_validation(self):
         with pytest.raises(ValueError):
@@ -102,6 +119,68 @@ class TestCanonicalize:
         for j in range(dec.rank):
             col = dec.right_vectors[:, j]
             assert col[np.argmax(np.abs(col))] > 0
+
+    def test_tall_identity_design_keeps_index_order(self):
+        # X / sqrt(n) = [I; 0] with n > d: X^T X / n = I exactly, so every
+        # eigenvalue ties and the columns keep their index order
+        X = np.sqrt(8.0) * np.vstack([np.eye(4), np.zeros((4, 4))])
+        dec = canonicalize(Dataset(X, np.zeros(8)))
+        np.testing.assert_allclose(dec.eigenvalues, np.ones(4), rtol=1e-15)
+        np.testing.assert_allclose(dec.right_vectors, np.eye(4), atol=1e-15)
+        np.testing.assert_allclose(dec.left_vectors, X / np.sqrt(8.0), atol=1e-15)
+
+    @pytest.mark.parametrize("n, d", SHAPES)
+    def test_matches_svd_on_both_routes(self, n, d):
+        ds, _ = random_dataset(15, n, d)
+        dec = canonicalize(ds)
+        s = np.linalg.svd(ds.design / np.sqrt(n), compute_uv=False)
+        np.testing.assert_allclose(dec.eigenvalues, s**2, rtol=1e-12)
+        r = dec.rank
+        np.testing.assert_allclose(dec.right_vectors.T @ dec.right_vectors, np.eye(r), atol=1e-12)
+        np.testing.assert_allclose(dec.left_vectors.T @ dec.left_vectors, np.eye(r), atol=1e-12)
+        recon = dec.left_vectors * dec.singular_values @ dec.right_vectors.T
+        np.testing.assert_allclose(recon, ds.design / np.sqrt(n), atol=1e-12)
+
+    @pytest.mark.parametrize("n, d", [(6, 10), (10, 6)])
+    def test_rank_floor_is_relative_to_top_eigenvalue(self, n, d):
+        # the floor compares eigenvalues (squared singular values) with
+        # 1e-12 times the largest one
+        left, _ = np.linalg.qr(np.random.default_rng(16).standard_normal((n, 2)))
+        right, _ = np.linalg.qr(np.random.default_rng(17).standard_normal((d, 2)))
+        for small, rank in ((1e-11, 2), (1e-13, 1)):
+            X = np.sqrt(n) * (left * np.sqrt([1.0, small])) @ right.T
+            assert canonicalize(Dataset(X, np.zeros(n))).rank == rank
+
+
+class TestGramRouteAccuracy:
+    """The Gram eigendecomposition resolves an eigenvalue lambda_j to about
+    eps * lambda_max / lambda_j relative; minimum-norm coefficients and fitted
+    values are checked against np.linalg.lstsq (an SVD-based solver) at the
+    ratio lambda_max / lambda_min = 1e10 that the canonicalize docstring
+    names."""
+
+    RATIO = 1e10
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    @pytest.mark.parametrize("n, d", SHAPES)
+    def test_min_norm_ls_against_lstsq(self, n, d, seed):
+        ds = conditioned_dataset(seed, n, d, self.RATIO)
+        dec = canonicalize(ds)
+        assert dec.rank == min(n, d)
+        beta = to_beta(dec, canonical_ls(dec, ds.response))
+        reference = np.linalg.lstsq(ds.design, ds.response, rcond=None)[0]
+        bound = np.finfo(float).eps * self.RATIO
+        assert np.linalg.norm(beta - reference) <= bound * np.linalg.norm(reference)
+        fitted, fitted_ref = ds.design @ beta, ds.design @ reference
+        assert np.linalg.norm(fitted - fitted_ref) <= bound * np.linalg.norm(fitted_ref)
+
+    @pytest.mark.parametrize("n, d", SHAPES)
+    def test_well_conditioned_design_at_full_precision(self, n, d):
+        ds = conditioned_dataset(2, n, d, 10.0)
+        dec = canonicalize(ds)
+        beta = to_beta(dec, canonical_ls(dec, ds.response))
+        reference = np.linalg.lstsq(ds.design, ds.response, rcond=None)[0]
+        np.testing.assert_allclose(beta, reference, rtol=0, atol=1e-13 * np.abs(reference).max())
 
 
 class TestCanonicalLs:

@@ -65,6 +65,14 @@ class TestGram:
         K = gram(X, KernelSpec(kind="poly", degree=3, coef0=1.0, scale=0.5))
         np.testing.assert_array_equal(K, K.T)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_point_named(self, bad):
+        X = random_points(4, 5, 3)
+        X[3, 2] = bad
+        for spec in (LINEAR, RBF):
+            with pytest.raises(ValueError, match=r"row 3, column 2"):
+                gram(X, spec)
+
 
 class TestKernelCanonicalize:
     def test_scaled_identity(self):
@@ -105,6 +113,11 @@ class TestKernelCanonicalize:
     def test_asymmetric_rejected(self):
         with pytest.raises(ValueError):
             kernel_canonicalize(np.array([[1.0, 2.0], [0.0, 1.0]]))
+
+    @pytest.mark.parametrize("tol", [0.0, 1.0])
+    def test_rank_tolerance_range(self, tol):
+        with pytest.raises(ValueError, match="rank_rel_tol"):
+            kernel_canonicalize(np.eye(3), rank_rel_tol=tol)
 
 
 class TestFitKernelGct:

@@ -31,7 +31,14 @@ from ctreg import (
     run_experiment,
 )
 from ctreg.estimators import fit_pcr, fit_ridge
-from ctreg.tuning import TIE_RTOL, _fold_errors_on_grid, _fold_spectra
+from ctreg.tuning import (
+    TIE_RTOL,
+    _Fold,
+    _FoldSpectra,
+    _fold_errors_on_grid,
+    _fold_spectra,
+    _path_cv,
+)
 
 
 def random_dataset(seed, n, d, noise=1.0):
@@ -409,3 +416,116 @@ def test_run_experiment_matches_public_calls():
         for row in (row for row in table.rows if row.d == d):
             assert row.median_rel_mse == pytest.approx(np.median(rel_mse[row.method]), rel=1e-12)
             assert row.median_rel_pe == pytest.approx(np.median(rel_pe[row.method]), rel=1e-12)
+
+
+def conditioned_dataset(seed, n, d, ratio, noise=0.1):
+    """Rank min(n, d) design whose X^T X / n has eigenvalues log-spaced
+    from 1 down to 1 / ratio."""
+    rng = np.random.default_rng(seed)
+    r = min(n, d)
+    left, _ = np.linalg.qr(rng.standard_normal((n, r)))
+    right, _ = np.linalg.qr(rng.standard_normal((d, r)))
+    eigenvalues = np.logspace(0.0, -np.log10(ratio), r)
+    X = math.sqrt(n) * (left * np.sqrt(eigenvalues)) @ right.T
+    Y = X @ rng.standard_normal(d) + noise * rng.standard_normal(n)
+    return Dataset(X, Y)
+
+
+def svd_fold_spectra(ds, L, seed, fold_mode="seeded-random"):
+    """Fold spectra from a thin SVD of each training block, with the same
+    relative floor on the eigenvalues; shares no code with the library's
+    Gram route."""
+    assignment = fold_assignment(ds.n, L, seed, fold_mode)
+    folds = []
+    for fold_id in range(L):
+        train, val = assignment != fold_id, assignment == fold_id
+        n_t = int(np.count_nonzero(train))
+        V, s, Ut = np.linalg.svd(ds.design[train] / math.sqrt(n_t), full_matrices=False)
+        keep = s**2 > 1e-12 * s[0] ** 2
+        V, s, U = V[:, keep], s[keep], Ut[keep].T
+        folds.append(
+            _Fold(
+                theta_ls=V.T @ ds.response[train] / math.sqrt(n_t),
+                eigenvalues=s**2,
+                scores=ds.design[val] @ U / s,
+                y_val=ds.response[val],
+            )
+        )
+    return _FoldSpectra(assignment=assignment, folds=tuple(folds))
+
+
+# training blocks with n_t < d, n_t > d and n_t = d (n = 30, L = 5: n_t = 24)
+FOLD_SHAPES = [(30, 60), (60, 10), (30, 24)]
+
+
+class TestFoldSpectra:
+    @pytest.mark.parametrize("n, d", FOLD_SHAPES)
+    def test_tau_zero_fold_errors_match_lstsq_refit(self, n, d):
+        ds = random_dataset(20, n, d)
+        spectra = _fold_spectra(ds, 5, seed=3)
+        assignment = fold_assignment(n, 5, seed=3)
+        for fold_id, fold in enumerate(spectra.folds):
+            train, val = assignment != fold_id, assignment == fold_id
+            beta = np.linalg.lstsq(ds.design[train], ds.response[train], rcond=None)[0]
+            expected = float(np.mean((ds.response[val] - ds.design[val] @ beta) ** 2))
+            actual = float(np.mean((fold.y_val - fold.scores @ fold.theta_ls) ** 2))
+            assert actual == pytest.approx(expected, rel=1e-9)
+        direct = cv_error_at(ds, 5, 0.0, SOFT_RULE, 3, 0.0)
+        assert direct == pytest.approx(
+            np.mean([np.mean((f.y_val - f.scores @ f.theta_ls) ** 2) for f in spectra.folds]),
+            rel=1e-12,
+        )
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    @pytest.mark.parametrize("n, d", FOLD_SHAPES)
+    def test_ill_conditioned_cv_against_per_fold_svd(self, n, d, seed):
+        # lambda_max / lambda_min = 1e10: the Gram route resolves the small
+        # components to about eps * 1e10 relative, and tau_cv and its CV
+        # error stay within that of the SVD fold spectra
+        ratio = 1e10
+        ds = conditioned_dataset(seed, n, d, ratio)
+        reference = svd_fold_spectra(ds, 5, seed)
+        bound = np.finfo(float).eps * ratio
+        for phi in (0.0, 1.0):
+            for rule in (SOFT_RULE, HARD_RULE):
+                result = kfold_cv(ds, 5, phi, rule, seed)
+                expected = _path_cv(reference, phi, rule)
+                assert result.tau_cv == pytest.approx(expected.tau_cv, rel=bound)
+                assert result.cv_error_at_tau == pytest.approx(
+                    expected.cv_error_at_tau, rel=bound
+                )
+                np.testing.assert_array_equal(result.fold_ranks, expected.fold_ranks)
+
+    @pytest.mark.parametrize("d", [3, 8])
+    def test_zero_training_block_names_the_fold(self, d):
+        # rows 0-1 are fold 0's validation block; its training rows are zero
+        X = np.zeros((6, d))
+        X[:2] = np.random.default_rng(21).standard_normal((2, d))
+        ds = Dataset(X, np.ones(6))
+        with pytest.raises(ZeroDesignError, match=r"fold 0\b.*zero design matrix"):
+            kfold_cv(ds, 3, fold_mode="contiguous")
+
+    @pytest.mark.parametrize("d", [4, 12])
+    def test_fold_diagnostics_on_rank_deficient_fold(self, d):
+        # fold 0 trains on rows 3-8, which span one direction; the other
+        # training blocks add one generic row to it
+        rng = np.random.default_rng(22)
+        X = np.vstack(
+            [
+                rng.standard_normal((3, d)),
+                np.outer(rng.standard_normal(6), rng.standard_normal(d)),
+            ]
+        )
+        ds = Dataset(X, rng.standard_normal(9))
+        result = kfold_cv(ds, 3, fold_mode="contiguous")
+        reference = svd_fold_spectra(ds, 3, 0, fold_mode="contiguous")
+        np.testing.assert_array_equal(result.fold_ranks, [1, 4, 4])
+        np.testing.assert_array_equal(
+            result.fold_ranks, [f.eigenvalues.shape[0] for f in reference.folds]
+        )
+        np.testing.assert_allclose(
+            result.fold_eigenvalue_ratios,
+            [f.eigenvalues[-1] / f.eigenvalues[0] for f in reference.folds],
+            rtol=1e-8,
+        )
+        assert result.fold_eigenvalue_ratios[0] == 1.0

@@ -33,7 +33,6 @@ class Dataset:
 
     design: FloatArray
     response: FloatArray
-    centered: bool = False
 
     def __post_init__(self) -> None:
         design = np.asarray(self.design, dtype=np.float64)
@@ -86,18 +85,6 @@ class CanonicalDecomposition:
     @property
     def singular_values(self) -> FloatArray:
         return np.sqrt(self.eigenvalues)
-
-
-@dataclass(frozen=True)
-class CanonicalCoefficients:
-    """Coefficient vector in the canonical basis."""
-
-    values: FloatArray
-
-    def __post_init__(self) -> None:
-        object.__setattr__(
-            self, "values", np.asarray(self.values, dtype=np.float64)
-        )
 
 
 def _gram_spectrum(
@@ -170,33 +157,27 @@ def canonicalize(
     )
 
 
-def canonical_ls(
-    dec: CanonicalDecomposition, Y: FloatArray
-) -> CanonicalCoefficients:
+def canonical_ls(dec: CanonicalDecomposition, Y: FloatArray) -> FloatArray:
     """Least-squares coefficients in the canonical basis: V^T Y / sqrt(n)."""
     Y = np.asarray(Y, dtype=np.float64)
     n = dec.left_vectors.shape[0]
     if Y.shape != (n,):
         raise ValueError(f"response must have length {n}, got {Y.shape}")
-    return CanonicalCoefficients(dec.left_vectors.T @ Y / np.sqrt(n))
+    return dec.left_vectors.T @ Y / np.sqrt(n)
 
 
-def to_beta(
-    dec: CanonicalDecomposition, theta: CanonicalCoefficients
-) -> FloatArray:
+def to_beta(dec: CanonicalDecomposition, theta: FloatArray) -> FloatArray:
     """Minimum-norm lift back to the original coordinates: U Lambda^{-1} theta."""
-    values = theta.values
-    if values.shape != (dec.rank,):
-        raise ValueError(
-            f"theta must have length {dec.rank}, got {values.shape}"
-        )
-    return dec.right_vectors @ (values / dec.singular_values)
+    theta = np.asarray(theta, dtype=np.float64)
+    if theta.shape != (dec.rank,):
+        raise ValueError(f"theta must have length {dec.rank}, got {theta.shape}")
+    return dec.right_vectors @ (theta / dec.singular_values)
 
 
-def to_theta(dec: CanonicalDecomposition, beta: FloatArray) -> CanonicalCoefficients:
+def to_theta(dec: CanonicalDecomposition, beta: FloatArray) -> FloatArray:
     """Canonical coefficients of a given vector: Lambda U^T beta."""
     beta = np.asarray(beta, dtype=np.float64)
     d = dec.right_vectors.shape[0]
     if beta.shape != (d,):
         raise ValueError(f"beta must have length {d}, got {beta.shape}")
-    return CanonicalCoefficients(dec.singular_values * (dec.right_vectors.T @ beta))
+    return dec.singular_values * (dec.right_vectors.T @ beta)

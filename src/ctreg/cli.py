@@ -7,8 +7,8 @@ Exit codes: 0 success, 1 numerical/domain failure, 2 usage/parse failure.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
-import math
 import os
 import sys
 import tempfile
@@ -16,7 +16,7 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .canonical import Dataset, canonical_ls, canonicalize
+from .canonical import Dataset, canonicalize, to_theta
 from .errors import CtregError
 from .estimators import (
     FitResult,
@@ -26,14 +26,12 @@ from .estimators import (
     fit_min_norm_ls,
     fit_pcr,
     fit_ridge,
-    predict,
 )
 from .kernel import KernelModel, KernelSpec, fit_kernel_gct, predict_kernel_batch
 from .metrics import (
     effective_rank,
     joint_effective_dimension,
     mse_fixed,
-    snr,
     threshold_scale,
 )
 from .simstudy import emit_table, run_experiment, spec_from_dict
@@ -265,6 +263,13 @@ def _load_model(path: str) -> dict:
     return payload
 
 
+def _parse_tau(text: str) -> float:
+    try:
+        return float(text)
+    except ValueError as exc:
+        raise UsageError(f"bad --tau value {text!r}") from exc
+
+
 def _resolve_tau(args: argparse.Namespace, dataset: Dataset, phi: float) -> float:
     if args.tau is not None and args.tau_auto is not None:
         raise UsageError("--tau and --tau-auto are mutually exclusive")
@@ -281,19 +286,14 @@ def _resolve_tau(args: argparse.Namespace, dataset: Dataset, phi: float) -> floa
             sigma, dataset.n, dec.rank, delta, alpha, phi, float(dec.eigenvalues[0])
         )
     if args.tau is not None:
-        if args.tau == "inf":
-            return math.inf
-        try:
-            return float(args.tau)
-        except ValueError as exc:
-            raise UsageError(f"bad --tau value {args.tau!r}") from exc
+        return _parse_tau(args.tau)
     return 0.0
 
 
 def cmd_fit(args: argparse.Namespace) -> int:
     X, Y = load_dataset(args.input, args.response)
     X, Y, offsets = _center(X, Y, not args.no_center)
-    dataset = Dataset(X, Y, centered=offsets is not None)
+    dataset = Dataset(X, Y)
 
     method = args.method
     if method == "ols":
@@ -321,14 +321,7 @@ def cmd_fit(args: argparse.Namespace) -> int:
     else:
         raise UsageError(f"unknown method {method!r}")
 
-    if offsets is not None:
-        fit = FitResult(
-            beta=fit.beta,
-            theta_hat=fit.theta_hat,
-            config=fit.config,
-            decomposition=fit.decomposition,
-            centering_offsets=offsets,
-        )
+    fit = dataclasses.replace(fit, centering_offsets=offsets)
     _atomic_write(args.output, _linear_model_json(fit, method) + "\n")
     return EXIT_OK
 
@@ -336,7 +329,7 @@ def cmd_fit(args: argparse.Namespace) -> int:
 def cmd_cv(args: argparse.Namespace) -> int:
     X, Y = load_dataset(args.input, args.response)
     X, Y, offsets = _center(X, Y, not args.no_center)
-    dataset = Dataset(X, Y, centered=offsets is not None)
+    dataset = Dataset(X, Y)
     rule = _parse_rule(args.rule)
 
     if args.phi_grid is not None:
@@ -353,14 +346,7 @@ def cmd_cv(args: argparse.Namespace) -> int:
     print(json.dumps({"tau_cv": tau, "phi": phi, "cv_error": result.cv_error_at_tau}))
     if args.fit_out is not None:
         fit = fit_gct(dataset, GctConfig(tau=tau, phi=phi, rule=rule))
-        if offsets is not None:
-            fit = FitResult(
-                beta=fit.beta,
-                theta_hat=fit.theta_hat,
-                config=fit.config,
-                decomposition=fit.decomposition,
-                centering_offsets=offsets,
-            )
+        fit = dataclasses.replace(fit, centering_offsets=offsets)
         _atomic_write(args.fit_out, _linear_model_json(fit, "gct") + "\n")
     return EXIT_OK
 
@@ -382,9 +368,10 @@ def cmd_predict(args: argparse.Namespace) -> int:
             raise CtregError(
                 f"model expects {beta.shape[0]} columns, input has {data.shape[1]}"
             )
-        preds = data @ beta
         if centering:
             preds = y_mean + (data - x_means) @ beta
+        else:
+            preds = data @ beta
     else:
         try:
             model = _kernel_model_from_json(payload)
@@ -436,8 +423,9 @@ def _kernel_model_from_json(payload: dict) -> KernelModel:
 def cmd_kernel_fit(args: argparse.Namespace) -> int:
     X, Y = load_dataset(args.input, args.response)
     spec = _parse_kernel(args.kernel)
-    tau = math.inf if args.tau == "inf" else float(args.tau)
-    config = GctConfig(tau=tau, phi=args.phi, rule=_parse_rule(args.rule))
+    config = GctConfig(
+        tau=_parse_tau(args.tau), phi=args.phi, rule=_parse_rule(args.rule)
+    )
     model = fit_kernel_gct(
         X, Y, spec, config, center_response=not args.no_center
     )
@@ -466,7 +454,6 @@ def cmd_diagnose(args: argparse.Namespace) -> int:
     X, Y = load_dataset(args.input, args.response)
     dataset = Dataset(X, Y)
     dec = canonicalize(dataset)
-    theta_ls = canonical_ls(dec, Y)
 
     report: dict = {
         "n": dataset.n,
@@ -484,7 +471,7 @@ def cmd_diagnose(args: argparse.Namespace) -> int:
             raise CtregError(
                 f"true-coefficient file has {beta.shape[0]} values, expected {dataset.d}"
             )
-        theta = dec.singular_values * (dec.right_vectors.T @ beta)
+        theta = to_theta(dec, beta)
         theta_norm = float(np.linalg.norm(theta))
         mse_hat = mse_fixed(np.zeros(dataset.d), beta, dec)
         report["mse_zero"] = mse_hat

@@ -16,13 +16,13 @@ from numpy.typing import NDArray
 
 from .canonical import (
     DEFAULT_RANK_REL_TOL,
-    CanonicalCoefficients,
     CanonicalDecomposition,
     Dataset,
     canonical_ls,
     canonicalize,
     to_beta,
 )
+from .metrics import threshold_scale
 from .thresholding import SOFT_RULE, ThresholdRule, apply_rule
 
 FloatArray = NDArray[np.float64]
@@ -67,54 +67,57 @@ class FitResult:
     centering_offsets: Optional[Tuple[FloatArray, float]] = None
 
 
-def _eigen_weights(dec: CanonicalDecomposition, phi: float) -> FloatArray:
-    """Diagonal of Lambda^phi: singular values raised to phi, i.e. lam^(phi/2)."""
-    return dec.eigenvalues ** (phi / 2.0)
+def _shrink(
+    eigenvalues: FloatArray,
+    theta: FloatArray,
+    rule: ThresholdRule,
+    tau: float,
+    phi: float,
+) -> FloatArray:
+    """Lambda^{-phi} T_tau[Lambda^{phi} theta], where the diagonal of
+    Lambda^phi holds the singular values raised to phi, lam^(phi/2)."""
+    weights = eigenvalues ** (phi / 2.0)
+    return apply_rule(rule, weights * theta, tau) / weights
 
 
 def gct_theta(
-    dec: CanonicalDecomposition,
-    theta_ls: CanonicalCoefficients,
-    config: GctConfig,
+    dec: CanonicalDecomposition, theta_ls: FloatArray, config: GctConfig
 ) -> FloatArray:
     """Shrink canonical LS coefficients: Lambda^{-phi} T_tau[Lambda^{phi} theta]."""
-    w = _eigen_weights(dec, config.phi)
-    return apply_rule(config.rule, w * theta_ls.values, config.tau) / w
+    return _shrink(dec.eigenvalues, theta_ls, config.rule, config.tau, config.phi)
 
 
 def _fit(
     dec: CanonicalDecomposition, theta_hat: FloatArray, config: MethodConfig
 ) -> FitResult:
-    beta = to_beta(dec, CanonicalCoefficients(theta_hat))
+    beta = to_beta(dec, theta_hat)
     return FitResult(beta=beta, theta_hat=theta_hat, config=config, decomposition=dec)
 
 
 def _gct_fit(
-    dec: CanonicalDecomposition, theta_ls: CanonicalCoefficients, config: GctConfig
+    dec: CanonicalDecomposition, theta_ls: FloatArray, config: GctConfig
 ) -> FitResult:
     return _fit(dec, gct_theta(dec, theta_ls, config), config)
 
 
-def _pcr_fit(
-    dec: CanonicalDecomposition, theta_ls: CanonicalCoefficients, m: int
-) -> FitResult:
+def _pcr_fit(dec: CanonicalDecomposition, theta_ls: FloatArray, m: int) -> FitResult:
     if not 0 <= m <= dec.rank:
         raise ValueError(f"m must lie in [0, {dec.rank}], got {m}")
-    theta_hat = theta_ls.values.copy()
+    theta_hat = theta_ls.copy()
     theta_hat[m:] = 0.0
     return _fit(dec, theta_hat, PcrConfig(components=m))
 
 
 def _ridge_fit(
-    dec: CanonicalDecomposition, theta_ls: CanonicalCoefficients, lambda_reg: float
+    dec: CanonicalDecomposition, theta_ls: FloatArray, lambda_reg: float
 ) -> FitResult:
     shrink = dec.eigenvalues / (dec.eigenvalues + lambda_reg)
-    return _fit(dec, shrink * theta_ls.values, RidgeConfig(lambda_reg=lambda_reg))
+    return _fit(dec, shrink * theta_ls, RidgeConfig(lambda_reg=lambda_reg))
 
 
 def _decompose(
     dataset: Dataset, rank_rel_tol: float
-) -> Tuple[CanonicalDecomposition, CanonicalCoefficients]:
+) -> Tuple[CanonicalDecomposition, FloatArray]:
     dec = canonicalize(dataset, rank_rel_tol)
     return dec, canonical_ls(dec, dataset.response)
 
@@ -193,13 +196,8 @@ def default_tau(
     """
     if sigma < 0:
         raise ValueError("sigma must be nonnegative")
-    if not 0.0 < delta < 1.0:
-        raise ValueError(f"delta must lie in (0, 1), got {delta!r}")
-    if not 0.0 < alpha <= 2.0:
-        raise ValueError(f"alpha must lie in (0, 2], got {alpha!r}")
     if phi < 0:
         raise ValueError("phi must be nonnegative")
     if lambda1 <= 0:
         raise ValueError("lambda1 must be positive")
-    scale = (2.0 / math.sqrt(n)) * math.log(2.0 * r / delta) ** (1.0 / alpha)
-    return lambda1 ** (phi / 2.0) * sigma * scale
+    return lambda1 ** (phi / 2.0) * sigma * threshold_scale(n, r, delta, alpha)

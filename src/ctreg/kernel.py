@@ -19,8 +19,8 @@ from numpy.typing import NDArray
 
 from .canonical import _gram_spectrum, _pivot_signs
 from .errors import NotPositiveSemidefiniteError, ZeroDesignError
-from .estimators import GctConfig
-from .thresholding import apply_rule
+from .estimators import GctConfig, _shrink
+from .metrics import joint_effective_dimension
 
 FloatArray = NDArray[np.float64]
 
@@ -146,8 +146,7 @@ def fit_kernel_gct(
     K = gram(points, spec)
     eig, vec = kernel_canonicalize(K, rank_rel_tol)
     theta_ls = vec.T @ Y / math.sqrt(n)
-    weights = eig ** (config.phi / 2.0)
-    theta_hat = apply_rule(config.rule, weights * theta_ls, config.tau) / weights
+    theta_hat = _shrink(eig, theta_ls, config.rule, config.tau, config.phi)
     alpha = vec @ (theta_hat / eig) / math.sqrt(n)
     return KernelModel(
         training_points=points,
@@ -167,11 +166,7 @@ def predict_kernel(model: KernelModel, x: FloatArray) -> float:
     d = model.training_points.shape[1]
     if x.shape != (d,):
         raise ValueError(f"point must have dimension {d}, got {x.shape}")
-    kx = _cross_gram(model.kernel, x[None, :], model.training_points)[0]
-    value = float(kx @ model.dual_coeffs)
-    if model.response_mean is not None:
-        value += model.response_mean
-    return value
+    return float(predict_kernel_batch(model, x[None, :])[0])
 
 
 def predict_kernel_batch(model: KernelModel, X: FloatArray) -> FloatArray:
@@ -228,14 +223,9 @@ def kernel_in_sample_error(
 
 def kernel_effective_dimension(K: FloatArray, f_values: FloatArray, q: float) -> float:
     """Joint effective dimension || V^T f / ||f||_2 ||_q^q of a kernel problem."""
-    if not 0.0 <= q <= 2.0:
-        raise ValueError(f"q must lie in [0, 2], got {q!r}")
     f = np.asarray(f_values, dtype=np.float64)
     norm = float(np.linalg.norm(f))
     if norm <= 0:
         raise ValueError("f must be nonzero")
     _, vec = kernel_canonicalize(np.asarray(K, dtype=np.float64))
-    proj = vec.T @ f / norm
-    if q == 0.0:
-        return float(np.count_nonzero(np.abs(proj) > 1e-12))
-    return float(np.sum(np.abs(proj) ** q))
+    return joint_effective_dimension(vec.T @ f / norm, 1.0, q)

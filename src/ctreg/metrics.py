@@ -14,25 +14,11 @@ from typing import Optional, Union
 import numpy as np
 from numpy.typing import NDArray
 
-from .canonical import CanonicalDecomposition
+from .canonical import CanonicalDecomposition, to_theta
 
 FloatArray = NDArray[np.float64]
 
 L0_FLOOR = 1e-12
-
-
-@dataclass(frozen=True)
-class MetricsReport:
-    """Bundle of diagnostics; relative values are present only when the
-    trivial-estimator denominator is positive."""
-
-    mse: float
-    pe: Optional[float] = None
-    relative_mse: Optional[float] = None
-    relative_pe: Optional[float] = None
-    snr: Optional[float] = None
-    effective_rank: Optional[float] = None
-    threshold_scale: Optional[float] = None
 
 
 def mse_fixed(
@@ -44,7 +30,7 @@ def mse_fixed(
     d = dec.right_vectors.shape[0]
     if beta_hat.shape != (d,) or beta.shape != (d,):
         raise ValueError(f"coefficient vectors must have length {d}")
-    diff = dec.singular_values * (dec.right_vectors.T @ (beta_hat - beta))
+    diff = to_theta(dec, beta_hat - beta)
     return float(diff @ diff)
 
 
@@ -58,13 +44,6 @@ def pe_random(beta_hat: FloatArray, beta: FloatArray, Sigma: FloatArray) -> floa
     if value < -1e-10 * max(1.0, float(np.abs(Sigma).max())):
         raise ValueError("covariance matrix is not positive semidefinite")
     return max(value, 0.0)
-
-
-def relative_error(absolute: float, trivial: float) -> float:
-    """Error of an estimator divided by the error of the zero estimator."""
-    if trivial <= 0:
-        raise ValueError("undefined relative error: trivial error must be > 0")
-    return absolute / trivial
 
 
 def snr(beta: FloatArray, covariance: FloatArray, sigma: float) -> float:

@@ -14,19 +14,13 @@ import csv
 import hashlib
 import json
 import math
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from dataclasses import dataclass
+from typing import Dict, List, Optional, Tuple, Union
 
 import numpy as np
 from numpy.typing import NDArray
 
-from .canonical import (
-    CanonicalCoefficients,
-    CanonicalDecomposition,
-    Dataset,
-    canonical_ls,
-    canonicalize,
-)
+from .canonical import CanonicalDecomposition, Dataset, canonical_ls, canonicalize
 from .estimators import GctConfig, _gct_fit, _pcr_fit, _ridge_fit
 from .thresholding import SOFT_RULE
 from .tuning import _FoldSpectra, _fold_spectra, _path_cv, _pcr_cv, _ridge_cv
@@ -158,7 +152,7 @@ def _shared_decompositions(
     spec: ScenarioSpec, dataset: Dataset, cv_seed: int
 ) -> Tuple[
     Optional[CanonicalDecomposition],
-    Optional[CanonicalCoefficients],
+    Optional[FloatArray],
     Optional[_FoldSpectra],
 ]:
     """The full-data decomposition and the CV fold spectra of one replicate,
@@ -177,7 +171,7 @@ def _fit_method(
     spec: ScenarioSpec,
     d: int,
     dec: Optional[CanonicalDecomposition],
-    theta_ls: Optional[CanonicalCoefficients],
+    theta_ls: Optional[FloatArray],
     spectra: Optional[_FoldSpectra],
 ) -> FloatArray:
     """One method's estimate from the shared decompositions: the same as the

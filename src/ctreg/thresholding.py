@@ -1,4 +1,4 @@
-"""Scalar thresholding rules and a grid-based validity checker.
+"""Thresholding rules and a grid-based validity checker.
 
 A valid rule T_tau must (i) satisfy |T_tau[z]| <= c|z'| for all z, z' with
 |z - z'| <= tau/2 and a rule-specific constant c, and (ii) stay within tau
@@ -13,30 +13,30 @@ from enum import Enum
 from typing import Callable, Optional
 
 import numpy as np
-from numpy.typing import NDArray
+from numpy.typing import ArrayLike, NDArray
 
 FloatArray = NDArray[np.float64]
 
 
-def _validate(z: float, tau: float) -> None:
-    if not math.isfinite(z):
-        raise ValueError(f"non-finite input {z!r}")
+def _validate(z: ArrayLike, tau: float) -> FloatArray:
     if not math.isfinite(tau) or tau < 0:
         raise ValueError(f"threshold must be a finite nonnegative real, got {tau!r}")
+    z = np.asarray(z, dtype=np.float64)
+    if not np.all(np.isfinite(z)):
+        raise ValueError("non-finite input")
+    return z
 
 
-def soft(z: float, tau: float) -> float:
-    """Soft thresholding: sign(z) * max(|z| - tau, 0)."""
-    _validate(z, tau)
-    if z == 0.0:
-        return 0.0
-    return math.copysign(max(abs(z) - tau, 0.0), z)
+def soft(z: ArrayLike, tau: float) -> FloatArray:
+    """Soft thresholding, component-wise: sign(z) * max(|z| - tau, 0)."""
+    z = _validate(z, tau)
+    return np.sign(z) * np.maximum(np.abs(z) - tau, 0.0)
 
 
-def hard(z: float, tau: float) -> float:
-    """Hard thresholding: z if |z| >= tau else 0 (boundary kept)."""
-    _validate(z, tau)
-    return z if abs(z) >= tau else 0.0
+def hard(z: ArrayLike, tau: float) -> FloatArray:
+    """Hard thresholding, component-wise: z where |z| >= tau, else 0 (boundary kept)."""
+    z = _validate(z, tau)
+    return np.where(np.abs(z) >= tau, z, 0.0)
 
 
 class RuleKind(Enum):
@@ -74,14 +74,6 @@ class ThresholdRule:
             return self.custom_constant
         return 3.0
 
-    def scalar(self, z: float, tau: float) -> float:
-        if self.kind is RuleKind.SOFT:
-            return soft(z, tau)
-        if self.kind is RuleKind.HARD:
-            return hard(z, tau)
-        assert self.custom_fn is not None
-        return self.custom_fn(z, tau)
-
 
 SOFT_RULE = ThresholdRule(RuleKind.SOFT)
 HARD_RULE = ThresholdRule(RuleKind.HARD)
@@ -91,22 +83,18 @@ def apply_rule(rule: ThresholdRule, v: FloatArray, tau: float) -> FloatArray:
     """Apply a thresholding rule component-wise.
 
     Infinite tau is accepted as a sentinel meaning "threshold everything"
-    for the soft and hard rules.
+    for the soft and hard rules.  A custom rule's map is called once per
+    component.
     """
     v = np.asarray(v, dtype=np.float64)
     if math.isinf(tau) and tau > 0 and rule.kind is not RuleKind.CUSTOM:
         return np.zeros_like(v)
     if rule.kind is RuleKind.SOFT:
-        _validate(0.0, tau)
-        if not np.all(np.isfinite(v)):
-            raise ValueError("non-finite input")
-        return np.sign(v) * np.maximum(np.abs(v) - tau, 0.0)
+        return soft(v, tau)
     if rule.kind is RuleKind.HARD:
-        _validate(0.0, tau)
-        if not np.all(np.isfinite(v)):
-            raise ValueError("non-finite input")
-        return np.where(np.abs(v) >= tau, v, 0.0)
-    return np.array([rule.scalar(z, tau) for z in v], dtype=np.float64)
+        return hard(v, tau)
+    assert rule.custom_fn is not None
+    return np.array([rule.custom_fn(z, tau) for z in v], dtype=np.float64)
 
 
 @dataclass(frozen=True)
@@ -133,12 +121,14 @@ def check_rule(
     z_grid = np.asarray(z_grid, dtype=np.float64)
     if tau_samples.size == 0 or z_grid.size == 0:
         raise ValueError("nonempty grids required")
+    if not np.all(np.isfinite(tau_samples)):
+        raise ValueError("threshold samples must be finite")
 
     c = rule.constant
     scale = max(1.0, float(np.max(np.abs(z_grid))), float(np.max(tau_samples)))
     worst = 0.0
     for tau in tau_samples:
-        tz = np.array([rule.scalar(z, float(tau)) for z in z_grid])
+        tz = apply_rule(rule, z_grid, float(tau))
         # condition (ii): |T[z] - z| <= tau
         worst = max(worst, float(np.max(np.abs(tz - z_grid)) - tau))
         # condition (i): |T[z]| <= c |z'| whenever |z - z'| <= tau/2;

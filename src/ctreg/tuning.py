@@ -32,13 +32,13 @@ from numpy.typing import NDArray
 
 from .canonical import (
     DEFAULT_RANK_REL_TOL,
-    CanonicalCoefficients,
     CanonicalDecomposition,
     Dataset,
     _gram_spectrum,
 )
 from .errors import ZeroDesignError
-from .thresholding import RuleKind, SOFT_RULE, ThresholdRule, apply_rule
+from .estimators import _shrink
+from .thresholding import RuleKind, SOFT_RULE, ThresholdRule
 
 FloatArray = NDArray[np.float64]
 
@@ -85,18 +85,17 @@ def _magnitudes(eigenvalues: FloatArray, theta: FloatArray, phi: float) -> Float
 
 
 def breakpoints(
-    dec: CanonicalDecomposition,
-    theta_ls: CanonicalCoefficients,
-    phi: float,
+    dec: CanonicalDecomposition, theta_ls: FloatArray, phi: float
 ) -> FloatArray:
     """Sorted distinct tau values at which the thresholded support changes.
 
     Returns {0} united with the weighted magnitudes lam_j^(phi/2)|theta_j|;
     at and above the maximum the soft-rule estimator is identically zero.
     """
-    if theta_ls.values.shape != (dec.rank,):
+    theta_ls = np.asarray(theta_ls, dtype=np.float64)
+    if theta_ls.shape != (dec.rank,):
         raise ValueError("theta length must equal decomposition rank")
-    vals = _magnitudes(dec.eigenvalues, theta_ls.values, phi)
+    vals = _magnitudes(dec.eigenvalues, theta_ls, phi)
     return np.unique(np.concatenate(([0.0], vals)))
 
 
@@ -179,8 +178,7 @@ def _fold_spectra(
 
 
 def _fold_error(fold: _Fold, rule: ThresholdRule, tau: float, phi: float) -> float:
-    weights = fold.eigenvalues ** (phi / 2.0)
-    theta_hat = apply_rule(rule, weights * fold.theta_ls, tau) / weights
+    theta_hat = _shrink(fold.eigenvalues, fold.theta_ls, rule, tau, phi)
     residual = fold.y_val - fold.scores @ theta_hat
     return float(residual @ residual) / fold.y_val.shape[0]
 

@@ -105,7 +105,7 @@ def test_criterion_2_mse_sandwich():
     ds0 = Dataset(X, np.zeros(n))
     dec = canonicalize(ds0)
     assert dec.rank == r
-    theta = to_theta(dec, beta).values
+    theta = to_theta(dec, beta)
     level = sigma * threshold_scale(n, r, delta, 2.0)
     core = float(np.sum(np.minimum(level, np.abs(theta)) ** 2))
     signal = X @ beta
@@ -118,7 +118,7 @@ def test_criterion_2_mse_sandwich():
         if float(np.max(np.abs(noise_proj))) > level / 2.0:
             continue
         event_count += 1
-        theta_ls = canonical_ls(dec, signal + eps).values
+        theta_ls = canonical_ls(dec, signal + eps)
         theta_hat = np.sign(theta_ls) * np.maximum(np.abs(theta_ls) - level, 0.0)
         err = float(np.sum((theta_hat - theta) ** 2))
         if not (0.25 * core <= err <= 9.0 * core):

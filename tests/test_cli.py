@@ -140,6 +140,12 @@ class TestFit:
         b = json.load(open(out_b))["beta"]
         np.testing.assert_allclose(a, b, atol=1e-10)
 
+    def test_bad_tau_exit_two(self, data_csv, tmp_path, capsys):
+        path, _, _ = data_csv
+        assert main(["fit", "--input", path, "--response", "y", "--tau", "abc",
+                     "--output", str(tmp_path / "m.json")]) == 2
+        assert "bad --tau value 'abc'" in capsys.readouterr().err
+
     def test_tau_auto(self, data_csv, tmp_path):
         path, _, _ = data_csv
         out = str(tmp_path / "m.json")
@@ -349,6 +355,13 @@ class TestKernelFit:
             X, Y, KernelSpec(kind="rbf", gamma=0.5), GctConfig(tau=0.1)
         )
         np.testing.assert_array_equal(file_preds, predict_kernel_batch(model, Xnew))
+
+    def test_bad_tau_exit_two(self, data_csv, tmp_path, capsys):
+        path, _, _ = data_csv
+        assert main(["kernel-fit", "--input", path, "--response", "y",
+                     "--kernel", "rbf:0.5", "--tau", "abc",
+                     "--output", str(tmp_path / "k.json")]) == 2
+        assert "bad --tau value 'abc'" in capsys.readouterr().err
 
     def test_bad_kernel_spec(self, data_csv, tmp_path):
         path, _, _ = data_csv

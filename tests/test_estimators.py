@@ -53,7 +53,7 @@ class TestNct:
     def test_large_tau_gives_zero(self):
         ds, _ = random_dataset(1, 15, 10)
         dec = canonicalize(ds)
-        tau = float(np.max(np.abs(canonical_ls(dec, ds.response).values)))
+        tau = float(np.max(np.abs(canonical_ls(dec, ds.response))))
         np.testing.assert_array_equal(fit_nct(ds, tau).beta, np.zeros(10))
 
     def test_hand_soft_thresholding(self):
@@ -73,7 +73,7 @@ class TestGct:
     def test_tau_zero_identity_any_phi(self):
         ds, _ = random_dataset(3, 10, 6)
         dec = canonicalize(ds)
-        theta_ls = canonical_ls(dec, ds.response).values
+        theta_ls = canonical_ls(dec, ds.response)
         for phi, rule in ((0.5, SOFT_RULE), (2.0, HARD_RULE)):
             fit = fit_gct(ds, GctConfig(tau=0.0, phi=phi, rule=rule))
             np.testing.assert_allclose(fit.theta_hat, theta_ls, atol=1e-12)
@@ -227,7 +227,7 @@ class TestInvariants:
         ds, beta = random_dataset(20, 12, 18)
         dec = canonicalize(ds)
         Sigma_hat = ds.design.T @ ds.design / 12
-        theta = to_theta(dec, beta).values
+        theta = to_theta(dec, beta)
         for fit in (
             fit_nct(ds, 0.4),
             fit_gct(ds, GctConfig(tau=0.3, phi=1.0, rule=HARD_RULE)),
@@ -269,7 +269,7 @@ class TestInvariants:
     def test_pcr_gct_bridge(self):
         ds, _ = random_dataset(24, 12, 8)
         dec = canonicalize(ds)
-        theta_ls = canonical_ls(dec, ds.response).values
+        theta_ls = canonical_ls(dec, ds.response)
         for m in range(dec.rank + 1):
             expected = theta_ls.copy()
             expected[m:] = 0.0

@@ -8,6 +8,7 @@ import pytest
 from ctreg import (
     Dataset,
     GctConfig,
+    HARD_RULE,
     KernelSpec,
     NotPositiveSemidefiniteError,
     SOFT_RULE,
@@ -140,13 +141,15 @@ class TestFitKernelGct:
         rng = np.random.default_rng(7)
         Y = X @ rng.standard_normal(d) + 0.1 * rng.standard_normal(n)
         holdout = rng.standard_normal((5, d))
-        for tau, phi in ((0.0, 0.0), (0.3, 0.0), (0.3, 1.0)):
-            config = GctConfig(tau=tau, phi=phi)
-            km = fit_kernel_gct(X, Y, LINEAR, config)
-            lm = fit_gct(Dataset(X, Y), config)
-            np.testing.assert_allclose(
-                predict_kernel_batch(km, holdout), predict(lm, holdout), atol=1e-8
-            )
+        for rule in (SOFT_RULE, HARD_RULE):
+            for tau, phi in ((0.0, 0.0), (0.3, 0.0), (0.3, 1.0)):
+                config = GctConfig(tau=tau, phi=phi, rule=rule)
+                km = fit_kernel_gct(X, Y, LINEAR, config)
+                lm = fit_gct(Dataset(X, Y), config)
+                np.testing.assert_array_equal(km.theta_hat == 0, lm.theta_hat == 0)
+                np.testing.assert_allclose(
+                    predict_kernel_batch(km, holdout), predict(lm, holdout), atol=1e-8
+                )
 
     def test_dual_coefficient_identity(self):
         X = random_points(8, 9, 4)

@@ -13,7 +13,6 @@ from ctreg import (
     joint_effective_dimension,
     mse_fixed,
     pe_random,
-    relative_error,
     risk_bound,
     snr,
     threshold_scale,
@@ -39,7 +38,7 @@ class TestMseFixed:
     def test_zero_estimator(self):
         ds, beta = random_dataset(1, 10, 5)
         dec = canonicalize(ds)
-        theta = to_theta(dec, beta).values
+        theta = to_theta(dec, beta)
         assert mse_fixed(np.zeros(5), beta, dec) == pytest.approx(
             float(theta @ theta), abs=1e-10
         )
@@ -56,7 +55,7 @@ class TestMseFixed:
         ds, beta = random_dataset(3, 10, 16)
         dec = canonicalize(ds)
         fit = fit_nct(ds, 0.5)
-        theta = to_theta(dec, beta).values
+        theta = to_theta(dec, beta)
         assert mse_fixed(fit.beta, beta, dec) == pytest.approx(
             float(np.sum((fit.theta_hat - theta) ** 2)), abs=1e-10
         )
@@ -77,21 +76,6 @@ class TestPeRandom:
     def test_non_psd_rejected(self):
         with pytest.raises(ValueError):
             pe_random(np.array([1.0, 1.0]), np.zeros(2), np.diag([1.0, -5.0]))
-
-
-class TestRelativeError:
-    def test_baseline(self):
-        assert relative_error(1.2, 1.2) == 1.0
-
-    def test_zero_numerator(self):
-        assert relative_error(0.0, 3.0) == 0.0
-
-    def test_division(self):
-        assert relative_error(0.3, 1.2) == pytest.approx(0.25)
-
-    def test_zero_denominator_rejected(self):
-        with pytest.raises(ValueError, match="undefined relative error"):
-            relative_error(1.0, 0.0)
 
 
 class TestSnr:

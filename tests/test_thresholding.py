@@ -1,10 +1,11 @@
-"""Tests for the scalar thresholding rules and the validity checker."""
+"""Tests for the thresholding rules and the validity checker."""
 
 import math
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
+from hypothesis.extra.numpy import arrays
 
 from ctreg import (
     HARD_RULE,
@@ -147,3 +148,23 @@ class TestScalarProperties:
         slack = 1e-12 * max(1.0, abs(z), tau)
         assert abs(soft(z, tau) - z) <= tau + slack
         assert abs(hard(z, tau) - z) <= tau + slack
+
+
+class TestOneForm:
+    """soft and hard are the component-wise maps that apply_rule dispatches to."""
+
+    @given(v=arrays(np.float64, st.integers(0, 20), elements=finite), tau=nonneg)
+    def test_array_form_matches_apply_rule_and_each_element(self, v, tau):
+        for fn, rule in ((soft, SOFT_RULE), (hard, HARD_RULE)):
+            out = fn(v, tau)
+            np.testing.assert_array_equal(out, apply_rule(rule, v, tau))
+            np.testing.assert_array_equal(out, [fn(z, tau) for z in v])
+
+    def test_infinite_tau_only_a_sentinel_in_apply_rule(self):
+        v = np.array([5.0, -2.0, 0.0])
+        for fn, rule in ((soft, SOFT_RULE), (hard, HARD_RULE)):
+            with pytest.raises(ValueError):
+                fn(1.0, math.inf)
+            with pytest.raises(ValueError):
+                check_rule(rule, np.array([1.0, math.inf]), v)
+            np.testing.assert_array_equal(apply_rule(rule, v, math.inf), np.zeros(3))

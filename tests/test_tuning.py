@@ -7,7 +7,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from ctreg import (
-    CanonicalCoefficients,
     Dataset,
     GctConfig,
     HARD_RULE,
@@ -55,7 +54,7 @@ def spectral_setup(eigenvalues, theta_ls):
     n = eigenvalues.shape[0]
     X = math.sqrt(n) * np.diag(np.sqrt(eigenvalues))
     dec = canonicalize(Dataset(X, np.zeros(n)))
-    return dec, CanonicalCoefficients(theta_ls)
+    return dec, theta_ls
 
 
 class TestBreakpoints:

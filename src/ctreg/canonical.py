@@ -24,7 +24,8 @@ from .errors import ZeroDesignError
 
 FloatArray = NDArray[np.float64]
 
-DEFAULT_RANK_REL_TOL = 1e-12
+# relative eigenvalue floor of every design decomposition (see canonicalize)
+RANK_REL_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -76,7 +77,6 @@ class CanonicalDecomposition:
     eigenvalues: FloatArray
     right_vectors: FloatArray  # d x r, orthonormal columns
     left_vectors: FloatArray  # n x r, orthonormal columns
-    rank_tolerance: float
 
     @property
     def rank(self) -> int:
@@ -96,10 +96,10 @@ def _gram_spectrum(
     rank_rel_tol times the largest one in non-increasing order (a stable
     sort, so exactly equal eigenvalues keep index order), their orthonormal
     eigenvectors as columns, and the smallest eigenvalue before the floor.
-    Nothing is kept when the largest eigenvalue is not positive.
+    Nothing is kept when the largest eigenvalue is not positive.  Callers
+    pass a fixed floor: ``RANK_REL_TOL`` for designs and
+    ``kernel.KERNEL_RANK_REL_TOL`` for kernel matrices.
     """
-    if not 0.0 < rank_rel_tol < 1.0:
-        raise ValueError("rank_rel_tol must lie in (0, 1)")
     eig, vec = np.linalg.eigh(gram)  # ascending
     r = int(np.count_nonzero(eig > rank_rel_tol * eig[-1]))
     order = np.argsort(-eig, kind="stable")[:r]
@@ -115,15 +115,14 @@ def _pivot_signs(vectors: FloatArray) -> FloatArray:
     return signs
 
 
-def canonicalize(
-    dataset: Dataset, rank_rel_tol: float = DEFAULT_RANK_REL_TOL
-) -> CanonicalDecomposition:
+def canonicalize(dataset: Dataset) -> CanonicalDecomposition:
     """Compute the canonical decomposition of a dataset.
 
     When n <= d the eigenvectors V of X X^T / n give U = X^T V / (sqrt(n) s);
     otherwise the eigenvectors U of X^T X / n give V = X U / (sqrt(n) s),
     where s holds the square roots of the eigenvalues.  Components with
-    eigenvalue <= rank_rel_tol * (largest eigenvalue) are discarded.  Each
+    eigenvalue <= RANK_REL_TOL * (largest eigenvalue) are discarded; the
+    floor is fixed, so every fit and CV fold uses the same one.  Each
     retained right vector is sign-normalized so that its largest-magnitude
     entry is positive (first such entry on ties); the paired left vector
     flips with it.
@@ -136,15 +135,15 @@ def canonicalize(
     eps * lambda_max / lambda_min, with lambda_min the smallest retained
     eigenvalue (an SVD of X would give about eps * sqrt(lambda_max /
     lambda_min)).  At lambda_max / lambda_min = 1e10 that is about 1e-6;
-    at the default floor of 1e-12 it is about 1e-4.
+    at the floor of 1e-12 it is about 1e-4.
     """
     X = dataset.design
     n, d = X.shape
     if n <= d:
-        eigenvalues, V, _ = _gram_spectrum(X @ X.T / n, rank_rel_tol)
+        eigenvalues, V, _ = _gram_spectrum(X @ X.T / n, RANK_REL_TOL)
         U = X.T @ V / np.sqrt(n * eigenvalues)
     else:
-        eigenvalues, U, _ = _gram_spectrum(X.T @ X / n, rank_rel_tol)
+        eigenvalues, U, _ = _gram_spectrum(X.T @ X / n, RANK_REL_TOL)
         V = X @ U / np.sqrt(n * eigenvalues)
     if eigenvalues.size == 0:
         raise ZeroDesignError("zero design matrix")
@@ -153,7 +152,6 @@ def canonicalize(
         eigenvalues=eigenvalues,
         right_vectors=U * signs,
         left_vectors=V * signs,
-        rank_tolerance=rank_rel_tol,
     )
 
 

@@ -7,7 +7,6 @@ Exit codes: 0 success, 1 numerical/domain failure, 2 usage/parse failure.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import os
 import sys
@@ -36,7 +35,7 @@ from .metrics import (
 )
 from .simstudy import emit_table, run_experiment, spec_from_dict
 from .thresholding import HARD_RULE, SOFT_RULE, ThresholdRule
-from .tuning import joint_cv, kfold_cv
+from .tuning import joint_cv
 
 SCHEMA_VERSION = 1
 
@@ -161,9 +160,12 @@ def _parse_kernel(text: str) -> KernelSpec:
     raise UsageError(f"unknown kernel {text!r}")
 
 
+Offsets = Optional[Tuple[np.ndarray, float]]
+
+
 def _center(
     X: np.ndarray, Y: np.ndarray, enabled: bool
-) -> Tuple[np.ndarray, np.ndarray, Optional[Tuple[np.ndarray, float]]]:
+) -> Tuple[np.ndarray, np.ndarray, Offsets]:
     if not enabled:
         return X, Y, None
     x_means = X.mean(axis=0)
@@ -171,7 +173,9 @@ def _center(
     return X - x_means, Y - y_mean, (x_means, y_mean)
 
 
-def _linear_model_json(fit: FitResult, method: str) -> str:
+def _linear_model_json(fit: FitResult, method: str, offsets: Offsets) -> str:
+    """The model file of a fit on data centered by offsets = (x_means, y_mean),
+    or on raw data when offsets is None."""
     config: dict
     if isinstance(fit.config, GctConfig):
         rule = fit.config.rule
@@ -184,8 +188,8 @@ def _linear_model_json(fit: FitResult, method: str) -> str:
     else:
         config = {"method": method, **vars(fit.config)}
     centering = None
-    if fit.centering_offsets is not None:
-        x_means, y_mean = fit.centering_offsets
+    if offsets is not None:
+        x_means, y_mean = offsets
         centering = {"x_means": x_means.tolist(), "y_mean": y_mean}
     payload = {
         "schema_version": SCHEMA_VERSION,
@@ -263,6 +267,26 @@ def _load_model(path: str) -> dict:
     return payload
 
 
+def _model_array(value: object, field: str, ndim: int) -> np.ndarray:
+    """A model-file field as a finite float array with ndim dimensions."""
+    try:
+        array = np.asarray(value, dtype=np.float64)
+    except (TypeError, ValueError) as exc:
+        raise UsageError(f"model field {field} is not numeric") from exc
+    if array.ndim != ndim:
+        raise UsageError(
+            f"model field {field} must have {ndim} dimension(s), got {array.ndim}"
+        )
+    if not np.all(np.isfinite(array)):
+        raise UsageError(f"model field {field} has a non-finite value")
+    return array
+
+
+def _model_mean(value: object, field: str) -> Optional[float]:
+    """A finite model-file mean, or None for null."""
+    return None if value is None else float(_model_array(value, field, 0))
+
+
 def _parse_tau(text: str) -> float:
     try:
         return float(text)
@@ -321,8 +345,7 @@ def cmd_fit(args: argparse.Namespace) -> int:
     else:
         raise UsageError(f"unknown method {method!r}")
 
-    fit = dataclasses.replace(fit, centering_offsets=offsets)
-    _atomic_write(args.output, _linear_model_json(fit, method) + "\n")
+    _atomic_write(args.output, _linear_model_json(fit, method, offsets) + "\n")
     return EXIT_OK
 
 
@@ -332,22 +355,18 @@ def cmd_cv(args: argparse.Namespace) -> int:
     dataset = Dataset(X, Y)
     rule = _parse_rule(args.rule)
 
+    phis = [args.phi]
     if args.phi_grid is not None:
         try:
             phis = sorted(float(part) for part in args.phi_grid.split(","))
         except ValueError as exc:
             raise UsageError("--phi-grid expects comma-separated numbers") from exc
-        phi, tau, result = joint_cv(dataset, args.folds, phis, rule, args.seed)
-    else:
-        phi = args.phi
-        result = kfold_cv(dataset, args.folds, phi, rule, args.seed)
-        tau = result.tau_cv
+    phi, tau, result = joint_cv(dataset, args.folds, phis, rule, args.seed)
 
     print(json.dumps({"tau_cv": tau, "phi": phi, "cv_error": result.cv_error_at_tau}))
     if args.fit_out is not None:
         fit = fit_gct(dataset, GctConfig(tau=tau, phi=phi, rule=rule))
-        fit = dataclasses.replace(fit, centering_offsets=offsets)
-        _atomic_write(args.fit_out, _linear_model_json(fit, "gct") + "\n")
+        _atomic_write(args.fit_out, _linear_model_json(fit, "gct", offsets) + "\n")
     return EXIT_OK
 
 
@@ -357,21 +376,19 @@ def cmd_predict(args: argparse.Namespace) -> int:
 
     if payload["model_kind"] == "linear":
         try:
-            beta = np.asarray(payload["beta"], dtype=np.float64)
-            centering = payload.get("centering")
-            if centering:
-                x_means = np.asarray(centering["x_means"], dtype=np.float64)
-                y_mean = float(centering["y_mean"])
+            beta, x_means, y_mean = _linear_model_from_json(payload)
         except (KeyError, TypeError, ValueError) as exc:
             raise UsageError(f"malformed linear model {args.model}: {exc!r}") from exc
         if data.shape[1] != beta.shape[0]:
             raise CtregError(
                 f"model expects {beta.shape[0]} columns, input has {data.shape[1]}"
             )
-        if centering:
-            preds = y_mean + (data - x_means) @ beta
-        else:
-            preds = data @ beta
+        # a fit on centered data: yhat = y_mean + (x - x_means)^T beta
+        if x_means is not None:
+            data = data - x_means
+        preds = data @ beta
+        if y_mean is not None:
+            preds = y_mean + preds
     else:
         try:
             model = _kernel_model_from_json(payload)
@@ -392,14 +409,45 @@ def cmd_predict(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+def _linear_model_from_json(
+    payload: dict,
+) -> Tuple[np.ndarray, Optional[np.ndarray], Optional[float]]:
+    """(beta, x_means, y_mean) of a linear model file; an absent offset is None."""
+    beta = _model_array(payload["beta"], "beta", 1)
+    centering = payload.get("centering")
+    if centering is None:
+        return beta, None, None
+    x_means = _model_array(centering["x_means"], "centering.x_means", 1)
+    if x_means.shape != beta.shape:
+        raise UsageError(
+            f"model field centering.x_means has {x_means.shape[0]} entries, "
+            f"beta has {beta.shape[0]}"
+        )
+    return beta, x_means, _model_mean(centering["y_mean"], "centering.y_mean")
+
+
 def _kernel_model_from_json(payload: dict) -> KernelModel:
+    training_points = _model_array(payload["training_points"], "training_points", 2)
+    dual_coeffs = _model_array(payload["dual_coeffs"], "dual_coeffs", 1)
+    if dual_coeffs.shape[0] != training_points.shape[0]:
+        raise UsageError(
+            f"model field dual_coeffs has {dual_coeffs.shape[0]} entries for "
+            f"{training_points.shape[0]} training points"
+        )
     kernel_data = payload["kernel"]
+
+    def number(key: str, default: float) -> float:
+        return float(_model_array(kernel_data.get(key, default), f"kernel.{key}", 0))
+
+    degree = number("degree", 2)
+    if not degree.is_integer():
+        raise UsageError(f"model field kernel.degree is not an integer: {degree!r}")
     spec = KernelSpec(
         kind=kernel_data["kind"],
-        gamma=float(kernel_data.get("gamma", 1.0)),
-        degree=int(kernel_data.get("degree", 2)),
-        coef0=float(kernel_data.get("coef0", 0.0)),
-        scale=float(kernel_data.get("scale", 1.0)),
+        gamma=number("gamma", 1.0),
+        degree=int(degree),
+        coef0=number("coef0", 0.0),
+        scale=number("scale", 1.0),
     )
     config_data = payload["config"]
     config = GctConfig(
@@ -407,16 +455,15 @@ def _kernel_model_from_json(payload: dict) -> KernelModel:
         phi=float(config_data["phi"]),
         rule=_parse_rule(config_data["rule"]),
     )
-    mean = payload.get("response_mean")
     return KernelModel(
-        training_points=np.asarray(payload["training_points"], dtype=np.float64),
-        dual_coeffs=np.asarray(payload["dual_coeffs"], dtype=np.float64),
+        training_points=training_points,
+        dual_coeffs=dual_coeffs,
         theta_hat=np.zeros(0),  # not needed for prediction
         eigenvalues=np.asarray(payload["decomposition"]["eigenvalues"]),
         left_vectors=np.zeros((0, 0)),
         config=config,
         kernel=spec,
-        response_mean=None if mean is None else float(mean),
+        response_mean=_model_mean(payload.get("response_mean"), "response_mean"),
     )
 
 

@@ -9,13 +9,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Tuple, Union
+from typing import Tuple, Union
 
 import numpy as np
 from numpy.typing import NDArray
 
 from .canonical import (
-    DEFAULT_RANK_REL_TOL,
     CanonicalDecomposition,
     Dataset,
     canonical_ls,
@@ -64,7 +63,6 @@ class FitResult:
     theta_hat: FloatArray
     config: MethodConfig
     decomposition: CanonicalDecomposition
-    centering_offsets: Optional[Tuple[FloatArray, float]] = None
 
 
 def _shrink(
@@ -80,13 +78,6 @@ def _shrink(
     return apply_rule(rule, weights * theta, tau) / weights
 
 
-def gct_theta(
-    dec: CanonicalDecomposition, theta_ls: FloatArray, config: GctConfig
-) -> FloatArray:
-    """Shrink canonical LS coefficients: Lambda^{-phi} T_tau[Lambda^{phi} theta]."""
-    return _shrink(dec.eigenvalues, theta_ls, config.rule, config.tau, config.phi)
-
-
 def _fit(
     dec: CanonicalDecomposition, theta_hat: FloatArray, config: MethodConfig
 ) -> FitResult:
@@ -97,7 +88,8 @@ def _fit(
 def _gct_fit(
     dec: CanonicalDecomposition, theta_ls: FloatArray, config: GctConfig
 ) -> FitResult:
-    return _fit(dec, gct_theta(dec, theta_ls, config), config)
+    theta_hat = _shrink(dec.eigenvalues, theta_ls, config.rule, config.tau, config.phi)
+    return _fit(dec, theta_hat, config)
 
 
 def _pcr_fit(dec: CanonicalDecomposition, theta_ls: FloatArray, m: int) -> FitResult:
@@ -115,69 +107,50 @@ def _ridge_fit(
     return _fit(dec, shrink * theta_ls, RidgeConfig(lambda_reg=lambda_reg))
 
 
-def _decompose(
-    dataset: Dataset, rank_rel_tol: float
-) -> Tuple[CanonicalDecomposition, FloatArray]:
-    dec = canonicalize(dataset, rank_rel_tol)
+def _decompose(dataset: Dataset) -> Tuple[CanonicalDecomposition, FloatArray]:
+    dec = canonicalize(dataset)
     return dec, canonical_ls(dec, dataset.response)
 
 
-def fit_gct(
-    dataset: Dataset,
-    config: GctConfig,
-    rank_rel_tol: float = DEFAULT_RANK_REL_TOL,
-) -> FitResult:
+def fit_gct(dataset: Dataset, config: GctConfig) -> FitResult:
     """Generalized canonical thresholding fit."""
-    return _gct_fit(*_decompose(dataset, rank_rel_tol), config)
+    return _gct_fit(*_decompose(dataset), config)
 
 
-def fit_nct(
-    dataset: Dataset,
-    tau: float,
-    rank_rel_tol: float = DEFAULT_RANK_REL_TOL,
-) -> FitResult:
+def fit_nct(dataset: Dataset, tau: float) -> FitResult:
     """Natural canonical thresholding: soft rule with no eigenvalue weighting."""
-    return fit_gct(dataset, GctConfig(tau=tau, phi=0.0, rule=SOFT_RULE), rank_rel_tol)
+    return fit_gct(dataset, GctConfig(tau=tau, phi=0.0, rule=SOFT_RULE))
 
 
-def fit_min_norm_ls(
-    dataset: Dataset, rank_rel_tol: float = DEFAULT_RANK_REL_TOL
-) -> FitResult:
+def fit_min_norm_ls(dataset: Dataset) -> FitResult:
     """Minimum l2-norm least squares (thresholding at level 0)."""
-    return fit_nct(dataset, 0.0, rank_rel_tol)
+    return fit_nct(dataset, 0.0)
 
 
-def fit_pcr(
-    dataset: Dataset,
-    m: int,
-    rank_rel_tol: float = DEFAULT_RANK_REL_TOL,
-) -> FitResult:
+def fit_pcr(dataset: Dataset, m: int) -> FitResult:
     """Least squares on the first m principal-component scores."""
-    return _pcr_fit(*_decompose(dataset, rank_rel_tol), m)
+    return _pcr_fit(*_decompose(dataset), m)
 
 
-def fit_ridge(
-    dataset: Dataset,
-    lambda_reg: float,
-    rank_rel_tol: float = DEFAULT_RANK_REL_TOL,
-) -> FitResult:
+def fit_ridge(dataset: Dataset, lambda_reg: float) -> FitResult:
     """Ridge regression restricted to the row space, in spectral form."""
     if lambda_reg < 0 or math.isnan(lambda_reg):
         raise ValueError(f"lambda_reg must be nonnegative, got {lambda_reg!r}")
-    return _ridge_fit(*_decompose(dataset, rank_rel_tol), lambda_reg)
+    return _ridge_fit(*_decompose(dataset), lambda_reg)
 
 
 def predict(fit: FitResult, Xnew: FloatArray) -> FloatArray:
-    """Predict responses for new design rows, honoring centering offsets."""
+    """Predict responses for new design rows: Xnew @ beta, with no intercept.
+
+    A fit on centered data predicts centered responses; the CLI's model file
+    stores the column and response means and adds them back.
+    """
     Xnew = np.asarray(Xnew, dtype=np.float64)
     if Xnew.ndim != 2 or Xnew.shape[1] != fit.beta.shape[0]:
         raise ValueError(
             f"Xnew must have {fit.beta.shape[0]} columns, got shape {Xnew.shape}"
         )
-    if fit.centering_offsets is None:
-        return Xnew @ fit.beta
-    col_means, y_mean = fit.centering_offsets
-    return y_mean + (Xnew - col_means) @ fit.beta
+    return Xnew @ fit.beta
 
 
 def default_tau(

@@ -24,7 +24,8 @@ from .metrics import joint_effective_dimension
 
 FloatArray = NDArray[np.float64]
 
-DEFAULT_KERNEL_RANK_REL_TOL = 1e-10
+# relative eigenvalue floor and PSD slack of every kernel decomposition
+KERNEL_RANK_REL_TOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -76,16 +77,15 @@ def gram(points: FloatArray, spec: KernelSpec) -> FloatArray:
     return (K + K.T) / 2.0
 
 
-def kernel_canonicalize(
-    K: FloatArray, rank_rel_tol: float = DEFAULT_KERNEL_RANK_REL_TOL
-) -> Tuple[FloatArray, FloatArray]:
+def kernel_canonicalize(K: FloatArray) -> Tuple[FloatArray, FloatArray]:
     """Eigendecomposition of K/n with the small-spectrum floor applied.
 
     Returns (eigenvalues, left_vectors) with eigenvalues non-increasing,
     from the spectral core that ``canonicalize`` uses.  Eigenvalues within
-    rank_rel_tol of zero (relative to the top one) are dropped; materially
-    negative ones raise an error.  Each left vector's largest-magnitude
-    entry is positive.
+    KERNEL_RANK_REL_TOL (1e-10) of zero, relative to the top one, are
+    dropped; one below -KERNEL_RANK_REL_TOL times the top one raises an
+    error.  The floor is fixed.  Each left vector's largest-magnitude entry
+    is positive.
     """
     K = np.asarray(K, dtype=np.float64)
     n = K.shape[0]
@@ -96,8 +96,8 @@ def kernel_canonicalize(
     if not np.any(K):
         raise ZeroDesignError("zero kernel matrix")
 
-    eig, vec, smallest = _gram_spectrum(K / n, rank_rel_tol)
-    if eig.size == 0 or smallest < -rank_rel_tol * eig[0]:
+    eig, vec, smallest = _gram_spectrum(K / n, KERNEL_RANK_REL_TOL)
+    if eig.size == 0 or smallest < -KERNEL_RANK_REL_TOL * eig[0]:
         raise NotPositiveSemidefiniteError("kernel matrix not positive semidefinite")
     return eig, vec * _pivot_signs(vec)
 
@@ -125,13 +125,14 @@ def fit_kernel_gct(
     Y: FloatArray,
     spec: KernelSpec,
     config: GctConfig,
-    rank_rel_tol: float = DEFAULT_KERNEL_RANK_REL_TOL,
+    *,
     center_response: bool = False,
 ) -> KernelModel:
     """Fit the kernel thresholding estimator.
 
     theta_hat = Lambda^{-phi} T_tau[Lambda^{phi} V^T Y / sqrt(n)] and
-    alpha = V Lambda^{-2} theta_hat / sqrt(n).
+    alpha = V Lambda^{-2} theta_hat / sqrt(n).  With center_response the
+    response mean is subtracted first and added back by every prediction.
     """
     points = np.asarray(points, dtype=np.float64)
     Y = np.asarray(Y, dtype=np.float64)
@@ -144,7 +145,7 @@ def fit_kernel_gct(
         Y = Y - response_mean
 
     K = gram(points, spec)
-    eig, vec = kernel_canonicalize(K, rank_rel_tol)
+    eig, vec = kernel_canonicalize(K)
     theta_ls = vec.T @ Y / math.sqrt(n)
     theta_hat = _shrink(eig, theta_ls, config.rule, config.tau, config.phi)
     alpha = vec @ (theta_hat / eig) / math.sqrt(n)

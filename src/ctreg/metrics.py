@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Union
+from typing import Union
 
 import numpy as np
 from numpy.typing import NDArray
@@ -19,6 +19,7 @@ from .canonical import CanonicalDecomposition, to_theta
 FloatArray = NDArray[np.float64]
 
 L0_FLOOR = 1e-12
+RISK_Q_GRID = np.arange(0.0, 2.0 + 1e-9, 0.01)
 
 
 def mse_fixed(
@@ -116,21 +117,18 @@ class RiskBoundReport:
     argmin_q: float
 
 
-def risk_bound(
-    theta: FloatArray, level: float, q_grid: Optional[FloatArray] = None
-) -> RiskBoundReport:
-    """Evaluate the two-sided bound core and its l_q relaxation at a noise level."""
+def risk_bound(theta: FloatArray, level: float) -> RiskBoundReport:
+    """Evaluate the two-sided bound core and its l_q relaxation at a noise level.
+
+    The relaxation is minimized over RISK_Q_GRID, q = 0, 0.01, ..., 2.
+    """
     if level <= 0:
         raise ValueError("level must be positive")
     theta = np.asarray(theta, dtype=np.float64)
     core = float(np.sum(np.minimum(level, np.abs(theta)) ** 2))
-
-    if q_grid is None:
-        q_grid = np.arange(0.0, 2.0 + 1e-9, 0.01)
-    q_grid = np.asarray(q_grid, dtype=np.float64)
     best = math.inf
     best_q = 0.0
-    for q in q_grid:
+    for q in RISK_Q_GRID:
         value = _lq_pseudo_norm(theta, float(q)) * level ** (2.0 - q)
         if value < best:
             best = float(value)

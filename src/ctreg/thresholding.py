@@ -104,18 +104,16 @@ class RuleReport:
 
 
 def check_rule(
-    rule: ThresholdRule,
-    tau_samples: FloatArray,
-    z_grid: FloatArray,
-    rel_tol: float = 1e-12,
+    rule: ThresholdRule, tau_samples: FloatArray, z_grid: FloatArray
 ) -> RuleReport:
     """Check rule validity on sampled (tau, z, z') combinations.
 
     The conditions quantify over all reals, so this is necessarily a grid
     check; density is caller-controlled.  Returns the maximal violation of
     either condition (0 for rules valid on the grid).  Violations within
-    rel_tol of the working scale are rounded to zero so exact rules are not
-    flagged for floating-point cancellation error.
+    1e-12 times the working scale max(1, max|z|, max tau) are rounded to
+    zero so exact rules are not flagged for floating-point cancellation
+    error.
     """
     tau_samples = np.asarray(tau_samples, dtype=np.float64)
     z_grid = np.asarray(z_grid, dtype=np.float64)
@@ -135,6 +133,6 @@ def check_rule(
         # the binding z' is the one closest to zero, |z'| = max(|z| - tau/2, 0)
         zmin = np.maximum(np.abs(z_grid) - tau / 2.0, 0.0)
         worst = max(worst, float(np.max(np.abs(tz) - c * zmin)))
-    if worst <= rel_tol * scale:
+    if worst <= 1e-12 * scale:
         worst = 0.0
     return RuleReport(valid=worst == 0.0, worst_violation=worst)

@@ -31,7 +31,7 @@ import numpy as np
 from numpy.typing import NDArray
 
 from .canonical import (
-    DEFAULT_RANK_REL_TOL,
+    RANK_REL_TOL,
     CanonicalDecomposition,
     Dataset,
     _gram_spectrum,
@@ -157,13 +157,13 @@ def _fold_spectra(
                 gram = X @ X.T
             root_n = math.sqrt(n_t)
             eig, V, _ = _gram_spectrum(
-                gram[np.ix_(train, train)] / n_t, DEFAULT_RANK_REL_TOL
+                gram[np.ix_(train, train)] / n_t, RANK_REL_TOL
             )
             theta = V.T @ Y[train] / root_n
             scores = gram[np.ix_(val, train)] @ V / (root_n * eig)
         else:
             X_t = X[train]
-            eig, U, _ = _gram_spectrum(X_t.T @ X_t / n_t, DEFAULT_RANK_REL_TOL)
+            eig, U, _ = _gram_spectrum(X_t.T @ X_t / n_t, RANK_REL_TOL)
             s = np.sqrt(eig)
             theta = U.T @ (X_t.T @ Y[train]) / (n_t * s)
             scores = X[val] @ U / s

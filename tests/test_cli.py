@@ -192,23 +192,29 @@ class TestPredict:
 
     def test_matches_in_process_predict_bitwise(self, data_csv, tmp_path):
         path, X, Y = data_csv
-        model_path = str(tmp_path / "m.json")
-        assert main(["fit", "--input", path, "--response", "y", "--method", "gct",
-                     "--tau", "0.2", "--phi", "1.0", "--no-center",
-                     "--output", model_path]) == 0
         newdata = str(tmp_path / "new.csv")
         rng = np.random.default_rng(4)
         Xnew = rng.standard_normal((5, 4))
         with open(newdata, "w") as handle:
             for row in Xnew:
                 handle.write(",".join(repr(float(v)) for v in row) + "\n")
-        preds_path = str(tmp_path / "p.txt")
-        assert main(["predict", "--model", model_path, "--input", newdata,
-                     "--output", preds_path]) == 0
-        file_preds = np.loadtxt(preds_path)
-        fit = fit_gct(Dataset(X, Y), GctConfig(tau=0.2, phi=1.0))
-        in_process = predict(fit, Xnew)
-        np.testing.assert_array_equal(file_preds, in_process)
+        config = GctConfig(tau=0.2, phi=1.0)
+        x_means, y_mean = X.mean(axis=0), float(Y.mean())
+        centered_fit = fit_gct(Dataset(X - x_means, Y - y_mean), config)
+        cases = [
+            (["--no-center"], predict(fit_gct(Dataset(X, Y), config), Xnew)),
+            # the default centered fit: the model file adds the means back
+            ([], y_mean + predict(centered_fit, Xnew - x_means)),
+        ]
+        for flags, in_process in cases:
+            model_path = str(tmp_path / "m.json")
+            assert main(["fit", "--input", path, "--response", "y", "--method", "gct",
+                         "--tau", "0.2", "--phi", "1.0", "--output", model_path]
+                        + flags) == 0
+            preds_path = str(tmp_path / "p.txt")
+            assert main(["predict", "--model", model_path, "--input", newdata,
+                         "--output", preds_path]) == 0
+            np.testing.assert_array_equal(np.loadtxt(preds_path), in_process)
 
     def test_dimension_mismatch_exit_one(self, data_csv, tmp_path):
         path, _, _ = data_csv
@@ -253,15 +259,9 @@ class TestPredict:
         assert main(["predict", "--model", model_path, "--input", newdata]) == 2
         assert message in capsys.readouterr().err
 
-    @pytest.mark.parametrize(
-        "method, mutate",
-        [
-            ("kernel-fit", lambda p: p["kernel"].pop("kind")),
-            ("kernel-fit", lambda p: p["config"].pop("tau")),
-            ("fit", lambda p: p["centering"].pop("x_means")),
-        ],
-    )
-    def test_malformed_model_fields_exit_two(self, data_csv, tmp_path, method, mutate):
+    @staticmethod
+    def predict_with_edited_model(data_csv, tmp_path, method, mutate):
+        """Fit with ``method``, edit the model file in place, run predict."""
         path, X, _ = data_csv
         model_path = str(tmp_path / "m.json")
         extra = ["--kernel", "rbf:0.5"] if method == "kernel-fit" else []
@@ -273,7 +273,69 @@ class TestPredict:
             json.dump(payload, handle)
         newdata = str(tmp_path / "new.csv")
         np.savetxt(newdata, X, delimiter=",")
-        assert main(["predict", "--model", model_path, "--input", newdata]) == 2
+        return main(["predict", "--model", model_path, "--input", newdata])
+
+    @pytest.mark.parametrize(
+        "method, mutate",
+        [
+            ("kernel-fit", lambda p: p["kernel"].pop("kind")),
+            ("kernel-fit", lambda p: p["config"].pop("tau")),
+            ("fit", lambda p: p["centering"].pop("x_means")),
+            pytest.param(
+                "fit",
+                lambda p: p["centering"].update(x_means=p["centering"]["x_means"][:2]),
+                id="x_means-short",
+            ),
+            pytest.param("fit", lambda p: p.update(beta=[p["beta"]]), id="beta-nested"),
+            pytest.param(
+                "kernel-fit",
+                lambda p: p.update(dual_coeffs=p["dual_coeffs"][:5]),
+                id="dual_coeffs-short",
+            ),
+            pytest.param(
+                "kernel-fit",
+                lambda p: p["dual_coeffs"].__setitem__(3, float("nan")),
+                id="dual_coeffs-nan",
+            ),
+        ],
+    )
+    def test_malformed_model_fields_exit_two(self, data_csv, tmp_path, method, mutate):
+        assert self.predict_with_edited_model(data_csv, tmp_path, method, mutate) == 2
+
+    @pytest.mark.parametrize(
+        "method, mutate, field",
+        [
+            pytest.param("fit", lambda p: p["centering"].update(y_mean=float("inf")),
+                         "centering.y_mean", id="y_mean-inf"),
+            pytest.param("fit", lambda p: p["beta"].__setitem__(0, float("nan")),
+                         "beta", id="beta-nan"),
+            pytest.param("kernel-fit", lambda p: p.update(response_mean=float("nan")),
+                         "response_mean", id="response_mean-nan"),
+            pytest.param("kernel-fit", lambda p: p["kernel"].update(gamma=float("nan")),
+                         "kernel.gamma", id="gamma-nan"),
+            pytest.param("kernel-fit", lambda p: p["kernel"].update(degree=2.5),
+                         "kernel.degree", id="degree-fractional"),
+            pytest.param("kernel-fit",
+                         lambda p: p.update(training_points=p["training_points"][0]),
+                         "training_points", id="training_points-1d"),
+        ],
+    )
+    def test_bad_model_field_is_named(
+        self, data_csv, tmp_path, capsys, method, mutate, field
+    ):
+        assert self.predict_with_edited_model(data_csv, tmp_path, method, mutate) == 2
+        assert f"model field {field} " in capsys.readouterr().err
+
+    def test_null_y_mean_adds_no_response_offset(self, data_csv, tmp_path, capsys):
+        _, X, _ = data_csv
+        assert self.predict_with_edited_model(
+            data_csv, tmp_path, "fit", lambda p: p["centering"].update(y_mean=None)
+        ) == 0
+        model = json.load(open(tmp_path / "m.json"))
+        x_means = np.array(model["centering"]["x_means"])
+        expected = (X - x_means) @ np.array(model["beta"])
+        printed = np.array(capsys.readouterr().out.split(), dtype=np.float64)
+        np.testing.assert_array_equal(printed, expected)
 
 
 class TestCv:

@@ -115,13 +115,16 @@ class TestKernelCanonicalize:
         with pytest.raises(ValueError):
             kernel_canonicalize(np.array([[1.0, 2.0], [0.0, 1.0]]))
 
-    @pytest.mark.parametrize("tol", [0.0, 1.0])
-    def test_rank_tolerance_range(self, tol):
-        with pytest.raises(ValueError, match="rank_rel_tol"):
-            kernel_canonicalize(np.eye(3), rank_rel_tol=tol)
-
 
 class TestFitKernelGct:
+    def test_center_response_is_keyword_only(self):
+        # a fifth positional argument once meant the rank floor; it must not
+        # turn centering on
+        X = random_points(5, 8, 3)
+        Y = np.random.default_rng(5).standard_normal(8)
+        with pytest.raises(TypeError):
+            fit_kernel_gct(X, Y, RBF, GctConfig(tau=0.0), True)
+
     def test_interpolation_at_tau_zero(self):
         X = random_points(5, 8, 3)
         Y = np.random.default_rng(5).standard_normal(8)

@@ -14,8 +14,8 @@ CV fold spectra and kernel matrices go through the same core.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Tuple
+from dataclasses import dataclass, field
+from typing import Dict, Tuple
 
 import numpy as np
 from numpy.typing import NDArray
@@ -30,14 +30,28 @@ RANK_REL_TOL = 1e-12
 
 @dataclass(frozen=True)
 class Dataset:
-    """A regression sample: n x d design matrix and length-n response."""
+    """A regression sample: n x d design matrix and length-n response.
+
+    Construction copies both arrays and makes the copies read-only, so a
+    Dataset never changes after it is made.  That lets it keep a private
+    memo of what its arrays determine: the full decomposition, filled by
+    ``canonicalize``, and the spectra of the last fold split a CV tuner
+    used (see ``kfold_cv``).  The memo holds one decomposition (d*r + n*r
+    floats for rank r) and one split; it is not part of the repr, of
+    equality (two Datasets are equal when their arrays are) or of
+    pickling, and ``dataclasses.replace`` or a copy starts with an empty
+    one.
+    """
 
     design: FloatArray
     response: FloatArray
+    _memo: Dict[str, object] = field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )
 
     def __post_init__(self) -> None:
-        design = np.asarray(self.design, dtype=np.float64)
-        response = np.asarray(self.response, dtype=np.float64)
+        design = np.array(self.design, dtype=np.float64)
+        response = np.array(self.response, dtype=np.float64)
         if design.ndim != 2:
             raise ValueError("design must be a 2-D array")
         if response.ndim != 1:
@@ -53,8 +67,20 @@ class Dataset:
             if not np.all(np.isfinite(values)):
                 index = tuple(int(i) for i in np.argwhere(~np.isfinite(values))[0])
                 raise ValueError(f"{name} has a non-finite value at index {index}")
+        design.flags.writeable = False
+        response.flags.writeable = False
         object.__setattr__(self, "design", design)
         object.__setattr__(self, "response", response)
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, Dataset):
+            return NotImplemented
+        return np.array_equal(self.design, other.design) and np.array_equal(
+            self.response, other.response
+        )
+
+    def __reduce__(self):
+        return (type(self), (self.design, self.response))
 
     @property
     def n(self) -> int:
@@ -136,7 +162,13 @@ def canonicalize(dataset: Dataset) -> CanonicalDecomposition:
     eigenvalue (an SVD of X would give about eps * sqrt(lambda_max /
     lambda_min)).  At lambda_max / lambda_min = 1e10 that is about 1e-6;
     at the floor of 1e-12 it is about 1e-4.
+
+    The decomposition is computed once per Dataset and kept in its memo:
+    later calls return the same object, whose arrays are read-only.
     """
+    cached = dataset._memo.get("decomposition")
+    if cached is not None:
+        return cached
     X = dataset.design
     n, d = X.shape
     if n <= d:
@@ -148,11 +180,15 @@ def canonicalize(dataset: Dataset) -> CanonicalDecomposition:
     if eigenvalues.size == 0:
         raise ZeroDesignError("zero design matrix")
     signs = _pivot_signs(U)
-    return CanonicalDecomposition(
+    dec = CanonicalDecomposition(
         eigenvalues=eigenvalues,
         right_vectors=U * signs,
         left_vectors=V * signs,
     )
+    for array in (dec.eigenvalues, dec.right_vectors, dec.left_vectors):
+        array.flags.writeable = False
+    dataset._memo["decomposition"] = dec
+    return dec
 
 
 def canonical_ls(dec: CanonicalDecomposition, Y: FloatArray) -> FloatArray:

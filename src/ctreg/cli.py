@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 import tempfile
@@ -37,7 +38,10 @@ from .simstudy import emit_table, run_experiment, spec_from_dict
 from .thresholding import HARD_RULE, SOFT_RULE, ThresholdRule
 from .tuning import joint_cv
 
-SCHEMA_VERSION = 1
+# version 2 writes tau = inf as null; version-1 files (which may hold the
+# non-standard Infinity) are still read
+SCHEMA_VERSION = 2
+READABLE_SCHEMA_VERSIONS = (1, 2)
 
 EXIT_OK = 0
 EXIT_NUMERIC = 1
@@ -61,39 +65,28 @@ def _atomic_write(path: str, text: str) -> None:
         raise
 
 
+def _dumps(payload: dict, indent: Optional[int] = None) -> str:
+    """Strict JSON (RFC 8259): a non-finite float raises instead of being
+    written as NaN or Infinity."""
+    return json.dumps(payload, indent=indent, allow_nan=False)
+
+
+def _tau_json(tau: float) -> Optional[float]:
+    """tau for a JSON document: tau = inf (the zero estimator) is null."""
+    return None if math.isinf(tau) else tau
+
+
 def read_csv(path: str) -> Tuple[Optional[List[str]], np.ndarray]:
-    """Read a numeric CSV; the first row is a header iff it is non-numeric."""
-    try:
-        with open(path, newline="") as handle:
-            lines = [line.strip() for line in handle if line.strip()]
-    except OSError as exc:
-        raise UsageError(f"cannot read {path}: {exc}") from exc
-    if not lines:
-        raise UsageError(f"empty CSV file {path}")
+    """Read a numeric CSV; the first non-blank row is a header iff it is non-numeric.
 
-    first = [cell.strip() for cell in lines[0].split(",")]
-    header: Optional[List[str]] = None
-    try:
-        [float(cell) for cell in first]
-    except ValueError:
-        header = first
-        lines = lines[1:]
-        if not lines:
-            raise UsageError(f"CSV {path} has a header but no data rows")
-
-    rows = []
-    width = len(first)
-    for index, line in enumerate(lines):
-        cells = [cell.strip() for cell in line.split(",")]
-        if len(cells) != width:
-            raise UsageError(
-                f"CSV {path}: row {index + 1} has {len(cells)} fields, expected {width}"
-            )
-        try:
-            rows.append([float(cell) for cell in cells])
-        except ValueError as exc:
-            raise UsageError(f"CSV {path}: non-numeric value in row {index + 1}") from exc
-    data = np.asarray(rows, dtype=np.float64)
+    ``np.loadtxt`` parses the rows below the header.  A file it rejects, or
+    reads with a width other than the first row's, is parsed again row by
+    row (``_read_csv_rows``), which accepts whatever ``float`` accepts,
+    such as ``1_0`` and whitespace-only lines, and names the row of a bad
+    field; both parses give the same array bit for bit.
+    """
+    parsed = _read_csv_loadtxt(path)
+    header, data = parsed if parsed is not None else _read_csv_rows(path)
     bad = np.argwhere(~np.isfinite(data))
     if bad.size:
         row, col = (int(i) for i in bad[0])
@@ -102,6 +95,82 @@ def read_csv(path: str) -> Tuple[Optional[List[str]], np.ndarray]:
             f"CSV {path}: non-finite value in row {row + 1}, column {col + 1}{name}"
         )
     return header, data
+
+
+def _csv_cells(line: str) -> List[str]:
+    return [cell.strip() for cell in line.strip().split(",")]
+
+
+def _csv_header(first: List[str]) -> Optional[List[str]]:
+    """The first row's cells if they form a header (any non-numeric cell)."""
+    try:
+        [float(cell) for cell in first]
+    except ValueError:
+        return first
+    return None
+
+
+def _read_csv_loadtxt(path: str) -> Optional[Tuple[Optional[List[str]], np.ndarray]]:
+    """(header, data) parsed by np.loadtxt, or None where the row-by-row
+    parse has to decide: an unreadable file, fewer than two non-blank rows,
+    or rows loadtxt rejects or reads with the wrong width."""
+    try:
+        with open(path, newline="") as handle:
+            content = (
+                (number, line) for number, line in enumerate(handle) if line.strip()
+            )
+            first = next(content, None)
+            if first is None or next(content, None) is None:
+                return None
+    except (OSError, ValueError):
+        return None
+    number, line = first
+    cells = _csv_cells(line)
+    header = _csv_header(cells)
+    # comments=None: the default "#" would silently cut a cell such as 2#c
+    try:
+        data = np.loadtxt(
+            path,
+            delimiter=",",
+            comments=None,
+            ndmin=2,
+            skiprows=number if header is None else number + 1,
+        )
+    except ValueError:
+        return None
+    return (header, data) if data.shape[1] == len(cells) else None
+
+
+def _read_csv_rows(path: str) -> Tuple[Optional[List[str]], np.ndarray]:
+    """Parse a CSV row by row with ``float``; errors name the bad row."""
+    try:
+        with open(path, newline="") as handle:
+            lines = [line.strip() for line in handle if line.strip()]
+    except OSError as exc:
+        raise UsageError(f"cannot read {path}: {exc}") from exc
+    if not lines:
+        raise UsageError(f"empty CSV file {path}")
+
+    first = _csv_cells(lines[0])
+    header = _csv_header(first)
+    if header is not None:
+        lines = lines[1:]
+        if not lines:
+            raise UsageError(f"CSV {path} has a header but no data rows")
+
+    rows = []
+    width = len(first)
+    for index, line in enumerate(lines):
+        cells = _csv_cells(line)
+        if len(cells) != width:
+            raise UsageError(
+                f"CSV {path}: row {index + 1} has {len(cells)} fields, expected {width}"
+            )
+        try:
+            rows.append([float(cell) for cell in cells])
+        except ValueError as exc:
+            raise UsageError(f"CSV {path}: non-numeric value in row {index + 1}") from exc
+    return header, np.asarray(rows, dtype=np.float64)
 
 
 def _response_column(
@@ -181,7 +250,7 @@ def _linear_model_json(fit: FitResult, method: str, offsets: Offsets) -> str:
         rule = fit.config.rule
         config = {
             "method": method,
-            "tau": fit.config.tau,
+            "tau": _tau_json(fit.config.tau),
             "phi": fit.config.phi,
             "rule": rule.kind.value,
         }
@@ -202,7 +271,7 @@ def _linear_model_json(fit: FitResult, method: str, offsets: Offsets) -> str:
             "eigenvalues": fit.decomposition.eigenvalues.tolist(),
         },
     }
-    return json.dumps(payload, indent=2)
+    return _dumps(payload, indent=2)
 
 
 def _kernel_model_json(model: KernelModel) -> str:
@@ -222,7 +291,7 @@ def _kernel_model_json(model: KernelModel) -> str:
         "dual_coeffs": model.dual_coeffs.tolist(),
         "kernel": kernel,
         "config": {
-            "tau": model.config.tau,
+            "tau": _tau_json(model.config.tau),
             "phi": model.config.phi,
             "rule": model.config.rule.kind.value,
         },
@@ -232,7 +301,7 @@ def _kernel_model_json(model: KernelModel) -> str:
             "eigenvalues": model.eigenvalues.tolist(),
         },
     }
-    return json.dumps(payload, indent=2)
+    return _dumps(payload, indent=2)
 
 
 # keys each model kind must carry for predict
@@ -252,7 +321,7 @@ def _load_model(path: str) -> dict:
         raise UsageError(f"model {path} is not valid JSON") from exc
     if not isinstance(payload, dict):
         raise UsageError(f"model {path} is not a JSON object")
-    if payload.get("schema_version") != SCHEMA_VERSION:
+    if payload.get("schema_version") not in READABLE_SCHEMA_VERSIONS:
         raise UsageError(
             f"unsupported model schema version {payload.get('schema_version')!r}"
         )
@@ -363,7 +432,8 @@ def cmd_cv(args: argparse.Namespace) -> int:
             raise UsageError("--phi-grid expects comma-separated numbers") from exc
     phi, tau, result = joint_cv(dataset, args.folds, phis, rule, args.seed)
 
-    print(json.dumps({"tau_cv": tau, "phi": phi, "cv_error": result.cv_error_at_tau}))
+    report = {"tau_cv": _tau_json(tau), "phi": phi, "cv_error": result.cv_error_at_tau}
+    print(_dumps(report))
     if args.fit_out is not None:
         fit = fit_gct(dataset, GctConfig(tau=tau, phi=phi, rule=rule))
         _atomic_write(args.fit_out, _linear_model_json(fit, "gct", offsets) + "\n")
@@ -451,7 +521,7 @@ def _kernel_model_from_json(payload: dict) -> KernelModel:
     )
     config_data = payload["config"]
     config = GctConfig(
-        tau=float(config_data["tau"]),
+        tau=math.inf if config_data["tau"] is None else float(config_data["tau"]),
         phi=float(config_data["phi"]),
         rule=_parse_rule(config_data["rule"]),
     )
@@ -529,7 +599,7 @@ def cmd_diagnose(args: argparse.Namespace) -> int:
                 f"q={q:g}": joint_effective_dimension(theta, theta_norm, q)
                 for q in (0.0, 1.0, 2.0)
             }
-    print(json.dumps(report, indent=2))
+    print(_dumps(report, indent=2))
     return EXIT_OK
 
 

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Tuple, Union
+from typing import Union
 
 import numpy as np
 from numpy.typing import NDArray
@@ -85,36 +85,12 @@ def _fit(
     return FitResult(beta=beta, theta_hat=theta_hat, config=config, decomposition=dec)
 
 
-def _gct_fit(
-    dec: CanonicalDecomposition, theta_ls: FloatArray, config: GctConfig
-) -> FitResult:
-    theta_hat = _shrink(dec.eigenvalues, theta_ls, config.rule, config.tau, config.phi)
-    return _fit(dec, theta_hat, config)
-
-
-def _pcr_fit(dec: CanonicalDecomposition, theta_ls: FloatArray, m: int) -> FitResult:
-    if not 0 <= m <= dec.rank:
-        raise ValueError(f"m must lie in [0, {dec.rank}], got {m}")
-    theta_hat = theta_ls.copy()
-    theta_hat[m:] = 0.0
-    return _fit(dec, theta_hat, PcrConfig(components=m))
-
-
-def _ridge_fit(
-    dec: CanonicalDecomposition, theta_ls: FloatArray, lambda_reg: float
-) -> FitResult:
-    shrink = dec.eigenvalues / (dec.eigenvalues + lambda_reg)
-    return _fit(dec, shrink * theta_ls, RidgeConfig(lambda_reg=lambda_reg))
-
-
-def _decompose(dataset: Dataset) -> Tuple[CanonicalDecomposition, FloatArray]:
-    dec = canonicalize(dataset)
-    return dec, canonical_ls(dec, dataset.response)
-
-
 def fit_gct(dataset: Dataset, config: GctConfig) -> FitResult:
     """Generalized canonical thresholding fit."""
-    return _gct_fit(*_decompose(dataset), config)
+    dec = canonicalize(dataset)
+    theta_ls = canonical_ls(dec, dataset.response)
+    theta_hat = _shrink(dec.eigenvalues, theta_ls, config.rule, config.tau, config.phi)
+    return _fit(dec, theta_hat, config)
 
 
 def fit_nct(dataset: Dataset, tau: float) -> FitResult:
@@ -129,14 +105,22 @@ def fit_min_norm_ls(dataset: Dataset) -> FitResult:
 
 def fit_pcr(dataset: Dataset, m: int) -> FitResult:
     """Least squares on the first m principal-component scores."""
-    return _pcr_fit(*_decompose(dataset), m)
+    dec = canonicalize(dataset)
+    if not 0 <= m <= dec.rank:
+        raise ValueError(f"m must lie in [0, {dec.rank}], got {m}")
+    theta_hat = canonical_ls(dec, dataset.response)
+    theta_hat[m:] = 0.0
+    return _fit(dec, theta_hat, PcrConfig(components=m))
 
 
 def fit_ridge(dataset: Dataset, lambda_reg: float) -> FitResult:
     """Ridge regression restricted to the row space, in spectral form."""
     if lambda_reg < 0 or math.isnan(lambda_reg):
         raise ValueError(f"lambda_reg must be nonnegative, got {lambda_reg!r}")
-    return _ridge_fit(*_decompose(dataset), lambda_reg)
+    dec = canonicalize(dataset)
+    shrink = dec.eigenvalues / (dec.eigenvalues + lambda_reg)
+    theta_hat = shrink * canonical_ls(dec, dataset.response)
+    return _fit(dec, theta_hat, RidgeConfig(lambda_reg=lambda_reg))
 
 
 def predict(fit: FitResult, Xnew: FloatArray) -> FloatArray:

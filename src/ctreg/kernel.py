@@ -91,7 +91,10 @@ def kernel_canonicalize(K: FloatArray) -> Tuple[FloatArray, FloatArray]:
     n = K.shape[0]
     if K.shape != (n, n):
         raise ValueError("kernel matrix must be square")
-    if not np.allclose(K, K.T, atol=1e-10 * max(1.0, float(np.abs(K).max()))):
+    # exact symmetry (what ``gram`` returns) implies the tolerance check
+    if not np.array_equal(K, K.T) and not np.allclose(
+        K, K.T, atol=1e-10 * max(1.0, float(np.abs(K).max()))
+    ):
         raise ValueError("kernel matrix must be symmetric")
     if not np.any(K):
         raise ZeroDesignError("zero kernel matrix")

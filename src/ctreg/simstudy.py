@@ -20,10 +20,10 @@ from typing import Dict, List, Optional, Tuple, Union
 import numpy as np
 from numpy.typing import NDArray
 
-from .canonical import CanonicalDecomposition, Dataset, canonical_ls, canonicalize
-from .estimators import GctConfig, _gct_fit, _pcr_fit, _ridge_fit
+from .canonical import Dataset
+from .estimators import GctConfig, fit_gct, fit_min_norm_ls, fit_pcr, fit_ridge
 from .thresholding import SOFT_RULE
-from .tuning import _FoldSpectra, _fold_spectra, _path_cv, _pcr_cv, _ridge_cv
+from .tuning import kfold_cv, kfold_cv_pcr, kfold_cv_ridge
 
 FloatArray = NDArray[np.float64]
 
@@ -148,50 +148,26 @@ def generate_scenario(spec: ScenarioSpec, d: int, replicate: int) -> ScenarioDra
     )
 
 
-def _shared_decompositions(
-    spec: ScenarioSpec, dataset: Dataset, cv_seed: int
-) -> Tuple[
-    Optional[CanonicalDecomposition],
-    Optional[FloatArray],
-    Optional[_FoldSpectra],
-]:
-    """The full-data decomposition and the CV fold spectra of one replicate,
-    each computed once, and only when some method needs it."""
-    dec = theta_ls = spectra = None
-    if any(method != "Zero" for method in spec.methods):
-        dec = canonicalize(dataset)
-        theta_ls = canonical_ls(dec, dataset.response)
-    if any(method.endswith("-CV") for method in spec.methods):
-        spectra = _fold_spectra(dataset, CV_FOLDS, cv_seed)
-    return dec, theta_ls, spectra
-
-
 def _fit_method(
-    method: str,
-    spec: ScenarioSpec,
-    d: int,
-    dec: Optional[CanonicalDecomposition],
-    theta_ls: Optional[FloatArray],
-    spectra: Optional[_FoldSpectra],
+    method: str, spec: ScenarioSpec, dataset: Dataset, cv_seed: int
 ) -> FloatArray:
-    """One method's estimate from the shared decompositions: the same as the
-    public tuner with the replicate's CV seed followed by the matching fit_*."""
+    """One method's estimate: the public tuner with the replicate's CV seed,
+    then the matching fit_*.  The tuners share the fold spectra and the fits
+    share the decomposition through the dataset's memo."""
     if method == "Zero":
-        return np.zeros(d)
-    assert dec is not None and theta_ls is not None
+        return np.zeros(dataset.d)
     if method == "OLS":
-        return _gct_fit(dec, theta_ls, GctConfig(tau=0.0)).beta
-    assert spectra is not None
+        return fit_min_norm_ls(dataset).beta
     if method in ("NCT-CV", "GCT-CV"):
         phi = 0.0 if method == "NCT-CV" else spec.gct_phi
-        tau = _path_cv(spectra, phi, SOFT_RULE).tau_cv
-        return _gct_fit(dec, theta_ls, GctConfig(tau=tau, phi=phi)).beta
+        tau = kfold_cv(dataset, CV_FOLDS, phi, SOFT_RULE, cv_seed).tau_cv
+        return fit_gct(dataset, GctConfig(tau=tau, phi=phi)).beta
     if method == "PCR-CV":
-        m, _ = _pcr_cv(spectra)
-        return _pcr_fit(dec, theta_ls, m).beta
+        m, _ = kfold_cv_pcr(dataset, CV_FOLDS, cv_seed)
+        return fit_pcr(dataset, m).beta
     if method == "Ridge-CV":
-        lam, _ = _ridge_cv(spectra, RIDGE_GRID)
-        return _ridge_fit(dec, theta_ls, lam).beta
+        lam, _ = kfold_cv_ridge(dataset, CV_FOLDS, RIDGE_GRID, cv_seed)
+        return fit_ridge(dataset, lam).beta
     raise ValueError(f"unknown method {method!r}")
 
 
@@ -235,18 +211,13 @@ def run_experiment(spec: ScenarioSpec) -> ExperimentTable:
                     [spec.base_seed, d, replicate, 3]
                 ).generate_state(1)[0]
             )
-            try:
-                shared = _shared_decompositions(spec, draw.dataset, cv_seed)
-            except Exception as exc:
-                raise RuntimeError(
-                    f"decomposition failed at d={d}, replicate={replicate}"
-                ) from exc
             for method in spec.methods:
                 try:
-                    beta_hat = _fit_method(method, spec, d, *shared)
+                    beta_hat = _fit_method(method, spec, draw.dataset, cv_seed)
                 except Exception as exc:
                     raise RuntimeError(
-                        f"method {method} failed at d={d}, replicate={replicate}"
+                        f"method {method} failed at d={d}, replicate={replicate}, "
+                        f"cv_seed={cv_seed}"
                     ) from exc
                 diff = beta_hat - beta
                 mse = float(np.sum((X @ diff) ** 2)) / spec.n

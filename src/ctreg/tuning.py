@@ -16,13 +16,16 @@ fold's coordinates sorted by weighted magnitude, the validation residual
 u_k and the soft-rule slope v_k after k active coordinates are
 cumulative sums of score columns, so every segment's quadratic, every
 hard-rule candidate and every PCR prefix is a gather from per-fold
-prefix arrays.  A brute-force grid oracle and a single-tau
-evaluator with identical fold construction do not use that engine and
-are kept for testing.
+prefix arrays.  The public tuners keep the spectra of the last split in
+the Dataset's memo, so tuning several rules or methods on one split
+decomposes its folds once.  A brute-force grid oracle and a single-tau
+evaluator with identical fold construction use neither that engine nor
+the memo and are kept for testing.
 """
 
 from __future__ import annotations
 
+import inspect
 import math
 from dataclasses import dataclass
 from typing import List, Literal, Optional, Sequence, Tuple
@@ -177,6 +180,32 @@ def _fold_spectra(
     return _FoldSpectra(assignment=assignment, folds=tuple(folds))
 
 
+_FOLD_SPECTRA_SIGNATURE = inspect.signature(_fold_spectra)
+
+
+def _memo_fold_spectra(
+    dataset: Dataset, *args: object, **kwargs: object
+) -> _FoldSpectra:
+    """``_fold_spectra`` through the dataset's one-entry memo.
+
+    The key is every argument of ``_fold_spectra`` after the dataset, with
+    defaults filled in, so a new argument joins the key by itself.  The
+    entry is stored and read as one (key, spectra) tuple: threads racing on
+    one dataset may each compute it, but a hit always matches its key.
+    Only the public tuners use the memo; ``cv_error_at`` and
+    ``grid_cv_oracle`` build fresh spectra, so the oracles stay independent.
+    """
+    bound = _FOLD_SPECTRA_SIGNATURE.bind(dataset, *args, **kwargs)
+    bound.apply_defaults()
+    key = tuple(bound.arguments.items())[1:]
+    entry = dataset._memo.get("fold_spectra")
+    if entry is not None and entry[0] == key:
+        return entry[1]
+    spectra = _fold_spectra(*bound.args, **bound.kwargs)
+    dataset._memo["fold_spectra"] = (key, spectra)
+    return spectra
+
+
 def _fold_error(fold: _Fold, rule: ThresholdRule, tau: float, phi: float) -> float:
     theta_hat = _shrink(fold.eigenvalues, fold.theta_ls, rule, tau, phi)
     residual = fold.y_val - fold.scores @ theta_hat
@@ -328,7 +357,7 @@ def _path_cv(spectra: _FoldSpectra, phi: float, rule: ThresholdRule) -> CvResult
         cv_error_at_tau=_cv_error(spectra, rule, best_tau, phi),
         fold_breakpoints=fold_bps,
         candidate_set=np.asarray(candidates, dtype=np.float64),
-        fold_assignment=spectra.assignment,
+        fold_assignment=spectra.assignment.copy(),
         path_segments=segments,
         fold_ranks=np.array([fold.eigenvalues.shape[0] for fold in spectra.folds]),
         fold_eigenvalue_ratios=np.array(
@@ -369,8 +398,14 @@ def kfold_cv(
     an exact tie that roundoff splits is still found, and ties go to the
     largest tau.  ``cv_error_at_tau`` is the direct evaluation at
     ``tau_cv`` and equals ``cv_error_at(..., tau_cv)``.
+
+    The fold spectra of the last (L, seed, fold_mode) are kept on the
+    dataset and shared by ``kfold_cv``, ``joint_cv``, ``kfold_cv_pcr`` and
+    ``kfold_cv_ridge``: a second call on the same split, with any rule,
+    phi or method, skips the L fold decompositions.  A call with another
+    split replaces the entry.  ``fold_assignment`` is the caller's copy.
     """
-    return _path_cv(_fold_spectra(dataset, L, seed, fold_mode), phi, rule)
+    return _path_cv(_memo_fold_spectra(dataset, L, seed, fold_mode), phi, rule)
 
 
 def _fold_errors_on_grid(
@@ -436,7 +471,7 @@ def joint_cv(
     """
     if len(phi_grid) == 0:
         raise ValueError("empty phi grid")
-    spectra = _fold_spectra(dataset, L, seed, fold_mode)
+    spectra = _memo_fold_spectra(dataset, L, seed, fold_mode)
     best: Optional[Tuple[float, float, CvResult]] = None
     for phi in phi_grid:
         result = _path_cv(spectra, float(phi), rule)
@@ -467,7 +502,7 @@ def kfold_cv_pcr(
     Components beyond the smallest per-fold rank are not considered.  Ties
     go to the smaller model.
     """
-    return _pcr_cv(_fold_spectra(dataset, L, seed, fold_mode))
+    return _pcr_cv(_memo_fold_spectra(dataset, L, seed, fold_mode))
 
 
 def _ridge_cv(spectra: _FoldSpectra, lambda_grid: FloatArray) -> Tuple[float, float]:
@@ -496,4 +531,4 @@ def kfold_cv_ridge(
     """
     if np.asarray(lambda_grid).size == 0:
         raise ValueError("empty lambda grid")
-    return _ridge_cv(_fold_spectra(dataset, L, seed, fold_mode), lambda_grid)
+    return _ridge_cv(_memo_fold_spectra(dataset, L, seed, fold_mode), lambda_grid)

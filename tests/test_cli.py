@@ -1,9 +1,11 @@
 """Tests for the command-line front end (run in-process through main)."""
 
 import json
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ctreg import (
     Dataset,
@@ -15,6 +17,7 @@ from ctreg import (
     predict,
     predict_kernel_batch,
 )
+from ctreg import cli
 from ctreg.cli import main, read_csv
 
 
@@ -75,6 +78,84 @@ class TestCsvIo:
             read_csv(path)
 
 
+def csv_outcome(path):
+    """read_csv's result as comparable bits, or the exit-2 message."""
+    try:
+        header, data = read_csv(path)
+    except cli.UsageError as exc:
+        return ("usage error", str(exc))
+    return ("ok", header, data.dtype.str, data.shape, data.tobytes())
+
+
+padding = st.sampled_from(["", " ", "\t", "  ", "\x0c"])
+numbers = st.one_of(
+    st.floats(allow_nan=True, allow_infinity=True).map(repr),
+    st.integers(-10**6, 10**6).map(str),
+    st.sampled_from(
+        ["1_0", "1_000.5", "+3", "-2.5", ".5", "-.5", "5.", "1e5", "1E-3", "-2e+2",
+         "nan", "NaN", "inf", "-inf", "+Infinity", "1e400", "-0"]
+    ),
+)
+odd_cells = st.sampled_from(["", "a", "x1", "#", "2#c", "#1", "1,", "0x10", "1 2"])
+cells = st.builds(
+    lambda pad, cell, pad2: pad + cell + pad2,
+    padding,
+    st.one_of(numbers, numbers, numbers, odd_cells),
+    padding,
+)
+
+
+@st.composite
+def csv_texts(draw):
+    width = draw(st.integers(1, 4))
+    lines = []
+    if draw(st.booleans()):
+        lines.append(",".join(draw(st.lists(st.sampled_from(["a", "b", "y", "x 1"]),
+                                            min_size=width, max_size=width))))
+    for _ in range(draw(st.integers(0, 5))):
+        kind = draw(st.sampled_from(["row", "row", "row", "ragged", "blank", "space"]))
+        if kind == "blank":
+            lines.append("")
+        elif kind == "space":
+            lines.append(draw(st.sampled_from([" ", "\t", " \t "])))
+        else:
+            size = width if kind == "row" else draw(st.integers(1, width + 1))
+            lines.append(",".join(draw(st.lists(cells, min_size=size, max_size=size))))
+    ending = draw(st.sampled_from(["\n", "\r\n", "\r"]))
+    text = ending.join(lines)
+    return text + ending if draw(st.booleans()) else text
+
+
+class TestCsvFastPath:
+    @settings(max_examples=300, deadline=None)
+    @given(csv_texts())
+    def test_loadtxt_and_row_parse_agree(self, tmp_path_factory, text):
+        path = str(tmp_path_factory.mktemp("csv") / "t.csv")
+        with open(path, "w", newline="") as handle:
+            handle.write(text)
+        fast = csv_outcome(path)
+        with mock.patch.object(cli, "_read_csv_loadtxt", return_value=None):
+            rows = csv_outcome(path)
+        assert fast == rows
+
+    def test_plain_file_takes_the_loadtxt_path(self, tmp_path):
+        path = str(tmp_path / "d.csv")
+        with open(path, "w") as handle:
+            handle.write("\n a , b \n\n1,2.5\n\n-3,4e-3\n")
+        header, data = cli._read_csv_loadtxt(path)
+        assert header == ["a", "b"]
+        np.testing.assert_array_equal(data, [[1.0, 2.5], [-3.0, 4e-3]])
+
+    @pytest.mark.parametrize(
+        "text", ["a,b\n1_0,2\n3,4\n", "1,2\n  \n3,4\n", "a,b\n1,2#c\n"]
+    )
+    def test_row_parse_decides_what_loadtxt_rejects(self, tmp_path, text):
+        path = str(tmp_path / "d.csv")
+        with open(path, "w") as handle:
+            handle.write(text)
+        assert cli._read_csv_loadtxt(path) is None
+
+
 class TestExitCodes:
     def test_missing_required_flag(self):
         assert main(["fit", "--response", "y", "--output", "m.json"]) == 2
@@ -124,7 +205,7 @@ class TestFit:
                      "--no-center", "--output", out]) == 0
         with open(out) as handle:
             model = json.load(handle)
-        assert model["schema_version"] == 1
+        assert model["schema_version"] == 2
         expected = np.linalg.solve(X.T @ X, X.T @ Y)
         np.testing.assert_allclose(model["beta"], expected, atol=1e-8)
 
@@ -484,3 +565,67 @@ class TestDiagnose:
         report = json.loads(capsys.readouterr().out)
         assert "joint_effective_dimension" in report
         assert report["snr"] > 0
+
+
+def reject_constant(name):
+    raise AssertionError(f"non-standard JSON constant {name}")
+
+
+def strict_json(text):
+    return json.loads(text, parse_constant=reject_constant)
+
+
+class TestStrictJson:
+    @pytest.fixture
+    def noise_csv(self, tmp_path):
+        # hard-rule CV picks the zero estimator (tau = inf) on this data
+        path = str(tmp_path / "noise.csv")
+        data = np.random.default_rng(1).standard_normal((20, 3))
+        write_csv(path, data[:, :2], data[:, 2])
+        return path
+
+    def test_every_json_output_is_strict(self, data_csv, noise_csv, tmp_path, capsys):
+        path, _, _ = data_csv
+        model = str(tmp_path / "m.json")
+        assert main(["fit", "--input", path, "--response", "y", "--tau", "inf",
+                     "--output", model]) == 0
+        assert strict_json(open(model).read())["config"]["tau"] is None
+        assert main(["cv", "--input", noise_csv, "--response", "y", "--rule", "hard",
+                     "--folds", "5", "--fit-out", model]) == 0
+        printed = strict_json(capsys.readouterr().out)
+        assert printed["tau_cv"] is None
+        fitted = strict_json(open(model).read())
+        assert fitted["schema_version"] == 2
+        assert fitted["config"]["tau"] is None
+        assert np.all(np.array(fitted["beta"]) == 0.0)
+        kernel = str(tmp_path / "k.json")
+        assert main(["kernel-fit", "--input", path, "--response", "y", "--kernel",
+                     "rbf:0.5", "--tau", "inf", "--output", kernel]) == 0
+        assert strict_json(open(kernel).read())["config"]["tau"] is None
+        assert main(["diagnose", "--input", path, "--response", "y"]) == 0
+        strict_json(capsys.readouterr().out)
+
+    @pytest.mark.parametrize("kind", ["linear", "kernel"])
+    def test_version_one_model_with_infinity_predicts(self, data_csv, tmp_path, capsys,
+                                                      kind):
+        path, X, _ = data_csv
+        new = str(tmp_path / "new.csv")
+        write_csv(new, X[:, :3], X[:, 3])
+        model = str(tmp_path / "m.json")
+        if kind == "linear":
+            argv = ["fit", "--input", path, "--response", "y", "--tau", "inf"]
+        else:
+            argv = ["kernel-fit", "--input", path, "--response", "y", "--kernel",
+                    "rbf:0.5", "--tau", "inf"]
+        assert main(argv + ["--output", model]) == 0
+        assert main(["predict", "--model", model, "--input", new]) == 0
+        expected = capsys.readouterr().out
+        payload = json.load(open(model))
+        assert payload["config"]["tau"] is None
+        payload["schema_version"] = 1
+        text = json.dumps(payload).replace('"tau": null', '"tau": Infinity')
+        assert "Infinity" in text
+        with open(model, "w") as handle:
+            handle.write(text)
+        assert main(["predict", "--model", model, "--input", new]) == 0
+        assert capsys.readouterr().out == expected

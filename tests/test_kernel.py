@@ -115,6 +115,15 @@ class TestKernelCanonicalize:
         with pytest.raises(ValueError):
             kernel_canonicalize(np.array([[1.0, 2.0], [0.0, 1.0]]))
 
+    def test_slightly_asymmetric_rejected(self):
+        # the exact-equality shortcut must not accept a near-symmetric matrix
+        K = np.eye(3)
+        K[0, 1] = 1e-6
+        with pytest.raises(ValueError, match="symmetric"):
+            kernel_canonicalize(K)
+        K[0, 1] = 1e-11  # within the 1e-10 tolerance: accepted
+        assert kernel_canonicalize(K)[0].shape == (3,)
+
 
 class TestFitKernelGct:
     def test_center_response_is_keyword_only(self):

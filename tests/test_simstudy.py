@@ -134,6 +134,22 @@ class TestRunExperiment:
         for row in table.rows:
             assert math.isfinite(row.median_rel_mse)
 
+    def test_failure_names_method_d_replicate_and_cv_seed(self, monkeypatch):
+        from ctreg import simstudy
+
+        def fail(*args, **kwargs):
+            raise FloatingPointError("forced")
+
+        monkeypatch.setattr(simstudy, "kfold_cv_ridge", fail)
+        spec = make_spec(d_grid=(5, 7), replicates=2, methods=("OLS", "Ridge-CV"))
+        seed = int(np.random.SeedSequence([123, 5, 0, 3]).generate_state(1)[0])
+        with pytest.raises(RuntimeError) as info:
+            run_experiment(spec)
+        assert str(info.value) == (
+            f"method Ridge-CV failed at d=5, replicate=0, cv_seed={seed}"
+        )
+        assert isinstance(info.value.__cause__, FloatingPointError)
+
     def test_rows_sorted(self):
         spec = make_spec(d_grid=(8, 5), methods=("Zero", "OLS"))
         table = run_experiment(spec)

@@ -27,7 +27,13 @@ from .estimators import (
     fit_pcr,
     fit_ridge,
 )
-from .kernel import KernelModel, KernelSpec, fit_kernel_gct, predict_kernel_batch
+from .kernel import (
+    KernelModel,
+    KernelPredictor,
+    KernelSpec,
+    fit_kernel_gct,
+    predict_kernel_batch,
+)
 from .metrics import (
     effective_rank,
     joint_effective_dimension,
@@ -146,7 +152,7 @@ def _read_csv_rows(path: str) -> Tuple[Optional[List[str]], np.ndarray]:
     try:
         with open(path, newline="") as handle:
             lines = [line.strip() for line in handle if line.strip()]
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise UsageError(f"cannot read {path}: {exc}") from exc
     if not lines:
         raise UsageError(f"empty CSV file {path}")
@@ -307,7 +313,7 @@ def _kernel_model_json(model: KernelModel) -> str:
 # keys each model kind must carry for predict
 _MODEL_KEYS = {
     "linear": ("beta",),
-    "kernel": ("kernel", "training_points", "dual_coeffs", "config", "decomposition"),
+    "kernel": ("kernel", "training_points", "dual_coeffs"),
 }
 
 
@@ -496,7 +502,7 @@ def _linear_model_from_json(
     return beta, x_means, _model_mean(centering["y_mean"], "centering.y_mean")
 
 
-def _kernel_model_from_json(payload: dict) -> KernelModel:
+def _kernel_model_from_json(payload: dict) -> KernelPredictor:
     training_points = _model_array(payload["training_points"], "training_points", 2)
     dual_coeffs = _model_array(payload["dual_coeffs"], "dual_coeffs", 1)
     if dual_coeffs.shape[0] != training_points.shape[0]:
@@ -519,19 +525,9 @@ def _kernel_model_from_json(payload: dict) -> KernelModel:
         coef0=number("coef0", 0.0),
         scale=number("scale", 1.0),
     )
-    config_data = payload["config"]
-    config = GctConfig(
-        tau=math.inf if config_data["tau"] is None else float(config_data["tau"]),
-        phi=float(config_data["phi"]),
-        rule=_parse_rule(config_data["rule"]),
-    )
-    return KernelModel(
+    return KernelPredictor(
         training_points=training_points,
         dual_coeffs=dual_coeffs,
-        theta_hat=np.zeros(0),  # not needed for prediction
-        eigenvalues=np.asarray(payload["decomposition"]["eigenvalues"]),
-        left_vectors=np.zeros((0, 0)),
-        config=config,
         kernel=spec,
         response_mean=_model_mean(payload.get("response_mean"), "response_mean"),
     )

@@ -27,6 +27,12 @@ from .thresholding import SOFT_RULE, ThresholdRule, apply_rule
 FloatArray = NDArray[np.float64]
 
 
+def _check_phi(phi: float) -> None:
+    """Raise ValueError unless phi is a finite nonnegative number."""
+    if phi < 0 or not math.isfinite(phi):
+        raise ValueError(f"phi must be nonnegative, got {phi!r}")
+
+
 @dataclass(frozen=True)
 class GctConfig:
     """Hyperparameters of a generalized canonical thresholding fit."""
@@ -38,8 +44,7 @@ class GctConfig:
     def __post_init__(self) -> None:
         if self.tau < 0 or math.isnan(self.tau):
             raise ValueError(f"tau must be nonnegative, got {self.tau!r}")
-        if self.phi < 0 or not math.isfinite(self.phi):
-            raise ValueError(f"phi must be nonnegative, got {self.phi!r}")
+        _check_phi(self.phi)
 
 
 @dataclass(frozen=True)

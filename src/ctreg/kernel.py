@@ -106,17 +106,24 @@ def kernel_canonicalize(K: FloatArray) -> Tuple[FloatArray, FloatArray]:
 
 
 @dataclass(frozen=True)
-class KernelModel:
-    """A fitted RKHS model: dual coefficients plus the retained spectrum."""
+class KernelPredictor:
+    """What prediction needs: f(x) = sum_i alpha_i k(x_i, x), plus the
+    response mean when the fit centered the response (else None)."""
 
     training_points: FloatArray
     dual_coeffs: FloatArray
+    kernel: KernelSpec
+    response_mean: Optional[float]
+
+
+@dataclass(frozen=True)
+class KernelModel(KernelPredictor):
+    """A fitted RKHS model: the predictor plus the retained spectrum."""
+
     theta_hat: FloatArray
     eigenvalues: FloatArray
     left_vectors: FloatArray
     config: GctConfig
-    kernel: KernelSpec
-    response_mean: Optional[float] = None
 
     @property
     def rank(self) -> int:
@@ -164,17 +171,8 @@ def fit_kernel_gct(
     )
 
 
-def predict_kernel(model: KernelModel, x: FloatArray) -> float:
-    """Predict at a single point via the dual form sum_i alpha_i k(x_i, x)."""
-    x = np.asarray(x, dtype=np.float64)
-    d = model.training_points.shape[1]
-    if x.shape != (d,):
-        raise ValueError(f"point must have dimension {d}, got {x.shape}")
-    return float(predict_kernel_batch(model, x[None, :])[0])
-
-
-def predict_kernel_batch(model: KernelModel, X: FloatArray) -> FloatArray:
-    """Predict at several points at once."""
+def predict_kernel_batch(model: KernelPredictor, X: FloatArray) -> FloatArray:
+    """Predict at the rows of X via the dual form sum_i alpha_i k(x_i, x)."""
     X = np.asarray(X, dtype=np.float64)
     if X.ndim != 2 or X.shape[1] != model.training_points.shape[1]:
         raise ValueError(

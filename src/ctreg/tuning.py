@@ -16,19 +16,20 @@ fold's coordinates sorted by weighted magnitude, the validation residual
 u_k and the soft-rule slope v_k after k active coordinates are
 cumulative sums of score columns, so every segment's quadratic, every
 hard-rule candidate and every PCR prefix is a gather from per-fold
-prefix arrays.  The public tuners keep the spectra of the last split in
-the Dataset's memo, so tuning several rules or methods on one split
-decomposes its folds once.  A brute-force grid oracle and a single-tau
-evaluator with identical fold construction use neither that engine nor
-the memo and are kept for testing.
+prefix arrays.  A split is fixed by (L, seed): the folds are blocks of a
+seeded permutation of the rows.  The public tuners keep the spectra of
+the last split in the Dataset's memo, keyed on (L, seed), so tuning
+several rules or methods on one split decomposes its folds once.  A
+brute-force grid oracle and a single-tau evaluator with identical fold
+construction use neither that engine nor the memo and are kept for
+testing.
 """
 
 from __future__ import annotations
 
-import inspect
 import math
 from dataclasses import dataclass
-from typing import List, Literal, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 from numpy.typing import NDArray
@@ -40,12 +41,10 @@ from .canonical import (
     _gram_spectrum,
 )
 from .errors import ZeroDesignError
-from .estimators import _shrink
+from .estimators import _check_phi, _shrink
 from .thresholding import RuleKind, SOFT_RULE, ThresholdRule
 
 FloatArray = NDArray[np.float64]
-
-FoldMode = Literal["seeded-random", "contiguous"]
 
 # Path errors within TIE_RTOL times the zero-estimator CV error C0 of the
 # smallest one count as tied, and the largest tied tau is chosen.  The path
@@ -102,22 +101,19 @@ def breakpoints(
     return np.unique(np.concatenate(([0.0], vals)))
 
 
-def fold_assignment(
-    n: int, L: int, seed: int, fold_mode: FoldMode = "seeded-random"
-) -> NDArray[np.int64]:
-    """Partition [n] into L blocks with sizes in {floor(n/L), floor(n/L)+1}."""
+def fold_assignment(n: int, L: int, seed: int) -> NDArray[np.int64]:
+    """Partition [n] into L blocks with sizes in {floor(n/L), floor(n/L)+1}.
+
+    The blocks are consecutive runs of a permutation of [n] drawn from
+    ``np.random.default_rng(seed)``, so (n, L, seed) fixes the split.
+    """
     if L < 2:
         raise ValueError("need at least 2 folds")
     if L > n:
         raise ValueError(f"cannot split {n} observations into {L} folds")
     base, extra = divmod(n, L)
     sizes = [base + 1] * extra + [base] * (L - extra)
-    if fold_mode == "seeded-random":
-        order = np.random.default_rng(seed).permutation(n)
-    elif fold_mode == "contiguous":
-        order = np.arange(n)
-    else:
-        raise ValueError(f"unknown fold_mode {fold_mode!r}")
+    order = np.random.default_rng(seed).permutation(n)
     assignment = np.empty(n, dtype=np.int64)
     start = 0
     for fold_id, size in enumerate(sizes):
@@ -144,11 +140,9 @@ class _FoldSpectra:
     folds: Tuple[_Fold, ...]
 
 
-def _fold_spectra(
-    dataset: Dataset, L: int, seed: int, fold_mode: FoldMode = "seeded-random"
-) -> _FoldSpectra:
+def _fold_spectra(dataset: Dataset, L: int, seed: int) -> _FoldSpectra:
     X, Y = dataset.design, dataset.response
-    assignment = fold_assignment(dataset.n, L, seed, fold_mode)
+    assignment = fold_assignment(dataset.n, L, seed)
     gram: Optional[FloatArray] = None  # X X^T, formed once if a fold needs it
     folds: List[_Fold] = []
     for fold_id in range(L):
@@ -180,28 +174,19 @@ def _fold_spectra(
     return _FoldSpectra(assignment=assignment, folds=tuple(folds))
 
 
-_FOLD_SPECTRA_SIGNATURE = inspect.signature(_fold_spectra)
+def _memo_fold_spectra(dataset: Dataset, L: int, seed: int) -> _FoldSpectra:
+    """``_fold_spectra`` through the dataset's one-entry memo, keyed on (L, seed).
 
-
-def _memo_fold_spectra(
-    dataset: Dataset, *args: object, **kwargs: object
-) -> _FoldSpectra:
-    """``_fold_spectra`` through the dataset's one-entry memo.
-
-    The key is every argument of ``_fold_spectra`` after the dataset, with
-    defaults filled in, so a new argument joins the key by itself.  The
-    entry is stored and read as one (key, spectra) tuple: threads racing on
-    one dataset may each compute it, but a hit always matches its key.
+    The entry is stored and read as one (key, spectra) tuple: threads racing
+    on one dataset may each compute it, but a hit always matches its key.
     Only the public tuners use the memo; ``cv_error_at`` and
     ``grid_cv_oracle`` build fresh spectra, so the oracles stay independent.
     """
-    bound = _FOLD_SPECTRA_SIGNATURE.bind(dataset, *args, **kwargs)
-    bound.apply_defaults()
-    key = tuple(bound.arguments.items())[1:]
+    key = (L, seed)
     entry = dataset._memo.get("fold_spectra")
     if entry is not None and entry[0] == key:
         return entry[1]
-    spectra = _fold_spectra(*bound.args, **bound.kwargs)
+    spectra = _fold_spectra(dataset, L, seed)
     dataset._memo["fold_spectra"] = (key, spectra)
     return spectra
 
@@ -226,10 +211,9 @@ def cv_error_at(
     rule: ThresholdRule,
     seed: int,
     tau: float,
-    fold_mode: FoldMode = "seeded-random",
 ) -> float:
     """Evaluate the K-fold CV objective at a single threshold level."""
-    return _cv_error(_fold_spectra(dataset, L, seed, fold_mode), rule, tau, phi)
+    return _cv_error(_fold_spectra(dataset, L, seed), rule, tau, phi)
 
 
 def _prefix_residuals(fold: _Fold, order: NDArray[np.int64]) -> FloatArray:
@@ -315,6 +299,7 @@ def _hard_path(
 
 def _path_cv(spectra: _FoldSpectra, phi: float, rule: ThresholdRule) -> CvResult:
     """The exact tau path of one phi on shared fold spectra (see kfold_cv)."""
+    _check_phi(phi)
     magnitudes = [
         _magnitudes(fold.eigenvalues, fold.theta_ls, phi) for fold in spectra.folds
     ]
@@ -372,7 +357,6 @@ def kfold_cv(
     phi: float = 0.0,
     rule: ThresholdRule = SOFT_RULE,
     seed: int = 0,
-    fold_mode: FoldMode = "seeded-random",
 ) -> CvResult:
     """Exact K-fold CV over all tau >= 0.
 
@@ -399,13 +383,15 @@ def kfold_cv(
     largest tau.  ``cv_error_at_tau`` is the direct evaluation at
     ``tau_cv`` and equals ``cv_error_at(..., tau_cv)``.
 
-    The fold spectra of the last (L, seed, fold_mode) are kept on the
-    dataset and shared by ``kfold_cv``, ``joint_cv``, ``kfold_cv_pcr`` and
-    ``kfold_cv_ridge``: a second call on the same split, with any rule,
-    phi or method, skips the L fold decompositions.  A call with another
-    split replaces the entry.  ``fold_assignment`` is the caller's copy.
+    The folds are ``fold_assignment(n, L, seed)``.  The fold spectra of the
+    last (L, seed) are kept on the dataset and shared by ``kfold_cv``,
+    ``joint_cv``, ``kfold_cv_pcr`` and ``kfold_cv_ridge``: a second call on
+    the same split, with any rule, phi or method, skips the L fold
+    decompositions.  A call with another split replaces the entry.
+    ``fold_assignment`` is the caller's copy.  A negative or non-finite phi
+    raises ``ValueError``, as in ``GctConfig``.
     """
-    return _path_cv(_memo_fold_spectra(dataset, L, seed, fold_mode), phi, rule)
+    return _path_cv(_memo_fold_spectra(dataset, L, seed), phi, rule)
 
 
 def _fold_errors_on_grid(
@@ -436,13 +422,12 @@ def grid_cv_oracle(
     rule: ThresholdRule,
     grid: FloatArray,
     seed: int,
-    fold_mode: FoldMode = "seeded-random",
 ) -> Tuple[float, float]:
     """Brute-force CV over an explicit tau grid with identical folds."""
     grid = np.asarray(grid, dtype=np.float64)
     if grid.size == 0:
         raise ValueError("empty grid")
-    folds = _fold_spectra(dataset, L, seed, fold_mode).folds
+    folds = _fold_spectra(dataset, L, seed).folds
     taus = np.sort(grid)
     errors = sum(_fold_errors_on_grid(fold, rule, taus, phi) for fold in folds) / len(
         folds
@@ -461,7 +446,6 @@ def joint_cv(
     phi_grid: Sequence[float],
     rule: ThresholdRule = SOFT_RULE,
     seed: int = 0,
-    fold_mode: FoldMode = "seeded-random",
 ) -> Tuple[float, float, CvResult]:
     """Tune (tau, phi) by running the exact tau path for each phi candidate.
 
@@ -471,7 +455,7 @@ def joint_cv(
     """
     if len(phi_grid) == 0:
         raise ValueError("empty phi grid")
-    spectra = _memo_fold_spectra(dataset, L, seed, fold_mode)
+    spectra = _memo_fold_spectra(dataset, L, seed)
     best: Optional[Tuple[float, float, CvResult]] = None
     for phi in phi_grid:
         result = _path_cv(spectra, float(phi), rule)
@@ -491,18 +475,13 @@ def _pcr_cv(spectra: _FoldSpectra) -> Tuple[int, float]:
     return best_m, float(errors[best_m])
 
 
-def kfold_cv_pcr(
-    dataset: Dataset,
-    L: int,
-    seed: int = 0,
-    fold_mode: FoldMode = "seeded-random",
-) -> Tuple[int, float]:
+def kfold_cv_pcr(dataset: Dataset, L: int, seed: int = 0) -> Tuple[int, float]:
     """Select the number of leading components by K-fold CV.
 
     Components beyond the smallest per-fold rank are not considered.  Ties
     go to the smaller model.
     """
-    return _pcr_cv(_memo_fold_spectra(dataset, L, seed, fold_mode))
+    return _pcr_cv(_memo_fold_spectra(dataset, L, seed))
 
 
 def _ridge_cv(spectra: _FoldSpectra, lambda_grid: FloatArray) -> Tuple[float, float]:
@@ -523,7 +502,6 @@ def kfold_cv_ridge(
     L: int,
     lambda_grid: FloatArray,
     seed: int = 0,
-    fold_mode: FoldMode = "seeded-random",
 ) -> Tuple[float, float]:
     """Select the ridge penalty by K-fold CV over an explicit grid.
 
@@ -531,4 +509,4 @@ def kfold_cv_ridge(
     """
     if np.asarray(lambda_grid).size == 0:
         raise ValueError("empty lambda grid")
-    return _ridge_cv(_memo_fold_spectra(dataset, L, seed, fold_mode), lambda_grid)
+    return _ridge_cv(_memo_fold_spectra(dataset, L, seed), lambda_grid)

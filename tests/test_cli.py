@@ -186,6 +186,20 @@ class TestExitCodes:
             assert main([command, "--input", path, "--response", "y"] + out) == 2
         assert "non-finite value in row 13, column 3 (x2)" in capsys.readouterr().err
 
+    def test_non_utf8_csv_exit_two(self, data_csv, tmp_path, capsys):
+        path, _, _ = data_csv
+        model = str(tmp_path / "m.json")
+        assert main(["fit", "--input", path, "--response", "y", "--output", model]) == 0
+        bad = str(tmp_path / "utf16.csv")
+        with open(path, encoding="utf-8") as source:
+            text = source.read()
+        with open(bad, "wb") as handle:
+            handle.write(text.encode("utf-16"))  # starts with the bytes ff fe
+        assert main(["fit", "--input", bad, "--response", "y", "--output", model]) == 2
+        assert f"cannot read {bad}: 'utf-8' codec can't decode" in capsys.readouterr().err
+        assert main(["predict", "--model", model, "--input", bad]) == 2
+        assert f"cannot read {bad}: 'utf-8' codec can't decode" in capsys.readouterr().err
+
     def test_missing_input_file(self, tmp_path):
         assert (
             main(["fit", "--input", str(tmp_path / "nope.csv"), "--response", "y",
@@ -360,7 +374,6 @@ class TestPredict:
         "method, mutate",
         [
             ("kernel-fit", lambda p: p["kernel"].pop("kind")),
-            ("kernel-fit", lambda p: p["config"].pop("tau")),
             ("fit", lambda p: p["centering"].pop("x_means")),
             pytest.param(
                 "fit",
@@ -406,6 +419,19 @@ class TestPredict:
     ):
         assert self.predict_with_edited_model(data_csv, tmp_path, method, mutate) == 2
         assert f"model field {field} " in capsys.readouterr().err
+
+    def test_kernel_model_needs_only_what_predict_uses(self, data_csv, tmp_path, capsys):
+        def strip(payload):
+            del payload["config"], payload["decomposition"]
+
+        unchanged = self.predict_with_edited_model(
+            data_csv, tmp_path, "kernel-fit", lambda payload: None
+        )
+        assert unchanged == 0
+        expected = capsys.readouterr().out
+        assert self.predict_with_edited_model(data_csv, tmp_path, "kernel-fit", strip) == 0
+        assert "config" not in json.load(open(tmp_path / "m.json"))
+        assert capsys.readouterr().out == expected
 
     def test_null_y_mean_adds_no_response_offset(self, data_csv, tmp_path, capsys):
         _, X, _ = data_csv
@@ -472,6 +498,18 @@ class TestCv:
     def test_too_many_folds(self, data_csv):
         path, _, _ = data_csv
         assert main(["cv", "--input", path, "--response", "y", "--folds", "99"]) == 1
+
+    @pytest.mark.parametrize(
+        "flags", [["--phi", "inf"], ["--phi", "nan"], ["--phi-grid=-1"], ["--phi-grid=0,-1"]]
+    )
+    def test_bad_phi_exit_one(self, data_csv, tmp_path, capsys, flags):
+        path, _, _ = data_csv
+        out = str(tmp_path / "m.json")
+        assert main(["cv", "--input", path, "--response", "y", "--folds", "4",
+                     "--fit-out", out] + flags) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "error: phi must be nonnegative" in captured.err
 
 
 class TestKernelFit:

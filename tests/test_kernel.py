@@ -22,7 +22,6 @@ from ctreg import (
     kernel_effective_dimension,
     kernel_in_sample_error,
     predict,
-    predict_kernel,
     predict_kernel_batch,
 )
 
@@ -187,12 +186,14 @@ class TestPredictKernel:
         K = gram(X, RBF)
         fitted = K @ model.dual_coeffs
         for i in range(8):
-            assert predict_kernel(model, X[i]) == pytest.approx(fitted[i], abs=1e-10)
+            assert predict_kernel_batch(model, X[i][None, :])[0] == pytest.approx(
+                fitted[i], abs=1e-10
+            )
 
     def test_zero_dual_coefficients(self):
         X = random_points(11, 5, 2)
         model = fit_kernel_gct(X, np.zeros(5), RBF, GctConfig(tau=0.0))
-        assert predict_kernel(model, np.ones(2)) == 0.0
+        assert predict_kernel_batch(model, np.ones((1, 2)))[0] == 0.0
 
     def test_dual_vs_spectral_agreement(self):
         from ctreg.kernel import _cross_gram
@@ -205,13 +206,15 @@ class TestPredictKernel:
         spectral = float(
             kx @ model.left_vectors @ (model.theta_hat / model.eigenvalues)
         ) / math.sqrt(10)
-        assert predict_kernel(model, x) == pytest.approx(spectral, abs=1e-10)
+        assert predict_kernel_batch(model, x[None, :])[0] == pytest.approx(
+            spectral, abs=1e-10
+        )
 
     def test_dimension_mismatch(self):
         X = random_points(14, 5, 3)
         model = fit_kernel_gct(X, np.ones(5), RBF, GctConfig(tau=0.0))
         with pytest.raises(ValueError):
-            predict_kernel(model, np.ones(4))
+            predict_kernel_batch(model, np.ones((1, 4)))
 
 
 class TestInSampleError:
@@ -303,7 +306,9 @@ class TestKernelInvariants:
         big = fit_kernel_gct(X, c * Y, RBF, GctConfig(tau=c * 0.4, rule=SOFT_RULE))
         np.testing.assert_allclose(big.dual_coeffs, c * base.dual_coeffs, atol=1e-10)
         x = np.random.default_rng(27).standard_normal(3)
-        assert predict_kernel(big, x) == pytest.approx(c * predict_kernel(base, x))
+        assert predict_kernel_batch(big, x[None, :])[0] == pytest.approx(
+            c * predict_kernel_batch(base, x[None, :])[0]
+        )
 
     def test_jitter_stability(self):
         X = random_points(28, 8, 3)

@@ -63,15 +63,15 @@ def bits(value):
 
 
 def run_call(ds, call):
-    tuner, L, seed, fold_mode, phi, rule = call
+    tuner, L, seed, phi, rule = call
     if tuner == "kfold_cv":
-        return kfold_cv(ds, L, phi, rule, seed, fold_mode)
+        return kfold_cv(ds, L, phi, rule, seed)
     if tuner == "joint_cv":
-        return joint_cv(ds, L, (0.0, phi), rule, seed, fold_mode)
+        return joint_cv(ds, L, (0.0, phi), rule, seed)
     if tuner == "pcr":
-        return kfold_cv_pcr(ds, L, seed, fold_mode)
+        return kfold_cv_pcr(ds, L, seed)
     if tuner == "ridge":
-        return kfold_cv_ridge(ds, L, RIDGE_GRID, seed, fold_mode)
+        return kfold_cv_ridge(ds, L, RIDGE_GRID, seed)
     if tuner == "fit_gct":
         return fit_gct(ds, GctConfig(tau=0.05, phi=phi, rule=rule))
     if tuner == "fit_pcr":
@@ -85,7 +85,6 @@ calls = st.tuples(
     ),
     st.sampled_from([2, 3, 5]),
     st.integers(0, 3),
-    st.sampled_from(["seeded-random", "contiguous"]),
     st.sampled_from([0.0, 1.0]),
     st.sampled_from([SOFT_RULE, HARD_RULE]),
 )
@@ -117,7 +116,7 @@ class TestMemoizedTuners:
             kfold_cv(ds, 5, 0.0, SOFT_RULE, seed)
         assert set(ds._memo) == {"fold_spectra"}
         key, _ = ds._memo["fold_spectra"]
-        assert dict(key) == {"L": 5, "seed": 4, "fold_mode": "seeded-random"}
+        assert key == (5, 4)
 
     def test_direct_evaluators_leave_the_memo_empty(self):
         ds = Dataset(*arrays(2, 30, 40))

@@ -89,10 +89,6 @@ class TestFoldAssignment:
         c = fold_assignment(30, 5, seed=43)
         assert not np.array_equal(a, c)
 
-    def test_contiguous_mode(self):
-        assignment = fold_assignment(6, 3, seed=0, fold_mode="contiguous")
-        np.testing.assert_array_equal(assignment, [0, 0, 1, 1, 2, 2])
-
     def test_invalid_folds(self):
         with pytest.raises(ValueError):
             fold_assignment(10, 1, seed=0)
@@ -141,11 +137,14 @@ class TestKfoldCv:
         # fold 0 trains on 2 I_4 with responses +-1: all four |theta_j| are
         # 1/2 and leave the support together, and its zero validation response
         # is fit exactly once they have; fold 1 trains on zero responses
-        X = np.vstack([2.0 * np.eye(4), 2.0 * np.eye(4)])
-        Y = np.array([0.0, 0.0, 0.0, 0.0, 1.0, -1.0, 1.0, -1.0])
+        assignment = fold_assignment(8, 2, seed=0)
+        X = np.empty((8, 4))
+        X[assignment == 0] = X[assignment == 1] = 2.0 * np.eye(4)
+        Y = np.zeros(8)
+        Y[assignment == 1] = [1.0, -1.0, 1.0, -1.0]
         ds = Dataset(X, Y)
         for rule, tau in ((SOFT_RULE, 0.5), (HARD_RULE, math.inf)):
-            result = kfold_cv(ds, 2, rule=rule, fold_mode="contiguous")
+            result = kfold_cv(ds, 2, rule=rule, seed=0)
             np.testing.assert_array_equal(result.fold_breakpoints[0], [0.0, 0.5])
             assert result.tau_cv == tau
             assert result.cv_error_at_tau == 0.5
@@ -248,6 +247,17 @@ class TestJointCv:
         ds = random_dataset(12, 10, 4)
         with pytest.raises(ValueError):
             joint_cv(ds, 3, [], seed=0)
+
+    @pytest.mark.parametrize("phi", [-1.0, math.nan, math.inf])
+    def test_bad_phi_rejected(self, phi):
+        # the same check and message as GctConfig
+        ds = random_dataset(12, 10, 4)
+        with pytest.raises(ValueError, match="phi must be nonnegative"):
+            kfold_cv(ds, 3, phi)
+        with pytest.raises(ValueError, match="phi must be nonnegative"):
+            joint_cv(ds, 3, [0.0, phi])
+        with pytest.raises(ValueError, match="phi must be nonnegative"):
+            GctConfig(tau=0.0, phi=phi)
 
 
 class TestBaselineCv:
@@ -430,11 +440,11 @@ def conditioned_dataset(seed, n, d, ratio, noise=0.1):
     return Dataset(X, Y)
 
 
-def svd_fold_spectra(ds, L, seed, fold_mode="seeded-random"):
+def svd_fold_spectra(ds, L, seed):
     """Fold spectra from a thin SVD of each training block, with the same
     relative floor on the eigenvalues; shares no code with the library's
     Gram route."""
-    assignment = fold_assignment(ds.n, L, seed, fold_mode)
+    assignment = fold_assignment(ds.n, L, seed)
     folds = []
     for fold_id in range(L):
         train, val = assignment != fold_id, assignment == fold_id
@@ -497,27 +507,28 @@ class TestFoldSpectra:
 
     @pytest.mark.parametrize("d", [3, 8])
     def test_zero_training_block_names_the_fold(self, d):
-        # rows 0-1 are fold 0's validation block; its training rows are zero
+        # only fold 2's validation rows are nonzero, so its training block,
+        # and no other, is zero
+        assignment = fold_assignment(6, 3, seed=0)
         X = np.zeros((6, d))
-        X[:2] = np.random.default_rng(21).standard_normal((2, d))
+        X[assignment == 2] = np.random.default_rng(21).standard_normal((2, d))
         ds = Dataset(X, np.ones(6))
-        with pytest.raises(ZeroDesignError, match=r"fold 0\b.*zero design matrix"):
-            kfold_cv(ds, 3, fold_mode="contiguous")
+        with pytest.raises(ZeroDesignError, match=r"fold 2\b.*zero design matrix"):
+            kfold_cv(ds, 3, seed=0)
 
     @pytest.mark.parametrize("d", [4, 12])
     def test_fold_diagnostics_on_rank_deficient_fold(self, d):
-        # fold 0 trains on rows 3-8, which span one direction; the other
-        # training blocks add one generic row to it
+        # fold 0 trains on the six rows of folds 1 and 2, which span one
+        # direction; the other training blocks add fold 0's three generic
+        # rows to three of them
         rng = np.random.default_rng(22)
-        X = np.vstack(
-            [
-                rng.standard_normal((3, d)),
-                np.outer(rng.standard_normal(6), rng.standard_normal(d)),
-            ]
-        )
+        assignment = fold_assignment(9, 3, seed=0)
+        X = np.empty((9, d))
+        X[assignment == 0] = rng.standard_normal((3, d))
+        X[assignment != 0] = np.outer(rng.standard_normal(6), rng.standard_normal(d))
         ds = Dataset(X, rng.standard_normal(9))
-        result = kfold_cv(ds, 3, fold_mode="contiguous")
-        reference = svd_fold_spectra(ds, 3, 0, fold_mode="contiguous")
+        result = kfold_cv(ds, 3, seed=0)
+        reference = svd_fold_spectra(ds, 3, 0)
         np.testing.assert_array_equal(result.fold_ranks, [1, 4, 4])
         np.testing.assert_array_equal(
             result.fold_ranks, [f.eigenvalues.shape[0] for f in reference.folds]

@@ -12,7 +12,7 @@ import math
 import os
 import sys
 import tempfile
-from typing import List, Optional, Sequence, Tuple
+from typing import Callable, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -41,7 +41,7 @@ from .metrics import (
     threshold_scale,
 )
 from .simstudy import emit_table, run_experiment, spec_from_dict
-from .thresholding import HARD_RULE, SOFT_RULE, ThresholdRule
+from .thresholding import HARD_RULE, SOFT_RULE
 from .tuning import joint_cv
 
 # version 2 writes tau = inf as null; version-1 files (which may hold the
@@ -203,12 +203,7 @@ def load_dataset(path: str, response: str) -> Tuple[np.ndarray, np.ndarray]:
     return X, Y
 
 
-def _parse_rule(name: str) -> ThresholdRule:
-    if name == "soft":
-        return SOFT_RULE
-    if name == "hard":
-        return HARD_RULE
-    raise UsageError(f"unknown rule {name!r}")
+_RULES = {"soft": SOFT_RULE, "hard": HARD_RULE}
 
 
 def _parse_kernel(text: str) -> KernelSpec:
@@ -248,18 +243,20 @@ def _center(
     return X - x_means, Y - y_mean, (x_means, y_mean)
 
 
+def _gct_config_json(config: GctConfig) -> dict:
+    rule = config.rule.kind.value
+    return {"tau": _tau_json(config.tau), "phi": config.phi, "rule": rule}
+
+
+def _decomposition_json(rank: int, eigenvalues: np.ndarray) -> dict:
+    return {"rank": rank, "eigenvalues": eigenvalues.tolist()}
+
+
 def _linear_model_json(fit: FitResult, method: str, offsets: Offsets) -> str:
     """The model file of a fit on data centered by offsets = (x_means, y_mean),
     or on raw data when offsets is None."""
-    config: dict
     if isinstance(fit.config, GctConfig):
-        rule = fit.config.rule
-        config = {
-            "method": method,
-            "tau": _tau_json(fit.config.tau),
-            "phi": fit.config.phi,
-            "rule": rule.kind.value,
-        }
+        config = {"method": method, **_gct_config_json(fit.config)}
     else:
         config = {"method": method, **vars(fit.config)}
     centering = None
@@ -272,10 +269,9 @@ def _linear_model_json(fit: FitResult, method: str, offsets: Offsets) -> str:
         "beta": fit.beta.tolist(),
         "config": config,
         "centering": centering,
-        "decomposition": {
-            "rank": fit.decomposition.rank,
-            "eigenvalues": fit.decomposition.eigenvalues.tolist(),
-        },
+        "decomposition": _decomposition_json(
+            fit.decomposition.rank, fit.decomposition.eigenvalues
+        ),
     }
     return _dumps(payload, indent=2)
 
@@ -296,25 +292,11 @@ def _kernel_model_json(model: KernelModel) -> str:
         "training_points": model.training_points.tolist(),
         "dual_coeffs": model.dual_coeffs.tolist(),
         "kernel": kernel,
-        "config": {
-            "tau": _tau_json(model.config.tau),
-            "phi": model.config.phi,
-            "rule": model.config.rule.kind.value,
-        },
+        "config": _gct_config_json(model.config),
         "response_mean": model.response_mean,
-        "decomposition": {
-            "rank": model.rank,
-            "eigenvalues": model.eigenvalues.tolist(),
-        },
+        "decomposition": _decomposition_json(model.rank, model.eigenvalues),
     }
     return _dumps(payload, indent=2)
-
-
-# keys each model kind must carry for predict
-_MODEL_KEYS = {
-    "linear": ("beta",),
-    "kernel": ("kernel", "training_points", "dual_coeffs"),
-}
 
 
 def _load_model(path: str) -> dict:
@@ -334,9 +316,9 @@ def _load_model(path: str) -> dict:
     kind = payload.get("model_kind")
     if kind is None:
         raise UsageError(f"model {path} lacks model_kind")
-    if not isinstance(kind, str) or kind not in _MODEL_KEYS:
+    if not isinstance(kind, str) or kind not in _MODEL_KINDS:
         raise UsageError(f"model {path} has unknown model_kind {kind!r}")
-    missing = [key for key in _MODEL_KEYS[kind] if key not in payload]
+    missing = [key for key in _MODEL_KINDS[kind].required if key not in payload]
     if missing:
         raise UsageError(f"{kind} model {path} lacks {', '.join(missing)}")
     return payload
@@ -360,6 +342,76 @@ def _model_array(value: object, field: str, ndim: int) -> np.ndarray:
 def _model_mean(value: object, field: str) -> Optional[float]:
     """A finite model-file mean, or None for null."""
     return None if value is None else float(_model_array(value, field, 0))
+
+
+Predictor = Callable[[np.ndarray], np.ndarray]
+
+
+def _read_linear_model(payload: dict) -> Tuple[int, Predictor]:
+    beta = _model_array(payload["beta"], "beta", 1)
+    x_means, y_mean = None, None
+    centering = payload.get("centering")
+    if centering is not None:
+        x_means = _model_array(centering["x_means"], "centering.x_means", 1)
+        if x_means.shape != beta.shape:
+            raise UsageError(
+                f"model field centering.x_means has {x_means.shape[0]} entries, "
+                f"beta has {beta.shape[0]}"
+            )
+        y_mean = _model_mean(centering["y_mean"], "centering.y_mean")
+
+    def predict_rows(data: np.ndarray) -> np.ndarray:
+        # a fit on centered data: yhat = y_mean + (x - x_means)^T beta
+        if x_means is not None:
+            data = data - x_means
+        preds = data @ beta
+        return preds if y_mean is None else y_mean + preds
+
+    return beta.shape[0], predict_rows
+
+
+def _read_kernel_model(payload: dict) -> Tuple[int, Predictor]:
+    training_points = _model_array(payload["training_points"], "training_points", 2)
+    dual_coeffs = _model_array(payload["dual_coeffs"], "dual_coeffs", 1)
+    if dual_coeffs.shape[0] != training_points.shape[0]:
+        raise UsageError(
+            f"model field dual_coeffs has {dual_coeffs.shape[0]} entries for "
+            f"{training_points.shape[0]} training points"
+        )
+    kernel = payload["kernel"]
+    # a parameter the file leaves out takes its KernelSpec default
+    params = {
+        key: float(_model_array(kernel[key], f"kernel.{key}", 0))
+        for key in ("degree", "gamma", "coef0", "scale")
+        if key in kernel
+    }
+    if "degree" in params:
+        if not params["degree"].is_integer():
+            raise UsageError(
+                f"model field kernel.degree is not an integer: {params['degree']!r}"
+            )
+        params["degree"] = int(params["degree"])
+    model = KernelPredictor(
+        training_points=training_points,
+        dual_coeffs=dual_coeffs,
+        kernel=KernelSpec(kind=kernel["kind"], **params),
+        response_mean=_model_mean(payload.get("response_mean"), "response_mean"),
+    )
+    return training_points.shape[1], lambda data: predict_kernel_batch(model, data)
+
+
+class _ModelKind(NamedTuple):
+    required: Tuple[str, ...]  # the keys predict needs
+    # model file -> (column count of the input rows, their predictions)
+    read: Callable[[dict], Tuple[int, Predictor]]
+
+
+_MODEL_KINDS = {
+    "linear": _ModelKind(("beta",), _read_linear_model),
+    "kernel": _ModelKind(
+        ("kernel", "training_points", "dual_coeffs"), _read_kernel_model
+    ),
+}
 
 
 def _parse_tau(text: str) -> float:
@@ -397,14 +449,10 @@ def cmd_fit(args: argparse.Namespace) -> int:
     method = args.method
     if method == "ols":
         fit = fit_min_norm_ls(dataset)
-    elif method == "nct":
-        tau = _resolve_tau(args, dataset, 0.0)
-        fit = fit_gct(dataset, GctConfig(tau=tau, phi=0.0, rule=_parse_rule(args.rule)))
-    elif method == "gct":
-        tau = _resolve_tau(args, dataset, args.phi)
-        fit = fit_gct(
-            dataset, GctConfig(tau=tau, phi=args.phi, rule=_parse_rule(args.rule))
-        )
+    elif method in ("nct", "gct"):
+        phi = args.phi if method == "gct" else 0.0
+        tau = _resolve_tau(args, dataset, phi)
+        fit = fit_gct(dataset, GctConfig(tau=tau, phi=phi, rule=_RULES[args.rule]))
     elif method.startswith("pcr:"):
         try:
             m = int(method[4:])
@@ -428,7 +476,7 @@ def cmd_cv(args: argparse.Namespace) -> int:
     X, Y = load_dataset(args.input, args.response)
     X, Y, offsets = _center(X, Y, not args.no_center)
     dataset = Dataset(X, Y)
-    rule = _parse_rule(args.rule)
+    rule = _RULES[args.rule]
 
     phis = [args.phi]
     if args.phi_grid is not None:
@@ -448,35 +496,15 @@ def cmd_cv(args: argparse.Namespace) -> int:
 
 def cmd_predict(args: argparse.Namespace) -> int:
     payload = _load_model(args.model)
-    header, data = read_csv(args.input)
-
-    if payload["model_kind"] == "linear":
-        try:
-            beta, x_means, y_mean = _linear_model_from_json(payload)
-        except (KeyError, TypeError, ValueError) as exc:
-            raise UsageError(f"malformed linear model {args.model}: {exc!r}") from exc
-        if data.shape[1] != beta.shape[0]:
-            raise CtregError(
-                f"model expects {beta.shape[0]} columns, input has {data.shape[1]}"
-            )
-        # a fit on centered data: yhat = y_mean + (x - x_means)^T beta
-        if x_means is not None:
-            data = data - x_means
-        preds = data @ beta
-        if y_mean is not None:
-            preds = y_mean + preds
-    else:
-        try:
-            model = _kernel_model_from_json(payload)
-        except (KeyError, TypeError, ValueError) as exc:
-            raise UsageError(f"malformed kernel model {args.model}: {exc!r}") from exc
-        if data.shape[1] != model.training_points.shape[1]:
-            raise CtregError(
-                f"model expects {model.training_points.shape[1]} columns, "
-                f"input has {data.shape[1]}"
-            )
-        preds = predict_kernel_batch(model, data)
-
+    _, data = read_csv(args.input)
+    kind = payload["model_kind"]
+    try:
+        columns, predict_rows = _MODEL_KINDS[kind].read(payload)
+    except (KeyError, TypeError, ValueError) as exc:
+        raise UsageError(f"malformed {kind} model {args.model}: {exc!r}") from exc
+    if data.shape[1] != columns:
+        raise CtregError(f"model expects {columns} columns, input has {data.shape[1]}")
+    preds = predict_rows(data)
     text = "\n".join(repr(float(value)) for value in preds) + "\n"
     if args.output is not None:
         _atomic_write(args.output, text)
@@ -485,63 +513,12 @@ def cmd_predict(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _linear_model_from_json(
-    payload: dict,
-) -> Tuple[np.ndarray, Optional[np.ndarray], Optional[float]]:
-    """(beta, x_means, y_mean) of a linear model file; an absent offset is None."""
-    beta = _model_array(payload["beta"], "beta", 1)
-    centering = payload.get("centering")
-    if centering is None:
-        return beta, None, None
-    x_means = _model_array(centering["x_means"], "centering.x_means", 1)
-    if x_means.shape != beta.shape:
-        raise UsageError(
-            f"model field centering.x_means has {x_means.shape[0]} entries, "
-            f"beta has {beta.shape[0]}"
-        )
-    return beta, x_means, _model_mean(centering["y_mean"], "centering.y_mean")
-
-
-def _kernel_model_from_json(payload: dict) -> KernelPredictor:
-    training_points = _model_array(payload["training_points"], "training_points", 2)
-    dual_coeffs = _model_array(payload["dual_coeffs"], "dual_coeffs", 1)
-    if dual_coeffs.shape[0] != training_points.shape[0]:
-        raise UsageError(
-            f"model field dual_coeffs has {dual_coeffs.shape[0]} entries for "
-            f"{training_points.shape[0]} training points"
-        )
-    kernel_data = payload["kernel"]
-
-    def number(key: str, default: float) -> float:
-        return float(_model_array(kernel_data.get(key, default), f"kernel.{key}", 0))
-
-    degree = number("degree", 2)
-    if not degree.is_integer():
-        raise UsageError(f"model field kernel.degree is not an integer: {degree!r}")
-    spec = KernelSpec(
-        kind=kernel_data["kind"],
-        gamma=number("gamma", 1.0),
-        degree=int(degree),
-        coef0=number("coef0", 0.0),
-        scale=number("scale", 1.0),
-    )
-    return KernelPredictor(
-        training_points=training_points,
-        dual_coeffs=dual_coeffs,
-        kernel=spec,
-        response_mean=_model_mean(payload.get("response_mean"), "response_mean"),
-    )
-
-
 def cmd_kernel_fit(args: argparse.Namespace) -> int:
     X, Y = load_dataset(args.input, args.response)
     spec = _parse_kernel(args.kernel)
-    config = GctConfig(
-        tau=_parse_tau(args.tau), phi=args.phi, rule=_parse_rule(args.rule)
-    )
-    model = fit_kernel_gct(
-        X, Y, spec, config, center_response=not args.no_center
-    )
+    tau = _parse_tau(args.tau)
+    config = GctConfig(tau=tau, phi=args.phi, rule=_RULES[args.rule])
+    model = fit_kernel_gct(X, Y, spec, config, center_response=not args.no_center)
     _atomic_write(args.output, _kernel_model_json(model) + "\n")
     return EXIT_OK
 
@@ -605,28 +582,34 @@ def build_parser() -> argparse.ArgumentParser:
         description="Canonical thresholding regression toolkit",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    # flags shared by several subcommands, each declared once
+    data_flags = argparse.ArgumentParser(add_help=False)
+    data_flags.add_argument("--input", required=True)
+    data_flags.add_argument("--response", required=True)
+    fit_flags = argparse.ArgumentParser(add_help=False)
+    fit_flags.add_argument("--phi", type=float, default=0.0)
+    fit_flags.add_argument("--rule", default="soft", choices=tuple(_RULES))
+    fit_flags.add_argument("--no-center", action="store_true")
 
-    fit = sub.add_parser("fit", help="fit a linear model and write model JSON")
-    fit.add_argument("--input", required=True)
-    fit.add_argument("--response", required=True)
+    fit = sub.add_parser(
+        "fit",
+        parents=[data_flags, fit_flags],
+        help="fit a linear model and write model JSON",
+    )
     fit.add_argument("--method", default="nct")
     fit.add_argument("--tau", default=None)
     fit.add_argument("--tau-auto", default=None, metavar="SIGMA,DELTA,ALPHA")
-    fit.add_argument("--phi", type=float, default=0.0)
-    fit.add_argument("--rule", default="soft", choices=("soft", "hard"))
-    fit.add_argument("--no-center", action="store_true")
     fit.add_argument("--output", required=True)
     fit.set_defaults(func=cmd_fit)
 
-    cv = sub.add_parser("cv", help="tune the threshold by exact-path K-fold CV")
-    cv.add_argument("--input", required=True)
-    cv.add_argument("--response", required=True)
+    cv = sub.add_parser(
+        "cv",
+        parents=[data_flags, fit_flags],
+        help="tune the threshold by exact-path K-fold CV",
+    )
     cv.add_argument("--folds", type=int, default=10)
-    cv.add_argument("--phi", type=float, default=0.0)
     cv.add_argument("--phi-grid", default=None)
-    cv.add_argument("--rule", default="soft", choices=("soft", "hard"))
     cv.add_argument("--seed", type=int, default=0)
-    cv.add_argument("--no-center", action="store_true")
     cv.add_argument("--fit-out", default=None)
     cv.set_defaults(func=cmd_cv)
 
@@ -636,14 +619,11 @@ def build_parser() -> argparse.ArgumentParser:
     pred.add_argument("--output", default=None)
     pred.set_defaults(func=cmd_predict)
 
-    kfit = sub.add_parser("kernel-fit", help="fit a kernel model")
-    kfit.add_argument("--input", required=True)
-    kfit.add_argument("--response", required=True)
+    kfit = sub.add_parser(
+        "kernel-fit", parents=[data_flags, fit_flags], help="fit a kernel model"
+    )
     kfit.add_argument("--kernel", required=True)
     kfit.add_argument("--tau", default="0")
-    kfit.add_argument("--phi", type=float, default=0.0)
-    kfit.add_argument("--rule", default="soft", choices=("soft", "hard"))
-    kfit.add_argument("--no-center", action="store_true")
     kfit.add_argument("--output", required=True)
     kfit.set_defaults(func=cmd_kernel_fit)
 
@@ -652,9 +632,9 @@ def build_parser() -> argparse.ArgumentParser:
     sim.add_argument("--output", required=True)
     sim.set_defaults(func=cmd_simulate)
 
-    diag = sub.add_parser("diagnose", help="print diagnostic metrics as JSON")
-    diag.add_argument("--input", required=True)
-    diag.add_argument("--response", required=True)
+    diag = sub.add_parser(
+        "diagnose", parents=[data_flags], help="print diagnostic metrics as JSON"
+    )
     diag.add_argument("--beta", default=None, help="CSV with true coefficients")
     diag.add_argument("--sigma", type=float, default=None)
     diag.add_argument("--delta", type=float, default=0.05)

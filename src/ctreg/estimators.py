@@ -21,16 +21,10 @@ from .canonical import (
     canonicalize,
     to_beta,
 )
-from .metrics import threshold_scale
+from .metrics import _check_phi, threshold_scale
 from .thresholding import SOFT_RULE, ThresholdRule, apply_rule
 
 FloatArray = NDArray[np.float64]
-
-
-def _check_phi(phi: float) -> None:
-    """Raise ValueError unless phi is a finite nonnegative number."""
-    if phi < 0 or not math.isfinite(phi):
-        raise ValueError(f"phi must be nonnegative, got {phi!r}")
 
 
 @dataclass(frozen=True)
@@ -158,8 +152,7 @@ def default_tau(
     """
     if sigma < 0:
         raise ValueError("sigma must be nonnegative")
-    if phi < 0:
-        raise ValueError("phi must be nonnegative")
+    _check_phi(phi)
     if lambda1 <= 0:
         raise ValueError("lambda1 must be positive")
     return lambda1 ** (phi / 2.0) * sigma * threshold_scale(n, r, delta, alpha)

@@ -41,6 +41,10 @@ class KernelSpec:
     def __post_init__(self) -> None:
         if self.kind not in ("linear", "rbf", "poly"):
             raise ValueError(f"unknown kernel kind {self.kind!r}")
+        for name in ("gamma", "coef0", "scale"):
+            value = getattr(self, name)
+            if not math.isfinite(value):
+                raise ValueError(f"kernel {name} must be finite, got {value!r}")
         if self.kind == "rbf" and self.gamma < 0:
             raise ValueError("rbf gamma must be nonnegative")
         if self.kind == "poly":

@@ -22,6 +22,12 @@ L0_FLOOR = 1e-12
 RISK_Q_GRID = np.arange(0.0, 2.0 + 1e-9, 0.01)
 
 
+def _check_phi(phi: float) -> None:
+    """Raise ValueError unless phi is a finite nonnegative number."""
+    if phi < 0 or not math.isfinite(phi):
+        raise ValueError(f"phi must be nonnegative, got {phi!r}")
+
+
 def mse_fixed(
     beta_hat: FloatArray, beta: FloatArray, dec: CanonicalDecomposition
 ) -> float:
@@ -143,8 +149,7 @@ def weighted_risk_bound(
     sum_j min((lam_1/lam_j)^(phi/2) * level, |theta_j|)^2."""
     if level <= 0:
         raise ValueError("level must be positive")
-    if phi < 0:
-        raise ValueError("phi must be nonnegative")
+    _check_phi(phi)
     theta = np.asarray(theta, dtype=np.float64)
     eigenvalues = np.asarray(eigenvalues, dtype=np.float64)
     if theta.shape != eigenvalues.shape:

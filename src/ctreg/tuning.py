@@ -41,7 +41,8 @@ from .canonical import (
     _gram_spectrum,
 )
 from .errors import ZeroDesignError
-from .estimators import _check_phi, _shrink
+from .estimators import _shrink
+from .metrics import _check_phi
 from .thresholding import RuleKind, SOFT_RULE, ThresholdRule
 
 FloatArray = NDArray[np.float64]
@@ -56,23 +57,15 @@ TIE_RTOL = 1e-14
 
 
 @dataclass(frozen=True)
-class PathSegment:
-    """Minimizer of the CV objective restricted to one tau interval."""
-
-    lo: float
-    hi: float
-    tau: float
-    error: float
-
-
-@dataclass(frozen=True)
 class CvResult:
     tau_cv: float
     cv_error_at_tau: float
     fold_breakpoints: List[FloatArray]
     candidate_set: FloatArray
     fold_assignment: NDArray[np.int64]
-    path_segments: List[PathSegment]
+    # soft rule: one row (lo, hi, tau*, error*) per tau interval, the
+    # minimizer of the CV objective on [lo, hi]; shape (0, 4) otherwise
+    path_segments: FloatArray
     # per-fold spectrum diagnostics: retained rank and smallest over largest
     # retained eigenvalue, on which the fold's accuracy depends (see
     # ``canonicalize``)
@@ -213,6 +206,7 @@ def cv_error_at(
     tau: float,
 ) -> float:
     """Evaluate the K-fold CV objective at a single threshold level."""
+    _check_phi(phi)
     return _cv_error(_fold_spectra(dataset, L, seed), rule, tau, phi)
 
 
@@ -310,17 +304,16 @@ def _path_cv(spectra: _FoldSpectra, phi: float, rule: ThresholdRule) -> CvResult
     ) / len(spectra.folds)
     tol = TIE_RTOL * zero_error
 
-    segments: List[PathSegment] = []
+    segments = np.empty((0, 4))
     if rule.kind is RuleKind.SOFT:
         candidates = merged
         if merged.shape[0] == 1:
             best_tau = float(merged[0])  # every theta is zero
             error = _cv_error(spectra, rule, best_tau, phi)
-            segments.append(PathSegment(best_tau, best_tau, best_tau, error))
+            segments = np.array([[best_tau, best_tau, best_tau, error]])
         else:
             lo, hi, taus, errors = _soft_path(spectra, magnitudes, phi, merged)
-            columns = (lo.tolist(), hi.tolist(), taus.tolist(), errors.tolist())
-            segments = [PathSegment(*values) for values in zip(*columns)]
+            segments = np.column_stack((lo, hi, taus, errors))
             best_tau = float(taus[_last_tied_minimum(errors, tol)])
     else:
         if rule.kind is RuleKind.HARD:
@@ -424,6 +417,7 @@ def grid_cv_oracle(
     seed: int,
 ) -> Tuple[float, float]:
     """Brute-force CV over an explicit tau grid with identical folds."""
+    _check_phi(phi)
     grid = np.asarray(grid, dtype=np.float64)
     if grid.size == 0:
         raise ValueError("empty grid")

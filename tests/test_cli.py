@@ -207,6 +207,68 @@ class TestExitCodes:
         )
 
 
+class TestParser:
+    """Every subcommand's flags and defaults, pinned as literal values."""
+
+    # subcommand -> (required flags with a value, defaults of the rest)
+    FLAGS = {
+        "fit": (
+            {"input": "d.csv", "response": "y", "output": "m.json"},
+            {"method": "nct", "tau": None, "tau_auto": None, "phi": 0.0,
+             "rule": "soft", "no_center": False},
+        ),
+        "cv": (
+            {"input": "d.csv", "response": "y"},
+            {"folds": 10, "phi": 0.0, "phi_grid": None, "rule": "soft", "seed": 0,
+             "no_center": False, "fit_out": None},
+        ),
+        "predict": (
+            {"model": "m.json", "input": "d.csv"},
+            {"output": None},
+        ),
+        "kernel-fit": (
+            {"input": "d.csv", "response": "y", "kernel": "linear", "output": "k.json"},
+            {"tau": "0", "phi": 0.0, "rule": "soft", "no_center": False},
+        ),
+        "simulate": (
+            {"scenario": "s.json", "output": "r.csv"},
+            {},
+        ),
+        "diagnose": (
+            {"input": "d.csv", "response": "y"},
+            {"beta": None, "sigma": None, "delta": 0.05, "alpha": 2.0},
+        ),
+    }
+
+    @staticmethod
+    def argv(command, required):
+        argv = [command]
+        for name, value in required.items():
+            argv += ["--" + name.replace("_", "-"), value]
+        return argv
+
+    @pytest.mark.parametrize("command", sorted(FLAGS))
+    def test_defaults(self, command):
+        required, defaults = self.FLAGS[command]
+        parsed = vars(cli.build_parser().parse_args(self.argv(command, required)))
+        assert parsed.pop("func") is not None
+        assert parsed == {"command": command, **required, **defaults}
+
+    @pytest.mark.parametrize("command", sorted(FLAGS))
+    def test_each_required_flag_exit_two(self, command, capsys):
+        required, _ = self.FLAGS[command]
+        for name in required:
+            rest = {key: value for key, value in required.items() if key != name}
+            assert main(self.argv(command, rest)) == 2
+            assert "the following arguments are required" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["fit", "cv", "kernel-fit"])
+    def test_unknown_rule_exit_two(self, command, capsys):
+        required, _ = self.FLAGS[command]
+        assert main(self.argv(command, required) + ["--rule", "bogus"]) == 2
+        assert "invalid choice: 'bogus'" in capsys.readouterr().err
+
+
 class TestFit:
     def test_ols_matches_normal_equations(self, tmp_path):
         rng = np.random.default_rng(1)
@@ -248,6 +310,13 @@ class TestFit:
                      "--tau-auto", "1.0,0.05,2", "--output", out]) == 0
         model = json.load(open(out))
         assert model["config"]["tau"] > 0
+
+    def test_tau_auto_bad_phi_exit_one(self, data_csv, tmp_path, capsys):
+        path, _, _ = data_csv
+        assert main(["fit", "--input", path, "--response", "y", "--method", "gct",
+                     "--phi", "nan", "--tau-auto", "1,0.05,2",
+                     "--output", str(tmp_path / "m.json")]) == 1
+        assert "error: phi must be nonnegative, got nan" in capsys.readouterr().err
 
     def test_response_by_index(self, tmp_path):
         rng = np.random.default_rng(2)
@@ -546,8 +615,9 @@ class TestKernelFit:
 
     def test_bad_kernel_spec(self, data_csv, tmp_path):
         path, _, _ = data_csv
-        assert main(["kernel-fit", "--input", path, "--response", "y",
-                     "--kernel", "wavelet", "--output", str(tmp_path / "k.json")]) == 2
+        for kernel in ("wavelet", "rbf:inf", "rbf:nan", "poly:2,nan,1", "poly:2,0,inf"):
+            assert main(["kernel-fit", "--input", path, "--response", "y",
+                         "--kernel", kernel, "--output", str(tmp_path / "k.json")]) == 2
 
 
 class TestSimulate:

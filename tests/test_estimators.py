@@ -220,6 +220,12 @@ class TestDefaultTau:
         with pytest.raises(ValueError):
             default_tau(-1.0, 100, 50, 0.05, 2.0)
 
+    @pytest.mark.parametrize("phi", [-1.0, math.nan, math.inf])
+    def test_bad_phi_rejected(self, phi):
+        # the same check and message as GctConfig
+        with pytest.raises(ValueError, match="phi must be nonnegative"):
+            default_tau(1.0, 100, 50, 0.05, 2.0, phi=phi, lambda1=4.0)
+
 
 class TestInvariants:
     def test_error_identity(self):

@@ -43,6 +43,10 @@ class TestKernelSpec:
             KernelSpec(kind="poly", degree=0)
         with pytest.raises(ValueError):
             KernelSpec(kind="poly", scale=0.0)
+        for kind, field in [("rbf", "gamma"), ("poly", "coef0"), ("poly", "scale")]:
+            for value in (math.nan, math.inf):
+                with pytest.raises(ValueError, match=f"kernel {field} must be finite"):
+                    KernelSpec(kind=kind, **{field: value})
 
 
 class TestGram:

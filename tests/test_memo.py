@@ -54,6 +54,7 @@ def bits(value):
                 value.fold_assignment,
                 value.fold_ranks,
                 value.fold_eigenvalue_ratios,
+                value.path_segments,
             )
             + tuple(value.fold_breakpoints)
         )

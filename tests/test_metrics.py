@@ -223,3 +223,9 @@ class TestWeightedRiskBound:
             weighted_risk_bound(np.ones(2), np.array([1.0, -1.0]), 1.0, 1.0)
         with pytest.raises(ValueError):
             weighted_risk_bound(np.ones(2), np.array([2.0, 1.0]), 1.0, -1.0)
+
+    @pytest.mark.parametrize("phi", [-1.0, math.nan, math.inf])
+    def test_bad_phi_rejected(self, phi):
+        # the same check and message as GctConfig
+        with pytest.raises(ValueError, match="phi must be nonnegative"):
+            weighted_risk_bound(np.ones(2), np.array([2.0, 1.0]), 1.0, phi)

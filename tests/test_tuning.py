@@ -112,7 +112,7 @@ class TestKfoldCv:
         Y = np.array([1.0, -2.0, 0.5, 3.0, -1.0, 2.0])
         ds = Dataset(np.diag(np.arange(1.0, 7.0)), Y)
         soft = kfold_cv(ds, 6)
-        assert len({segment.error for segment in soft.path_segments}) == 1
+        assert len(set(soft.path_segments[:, 3])) == 1
         assert len(soft.path_segments) > 1
         assert soft.tau_cv == max(float(bp.max()) for bp in soft.fold_breakpoints)
         assert kfold_cv(ds, 6, rule=HARD_RULE).tau_cv == math.inf
@@ -126,7 +126,7 @@ class TestKfoldCv:
         noise = np.random.default_rng(0).standard_normal((6, 6))
         ds = Dataset(np.diag(np.arange(1.0, 7.0)) + delta * noise, Y)
         soft = kfold_cv(ds, 6)
-        errors = np.array([segment.error for segment in soft.path_segments])
+        errors = soft.path_segments[:, 3]
         zero_error = float(np.mean(Y**2))
         assert (np.ptp(errors) <= TIE_RTOL * zero_error) == tied
         top = max(float(bp.max()) for bp in soft.fold_breakpoints)
@@ -257,6 +257,10 @@ class TestJointCv:
         with pytest.raises(ValueError, match="phi must be nonnegative"):
             joint_cv(ds, 3, [0.0, phi])
         with pytest.raises(ValueError, match="phi must be nonnegative"):
+            cv_error_at(ds, 3, phi, SOFT_RULE, 0, 0.1)
+        with pytest.raises(ValueError, match="phi must be nonnegative"):
+            grid_cv_oracle(ds, 3, phi, SOFT_RULE, np.array([0.0, 0.1]), 0)
+        with pytest.raises(ValueError, match="phi must be nonnegative"):
             GctConfig(tau=0.0, phi=phi)
 
 
@@ -371,8 +375,7 @@ class TestPathEngineAgainstOracles:
             assert result.cv_error_at_tau <= grid_err + TIE_RTOL * zero_error + accuracy
 
             if rule is SOFT_RULE:
-                taus = np.array([segment.tau for segment in result.path_segments])
-                errors = np.array([segment.error for segment in result.path_segments])
+                taus, errors = result.path_segments[:, 2], result.path_segments[:, 3]
                 direct_errors = sum(
                     _fold_errors_on_grid(fold, rule, taus, phi) for fold in spectra.folds
                 ) / L

@@ -28,6 +28,13 @@ FloatArray = NDArray[np.float64]
 RANK_REL_TOL = 1e-12
 
 
+def _require_finite(name: str, values: FloatArray) -> None:
+    """Raise ValueError naming the index of the first non-finite entry."""
+    if not np.all(np.isfinite(values)):
+        index = tuple(int(i) for i in np.argwhere(~np.isfinite(values))[0])
+        raise ValueError(f"{name} has a non-finite value at index {index}")
+
+
 @dataclass(frozen=True)
 class Dataset:
     """A regression sample: n x d design matrix and length-n response.
@@ -63,10 +70,8 @@ class Dataset:
             )
         if design.shape[0] < 1 or design.shape[1] < 1:
             raise ValueError("design must have at least one row and one column")
-        for name, values in (("design", design), ("response", response)):
-            if not np.all(np.isfinite(values)):
-                index = tuple(int(i) for i in np.argwhere(~np.isfinite(values))[0])
-                raise ValueError(f"{name} has a non-finite value at index {index}")
+        _require_finite("design", design)
+        _require_finite("response", response)
         design.flags.writeable = False
         response.flags.writeable = False
         object.__setattr__(self, "design", design)
@@ -116,15 +121,17 @@ class CanonicalDecomposition:
 def _gram_spectrum(
     gram: FloatArray, rank_rel_tol: float
 ) -> Tuple[FloatArray, FloatArray, float]:
-    """Eigenpairs of a symmetric scaled Gram matrix above the rank floor.
+    """Eigenpairs of a symmetric Gram matrix above the rank floor.
 
     Returns (eigenvalues, vectors, smallest): the eigenvalues greater than
     rank_rel_tol times the largest one in non-increasing order (a stable
     sort, so exactly equal eigenvalues keep index order), their orthonormal
-    eigenvectors as columns, and the smallest eigenvalue before the floor.
-    Nothing is kept when the largest eigenvalue is not positive.  Callers
-    pass a fixed floor: ``RANK_REL_TOL`` for designs and
-    ``kernel.KERNEL_RANK_REL_TOL`` for kernel matrices.
+    eigenvectors as columns (a new array the caller may write), and the
+    smallest eigenvalue before the floor.  Nothing is kept when the largest
+    eigenvalue is not positive.  The floor is relative, so any positive
+    scaling of the matrix keeps the same components.  Callers pass a fixed
+    floor: ``RANK_REL_TOL`` for designs and ``kernel.KERNEL_RANK_REL_TOL``
+    for kernel matrices.
     """
     eig, vec = np.linalg.eigh(gram)  # ascending
     r = int(np.count_nonzero(eig > rank_rel_tol * eig[-1]))

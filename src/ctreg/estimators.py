@@ -150,9 +150,9 @@ def default_tau(
     With phi = 0 this is sigma times the universal scale
     (2/sqrt(n)) * log(2r/delta)^(1/alpha).
     """
-    if sigma < 0:
-        raise ValueError("sigma must be nonnegative")
+    if not (sigma >= 0 and math.isfinite(sigma)):
+        raise ValueError(f"sigma must be finite and nonnegative, got {sigma!r}")
     _check_phi(phi)
-    if lambda1 <= 0:
-        raise ValueError("lambda1 must be positive")
+    if not (lambda1 > 0 and math.isfinite(lambda1)):
+        raise ValueError(f"lambda1 must be finite and positive, got {lambda1!r}")
     return lambda1 ** (phi / 2.0) * sigma * threshold_scale(n, r, delta, alpha)

@@ -17,7 +17,7 @@ from typing import Optional, Tuple
 import numpy as np
 from numpy.typing import NDArray
 
-from .canonical import _gram_spectrum, _pivot_signs
+from .canonical import _gram_spectrum, _pivot_signs, _require_finite
 from .errors import NotPositiveSemidefiniteError, ZeroDesignError
 from .estimators import GctConfig, _shrink
 from .metrics import joint_effective_dimension
@@ -55,16 +55,22 @@ class KernelSpec:
 
 
 def _cross_gram(spec: KernelSpec, A: FloatArray, B: FloatArray) -> FloatArray:
+    """k(a_i, b_j) for every row pair, computed inside the one A B^T buffer."""
     if spec.kind == "linear":
         return A @ B.T
     if spec.kind == "rbf":
-        sq = (
-            np.sum(A**2, axis=1)[:, None]
-            + np.sum(B**2, axis=1)[None, :]
-            - 2.0 * A @ B.T
-        )
-        return np.exp(-spec.gamma * np.maximum(sq, 0.0))
-    return (spec.scale * (A @ B.T) + spec.coef0) ** spec.degree
+        # |a|^2 + |b|^2 - 2 a.b; (-2A) @ B^T stays a gemm when B is A, where
+        # A @ A.T would go to syrk and change the bits
+        out = (-2.0 * A) @ B.T
+        out += np.add.outer(np.sum(A**2, axis=1), np.sum(B**2, axis=1))
+        np.maximum(out, 0.0, out=out)
+        out *= -spec.gamma
+        return np.exp(out, out=out)
+    out = A @ B.T
+    out *= spec.scale
+    out += spec.coef0
+    out **= spec.degree
+    return out
 
 
 def gram(points: FloatArray, spec: KernelSpec) -> FloatArray:
@@ -78,7 +84,9 @@ def gram(points: FloatArray, spec: KernelSpec) -> FloatArray:
     K = _cross_gram(spec, points, points)
     if not np.all(np.isfinite(K)):
         raise ValueError("non-finite kernel matrix entries")
-    return (K + K.T) / 2.0
+    K += K.T
+    K *= 0.5
+    return K
 
 
 def kernel_canonicalize(K: FloatArray) -> Tuple[FloatArray, FloatArray]:
@@ -90,6 +98,13 @@ def kernel_canonicalize(K: FloatArray) -> Tuple[FloatArray, FloatArray]:
     dropped; one below -KERNEL_RANK_REL_TOL times the top one raises an
     error.  The floor is fixed.  Each left vector's largest-magnitude entry
     is positive.
+
+    ``eigh`` runs on K itself and the retained eigenvalues are then divided
+    by n; the floor and the PSD test are ratios, so neither depends on the
+    scale.  K is never written (a read-only K is fine), and no scaled copy
+    is made: while ``eigh`` runs, the live memory is K plus 4 n^2 floats
+    (numpy's copy of K, the LAPACK workspace of about 2 n^2 and the output
+    vectors), and the signs are applied in place to the sorted vectors.
     """
     K = np.asarray(K, dtype=np.float64)
     n = K.shape[0]
@@ -103,10 +118,11 @@ def kernel_canonicalize(K: FloatArray) -> Tuple[FloatArray, FloatArray]:
     if not np.any(K):
         raise ZeroDesignError("zero kernel matrix")
 
-    eig, vec, smallest = _gram_spectrum(K / n, KERNEL_RANK_REL_TOL)
+    eig, vec, smallest = _gram_spectrum(K, KERNEL_RANK_REL_TOL)
     if eig.size == 0 or smallest < -KERNEL_RANK_REL_TOL * eig[0]:
         raise NotPositiveSemidefiniteError("kernel matrix not positive semidefinite")
-    return eig, vec * _pivot_signs(vec)
+    vec *= _pivot_signs(vec)  # vec is the core's own sorted copy
+    return eig / n, vec
 
 
 @dataclass(frozen=True)
@@ -147,12 +163,19 @@ def fit_kernel_gct(
     theta_hat = Lambda^{-phi} T_tau[Lambda^{phi} V^T Y / sqrt(n)] and
     alpha = V Lambda^{-2} theta_hat / sqrt(n).  With center_response the
     response mean is subtracted first and added back by every prediction.
+    A non-finite response entry is a ValueError that names its index.
+
+    The spectrum is one ``eigh`` of the Gram matrix K itself, whose
+    eigenvalues are then divided by n (see ``kernel_canonicalize``).  Peak
+    memory is K plus 4 n^2 floats inside ``eigh``; the Gram matrix is built
+    in one n^2 buffer.
     """
     points = np.asarray(points, dtype=np.float64)
     Y = np.asarray(Y, dtype=np.float64)
     n = points.shape[0]
     if Y.shape != (n,):
         raise ValueError(f"response must have length {n}, got {Y.shape}")
+    _require_finite("response", Y)
     response_mean = None
     if center_response:
         response_mean = float(Y.mean())

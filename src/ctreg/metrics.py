@@ -28,6 +28,12 @@ def _check_phi(phi: float) -> None:
         raise ValueError(f"phi must be nonnegative, got {phi!r}")
 
 
+def _check_level(level: float) -> None:
+    """Raise ValueError unless the noise level is a finite positive number."""
+    if not (level > 0 and math.isfinite(level)):
+        raise ValueError(f"level must be finite and positive, got {level!r}")
+
+
 def mse_fixed(
     beta_hat: FloatArray, beta: FloatArray, dec: CanonicalDecomposition
 ) -> float:
@@ -128,8 +134,7 @@ def risk_bound(theta: FloatArray, level: float) -> RiskBoundReport:
 
     The relaxation is minimized over RISK_Q_GRID, q = 0, 0.01, ..., 2.
     """
-    if level <= 0:
-        raise ValueError("level must be positive")
+    _check_level(level)
     theta = np.asarray(theta, dtype=np.float64)
     core = float(np.sum(np.minimum(level, np.abs(theta)) ** 2))
     best = math.inf
@@ -147,8 +152,7 @@ def weighted_risk_bound(
 ) -> float:
     """Risk-bound core with eigenvalue weighting:
     sum_j min((lam_1/lam_j)^(phi/2) * level, |theta_j|)^2."""
-    if level <= 0:
-        raise ValueError("level must be positive")
+    _check_level(level)
     _check_phi(phi)
     theta = np.asarray(theta, dtype=np.float64)
     eigenvalues = np.asarray(eigenvalues, dtype=np.float64)

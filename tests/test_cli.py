@@ -318,6 +318,16 @@ class TestFit:
                      "--output", str(tmp_path / "m.json")]) == 1
         assert "error: phi must be nonnegative, got nan" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("sigma", ["nan", "inf"])
+    def test_tau_auto_non_finite_sigma_exit_one(self, data_csv, tmp_path, capsys, sigma):
+        # the message names sigma, not the tau it would have produced
+        path, _, _ = data_csv
+        assert main(["fit", "--input", path, "--response", "y", "--method", "nct",
+                     "--tau-auto", f"{sigma},0.05,2",
+                     "--output", str(tmp_path / "m.json")]) == 1
+        assert (f"error: sigma must be finite and nonnegative, got {sigma}"
+                in capsys.readouterr().err)
+
     def test_response_by_index(self, tmp_path):
         rng = np.random.default_rng(2)
         X = rng.standard_normal((8, 2))

@@ -226,6 +226,14 @@ class TestDefaultTau:
         with pytest.raises(ValueError, match="phi must be nonnegative"):
             default_tau(1.0, 100, 50, 0.05, 2.0, phi=phi, lambda1=4.0)
 
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_non_finite_sigma_and_lambda1_named(self, value):
+        # nan once returned nan and inf once gave tau = inf (the zero model)
+        with pytest.raises(ValueError, match=f"sigma must be finite.*got {value!r}"):
+            default_tau(value, 100, 50, 0.05, 2.0)
+        with pytest.raises(ValueError, match=f"lambda1 must be finite.*got {value!r}"):
+            default_tau(1.0, 100, 50, 0.05, 2.0, phi=1.0, lambda1=value)
+
 
 class TestInvariants:
     def test_error_identity(self):

@@ -1,6 +1,7 @@
 """Tests for the RKHS extension: Gram canonicalization, dual fit, prediction."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,10 +10,12 @@ from ctreg import (
     Dataset,
     GctConfig,
     HARD_RULE,
+    KernelPredictor,
     KernelSpec,
     NotPositiveSemidefiniteError,
     SOFT_RULE,
     ZeroDesignError,
+    apply_rule,
     canonicalize,
     fit_gct,
     fit_kernel_gct,
@@ -24,9 +27,12 @@ from ctreg import (
     predict,
     predict_kernel_batch,
 )
+from ctreg.kernel import KERNEL_RANK_REL_TOL, _cross_gram
 
 LINEAR = KernelSpec(kind="linear")
 RBF = KernelSpec(kind="rbf", gamma=0.5)
+POLY = KernelSpec(kind="poly", degree=3, coef0=1.0, scale=0.3)
+EPS = np.finfo(np.float64).eps
 
 
 def random_points(seed, n, d):
@@ -118,6 +124,15 @@ class TestKernelCanonicalize:
         with pytest.raises(ValueError):
             kernel_canonicalize(np.array([[1.0, 2.0], [0.0, 1.0]]))
 
+    def test_caller_matrix_unchanged_and_read_only_accepted(self):
+        # eigh runs on K itself and the signs go onto the sorted copy
+        K = gram(random_points(30, 12, 3), RBF)
+        before = K.copy()
+        K.flags.writeable = False
+        eig, vec = kernel_canonicalize(K)
+        np.testing.assert_array_equal(K, before)
+        np.testing.assert_allclose(vec * eig @ vec.T, K / 12, atol=1e-14)
+
     def test_slightly_asymmetric_rejected(self):
         # the exact-equality shortcut must not accept a near-symmetric matrix
         K = np.eye(3)
@@ -136,6 +151,15 @@ class TestFitKernelGct:
         Y = np.random.default_rng(5).standard_normal(8)
         with pytest.raises(TypeError):
             fit_kernel_gct(X, Y, RBF, GctConfig(tau=0.0), True)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_response_named(self, bad):
+        # the message Dataset gives, not "non-finite input" from the rule
+        X = random_points(5, 8, 3)
+        Y = np.random.default_rng(5).standard_normal(8)
+        Y[4] = bad
+        with pytest.raises(ValueError, match=r"response has a non-finite value at index \(4,\)"):
+            fit_kernel_gct(X, Y, RBF, GctConfig(tau=0.1))
 
     def test_interpolation_at_tau_zero(self):
         X = random_points(5, 8, 3)
@@ -331,3 +355,152 @@ class TestKernelInvariants:
         model = fit_kernel_gct(X, Y, RBF, GctConfig(tau=0.0), center_response=True)
         assert model.response_mean == pytest.approx(float(Y.mean()))
         np.testing.assert_allclose(predict_kernel_batch(model, X), Y, atol=1e-8)
+
+
+# The Gram formulas as they were before each Gram was built in one buffer.
+# gram, _cross_gram and predict_kernel_batch must reproduce them bit for bit.
+def _reference_cross_gram(spec, A, B):
+    if spec.kind == "linear":
+        return A @ B.T
+    if spec.kind == "rbf":
+        sq = (
+            np.sum(A**2, axis=1)[:, None]
+            + np.sum(B**2, axis=1)[None, :]
+            - 2.0 * A @ B.T
+        )
+        return np.exp(-spec.gamma * np.maximum(sq, 0.0))
+    return (spec.scale * (A @ B.T) + spec.coef0) ** spec.degree
+
+
+def _reference_gram(points, spec):
+    K = _reference_cross_gram(spec, points, points)
+    return (K + K.T) / 2.0
+
+
+def _reference_fit(points, Y, spec, config):
+    """(eigenvalues, dual coefficients) by the route that ran eigh on K / n."""
+    n = Y.shape[0]
+    eig, vec = np.linalg.eigh(_reference_gram(points, spec) / n)
+    r = int(np.count_nonzero(eig > KERNEL_RANK_REL_TOL * eig[-1]))
+    order = np.argsort(-eig, kind="stable")[:r]
+    eig, vec = eig[order], vec[:, order]
+    weights = eig ** (config.phi / 2.0)
+    theta_ls = vec.T @ Y / math.sqrt(n)
+    theta_hat = apply_rule(config.rule, weights * theta_ls, config.tau) / weights
+    return eig, vec @ (theta_hat / eig) / math.sqrt(n)
+
+
+BIT_SPECS = [LINEAR, RBF, KernelSpec(kind="rbf", gamma=0.0),
+             KernelSpec(kind="rbf", gamma=4.0)] + [
+    KernelSpec(kind="poly", degree=degree, coef0=coef0, scale=scale)
+    for degree in (1, 2, 3, 4)
+    for coef0, scale in ((0.0, 1.0), (1.0, 0.3))
+]
+
+
+def _spec_id(spec):
+    if spec.kind == "rbf":
+        return f"rbf-{spec.gamma}"
+    if spec.kind == "poly":
+        return f"poly-{spec.degree}-{spec.coef0}-{spec.scale}"
+    return spec.kind
+
+
+class TestGramBitIdentity:
+    @pytest.mark.parametrize("spec", BIT_SPECS, ids=_spec_id)
+    def test_gram(self, spec):
+        for n in (1, 7, 200):
+            X = random_points(31 + n, n, 6)
+            assert np.array_equal(gram(X, spec), _reference_gram(X, spec))
+
+    @pytest.mark.parametrize("spec", BIT_SPECS, ids=_spec_id)
+    def test_cross_gram_and_predict(self, spec):
+        A = random_points(32, 150, 6)
+        B = random_points(33, 90, 6)
+        for left, right in ((A, B), (B, A), (A, A)):
+            assert np.array_equal(
+                _cross_gram(spec, left, right), _reference_cross_gram(spec, left, right)
+            )
+        alpha = np.random.default_rng(34).standard_normal(90)
+        model = KernelPredictor(
+            training_points=B, dual_coeffs=alpha, kernel=spec, response_mean=None
+        )
+        assert np.array_equal(
+            predict_kernel_batch(model, A), _reference_cross_gram(spec, A, B) @ alpha
+        )
+
+
+class TestFitMatchesScaledRoute:
+    """eigh of K then division by n, against eigh of K / n.
+
+    The two routes differ only by roundoff.  Eigenvalues agree to
+    32 eps lambda_max absolute, and by the accuracy contract of the
+    spectral core the dual coefficients and predictions agree to
+    32 eps lambda_max / lambda_min relative, with lambda_min the smallest
+    retained eigenvalue.
+    """
+
+    @pytest.mark.parametrize("spec", [LINEAR, RBF, POLY], ids=_spec_id)
+    @pytest.mark.parametrize("rule", [SOFT_RULE, HARD_RULE], ids=["soft", "hard"])
+    @pytest.mark.parametrize("phi", [0.0, 1.0])
+    def test_within_roundoff(self, spec, rule, phi):
+        X = random_points(35, 120, 3)
+        rng = np.random.default_rng(35)
+        Y = np.sin(X[:, 0]) + 0.1 * rng.standard_normal(120)
+        config = GctConfig(tau=0.01, phi=phi, rule=rule)
+        model = fit_kernel_gct(X, Y, spec, config)
+        eig, alpha = _reference_fit(X, Y, spec, config)
+        assert model.rank == eig.shape[0]
+        assert np.max(np.abs(model.eigenvalues - eig)) <= 32 * EPS * eig[0]
+        bound = 32 * EPS * eig[0] / eig[-1]
+        assert np.linalg.norm(model.dual_coeffs - alpha) <= bound * np.linalg.norm(alpha)
+        holdout = rng.standard_normal((50, 3))
+        expected = _reference_cross_gram(spec, holdout, X) @ alpha
+        difference = predict_kernel_batch(model, holdout) - expected
+        assert np.linalg.norm(difference) <= bound * np.linalg.norm(expected)
+
+
+def _peak_doubles(fn, *args):
+    """Peak of the numpy allocations made while fn runs, in float64 units.
+
+    tracemalloc sees every array numpy allocates, but not the buffers
+    LAPACK works in: inside eigh, numpy's copy of K and the syevd workspace
+    (about 3 n^2 floats together) are not counted here.
+    """
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        fn(*args)
+        return (tracemalloc.get_traced_memory()[1] - base) / 8
+    finally:
+        tracemalloc.stop()
+
+
+class TestMemory:
+    """Each Gram is built in one buffer, and the fit makes no scaled copy of K."""
+
+    N = 300
+
+    @pytest.mark.parametrize("spec", [LINEAR, RBF, POLY], ids=_spec_id)
+    def test_gram(self, spec):
+        X = random_points(36, self.N, 5)
+        assert _peak_doubles(gram, X, spec) <= 2.5 * self.N**2
+
+    @pytest.mark.parametrize("spec", [LINEAR, RBF, POLY], ids=_spec_id)
+    def test_predict_kernel_batch(self, spec):
+        m = 200
+        model = KernelPredictor(
+            training_points=random_points(37, self.N, 5),
+            dual_coeffs=np.random.default_rng(37).standard_normal(self.N),
+            kernel=spec,
+            response_mean=1.0,
+        )
+        X = random_points(38, m, 5)
+        assert _peak_doubles(predict_kernel_batch, model, X) <= 2.5 * self.N * m
+
+    @pytest.mark.parametrize("spec", [LINEAR, RBF, POLY], ids=_spec_id)
+    def test_fit_kernel_gct(self, spec):
+        X = random_points(39, self.N, 5)
+        Y = np.random.default_rng(39).standard_normal(self.N)
+        peak = _peak_doubles(fit_kernel_gct, X, Y, spec, GctConfig(tau=0.0))
+        assert peak <= 3.5 * self.N**2

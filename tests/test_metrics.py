@@ -196,6 +196,14 @@ class TestRiskBound:
         with pytest.raises(ValueError):
             risk_bound(np.ones(3), 0.0)
 
+    @pytest.mark.parametrize("level", [math.nan, math.inf])
+    def test_non_finite_level_named(self, level):
+        # nan once gave sandwich_core = nan beside a finite lq_bound
+        with pytest.raises(ValueError, match=f"level must be finite.*got {level!r}"):
+            risk_bound(np.ones(2), level)
+        with pytest.raises(ValueError, match=f"level must be finite.*got {level!r}"):
+            weighted_risk_bound(np.ones(2), np.array([2.0, 1.0]), level, 1.0)
+
 
 class TestWeightedRiskBound:
     def test_phi_zero_equals_core(self):

@@ -48,8 +48,11 @@ class KernelSpec:
         if self.kind == "rbf" and self.gamma < 0:
             raise ValueError("rbf gamma must be nonnegative")
         if self.kind == "poly":
-            if self.degree < 1:
-                raise ValueError("poly degree must be a positive integer")
+            # float(inf) and float(nan) are not integers either
+            if not (self.degree >= 1 and float(self.degree).is_integer()):
+                raise ValueError(
+                    f"poly degree must be a positive integer, got {self.degree!r}"
+                )
             if self.scale <= 0:
                 raise ValueError("poly scale must be positive")
 

@@ -11,17 +11,20 @@ be reproduced bitwise in any order.
 from __future__ import annotations
 
 import csv
+import dataclasses
 import hashlib
 import json
 import math
+import typing
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple, Union
+from typing import Any, Dict, List, Optional, Tuple, Type, Union
 
 import numpy as np
 from numpy.typing import NDArray
 
 from .canonical import Dataset
 from .estimators import GctConfig, fit_gct, fit_min_norm_ls, fit_pcr, fit_ridge
+from .metrics import _check_phi
 from .thresholding import SOFT_RULE
 from .tuning import kfold_cv, kfold_cv_pcr, kfold_cv_ridge
 
@@ -33,6 +36,7 @@ RIDGE_GRID = np.logspace(-8, 2, 40)
 _ROLE_X = 0
 _ROLE_NOISE = 1
 _ROLE_PATTERN = 2
+_ROLE_CV = 3
 
 
 @dataclass(frozen=True)
@@ -64,6 +68,15 @@ class IsotropicGaussian:
 
 CoefPattern = Union[PolyDecay, SpikedHead, SpikedTailRandom, IsotropicGaussian]
 
+# the "kind" string of each pattern in a scenario's JSON form
+_PATTERN_OF_KIND: Dict[str, Type[Any]] = {
+    "poly-decay": PolyDecay,
+    "spiked-head": SpikedHead,
+    "spiked-tail-random": SpikedTailRandom,
+    "isotropic-gaussian": IsotropicGaussian,
+}
+_KIND_OF_PATTERN = {cls: kind for kind, cls in _PATTERN_OF_KIND.items()}
+
 KNOWN_METHODS = ("NCT-CV", "GCT-CV", "PCR-CV", "OLS", "Ridge-CV", "Zero")
 
 
@@ -80,15 +93,33 @@ class ScenarioSpec:
     gct_phi: float = 1.0
 
     def __post_init__(self) -> None:
-        if self.eigen_decay_a < 0:
-            raise ValueError("eigenvalue decay exponent must be nonnegative")
+        if not (self.n >= 1 and all(d >= 1 for d in self.d_grid)):
+            raise ValueError(
+                f"n and every d must be at least 1, got n={self.n}, "
+                f"d_grid={list(self.d_grid)}"
+            )
+        if not 0 <= self.eigen_decay_a < math.inf:
+            raise ValueError(
+                "eigenvalue decay exponent must be finite and nonnegative, "
+                f"got {self.eigen_decay_a!r}"
+            )
+        if type(self.coef_pattern) not in _KIND_OF_PATTERN:
+            raise ValueError(f"unknown coefficient pattern {self.coef_pattern!r}")
+        if not 0 < self.snr_target < math.inf:
+            raise ValueError(
+                f"target SNR must be finite and positive, got {self.snr_target!r}"
+            )
         if self.replicates < 1:
             raise ValueError("need at least one replicate")
-        if self.snr_target <= 0:
-            raise ValueError("target SNR must be positive")
         for method in self.methods:
             if method not in KNOWN_METHODS:
                 raise ValueError(f"unknown method {method!r}")
+            if method.endswith("-CV") and self.n < CV_FOLDS:
+                raise ValueError(
+                    f"method {method} needs n >= {CV_FOLDS} (its CV folds), "
+                    f"got n={self.n}"
+                )
+        _check_phi(self.gct_phi)
 
 
 @dataclass(frozen=True)
@@ -99,8 +130,14 @@ class ScenarioDraw:
     sigma: float
 
 
+def _seed_sequence(
+    spec: ScenarioSpec, d: int, replicate: int, role: int
+) -> np.random.SeedSequence:
+    return np.random.SeedSequence([spec.base_seed, d, replicate, role])
+
+
 def _stream(spec: ScenarioSpec, d: int, replicate: int, role: int) -> np.random.Generator:
-    seq = np.random.SeedSequence([spec.base_seed, d, replicate, role])
+    seq = _seed_sequence(spec, d, replicate, role)
     return np.random.Generator(np.random.Philox(seq))
 
 
@@ -122,10 +159,8 @@ def _coefficients(spec: ScenarioSpec, d: int, replicate: int) -> FloatArray:
         )
         beta[chosen] = 1.0
         return beta
-    if isinstance(pattern, IsotropicGaussian):
-        rng = _stream(spec, d, replicate, _ROLE_PATTERN)
-        return rng.standard_normal(d)
-    raise TypeError(f"unknown coefficient pattern {pattern!r}")
+    # IsotropicGaussian, the last pattern ScenarioSpec accepts
+    return _stream(spec, d, replicate, _ROLE_PATTERN).standard_normal(d)
 
 
 def generate_scenario(spec: ScenarioSpec, d: int, replicate: int) -> ScenarioDraw:
@@ -207,9 +242,7 @@ def run_experiment(spec: ScenarioSpec) -> ExperimentTable:
             mse_trivial = float(np.sum((X @ beta) ** 2)) / spec.n
             pe_trivial = float(np.sum(draw.sigma_diag * beta**2))
             cv_seed = int(
-                np.random.SeedSequence(
-                    [spec.base_seed, d, replicate, 3]
-                ).generate_state(1)[0]
+                _seed_sequence(spec, d, replicate, _ROLE_CV).generate_state(1)[0]
             )
             for method in spec.methods:
                 try:
@@ -242,120 +275,76 @@ def run_experiment(spec: ScenarioSpec) -> ExperimentTable:
     )
 
 
-CSV_COLUMNS = (
-    "method",
-    "d",
-    "n",
-    "replicates",
-    "median_rel_mse",
-    "median_rel_pe",
-    "scenario_hash",
-)
+CSV_COLUMNS = tuple(field.name for field in dataclasses.fields(TableRow))
+
+
+def _coerce(hint: Any, value: Any) -> Any:
+    """``value`` as the annotated type: float, int, str or Optional[float]."""
+    if typing.get_origin(hint) is Union:
+        if value is None:
+            return None
+        (hint,) = (arg for arg in typing.get_args(hint) if arg is not type(None))
+    return hint(value)
+
+
+def _from_fields(cls: Type[Any], data: Dict[str, Any]) -> Any:
+    """An instance of the dataclass ``cls`` from ``data``, each field coerced
+    to its annotation; an omitted field takes its default, or raises
+    ``KeyError`` if it has none."""
+    hints = typing.get_type_hints(cls)
+    return cls(
+        **{
+            field.name: _coerce(hints[field.name], data[field.name])
+            for field in dataclasses.fields(cls)
+            if field.name in data or field.default is dataclasses.MISSING
+        }
+    )
 
 
 def emit_table(table: ExperimentTable, path: str) -> None:
-    """Write the long-format results CSV with deterministic row order."""
+    """Write the long-format results CSV with deterministic row order.
+
+    The csv module writes a float as its repr, so values read back exactly.
+    """
     with open(path, "w", newline="") as handle:
         writer = csv.writer(handle)
         writer.writerow(CSV_COLUMNS)
-        for row in table.rows:
-            writer.writerow(
-                [
-                    row.method,
-                    row.d,
-                    row.n,
-                    row.replicates,
-                    repr(row.median_rel_mse),
-                    repr(row.median_rel_pe),
-                    row.scenario_hash,
-                ]
-            )
+        writer.writerows(dataclasses.astuple(row) for row in table.rows)
 
 
 def parse_table(path: str) -> ExperimentTable:
     """Read back a results CSV written by emit_table."""
-    rows: List[TableRow] = []
     with open(path, newline="") as handle:
         reader = csv.DictReader(handle)
         if reader.fieldnames is None or tuple(reader.fieldnames) != CSV_COLUMNS:
             raise ValueError(f"unexpected results CSV header in {path}")
-        for record in reader:
-            rows.append(
-                TableRow(
-                    method=record["method"],
-                    d=int(record["d"]),
-                    n=int(record["n"]),
-                    replicates=int(record["replicates"]),
-                    median_rel_mse=float(record["median_rel_mse"]),
-                    median_rel_pe=float(record["median_rel_pe"]),
-                    scenario_hash=record["scenario_hash"],
-                )
-            )
+        rows: List[TableRow] = [_from_fields(TableRow, record) for record in reader]
     digest = rows[0].scenario_hash if rows else ""
     return ExperimentTable(rows=tuple(rows), scenario_hash=digest, base_seed=0)
 
 
 def spec_to_dict(spec: ScenarioSpec) -> dict:
-    """JSON-ready form of a scenario, mirroring the field names."""
-    pattern: dict
-    if isinstance(spec.coef_pattern, PolyDecay):
-        pattern = {"kind": "poly-decay", "b": spec.coef_pattern.b}
-    elif isinstance(spec.coef_pattern, SpikedHead):
-        pattern = {
-            "kind": "spiked-head",
-            "count": spec.coef_pattern.count,
-            "value": spec.coef_pattern.value,
-        }
-    elif isinstance(spec.coef_pattern, SpikedTailRandom):
-        pattern = {
-            "kind": "spiked-tail-random",
-            "count": spec.coef_pattern.count,
-            "window": spec.coef_pattern.window,
-            "noise_var": spec.coef_pattern.noise_var,
-        }
-    else:
-        pattern = {"kind": "isotropic-gaussian"}
-    return {
-        "n": spec.n,
-        "d_grid": list(spec.d_grid),
-        "eigen_decay_a": spec.eigen_decay_a,
-        "coef_pattern": pattern,
-        "snr_target": spec.snr_target,
-        "replicates": spec.replicates,
-        "base_seed": spec.base_seed,
-        "methods": list(spec.methods),
-        "gct_phi": spec.gct_phi,
+    """JSON-ready form of a scenario, mirroring the field names; the pattern
+    is its fields after its "kind" string."""
+    data = dataclasses.asdict(spec)
+    data["coef_pattern"] = {
+        "kind": _KIND_OF_PATTERN[type(spec.coef_pattern)],
+        **data["coef_pattern"],
     }
+    return data
 
 
 def spec_from_dict(data: dict) -> ScenarioSpec:
-    """Inverse of spec_to_dict."""
+    """Inverse of spec_to_dict; an omitted pattern field takes its default."""
     pattern_data = data["coef_pattern"]
     kind = pattern_data["kind"]
-    pattern: CoefPattern
-    if kind == "poly-decay":
-        pattern = PolyDecay(b=float(pattern_data["b"]))
-    elif kind == "spiked-head":
-        pattern = SpikedHead(
-            count=int(pattern_data["count"]),
-            value=float(pattern_data.get("value", 1.0)),
-        )
-    elif kind == "spiked-tail-random":
-        noise_var = pattern_data.get("noise_var")
-        pattern = SpikedTailRandom(
-            count=int(pattern_data["count"]),
-            window=int(pattern_data["window"]),
-            noise_var=None if noise_var is None else float(noise_var),
-        )
-    elif kind == "isotropic-gaussian":
-        pattern = IsotropicGaussian()
-    else:
+    if not isinstance(kind, str) or kind not in _PATTERN_OF_KIND:
         raise ValueError(f"unknown coefficient pattern kind {kind!r}")
     return ScenarioSpec(
         n=int(data["n"]),
         d_grid=tuple(int(d) for d in data["d_grid"]),
         eigen_decay_a=float(data["eigen_decay_a"]),
-        coef_pattern=pattern,
+        coef_pattern=_from_fields(_PATTERN_OF_KIND[kind], pattern_data),
         snr_target=float(data["snr_target"]),
         replicates=int(data["replicates"]),
         base_seed=int(data["base_seed"]),

@@ -4,6 +4,8 @@ As tau sweeps [0, inf) the thresholded support only changes at the finite
 set of weighted coefficient magnitudes, so the CV objective is piecewise
 quadratic in tau for the soft rule (minimized in closed form per segment)
 and piecewise constant for the hard rule (one evaluation per segment).
+The tuners take these two rules only, the maps this path is derived for;
+a custom rule is for ``fit_gct`` at a given tau.
 
 Every tuner works on one fold-spectra object: each training block is
 decomposed once, and the phi-independent pieces (canonical LS
@@ -64,7 +66,7 @@ class CvResult:
     candidate_set: FloatArray
     fold_assignment: NDArray[np.int64]
     # soft rule: one row (lo, hi, tau*, error*) per tau interval, the
-    # minimizer of the CV objective on [lo, hi]; shape (0, 4) otherwise
+    # minimizer of the CV objective on [lo, hi]; shape (0, 4) for hard
     path_segments: FloatArray
     # per-fold spectrum diagnostics: retained rank and smallest over largest
     # retained eigenvalue, on which the fold's accuracy depends (see
@@ -79,6 +81,16 @@ def _magnitudes(eigenvalues: FloatArray, theta: FloatArray, phi: float) -> Float
     return eigenvalues ** (phi / 2.0) * np.abs(theta)
 
 
+def _breakpoints(magnitudes: FloatArray) -> FloatArray:
+    return np.unique(np.concatenate(([0.0], magnitudes)))
+
+
+def _check_path_rule(rule: ThresholdRule) -> None:
+    """The exact tau path is derived for the soft and hard maps only."""
+    if rule.kind not in (RuleKind.SOFT, RuleKind.HARD):
+        raise ValueError(f"CV takes the soft or hard rule, got {rule.kind.value}")
+
+
 def breakpoints(
     dec: CanonicalDecomposition, theta_ls: FloatArray, phi: float
 ) -> FloatArray:
@@ -90,8 +102,7 @@ def breakpoints(
     theta_ls = np.asarray(theta_ls, dtype=np.float64)
     if theta_ls.shape != (dec.rank,):
         raise ValueError("theta length must equal decomposition rank")
-    vals = _magnitudes(dec.eigenvalues, theta_ls, phi)
-    return np.unique(np.concatenate(([0.0], vals)))
+    return _breakpoints(_magnitudes(dec.eigenvalues, theta_ls, phi))
 
 
 def fold_assignment(n: int, L: int, seed: int) -> NDArray[np.int64]:
@@ -184,17 +195,15 @@ def _memo_fold_spectra(dataset: Dataset, L: int, seed: int) -> _FoldSpectra:
     return spectra
 
 
-def _fold_error(fold: _Fold, rule: ThresholdRule, tau: float, phi: float) -> float:
-    theta_hat = _shrink(fold.eigenvalues, fold.theta_ls, rule, tau, phi)
-    residual = fold.y_val - fold.scores @ theta_hat
-    return float(residual @ residual) / fold.y_val.shape[0]
-
-
 def _cv_error(
     spectra: _FoldSpectra, rule: ThresholdRule, tau: float, phi: float
 ) -> float:
-    folds = spectra.folds
-    return sum(_fold_error(fold, rule, tau, phi) for fold in folds) / len(folds)
+    total = 0.0
+    for fold in spectra.folds:
+        theta_hat = _shrink(fold.eigenvalues, fold.theta_ls, rule, tau, phi)
+        residual = fold.y_val - fold.scores @ theta_hat
+        total += float(residual @ residual) / fold.y_val.shape[0]
+    return total / len(spectra.folds)
 
 
 def cv_error_at(
@@ -297,7 +306,7 @@ def _path_cv(spectra: _FoldSpectra, phi: float, rule: ThresholdRule) -> CvResult
     magnitudes = [
         _magnitudes(fold.eigenvalues, fold.theta_ls, phi) for fold in spectra.folds
     ]
-    fold_bps = [np.unique(np.concatenate(([0.0], mags))) for mags in magnitudes]
+    fold_bps = [_breakpoints(mags) for mags in magnitudes]
     merged = np.unique(np.concatenate(fold_bps))
     zero_error = sum(
         float(fold.y_val @ fold.y_val) / fold.y_val.shape[0] for fold in spectra.folds
@@ -316,18 +325,10 @@ def _path_cv(spectra: _FoldSpectra, phi: float, rule: ThresholdRule) -> CvResult
             segments = np.column_stack((lo, hi, taus, errors))
             best_tau = float(taus[_last_tied_minimum(errors, tol)])
     else:
-        if rule.kind is RuleKind.HARD:
-            candidates = merged
-            if merged[-1] > 0:
-                candidates = np.append(candidates, math.inf)
-            errors = _hard_path(spectra, magnitudes, candidates)
-        else:
-            midpoints = (merged[:-1] + merged[1:]) / 2.0
-            extra = [merged[-1] * 1.5] if merged[-1] > 0 else []
-            candidates = np.unique(np.concatenate((merged, midpoints, extra)))
-            errors = np.array(
-                [_cv_error(spectra, rule, float(tau), phi) for tau in candidates]
-            )
+        candidates = merged
+        if merged[-1] > 0:
+            candidates = np.append(candidates, math.inf)
+        errors = _hard_path(spectra, magnitudes, candidates)
         best_tau = float(candidates[_last_tied_minimum(errors, tol)])
 
     return CvResult(
@@ -357,8 +358,9 @@ def kfold_cv(
     on every segment between merged breakpoints.  Hard rule: one evaluation
     per merged breakpoint plus a sentinel above the maximum representing the
     zero estimator (the boundary component is still kept at tau equal to a
-    breakpoint).  Custom rules: finite evaluation at breakpoints and segment
-    midpoints.
+    breakpoint).  The path is derived for these two maps only, so a custom
+    rule raises ``ValueError``, as it does in ``joint_cv`` and
+    ``grid_cv_oracle``; ``cv_error_at`` evaluates any rule at one tau.
 
     After the fold decompositions the soft and hard paths cost O(L m r) for
     L folds of m validation rows and rank r, plus an O(L) gather per
@@ -384,6 +386,7 @@ def kfold_cv(
     ``fold_assignment`` is the caller's copy.  A negative or non-finite phi
     raises ``ValueError``, as in ``GctConfig``.
     """
+    _check_path_rule(rule)
     return _path_cv(_memo_fold_spectra(dataset, L, seed), phi, rule)
 
 
@@ -397,12 +400,10 @@ def _fold_errors_on_grid(
         shrunk = np.sign(weighted)[:, None] * np.maximum(
             np.abs(weighted)[:, None] - taus[None, :], 0.0
         )
-    elif rule.kind is RuleKind.HARD:
+    else:
         shrunk = np.where(
             np.abs(weighted)[:, None] >= taus[None, :], weighted[:, None], 0.0
         )
-    else:
-        return np.array([_fold_error(fold, rule, float(tau), phi) for tau in taus])
     theta_hat = shrunk / weights[:, None]  # r x m
     residual = fold.y_val[:, None] - fold.scores @ theta_hat
     return np.sum(residual**2, axis=0) / fold.y_val.shape[0]
@@ -418,6 +419,7 @@ def grid_cv_oracle(
 ) -> Tuple[float, float]:
     """Brute-force CV over an explicit tau grid with identical folds."""
     _check_phi(phi)
+    _check_path_rule(rule)
     grid = np.asarray(grid, dtype=np.float64)
     if grid.size == 0:
         raise ValueError("empty grid")
@@ -449,6 +451,7 @@ def joint_cv(
     """
     if len(phi_grid) == 0:
         raise ValueError("empty phi grid")
+    _check_path_rule(rule)
     spectra = _memo_fold_spectra(dataset, L, seed)
     best: Optional[Tuple[float, float, CvResult]] = None
     for phi in phi_grid:

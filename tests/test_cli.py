@@ -659,6 +659,28 @@ class TestSimulate:
         assert main(["simulate", "--scenario", spath,
                      "--output", str(tmp_path / "r.csv")]) == 2
 
+    def test_too_few_rows_for_cv_folds_exit_two(self, tmp_path, capsys):
+        scenario = {
+            "n": 8,
+            "d_grid": [5],
+            "eigen_decay_a": 2.0,
+            "coef_pattern": {"kind": "poly-decay", "b": 2.0},
+            "snr_target": 10.0,
+            "replicates": 1,
+            "base_seed": 7,
+            "methods": ["Zero", "NCT-CV"],
+        }
+        spath = str(tmp_path / "s.json")
+        with open(spath, "w") as handle:
+            json.dump(scenario, handle)
+        out = tmp_path / "r.csv"
+        assert main(["simulate", "--scenario", spath, "--output", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            "error: bad scenario: method NCT-CV needs n >= 10 (its CV folds), "
+            "got n=8\n"
+        )
+        assert not out.exists()
+
 
 class TestDiagnose:
     def test_identity_covariance_effective_rank(self, tmp_path, capsys):

@@ -45,8 +45,10 @@ class TestKernelSpec:
             KernelSpec(kind="sigmoid")
         with pytest.raises(ValueError):
             KernelSpec(kind="rbf", gamma=-1.0)
-        with pytest.raises(ValueError):
-            KernelSpec(kind="poly", degree=0)
+        for degree in (0, 2.5, math.nan, math.inf):
+            with pytest.raises(ValueError, match="poly degree must be a positive"):
+                KernelSpec(kind="poly", degree=degree)
+        assert KernelSpec(kind="poly", degree=2.0).degree == 2.0  # stored as given
         with pytest.raises(ValueError):
             KernelSpec(kind="poly", scale=0.0)
         for kind, field in [("rbf", "gamma"), ("poly", "coef0"), ("poly", "scale")]:

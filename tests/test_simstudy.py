@@ -48,6 +48,22 @@ class TestScenarioSpec:
             make_spec(methods=("Magic",))
         with pytest.raises(ValueError):
             PolyDecay(b=-0.5)
+        for bad in (math.nan, math.inf):
+            with pytest.raises(ValueError, match="decay exponent must be finite"):
+                make_spec(eigen_decay_a=bad)
+            with pytest.raises(ValueError, match="SNR must be finite"):
+                make_spec(snr_target=bad)
+        for n, d_grid in ((0, (5,)), (-1, (5,)), (20, (0,)), (20, (5, -3))):
+            with pytest.raises(ValueError, match="n and every d must be at least 1"):
+                make_spec(n=n, d_grid=d_grid)
+        with pytest.raises(ValueError, match="method NCT-CV needs n >= 10"):
+            make_spec(n=8, methods=("Zero", "NCT-CV"))
+        make_spec(n=10, methods=("NCT-CV",))  # one row per fold is enough
+        make_spec(n=8, methods=("Zero", "OLS"))  # no CV method, no fold bound
+        with pytest.raises(ValueError, match="phi must be nonnegative"):
+            make_spec(gct_phi=math.nan)
+        with pytest.raises(ValueError, match="unknown coefficient pattern"):
+            make_spec(coef_pattern=object())
 
 
 class TestGenerateScenario:
@@ -191,6 +207,66 @@ class TestSerialization:
         ):
             spec = make_spec(coef_pattern=pattern)
             assert spec_from_dict(spec_to_dict(spec)) == spec
+
+    def test_scenario_hash_pinned_per_pattern(self):
+        # literal digests of spec_to_dict's JSON: an int-valued b stays an
+        # int, and an omitted noise_var is serialized as null
+        pinned = [
+            (PolyDecay(b=2), "21e6c6fd8a4d"),
+            (PolyDecay(b=1.5), "e36f7bf3bd25"),
+            (SpikedHead(count=4, value=2.0), "137eda560fd8"),
+            (SpikedHead(count=4), "a5c26ee95ec0"),
+            (SpikedTailRandom(count=2, window=6, noise_var=0.01), "25142a4c5cf8"),
+            (SpikedTailRandom(count=2, window=6), "c92adecf2e40"),
+            (IsotropicGaussian(), "6c9395ac6822"),
+        ]
+        for pattern, digest in pinned:
+            spec = make_spec(
+                coef_pattern=pattern, d_grid=(5, 8), methods=("Zero", "OLS")
+            )
+            assert scenario_hash(spec) == digest, pattern
+
+    def test_emit_table_bytes_pinned(self, tmp_path):
+        from ctreg.simstudy import ExperimentTable, TableRow
+
+        rows = (
+            TableRow("GCT-CV", 5, 20, 3, 0.1 + 0.2, math.inf, "abc123"),
+            TableRow("OLS", 8, 20, 3, math.nan, 1e-300, "abc123"),
+            TableRow("Zero", 8, 20, 3, 1.0, -0.0, "abc123"),
+        )
+        path = tmp_path / "t.csv"
+        table = ExperimentTable(rows=rows, scenario_hash="abc123", base_seed=0)
+        emit_table(table, str(path))
+        assert path.read_bytes() == (
+            b"method,d,n,replicates,median_rel_mse,median_rel_pe,scenario_hash\r\n"
+            b"GCT-CV,5,20,3,0.30000000000000004,inf,abc123\r\n"
+            b"OLS,8,20,3,nan,1e-300,abc123\r\n"
+            b"Zero,8,20,3,1.0,-0.0,abc123\r\n"
+        )
+        loaded = parse_table(str(path)).rows
+        assert [repr(row) for row in loaded] == [repr(row) for row in rows]
+
+    def test_spec_from_dict_defaults_and_coercion(self):
+        data = spec_to_dict(make_spec())
+        data["coef_pattern"] = {"kind": "spiked-tail-random", "count": 2, "window": 6}
+        assert spec_from_dict(data).coef_pattern == SpikedTailRandom(count=2, window=6)
+        assert spec_from_dict(data).coef_pattern.noise_var is None
+        data["coef_pattern"] = {"kind": "spiked-head", "count": 3.0}
+        pattern = spec_from_dict(data).coef_pattern
+        assert pattern == SpikedHead(count=3, value=1.0)
+        assert type(pattern.count) is int and type(pattern.value) is float
+        data["coef_pattern"] = {"kind": "poly-decay", "b": 2}
+        assert type(spec_from_dict(data).coef_pattern.b) is float
+
+    def test_spec_from_dict_bad_pattern(self):
+        data = spec_to_dict(make_spec())
+        for kind in ("nope", ["poly-decay"]):
+            data["coef_pattern"] = {"kind": kind, "b": 1.0}
+            with pytest.raises(ValueError, match="unknown coefficient pattern kind"):
+                spec_from_dict(data)
+        data["coef_pattern"] = {"kind": "poly-decay"}
+        with pytest.raises(KeyError, match="'b'"):
+            spec_from_dict(data)
 
     def test_hash_stable_and_sensitive(self):
         spec = make_spec()

@@ -203,14 +203,26 @@ class TestKfoldCv:
             expected += float(np.mean(y_val**2)) / 3
         assert cv_error_at(ds, 3, 0.0, SOFT_RULE, 2, hi * 2) == pytest.approx(expected)
 
-    def test_custom_rule_runs(self):
+    def test_custom_rule_left_to_the_fit(self):
+        # the exact path is derived for the soft and hard maps only: the
+        # tuners reject a custom rule, and fit_gct still applies it
         from ctreg import RuleKind, ThresholdRule
         from ctreg.thresholding import soft as soft_scalar
 
         rule = ThresholdRule(RuleKind.CUSTOM, custom_fn=soft_scalar, custom_constant=3.0)
         ds = random_dataset(7, 15, 5)
-        result = kfold_cv(ds, 3, rule=rule, seed=0)
-        assert math.isfinite(result.cv_error_at_tau)
+        for tune in (
+            lambda: kfold_cv(ds, 3, rule=rule, seed=0),
+            lambda: joint_cv(ds, 3, [0.0, 1.0], rule=rule, seed=0),
+            lambda: grid_cv_oracle(ds, 3, 0.0, rule, np.array([0.0, 0.1]), seed=0),
+        ):
+            with pytest.raises(ValueError, match="got custom"):
+                tune()
+        for phi in (0.0, 1.0):
+            custom = fit_gct(ds, GctConfig(tau=0.2, phi=phi, rule=rule)).beta
+            soft = fit_gct(ds, GctConfig(tau=0.2, phi=phi)).beta
+            assert np.any(soft != 0.0)
+            np.testing.assert_array_equal(custom, soft)
 
 
 class TestGridOracle:

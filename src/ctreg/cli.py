@@ -9,15 +9,13 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import sys
-import tempfile
-from typing import Callable, List, NamedTuple, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .canonical import Dataset, canonicalize, to_theta
-from .errors import CtregError
+from .canonical import CanonicalDecomposition, Dataset, canonicalize, to_theta
+from .errors import CtregError, UsageError
 from .estimators import (
     FitResult,
     GctConfig,
@@ -27,7 +25,9 @@ from .estimators import (
     fit_pcr,
     fit_ridge,
 )
+from .files import atomic_write, check_writable
 from .kernel import (
+    KERNEL_PARAMS,
     KernelModel,
     KernelPredictor,
     KernelSpec,
@@ -52,23 +52,6 @@ READABLE_SCHEMA_VERSIONS = (1, 2)
 EXIT_OK = 0
 EXIT_NUMERIC = 1
 EXIT_USAGE = 2
-
-
-class UsageError(Exception):
-    """Malformed flags or input files; maps to exit code 2."""
-
-
-def _atomic_write(path: str, text: str) -> None:
-    directory = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
-    try:
-        with os.fdopen(fd, "w") as handle:
-            handle.write(text)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
 
 
 def _dumps(payload: dict, indent: Optional[int] = None) -> str:
@@ -205,29 +188,50 @@ def load_dataset(path: str, response: str) -> Tuple[np.ndarray, np.ndarray]:
 
 _RULES = {"soft": SOFT_RULE, "hard": HARD_RULE}
 
+# The value grammar of --kernel, --method, --tau, --tau-auto and --phi-grid:
+# comma-separated numbers, after "name:" where a flag names a table entry.
+# Fields are the (name, type) of each number.
+Fields = Tuple[Tuple[str, type], ...]
 
-def _parse_kernel(text: str) -> KernelSpec:
-    if text == "linear":
-        return KernelSpec(kind="linear")
-    if text.startswith("rbf:"):
-        try:
-            return KernelSpec(kind="rbf", gamma=float(text[4:]))
-        except ValueError as exc:
-            raise UsageError(f"bad rbf kernel spec {text!r}") from exc
-    if text.startswith("poly:"):
-        parts = text[5:].split(",")
-        if len(parts) != 3:
-            raise UsageError("poly kernel expects poly:<degree>,<coef0>,<scale>")
-        try:
-            return KernelSpec(
-                kind="poly",
-                degree=int(parts[0]),
-                coef0=float(parts[1]),
-                scale=float(parts[2]),
-            )
-        except ValueError as exc:
-            raise UsageError(f"bad poly kernel spec {text!r}") from exc
-    raise UsageError(f"unknown kernel {text!r}")
+
+def _bad_value(flag: str, text: str, expected: str, reason: str = "") -> UsageError:
+    """The one error of a malformed flag value (exit 2)."""
+    why = f" ({reason})" if reason else ""
+    return UsageError(f"bad {flag} value {text!r}: expected {expected}{why}")
+
+
+def _numbers(
+    flag: str, text: str, types: Sequence[type], expected: str, part: str | None = None
+) -> List[Any]:
+    """The comma-separated numbers of text, or of its part after "name:", the
+    i-th converted by types[i]; the counts must agree (no text, no numbers)."""
+    part = text if part is None else part
+    cells = part.split(",") if part else []
+    try:
+        return [kind(cell) for kind, cell in zip(types, cells, strict=True)]
+    except ValueError:
+        raise _bad_value(flag, text, expected) from None
+
+
+def _named(flag: str, text: str, table: Dict[str, Fields], make: Callable) -> Any:
+    """make(name, **values) of a value name[:v1,v2,...], where name is a key
+    of table and the values are its fields, in order; make's ValueError is
+    a bad value too."""
+    forms = (f"{key}:" + ",".join(f"<{f}>" for f, _ in table[key]) for key in table)
+    expected = " | ".join(form.rstrip(":") for form in forms)
+    name, colon, rest = text.partition(":")
+    fields = table.get(name)
+    if fields is None or bool(colon) != bool(fields):
+        raise _bad_value(flag, text, expected)
+    values = _numbers(flag, text, [kind for _, kind in fields], expected, rest)
+    try:
+        return make(name, **{field: value for (field, _), value in zip(fields, values)})
+    except ValueError as exc:
+        raise _bad_value(flag, text, expected, str(exc)) from exc
+
+
+def _tau(text: str) -> float:
+    return _numbers("--tau", text, (float,), "<tau>")[0]
 
 
 Offsets = Optional[Tuple[np.ndarray, float]]
@@ -248,8 +252,14 @@ def _gct_config_json(config: GctConfig) -> dict:
     return {"tau": _tau_json(config.tau), "phi": config.phi, "rule": rule}
 
 
-def _decomposition_json(rank: int, eigenvalues: np.ndarray) -> dict:
-    return {"rank": rank, "eigenvalues": eigenvalues.tolist()}
+def _model_json(
+    kind: str, spectrum: CanonicalDecomposition | KernelModel, fields: dict
+) -> str:
+    """A model file: the schema header, fields, then the retained spectrum."""
+    header = {"schema_version": SCHEMA_VERSION, "model_kind": kind}
+    eigenvalues = spectrum.eigenvalues.tolist()
+    decomposition = {"rank": spectrum.rank, "eigenvalues": eigenvalues}
+    return _dumps({**header, **fields, "decomposition": decomposition}, indent=2) + "\n"
 
 
 def _linear_model_json(fit: FitResult, method: str, offsets: Offsets) -> str:
@@ -263,50 +273,37 @@ def _linear_model_json(fit: FitResult, method: str, offsets: Offsets) -> str:
     if offsets is not None:
         x_means, y_mean = offsets
         centering = {"x_means": x_means.tolist(), "y_mean": y_mean}
-    payload = {
-        "schema_version": SCHEMA_VERSION,
-        "model_kind": "linear",
-        "beta": fit.beta.tolist(),
-        "config": config,
-        "centering": centering,
-        "decomposition": _decomposition_json(
-            fit.decomposition.rank, fit.decomposition.eigenvalues
-        ),
-    }
-    return _dumps(payload, indent=2)
+    fields = {"beta": fit.beta.tolist(), "config": config, "centering": centering}
+    return _model_json("linear", fit.decomposition, fields)
 
 
 def _kernel_model_json(model: KernelModel) -> str:
-    kernel: dict = {"kind": model.kernel.kind}
-    if model.kernel.kind == "rbf":
-        kernel["gamma"] = model.kernel.gamma
-    elif model.kernel.kind == "poly":
-        kernel.update(
-            degree=model.kernel.degree,
-            coef0=model.kernel.coef0,
-            scale=model.kernel.scale,
-        )
-    payload = {
-        "schema_version": SCHEMA_VERSION,
-        "model_kind": "kernel",
+    spec = model.kernel
+    params = {name: getattr(spec, name) for name, _ in KERNEL_PARAMS[spec.kind]}
+    fields = {
         "training_points": model.training_points.tolist(),
         "dual_coeffs": model.dual_coeffs.tolist(),
-        "kernel": kernel,
+        "kernel": {"kind": spec.kind, **params},
         "config": _gct_config_json(model.config),
         "response_mean": model.response_mean,
-        "decomposition": _decomposition_json(model.rank, model.eigenvalues),
     }
-    return _dumps(payload, indent=2)
+    return _model_json("kernel", model, fields)
+
+
+def _read_json(path: str, what: str) -> Any:
+    """The JSON document in path; a file that cannot be read or decoded, or
+    that is not JSON, is a usage error naming what it should hold."""
+    try:
+        with open(path) as handle:
+            return json.load(handle)
+    except (OSError, UnicodeDecodeError) as exc:
+        raise UsageError(f"cannot read {what} {path}: {exc}") from exc
+    except json.JSONDecodeError as exc:
+        raise UsageError(f"{what} {path} is not valid JSON") from exc
 
 
 def _load_model(path: str) -> dict:
-    try:
-        with open(path) as handle:
-            payload = json.load(handle)
-    except OSError as exc:
-        raise UsageError(f"cannot read model {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise UsageError(f"model {path} is not valid JSON") from exc
+    payload = _read_json(path, "model")
     if not isinstance(payload, dict):
         raise UsageError(f"model {path} is not a JSON object")
     if payload.get("schema_version") not in READABLE_SCHEMA_VERSIONS:
@@ -379,18 +376,16 @@ def _read_kernel_model(payload: dict) -> Tuple[int, Predictor]:
             f"{training_points.shape[0]} training points"
         )
     kernel = payload["kernel"]
-    # a parameter the file leaves out takes its KernelSpec default
-    params = {
-        key: float(_model_array(kernel[key], f"kernel.{key}", 0))
-        for key in ("degree", "gamma", "coef0", "scale")
-        if key in kernel
-    }
-    if "degree" in params:
-        if not params["degree"].is_integer():
-            raise UsageError(
-                f"model field kernel.degree is not an integer: {params['degree']!r}"
-            )
-        params["degree"] = int(params["degree"])
+    # a field the file leaves out takes its KernelSpec default
+    params = {}
+    for key, kind in _KERNEL_FIELDS.items():
+        if key in kernel:
+            value = float(_model_array(kernel[key], f"kernel.{key}", 0))
+            if kind(value) != value:
+                raise UsageError(
+                    f"model field kernel.{key} is not {kind.__name__}: {value!r}"
+                )
+            params[key] = kind(value)
     model = KernelPredictor(
         training_points=training_points,
         dual_coeffs=dual_coeffs,
@@ -398,6 +393,10 @@ def _read_kernel_model(payload: dict) -> Tuple[int, Predictor]:
         response_mean=_model_mean(payload.get("response_mean"), "response_mean"),
     )
     return training_points.shape[1], lambda data: predict_kernel_batch(model, data)
+
+
+# every field of any kernel kind, with its type
+_KERNEL_FIELDS = dict(field for fields in KERNEL_PARAMS.values() for field in fields)
 
 
 class _ModelKind(NamedTuple):
@@ -414,83 +413,63 @@ _MODEL_KINDS = {
 }
 
 
-def _parse_tau(text: str) -> float:
-    try:
-        return float(text)
-    except ValueError as exc:
-        raise UsageError(f"bad --tau value {text!r}") from exc
-
-
-def _resolve_tau(args: argparse.Namespace, dataset: Dataset, phi: float) -> float:
+def _fit_gct(args: argparse.Namespace, dataset: Dataset, phi: float) -> FitResult:
     if args.tau is not None and args.tau_auto is not None:
         raise UsageError("--tau and --tau-auto are mutually exclusive")
+    tau = 0.0 if args.tau is None else _tau(args.tau)
     if args.tau_auto is not None:
-        parts = args.tau_auto.split(",")
-        if len(parts) != 3:
-            raise UsageError("--tau-auto expects sigma,delta,alpha")
-        try:
-            sigma, delta, alpha = (float(part) for part in parts)
-        except ValueError as exc:
-            raise UsageError("--tau-auto expects three numbers") from exc
+        sigma, delta, alpha = _numbers(
+            "--tau-auto", args.tau_auto, (float,) * 3, "<sigma>,<delta>,<alpha>"
+        )
         dec = canonicalize(dataset)
-        return default_tau(
+        tau = default_tau(
             sigma, dataset.n, dec.rank, delta, alpha, phi, float(dec.eigenvalues[0])
         )
-    if args.tau is not None:
-        return _parse_tau(args.tau)
-    return 0.0
+    return fit_gct(dataset, GctConfig(tau=tau, phi=phi, rule=_RULES[args.rule]))
+
+
+# fit --method name -> (the fields of name:<values>, fit(args, dataset, *values))
+_FIT_METHODS: Dict[str, Tuple[Fields, Callable[..., FitResult]]] = {
+    "ols": ((), lambda args, data: fit_min_norm_ls(data)),
+    "nct": ((), lambda args, data: _fit_gct(args, data, 0.0)),
+    "gct": ((), lambda args, data: _fit_gct(args, data, args.phi)),
+    "pcr": ((("m", int),), lambda args, data, m: fit_pcr(data, m)),
+    "ridge": ((("lambda", float),), lambda args, data, lam: fit_ridge(data, lam)),
+}
 
 
 def cmd_fit(args: argparse.Namespace) -> int:
+    methods = {name: fields for name, (fields, _) in _FIT_METHODS.items()}
+    name, values = _named(
+        "--method", args.method, methods, lambda name, **values: (name, values)
+    )
     X, Y = load_dataset(args.input, args.response)
     X, Y, offsets = _center(X, Y, not args.no_center)
-    dataset = Dataset(X, Y)
-
-    method = args.method
-    if method == "ols":
-        fit = fit_min_norm_ls(dataset)
-    elif method in ("nct", "gct"):
-        phi = args.phi if method == "gct" else 0.0
-        tau = _resolve_tau(args, dataset, phi)
-        fit = fit_gct(dataset, GctConfig(tau=tau, phi=phi, rule=_RULES[args.rule]))
-    elif method.startswith("pcr:"):
-        try:
-            m = int(method[4:])
-        except ValueError as exc:
-            raise UsageError(f"bad method {method!r}") from exc
-        fit = fit_pcr(dataset, m)
-    elif method.startswith("ridge:"):
-        try:
-            lam = float(method[6:])
-        except ValueError as exc:
-            raise UsageError(f"bad method {method!r}") from exc
-        fit = fit_ridge(dataset, lam)
-    else:
-        raise UsageError(f"unknown method {method!r}")
-
-    _atomic_write(args.output, _linear_model_json(fit, method, offsets) + "\n")
+    fit = _FIT_METHODS[name][1](args, Dataset(X, Y), *values.values())
+    atomic_write(args.output, _linear_model_json(fit, args.method, offsets))
     return EXIT_OK
 
 
 def cmd_cv(args: argparse.Namespace) -> int:
+    if args.folds < 2:
+        raise _bad_value("--folds", str(args.folds), "an integer >= 2")
+    phis = [args.phi]
+    if args.phi_grid is not None:
+        floats = (float,) * (args.phi_grid.count(",") + 1)
+        phis = sorted(_numbers("--phi-grid", args.phi_grid, floats, "<phi>[,<phi>...]"))
+    if args.fit_out is not None:
+        check_writable(args.fit_out)
     X, Y = load_dataset(args.input, args.response)
     X, Y, offsets = _center(X, Y, not args.no_center)
     dataset = Dataset(X, Y)
     rule = _RULES[args.rule]
-
-    phis = [args.phi]
-    if args.phi_grid is not None:
-        try:
-            phis = sorted(float(part) for part in args.phi_grid.split(","))
-        except ValueError as exc:
-            raise UsageError("--phi-grid expects comma-separated numbers") from exc
     phi, tau, result = joint_cv(dataset, args.folds, phis, rule, args.seed)
 
     report = {"tau_cv": _tau_json(tau), "phi": phi, "cv_error": result.cv_error_at_tau}
     print(_dumps(report))
     if args.fit_out is not None:
         fit = fit_gct(dataset, GctConfig(tau=tau, phi=phi, rule=rule))
-        _atomic_write(args.fit_out, _linear_model_json(fit, "gct", offsets) + "\n")
+        atomic_write(args.fit_out, _linear_model_json(fit, "gct", offsets))
     return EXIT_OK
 
 
@@ -507,34 +486,29 @@ def cmd_predict(args: argparse.Namespace) -> int:
     preds = predict_rows(data)
     text = "\n".join(repr(float(value)) for value in preds) + "\n"
     if args.output is not None:
-        _atomic_write(args.output, text)
+        atomic_write(args.output, text)
     else:
         sys.stdout.write(text)
     return EXIT_OK
 
 
 def cmd_kernel_fit(args: argparse.Namespace) -> int:
+    spec = _named("--kernel", args.kernel, KERNEL_PARAMS, KernelSpec)
+    tau = _tau(args.tau)
     X, Y = load_dataset(args.input, args.response)
-    spec = _parse_kernel(args.kernel)
-    tau = _parse_tau(args.tau)
     config = GctConfig(tau=tau, phi=args.phi, rule=_RULES[args.rule])
     model = fit_kernel_gct(X, Y, spec, config, center_response=not args.no_center)
-    _atomic_write(args.output, _kernel_model_json(model) + "\n")
+    atomic_write(args.output, _kernel_model_json(model))
     return EXIT_OK
 
 
 def cmd_simulate(args: argparse.Namespace) -> int:
-    try:
-        with open(args.scenario) as handle:
-            data = json.load(handle)
-    except OSError as exc:
-        raise UsageError(f"cannot read scenario {args.scenario}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise UsageError("scenario file is not valid JSON") from exc
+    data = _read_json(args.scenario, "scenario")
     try:
         spec = spec_from_dict(data)
     except (KeyError, ValueError, TypeError) as exc:
         raise UsageError(f"bad scenario: {exc}") from exc
+    check_writable(args.output)
     table = run_experiment(spec)
     emit_table(table, args.output)
     return EXIT_OK
@@ -652,12 +626,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
     try:
         return args.func(args)
-    except UsageError as exc:
+    except (UsageError, CtregError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except (CtregError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_NUMERIC
+        return EXIT_USAGE if isinstance(exc, UsageError) else EXIT_NUMERIC
 
 
 if __name__ == "__main__":

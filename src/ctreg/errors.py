@@ -11,3 +11,12 @@ class ZeroDesignError(CtregError):
 
 class NotPositiveSemidefiniteError(CtregError):
     """Raised when a kernel matrix has a materially negative eigenvalue."""
+
+
+class ExperimentError(CtregError):
+    """A method failed inside ``run_experiment``; the message names the method,
+    d, replicate and CV seed, and the cause is the original exception."""
+
+
+class UsageError(Exception):
+    """Malformed flags, input files or output paths; the CLI exits 2."""

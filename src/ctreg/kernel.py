@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import Dict, Optional, Tuple
 
 import numpy as np
 from numpy.typing import NDArray
@@ -27,19 +27,27 @@ FloatArray = NDArray[np.float64]
 # relative eigenvalue floor and PSD slack of every kernel decomposition
 KERNEL_RANK_REL_TOL = 1e-10
 
+# each kernel kind's KernelSpec fields and their types, in the order that
+# ``ctreg --kernel kind:v1,...`` takes them and a model file writes them
+KERNEL_PARAMS: Dict[str, Tuple[Tuple[str, type], ...]] = {
+    "linear": (),
+    "rbf": (("gamma", float),),
+    "poly": (("degree", int), ("coef0", float), ("scale", float)),
+}
+
 
 @dataclass(frozen=True)
 class KernelSpec:
     """A positive definite kernel: linear, RBF, or polynomial."""
 
-    kind: str  # "linear" | "rbf" | "poly"
+    kind: str  # a key of KERNEL_PARAMS
     gamma: float = 1.0  # rbf
     degree: int = 2  # poly
     coef0: float = 0.0  # poly
     scale: float = 1.0  # poly
 
     def __post_init__(self) -> None:
-        if self.kind not in ("linear", "rbf", "poly"):
+        if self.kind not in KERNEL_PARAMS:
             raise ValueError(f"unknown kernel kind {self.kind!r}")
         for name in ("gamma", "coef0", "scale"):
             value = getattr(self, name)

@@ -13,17 +13,20 @@ from __future__ import annotations
 import csv
 import dataclasses
 import hashlib
+import io
 import json
 import math
 import typing
 from dataclasses import dataclass
-from typing import Any, Dict, List, Optional, Tuple, Type, Union
+from typing import Any, Callable, Dict, List, Optional, Tuple, Type, Union
 
 import numpy as np
 from numpy.typing import NDArray
 
 from .canonical import Dataset
+from .errors import ExperimentError
 from .estimators import GctConfig, fit_gct, fit_min_norm_ls, fit_pcr, fit_ridge
+from .files import atomic_write
 from .metrics import _check_phi
 from .thresholding import SOFT_RULE
 from .tuning import kfold_cv, kfold_cv_pcr, kfold_cv_ridge
@@ -77,7 +80,36 @@ _PATTERN_OF_KIND: Dict[str, Type[Any]] = {
 }
 _KIND_OF_PATTERN = {cls: kind for kind, cls in _PATTERN_OF_KIND.items()}
 
-KNOWN_METHODS = ("NCT-CV", "GCT-CV", "PCR-CV", "OLS", "Ridge-CV", "Zero")
+
+def _gct_cv(dataset: Dataset, phi: float, cv_seed: int) -> GctConfig:
+    tau = kfold_cv(dataset, CV_FOLDS, phi, SOFT_RULE, cv_seed).tau_cv
+    return GctConfig(tau=tau, phi=phi)
+
+
+def _gct_beta(dataset: Dataset, config: GctConfig) -> FloatArray:
+    return fit_gct(dataset, config).beta
+
+
+# The methods a scenario may list: name -> (tune, fit).  tune(spec, dataset,
+# cv_seed) is the fit's parameter from the public tuner on CV_FOLDS folds,
+# None for a method without CV; fit(dataset[, parameter]) is beta.  The
+# tuners share the fold spectra and the fits share the decomposition through
+# the dataset's memo.
+_METHODS: Dict[str, Tuple[Optional[Callable[..., Any]], Callable[..., FloatArray]]] = {
+    "NCT-CV": (lambda spec, data, seed: _gct_cv(data, 0.0, seed), _gct_beta),
+    "GCT-CV": (lambda spec, data, seed: _gct_cv(data, spec.gct_phi, seed), _gct_beta),
+    "PCR-CV": (
+        lambda spec, data, seed: kfold_cv_pcr(data, CV_FOLDS, seed)[0],
+        lambda data, m: fit_pcr(data, m).beta,
+    ),
+    "OLS": (None, lambda data: fit_min_norm_ls(data).beta),
+    "Ridge-CV": (
+        lambda spec, data, seed: kfold_cv_ridge(data, CV_FOLDS, RIDGE_GRID, seed)[0],
+        lambda data, lam: fit_ridge(data, lam).beta,
+    ),
+    "Zero": (None, lambda data: np.zeros(data.d)),
+}
+KNOWN_METHODS = tuple(_METHODS)
 
 
 @dataclass(frozen=True)
@@ -112,9 +144,10 @@ class ScenarioSpec:
         if self.replicates < 1:
             raise ValueError("need at least one replicate")
         for method in self.methods:
-            if method not in KNOWN_METHODS:
+            if method not in _METHODS:
                 raise ValueError(f"unknown method {method!r}")
-            if method.endswith("-CV") and self.n < CV_FOLDS:
+            tune, _ = _METHODS[method]
+            if tune is not None and self.n < CV_FOLDS:
                 raise ValueError(
                     f"method {method} needs n >= {CV_FOLDS} (its CV folds), "
                     f"got n={self.n}"
@@ -183,29 +216,6 @@ def generate_scenario(spec: ScenarioSpec, d: int, replicate: int) -> ScenarioDra
     )
 
 
-def _fit_method(
-    method: str, spec: ScenarioSpec, dataset: Dataset, cv_seed: int
-) -> FloatArray:
-    """One method's estimate: the public tuner with the replicate's CV seed,
-    then the matching fit_*.  The tuners share the fold spectra and the fits
-    share the decomposition through the dataset's memo."""
-    if method == "Zero":
-        return np.zeros(dataset.d)
-    if method == "OLS":
-        return fit_min_norm_ls(dataset).beta
-    if method in ("NCT-CV", "GCT-CV"):
-        phi = 0.0 if method == "NCT-CV" else spec.gct_phi
-        tau = kfold_cv(dataset, CV_FOLDS, phi, SOFT_RULE, cv_seed).tau_cv
-        return fit_gct(dataset, GctConfig(tau=tau, phi=phi)).beta
-    if method == "PCR-CV":
-        m, _ = kfold_cv_pcr(dataset, CV_FOLDS, cv_seed)
-        return fit_pcr(dataset, m).beta
-    if method == "Ridge-CV":
-        lam, _ = kfold_cv_ridge(dataset, CV_FOLDS, RIDGE_GRID, cv_seed)
-        return fit_ridge(dataset, lam).beta
-    raise ValueError(f"unknown method {method!r}")
-
-
 @dataclass(frozen=True)
 class TableRow:
     method: str
@@ -245,10 +255,12 @@ def run_experiment(spec: ScenarioSpec) -> ExperimentTable:
                 _seed_sequence(spec, d, replicate, _ROLE_CV).generate_state(1)[0]
             )
             for method in spec.methods:
+                tune, fit = _METHODS[method]
                 try:
-                    beta_hat = _fit_method(method, spec, draw.dataset, cv_seed)
+                    tuned = () if tune is None else (tune(spec, draw.dataset, cv_seed),)
+                    beta_hat = fit(draw.dataset, *tuned)
                 except Exception as exc:
-                    raise RuntimeError(
+                    raise ExperimentError(
                         f"method {method} failed at d={d}, replicate={replicate}, "
                         f"cv_seed={cv_seed}"
                     ) from exc
@@ -305,11 +317,14 @@ def emit_table(table: ExperimentTable, path: str) -> None:
     """Write the long-format results CSV with deterministic row order.
 
     The csv module writes a float as its repr, so values read back exactly.
+    The file is written whole or not at all; an unwritable path is a
+    ``UsageError`` naming it.
     """
-    with open(path, "w", newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(CSV_COLUMNS)
-        writer.writerows(dataclasses.astuple(row) for row in table.rows)
+    text = io.StringIO()
+    writer = csv.writer(text)
+    writer.writerow(CSV_COLUMNS)
+    writer.writerows(dataclasses.astuple(row) for row in table.rows)
+    atomic_write(path, text.getvalue())
 
 
 def parse_table(path: str) -> ExperimentTable:

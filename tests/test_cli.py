@@ -11,11 +11,17 @@ from ctreg import (
     Dataset,
     GctConfig,
     KernelSpec,
+    emit_table,
     fit_gct,
     fit_kernel_gct,
+    fit_min_norm_ls,
+    fit_pcr,
+    fit_ridge,
     kfold_cv,
     predict,
     predict_kernel_batch,
+    run_experiment,
+    spec_from_dict,
 )
 from ctreg import cli
 from ctreg.cli import main, read_csv
@@ -769,3 +775,264 @@ class TestStrictJson:
             handle.write(text)
         assert main(["predict", "--model", model, "--input", new]) == 0
         assert capsys.readouterr().out == expected
+
+
+SCENARIO = {
+    "n": 15,
+    "d_grid": [4],
+    "eigen_decay_a": 2.0,
+    "coef_pattern": {"kind": "poly-decay", "b": 2.0},
+    "snr_target": 10.0,
+    "replicates": 2,
+    "base_seed": 7,
+    "methods": ["Zero", "OLS", "Ridge-CV"],
+}
+
+KERNEL_GRAMMAR = "linear | rbf:<gamma> | poly:<degree>,<coef0>,<scale>"
+METHOD_GRAMMAR = "ols | nct | gct | pcr:<m> | ridge:<lambda>"
+
+
+class TestValueGrammar:
+    """--kernel, --method, --tau, --tau-auto, --phi-grid and --folds: one
+    grammar, one error line for a malformed value."""
+
+    @pytest.mark.parametrize(
+        "command, flag, text, expected",
+        [
+            ("kernel-fit", "--kernel", text, KERNEL_GRAMMAR)
+            for text in ["wavelet", "linear:", "linear:1", "rbf", "rbf:", "rbf:x",
+                         "rbf:1,2", "poly", "poly:2,0", "poly:2,0,1,4", "poly:2.0,0,1",
+                         "poly:2.5,0,1", "poly:x,0,1", "Rbf:1", ":1"]
+        ]
+        + [
+            ("fit", "--method", text, METHOD_GRAMMAR)
+            for text in ["magic", "ols:", "nct:1", "pcr", "pcr:", "pcr:1.5", "pcr:x",
+                         "pcr:1,2", "ridge", "ridge:", "ridge:x", "ridge:1,2", ""]
+        ]
+        + [("fit", "--tau", text, "<tau>") for text in ["abc", "", "1,2", "1:2"]]
+        + [("kernel-fit", "--tau", text, "<tau>") for text in ["abc", "", "0,1"]]
+        + [
+            ("fit", "--tau-auto", text, "<sigma>,<delta>,<alpha>")
+            for text in ["1,2", "1,2,3,4", "1,x,2", "", "1,,2"]
+        ]
+        + [("cv", "--phi-grid", text, "<phi>[,<phi>...]") for text in ["", "0,x", "0,,1", "1,"]]
+        + [("cv", "--folds", text, "an integer >= 2") for text in ["1", "0", "-3"]],
+    )
+    def test_malformed_value_exit_two(self, data_csv, tmp_path, capsys, command, flag,
+                                      text, expected):
+        path, _, _ = data_csv
+        argv = [command, "--input", path, "--response", "y", f"{flag}={text}"]
+        if command != "cv":
+            argv += ["--output", str(tmp_path / "m.json")]
+        if command == "kernel-fit" and flag != "--kernel":
+            argv += ["--kernel", "linear"]
+        assert main(argv) == 2
+        assert capsys.readouterr().err == (
+            f"error: bad {flag} value {text!r}: expected {expected}\n"
+        )
+        assert not (tmp_path / "m.json").exists()
+
+    @pytest.mark.parametrize(
+        "text, reason",
+        [
+            ("rbf:-1", "rbf gamma must be nonnegative"),
+            ("rbf:inf", "kernel gamma must be finite, got inf"),
+            ("poly:0,0,1", "poly degree must be a positive integer, got 0"),
+            ("poly:2,nan,1", "kernel coef0 must be finite, got nan"),
+            ("poly:2,0,-1", "poly scale must be positive"),
+        ],
+    )
+    def test_kernel_spec_rejection_is_a_bad_value(self, data_csv, tmp_path, capsys, text,
+                                                  reason):
+        path, _, _ = data_csv
+        assert main(["kernel-fit", "--input", path, "--response", "y", "--kernel", text,
+                     "--output", str(tmp_path / "k.json")]) == 2
+        assert capsys.readouterr().err == (
+            f"error: bad --kernel value {text!r}: expected {KERNEL_GRAMMAR} ({reason})\n"
+        )
+
+    @pytest.mark.parametrize(
+        "text, block, spec",
+        [
+            ("linear", '{"kind": "linear"}', KernelSpec("linear")),
+            ("rbf:0.5", '{"kind": "rbf", "gamma": 0.5}', KernelSpec("rbf", gamma=0.5)),
+            (
+                "poly:2,0.5,1.5",
+                '{"kind": "poly", "degree": 2, "coef0": 0.5, "scale": 1.5}',
+                KernelSpec("poly", degree=2, coef0=0.5, scale=1.5),
+            ),
+        ],
+    )
+    def test_kernel_round_trip(self, data_csv, tmp_path, capsys, text, block, spec):
+        path, X, Y = data_csv
+        model = str(tmp_path / "k.json")
+        assert main(["kernel-fit", "--input", path, "--response", "y", "--kernel", text,
+                     "--tau", "0.05", "--output", model]) == 0
+        # the kernel block, field order and JSON types included
+        assert json.dumps(json.load(open(model))["kernel"]) == block
+        newdata = str(tmp_path / "new.csv")
+        np.savetxt(newdata, X[:5] + 0.25, delimiter=",")
+        assert main(["predict", "--model", model, "--input", newdata]) == 0
+        fitted = fit_kernel_gct(X, Y, spec, GctConfig(tau=0.05), center_response=True)
+        expected = predict_kernel_batch(fitted, np.loadtxt(newdata, delimiter=","))
+        printed = np.array(capsys.readouterr().out.split(), dtype=np.float64)
+        np.testing.assert_array_equal(printed, expected)
+
+    @pytest.mark.parametrize(
+        "text, fit",
+        [
+            ("ols", lambda ds: fit_min_norm_ls(ds)),
+            ("nct", lambda ds: fit_gct(ds, GctConfig(tau=0.05))),
+            ("gct", lambda ds: fit_gct(ds, GctConfig(tau=0.05, phi=1.0))),
+            ("pcr:2", lambda ds: fit_pcr(ds, 2)),
+            ("ridge:0.5", lambda ds: fit_ridge(ds, 0.5)),
+        ],
+    )
+    def test_method_round_trip(self, data_csv, tmp_path, capsys, text, fit):
+        path, X, Y = data_csv
+        model = str(tmp_path / "m.json")
+        assert main(["fit", "--input", path, "--response", "y", "--method", text,
+                     "--tau", "0.05", "--phi", "1", "--no-center", "--output", model]) == 0
+        assert json.load(open(model))["config"]["method"] == text
+        newdata = str(tmp_path / "new.csv")
+        np.savetxt(newdata, X[:5] + 0.25, delimiter=",")
+        assert main(["predict", "--model", model, "--input", newdata]) == 0
+        expected = predict(fit(Dataset(X, Y)), np.loadtxt(newdata, delimiter=","))
+        printed = np.array(capsys.readouterr().out.split(), dtype=np.float64)
+        np.testing.assert_array_equal(printed, expected)
+
+    def test_folds_checked_before_the_data_is_read(self, tmp_path, capsys):
+        missing = str(tmp_path / "missing.csv")
+        assert main(["cv", "--input", missing, "--response", "y", "--folds", "1"]) == 2
+        assert capsys.readouterr().err == (
+            "error: bad --folds value '1': expected an integer >= 2\n"
+        )
+
+
+def fit_argv(path, command, out):
+    """argv that writes out from the data at path, for each writing command."""
+    data = ["--input", path, "--response", "y"]
+    return {
+        "fit": ["fit", *data, "--output", out],
+        "cv": ["cv", *data, "--folds", "4", "--fit-out", out],
+        "kernel-fit": ["kernel-fit", *data, "--kernel", "rbf:0.5", "--output", out],
+    }[command]
+
+
+class TestOutputPaths:
+    @pytest.mark.parametrize("command", ["fit", "cv", "kernel-fit"])
+    def test_missing_directory_exit_two(self, data_csv, tmp_path, capsys, command):
+        path, _, _ = data_csv
+        out = str(tmp_path / "missing" / "m.json")
+        assert main(fit_argv(path, command, out)) == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"error: cannot write {out}: No such file or directory\n"
+        # cv checks --fit-out before it runs, so it prints no report
+        assert captured.out == ""
+
+    def test_predict_missing_directory_exit_two(self, data_csv, tmp_path, capsys):
+        path, X, _ = data_csv
+        model = str(tmp_path / "m.json")
+        assert main(fit_argv(path, "fit", model)) == 0
+        newdata = str(tmp_path / "new.csv")
+        np.savetxt(newdata, X, delimiter=",")
+        out = str(tmp_path / "missing" / "p.txt")
+        assert main(["predict", "--model", model, "--input", newdata, "--output", out]) == 2
+        assert capsys.readouterr().err == (
+            f"error: cannot write {out}: No such file or directory\n"
+        )
+
+    @pytest.mark.parametrize("command", ["fit", "cv"])
+    def test_output_that_is_a_directory_exit_two(self, data_csv, tmp_path, capsys,
+                                                 command):
+        path, _, _ = data_csv
+        out = tmp_path / "taken"
+        out.mkdir()
+        assert main(fit_argv(path, command, str(out))) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith(f"error: cannot write {out}: ")
+        assert captured.out == ""
+        assert sorted(entry.name for entry in tmp_path.iterdir()) == ["data.csv", "taken"]
+        assert list(out.iterdir()) == []
+
+    def test_written_files_get_the_mode_of_a_new_file(self, data_csv, tmp_path):
+        # the temporary file is not made by mkstemp, whose 0600 would stay
+        path, _, _ = data_csv
+        reference = tmp_path / "plain.txt"
+        reference.write_text("")
+        mode = reference.stat().st_mode & 0o777
+        spath = str(tmp_path / "s.json")
+        with open(spath, "w") as handle:
+            json.dump(SCENARIO, handle)
+        assert main(fit_argv(path, "fit", str(tmp_path / "m.json"))) == 0
+        assert main(["simulate", "--scenario", spath, "--output",
+                     str(tmp_path / "r.csv")]) == 0
+        for name in ("m.json", "r.csv"):
+            assert (tmp_path / name).stat().st_mode & 0o777 == mode, name
+
+    def test_simulate_checks_output_before_the_study(self, tmp_path, capsys, monkeypatch):
+        def study_must_not_run(spec):
+            raise AssertionError("run_experiment ran before the output check")
+
+        monkeypatch.setattr(cli, "run_experiment", study_must_not_run)
+        spath = str(tmp_path / "s.json")
+        with open(spath, "w") as handle:
+            json.dump(SCENARIO, handle)
+        out = str(tmp_path / "missing" / "r.csv")
+        assert main(["simulate", "--scenario", spath, "--output", out]) == 2
+        assert capsys.readouterr().err == (
+            f"error: cannot write {out}: No such file or directory\n"
+        )
+
+    def test_failed_write_leaves_the_old_file_and_no_partial_one(self, tmp_path,
+                                                                  monkeypatch):
+        from ctreg import files
+
+        target = tmp_path / "r.csv"
+        target.write_text("old\n")
+
+        def fail(src, dst):
+            raise OSError(28, "No space left on device")
+
+        monkeypatch.setattr(files.os, "replace", fail)
+        with pytest.raises(cli.UsageError, match=f"cannot write {target}: No space left"):
+            emit_table(run_experiment(spec_from_dict(SCENARIO)), str(target))
+        assert target.read_text() == "old\n"
+        assert [entry.name for entry in tmp_path.iterdir()] == ["r.csv"]
+
+
+class TestFailuresExitCleanly:
+    def test_simulate_method_failure_exit_one(self, tmp_path, capsys, monkeypatch):
+        from ctreg import simstudy
+
+        def fail(*args, **kwargs):
+            raise FloatingPointError("forced")
+
+        monkeypatch.setattr(simstudy, "kfold_cv_ridge", fail)
+        spath = str(tmp_path / "s.json")
+        with open(spath, "w") as handle:
+            json.dump(SCENARIO, handle)
+        out = tmp_path / "r.csv"
+        assert main(["simulate", "--scenario", spath, "--output", str(out)]) == 1
+        seed = int(np.random.SeedSequence([7, 4, 0, 3]).generate_state(1)[0])
+        assert capsys.readouterr().err == (
+            f"error: method Ridge-CV failed at d=4, replicate=0, cv_seed={seed}\n"
+        )
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["simulate", "predict"])
+    def test_non_utf8_json_exit_two(self, data_csv, tmp_path, capsys, command):
+        path, _, _ = data_csv
+        bad = str(tmp_path / "bad.json")
+        with open(bad, "wb") as handle:
+            handle.write(json.dumps(SCENARIO).encode("utf-16"))
+        if command == "simulate":
+            argv = ["simulate", "--scenario", bad, "--output", str(tmp_path / "r.csv")]
+            what = "scenario"
+        else:
+            argv = ["predict", "--model", bad, "--input", path]
+            what = "model"
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: cannot read {what} {bad}: 'utf-8' codec can't decode")
+        assert err.count("\n") == 1

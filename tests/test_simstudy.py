@@ -152,6 +152,7 @@ class TestRunExperiment:
 
     def test_failure_names_method_d_replicate_and_cv_seed(self, monkeypatch):
         from ctreg import simstudy
+        from ctreg.errors import ExperimentError
 
         def fail(*args, **kwargs):
             raise FloatingPointError("forced")
@@ -159,12 +160,44 @@ class TestRunExperiment:
         monkeypatch.setattr(simstudy, "kfold_cv_ridge", fail)
         spec = make_spec(d_grid=(5, 7), replicates=2, methods=("OLS", "Ridge-CV"))
         seed = int(np.random.SeedSequence([123, 5, 0, 3]).generate_state(1)[0])
-        with pytest.raises(RuntimeError) as info:
+        with pytest.raises(ExperimentError) as info:
             run_experiment(spec)
         assert str(info.value) == (
             f"method Ridge-CV failed at d=5, replicate=0, cv_seed={seed}"
         )
         assert isinstance(info.value.__cause__, FloatingPointError)
+
+    def test_known_methods_order(self):
+        # perfbench passes KNOWN_METHODS as its method list
+        from ctreg.simstudy import KNOWN_METHODS
+
+        assert KNOWN_METHODS == ("NCT-CV", "GCT-CV", "PCR-CV", "OLS", "Ridge-CV", "Zero")
+
+    @pytest.mark.parametrize("method", ["NCT-CV", "GCT-CV", "PCR-CV", "OLS", "Ridge-CV",
+                                        "Zero"])
+    def test_every_known_method_runs(self, method):
+        from ctreg.simstudy import CV_FOLDS
+
+        table = run_experiment(make_spec(n=12, d_grid=(4, 15), replicates=1,
+                                         methods=(method,)))
+        assert [(row.method, row.d) for row in table.rows] == [(method, 4), (method, 15)]
+        for row in table.rows:
+            assert math.isfinite(row.median_rel_mse) and math.isfinite(row.median_rel_pe)
+        # exactly the CV methods need n >= CV_FOLDS rows
+        if method.endswith("-CV"):
+            with pytest.raises(ValueError, match=f"method {method} needs n >= {CV_FOLDS}"):
+                make_spec(n=CV_FOLDS - 1, methods=(method,))
+        else:
+            make_spec(n=CV_FOLDS - 1, methods=(method,))
+
+    def test_failed_output_write_leaves_no_csv(self, tmp_path):
+        from ctreg.errors import UsageError
+
+        out = tmp_path / "missing" / "r.csv"
+        table = run_experiment(make_spec(methods=("Zero",)))
+        with pytest.raises(UsageError, match=f"cannot write {out}: No such file"):
+            emit_table(table, str(out))
+        assert not out.parent.exists()
 
     def test_rows_sorted(self):
         spec = make_spec(d_grid=(8, 5), methods=("Zero", "OLS"))

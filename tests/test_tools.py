@@ -41,3 +41,16 @@ def test_src_lines_counts():
     # code lines: import, class, the two lines of x, def, and the four
     # non-blank lines of the return statement
     assert load("src_lines").count(SOURCE) == (21, 9)
+
+
+def test_every_mutant_matches_its_file_once():
+    # a mutant whose old text is gone or ambiguous is reported stale, never
+    # killed; this keeps the list in step with the code without running it
+    mutants = load("mutants")
+    assert len({mutant.name for mutant in mutants.MUTANTS}) == len(mutants.MUTANTS)
+    for mutant in mutants.MUTANTS:
+        source = (mutants.ROOT / mutant.path).read_text()
+        assert source.count(mutant.old) == 1, mutant.name
+        assert mutant.new != mutant.old, mutant.name
+        for test in mutant.tests:
+            assert (mutants.ROOT / test.split("::")[0]).exists(), (mutant.name, test)

@@ -188,7 +188,7 @@ def load_dataset(path: str, response: str) -> Tuple[np.ndarray, np.ndarray]:
 
 _RULES = {"soft": SOFT_RULE, "hard": HARD_RULE}
 
-# The value grammar of --kernel, --method, --tau, --tau-auto and --phi-grid:
+# The value grammar of --kernel, --method, --tau, --tau-auto, --phi and --phi-grid:
 # comma-separated numbers, after "name:" where a flag names a table entry.
 # Fields are the (name, type) of each number.
 Fields = Tuple[Tuple[str, type], ...]
@@ -230,8 +230,23 @@ def _named(flag: str, text: str, table: Dict[str, Fields], make: Callable) -> An
         raise _bad_value(flag, text, expected, str(exc)) from exc
 
 
-def _tau(text: str) -> float:
-    return _numbers("--tau", text, (float,), "<tau>")[0]
+# the number flags: dest -> (flag, the types of its values, expected)
+_NUMBER_FLAGS: Dict[str, Tuple[str, Tuple[type, ...], str]] = {
+    "phi": ("--phi", (float,), "<phi>"),
+    "tau": ("--tau", (float,), "<tau>"),
+    "tau_auto": ("--tau-auto", (float,) * 3, "<sigma>,<delta>,<alpha>"),
+}
+
+
+def _parse_numbers(args: argparse.Namespace) -> None:
+    """Replace the text of each given number flag by its value (one number)
+    or values, before any command runs: a malformed value exits 2 whether
+    or not the command or method uses the flag."""
+    for dest, (flag, types, expected) in _NUMBER_FLAGS.items():
+        text = getattr(args, dest, None)
+        if text is not None:
+            values = _numbers(flag, text, types, expected)
+            setattr(args, dest, values if len(values) > 1 else values[0])
 
 
 Offsets = Optional[Tuple[np.ndarray, float]]
@@ -416,11 +431,9 @@ _MODEL_KINDS = {
 def _fit_gct(args: argparse.Namespace, dataset: Dataset, phi: float) -> FitResult:
     if args.tau is not None and args.tau_auto is not None:
         raise UsageError("--tau and --tau-auto are mutually exclusive")
-    tau = 0.0 if args.tau is None else _tau(args.tau)
+    tau = 0.0 if args.tau is None else args.tau
     if args.tau_auto is not None:
-        sigma, delta, alpha = _numbers(
-            "--tau-auto", args.tau_auto, (float,) * 3, "<sigma>,<delta>,<alpha>"
-        )
+        sigma, delta, alpha = args.tau_auto
         dec = canonicalize(dataset)
         tau = default_tau(
             sigma, dataset.n, dec.rank, delta, alpha, phi, float(dec.eigenvalues[0])
@@ -494,9 +507,8 @@ def cmd_predict(args: argparse.Namespace) -> int:
 
 def cmd_kernel_fit(args: argparse.Namespace) -> int:
     spec = _named("--kernel", args.kernel, KERNEL_PARAMS, KernelSpec)
-    tau = _tau(args.tau)
     X, Y = load_dataset(args.input, args.response)
-    config = GctConfig(tau=tau, phi=args.phi, rule=_RULES[args.rule])
+    config = GctConfig(tau=args.tau, phi=args.phi, rule=_RULES[args.rule])
     model = fit_kernel_gct(X, Y, spec, config, center_response=not args.no_center)
     atomic_write(args.output, _kernel_model_json(model))
     return EXIT_OK
@@ -561,7 +573,7 @@ def build_parser() -> argparse.ArgumentParser:
     data_flags.add_argument("--input", required=True)
     data_flags.add_argument("--response", required=True)
     fit_flags = argparse.ArgumentParser(add_help=False)
-    fit_flags.add_argument("--phi", type=float, default=0.0)
+    fit_flags.add_argument("--phi", default="0")
     fit_flags.add_argument("--rule", default="soft", choices=tuple(_RULES))
     fit_flags.add_argument("--no-center", action="store_true")
 
@@ -625,6 +637,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
     try:
+        _parse_numbers(args)
         return args.func(args)
     except (UsageError, CtregError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)

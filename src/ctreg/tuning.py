@@ -13,7 +13,12 @@ coefficients, eigenvalues, validation scores, validation responses) are
 kept.  A training block with no more rows than columns is an ``eigh`` of
 its block of the full Gram matrix X X^T, formed once per split, and its
 validation scores come from the cross block without touching the
-columns; a taller block is an ``eigh`` of its own X^T X.  Along each
+columns; a taller block is an ``eigh`` of its own X^T X.  The L
+decompositions run side by side on up to min(L, CPUs) threads, the caller
+and helpers (see ``_blas.fold_map``), with the OpenBLAS thread count pinned
+to 1 process-wide for that time, so BLAS calls in other threads run on one
+thread too; the fold spectra therefore do not depend on the BLAS thread
+count.  Along each
 fold's coordinates sorted by weighted magnitude, the validation residual
 u_k and the soft-rule slope v_k after k active coordinates are
 cumulative sums of score columns, so every segment's quadratic, every
@@ -36,6 +41,7 @@ from typing import List, Optional, Sequence, Tuple
 import numpy as np
 from numpy.typing import NDArray
 
+from ._blas import fold_map, pinned
 from .canonical import (
     RANK_REL_TOL,
     CanonicalDecomposition,
@@ -144,37 +150,48 @@ class _FoldSpectra:
     folds: Tuple[_Fold, ...]
 
 
-def _fold_spectra(dataset: Dataset, L: int, seed: int) -> _FoldSpectra:
+def _fold(
+    dataset: Dataset,
+    gram: Optional[FloatArray],
+    assignment: NDArray[np.int64],
+    fold_id: int,
+) -> _Fold:
+    """One fold's spectrum: an ``eigh`` of its block of the Gram matrix
+    when the training block has no more rows than columns, else of its own
+    X^T X."""
     X, Y = dataset.design, dataset.response
-    assignment = fold_assignment(dataset.n, L, seed)
-    gram: Optional[FloatArray] = None  # X X^T, formed once if a fold needs it
-    folds: List[_Fold] = []
-    for fold_id in range(L):
-        val = assignment == fold_id
-        train = ~val
-        n_t = int(np.count_nonzero(train))
-        if n_t <= dataset.d:
-            if gram is None:
-                gram = X @ X.T
-            root_n = math.sqrt(n_t)
-            eig, V, _ = _gram_spectrum(
-                gram[np.ix_(train, train)] / n_t, RANK_REL_TOL
-            )
-            theta = V.T @ Y[train] / root_n
-            scores = gram[np.ix_(val, train)] @ V / (root_n * eig)
-        else:
-            X_t = X[train]
-            eig, U, _ = _gram_spectrum(X_t.T @ X_t / n_t, RANK_REL_TOL)
-            s = np.sqrt(eig)
-            theta = U.T @ (X_t.T @ Y[train]) / (n_t * s)
-            scores = X[val] @ U / s
-        if eig.size == 0:
-            raise ZeroDesignError(
-                f"fold {fold_id}: zero design matrix in its training block"
-            )
-        folds.append(
-            _Fold(theta_ls=theta, eigenvalues=eig, scores=scores, y_val=Y[val])
+    val = assignment == fold_id
+    train = ~val
+    n_t = int(np.count_nonzero(train))
+    if n_t <= dataset.d:
+        root_n = math.sqrt(n_t)
+        eig, V, _ = _gram_spectrum(gram[np.ix_(train, train)] / n_t, RANK_REL_TOL)
+        theta = V.T @ Y[train] / root_n
+        scores = gram[np.ix_(val, train)] @ V / (root_n * eig)
+    else:
+        X_t = X[train]
+        eig, U, _ = _gram_spectrum(X_t.T @ X_t / n_t, RANK_REL_TOL)
+        s = np.sqrt(eig)
+        theta = U.T @ (X_t.T @ Y[train]) / (n_t * s)
+        scores = X[val] @ U / s
+    if eig.size == 0:
+        raise ZeroDesignError(
+            f"fold {fold_id}: zero design matrix in its training block"
         )
+    return _Fold(theta_ls=theta, eigenvalues=eig, scores=scores, y_val=Y[val])
+
+
+def _fold_spectra(dataset: Dataset, L: int, seed: int) -> _FoldSpectra:
+    """The spectra of the L training blocks of fold_assignment(n, L, seed),
+    decomposed side by side by ``fold_map``."""
+    X = dataset.design
+    assignment = fold_assignment(dataset.n, L, seed)
+    smallest = dataset.n - int(np.bincount(assignment).max())
+    # the Gram matrix is pinned too, so no bit depends on the BLAS thread count
+    with pinned():
+        # X X^T, formed once if the smallest training block needs it
+        gram = X @ X.T if smallest <= dataset.d else None
+        folds = fold_map(lambda fold_id: _fold(dataset, gram, assignment, fold_id), L)
     return _FoldSpectra(assignment=assignment, folds=tuple(folds))
 
 
@@ -385,6 +402,13 @@ def kfold_cv(
     decompositions.  A call with another split replaces the entry.
     ``fold_assignment`` is the caller's copy.  A negative or non-finite phi
     raises ``ValueError``, as in ``GctConfig``.
+
+    Threads: the L fold decompositions run on up to min(L, CPUs) threads,
+    the calling one and helpers that persist for the process.  While they
+    run, the OpenBLAS thread count is pinned to 1 process-wide, which also
+    holds BLAS calls made by other threads to one thread, and the count is
+    restored afterwards.  Every fold is computed on one BLAS thread, so the
+    fold spectra, and this result, do not depend on the BLAS thread count.
     """
     _check_path_rule(rule)
     return _path_cv(_memo_fold_spectra(dataset, L, seed), phi, rule)

@@ -1,6 +1,9 @@
 """Tests for the command-line front end (run in-process through main)."""
 
+import contextlib
+import io
 import json
+import re
 from unittest import mock
 
 import numpy as np
@@ -220,12 +223,12 @@ class TestParser:
     FLAGS = {
         "fit": (
             {"input": "d.csv", "response": "y", "output": "m.json"},
-            {"method": "nct", "tau": None, "tau_auto": None, "phi": 0.0,
+            {"method": "nct", "tau": None, "tau_auto": None, "phi": "0",
              "rule": "soft", "no_center": False},
         ),
         "cv": (
             {"input": "d.csv", "response": "y"},
-            {"folds": 10, "phi": 0.0, "phi_grid": None, "rule": "soft", "seed": 0,
+            {"folds": 10, "phi": "0", "phi_grid": None, "rule": "soft", "seed": 0,
              "no_center": False, "fit_out": None},
         ),
         "predict": (
@@ -234,7 +237,7 @@ class TestParser:
         ),
         "kernel-fit": (
             {"input": "d.csv", "response": "y", "kernel": "linear", "output": "k.json"},
-            {"tau": "0", "phi": 0.0, "rule": "soft", "no_center": False},
+            {"tau": "0", "phi": "0", "rule": "soft", "no_center": False},
         ),
         "simulate": (
             {"scenario": "s.json", "output": "r.csv"},
@@ -816,6 +819,8 @@ class TestValueGrammar:
             for text in ["1,2", "1,2,3,4", "1,x,2", "", "1,,2"]
         ]
         + [("cv", "--phi-grid", text, "<phi>[,<phi>...]") for text in ["", "0,x", "0,,1", "1,"]]
+        + [(command, "--phi", text, "<phi>") for command in ["fit", "cv", "kernel-fit"]
+           for text in ["abc", "", "0,1"]]
         + [("cv", "--folds", text, "an integer >= 2") for text in ["1", "0", "-3"]],
     )
     def test_malformed_value_exit_two(self, data_csv, tmp_path, capsys, command, flag,
@@ -831,6 +836,35 @@ class TestValueGrammar:
             f"error: bad {flag} value {text!r}: expected {expected}\n"
         )
         assert not (tmp_path / "m.json").exists()
+
+    @pytest.mark.parametrize("method", ["ols", "pcr:2", "ridge:0.1", "nct"])
+    @pytest.mark.parametrize(
+        "flag, text, expected",
+        [("--tau", "abc", "<tau>"), ("--tau-auto", "1,2", "<sigma>,<delta>,<alpha>"),
+         ("--phi", "abc", "<phi>")],
+    )
+    def test_malformed_value_of_an_unused_flag_exit_two(self, data_csv, tmp_path, capsys,
+                                                        method, flag, text, expected):
+        # every given number flag is parsed before the method is dispatched
+        path, _, _ = data_csv
+        out = tmp_path / "m.json"
+        assert main(["fit", "--input", path, "--response", "y", "--method", method,
+                     flag, text, "--output", str(out)]) == 2
+        assert capsys.readouterr().err == f"error: bad {flag} value {text!r}: expected {expected}\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "method, unused",
+        [(method, ["--tau", "0.5", "--tau-auto", "1,0.05,2", "--phi", "1"])
+         for method in ["ols", "pcr:2", "ridge:0.1"]]
+        + [("nct", ["--phi", "1"])],
+    )
+    def test_well_formed_unused_flags_are_accepted(self, data_csv, tmp_path, method, unused):
+        path, _, _ = data_csv
+        argv = ["fit", "--input", path, "--response", "y", "--method", method, "--output"]
+        assert main(argv + [str(tmp_path / "plain.json")]) == 0
+        assert main(argv + [str(tmp_path / "unused.json")] + unused) == 0
+        assert (tmp_path / "unused.json").read_text() == (tmp_path / "plain.json").read_text()
 
     @pytest.mark.parametrize(
         "text, reason",
@@ -1036,3 +1070,124 @@ class TestFailuresExitCleanly:
         err = capsys.readouterr().err
         assert err.startswith(f"error: cannot read {what} {bad}: 'utf-8' codec can't decode")
         assert err.count("\n") == 1
+
+
+@pytest.fixture(scope="module")
+def argv_files(tmp_path_factory):
+    """Small good and bad files for generated command lines: name -> path."""
+    root = tmp_path_factory.mktemp("argv")
+    rng = np.random.default_rng(40)
+    X = rng.standard_normal((12, 3))
+    write_csv(str(root / "good.csv"), X, X @ [1.0, -0.5, 0.2] + 0.1 * rng.standard_normal(12))
+    write_csv(str(root / "wide.csv"), rng.standard_normal((5, 8)), rng.standard_normal(5))
+    (root / "zero.csv").write_text("a,b,y\n0,0,1\n0,0,2\n0,0,3\n0,0,4\n")
+    (root / "text.csv").write_text("a,b,y\n1,x,2\n3,4,5\n")
+    (root / "utf16.csv").write_bytes("a,b,y\n1,2,3\n".encode("utf-16"))
+    (root / "beta.csv").write_text("1\n-0.5\n0.2\n")
+    scenario = {"n": 10, "d_grid": [3], "eigen_decay_a": 2.0,
+                "coef_pattern": {"kind": "poly-decay", "b": 2.0}, "snr_target": 10.0,
+                "replicates": 1, "base_seed": 1, "methods": ["Zero", "OLS"]}
+    (root / "scenario.json").write_text(json.dumps(scenario))
+    (root / "bad-scenario.json").write_text(json.dumps({**scenario, "n": -1}))
+    (root / "not.json").write_text("{not json")
+    (root / "empty.json").write_text("{}")
+    good = str(root / "good.csv")
+    assert main(["fit", "--input", good, "--response", "y",
+                 "--output", str(root / "linear.json")]) == 0
+    assert main(["kernel-fit", "--input", good, "--response", "y", "--kernel", "rbf:0.5",
+                 "--output", str(root / "kernel.json")]) == 0
+    paths = {path.name: str(path) for path in root.iterdir()}
+    paths["missing"] = str(root / "missing.csv")
+    paths["directory"] = str(root)
+    paths["no-dir"] = str(root / "no-dir" / "out")
+    paths["out"] = str(root / "out")
+    return paths
+
+
+# flag -> (good values, bad values, required); a file value names an argv_files entry
+NUMBERS = (["0", "0.5", "2"], ["-1", "nan", "inf", "1e400", "abc", "", "1,2"])
+INPUTS = (["good.csv", "wide.csv"], ["zero.csv", "text.csv", "utf16.csv", "missing",
+                                     "directory"])
+OUTPUTS = (["out"], ["no-dir", "directory"])
+DATA_FLAGS = {"--input": (*INPUTS, True),
+              "--response": (["y", "0"], ["a", "-1", "9", "zz"], True)}
+FIT_FLAGS = {"--phi": (*NUMBERS, False), "--rule": (["soft", "hard"], ["bogus"], False)}
+ARGV_FLAGS = {
+    "fit": {
+        **DATA_FLAGS,
+        **FIT_FLAGS,
+        "--method": (["ols", "nct", "gct", "pcr:1", "ridge:0.1"],
+                     ["pcr:0", "pcr:9", "ridge:-1", "magic", "pcr:x"], False),
+        "--tau": (*NUMBERS, False),
+        "--tau-auto": (["1,0.05,2"], ["nan,0.05,2", "1,0.05,-2", "1,2", "1,2,1"], False),
+        "--output": (*OUTPUTS, True),
+    },
+    "cv": {
+        **DATA_FLAGS,
+        **FIT_FLAGS,
+        "--folds": (["2", "3"], ["1", "0", "99", "x"], False),
+        "--phi-grid": (["0,1"], ["-1", "nan", "0,x", ""], False),
+        "--seed": (["0", "-1"], ["x"], False),
+        "--fit-out": (*OUTPUTS, False),
+    },
+    "kernel-fit": {
+        **DATA_FLAGS,
+        **FIT_FLAGS,
+        "--kernel": (["linear", "rbf:0.5", "poly:2,1,1"],
+                     ["rbf:-1", "rbf:nan", "poly:0,0,1", "x"], True),
+        "--tau": (*NUMBERS, False),
+        "--output": (*OUTPUTS, True),
+    },
+    "predict": {
+        "--model": (["linear.json", "kernel.json"],
+                    ["empty.json", "not.json", "good.csv", "missing"], True),
+        "--input": (*INPUTS, True),
+        "--output": (*OUTPUTS, False),
+    },
+    "simulate": {
+        "--scenario": (["scenario.json"],
+                       ["bad-scenario.json", "not.json", "utf16.csv", "missing"], True),
+        "--output": (*OUTPUTS, True),
+    },
+    "diagnose": {
+        **DATA_FLAGS,
+        "--beta": (["beta.csv"], ["good.csv", "text.csv", "missing"], False),
+        "--sigma": (*NUMBERS, False),
+        "--delta": (["0.05"], NUMBERS[0] + NUMBERS[1], False),
+        "--alpha": (["1", "2"], NUMBERS[0] + NUMBERS[1], False),
+    },
+}
+
+
+@st.composite
+def command_lines(draw):
+    """A subcommand whose flags come from small vocabularies: required flags
+    are usually given, optional ones half the time, and a value is bad one
+    time in five."""
+    command = draw(st.sampled_from(sorted(ARGV_FLAGS)))
+    argv = [command]
+    for flag, (good, bad, required) in ARGV_FLAGS[command].items():
+        if draw(st.integers(0, 19)) < (19 if required else 10):
+            argv += [flag, draw(st.sampled_from(bad if draw(st.integers(0, 4)) == 0 else good))]
+    if command in ("fit", "cv", "kernel-fit") and draw(st.booleans()):
+        argv.append("--no-center")
+    return argv
+
+
+class TestExitCodeContract:
+    """The README's exit codes over generated command lines of every
+    subcommand: 0, 1 or 2, never an exception, and a failure writes exactly
+    one error line (ours, or argparse's "ctreg <command>: error:")."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(command_lines())
+    def test_main_exits_0_1_or_2_with_one_error_line(self, argv_files, argv):
+        argv = [argv_files.get(arg, arg) for arg in argv]
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv)
+        assert code in (0, 1, 2)
+        if code != 0:
+            lines = [line for line in err.getvalue().splitlines() if "error:" in line]
+            assert len(lines) == 1, err.getvalue()
+            assert re.match(r"(ctreg [\w-]+: )?error: ", lines[0]), lines[0]

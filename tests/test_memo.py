@@ -25,6 +25,7 @@ from ctreg import (
     kfold_cv,
     kfold_cv_pcr,
     kfold_cv_ridge,
+    _blas,
 )
 
 RIDGE_GRID = np.logspace(-4, 1, 7)
@@ -144,9 +145,12 @@ class TestMemoizedTuners:
         np.testing.assert_array_equal(again.fold_assignment, expected)
         assert again.fold_assignment is not ds._memo["fold_spectra"][1].assignment
 
-    def test_threads_racing_on_one_dataset(self):
+    def test_threads_racing_on_one_dataset(self, monkeypatch, blas_threads):
         # more threads than cores and a short switch interval, so lookups and
-        # stores of different seeds interleave; every hit must match its key
+        # stores of different seeds interleave; every hit must match its key.
+        # Each fold map has a helper, even on one CPU, and the maps' pins of
+        # the OpenBLAS thread count overlap: the last one out restores it.
+        monkeypatch.setattr(_blas, "usable_cpus", lambda: 2)
         X, Y = arrays(5, 40, 6)
         ds = Dataset(X, Y)
         seeds = (0, 1, 2, 3)
@@ -173,6 +177,7 @@ class TestMemoizedTuners:
         assert not any(thread.is_alive() for thread in threads)
         assert len(seen) == 10 * len(seeds)
         assert all(result == expected[seed] for seed, result in seen)
+        assert blas_threads() == 2
 
 
 class TestDatasetMemo:

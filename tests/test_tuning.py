@@ -1,6 +1,13 @@
 """Tests for the exact solution-path K-fold cross-validation."""
 
 import math
+import os
+import signal
+import subprocess
+import sys
+import threading
+import time
+import warnings
 
 import numpy as np
 import pytest
@@ -29,6 +36,7 @@ from ctreg import (
     generate_scenario,
     run_experiment,
 )
+from ctreg import _blas, tuning
 from ctreg.estimators import fit_pcr, fit_ridge
 from ctreg.tuning import (
     TIE_RTOL,
@@ -554,3 +562,163 @@ class TestFoldSpectra:
             rtol=1e-8,
         )
         assert result.fold_eigenvalue_ratios[0] == 1.0
+
+
+CONTROL = _blas.thread_control()
+needs_openblas = pytest.mark.skipif(
+    CONTROL is None, reason="no OpenBLAS thread control: fold maps are plain loops"
+)
+
+
+def spectra_bits(spectra):
+    arrays = [spectra.assignment]
+    for fold in spectra.folds:
+        arrays += [fold.theta_ls, fold.eigenvalues, fold.scores, fold.y_val]
+    return [(a.dtype.str, a.shape, a.tobytes()) for a in arrays]
+
+
+def cpus(monkeypatch, count):
+    """Pretend the process may run on count CPUs: count - 1 helpers per map
+    (at most L - 1), so the helper path runs on a one-CPU machine too."""
+    monkeypatch.setattr(_blas, "usable_cpus", lambda: count)
+
+
+def meeting_folds(monkeypatch, first_delay=0.0):
+    """Make folds 0 and 1 wait for each other before they are decomposed, so
+    they run on two threads at once, and then hold fold 0 back for
+    first_delay seconds, so fold 1 finishes first.  Returns the list of
+    (fold id, thread name, OpenBLAS thread count) each fold records."""
+    barrier = threading.Barrier(2, timeout=10)
+    seen = []
+    decompose = tuning._fold
+
+    def fold(dataset, gram, assignment, fold_id):
+        seen.append((fold_id, threading.current_thread().name, CONTROL.get()))
+        if fold_id < 2:
+            barrier.wait()
+            if fold_id == 0:
+                time.sleep(first_delay)
+        return decompose(dataset, gram, assignment, fold_id)
+
+    monkeypatch.setattr(tuning, "_fold", fold)
+    return seen
+
+
+# Gram route (n_t <= d), tall route, and both (L = 2: n_t = 11 and 12);
+# 23 and 53 rows never split evenly into 2, 3 or 10 folds
+ROUTE_SHAPES = [(23, 40), (53, 7), (23, 11)]
+
+
+@needs_openblas
+class TestFoldMap:
+    @pytest.mark.parametrize("L", [2, 3, 10])
+    @pytest.mark.parametrize("n, d", ROUTE_SHAPES)
+    def test_helpers_give_the_serial_bits(self, monkeypatch, n, d, L):
+        ds = random_dataset(31, n, d)
+        cpus(monkeypatch, 1)
+        serial = spectra_bits(_fold_spectra(ds, L, 4))
+        cpus(monkeypatch, 4)
+        seen = meeting_folds(monkeypatch, first_delay=0.02)
+        assert spectra_bits(_fold_spectra(ds, L, 4)) == serial
+        assert sorted(fold_id for fold_id, _, _ in seen) == list(range(L))
+        assert "ctreg-helper" in {name for _, name, _ in seen}
+        assert {count for _, _, count in seen} == {1}
+
+    def test_results_come_in_index_order(self, monkeypatch):
+        # index 0 finishes last, so completion order is not index order
+        cpus(monkeypatch, 2)
+        barrier = threading.Barrier(2, timeout=10)
+
+        def square(index):
+            if index < 2:
+                barrier.wait()
+            if index == 0:
+                time.sleep(0.05)
+            return index * index
+
+        assert _blas.fold_map(square, 6) == [0, 1, 4, 9, 16, 25]
+
+    def test_zero_blocks_name_the_lowest_fold(self, monkeypatch):
+        # every training block is zero; fold 1 fails first, on the helper,
+        # and the error still names fold 0, as the serial loop's does
+        cpus(monkeypatch, 2)
+        seen = meeting_folds(monkeypatch, first_delay=0.05)
+        ds = Dataset(np.zeros((9, 4)), np.ones(9))
+        with pytest.raises(ZeroDesignError, match=r"^fold 0: zero design matrix"):
+            _fold_spectra(ds, 3, 0)
+        assert {fold_id for fold_id, _, _ in seen} == {0, 1}
+
+    @pytest.mark.parametrize("shape", [(40, 90), (90, 6)])
+    def test_thread_count_restored_after_return(self, monkeypatch, blas_threads, shape):
+        cpus(monkeypatch, 2)
+        seen = meeting_folds(monkeypatch)
+        kfold_cv(random_dataset(32, *shape), 5)
+        assert {count for _, _, count in seen} == {1}
+        assert blas_threads() == 2
+
+    def test_thread_count_restored_after_raise(self, monkeypatch, blas_threads):
+        cpus(monkeypatch, 2)
+        with pytest.raises(ZeroDesignError):
+            kfold_cv(Dataset(np.zeros((12, 3)), np.ones(12)), 4)
+        assert blas_threads() == 2
+
+    @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+    def test_forked_child_runs_cv_with_its_own_helper(self, monkeypatch):
+        # the parent's helper exists before the fork and does not run in the
+        # child, which must start its own rather than wait for it
+        cpus(monkeypatch, 2)
+        kfold_cv(random_dataset(33, 60, 8), 5)
+        seen = meeting_folds(monkeypatch)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", DeprecationWarning)  # fork with threads
+            pid = os.fork()
+        if pid == 0:
+            code = 1
+            try:
+                kfold_cv(random_dataset(34, 60, 8), 5)
+                code = 0 if "ctreg-helper" in {name for _, name, _ in seen} else 3
+            finally:
+                os._exit(code)
+        deadline = time.monotonic() + 60
+        while True:
+            done, status = os.waitpid(pid, os.WNOHANG)
+            if done:
+                break
+            if time.monotonic() > deadline:
+                os.kill(pid, signal.SIGKILL)
+                os.waitpid(pid, 0)
+                pytest.fail("the forked child did not finish kfold_cv in 60 s")
+            time.sleep(0.01)
+        assert os.waitstatus_to_exitcode(status) == 0
+
+    def test_spectra_do_not_depend_on_the_blas_thread_count(self):
+        # both routes; at 2 threads an unpinned Gram product and eigh change
+        # the last bits of these spectra
+        script = (
+            "import hashlib, numpy as np\n"
+            "from ctreg import Dataset\n"
+            "from ctreg.tuning import _fold_spectra\n"
+            "for n, d in [(130, 300), (220, 200), (400, 150)]:\n"
+            "    rng = np.random.default_rng(n + d)\n"
+            "    X = rng.standard_normal((n, d)) / np.arange(1, d + 1.0)\n"
+            "    ds = Dataset(X, X @ rng.standard_normal(d) + 0.1 * rng.standard_normal(n))\n"
+            "    h = hashlib.sha256()\n"
+            "    for fold in _fold_spectra(ds, 5, 1).folds:\n"
+            "        for a in (fold.theta_ls, fold.eigenvalues, fold.scores):\n"
+            "            h.update(a.tobytes())\n"
+            "    print(n, d, h.hexdigest())\n"
+        )
+        src = os.path.dirname(os.path.dirname(tuning.__file__))
+        outputs = [
+            subprocess.run(
+                [sys.executable, "-c", script],
+                env=dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS=threads),
+                capture_output=True,
+                text=True,
+                timeout=120,
+                check=True,
+            ).stdout
+            for threads in ("1", "2")
+        ]
+        assert outputs[0].count("\n") == 3
+        assert outputs[0] == outputs[1]

@@ -140,6 +140,30 @@ MUTANTS = (
         "    finally:\n",
         ("tests/test_cli.py",),
     ),
+    Mutant(
+        "the OpenBLAS thread count not restored after a fold map",
+        "src/ctreg/_blas.py",
+        "            if self.pins == 0:\n                control.set(self.saved)\n",
+        "",
+        (
+            "tests/test_tuning.py::TestFoldMap",
+            "tests/test_memo.py::TestMemoizedTuners::test_threads_racing_on_one_dataset",
+        ),
+    ),
+    Mutant(
+        "no pid check: a forked child uses its parent's helper pool",
+        "src/ctreg/_blas.py",
+        "pid = os.getpid()",
+        "pid = 0",
+        ("tests/test_tuning.py::TestFoldMap",),
+    ),
+    Mutant(
+        "fold map results in completion order",
+        "src/ctreg/_blas.py",
+        "return [self._results[index] for index in range(self._count)]",
+        "return list(self._results.values())",
+        ("tests/test_tuning.py::TestFoldMap",),
+    ),
 )
 
 

@@ -12,8 +12,8 @@ count, and the last to end restores the count the first one found.
 none of the results depends on the BLAS thread count.
 
 The OpenBLAS that numpy loaded is found through /proc/self/maps and called
-through ctypes.  Without it (another BLAS, or no /proc) a map is a plain
-loop and nothing is pinned.
+through ctypes.  Without it (another BLAS, or no /proc) the calling thread
+runs a map alone and nothing is pinned.
 """
 
 from __future__ import annotations
@@ -182,11 +182,10 @@ def fold_map(func: Callable[[int], T], count: int) -> List[T]:
     """[func(0), ..., func(count - 1)], computed by the calling thread and
     min(count, usable CPUs) - 1 helper threads, with OpenBLAS pinned to one
     thread.  An exception is raised as a loop would raise it: the one of the
-    lowest index that raised.  Without OpenBLAS this is that loop."""
-    if thread_control() is None:
-        return [func(index) for index in range(count)]
+    lowest index that raised.  Without OpenBLAS there are no helpers."""
     job = _Job(func, count)
     with pinned():
-        _pool().lend(job, min(count, usable_cpus()) - 1)
+        if thread_control() is not None:
+            _pool().lend(job, min(count, usable_cpus()) - 1)
         job.work()
         return job.results()

@@ -624,6 +624,23 @@ class TestFoldMap:
         assert "ctreg-helper" in {name for _, name, _ in seen}
         assert {count for _, _, count in seen} == {1}
 
+    def test_without_openblas_the_caller_runs_every_fold(self, monkeypatch):
+        ds = random_dataset(35, 23, 40)
+        cpus(monkeypatch, 1)
+        serial = spectra_bits(_fold_spectra(ds, 5, 2))
+        cpus(monkeypatch, 4)
+        monkeypatch.setattr(_blas, "thread_control", lambda: None)
+        names = []
+        decompose = tuning._fold
+
+        def fold(dataset, gram, assignment, fold_id):
+            names.append(threading.current_thread().name)
+            return decompose(dataset, gram, assignment, fold_id)
+
+        monkeypatch.setattr(tuning, "_fold", fold)
+        assert spectra_bits(_fold_spectra(ds, 5, 2)) == serial
+        assert names == [threading.current_thread().name] * 5
+
     def test_results_come_in_index_order(self, monkeypatch):
         # index 0 finishes last, so completion order is not index order
         cpus(monkeypatch, 2)

@@ -3,13 +3,15 @@ and helper threads, with OpenBLAS pinned to one thread while it runs.
 
 At the sizes of CV training blocks (a few hundred on a side) OpenBLAS's own
 threads speed up an ``eigh`` very little, so ``fold_map`` runs the blocks
-side by side instead, each on one OpenBLAS thread.  Unpinned, the BLAS
-threads of concurrent calls contend, and the map is slower than a loop.
-The pin is process-wide: while a map runs, BLAS calls made by any other
-thread of the process run on one thread too.  Overlapping pins share one
-count, and the last to end restores the count the first one found.
-``pinned`` holds the pin around a map and the BLAS work that feeds it, so
-none of the results depends on the BLAS thread count.
+side by side instead, each on one OpenBLAS thread.  Each map starts its own
+helpers and joins them before it returns or raises, so no thread outlives
+it.  Unpinned, the BLAS threads of concurrent calls contend, and the map is
+slower than a loop.  The pin is process-wide: while a map runs, BLAS calls
+made by any other thread of the process run on one thread too.  Overlapping
+pins share one count, and the last to end restores the count the first one
+found; a forked child starts unpinned.  ``pinned`` holds the pin around a
+map and the BLAS work that feeds it, so none of the results depends on the
+BLAS thread count.
 
 The OpenBLAS that numpy loaded is found through /proc/self/maps and called
 through ctypes.  Without it (another BLAS, or no /proc) the calling thread
@@ -22,7 +24,6 @@ import contextlib
 import ctypes
 import functools
 import os
-import queue
 import threading
 from typing import Callable, Dict, Iterator, List, NamedTuple, Optional, TypeVar
 
@@ -70,122 +71,85 @@ def usable_cpus() -> int:
     return len(os.sched_getaffinity(0))
 
 
-class _Job:
-    """One map: indices are handed out in order to whichever thread asks."""
-
-    def __init__(self, func: Callable[[int], object], count: int) -> None:
-        self._func = func
-        self._count = count
-        self._cond = threading.Condition()
-        self._next = 0  # the next index to hand out
-        self._running = 0  # indices handed out and not finished
-        self._results: Dict[int, object] = {}
-        self._errors: Dict[int, BaseException] = {}
-
-    def work(self) -> None:
-        """Run indices until none is left or one has raised."""
-        while True:
-            with self._cond:
-                if self._next == self._count or self._errors:
-                    return
-                index = self._next
-                self._next += 1
-                self._running += 1
-            try:
-                outcome, failed = self._func(index), False
-            except BaseException as exc:  # raised again on the calling thread
-                outcome, failed = exc, True
-            with self._cond:
-                (self._errors if failed else self._results)[index] = outcome
-                self._running -= 1
-                self._cond.notify_all()
-
-    def results(self) -> List[object]:
-        """The results in index order, once every index handed out has
-        finished.  If any raised, the exception of the lowest such index is
-        raised: indices are handed out in order, so every lower one has run,
-        and it is the exception a loop would have raised."""
-        with self._cond:
-            self._cond.wait_for(lambda: self._running == 0)
-        if self._errors:
-            raise self._errors[min(self._errors)]
-        return [self._results[index] for index in range(self._count)]
+_lock = threading.Lock()  # guards the pin state below
+_pins = 0  # maps running
+_saved = 0  # the thread count the first of them found
 
 
-def _serve(jobs: "queue.SimpleQueue[_Job]") -> None:
-    while True:
-        jobs.get().work()
+def _after_fork_in_child() -> None:
+    """A forked child runs only the thread that forked, so the pins of the
+    other threads never end in it, and the lock may have been copied held:
+    it starts unpinned, with a new lock and the count the pins found."""
+    global _lock, _pins
+    if _pins and (control := thread_control()) is not None:
+        control.set(_saved)
+    _lock, _pins = threading.Lock(), 0
 
 
-class _Pool:
-    """A process's helper threads and its OpenBLAS pin."""
-
-    def __init__(self) -> None:
-        self.lock = threading.Lock()
-        self.jobs: "queue.SimpleQueue[_Job]" = queue.SimpleQueue()
-        self.helpers = 0
-        self.pins = 0  # maps running
-        self.saved = 0  # the thread count the first of them found
-
-    def pin(self, control: ThreadControl) -> None:
-        with self.lock:
-            if self.pins == 0:
-                self.saved = control.get()
-                control.set(1)
-            self.pins += 1
-
-    def unpin(self, control: ThreadControl) -> None:
-        with self.lock:
-            self.pins -= 1
-            if self.pins == 0:
-                control.set(self.saved)
-
-    def lend(self, job: _Job, helpers: int) -> None:
-        """Offer job to that many helpers, starting those not yet running.
-        A helper busy with another map takes it later and finds it done."""
-        with self.lock:
-            while self.helpers < helpers:
-                threading.Thread(
-                    target=_serve, args=(self.jobs,), name="ctreg-helper", daemon=True
-                ).start()
-                self.helpers += 1
-        for _ in range(helpers):
-            self.jobs.put(job)
-
-
-_POOLS: Dict[int, _Pool] = {}
-
-
-def _pool() -> _Pool:
-    """This process's pool.  A forked child makes its own: its parent's
-    helpers do not run in it, and their locks may have been copied held."""
-    pid = os.getpid()
-    return _POOLS.get(pid) or _POOLS.setdefault(pid, _Pool())
+if hasattr(os, "register_at_fork"):  # not on Windows, which has no fork
+    os.register_at_fork(after_in_child=_after_fork_in_child)
 
 
 @contextlib.contextmanager
 def pinned() -> Iterator[None]:
     """OpenBLAS on one thread for the duration (nothing to do without it)."""
+    global _pins, _saved
     control = thread_control()
     if control is None:
         yield
         return
-    pool = _pool()
-    pool.pin(control)
+    with _lock:
+        if _pins == 0:
+            _saved = control.get()
+            control.set(1)
+        _pins += 1
     try:
         yield
     finally:
-        pool.unpin(control)
+        with _lock:
+            _pins -= 1
+            if _pins == 0:
+                control.set(_saved)
 
 
 def fold_map(func: Callable[[int], T], count: int) -> List[T]:
     """[func(0), ..., func(count - 1)], computed by the calling thread and
     min(count, usable CPUs) - 1 helper threads, with OpenBLAS pinned to one
-    thread.  An exception is raised as a loop would raise it: the one of the
-    lowest index that raised.  Without OpenBLAS there are no helpers."""
-    job = _Job(func, count)
+    thread.  The helpers are started for this map and joined before it
+    returns or raises; without OpenBLAS there are none.
+
+    Indices are taken in order from one counter, and none is taken once one
+    has raised.  So when an index raises, every lower one has run, and the
+    exception raised is the lowest such index's, the one a loop raises."""
+    lock = threading.Lock()
+    taken = 0  # indices handed out
+    results: Dict[int, T] = {}
+    errors: Dict[int, BaseException] = {}
+
+    def work() -> None:
+        nonlocal taken
+        while True:
+            with lock:
+                if taken == count or errors:
+                    return
+                index, taken = taken, taken + 1
+            try:
+                results[index] = func(index)
+            except BaseException as exc:  # raised again on the calling thread
+                errors[index] = exc
+
     with pinned():
-        if thread_control() is not None:
-            _pool().lend(job, min(count, usable_cpus()) - 1)
-        job.work()
-        return job.results()
+        helpers = [
+            threading.Thread(target=work, name="ctreg-helper")
+            for _ in range(min(count, usable_cpus()) - 1 if thread_control() else 0)
+        ]
+        for helper in helpers:
+            helper.start()
+        try:
+            work()
+        finally:
+            for helper in helpers:
+                helper.join()
+    if errors:
+        raise errors[min(errors)]
+    return [results[index] for index in range(count)]

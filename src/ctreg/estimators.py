@@ -112,10 +112,15 @@ def fit_pcr(dataset: Dataset, m: int) -> FitResult:
     return _fit(dec, theta_hat, PcrConfig(components=m))
 
 
-def fit_ridge(dataset: Dataset, lambda_reg: float) -> FitResult:
-    """Ridge regression restricted to the row space, in spectral form."""
+def _check_lambda(lambda_reg: float) -> None:
+    """Raise ValueError if the ridge penalty is negative or NaN."""
     if lambda_reg < 0 or math.isnan(lambda_reg):
         raise ValueError(f"lambda_reg must be nonnegative, got {lambda_reg!r}")
+
+
+def fit_ridge(dataset: Dataset, lambda_reg: float) -> FitResult:
+    """Ridge regression restricted to the row space, in spectral form."""
+    _check_lambda(lambda_reg)
     dec = canonicalize(dataset)
     shrink = dec.eigenvalues / (dec.eigenvalues + lambda_reg)
     theta_hat = shrink * canonical_ls(dec, dataset.response)

@@ -18,9 +18,14 @@ from numpy.typing import ArrayLike, NDArray
 FloatArray = NDArray[np.float64]
 
 
-def _validate(z: ArrayLike, tau: float) -> FloatArray:
+def _check_threshold(tau: float) -> None:
+    """Raise ValueError unless tau is a finite nonnegative real."""
     if not math.isfinite(tau) or tau < 0:
         raise ValueError(f"threshold must be a finite nonnegative real, got {tau!r}")
+
+
+def _validate(z: ArrayLike, tau: float) -> FloatArray:
+    _check_threshold(tau)
     z = np.asarray(z, dtype=np.float64)
     if not np.all(np.isfinite(z)):
         raise ValueError("non-finite input")

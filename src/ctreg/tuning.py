@@ -15,19 +15,19 @@ its block of the full Gram matrix X X^T, formed once per split, and its
 validation scores come from the cross block without touching the
 columns; a taller block is an ``eigh`` of its own X^T X.  The L
 decompositions run side by side on up to min(L, CPUs) threads, the caller
-and helpers (see ``_blas.fold_map``), with the OpenBLAS thread count pinned
-to 1 process-wide for that time, so BLAS calls in other threads run on one
+and helpers that are started for the map and joined before it returns (see
+``_blas.fold_map``), with the OpenBLAS thread count pinned to 1
+process-wide for that time, so BLAS calls in other threads run on one
 thread too; the fold spectra therefore do not depend on the BLAS thread
-count.  Along each
-fold's coordinates sorted by weighted magnitude, the validation residual
-u_k and the soft-rule slope v_k after k active coordinates are
-cumulative sums of score columns, so every segment's quadratic, every
-hard-rule candidate and every PCR prefix is a gather from per-fold
-prefix arrays.  A split is fixed by (L, seed): the folds are blocks of a
-seeded permutation of the rows.  The public tuners keep the spectra of
-the last split in the Dataset's memo, keyed on (L, seed), so tuning
-several rules or methods on one split decomposes its folds once.  A
-brute-force grid oracle and a single-tau evaluator with identical fold
+count.  Along each fold's coordinates sorted by weighted magnitude, the
+validation residual u_k and the soft-rule slope v_k after k active
+coordinates are cumulative sums of score columns, so every segment's
+quadratic, every hard-rule candidate and every PCR prefix is a gather
+from per-fold prefix arrays.  A split is fixed by (L, seed): the folds are
+blocks of a seeded permutation of the rows.  The public tuners keep the
+spectra of the last split in the Dataset's memo, keyed on (L, seed), so
+tuning several rules or methods on one split decomposes its folds once.
+A brute-force grid oracle and a single-tau evaluator with identical fold
 construction use neither that engine nor the memo and are kept for
 testing.
 """
@@ -49,9 +49,9 @@ from .canonical import (
     _gram_spectrum,
 )
 from .errors import ZeroDesignError
-from .estimators import _shrink
+from .estimators import _check_lambda, _shrink
 from .metrics import _check_phi
-from .thresholding import RuleKind, SOFT_RULE, ThresholdRule
+from .thresholding import RuleKind, SOFT_RULE, ThresholdRule, _check_threshold
 
 FloatArray = NDArray[np.float64]
 
@@ -404,11 +404,12 @@ def kfold_cv(
     raises ``ValueError``, as in ``GctConfig``.
 
     Threads: the L fold decompositions run on up to min(L, CPUs) threads,
-    the calling one and helpers that persist for the process.  While they
-    run, the OpenBLAS thread count is pinned to 1 process-wide, which also
-    holds BLAS calls made by other threads to one thread, and the count is
-    restored afterwards.  Every fold is computed on one BLAS thread, so the
-    fold spectra, and this result, do not depend on the BLAS thread count.
+    the calling one and helpers that are started for the decomposition and
+    joined before it returns or raises.  While they run, the OpenBLAS thread
+    count is pinned to 1 process-wide, which also holds BLAS calls made by
+    other threads to one thread, and the count is restored afterwards.  Every
+    fold is computed on one BLAS thread, so the fold spectra, and this
+    result, do not depend on the BLAS thread count.
     """
     _check_path_rule(rule)
     return _path_cv(_memo_fold_spectra(dataset, L, seed), phi, rule)
@@ -441,12 +442,17 @@ def grid_cv_oracle(
     grid: FloatArray,
     seed: int,
 ) -> Tuple[float, float]:
-    """Brute-force CV over an explicit tau grid with identical folds."""
+    """Brute-force CV over an explicit tau grid with identical folds.
+
+    A negative or NaN tau raises ``ValueError``, as in ``cv_error_at``; an
+    infinite one thresholds every coordinate."""
     _check_phi(phi)
     _check_path_rule(rule)
     grid = np.asarray(grid, dtype=np.float64)
     if grid.size == 0:
         raise ValueError("empty grid")
+    for tau in grid[grid != math.inf].tolist():
+        _check_threshold(tau)
     folds = _fold_spectra(dataset, L, seed).folds
     taus = np.sort(grid)
     errors = sum(_fold_errors_on_grid(fold, rule, taus, phi) for fold in folds) / len(
@@ -506,7 +512,7 @@ def kfold_cv_pcr(dataset: Dataset, L: int, seed: int = 0) -> Tuple[int, float]:
 
 
 def _ridge_cv(spectra: _FoldSpectra, lambda_grid: FloatArray) -> Tuple[float, float]:
-    lambdas = np.sort(np.asarray(lambda_grid, dtype=np.float64))
+    lambdas = np.sort(lambda_grid)
     errors = np.zeros_like(lambdas)
     for fold in spectra.folds:
         theta_hat = fold.theta_ls[:, None] / (
@@ -526,8 +532,12 @@ def kfold_cv_ridge(
 ) -> Tuple[float, float]:
     """Select the ridge penalty by K-fold CV over an explicit grid.
 
-    Ties go to the larger penalty.
+    Ties go to the larger penalty.  A negative or NaN penalty raises
+    ``ValueError``, as in ``fit_ridge``.
     """
-    if np.asarray(lambda_grid).size == 0:
+    lambdas = np.asarray(lambda_grid, dtype=np.float64)
+    if lambdas.size == 0:
         raise ValueError("empty lambda grid")
-    return _ridge_cv(_memo_fold_spectra(dataset, L, seed), lambda_grid)
+    for lambda_reg in lambdas.ravel().tolist():
+        _check_lambda(lambda_reg)
+    return _ridge_cv(_memo_fold_spectra(dataset, L, seed), lambdas)

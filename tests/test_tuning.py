@@ -48,6 +48,10 @@ from ctreg.tuning import (
 )
 
 
+def no_folds(*args):
+    raise AssertionError("no fold may be decomposed")
+
+
 def random_dataset(seed, n, d, noise=1.0):
     rng = np.random.default_rng(seed)
     X = rng.standard_normal((n, d))
@@ -252,6 +256,24 @@ class TestGridOracle:
         with pytest.raises(ValueError):
             grid_cv_oracle(ds, 2, 0.0, SOFT_RULE, np.array([]), seed=0)
 
+    @pytest.mark.parametrize("tau", [-1.0, -math.inf, math.nan])
+    def test_bad_tau_rejected_before_any_fold(self, monkeypatch, tau):
+        # the error cv_error_at raises, before a fold is decomposed
+        ds = random_dataset(10, 10, 3)
+        with pytest.raises(ValueError, match="finite nonnegative real") as direct:
+            cv_error_at(ds, 2, 0.0, SOFT_RULE, 0, tau)
+        monkeypatch.setattr(tuning, "_fold_spectra", no_folds)
+        for rule in (SOFT_RULE, HARD_RULE):
+            with pytest.raises(ValueError) as oracle:
+                grid_cv_oracle(ds, 2, 0.0, rule, np.array([0.0, tau, 1.0]), seed=0)
+            assert str(oracle.value) == str(direct.value)
+
+    def test_infinite_tau_is_the_zero_estimator(self):
+        ds = random_dataset(10, 10, 3)
+        tau, err = grid_cv_oracle(ds, 2, 0.0, SOFT_RULE, np.array([math.inf]), 0)
+        assert tau == math.inf
+        assert err == pytest.approx(cv_error_at(ds, 2, 0.0, SOFT_RULE, 0, math.inf))
+
 
 class TestJointCv:
     def test_matches_two_separate_calls(self):
@@ -329,6 +351,18 @@ class TestBaselineCv:
                 best = (float(lam), total)
         assert lam_star == pytest.approx(best[0])
         assert err_star == pytest.approx(best[1], abs=1e-10)
+
+    @pytest.mark.parametrize("lam", [-1.0, -math.inf, math.nan])
+    def test_ridge_bad_lambda_rejected_before_any_fold(self, monkeypatch, lam):
+        # fit_ridge's error, before a fold is decomposed
+        ds = random_dataset(14, 18, 9)
+        with pytest.raises(ValueError, match="lambda_reg must be nonnegative") as fit:
+            fit_ridge(ds, lam)
+        monkeypatch.setattr(tuning, "_fold_spectra", no_folds)
+        with pytest.raises(ValueError) as cv:
+            kfold_cv_ridge(ds, 3, np.array([lam, 1.0]), seed=4)
+        assert str(cv.value) == str(fit.value)
+        assert "fold_spectra" not in ds._memo
 
 
 @st.composite
@@ -604,6 +638,38 @@ def meeting_folds(monkeypatch, first_delay=0.0):
     return seen
 
 
+def helper_threads():
+    return [thread for thread in threading.enumerate() if thread.name == "ctreg-helper"]
+
+
+needs_fork = pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+
+
+def forked(child, seconds=60):
+    """Run child() in a forked process and return its exit code: what child
+    returns, or 1 if it raises.  Fails the test if the child has not ended
+    after that many seconds."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", DeprecationWarning)  # fork with threads
+        pid = os.fork()
+    if pid == 0:
+        code = 1
+        try:
+            code = child()
+        finally:
+            os._exit(code)
+    deadline = time.monotonic() + seconds
+    while True:
+        done, status = os.waitpid(pid, os.WNOHANG)
+        if done:
+            return os.waitstatus_to_exitcode(status)
+        if time.monotonic() > deadline:
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+            pytest.fail(f"the forked child did not finish in {seconds} s")
+        time.sleep(0.01)
+
+
 # Gram route (n_t <= d), tall route, and both (L = 2: n_t = 11 and 12);
 # 23 and 53 rows never split evenly into 2, 3 or 10 folds
 ROUTE_SHAPES = [(23, 40), (53, 7), (23, 11)]
@@ -679,34 +745,57 @@ class TestFoldMap:
             kfold_cv(Dataset(np.zeros((12, 3)), np.ones(12)), 4)
         assert blas_threads() == 2
 
-    @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+    def test_no_helper_outlives_its_map(self, monkeypatch):
+        cpus(monkeypatch, 4)
+        seen = meeting_folds(monkeypatch)
+        kfold_cv(random_dataset(37, 40, 9), 5)
+        assert "ctreg-helper" in {name for _, name, _ in seen}
+        assert helper_threads() == []
+        with pytest.raises(ZeroDesignError):
+            kfold_cv(Dataset(np.zeros((12, 3)), np.ones(12)), 4)
+        assert helper_threads() == []
+
+    @needs_fork
     def test_forked_child_runs_cv_with_its_own_helper(self, monkeypatch):
-        # the parent's helper exists before the fork and does not run in the
-        # child, which must start its own rather than wait for it
+        # the child starts the helper of its own map
         cpus(monkeypatch, 2)
         kfold_cv(random_dataset(33, 60, 8), 5)
         seen = meeting_folds(monkeypatch)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", DeprecationWarning)  # fork with threads
-            pid = os.fork()
-        if pid == 0:
-            code = 1
-            try:
-                kfold_cv(random_dataset(34, 60, 8), 5)
-                code = 0 if "ctreg-helper" in {name for _, name, _ in seen} else 3
-            finally:
-                os._exit(code)
-        deadline = time.monotonic() + 60
-        while True:
-            done, status = os.waitpid(pid, os.WNOHANG)
-            if done:
-                break
-            if time.monotonic() > deadline:
-                os.kill(pid, signal.SIGKILL)
-                os.waitpid(pid, 0)
-                pytest.fail("the forked child did not finish kfold_cv in 60 s")
-            time.sleep(0.01)
-        assert os.waitstatus_to_exitcode(status) == 0
+
+        def child():
+            kfold_cv(random_dataset(34, 60, 8), 5)
+            return 0 if "ctreg-helper" in {name for _, name, _ in seen} else 3
+
+        assert forked(child) == 0
+
+    @needs_fork
+    def test_child_forked_during_a_pin_runs_cv(self, monkeypatch, blas_threads):
+        # at the fork another thread is inside a pin and holds the pin lock;
+        # neither ends in the child, which must not wait for the lock and
+        # must start from the count that pin found
+        cpus(monkeypatch, 2)
+        holding, release = threading.Event(), threading.Event()
+
+        def hold():
+            with _blas.pinned(), _blas._lock:
+                holding.set()
+                release.wait(timeout=120)
+
+        holder = threading.Thread(target=hold)
+        holder.start()
+        try:
+            assert holding.wait(timeout=10)
+
+            def child():
+                kfold_cv(random_dataset(36, 60, 8), 5)
+                return 0 if blas_threads() == 2 else 3
+
+            assert forked(child) == 0
+        finally:
+            release.set()
+            holder.join(timeout=10)
+        assert not holder.is_alive()
+        assert blas_threads() == 2
 
     def test_spectra_do_not_depend_on_the_blas_thread_count(self):
         # both routes; at 2 threads an unpinned Gram product and eigh change

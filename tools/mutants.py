@@ -143,7 +143,7 @@ MUTANTS = (
     Mutant(
         "the OpenBLAS thread count not restored after a fold map",
         "src/ctreg/_blas.py",
-        "            if self.pins == 0:\n                control.set(self.saved)\n",
+        "            if _pins == 0:\n                control.set(_saved)\n",
         "",
         (
             "tests/test_tuning.py::TestFoldMap",
@@ -151,16 +151,16 @@ MUTANTS = (
         ),
     ),
     Mutant(
-        "no pid check: a forked child uses its parent's helper pool",
+        "at-fork reset dropped: a forked child keeps its parent's pin state",
         "src/ctreg/_blas.py",
-        "pid = os.getpid()",
-        "pid = 0",
+        "os.register_at_fork(after_in_child=_after_fork_in_child)\n",
+        "pass\n",
         ("tests/test_tuning.py::TestFoldMap",),
     ),
     Mutant(
         "fold map results in completion order",
         "src/ctreg/_blas.py",
-        "return [self._results[index] for index in range(self._count)]",
+        "return [results[index] for index in range(count)]",
         "return list(self._results.values())",
         ("tests/test_tuning.py::TestFoldMap",),
     ),

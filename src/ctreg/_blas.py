@@ -25,7 +25,7 @@ import ctypes
 import functools
 import os
 import threading
-from typing import Callable, Dict, Iterator, List, NamedTuple, Optional, TypeVar
+from typing import Any, Callable, Dict, Iterator, List, NamedTuple, Optional, TypeVar
 
 T = TypeVar("T")
 
@@ -91,12 +91,13 @@ if hasattr(os, "register_at_fork"):  # not on Windows, which has no fork
 
 
 @contextlib.contextmanager
-def pinned() -> Iterator[None]:
-    """OpenBLAS on one thread for the duration (nothing to do without it)."""
+def pinned() -> Iterator[Optional[ThreadControl]]:
+    """OpenBLAS on one thread for the duration (nothing to do without it);
+    yields ``thread_control()``."""
     global _pins, _saved
     control = thread_control()
     if control is None:
-        yield
+        yield None
         return
     with _lock:
         if _pins == 0:
@@ -104,7 +105,7 @@ def pinned() -> Iterator[None]:
             control.set(1)
         _pins += 1
     try:
-        yield
+        yield control
     finally:
         with _lock:
             _pins -= 1
@@ -123,7 +124,7 @@ def fold_map(func: Callable[[int], T], count: int) -> List[T]:
     exception raised is the lowest such index's, the one a loop raises."""
     lock = threading.Lock()
     taken = 0  # indices handed out
-    results: Dict[int, T] = {}
+    results: List[Any] = [None] * count
     errors: Dict[int, BaseException] = {}
 
     def work() -> None:
@@ -138,18 +139,18 @@ def fold_map(func: Callable[[int], T], count: int) -> List[T]:
             except BaseException as exc:  # raised again on the calling thread
                 errors[index] = exc
 
-    with pinned():
-        helpers = [
-            threading.Thread(target=work, name="ctreg-helper")
-            for _ in range(min(count, usable_cpus()) - 1 if thread_control() else 0)
-        ]
-        for helper in helpers:
-            helper.start()
+    with pinned() as control:
+        helpers = min(count, usable_cpus()) - 1 if control else 0
+        started: List[threading.Thread] = []
         try:
+            for _ in range(helpers):
+                helper = threading.Thread(target=work, name="ctreg-helper")
+                helper.start()
+                started.append(helper)
             work()
         finally:
-            for helper in helpers:
+            for helper in started:
                 helper.join()
     if errors:
         raise errors[min(errors)]
-    return [results[index] for index in range(count)]
+    return results

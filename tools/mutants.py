@@ -160,8 +160,8 @@ MUTANTS = (
     Mutant(
         "fold map results in completion order",
         "src/ctreg/_blas.py",
-        "return [results[index] for index in range(count)]",
-        "return list(self._results.values())",
+        "                results[index] = func(index)\n",
+        "                results[results.index(None)] = func(index)\n",
         ("tests/test_tuning.py::TestFoldMap",),
     ),
 )

@@ -20,6 +20,7 @@ from typing import Dict, Tuple
 import numpy as np
 from numpy.typing import NDArray
 
+from ._blas import pinned
 from .errors import ZeroDesignError
 
 FloatArray = NDArray[np.float64]
@@ -172,18 +173,30 @@ def canonicalize(dataset: Dataset) -> CanonicalDecomposition:
 
     The decomposition is computed once per Dataset and kept in its memo:
     later calls return the same object, whose arrays are read-only.
+
+    Threads: the Gram product, its ``eigh`` and the product that recovers
+    the other vectors run with OpenBLAS pinned to one thread (see
+    ``_blas.pinned``), as the CV fold spectra do, so the decomposition,
+    and every fit built on it, does not depend on the BLAS thread count,
+    and no OpenBLAS worker is left spinning into the next CV fold map.  A
+    memo hit takes no pin.  Alone, the pinned decomposition is slower, a
+    cost paid once per Dataset: medians on 2 cores (numpy 2.4 with its
+    OpenBLAS) went 19-20 -> 33 ms at 200 x 4000, 46-52 -> 77-84 ms at
+    2000 x 500 and 6-8 -> 9 ms at 1000 x 200.  In a loop that alternates
+    fits and CV, as ``run_experiment`` does, the pin is a net gain.
     """
     cached = dataset._memo.get("decomposition")
     if cached is not None:
         return cached
     X = dataset.design
     n, d = X.shape
-    if n <= d:
-        eigenvalues, V, _ = _gram_spectrum(X @ X.T / n, RANK_REL_TOL)
-        U = X.T @ V / np.sqrt(n * eigenvalues)
-    else:
-        eigenvalues, U, _ = _gram_spectrum(X.T @ X / n, RANK_REL_TOL)
-        V = X @ U / np.sqrt(n * eigenvalues)
+    with pinned():
+        if n <= d:
+            eigenvalues, V, _ = _gram_spectrum(X @ X.T / n, RANK_REL_TOL)
+            U = X.T @ V / np.sqrt(n * eigenvalues)
+        else:
+            eigenvalues, U, _ = _gram_spectrum(X.T @ X / n, RANK_REL_TOL)
+            V = X @ U / np.sqrt(n * eigenvalues)
     if eigenvalues.size == 0:
         raise ZeroDesignError("zero design matrix")
     signs = _pivot_signs(U)

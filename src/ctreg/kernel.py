@@ -116,6 +116,11 @@ def kernel_canonicalize(K: FloatArray) -> Tuple[FloatArray, FloatArray]:
     is made: while ``eigh`` runs, the live memory is K plus 4 n^2 floats
     (numpy's copy of K, the LAPACK workspace of about 2 n^2 and the output
     vectors), and the signs are applied in place to the sorted vectors.
+
+    This is the one decomposition in ctreg left on OpenBLAS's own threads,
+    so its last bits depend on the BLAS thread count: at 2000 x 2000 they
+    pay off (the decomposition takes 0.9-1.0 s on 2 threads, against
+    1.4-1.6 s pinned to one), and no CV fold map follows a kernel fit.
     """
     K = np.asarray(K, dtype=np.float64)
     n = K.shape[0]

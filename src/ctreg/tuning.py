@@ -35,6 +35,7 @@ testing.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
@@ -111,12 +112,29 @@ def breakpoints(
     return _breakpoints(_magnitudes(dec.eigenvalues, theta_ls, phi))
 
 
+def _check_split(L: int, seed: int) -> Tuple[int, int]:
+    """(L, seed) as Python ints: each must be an integer (numpy's too), and
+    the seed nonnegative; ``ValueError`` names the one that is not."""
+    values = []
+    for name, value in (("L", L), ("seed", seed)):
+        try:
+            values.append(operator.index(value))
+        except TypeError:
+            raise ValueError(f"{name} must be an integer, got {value!r}") from None
+    if values[1] < 0:
+        raise ValueError(f"seed must be nonnegative, got {seed!r}")
+    return values[0], values[1]
+
+
 def fold_assignment(n: int, L: int, seed: int) -> NDArray[np.int64]:
     """Partition [n] into L blocks with sizes in {floor(n/L), floor(n/L)+1}.
 
     The blocks are consecutive runs of a permutation of [n] drawn from
-    ``np.random.default_rng(seed)``, so (n, L, seed) fixes the split.
+    ``np.random.default_rng(seed)``, so (n, L, seed) fixes the split.  L and
+    the seed are integers (numpy integers too) and the seed is nonnegative;
+    anything else raises ``ValueError`` naming it.
     """
+    L, seed = _check_split(L, seed)
     if L < 2:
         raise ValueError("need at least 2 folds")
     if L > n:
@@ -203,7 +221,7 @@ def _memo_fold_spectra(dataset: Dataset, L: int, seed: int) -> _FoldSpectra:
     Only the public tuners use the memo; ``cv_error_at`` and
     ``grid_cv_oracle`` build fresh spectra, so the oracles stay independent.
     """
-    key = (L, seed)
+    key = _check_split(L, seed)
     entry = dataset._memo.get("fold_spectra")
     if entry is not None and entry[0] == key:
         return entry[1]
@@ -449,6 +467,8 @@ def grid_cv_oracle(
     _check_phi(phi)
     _check_path_rule(rule)
     grid = np.asarray(grid, dtype=np.float64)
+    if grid.ndim != 1:
+        raise ValueError(f"grid must be 1-D, got shape {grid.shape}")
     if grid.size == 0:
         raise ValueError("empty grid")
     for tau in grid[grid != math.inf].tolist():
@@ -484,10 +504,11 @@ def joint_cv(
     _check_path_rule(rule)
     spectra = _memo_fold_spectra(dataset, L, seed)
     best: Optional[Tuple[float, float, CvResult]] = None
-    for phi in phi_grid:
-        result = _path_cv(spectra, float(phi), rule)
+    # ascending with < so exact ties resolve toward the smallest phi
+    for phi in sorted(float(phi) for phi in phi_grid):
+        result = _path_cv(spectra, phi, rule)
         if best is None or result.cv_error_at_tau < best[2].cv_error_at_tau:
-            best = (float(phi), result.tau_cv, result)
+            best = (phi, result.tau_cv, result)
     assert best is not None
     return best
 
@@ -536,8 +557,10 @@ def kfold_cv_ridge(
     ``ValueError``, as in ``fit_ridge``.
     """
     lambdas = np.asarray(lambda_grid, dtype=np.float64)
+    if lambdas.ndim != 1:
+        raise ValueError(f"lambda_grid must be 1-D, got shape {lambdas.shape}")
     if lambdas.size == 0:
         raise ValueError("empty lambda grid")
-    for lambda_reg in lambdas.ravel().tolist():
+    for lambda_reg in lambdas.tolist():
         _check_lambda(lambda_reg)
     return _ridge_cv(_memo_fold_spectra(dataset, L, seed), lambdas)

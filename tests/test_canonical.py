@@ -1,5 +1,9 @@
 """Tests for the canonical-form decomposition and coordinate maps."""
 
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
@@ -11,6 +15,7 @@ from ctreg import (
     to_beta,
     to_theta,
 )
+from ctreg import _blas, canonical
 
 
 def random_dataset(seed, n, d, noise=1.0):
@@ -285,3 +290,85 @@ class TestInvariances:
         np.testing.assert_allclose(
             to_beta(dec, theta), to_beta(flipped, theta_f), atol=1e-10
         )
+
+
+needs_openblas = pytest.mark.skipif(
+    _blas.thread_control() is None,
+    reason="no OpenBLAS thread control: nothing is pinned",
+)
+
+
+@needs_openblas
+class TestPinnedDecomposition:
+    @pytest.mark.parametrize("n, d", [(12, 30), (30, 12)])
+    def test_one_blas_thread_inside_and_the_count_restored(
+        self, monkeypatch, blas_threads, n, d
+    ):
+        seen = []
+        core = canonical._gram_spectrum
+
+        def spy(gram, rank_rel_tol):
+            seen.append(blas_threads())
+            return core(gram, rank_rel_tol)
+
+        monkeypatch.setattr(canonical, "_gram_spectrum", spy)
+        ds, _ = random_dataset(40, n, d)
+        canonicalize(ds)
+        assert seen == [1]
+        assert blas_threads() == 2
+        with pytest.raises(ZeroDesignError):
+            canonicalize(Dataset(np.zeros((n, d)), np.ones(n)))
+        assert seen == [1, 1]
+        assert blas_threads() == 2
+
+    def test_count_restored_when_the_core_raises(self, monkeypatch, blas_threads):
+        def broken(gram, rank_rel_tol):
+            raise np.linalg.LinAlgError("no convergence")
+
+        monkeypatch.setattr(canonical, "_gram_spectrum", broken)
+        ds, _ = random_dataset(41, 10, 4)
+        with pytest.raises(np.linalg.LinAlgError):
+            canonicalize(ds)
+        assert blas_threads() == 2
+
+    def test_memo_hit_takes_no_pin(self, monkeypatch):
+        ds, _ = random_dataset(42, 10, 4)
+        dec = canonicalize(ds)
+
+        def no_pin():
+            raise AssertionError("a memo hit must not pin")
+
+        monkeypatch.setattr(canonical, "pinned", no_pin)
+        assert canonicalize(ds) is dec
+
+    def test_fits_do_not_depend_on_the_blas_thread_count(self):
+        # both routes; at 2 threads an unpinned Gram product and eigh change
+        # the last bits of 130 x 300 and 400 x 150 fits
+        script = (
+            "import hashlib, numpy as np\n"
+            "from ctreg import Dataset, GctConfig, fit_gct, fit_min_norm_ls\n"
+            "from ctreg.estimators import fit_pcr, fit_ridge\n"
+            "for n, d in [(130, 300), (220, 200), (400, 150)]:\n"
+            "    rng = np.random.default_rng(n + d)\n"
+            "    X = rng.standard_normal((n, d)) / np.arange(1, d + 1.0)\n"
+            "    ds = Dataset(X, X @ rng.standard_normal(d) + 0.1 * rng.standard_normal(n))\n"
+            "    h = hashlib.sha256()\n"
+            "    for fit in (fit_gct(ds, GctConfig(tau=0.01, phi=1.0)), fit_pcr(ds, 5),\n"
+            "                fit_ridge(ds, 0.1), fit_min_norm_ls(ds)):\n"
+            "        h.update(fit.beta.tobytes())\n"
+            "    print(n, d, h.hexdigest())\n"
+        )
+        src = os.path.dirname(os.path.dirname(canonical.__file__))
+        outputs = [
+            subprocess.run(
+                [sys.executable, "-c", script],
+                env=dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS=threads),
+                capture_output=True,
+                text=True,
+                timeout=120,
+                check=True,
+            ).stdout
+            for threads in ("1", "2")
+        ]
+        assert outputs[0].count("\n") == 3
+        assert outputs[0] == outputs[1]

@@ -107,6 +107,50 @@ class TestFoldAssignment:
         with pytest.raises(ValueError):
             fold_assignment(5, 6, seed=0)
 
+    @pytest.mark.parametrize(
+        "L, seed, name",
+        [
+            (2.5, 0, "L"),
+            (3.0, 0, "L"),
+            ("3", 0, "L"),
+            (None, 0, "L"),
+            (3, 1.5, "seed"),
+            (3, 1.0, "seed"),
+            (3, None, "seed"),
+            (3, -1, "seed"),
+            (3, np.int64(-1), "seed"),
+        ],
+    )
+    def test_bad_split_is_named(self, monkeypatch, L, seed, name):
+        with pytest.raises(ValueError, match=rf"^{name} must be"):
+            fold_assignment(12, L, seed)
+        # the tuners reject it before the memo is read or a fold decomposed
+        ds = random_dataset(42, 12, 5)
+        kfold_cv(ds, 3, seed=0)
+        monkeypatch.setattr(tuning, "_fold", no_folds)
+        for tune in (
+            lambda: kfold_cv(ds, L, seed=seed),
+            lambda: joint_cv(ds, L, [0.0], seed=seed),
+            lambda: kfold_cv_pcr(ds, L, seed=seed),
+            lambda: kfold_cv_ridge(ds, L, [1.0], seed=seed),
+            lambda: cv_error_at(ds, L, 0.0, SOFT_RULE, seed, 0.0),
+            lambda: grid_cv_oracle(ds, L, 0.0, SOFT_RULE, [0.0], seed),
+        ):
+            with pytest.raises(ValueError, match=rf"^{name} must be"):
+                tune()
+
+    def test_numpy_integers_give_the_same_split(self, monkeypatch):
+        expected = fold_assignment(30, 5, seed=42)
+        for L, seed in ((np.int64(5), 42), (5, np.int32(42)), (np.uint8(5), np.uint64(42))):
+            np.testing.assert_array_equal(fold_assignment(30, L, seed), expected)
+        ds = random_dataset(43, 30, 8)
+        result = kfold_cv(ds, 5, seed=42)
+        # one memo entry: the numpy spelling of the split is a hit
+        monkeypatch.setattr(tuning, "_fold", no_folds)
+        again = kfold_cv(ds, np.int64(5), seed=np.int32(42))
+        assert again.tau_cv == result.tau_cv
+        np.testing.assert_array_equal(again.fold_assignment, expected)
+
 
 class TestKfoldCv:
     def test_zero_response_tie_break(self):
@@ -268,11 +312,62 @@ class TestGridOracle:
                 grid_cv_oracle(ds, 2, 0.0, rule, np.array([0.0, tau, 1.0]), seed=0)
             assert str(oracle.value) == str(direct.value)
 
+    @pytest.mark.parametrize("grid", [[[1.0, 2.0]], [[1.0], [2.0]], 1.0])
+    def test_grid_must_be_1d_before_any_fold(self, monkeypatch, grid):
+        calls = []
+        decompose = tuning._fold
+
+        def fold(*args):
+            calls.append(args[-1])
+            return decompose(*args)
+
+        monkeypatch.setattr(tuning, "_fold", fold)
+        ds = random_dataset(44, 12, 5)
+        with pytest.raises(ValueError, match=r"^lambda_grid must be 1-D"):
+            kfold_cv_ridge(ds, 3, grid)
+        with pytest.raises(ValueError, match=r"^grid must be 1-D"):
+            grid_cv_oracle(ds, 3, 0.0, SOFT_RULE, grid, 0)
+        assert calls == []
+        assert "fold_spectra" not in ds._memo
+        kfold_cv_ridge(ds, 3, np.ravel(grid))
+        assert sorted(calls) == [0, 1, 2]
+
     def test_infinite_tau_is_the_zero_estimator(self):
         ds = random_dataset(10, 10, 3)
         tau, err = grid_cv_oracle(ds, 2, 0.0, SOFT_RULE, np.array([math.inf]), 0)
         assert tau == math.inf
         assert err == pytest.approx(cv_error_at(ds, 2, 0.0, SOFT_RULE, 0, math.inf))
+
+
+# a zero response makes every candidate's CV error exactly 0, so each tuner's
+# tie rule decides alone; Gram route (n_t < d) and tall route (n_t > d)
+TIE_SHAPES = [(30, 60), (60, 10)]
+
+
+def zero_response(n, d):
+    return Dataset(np.random.default_rng(n * d).standard_normal((n, d)), np.zeros(n))
+
+
+@pytest.mark.parametrize("n, d", TIE_SHAPES)
+class TestExactTies:
+    def test_pcr_goes_to_the_smaller_model(self, n, d):
+        assert kfold_cv_pcr(zero_response(n, d), 5) == (0, 0.0)
+
+    def test_ridge_goes_to_the_larger_penalty(self, n, d):
+        grid = np.array([1.0, 0.01, 100.0, 0.1])
+        assert kfold_cv_ridge(zero_response(n, d), 5, grid) == (100.0, 0.0)
+
+    @pytest.mark.parametrize("rule", [SOFT_RULE, HARD_RULE])
+    @pytest.mark.parametrize("grid", [[0.0, 0.5, 1.0], [1.0, 0.25, 0.5]])
+    def test_joint_cv_goes_to_the_smaller_phi(self, n, d, rule, grid):
+        phi, _, result = joint_cv(zero_response(n, d), 5, grid, rule)
+        assert phi == min(grid)
+        assert result.cv_error_at_tau == 0.0
+
+    @pytest.mark.parametrize("rule", [SOFT_RULE, HARD_RULE])
+    def test_grid_oracle_goes_to_the_largest_tau(self, n, d, rule):
+        grid = np.array([0.5, 0.0, 2.0, 1.0])
+        assert grid_cv_oracle(zero_response(n, d), 5, 0.0, rule, grid, 0) == (2.0, 0.0)
 
 
 class TestJointCv:

@@ -86,8 +86,8 @@ MUTANTS = (
     Mutant(
         "seed dropped from the fold-spectra memo key",
         "src/ctreg/tuning.py",
-        "key = (L, seed)",
-        "key = (L,)",
+        "key = _check_split(L, seed)",
+        "key = (_check_split(L, seed)[0],)",
         ("tests/test_memo.py",),
     ),
     Mutant(
@@ -156,6 +156,87 @@ MUTANTS = (
         "os.register_at_fork(after_in_child=_after_fork_in_child)\n",
         "pass\n",
         ("tests/test_tuning.py::TestFoldMap",),
+    ),
+    Mutant(
+        "canonicalize not pinned",
+        "src/ctreg/canonical.py",
+        "    with pinned():\n        if n <= d:\n",
+        "    if True:\n        if n <= d:\n",
+        (
+            "tests/test_canonical.py::TestPinnedDecomposition::"
+            "test_fits_do_not_depend_on_the_blas_thread_count",
+        ),
+    ),
+    # the documented tie rules: path, PCR, ridge, joint phi and grid oracle
+    Mutant(
+        "path tie to the first tau",
+        "src/ctreg/tuning.py",
+        "return int(np.flatnonzero(errors <= np.min(errors) + tol)[-1])",
+        "return int(np.flatnonzero(errors <= np.min(errors) + tol)[0])",
+        ("tests/test_tuning.py",),
+    ),
+    Mutant(
+        "TIE_RTOL set to 0",
+        "src/ctreg/tuning.py",
+        "TIE_RTOL = 1e-14",
+        "TIE_RTOL = 0.0",
+        ("tests/test_tuning.py",),
+    ),
+    Mutant(
+        "TIE_RTOL set to 1e-12",
+        "src/ctreg/tuning.py",
+        "TIE_RTOL = 1e-14",
+        "TIE_RTOL = 1e-12",
+        ("tests/test_tuning.py",),
+    ),
+    Mutant(
+        "hard boundary searched with side=right",
+        "src/ctreg/tuning.py",
+        'np.searchsorted(np.sort(mags), candidates, side="left")',
+        'np.searchsorted(np.sort(mags), candidates, side="right")',
+        ("tests/test_tuning.py",),
+    ),
+    Mutant(
+        "kernel PSD check dropped",
+        "src/ctreg/kernel.py",
+        "if eig.size == 0 or smallest < -KERNEL_RANK_REL_TOL * eig[0]:",
+        "if eig.size == 0:",
+        ("tests/test_kernel.py",),
+    ),
+    Mutant(
+        "soft segment minimum ties to lo",
+        "src/ctreg/tuning.py",
+        "lower = at_lo < err",
+        "lower = at_lo <= err",
+        ("tests/test_tuning.py",),
+    ),
+    Mutant(
+        "PCR tie to the larger model",
+        "src/ctreg/tuning.py",
+        "best_m = int(np.argmin(errors))",
+        "best_m = len(errors) - 1 - int(np.argmin(errors[::-1]))",
+        ("tests/test_tuning.py::TestExactTies",),
+    ),
+    Mutant(
+        "ridge tie to the smaller penalty",
+        "src/ctreg/tuning.py",
+        "best = _last_tied_minimum(errors, 0.0)",
+        "best = int(np.argmin(errors))",
+        ("tests/test_tuning.py::TestExactTies",),
+    ),
+    Mutant(
+        "joint_cv tie to the larger phi",
+        "src/ctreg/tuning.py",
+        "result.cv_error_at_tau < best[2].cv_error_at_tau",
+        "result.cv_error_at_tau <= best[2].cv_error_at_tau",
+        ("tests/test_tuning.py::TestExactTies",),
+    ),
+    Mutant(
+        "grid_cv_oracle tie to the smallest tau",
+        "src/ctreg/tuning.py",
+        "if err <= best_err:",
+        "if err < best_err:",
+        ("tests/test_tuning.py::TestExactTies",),
     ),
     Mutant(
         "fold map results in completion order",

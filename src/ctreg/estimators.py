@@ -8,6 +8,7 @@ so the fitted vector always lies in the row space of the design.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from typing import Union
 
@@ -103,7 +104,15 @@ def fit_min_norm_ls(dataset: Dataset) -> FitResult:
 
 
 def fit_pcr(dataset: Dataset, m: int) -> FitResult:
-    """Least squares on the first m principal-component scores."""
+    """Least squares on the first m principal-component scores.
+
+    m is an integer (numpy's too) in [0, rank]; anything else raises
+    ``ValueError`` naming m, a non-integer before the decomposition.
+    """
+    try:
+        m = operator.index(m)
+    except TypeError:
+        raise ValueError(f"m must be an integer, got {m!r}") from None
     dec = canonicalize(dataset)
     if not 0 <= m <= dec.rank:
         raise ValueError(f"m must lie in [0, {dec.rank}], got {m}")

@@ -16,6 +16,7 @@ import hashlib
 import io
 import json
 import math
+import operator
 import typing
 from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Optional, Tuple, Type, Union
@@ -42,6 +43,22 @@ _ROLE_PATTERN = 2
 _ROLE_CV = 3
 
 
+def _set_count(spec: object, field: str, least: int) -> None:
+    """Store the field as a Python int, or raise ValueError naming it unless
+    it is an integer (numpy's too) of at least ``least``."""
+    value = getattr(spec, field)
+    try:
+        count = operator.index(value)
+    except TypeError:
+        count = least - 1
+    if count < least:
+        raise ValueError(
+            f"{type(spec).__name__}.{field} must be an integer >= {least}, "
+            f"got {value!r}"
+        )
+    object.__setattr__(spec, field, count)
+
+
 @dataclass(frozen=True)
 class PolyDecay:
     b: float
@@ -56,12 +73,19 @@ class SpikedHead:
     count: int
     value: float = 1.0
 
+    def __post_init__(self) -> None:
+        _set_count(self, "count", 0)
+
 
 @dataclass(frozen=True)
 class SpikedTailRandom:
     count: int
     window: int
     noise_var: Optional[float] = None  # None: use 1/d
+
+    def __post_init__(self) -> None:
+        _set_count(self, "count", 0)
+        _set_count(self, "window", 1)
 
 
 @dataclass(frozen=True)
@@ -141,8 +165,11 @@ class ScenarioSpec:
             raise ValueError(
                 f"target SNR must be finite and positive, got {self.snr_target!r}"
             )
-        if self.replicates < 1:
-            raise ValueError("need at least one replicate")
+        _set_count(self, "replicates", 1)
+        if isinstance(self.methods, str):
+            raise ValueError(
+                f"methods must be a sequence of method names, got {self.methods!r}"
+            )
         for method in self.methods:
             if method not in _METHODS:
                 raise ValueError(f"unknown method {method!r}")
@@ -355,6 +382,10 @@ def spec_from_dict(data: dict) -> ScenarioSpec:
     kind = pattern_data["kind"]
     if not isinstance(kind, str) or kind not in _PATTERN_OF_KIND:
         raise ValueError(f"unknown coefficient pattern kind {kind!r}")
+    # a string reaches ScenarioSpec whole, to be rejected there
+    methods = data["methods"]
+    if not isinstance(methods, str):
+        methods = tuple(methods)
     return ScenarioSpec(
         n=int(data["n"]),
         d_grid=tuple(int(d) for d in data["d_grid"]),
@@ -363,6 +394,6 @@ def spec_from_dict(data: dict) -> ScenarioSpec:
         snr_target=float(data["snr_target"]),
         replicates=int(data["replicates"]),
         base_seed=int(data["base_seed"]),
-        methods=tuple(data["methods"]),
+        methods=methods,
         gct_phi=float(data.get("gct_phi", 1.0)),
     )

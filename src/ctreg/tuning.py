@@ -13,7 +13,9 @@ coefficients, eigenvalues, validation scores, validation responses) are
 kept.  A training block with no more rows than columns is an ``eigh`` of
 its block of the full Gram matrix X X^T, formed once per split, and its
 validation scores come from the cross block without touching the
-columns; a taller block is an ``eigh`` of its own X^T X.  The L
+columns; a taller block is an ``eigh`` of X^T X, also formed once per
+split, less the validation block's X_v^T X_v (formed directly when the
+validation block carries more of ||X||_F^2 than the training block).  The L
 decompositions run side by side on up to min(L, CPUs) threads, the caller
 and helpers that are started for the map and joined before it returns (see
 ``_blas.fold_map``), with the OpenBLAS thread count pinned to 1
@@ -23,10 +25,12 @@ count.  Along each fold's coordinates sorted by weighted magnitude, the
 validation residual u_k and the soft-rule slope v_k after k active
 coordinates are cumulative sums of score columns, so every segment's
 quadratic, every hard-rule candidate and every PCR prefix is a gather
-from per-fold prefix arrays.  A split is fixed by (L, seed): the folds are
-blocks of a seeded permutation of the rows.  The public tuners keep the
-spectra of the last split in the Dataset's memo, keyed on (L, seed), so
-tuning several rules or methods on one split decomposes its folds once.
+from per-fold prefix arrays; the soft and hard paths at one phi share
+one sweep, kept on the fold spectra for the last phi.  A split is fixed
+by (L, seed): the folds are blocks of a seeded permutation of the rows.
+The public tuners keep the spectra of the last split in the Dataset's
+memo, keyed on (L, seed), so tuning several rules or methods on one split
+decomposes its folds once.
 A brute-force grid oracle and a single-tau evaluator with identical fold
 construction use neither that engine nor the memo and are kept for
 testing.
@@ -36,8 +40,8 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from dataclasses import dataclass, field
+from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 from numpy.typing import NDArray
@@ -161,37 +165,86 @@ class _Fold:
 
 
 @dataclass(frozen=True)
+class _PrefixSums:
+    """One fold's prefix sweep at one phi: its weighted magnitudes in
+    ascending order, and the column sums over validation rows of u*u, u*v
+    and v*v, where column k of u (v) is the residual (soft-rule slope) with
+    the k largest magnitudes active, k = 0..r."""
+
+    sorted_magnitudes: FloatArray
+    uu: FloatArray
+    uv: FloatArray
+    vv: FloatArray
+
+
+@dataclass(frozen=True)
 class _FoldSpectra:
-    """Everything CV needs from one fold split; independent of phi and of the method."""
+    """Everything CV needs from one fold split; independent of phi and of the method.
+
+    ``_memo`` holds the prefix sums of the last phi a path used (see
+    ``_path_sums``), so the soft and hard paths at one phi sweep once.
+    """
 
     assignment: NDArray[np.int64]
     folds: Tuple[_Fold, ...]
+    _memo: Dict[str, object] = field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )
+
+
+class _Products(NamedTuple):
+    """The products of X formed once per split, before the fold map: X X^T
+    if some training block has no more rows than columns, and X^T X, X^T y
+    and the squared row norms if some block is taller."""
+
+    outer: Optional[FloatArray]
+    inner: Optional[FloatArray]
+    cross: Optional[FloatArray]
+    row_norms: Optional[FloatArray]
+
+
+def _products(dataset: Dataset, assignment: NDArray[np.int64]) -> _Products:
+    X, Y = dataset.design, dataset.response
+    sizes = np.bincount(assignment)
+    outer = X @ X.T if dataset.n - sizes.max() <= dataset.d else None
+    if dataset.n - sizes.min() <= dataset.d:
+        return _Products(outer, None, None, None)
+    return _Products(outer, X.T @ X, X.T @ Y, np.einsum("ij,ij->i", X, X))
 
 
 def _fold(
     dataset: Dataset,
-    gram: Optional[FloatArray],
+    products: _Products,
     assignment: NDArray[np.int64],
     fold_id: int,
 ) -> _Fold:
-    """One fold's spectrum: an ``eigh`` of its block of the Gram matrix
-    when the training block has no more rows than columns, else of its own
-    X^T X."""
+    """One fold's spectrum: an ``eigh`` of its block of X X^T when the
+    training block has no more rows than columns, else of its X_t^T X_t.
+    That is X^T X - X_v^T X_v, downdated by the validation block, unless
+    the validation block carries more of ||X||_F^2 than the training block,
+    when the downdate would cancel and X_t^T X_t is formed directly."""
     X, Y = dataset.design, dataset.response
     val = assignment == fold_id
     train = ~val
     n_t = int(np.count_nonzero(train))
     if n_t <= dataset.d:
         root_n = math.sqrt(n_t)
-        eig, V, _ = _gram_spectrum(gram[np.ix_(train, train)] / n_t, RANK_REL_TOL)
+        outer = products.outer
+        eig, V, _ = _gram_spectrum(outer[np.ix_(train, train)] / n_t, RANK_REL_TOL)
         theta = V.T @ Y[train] / root_n
-        scores = gram[np.ix_(val, train)] @ V / (root_n * eig)
+        scores = outer[np.ix_(val, train)] @ V / (root_n * eig)
     else:
-        X_t = X[train]
-        eig, U, _ = _gram_spectrum(X_t.T @ X_t / n_t, RANK_REL_TOL)
+        X_v = X[val]
+        if products.row_norms[val].sum() <= products.row_norms[train].sum():
+            gram = products.inner - X_v.T @ X_v
+            b = products.cross - X_v.T @ Y[val]
+        else:
+            X_t = X[train]
+            gram, b = X_t.T @ X_t, X_t.T @ Y[train]
+        eig, U, _ = _gram_spectrum(gram / n_t, RANK_REL_TOL)
         s = np.sqrt(eig)
-        theta = U.T @ (X_t.T @ Y[train]) / (n_t * s)
-        scores = X[val] @ U / s
+        theta = U.T @ b / (n_t * s)
+        scores = X_v @ U / s
     if eig.size == 0:
         raise ZeroDesignError(
             f"fold {fold_id}: zero design matrix in its training block"
@@ -202,14 +255,13 @@ def _fold(
 def _fold_spectra(dataset: Dataset, L: int, seed: int) -> _FoldSpectra:
     """The spectra of the L training blocks of fold_assignment(n, L, seed),
     decomposed side by side by ``fold_map``."""
-    X = dataset.design
     assignment = fold_assignment(dataset.n, L, seed)
-    smallest = dataset.n - int(np.bincount(assignment).max())
-    # the Gram matrix is pinned too, so no bit depends on the BLAS thread count
+    # the products are pinned too, so no bit depends on the BLAS thread count
     with pinned():
-        # X X^T, formed once if the smallest training block needs it
-        gram = X @ X.T if smallest <= dataset.d else None
-        folds = fold_map(lambda fold_id: _fold(dataset, gram, assignment, fold_id), L)
+        products = _products(dataset, assignment)
+        folds = fold_map(
+            lambda fold_id: _fold(dataset, products, assignment, fold_id), L
+        )
     return _FoldSpectra(assignment=assignment, folds=tuple(folds))
 
 
@@ -277,8 +329,46 @@ def _last_tied_minimum(errors: FloatArray, tol: float) -> int:
     return int(np.flatnonzero(errors <= np.min(errors) + tol)[-1])
 
 
+def _prefix_sums(fold: _Fold, mags: FloatArray, phi: float) -> _PrefixSums:
+    """One fold's residuals u and soft-rule slopes v along its coordinates
+    sorted by weighted magnitude, reduced to their column sums."""
+    order = np.argsort(-mags, kind="stable")
+    u = _prefix_residuals(fold, order)
+    slopes = fold.scores[:, order] * (
+        np.sign(fold.theta_ls[order]) / fold.eigenvalues[order] ** (phi / 2.0)
+    )
+    v = np.zeros_like(u)
+    np.cumsum(slopes, axis=1, out=v[:, 1:])
+    return _PrefixSums(
+        sorted_magnitudes=np.sort(mags),
+        uu=np.sum(u * u, axis=0),
+        uv=np.sum(u * v, axis=0),
+        vv=np.sum(v * v, axis=0),
+    )
+
+
+def _path_sums(
+    spectra: _FoldSpectra, magnitudes: List[FloatArray], phi: float
+) -> List[_PrefixSums]:
+    """Every fold's ``_prefix_sums`` at phi, through the spectra's one-entry
+    memo keyed on phi.
+
+    The entry is stored and read as one (phi, sums) tuple, as in
+    ``_memo_fold_spectra``: threads racing on one spectra object may each
+    compute it, but a hit always matches its phi.
+    """
+    entry = spectra._memo.get("path_sums")
+    if entry is not None and entry[0] == phi:
+        return entry[1]
+    sums = [
+        _prefix_sums(fold, mags, phi) for fold, mags in zip(spectra.folds, magnitudes)
+    ]
+    spectra._memo["path_sums"] = (phi, sums)
+    return sums
+
+
 def _soft_path(
-    spectra: _FoldSpectra, magnitudes: List[FloatArray], phi: float, merged: FloatArray
+    spectra: _FoldSpectra, sums: List[_PrefixSums], merged: FloatArray
 ) -> Tuple[FloatArray, FloatArray, FloatArray, FloatArray]:
     """Closed-form minimum of A tau^2 + B tau + C on every merged segment.
 
@@ -290,19 +380,12 @@ def _soft_path(
     A = np.zeros_like(lo)
     B = np.zeros_like(lo)
     C = np.zeros_like(lo)
-    for fold, mags in zip(spectra.folds, magnitudes):
-        order = np.argsort(-mags, kind="stable")
-        u = _prefix_residuals(fold, order)
-        slopes = fold.scores[:, order] * (
-            np.sign(fold.theta_ls[order]) / fold.eigenvalues[order] ** (phi / 2.0)
-        )
-        v = np.zeros_like(u)
-        np.cumsum(slopes, axis=1, out=v[:, 1:])
-        m = fold.y_val.shape[0]
-        active = mags.shape[0] - np.searchsorted(np.sort(mags), lo, side="right")
-        A += np.sum(v * v, axis=0)[active] / m
-        B += 2.0 * np.sum(u * v, axis=0)[active] / m
-        C += np.sum(u * u, axis=0)[active] / m
+    for fold, fold_sums in zip(spectra.folds, sums):
+        m, mags = fold.y_val.shape[0], fold_sums.sorted_magnitudes
+        active = mags.shape[0] - np.searchsorted(mags, lo, side="right")
+        A += fold_sums.vv[active] / m
+        B += 2.0 * fold_sums.uv[active] / m
+        C += fold_sums.uu[active] / m
     L = len(spectra.folds)
     A, B, C = A / L, B / L, C / L
 
@@ -323,15 +406,15 @@ def _soft_path(
 
 
 def _hard_path(
-    spectra: _FoldSpectra, magnitudes: List[FloatArray], candidates: FloatArray
+    spectra: _FoldSpectra, sums: List[_PrefixSums], candidates: FloatArray
 ) -> FloatArray:
     """CV error at each candidate: the boundary component is kept, so fold f
     fits the coordinates with magnitude >= tau, a prefix of the sorted order."""
     errors = np.zeros_like(candidates)
-    for fold, mags in zip(spectra.folds, magnitudes):
-        order = np.argsort(-mags, kind="stable")
-        active = mags.shape[0] - np.searchsorted(np.sort(mags), candidates, side="left")
-        errors += _mean_sq(_prefix_residuals(fold, order))[active]
+    for fold, fold_sums in zip(spectra.folds, sums):
+        mags = fold_sums.sorted_magnitudes
+        active = mags.shape[0] - np.searchsorted(mags, candidates, side="left")
+        errors += fold_sums.uu[active] / fold.y_val.shape[0]
     return errors / len(spectra.folds)
 
 
@@ -356,14 +439,15 @@ def _path_cv(spectra: _FoldSpectra, phi: float, rule: ThresholdRule) -> CvResult
             error = _cv_error(spectra, rule, best_tau, phi)
             segments = np.array([[best_tau, best_tau, best_tau, error]])
         else:
-            lo, hi, taus, errors = _soft_path(spectra, magnitudes, phi, merged)
+            sums = _path_sums(spectra, magnitudes, phi)
+            lo, hi, taus, errors = _soft_path(spectra, sums, merged)
             segments = np.column_stack((lo, hi, taus, errors))
             best_tau = float(taus[_last_tied_minimum(errors, tol)])
     else:
         candidates = merged
         if merged[-1] > 0:
             candidates = np.append(candidates, math.inf)
-        errors = _hard_path(spectra, magnitudes, candidates)
+        errors = _hard_path(spectra, _path_sums(spectra, magnitudes, phi), candidates)
         best_tau = float(candidates[_last_tied_minimum(errors, tol)])
 
     return CvResult(
@@ -420,6 +504,16 @@ def kfold_cv(
     decompositions.  A call with another split replaces the entry.
     ``fold_assignment`` is the caller's copy.  A negative or non-finite phi
     raises ``ValueError``, as in ``GctConfig``.
+
+    Tall folds: a training block with more rows than columns is decomposed
+    from X^T X - X_v^T X_v, with X^T X and X^T y formed once per split, and
+    no copy of the training rows.  That Gram matrix has an error of about
+    eps ||X^T X||, where a direct X_t^T X_t has eps ||X_t^T X_t||; the
+    downdate is used only when ||X_v||_F^2 <= ||X_t||_F^2, so its error is
+    at most about twice the direct product's (and a validation block that
+    carries most of the design, such as one outlier row, is multiplied
+    out directly).  Against the direct product, eigenvalues move by about
+    1e-15 lambda_max and tau_cv by about 1e-13 relative.
 
     Threads: the L fold decompositions run on up to min(L, CPUs) threads,
     the calling one and helpers that are started for the decomposition and

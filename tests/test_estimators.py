@@ -21,6 +21,7 @@ from ctreg import (
     predict,
     to_theta,
 )
+from ctreg import estimators
 
 
 def random_dataset(seed, n, d, noise=1.0):
@@ -125,6 +126,22 @@ class TestPcr:
             fit_pcr(ds, 5)
         with pytest.raises(ValueError):
             fit_pcr(ds, -1)
+
+    @pytest.mark.parametrize("m", [2.5, 2.0, "2", None])
+    def test_non_integer_m_named_before_decomposing(self, monkeypatch, m):
+        def no_decomposition(dataset):
+            raise AssertionError("nothing may be decomposed")
+
+        ds, _ = random_dataset(8, 10, 4)
+        monkeypatch.setattr(estimators, "canonicalize", no_decomposition)
+        with pytest.raises(ValueError, match=r"^m must be an integer, got "):
+            fit_pcr(ds, m)
+
+    def test_numpy_integer_m(self):
+        ds, _ = random_dataset(8, 10, 4)
+        fit = fit_pcr(ds, np.int64(2))
+        np.testing.assert_array_equal(fit.beta, fit_pcr(ds, 2).beta)
+        assert type(fit.config.components) is int
 
 
 class TestMinNormLs:

@@ -26,7 +26,9 @@ from ctreg import (
     kfold_cv_pcr,
     kfold_cv_ridge,
     _blas,
+    tuning,
 )
+from ctreg.tuning import _fold_spectra, _path_cv
 
 RIDGE_GRID = np.logspace(-4, 1, 7)
 
@@ -231,4 +233,92 @@ class TestDatasetMemo:
         other = dataclasses.replace(ds, response=-Y)
         assert bits(kfold_cv(other, 3, 0.0, SOFT_RULE, 1)) == bits(
             kfold_cv(Dataset(X, -Y), 3, 0.0, SOFT_RULE, 1)
+        )
+
+
+# the four paths cv_tall-like callers take on one split
+PATHS = [(0.0, SOFT_RULE), (0.0, HARD_RULE), (1.0, SOFT_RULE), (1.0, HARD_RULE)]
+
+
+class TestPathMemo:
+    """The fold spectra keep the prefix sums of the last phi a path used."""
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        st.sampled_from([(60, 10), (30, 60)]),
+        st.lists(st.sampled_from(range(len(PATHS))), min_size=1, max_size=8),
+    )
+    def test_path_sequence_matches_fresh_spectra(self, shape, sequence):
+        ds = Dataset(*arrays(sum(shape), *shape))
+        shared = _fold_spectra(ds, 5, 1)
+        for index in sequence:
+            phi, rule = PATHS[index]
+            assert bits(_path_cv(shared, phi, rule)) == bits(
+                _path_cv(_fold_spectra(ds, 5, 1), phi, rule)
+            )
+
+    def test_soft_and_hard_at_one_phi_sweep_once(self, monkeypatch):
+        swept = []
+        sweep = tuning._prefix_sums
+
+        def spy(fold, mags, phi):
+            swept.append(phi)
+            return sweep(fold, mags, phi)
+
+        monkeypatch.setattr(tuning, "_prefix_sums", spy)
+        ds = Dataset(*arrays(10, 60, 10))
+        kfold_cv(ds, 5, 0.0, SOFT_RULE, 3)
+        kfold_cv(ds, 5, 0.0, HARD_RULE, 3)
+        assert swept == [0.0] * 5
+        kfold_cv(ds, 5, 1.0, HARD_RULE, 3)
+        kfold_cv(ds, 5, 1.0, SOFT_RULE, 3)
+        assert swept == [0.0] * 5 + [1.0] * 5
+        # the direct evaluators stay off the path memo
+        cv_error_at(ds, 5, 1.0, SOFT_RULE, 3, 0.1)
+        grid_cv_oracle(ds, 5, 1.0, HARD_RULE, np.linspace(0.0, 1.0, 11), 3)
+        assert len(swept) == 10
+
+    def test_threads_racing_on_one_spectra(self):
+        # each thread alternates two phis, so lookups and stores of
+        # different phis interleave; every hit must match its phi
+        ds = Dataset(*arrays(11, 60, 10))
+        shared = _fold_spectra(ds, 5, 2)
+        expected = [bits(_path_cv(_fold_spectra(ds, 5, 2), *path)) for path in PATHS]
+        seen = []
+
+        def worker(indices):
+            for _ in range(20):
+                for index in indices:
+                    seen.append((index, bits(_path_cv(shared, *PATHS[index]))))
+
+        threads = [
+            threading.Thread(target=worker, args=(indices,))
+            for indices in ((0, 3), (2, 1), (3, 0), (1, 2))
+        ]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert len(seen) == 40 * len(threads)
+        assert all(result == expected[index] for index, result in seen)
+
+    @pytest.mark.parametrize("rule", [SOFT_RULE, HARD_RULE])
+    def test_joint_cv_unsorted_grid_after_a_path_at_another_phi(self, rule):
+        grid = [1.0, 0.25, 1.0, 0.5]
+        # a zero response ties every phi: the smallest one wins
+        ds = Dataset(arrays(12, 30, 8)[0], np.zeros(30))
+        kfold_cv(ds, 5, 1.0, rule, 0)
+        phi, _, result = joint_cv(ds, 5, grid, rule, 0)
+        assert (phi, result.cv_error_at_tau) == (0.25, 0.0)
+        X, Y = arrays(13, 30, 8)
+        shared = Dataset(X, Y)
+        kfold_cv(shared, 5, 0.5, rule, 0)
+        assert bits(joint_cv(shared, 5, grid, rule, 0)) == bits(
+            joint_cv(Dataset(X, Y), 5, grid, rule, 0)
         )

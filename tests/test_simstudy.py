@@ -65,6 +65,45 @@ class TestScenarioSpec:
         with pytest.raises(ValueError, match="unknown coefficient pattern"):
             make_spec(coef_pattern=object())
 
+    def test_methods_as_one_string_is_named(self):
+        with pytest.raises(ValueError, match=r"^methods must be a sequence .*'OLS'"):
+            make_spec(methods="OLS")
+        data = spec_to_dict(make_spec())
+        data["methods"] = "OLS"
+        with pytest.raises(ValueError, match=r"^methods must be a sequence"):
+            spec_from_dict(data)
+
+    @pytest.mark.parametrize("replicates", [1.5, 2.0, "2", 0])
+    def test_replicates_must_be_a_positive_integer(self, replicates):
+        with pytest.raises(ValueError, match=r"^ScenarioSpec.replicates must be"):
+            make_spec(replicates=replicates)
+
+    @pytest.mark.parametrize("count", [-1, 1.5])
+    def test_spiked_head_count_is_named(self, count):
+        with pytest.raises(ValueError, match=r"^SpikedHead.count must be an int"):
+            SpikedHead(count=count)
+
+    @pytest.mark.parametrize("window", [0, -2, 2.5])
+    def test_spiked_tail_window_is_named(self, window):
+        with pytest.raises(
+            ValueError, match=r"^SpikedTailRandom.window must be an integer >= 1"
+        ):
+            SpikedTailRandom(count=1, window=window)
+        with pytest.raises(
+            ValueError, match=r"^SpikedTailRandom.count must be an integer >= 0"
+        ):
+            SpikedTailRandom(count=-1, window=3)
+
+    def test_numpy_integers_are_stored_as_ints(self):
+        tail = SpikedTailRandom(count=np.uint8(1), window=np.int64(4))
+        assert (type(tail.count), type(tail.window)) == (int, int)
+        head = SpikedHead(count=np.int32(3))
+        spec = make_spec(replicates=np.int64(2), coef_pattern=head)
+        assert (type(spec.replicates), type(spec.coef_pattern.count)) == (int, int)
+        assert scenario_hash(spec) == scenario_hash(
+            make_spec(replicates=2, coef_pattern=SpikedHead(count=3))
+        )
+
 
 class TestGenerateScenario:
     def test_snr_matched_exactly(self):

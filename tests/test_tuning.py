@@ -693,6 +693,77 @@ class TestFoldSpectra:
         assert result.fold_eigenvalue_ratios[0] == 1.0
 
 
+def outlier_dataset(seed, n, d):
+    """Gaussian design whose row 0 is scaled by 1e6, so that one row carries
+    almost all of ||X||_F^2."""
+    rng = np.random.default_rng(seed)
+    X = rng.standard_normal((n, d))
+    X[0] *= 1e6
+    return Dataset(X, X @ rng.standard_normal(d) + rng.standard_normal(n))
+
+
+def matrix_bits(a):
+    return (a.shape, a.tobytes())
+
+
+class TestTallDowndate:
+    """A tall training block's Gram matrix is X^T X downdated by the
+    validation block, unless that block carries more of ||X||_F^2 than the
+    training block.  n = 60, d = 10, L = 5: every training block is tall, and
+    the outlier row is in the validation block of one fold (a direct
+    product) and in the training block of the other four (a downdate)."""
+
+    @pytest.mark.parametrize("seed", [0, 1, 2, 3])
+    def test_outlier_row_against_per_fold_svd(self, seed):
+        # eigenvalues within a few d eps lambda_max of the fold's SVD, as a
+        # Gram matrix with error about eps ||G_t|| gives; a downdate across
+        # the outlier would be off by about eps ||G|| = 1e12 times that
+        d = 10
+        ds = outlier_dataset(seed, 60, d)
+        spectra = _fold_spectra(ds, 5, seed)
+        reference = svd_fold_spectra(ds, 5, seed)
+        eps = np.finfo(float).eps
+        for fold, expected in zip(spectra.folds, reference.folds):
+            lam = expected.eigenvalues
+            assert fold.eigenvalues.shape == lam.shape
+            np.testing.assert_allclose(
+                fold.eigenvalues, lam, rtol=0.0, atol=4 * d * eps * lam[0]
+            )
+            fitted = expected.scores @ expected.theta_ls
+            np.testing.assert_allclose(
+                fold.scores @ fold.theta_ls,
+                fitted,
+                rtol=0.0,
+                atol=4 * d * eps * lam[0] / lam[-1] * np.max(np.abs(fitted)),
+            )
+
+    def test_each_branch_is_taken(self, monkeypatch):
+        ds = outlier_dataset(0, 60, 10)
+        assignment = fold_assignment(60, 5, 0)
+        seen = []
+        spectrum = tuning._gram_spectrum
+
+        def spy(gram, rel_tol):
+            seen.append(matrix_bits(gram))
+            return spectrum(gram, rel_tol)
+
+        monkeypatch.setattr(tuning, "_gram_spectrum", spy)
+        _fold_spectra(ds, 5, 0)
+        X = ds.design
+        expected = []
+        with _blas.pinned():
+            G = X.T @ X
+            for fold_id in range(5):
+                val = assignment == fold_id
+                X_v, X_t = X[val], X[~val]
+                n_t = X_t.shape[0]
+                downdate, direct = (G - X_v.T @ X_v) / n_t, X_t.T @ X_t / n_t
+                assert not np.array_equal(downdate, direct)
+                expected.append(matrix_bits(direct if val[0] else downdate))
+        # the folds may reach the spy in any order
+        assert sorted(seen) == sorted(expected)
+
+
 CONTROL = _blas.thread_control()
 needs_openblas = pytest.mark.skipif(
     CONTROL is None, reason="no OpenBLAS thread control: fold maps are plain loops"

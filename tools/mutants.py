@@ -44,8 +44,8 @@ MUTANTS = (
     Mutant(
         "fold scores divided by s instead of lambda",
         "src/ctreg/tuning.py",
-        "scores = gram[np.ix_(val, train)] @ V / (root_n * eig)",
-        "scores = gram[np.ix_(val, train)] @ V / (root_n * np.sqrt(eig))",
+        "scores = outer[np.ix_(val, train)] @ V / (root_n * eig)",
+        "scores = outer[np.ix_(val, train)] @ V / (root_n * np.sqrt(eig))",
         ("tests/test_tuning.py",),
     ),
     Mutant(
@@ -58,9 +58,31 @@ MUTANTS = (
     Mutant(
         "fold theta without 1/s",
         "src/ctreg/tuning.py",
-        "theta = U.T @ (X_t.T @ Y[train]) / (n_t * s)",
-        "theta = U.T @ (X_t.T @ Y[train]) / n_t",
+        "theta = U.T @ b / (n_t * s)",
+        "theta = U.T @ b / n_t",
         ("tests/test_tuning.py",),
+    ),
+    # the tall folds' downdated Gram matrix and the per-phi path memo
+    Mutant(
+        "downdate guard inverted",
+        "src/ctreg/tuning.py",
+        "if products.row_norms[val].sum() <= products.row_norms[train].sum():",
+        "if products.row_norms[val].sum() > products.row_norms[train].sum():",
+        ("tests/test_tuning.py::TestTallDowndate",),
+    ),
+    Mutant(
+        "b not downdated",
+        "src/ctreg/tuning.py",
+        "b = products.cross - X_v.T @ Y[val]",
+        "b = products.cross",
+        ("tests/test_tuning.py",),
+    ),
+    Mutant(
+        "path memo ignores phi",
+        "src/ctreg/tuning.py",
+        "if entry is not None and entry[0] == phi:",
+        "if entry is not None:",
+        ("tests/test_memo.py",),
     ),
     Mutant(
         "rank floor on s instead of the eigenvalues",
@@ -192,8 +214,8 @@ MUTANTS = (
     Mutant(
         "hard boundary searched with side=right",
         "src/ctreg/tuning.py",
-        'np.searchsorted(np.sort(mags), candidates, side="left")',
-        'np.searchsorted(np.sort(mags), candidates, side="right")',
+        'np.searchsorted(mags, candidates, side="left")',
+        'np.searchsorted(mags, candidates, side="right")',
         ("tests/test_tuning.py",),
     ),
     Mutant(

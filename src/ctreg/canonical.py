@@ -142,10 +142,19 @@ def _gram_spectrum(
 
 def _pivot_signs(vectors: FloatArray) -> FloatArray:
     """Column signs that make each column's largest-magnitude entry positive
-    (the first such entry on ties)."""
-    pivot = np.argmax(np.abs(vectors), axis=0)
-    signs = np.sign(vectors[pivot, np.arange(vectors.shape[1])])
-    signs[signs == 0] = 1.0
+    (the first such entry on ties, +1 for a zero column).
+
+    The signs come from the column maxima and minima, two reductions that
+    make no copy of the matrix in either memory order; only a column whose
+    largest and smallest entries are an exact +-pair is scanned for its
+    first largest-magnitude entry.
+    """
+    top = vectors.max(axis=0)
+    bottom = vectors.min(axis=0)
+    signs = np.where(-bottom > top, -1.0, 1.0)
+    for j in np.flatnonzero((top == -bottom) & (top > 0)):
+        column = vectors[:, j]
+        signs[j] = np.sign(column[np.argmax(np.abs(column) == top[j])])
     return signs
 
 
@@ -174,6 +183,13 @@ def canonicalize(dataset: Dataset) -> CanonicalDecomposition:
     The decomposition is computed once per Dataset and kept in its memo:
     later calls return the same object, whose arrays are read-only.
 
+    Memory: each vector matrix is built once and scaled and sign-flipped in
+    place, and the memo keeps those same arrays.  Beyond X, the peak is the
+    Gram matrix (and ``eigh``'s work on it) plus one array of retained
+    vectors: d*r floats when n <= d, else n*r.  At 200 x 4000 and at
+    4000 x 200 the peak traced by tracemalloc is 6.8 MB, of which 6.7 MB is
+    what the memo keeps.
+
     Threads: the Gram product, its ``eigh`` and the product that recovers
     the other vectors run with OpenBLAS pinned to one thread (see
     ``_blas.pinned``), as the CV fold spectra do, so the decomposition,
@@ -193,17 +209,19 @@ def canonicalize(dataset: Dataset) -> CanonicalDecomposition:
     with pinned():
         if n <= d:
             eigenvalues, V, _ = _gram_spectrum(X @ X.T / n, RANK_REL_TOL)
-            U = X.T @ V / np.sqrt(n * eigenvalues)
+            U = X.T @ V
+            U /= np.sqrt(n * eigenvalues)
         else:
             eigenvalues, U, _ = _gram_spectrum(X.T @ X / n, RANK_REL_TOL)
-            V = X @ U / np.sqrt(n * eigenvalues)
+            V = X @ U
+            V /= np.sqrt(n * eigenvalues)
     if eigenvalues.size == 0:
         raise ZeroDesignError("zero design matrix")
     signs = _pivot_signs(U)
+    U *= signs
+    V *= signs
     dec = CanonicalDecomposition(
-        eigenvalues=eigenvalues,
-        right_vectors=U * signs,
-        left_vectors=V * signs,
+        eigenvalues=eigenvalues, right_vectors=U, left_vectors=V
     )
     for array in (dec.eigenvalues, dec.right_vectors, dec.left_vectors):
         array.flags.writeable = False

@@ -8,6 +8,7 @@ so the fitted vector always lies in the row space of the design.
 from __future__ import annotations
 
 import math
+import numbers
 import operator
 from dataclasses import dataclass
 from typing import Union
@@ -37,8 +38,8 @@ class GctConfig:
     rule: ThresholdRule = SOFT_RULE
 
     def __post_init__(self) -> None:
-        if self.tau < 0 or math.isnan(self.tau):
-            raise ValueError(f"tau must be nonnegative, got {self.tau!r}")
+        if not isinstance(self.tau, numbers.Real) or not self.tau >= 0:
+            raise ValueError(f"tau must be a nonnegative number, got {self.tau!r}")
         _check_phi(self.phi)
 
 

@@ -11,6 +11,7 @@ coefficients alpha = V Lambda^{-2} theta_hat / sqrt(n).
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Dict, Optional, Tuple
 
@@ -51,13 +52,17 @@ class KernelSpec:
             raise ValueError(f"unknown kernel kind {self.kind!r}")
         for name in ("gamma", "coef0", "scale"):
             value = getattr(self, name)
-            if not math.isfinite(value):
+            if not (isinstance(value, numbers.Real) and math.isfinite(value)):
                 raise ValueError(f"kernel {name} must be finite, got {value!r}")
         if self.kind == "rbf" and self.gamma < 0:
             raise ValueError("rbf gamma must be nonnegative")
         if self.kind == "poly":
             # float(inf) and float(nan) are not integers either
-            if not (self.degree >= 1 and float(self.degree).is_integer()):
+            if not (
+                isinstance(self.degree, numbers.Real)
+                and self.degree >= 1
+                and float(self.degree).is_integer()
+            ):
                 raise ValueError(
                     f"poly degree must be a positive integer, got {self.degree!r}"
                 )
@@ -115,7 +120,8 @@ def kernel_canonicalize(K: FloatArray) -> Tuple[FloatArray, FloatArray]:
     scale.  K is never written (a read-only K is fine), and no scaled copy
     is made: while ``eigh`` runs, the live memory is K plus 4 n^2 floats
     (numpy's copy of K, the LAPACK workspace of about 2 n^2 and the output
-    vectors), and the signs are applied in place to the sorted vectors.
+    vectors), and the signs, found with no n^2 temporary, are applied in
+    place to the sorted vectors.
 
     This is the one decomposition in ctreg left on OpenBLAS's own threads,
     so its last bits depend on the BLAS thread count: at 2000 x 2000 they

@@ -8,13 +8,14 @@ risk bounds below directly checkable on simulated data.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Union
 
 import numpy as np
 from numpy.typing import NDArray
 
-from .canonical import CanonicalDecomposition, to_theta
+from .canonical import CanonicalDecomposition, _require_finite, to_theta
 
 FloatArray = NDArray[np.float64]
 
@@ -24,7 +25,7 @@ RISK_Q_GRID = np.arange(0.0, 2.0 + 1e-9, 0.01)
 
 def _check_phi(phi: float) -> None:
     """Raise ValueError unless phi is a finite nonnegative number."""
-    if phi < 0 or not math.isfinite(phi):
+    if not isinstance(phi, numbers.Real) or phi < 0 or not math.isfinite(phi):
         raise ValueError(f"phi must be nonnegative, got {phi!r}")
 
 
@@ -136,6 +137,9 @@ def risk_bound(theta: FloatArray, level: float) -> RiskBoundReport:
     """
     _check_level(level)
     theta = np.asarray(theta, dtype=np.float64)
+    if theta.ndim != 1:
+        raise ValueError(f"theta must be a 1-D array, got shape {theta.shape}")
+    _require_finite("theta", theta)
     core = float(np.sum(np.minimum(level, np.abs(theta)) ** 2))
     best = math.inf
     best_q = 0.0

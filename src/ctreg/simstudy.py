@@ -43,20 +43,23 @@ _ROLE_PATTERN = 2
 _ROLE_CV = 3
 
 
-def _set_count(spec: object, field: str, least: int) -> None:
-    """Store the field as a Python int, or raise ValueError naming it unless
-    it is an integer (numpy's too) of at least ``least``."""
-    value = getattr(spec, field)
+def _count(name: str, value: Any, least: int) -> int:
+    """``value`` as a Python int, or ValueError naming it unless it is an
+    integer (numpy's too) of at least ``least``."""
     try:
         count = operator.index(value)
     except TypeError:
         count = least - 1
     if count < least:
-        raise ValueError(
-            f"{type(spec).__name__}.{field} must be an integer >= {least}, "
-            f"got {value!r}"
-        )
-    object.__setattr__(spec, field, count)
+        raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
+    return count
+
+
+def _set_count(spec: object, field: str, least: int) -> None:
+    """Store the field as a Python int, or raise ValueError naming it unless
+    it is an integer (numpy's too) of at least ``least``."""
+    name = f"{type(spec).__name__}.{field}"
+    object.__setattr__(spec, field, _count(name, getattr(spec, field), least))
 
 
 @dataclass(frozen=True)
@@ -154,6 +157,16 @@ class ScenarioSpec:
                 f"n and every d must be at least 1, got n={self.n}, "
                 f"d_grid={list(self.d_grid)}"
             )
+        _set_count(self, "n", 1)
+        object.__setattr__(
+            self,
+            "d_grid",
+            tuple(
+                _count(f"ScenarioSpec.d_grid[{i}]", d, 1)
+                for i, d in enumerate(self.d_grid)
+            ),
+        )
+        _set_count(self, "base_seed", 0)
         if not 0 <= self.eigen_decay_a < math.inf:
             raise ValueError(
                 "eigenvalue decay exponent must be finite and nonnegative, "
@@ -382,18 +395,19 @@ def spec_from_dict(data: dict) -> ScenarioSpec:
     kind = pattern_data["kind"]
     if not isinstance(kind, str) or kind not in _PATTERN_OF_KIND:
         raise ValueError(f"unknown coefficient pattern kind {kind!r}")
-    # a string reaches ScenarioSpec whole, to be rejected there
+    # a string reaches ScenarioSpec whole, to be rejected there, and so do
+    # the counts, which int() would truncate
     methods = data["methods"]
     if not isinstance(methods, str):
         methods = tuple(methods)
     return ScenarioSpec(
-        n=int(data["n"]),
-        d_grid=tuple(int(d) for d in data["d_grid"]),
+        n=data["n"],
+        d_grid=data["d_grid"],
         eigen_decay_a=float(data["eigen_decay_a"]),
         coef_pattern=_from_fields(_PATTERN_OF_KIND[kind], pattern_data),
         snr_target=float(data["snr_target"]),
-        replicates=int(data["replicates"]),
-        base_seed=int(data["base_seed"]),
+        replicates=data["replicates"],
+        base_seed=data["base_seed"],
         methods=methods,
         gct_phi=float(data.get("gct_phi", 1.0)),
     )

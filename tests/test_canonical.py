@@ -3,9 +3,12 @@
 import os
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 
 from ctreg import (
     Dataset,
@@ -147,6 +150,67 @@ class TestCanonicalize:
         for small, rank in ((1e-11, 2), (1e-13, 1)):
             X = np.sqrt(n) * (left * np.sqrt([1.0, small])) @ right.T
             assert canonicalize(Dataset(X, np.zeros(n))).rank == rank
+
+
+def reference_pivot_signs(vectors):
+    """The documented sign rule written out: the sign of each column's
+    first largest-magnitude entry, +1 for a zero column."""
+    pivot = np.argmax(np.abs(vectors), axis=0)
+    signs = np.sign(vectors[pivot, np.arange(vectors.shape[1])])
+    signs[signs == 0] = 1.0
+    return signs
+
+
+class TestPivotSigns:
+    # entries in -2..2: many columns with an exact +-tie, and zero columns
+    @settings(max_examples=200, deadline=None)
+    @given(
+        arrays(
+            np.int64,
+            st.tuples(st.integers(1, 7), st.integers(1, 7)),
+            elements=st.integers(-2, 2),
+        ),
+        st.booleans(),
+    )
+    def test_matches_the_documented_rule(self, matrix, fortran):
+        vectors = matrix.astype(np.float64, order="F" if fortran else "C")
+        np.testing.assert_array_equal(
+            canonical._pivot_signs(vectors), reference_pivot_signs(vectors)
+        )
+
+    def test_exact_ties_go_to_the_first_entry(self):
+        vectors = np.array(
+            [[0.0, -1.0, 2.0, 0.0, -3.0],
+             [0.0, 1.0, -2.0, -0.0, 1.0],
+             [0.0, -1.0, 1.0, 0.0, 3.0]]
+        )
+        for order in ("C", "F"):
+            np.testing.assert_array_equal(
+                canonical._pivot_signs(np.asarray(vectors, order=order)),
+                [1.0, -1.0, 1.0, 1.0, -1.0],
+            )
+
+
+class TestMemoryFloor:
+    @pytest.mark.parametrize("n, d", [(200, 4000), (4000, 200)])
+    def test_peak_is_the_kept_arrays(self, n, d):
+        # beyond X, the decomposition holds the Gram matrix and one array of
+        # retained vectors at a time; here that array is the one the memo
+        # keeps, so the peak is the kept arrays plus a small share
+        ds, _ = random_dataset(18, n, d)
+        tracing = tracemalloc.is_tracing()
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            before = tracemalloc.get_traced_memory()[0]
+            dec = canonicalize(ds)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            if not tracing:
+                tracemalloc.stop()
+        kept = [dec.eigenvalues, dec.right_vectors, dec.left_vectors]
+        budget = sum(a.nbytes for a in kept) + 0.1 * max(a.nbytes for a in kept)
+        assert peak <= budget, (peak, budget)
 
 
 class TestGramRouteAccuracy:

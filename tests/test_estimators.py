@@ -93,6 +93,13 @@ class TestGct:
         with pytest.raises(ValueError):
             GctConfig(tau=1.0, phi=-0.5)
 
+    def test_non_numeric_config_is_named(self):
+        # both once raised TypeError from a comparison
+        with pytest.raises(ValueError, match=r"^tau must be a nonnegative number, got 'a'"):
+            GctConfig(tau="a")
+        with pytest.raises(ValueError, match=r"^phi must be nonnegative, got 'a'"):
+            GctConfig(tau=1.0, phi="a")
+
     def test_infinite_tau_sentinel(self):
         ds, _ = random_dataset(4, 10, 8)
         fit = fit_gct(ds, GctConfig(tau=math.inf, phi=1.0))

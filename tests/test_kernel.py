@@ -56,6 +56,13 @@ class TestKernelSpec:
                 with pytest.raises(ValueError, match=f"kernel {field} must be finite"):
                     KernelSpec(kind=kind, **{field: value})
 
+    def test_non_numeric_fields_are_named(self):
+        # each once raised TypeError from math.isfinite or a comparison
+        with pytest.raises(ValueError, match=r"^kernel gamma must be finite, got 'a'"):
+            KernelSpec("rbf", gamma="a")
+        with pytest.raises(ValueError, match=r"^poly degree must be a positive integer"):
+            KernelSpec("poly", degree="a")
+
 
 class TestGram:
     def test_linear_is_inner_products(self):

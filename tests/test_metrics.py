@@ -204,6 +204,15 @@ class TestRiskBound:
         with pytest.raises(ValueError, match=f"level must be finite.*got {level!r}"):
             weighted_risk_bound(np.ones(2), np.array([2.0, 1.0]), level, 1.0)
 
+    def test_nan_theta_named(self):
+        # once gave sandwich_core = nan beside lq_bound = 0.25
+        with pytest.raises(ValueError, match=r"^theta has a non-finite value at index \(1,\)"):
+            risk_bound(np.array([1.0, math.nan]), 0.5)
+
+    def test_two_dimensional_theta_named(self):
+        with pytest.raises(ValueError, match=r"^theta must be a 1-D array, got shape \(2, 2\)"):
+            risk_bound(np.ones((2, 2)), 0.5)
+
 
 class TestWeightedRiskBound:
     def test_phi_zero_equals_core(self):

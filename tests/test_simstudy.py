@@ -104,6 +104,39 @@ class TestScenarioSpec:
             make_spec(replicates=2, coef_pattern=SpikedHead(count=3))
         )
 
+    @pytest.mark.parametrize(
+        "field, value, message",
+        [
+            ("n", 20.5, r"^ScenarioSpec.n must be an integer >= 1, got 20.5"),
+            ("d_grid", (5.5,), r"^ScenarioSpec.d_grid\[0\] must be an integer >= 1"),
+            ("d_grid", (5, 7.0), r"^ScenarioSpec.d_grid\[1\] must be an integer >= 1"),
+            ("base_seed", 1.5, r"^ScenarioSpec.base_seed must be an integer >= 0"),
+            ("base_seed", -1, r"^ScenarioSpec.base_seed must be an integer >= 0"),
+        ],
+        ids=["n", "d", "second-d", "fractional-seed", "negative-seed"],
+    )
+    def test_bad_count_fields_are_named(self, field, value, message):
+        # each once failed inside numpy, in run_experiment
+        with pytest.raises(ValueError, match=message):
+            make_spec(**{field: value})
+
+    @pytest.mark.parametrize(
+        "field, value", [("n", 20.5), ("d_grid", [5.7]), ("replicates", 2.5), ("base_seed", 1.9)]
+    )
+    def test_scenario_json_counts_are_not_truncated(self, field, value):
+        data = spec_to_dict(make_spec())
+        data[field] = value
+        with pytest.raises(ValueError, match=rf"^ScenarioSpec.{field}\b"):
+            spec_from_dict(data)
+
+    def test_numpy_integer_n_grid_and_seed_are_stored_as_ints(self):
+        spec = make_spec(n=np.int64(20), d_grid=[np.int32(5), 7], base_seed=np.uint8(3))
+        assert (spec.n, spec.d_grid, spec.base_seed) == (20, (5, 7), 3)
+        assert {type(v) for v in (spec.n, *spec.d_grid, spec.base_seed)} == {int}
+        assert scenario_hash(spec) == scenario_hash(
+            make_spec(n=20, d_grid=(5, 7), base_seed=3)
+        )
+
 
 class TestGenerateScenario:
     def test_snr_matched_exactly(self):

@@ -101,9 +101,23 @@ MUTANTS = (
     Mutant(
         "no sign convention",
         "src/ctreg/canonical.py",
-        "    signs[signs == 0] = 1.0\n    return signs\n",
-        "    signs[signs == 0] = 1.0\n    return np.ones_like(signs)\n",
+        "    signs = np.where(-bottom > top, -1.0, 1.0)\n",
+        "    signs = np.ones_like(top)\n",
         ("tests/test_canonical.py", "tests/test_kernel.py"),
+    ),
+    Mutant(
+        "sign tie goes to the later entry",
+        "src/ctreg/canonical.py",
+        "signs[j] = np.sign(column[np.argmax(np.abs(column) == top[j])])",
+        "signs[j] = np.sign(column[::-1][np.argmax(np.abs(column[::-1]) == top[j])])",
+        ("tests/test_canonical.py::TestPivotSigns",),
+    ),
+    Mutant(
+        "pivot on the largest signed entry (ignore min)",
+        "src/ctreg/canonical.py",
+        "    signs = np.where(-bottom > top, -1.0, 1.0)\n",
+        "    signs = np.where(top < 0, -1.0, 1.0)\n",
+        ("tests/test_canonical.py::TestPivotSigns",),
     ),
     Mutant(
         "seed dropped from the fold-spectra memo key",

@@ -21,19 +21,12 @@ import numpy as np
 from numpy.typing import NDArray
 
 from ._blas import pinned
-from .errors import ZeroDesignError
+from .errors import ZeroDesignError, _finite
 
 FloatArray = NDArray[np.float64]
 
 # relative eigenvalue floor of every design decomposition (see canonicalize)
 RANK_REL_TOL = 1e-12
-
-
-def _require_finite(name: str, values: FloatArray) -> None:
-    """Raise ValueError naming the index of the first non-finite entry."""
-    if not np.all(np.isfinite(values)):
-        index = tuple(int(i) for i in np.argwhere(~np.isfinite(values))[0])
-        raise ValueError(f"{name} has a non-finite value at index {index}")
 
 
 @dataclass(frozen=True)
@@ -71,8 +64,8 @@ class Dataset:
             )
         if design.shape[0] < 1 or design.shape[1] < 1:
             raise ValueError("design must have at least one row and one column")
-        _require_finite("design", design)
-        _require_finite("response", response)
+        _finite("design", design)
+        _finite("response", response)
         design.flags.writeable = False
         response.flags.writeable = False
         object.__setattr__(self, "design", design)

@@ -469,7 +469,7 @@ def cmd_cv(args: argparse.Namespace) -> int:
     phis = [args.phi]
     if args.phi_grid is not None:
         floats = (float,) * (args.phi_grid.count(",") + 1)
-        phis = sorted(_numbers("--phi-grid", args.phi_grid, floats, "<phi>[,<phi>...]"))
+        phis = _numbers("--phi-grid", args.phi_grid, floats, "<phi>[,<phi>...]")
     if args.fit_out is not None:
         check_writable(args.fit_out)
     X, Y = load_dataset(args.input, args.response)

@@ -8,8 +8,6 @@ so the fitted vector always lies in the row space of the design.
 from __future__ import annotations
 
 import math
-import numbers
-import operator
 from dataclasses import dataclass
 from typing import Union
 
@@ -23,7 +21,8 @@ from .canonical import (
     canonicalize,
     to_beta,
 )
-from .metrics import _check_phi, threshold_scale
+from .errors import _integer, _real
+from .metrics import threshold_scale
 from .thresholding import SOFT_RULE, ThresholdRule, apply_rule
 
 FloatArray = NDArray[np.float64]
@@ -38,9 +37,8 @@ class GctConfig:
     rule: ThresholdRule = SOFT_RULE
 
     def __post_init__(self) -> None:
-        if not isinstance(self.tau, numbers.Real) or not self.tau >= 0:
-            raise ValueError(f"tau must be a nonnegative number, got {self.tau!r}")
-        _check_phi(self.phi)
+        _real("GctConfig.tau", self.tau, 0, math.inf, "[]")
+        _real("GctConfig.phi", self.phi, 0, math.inf, "[)")
 
 
 @dataclass(frozen=True)
@@ -108,29 +106,23 @@ def fit_pcr(dataset: Dataset, m: int) -> FitResult:
     """Least squares on the first m principal-component scores.
 
     m is an integer (numpy's too) in [0, rank]; anything else raises
-    ``ValueError`` naming m, a non-integer before the decomposition.
+    ``ValueError`` naming m, before the decomposition unless m is an
+    integer above the rank.
     """
-    try:
-        m = operator.index(m)
-    except TypeError:
-        raise ValueError(f"m must be an integer, got {m!r}") from None
+    m = _integer("m", m, 0)
     dec = canonicalize(dataset)
-    if not 0 <= m <= dec.rank:
-        raise ValueError(f"m must lie in [0, {dec.rank}], got {m}")
+    if m > dec.rank:
+        raise ValueError(f"m must be at most the rank {dec.rank}, got {m}")
     theta_hat = canonical_ls(dec, dataset.response)
     theta_hat[m:] = 0.0
     return _fit(dec, theta_hat, PcrConfig(components=m))
 
 
-def _check_lambda(lambda_reg: float) -> None:
-    """Raise ValueError if the ridge penalty is negative or NaN."""
-    if lambda_reg < 0 or math.isnan(lambda_reg):
-        raise ValueError(f"lambda_reg must be nonnegative, got {lambda_reg!r}")
-
-
 def fit_ridge(dataset: Dataset, lambda_reg: float) -> FitResult:
-    """Ridge regression restricted to the row space, in spectral form."""
-    _check_lambda(lambda_reg)
+    """Ridge regression restricted to the row space, in spectral form.
+
+    An infinite penalty gives the zero estimator."""
+    _real("lambda_reg", lambda_reg, 0, math.inf, "[]")
     dec = canonicalize(dataset)
     shrink = dec.eigenvalues / (dec.eigenvalues + lambda_reg)
     theta_hat = shrink * canonical_ls(dec, dataset.response)
@@ -142,6 +134,12 @@ def predict(fit: FitResult, Xnew: FloatArray) -> FloatArray:
 
     A fit on centered data predicts centered responses; the CLI's model file
     stores the column and response means and adds them back.
+
+    The rows are not scanned for non-finite entries (that would cost more
+    than the product): a row with a NaN entry predicts NaN, and a row with
+    an infinite entry predicts +-inf, or NaN where infinities of both signs
+    meet or an infinity meets a zero coefficient.  Every other row is
+    predicted as if that row were finite.
     """
     Xnew = np.asarray(Xnew, dtype=np.float64)
     if Xnew.ndim != 2 or Xnew.shape[1] != fit.beta.shape[0]:
@@ -165,9 +163,7 @@ def default_tau(
     With phi = 0 this is sigma times the universal scale
     (2/sqrt(n)) * log(2r/delta)^(1/alpha).
     """
-    if not (sigma >= 0 and math.isfinite(sigma)):
-        raise ValueError(f"sigma must be finite and nonnegative, got {sigma!r}")
-    _check_phi(phi)
-    if not (lambda1 > 0 and math.isfinite(lambda1)):
-        raise ValueError(f"lambda1 must be finite and positive, got {lambda1!r}")
+    _real("sigma", sigma, 0, math.inf, "[)")
+    _real("phi", phi, 0, math.inf, "[)")
+    _real("lambda1", lambda1, 0, math.inf, "()")
     return lambda1 ** (phi / 2.0) * sigma * threshold_scale(n, r, delta, alpha)

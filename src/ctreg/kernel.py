@@ -11,15 +11,20 @@ coefficients alpha = V Lambda^{-2} theta_hat / sqrt(n).
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 from typing import Dict, Optional, Tuple
 
 import numpy as np
 from numpy.typing import NDArray
 
-from .canonical import _gram_spectrum, _pivot_signs, _require_finite
-from .errors import NotPositiveSemidefiniteError, ZeroDesignError
+from .canonical import _gram_spectrum, _pivot_signs
+from .errors import (
+    NotPositiveSemidefiniteError,
+    ZeroDesignError,
+    _finite,
+    _integer,
+    _real,
+)
 from .estimators import GctConfig, _shrink
 from .metrics import joint_effective_dimension
 
@@ -50,24 +55,15 @@ class KernelSpec:
     def __post_init__(self) -> None:
         if self.kind not in KERNEL_PARAMS:
             raise ValueError(f"unknown kernel kind {self.kind!r}")
-        for name in ("gamma", "coef0", "scale"):
-            value = getattr(self, name)
-            if not (isinstance(value, numbers.Real) and math.isfinite(value)):
-                raise ValueError(f"kernel {name} must be finite, got {value!r}")
-        if self.kind == "rbf" and self.gamma < 0:
-            raise ValueError("rbf gamma must be nonnegative")
+        # the fields of the kind first, then the finiteness of every field
+        if self.kind == "rbf":
+            _real("KernelSpec.gamma", self.gamma, 0, math.inf, "[)")
         if self.kind == "poly":
-            # float(inf) and float(nan) are not integers either
-            if not (
-                isinstance(self.degree, numbers.Real)
-                and self.degree >= 1
-                and float(self.degree).is_integer()
-            ):
-                raise ValueError(
-                    f"poly degree must be a positive integer, got {self.degree!r}"
-                )
-            if self.scale <= 0:
-                raise ValueError("poly scale must be positive")
+            degree = _integer("KernelSpec.degree", self.degree, 1)
+            object.__setattr__(self, "degree", degree)
+            _real("KernelSpec.scale", self.scale, 0, math.inf, "()")
+        for name in ("gamma", "coef0", "scale"):
+            _real(f"KernelSpec.{name}", getattr(self, name), -math.inf, math.inf, "()")
 
 
 def _cross_gram(spec: KernelSpec, A: FloatArray, B: FloatArray) -> FloatArray:
@@ -94,9 +90,7 @@ def gram(points: FloatArray, spec: KernelSpec) -> FloatArray:
     points = np.asarray(points, dtype=np.float64)
     if points.ndim != 2 or points.shape[0] < 1:
         raise ValueError("points must be a nonempty 2-D array")
-    if not np.all(np.isfinite(points)):
-        row, column = (int(i) for i in np.argwhere(~np.isfinite(points))[0])
-        raise ValueError(f"points has a non-finite value at row {row}, column {column}")
+    _finite("points", points)
     K = _cross_gram(spec, points, points)
     if not np.all(np.isfinite(K)):
         raise ValueError("non-finite kernel matrix entries")
@@ -197,7 +191,7 @@ def fit_kernel_gct(
     n = points.shape[0]
     if Y.shape != (n,):
         raise ValueError(f"response must have length {n}, got {Y.shape}")
-    _require_finite("response", Y)
+    _finite("response", Y)
     response_mean = None
     if center_response:
         response_mean = float(Y.mean())
@@ -221,7 +215,14 @@ def fit_kernel_gct(
 
 
 def predict_kernel_batch(model: KernelPredictor, X: FloatArray) -> FloatArray:
-    """Predict at the rows of X via the dual form sum_i alpha_i k(x_i, x)."""
+    """Predict at the rows of X via the dual form sum_i alpha_i k(x_i, x).
+
+    The rows are not scanned for non-finite entries: a row with a NaN entry
+    predicts NaN, and a row with an infinite entry gets a prediction with no
+    meaning, in most cases NaN, and numpy may emit a RuntimeWarning
+    ("invalid value encountered").  Every other row is predicted as if that
+    row were finite.
+    """
     X = np.asarray(X, dtype=np.float64)
     if X.ndim != 2 or X.shape[1] != model.training_points.shape[1]:
         raise ValueError(

@@ -8,31 +8,19 @@ risk bounds below directly checkable on simulated data.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 from typing import Union
 
 import numpy as np
 from numpy.typing import NDArray
 
-from .canonical import CanonicalDecomposition, _require_finite, to_theta
+from .canonical import CanonicalDecomposition, to_theta
+from .errors import _finite, _integer, _real
 
 FloatArray = NDArray[np.float64]
 
 L0_FLOOR = 1e-12
 RISK_Q_GRID = np.arange(0.0, 2.0 + 1e-9, 0.01)
-
-
-def _check_phi(phi: float) -> None:
-    """Raise ValueError unless phi is a finite nonnegative number."""
-    if not isinstance(phi, numbers.Real) or phi < 0 or not math.isfinite(phi):
-        raise ValueError(f"phi must be nonnegative, got {phi!r}")
-
-
-def _check_level(level: float) -> None:
-    """Raise ValueError unless the noise level is a finite positive number."""
-    if not (level > 0 and math.isfinite(level)):
-        raise ValueError(f"level must be finite and positive, got {level!r}")
 
 
 def mse_fixed(
@@ -53,6 +41,12 @@ def pe_random(beta_hat: FloatArray, beta: FloatArray, Sigma: FloatArray) -> floa
     beta_hat = np.asarray(beta_hat, dtype=np.float64)
     beta = np.asarray(beta, dtype=np.float64)
     Sigma = np.asarray(Sigma, dtype=np.float64)
+    if beta_hat.ndim != 1 or beta.shape != beta_hat.shape:
+        raise ValueError(
+            f"beta must be 1-D of beta_hat's shape {beta_hat.shape}, got {beta.shape}"
+        )
+    if Sigma.shape != 2 * beta.shape:
+        raise ValueError(f"Sigma must be of shape {2 * beta.shape}, got {Sigma.shape}")
     diff = beta_hat - beta
     value = float(diff @ Sigma @ diff)
     if value < -1e-10 * max(1.0, float(np.abs(Sigma).max())):
@@ -62,8 +56,7 @@ def pe_random(beta_hat: FloatArray, beta: FloatArray, Sigma: FloatArray) -> floa
 
 def snr(beta: FloatArray, covariance: FloatArray, sigma: float) -> float:
     """Signal-to-noise ratio sqrt(beta^T Cov beta) / sigma."""
-    if sigma <= 0:
-        raise ValueError("sigma must be positive")
+    _real("sigma", sigma, 0, math.inf, "()")
     beta = np.asarray(beta, dtype=np.float64)
     covariance = np.asarray(covariance, dtype=np.float64)
     return math.sqrt(max(float(beta @ covariance @ beta), 0.0)) / sigma
@@ -72,6 +65,7 @@ def snr(beta: FloatArray, covariance: FloatArray, sigma: float) -> float:
 def effective_rank(Sigma: Union[FloatArray, "np.ndarray"]) -> float:
     """Trace over spectral norm; accepts a PSD matrix or its eigenvalue vector."""
     Sigma = np.asarray(Sigma, dtype=np.float64)
+    _finite("Sigma", Sigma)
     if Sigma.ndim == 1:
         top = float(np.max(Sigma))
         total = float(np.sum(Sigma))
@@ -97,22 +91,17 @@ def joint_effective_dimension(
     theta_scaled: FloatArray, theta_full_norm: float, q: float
 ) -> float:
     """||theta_{<=k}||_q^q / ||theta||_2^q for the leading scaled coefficients."""
-    if not 0.0 <= q <= 2.0:
-        raise ValueError(f"q must lie in [0, 2], got {q!r}")
-    if theta_full_norm <= 0:
-        raise ValueError("zero full norm: joint effective dimension undefined")
+    _real("q", q, 0, 2, "[]")
+    _real("theta_full_norm", theta_full_norm, 0, math.inf, "()")
     theta_scaled = np.asarray(theta_scaled, dtype=np.float64)
     return _lq_pseudo_norm(theta_scaled, q) / theta_full_norm**q
 
 
 def threshold_scale(n: int, r: int, delta: float, alpha: float) -> float:
     """The universal threshold scale (2/sqrt(n)) * log(2r/delta)^(1/alpha)."""
-    if n < 1 or r < 1:
-        raise ValueError("n and r must be positive integers")
-    if not 0.0 < delta < 1.0:
-        raise ValueError(f"delta must lie in (0, 1), got {delta!r}")
-    if not 0.0 < alpha <= 2.0:
-        raise ValueError(f"alpha must lie in (0, 2], got {alpha!r}")
+    n, r = _integer("n", n, 1), _integer("r", r, 1)
+    _real("delta", delta, 0, 1, "()")
+    _real("alpha", alpha, 0, 2, "(]")
     return (2.0 / math.sqrt(n)) * math.log(2.0 * r / delta) ** (1.0 / alpha)
 
 
@@ -135,11 +124,11 @@ def risk_bound(theta: FloatArray, level: float) -> RiskBoundReport:
 
     The relaxation is minimized over RISK_Q_GRID, q = 0, 0.01, ..., 2.
     """
-    _check_level(level)
+    _real("level", level, 0, math.inf, "()")
     theta = np.asarray(theta, dtype=np.float64)
     if theta.ndim != 1:
         raise ValueError(f"theta must be a 1-D array, got shape {theta.shape}")
-    _require_finite("theta", theta)
+    _finite("theta", theta)
     core = float(np.sum(np.minimum(level, np.abs(theta)) ** 2))
     best = math.inf
     best_q = 0.0
@@ -156,13 +145,14 @@ def weighted_risk_bound(
 ) -> float:
     """Risk-bound core with eigenvalue weighting:
     sum_j min((lam_1/lam_j)^(phi/2) * level, |theta_j|)^2."""
-    _check_level(level)
-    _check_phi(phi)
+    _real("level", level, 0, math.inf, "()")
+    _real("phi", phi, 0, math.inf, "[)")
     theta = np.asarray(theta, dtype=np.float64)
     eigenvalues = np.asarray(eigenvalues, dtype=np.float64)
     if theta.shape != eigenvalues.shape:
         raise ValueError("theta and eigenvalues must have the same length")
-    if np.any(eigenvalues <= 0) or np.any(np.diff(eigenvalues) > 0):
+    _finite("theta", theta)
+    if not (np.all(eigenvalues > 0) and np.all(np.diff(eigenvalues) <= 0)):
         raise ValueError("eigenvalues must be positive and non-increasing")
     weights = (eigenvalues[0] / eigenvalues) ** (phi / 2.0)
     return float(np.sum(np.minimum(weights * level, np.abs(theta)) ** 2))

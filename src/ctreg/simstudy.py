@@ -16,8 +16,8 @@ import hashlib
 import io
 import json
 import math
-import operator
 import typing
+from collections.abc import Iterable
 from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Optional, Tuple, Type, Union
 
@@ -25,10 +25,9 @@ import numpy as np
 from numpy.typing import NDArray
 
 from .canonical import Dataset
-from .errors import ExperimentError
+from .errors import ExperimentError, _integer, _real
 from .estimators import GctConfig, fit_gct, fit_min_norm_ls, fit_pcr, fit_ridge
 from .files import atomic_write
-from .metrics import _check_phi
 from .thresholding import SOFT_RULE
 from .tuning import kfold_cv, kfold_cv_pcr, kfold_cv_ridge
 
@@ -43,32 +42,12 @@ _ROLE_PATTERN = 2
 _ROLE_CV = 3
 
 
-def _count(name: str, value: Any, least: int) -> int:
-    """``value`` as a Python int, or ValueError naming it unless it is an
-    integer (numpy's too) of at least ``least``."""
-    try:
-        count = operator.index(value)
-    except TypeError:
-        count = least - 1
-    if count < least:
-        raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
-    return count
-
-
-def _set_count(spec: object, field: str, least: int) -> None:
-    """Store the field as a Python int, or raise ValueError naming it unless
-    it is an integer (numpy's too) of at least ``least``."""
-    name = f"{type(spec).__name__}.{field}"
-    object.__setattr__(spec, field, _count(name, getattr(spec, field), least))
-
-
 @dataclass(frozen=True)
 class PolyDecay:
     b: float
 
     def __post_init__(self) -> None:
-        if self.b < 0:
-            raise ValueError("decay exponent b must be nonnegative")
+        _real("PolyDecay.b", self.b, 0, math.inf, "[)")
 
 
 @dataclass(frozen=True)
@@ -77,7 +56,8 @@ class SpikedHead:
     value: float = 1.0
 
     def __post_init__(self) -> None:
-        _set_count(self, "count", 0)
+        object.__setattr__(self, "count", _integer("SpikedHead.count", self.count, 0))
+        _real("SpikedHead.value", self.value, -math.inf, math.inf, "()")
 
 
 @dataclass(frozen=True)
@@ -87,8 +67,11 @@ class SpikedTailRandom:
     noise_var: Optional[float] = None  # None: use 1/d
 
     def __post_init__(self) -> None:
-        _set_count(self, "count", 0)
-        _set_count(self, "window", 1)
+        for field, least in (("count", 0), ("window", 1)):
+            value = _integer(f"SpikedTailRandom.{field}", getattr(self, field), least)
+            object.__setattr__(self, field, value)
+        if self.noise_var is not None:
+            _real("SpikedTailRandom.noise_var", self.noise_var, 0, math.inf, "[)")
 
 
 @dataclass(frozen=True)
@@ -152,47 +135,40 @@ class ScenarioSpec:
     gct_phi: float = 1.0
 
     def __post_init__(self) -> None:
-        if not (self.n >= 1 and all(d >= 1 for d in self.d_grid)):
-            raise ValueError(
-                f"n and every d must be at least 1, got n={self.n}, "
-                f"d_grid={list(self.d_grid)}"
-            )
-        _set_count(self, "n", 1)
-        object.__setattr__(
-            self,
-            "d_grid",
-            tuple(
-                _count(f"ScenarioSpec.d_grid[{i}]", d, 1)
-                for i, d in enumerate(self.d_grid)
-            ),
-        )
-        _set_count(self, "base_seed", 0)
-        if not 0 <= self.eigen_decay_a < math.inf:
-            raise ValueError(
-                "eigenvalue decay exponent must be finite and nonnegative, "
-                f"got {self.eigen_decay_a!r}"
-            )
+        for field, least in (("n", 1), ("replicates", 1), ("base_seed", 0)):
+            value = _integer(f"ScenarioSpec.{field}", getattr(self, field), least)
+            object.__setattr__(self, field, value)
+        for field in ("d_grid", "methods"):
+            values = getattr(self, field)
+            if isinstance(values, str) or not isinstance(values, Iterable):
+                raise ValueError(
+                    f"ScenarioSpec.{field} must be a sequence, got {values!r}"
+                )
+            object.__setattr__(self, field, tuple(values))
+        entries = enumerate(self.d_grid)
+        d_grid = tuple(_integer(f"ScenarioSpec.d_grid[{i}]", d, 1) for i, d in entries)
+        object.__setattr__(self, "d_grid", d_grid)
+        _real("ScenarioSpec.eigen_decay_a", self.eigen_decay_a, 0, math.inf, "[)")
         if type(self.coef_pattern) not in _KIND_OF_PATTERN:
-            raise ValueError(f"unknown coefficient pattern {self.coef_pattern!r}")
-        if not 0 < self.snr_target < math.inf:
             raise ValueError(
-                f"target SNR must be finite and positive, got {self.snr_target!r}"
+                "ScenarioSpec.coef_pattern must be one of "
+                f"{', '.join(cls.__name__ for cls in _KIND_OF_PATTERN)}, "
+                f"got {self.coef_pattern!r}"
             )
-        _set_count(self, "replicates", 1)
-        if isinstance(self.methods, str):
-            raise ValueError(
-                f"methods must be a sequence of method names, got {self.methods!r}"
-            )
-        for method in self.methods:
-            if method not in _METHODS:
-                raise ValueError(f"unknown method {method!r}")
+        _real("ScenarioSpec.snr_target", self.snr_target, 0, math.inf, "()")
+        for i, method in enumerate(self.methods):
+            if method not in KNOWN_METHODS:
+                raise ValueError(
+                    f"ScenarioSpec.methods[{i}] must be one of "
+                    f"{', '.join(KNOWN_METHODS)}, got {method!r}"
+                )
             tune, _ = _METHODS[method]
             if tune is not None and self.n < CV_FOLDS:
                 raise ValueError(
                     f"method {method} needs n >= {CV_FOLDS} (its CV folds), "
                     f"got n={self.n}"
                 )
-        _check_phi(self.gct_phi)
+        _real("ScenarioSpec.gct_phi", self.gct_phi, 0, math.inf, "[)")
 
 
 @dataclass(frozen=True)
@@ -330,23 +306,24 @@ def run_experiment(spec: ScenarioSpec) -> ExperimentTable:
 CSV_COLUMNS = tuple(field.name for field in dataclasses.fields(TableRow))
 
 
-def _coerce(hint: Any, value: Any) -> Any:
-    """``value`` as the annotated type: float, int, str or Optional[float]."""
+def _coerce(hint: Any, value: Any, types: Tuple[type, ...]) -> Any:
+    """``value`` as the annotated type (float, int, str or Optional[float])
+    if that type is one of ``types``, else unchanged."""
     if typing.get_origin(hint) is Union:
         if value is None:
             return None
         (hint,) = (arg for arg in typing.get_args(hint) if arg is not type(None))
-    return hint(value)
+    return hint(value) if hint in types else value
 
 
-def _from_fields(cls: Type[Any], data: Dict[str, Any]) -> Any:
-    """An instance of the dataclass ``cls`` from ``data``, each field coerced
-    to its annotation; an omitted field takes its default, or raises
-    ``KeyError`` if it has none."""
+def _from_fields(cls: Type[Any], data: Dict[str, Any], types: Tuple[type, ...]) -> Any:
+    """An instance of the dataclass ``cls`` from ``data``, each field of one
+    of ``types`` converted to its annotation; an omitted field takes its
+    default, or raises ``KeyError`` if it has none."""
     hints = typing.get_type_hints(cls)
     return cls(
         **{
-            field.name: _coerce(hints[field.name], data[field.name])
+            field.name: _coerce(hints[field.name], data[field.name], types)
             for field in dataclasses.fields(cls)
             if field.name in data or field.default is dataclasses.MISSING
         }
@@ -373,7 +350,9 @@ def parse_table(path: str) -> ExperimentTable:
         reader = csv.DictReader(handle)
         if reader.fieldnames is None or tuple(reader.fieldnames) != CSV_COLUMNS:
             raise ValueError(f"unexpected results CSV header in {path}")
-        rows: List[TableRow] = [_from_fields(TableRow, record) for record in reader]
+        rows: List[TableRow] = [
+            _from_fields(TableRow, record, (int, float)) for record in reader
+        ]
     digest = rows[0].scenario_hash if rows else ""
     return ExperimentTable(rows=tuple(rows), scenario_hash=digest, base_seed=0)
 
@@ -395,19 +374,16 @@ def spec_from_dict(data: dict) -> ScenarioSpec:
     kind = pattern_data["kind"]
     if not isinstance(kind, str) or kind not in _PATTERN_OF_KIND:
         raise ValueError(f"unknown coefficient pattern kind {kind!r}")
-    # a string reaches ScenarioSpec whole, to be rejected there, and so do
-    # the counts, which int() would truncate
-    methods = data["methods"]
-    if not isinstance(methods, str):
-        methods = tuple(methods)
+    # the integers reach the dataclasses unconverted, to be checked there,
+    # as int() would truncate them
     return ScenarioSpec(
         n=data["n"],
         d_grid=data["d_grid"],
         eigen_decay_a=float(data["eigen_decay_a"]),
-        coef_pattern=_from_fields(_PATTERN_OF_KIND[kind], pattern_data),
+        coef_pattern=_from_fields(_PATTERN_OF_KIND[kind], pattern_data, (float,)),
         snr_target=float(data["snr_target"]),
         replicates=data["replicates"],
         base_seed=data["base_seed"],
-        methods=methods,
+        methods=data["methods"],
         gct_phi=float(data.get("gct_phi", 1.0)),
     )

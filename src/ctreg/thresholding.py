@@ -15,20 +15,15 @@ from typing import Callable, Optional
 import numpy as np
 from numpy.typing import ArrayLike, NDArray
 
+from .errors import _finite, _grid, _real
+
 FloatArray = NDArray[np.float64]
 
 
-def _check_threshold(tau: float) -> None:
-    """Raise ValueError unless tau is a finite nonnegative real."""
-    if not math.isfinite(tau) or tau < 0:
-        raise ValueError(f"threshold must be a finite nonnegative real, got {tau!r}")
-
-
 def _validate(z: ArrayLike, tau: float) -> FloatArray:
-    _check_threshold(tau)
+    _real("tau", tau, 0, math.inf, "[)")
     z = np.asarray(z, dtype=np.float64)
-    if not np.all(np.isfinite(z)):
-        raise ValueError("non-finite input")
+    _finite("z", z)
     return z
 
 
@@ -91,8 +86,9 @@ def apply_rule(rule: ThresholdRule, v: FloatArray, tau: float) -> FloatArray:
     for the soft and hard rules.  A custom rule's map is called once per
     component.
     """
+    _real("tau", tau, 0, math.inf, "[]")
     v = np.asarray(v, dtype=np.float64)
-    if math.isinf(tau) and tau > 0 and rule.kind is not RuleKind.CUSTOM:
+    if tau == math.inf and rule.kind is not RuleKind.CUSTOM:
         return np.zeros_like(v)
     if rule.kind is RuleKind.SOFT:
         return soft(v, tau)
@@ -120,12 +116,8 @@ def check_rule(
     zero so exact rules are not flagged for floating-point cancellation
     error.
     """
-    tau_samples = np.asarray(tau_samples, dtype=np.float64)
-    z_grid = np.asarray(z_grid, dtype=np.float64)
-    if tau_samples.size == 0 or z_grid.size == 0:
-        raise ValueError("nonempty grids required")
-    if not np.all(np.isfinite(tau_samples)):
-        raise ValueError("threshold samples must be finite")
+    tau_samples = _grid("tau_samples", tau_samples, 0, math.inf, "[)")
+    z_grid = _grid("z_grid", z_grid, -math.inf, math.inf, "()")
 
     c = rule.constant
     scale = max(1.0, float(np.max(np.abs(z_grid))), float(np.max(tau_samples)))

@@ -39,7 +39,6 @@ testing.
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass, field
 from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
@@ -53,10 +52,9 @@ from .canonical import (
     Dataset,
     _gram_spectrum,
 )
-from .errors import ZeroDesignError
-from .estimators import _check_lambda, _shrink
-from .metrics import _check_phi
-from .thresholding import RuleKind, SOFT_RULE, ThresholdRule, _check_threshold
+from .errors import ZeroDesignError, _grid, _integer, _real
+from .estimators import _shrink
+from .thresholding import RuleKind, SOFT_RULE, ThresholdRule
 
 FloatArray = NDArray[np.float64]
 
@@ -116,33 +114,17 @@ def breakpoints(
     return _breakpoints(_magnitudes(dec.eigenvalues, theta_ls, phi))
 
 
-def _check_split(L: int, seed: int) -> Tuple[int, int]:
-    """(L, seed) as Python ints: each must be an integer (numpy's too), and
-    the seed nonnegative; ``ValueError`` names the one that is not."""
-    values = []
-    for name, value in (("L", L), ("seed", seed)):
-        try:
-            values.append(operator.index(value))
-        except TypeError:
-            raise ValueError(f"{name} must be an integer, got {value!r}") from None
-    if values[1] < 0:
-        raise ValueError(f"seed must be nonnegative, got {seed!r}")
-    return values[0], values[1]
-
-
 def fold_assignment(n: int, L: int, seed: int) -> NDArray[np.int64]:
     """Partition [n] into L blocks with sizes in {floor(n/L), floor(n/L)+1}.
 
     The blocks are consecutive runs of a permutation of [n] drawn from
-    ``np.random.default_rng(seed)``, so (n, L, seed) fixes the split.  L and
-    the seed are integers (numpy integers too) and the seed is nonnegative;
-    anything else raises ``ValueError`` naming it.
+    ``np.random.default_rng(seed)``, so (n, L, seed) fixes the split.  n, L
+    and the seed are integers (numpy integers too), with 2 <= L <= n and the
+    seed nonnegative; anything else raises ``ValueError`` naming it.
     """
-    L, seed = _check_split(L, seed)
-    if L < 2:
-        raise ValueError("need at least 2 folds")
+    n, L, seed = _integer("n", n, 1), _integer("L", L, 2), _integer("seed", seed, 0)
     if L > n:
-        raise ValueError(f"cannot split {n} observations into {L} folds")
+        raise ValueError(f"L must be at most n = {n}, got {L}")
     base, extra = divmod(n, L)
     sizes = [base + 1] * extra + [base] * (L - extra)
     order = np.random.default_rng(seed).permutation(n)
@@ -272,8 +254,9 @@ def _memo_fold_spectra(dataset: Dataset, L: int, seed: int) -> _FoldSpectra:
     on one dataset may each compute it, but a hit always matches its key.
     Only the public tuners use the memo; ``cv_error_at`` and
     ``grid_cv_oracle`` build fresh spectra, so the oracles stay independent.
+    L and the seed are checked before the memo is read.
     """
-    key = _check_split(L, seed)
+    key = (_integer("L", L, 2), _integer("seed", seed, 0))
     entry = dataset._memo.get("fold_spectra")
     if entry is not None and entry[0] == key:
         return entry[1]
@@ -301,8 +284,11 @@ def cv_error_at(
     seed: int,
     tau: float,
 ) -> float:
-    """Evaluate the K-fold CV objective at a single threshold level."""
-    _check_phi(phi)
+    """Evaluate the K-fold CV objective at a single threshold level.
+
+    An infinite tau thresholds every coordinate."""
+    _real("phi", phi, 0, math.inf, "[)")
+    _real("tau", tau, 0, math.inf, "[]")
     return _cv_error(_fold_spectra(dataset, L, seed), rule, tau, phi)
 
 
@@ -420,7 +406,6 @@ def _hard_path(
 
 def _path_cv(spectra: _FoldSpectra, phi: float, rule: ThresholdRule) -> CvResult:
     """The exact tau path of one phi on shared fold spectra (see kfold_cv)."""
-    _check_phi(phi)
     magnitudes = [
         _magnitudes(fold.eigenvalues, fold.theta_ls, phi) for fold in spectra.folds
     ]
@@ -503,7 +488,7 @@ def kfold_cv(
     the same split, with any rule, phi or method, skips the L fold
     decompositions.  A call with another split replaces the entry.
     ``fold_assignment`` is the caller's copy.  A negative or non-finite phi
-    raises ``ValueError``, as in ``GctConfig``.
+    raises ``ValueError``, as in ``GctConfig``, before a fold is decomposed.
 
     Tall folds: a training block with more rows than columns is decomposed
     from X^T X - X_v^T X_v, with X^T X and X^T y formed once per split, and
@@ -528,6 +513,7 @@ def kfold_cv(
     60 ms right after three 200 x 4000 matrix-vector products, against
     37 ms after a pause.
     """
+    _real("phi", phi, 0, math.inf, "[)")
     _check_path_rule(rule)
     return _path_cv(_memo_fold_spectra(dataset, L, seed), phi, rule)
 
@@ -563,15 +549,9 @@ def grid_cv_oracle(
 
     A negative or NaN tau raises ``ValueError``, as in ``cv_error_at``; an
     infinite one thresholds every coordinate."""
-    _check_phi(phi)
+    _real("phi", phi, 0, math.inf, "[)")
     _check_path_rule(rule)
-    grid = np.asarray(grid, dtype=np.float64)
-    if grid.ndim != 1:
-        raise ValueError(f"grid must be 1-D, got shape {grid.shape}")
-    if grid.size == 0:
-        raise ValueError("empty grid")
-    for tau in grid[grid != math.inf].tolist():
-        _check_threshold(tau)
+    grid = _grid("grid", grid, 0, math.inf, "[]")
     folds = _fold_spectra(dataset, L, seed).folds
     taus = np.sort(grid)
     errors = sum(_fold_errors_on_grid(fold, rule, taus, phi) for fold in folds) / len(
@@ -598,13 +578,12 @@ def joint_cv(
     (phi, tau, result) with the smallest CV error; ties go to the smaller
     phi.
     """
-    if len(phi_grid) == 0:
-        raise ValueError("empty phi grid")
+    phis = _grid("phi_grid", phi_grid, 0, math.inf, "[)")
     _check_path_rule(rule)
     spectra = _memo_fold_spectra(dataset, L, seed)
     best: Optional[Tuple[float, float, CvResult]] = None
     # ascending with < so exact ties resolve toward the smallest phi
-    for phi in sorted(float(phi) for phi in phi_grid):
+    for phi in sorted(phis.tolist()):
         result = _path_cv(spectra, phi, rule)
         if best is None or result.cv_error_at_tau < best[2].cv_error_at_tau:
             best = (phi, result.tau_cv, result)
@@ -655,11 +634,5 @@ def kfold_cv_ridge(
     Ties go to the larger penalty.  A negative or NaN penalty raises
     ``ValueError``, as in ``fit_ridge``.
     """
-    lambdas = np.asarray(lambda_grid, dtype=np.float64)
-    if lambdas.ndim != 1:
-        raise ValueError(f"lambda_grid must be 1-D, got shape {lambdas.shape}")
-    if lambdas.size == 0:
-        raise ValueError("empty lambda grid")
-    for lambda_reg in lambdas.tolist():
-        _check_lambda(lambda_reg)
+    lambdas = _grid("lambda_grid", lambda_grid, 0, math.inf, "[]")
     return _ridge_cv(_memo_fold_spectra(dataset, L, seed), lambdas)

@@ -325,7 +325,7 @@ class TestFit:
         assert main(["fit", "--input", path, "--response", "y", "--method", "gct",
                      "--phi", "nan", "--tau-auto", "1,0.05,2",
                      "--output", str(tmp_path / "m.json")]) == 1
-        assert "error: phi must be nonnegative, got nan" in capsys.readouterr().err
+        assert "error: phi must be a number in [0, inf), got nan" in capsys.readouterr().err
 
     @pytest.mark.parametrize("sigma", ["nan", "inf"])
     def test_tau_auto_non_finite_sigma_exit_one(self, data_csv, tmp_path, capsys, sigma):
@@ -334,7 +334,7 @@ class TestFit:
         assert main(["fit", "--input", path, "--response", "y", "--method", "nct",
                      "--tau-auto", f"{sigma},0.05,2",
                      "--output", str(tmp_path / "m.json")]) == 1
-        assert (f"error: sigma must be finite and nonnegative, got {sigma}"
+        assert (f"error: sigma must be a number in [0, inf), got {sigma}"
                 in capsys.readouterr().err)
 
     def test_response_by_index(self, tmp_path):
@@ -597,7 +597,9 @@ class TestCv:
                      "--fit-out", out] + flags) == 1
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert "error: phi must be nonnegative" in captured.err
+        # --phi is a grid of one
+        assert re.fullmatch(r"error: phi_grid\[\d\] must be a number in \[0, inf\), got "
+                            r"(inf|nan|-1\.0)\n", captured.err)
 
 
 class TestKernelFit:
@@ -687,6 +689,28 @@ class TestSimulate:
         assert capsys.readouterr().err == (
             "error: bad scenario: method NCT-CV needs n >= 10 (its CV folds), "
             "got n=8\n"
+        )
+        assert not out.exists()
+
+    def test_fractional_pattern_count_exit_two(self, tmp_path, capsys):
+        # int() once read this count as 2
+        scenario = {
+            "n": 20,
+            "d_grid": [5],
+            "eigen_decay_a": 2.0,
+            "coef_pattern": {"kind": "spiked-head", "count": 2.5},
+            "snr_target": 10.0,
+            "replicates": 1,
+            "base_seed": 7,
+            "methods": ["Zero"],
+        }
+        spath = str(tmp_path / "s.json")
+        with open(spath, "w") as handle:
+            json.dump(scenario, handle)
+        out = tmp_path / "r.csv"
+        assert main(["simulate", "--scenario", spath, "--output", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            "error: bad scenario: SpikedHead.count must be an integer >= 0, got 2.5\n"
         )
         assert not out.exists()
 
@@ -869,12 +893,13 @@ class TestValueGrammar:
     @pytest.mark.parametrize(
         "text, reason",
         [
-            ("rbf:-1", "rbf gamma must be nonnegative"),
-            ("rbf:inf", "kernel gamma must be finite, got inf"),
-            ("poly:0,0,1", "poly degree must be a positive integer, got 0"),
-            ("poly:2,nan,1", "kernel coef0 must be finite, got nan"),
-            ("poly:2,0,-1", "poly scale must be positive"),
+            ("rbf:-1", "KernelSpec.gamma must be a number in [0, inf), got -1.0"),
+            ("rbf:inf", "KernelSpec.gamma must be a number in [0, inf), got inf"),
+            ("poly:0,0,1", "KernelSpec.degree must be an integer >= 1, got 0"),
+            ("poly:2,nan,1", "KernelSpec.coef0 must be a number in (-inf, inf), got nan"),
+            ("poly:2,0,-1", "KernelSpec.scale must be a number in (0, inf), got -1.0"),
         ],
+        ids=["rbf:-1", "rbf:inf", "poly:0,0,1", "poly:2,nan,1", "poly:2,0,-1"],
     )
     def test_kernel_spec_rejection_is_a_bad_value(self, data_csv, tmp_path, capsys, text,
                                                   reason):

@@ -1,0 +1,368 @@
+"""The library's argument contract (see ``ctreg.errors``).
+
+Each public function in TABLE runs over small vocabularies of good and bad
+values for its arguments.  A call returns, or raises ``ValueError`` (a
+``CtregError`` is one) whose message starts with the name of an argument,
+and a call with only good values returns.  A spy on ``_gram_spectrum``,
+the one spectral core, shows that no rejected call decomposed anything,
+and the dataset's memo is left empty.
+"""
+
+import math
+import re
+from typing import Any, Callable, Dict, NamedTuple, Optional, Tuple
+from unittest import mock
+
+import numpy as np
+import pytest
+from hypothesis import example, given, settings, strategies as st
+
+from ctreg import (
+    HARD_RULE,
+    SOFT_RULE,
+    Dataset,
+    GctConfig,
+    KernelSpec,
+    PolyDecay,
+    ScenarioSpec,
+    SpikedHead,
+    SpikedTailRandom,
+    apply_rule,
+    check_rule,
+    cv_error_at,
+    default_tau,
+    effective_rank,
+    fit_kernel_gct,
+    fit_nct,
+    fit_pcr,
+    fit_ridge,
+    fold_assignment,
+    grid_cv_oracle,
+    hard,
+    joint_cv,
+    joint_effective_dimension,
+    kfold_cv,
+    kfold_cv_pcr,
+    kfold_cv_ridge,
+    pe_random,
+    risk_bound,
+    snr,
+    soft,
+    threshold_scale,
+    weighted_risk_bound,
+)
+from ctreg import canonical, kernel, tuning
+
+RNG = np.random.default_rng(20)
+X = RNG.standard_normal((12, 5))
+Y = X @ np.array([1.0, -1.0, 0.5, 0.0, 2.0]) + 0.3 * RNG.standard_normal(12)
+Y_NAN = np.where(np.arange(12) == 4, math.nan, Y)
+
+BAD = ("a", None, math.nan, math.inf, -math.inf, 2.5, -1)
+BAD_COUNTS = BAD + (3.0, "3", 13)  # 13 folds are more than the 12 rows
+BAD_GRIDS = ([[0.0, 1.0]], [], "ab", 1.0, [0.0, None], [0.0, math.nan], [0.0, -1.0])
+INF = math.inf
+
+
+class Param(NamedTuple):
+    good: Tuple[Any, ...]
+    bad: Tuple[Any, ...]
+    name: Optional[str] = None  # what its message starts with, if not its own name
+
+
+def _spec(**fields):
+    defaults = dict(
+        n=20,
+        d_grid=(5,),
+        eigen_decay_a=2.0,
+        coef_pattern=PolyDecay(2.0),
+        snr_target=10.0,
+        replicates=1,
+        base_seed=0,
+        methods=("Zero",),
+        gct_phi=1.0,
+    )
+    return ScenarioSpec(**{**defaults, **fields})
+
+
+SPLIT = {"L": Param((3, np.int64(4)), BAD_COUNTS), "seed": Param((0, 7), BAD_COUNTS)}
+PHI = Param((0.0, 1.0, np.float64(2.0)), BAD)
+RULE = Param((SOFT_RULE, HARD_RULE), ())
+
+# name -> (call(dataset, **arguments), {argument: Param})
+TABLE: Dict[str, Tuple[Callable[..., Any], Dict[str, Param]]] = {
+    "GctConfig": (
+        lambda ds, tau, phi: GctConfig(tau, phi),
+        {
+            "tau": Param((0.0, 0.5, INF), BAD, "GctConfig.tau"),
+            "phi": Param(PHI.good, BAD, "GctConfig.phi"),
+        },
+    ),
+    "fit_nct": (
+        lambda ds, tau: fit_nct(ds, tau),
+        {"tau": Param((0.0, 0.3, INF), BAD, "GctConfig.tau")},
+    ),
+    "fit_pcr": (lambda ds, m: fit_pcr(ds, m), {"m": Param((0, 2, np.int64(5)), BAD_COUNTS)}),
+    "fit_ridge": (
+        lambda ds, lambda_reg: fit_ridge(ds, lambda_reg),
+        {"lambda_reg": Param((0.0, 1.0, INF), BAD)},
+    ),
+    "default_tau": (
+        lambda ds, **args: default_tau(**args),
+        {
+            "sigma": Param((0.0, 1.0), BAD),
+            "n": Param((10, np.int64(5)), BAD_COUNTS),
+            "r": Param((1, 3), BAD_COUNTS),
+            "delta": Param((0.05,), BAD),
+            "alpha": Param((1.0, 2.0), BAD),
+            "phi": PHI,
+            "lambda1": Param((1.0, 4.0), BAD),
+        },
+    ),
+    "threshold_scale": (
+        lambda ds, **args: threshold_scale(**args),
+        {
+            "n": Param((10,), BAD_COUNTS),
+            "r": Param((3,), BAD_COUNTS),
+            "delta": Param((0.05, 0.5), BAD),
+            "alpha": Param((2.0,), BAD),
+        },
+    ),
+    "risk_bound": (
+        lambda ds, **args: risk_bound(**args),
+        {
+            "theta": Param(([1.0, -0.5],), ([1.0, math.nan], [[1.0]])),
+            "level": Param((0.5, 1.0), BAD),
+        },
+    ),
+    "weighted_risk_bound": (
+        lambda ds, **args: weighted_risk_bound(**args, eigenvalues=[2.0, 1.0]),
+        {
+            "theta": Param(([1.0, -0.5],), ([math.nan, 1.0],)),
+            "level": Param((0.5,), BAD),
+            "phi": PHI,
+        },
+    ),
+    "snr": (
+        lambda ds, sigma: snr(np.ones(2), np.eye(2), sigma),
+        {"sigma": Param((0.5, 2.0), BAD)},
+    ),
+    "effective_rank": (
+        lambda ds, Sigma: effective_rank(Sigma),
+        {"Sigma": Param(([2.0, 1.0], np.eye(2)), ([math.nan, 1.0], [[1.0, math.inf]]))},
+    ),
+    "joint_effective_dimension": (
+        lambda ds, **args: joint_effective_dimension([0.5, 0.1], **args),
+        {"theta_full_norm": Param((1.0,), BAD), "q": Param((0.0, 1.0, 2.0), BAD)},
+    ),
+    "pe_random": (
+        lambda ds, Sigma: pe_random(np.ones(3), np.zeros(3), Sigma),
+        {"Sigma": Param((np.eye(3),), (np.eye(2), np.ones(3), [[1.0]]))},
+    ),
+    "soft": (
+        lambda ds, z, tau: soft(z, tau),
+        {"z": Param(([1.0, -2.0],), ([math.nan],)), "tau": Param((0.0, 1.0), BAD)},
+    ),
+    "hard": (
+        lambda ds, z, tau: hard(z, tau),
+        {"z": Param(([1.0, -2.0],), ([math.inf],)), "tau": Param((0.0, 1.0), BAD)},
+    ),
+    "apply_rule": (
+        lambda ds, rule, tau: apply_rule(rule, [1.0, -2.0], tau),
+        {"rule": RULE, "tau": Param((0.0, 1.0, INF), BAD)},
+    ),
+    "check_rule": (
+        lambda ds, **args: check_rule(SOFT_RULE, **args),
+        {
+            "tau_samples": Param(([0.0, 1.0],), BAD_GRIDS),
+            "z_grid": Param((np.linspace(-2.0, 2.0, 5),), BAD_GRIDS),
+        },
+    ),
+    "KernelSpec(rbf)": (
+        lambda ds, gamma: KernelSpec("rbf", gamma=gamma),
+        {"gamma": Param((0.0, 0.5), BAD, "KernelSpec.gamma")},
+    ),
+    "KernelSpec(poly)": (
+        lambda ds, degree, coef0, scale: KernelSpec("poly", 1.0, degree, coef0, scale),
+        {
+            "degree": Param((1, 3), BAD_COUNTS, "KernelSpec.degree"),
+            "coef0": Param((0.0, -1.0), BAD[:5], "KernelSpec.coef0"),
+            "scale": Param((0.5,), BAD, "KernelSpec.scale"),
+        },
+    ),
+    "fit_kernel_gct": (
+        lambda ds, Y, gamma, tau: fit_kernel_gct(
+            X, Y, KernelSpec("rbf", gamma=gamma), GctConfig(tau)
+        ),
+        {
+            "Y": Param((Y,), (Y_NAN,), "response"),
+            "gamma": Param((0.5,), BAD, "KernelSpec.gamma"),
+            "tau": Param((0.0, 0.1), BAD, "GctConfig.tau"),
+        },
+    ),
+    "fold_assignment": (
+        lambda ds, **args: fold_assignment(**args),
+        {"n": Param((12,), BAD_COUNTS[:-1]), **SPLIT},
+    ),
+    "kfold_cv": (
+        lambda ds, **args: kfold_cv(ds, **args),
+        {**SPLIT, "phi": PHI, "rule": RULE},
+    ),
+    "joint_cv": (
+        lambda ds, **args: joint_cv(ds, **args),
+        {**SPLIT, "phi_grid": Param(([0.0, 1.0], (2.0,)), BAD_GRIDS), "rule": RULE},
+    ),
+    "kfold_cv_pcr": (lambda ds, **args: kfold_cv_pcr(ds, **args), SPLIT),
+    "kfold_cv_ridge": (
+        lambda ds, **args: kfold_cv_ridge(ds, **args),
+        {**SPLIT, "lambda_grid": Param(([0.1, 1.0], np.logspace(-2, 1, 4)), BAD_GRIDS)},
+    ),
+    "cv_error_at": (
+        lambda ds, **args: cv_error_at(ds, **args),
+        {**SPLIT, "phi": PHI, "rule": RULE, "tau": Param((0.0, 0.4, INF), BAD)},
+    ),
+    "grid_cv_oracle": (
+        lambda ds, **args: grid_cv_oracle(ds, **args),
+        {**SPLIT, "phi": PHI, "rule": RULE, "grid": Param(([0.0, 0.5, INF],), BAD_GRIDS)},
+    ),
+    "PolyDecay": (lambda ds, b: PolyDecay(b), {"b": Param((0.0, 2.0), BAD, "PolyDecay.b")}),
+    "SpikedHead": (
+        lambda ds, count, value: SpikedHead(count, value),
+        {
+            "count": Param((0, 3), BAD_COUNTS, "SpikedHead.count"),
+            "value": Param((1.0, -2.0), BAD[:5], "SpikedHead.value"),
+        },
+    ),
+    "SpikedTailRandom": (
+        lambda ds, count, window, noise_var: SpikedTailRandom(count, window, noise_var),
+        {
+            "count": Param((0, 2), BAD_COUNTS, "SpikedTailRandom.count"),
+            "window": Param((1, 4), BAD_COUNTS, "SpikedTailRandom.window"),
+            "noise_var": Param((None, 0.0, 0.1), BAD[:1] + BAD[2:], "SpikedTailRandom.noise_var"),
+        },
+    ),
+    "ScenarioSpec": (
+        lambda ds, **fields: _spec(**fields),
+        {
+            "n": Param((20,), BAD_COUNTS, "ScenarioSpec.n"),
+            "d_grid": Param(((5,), [5, 8], ()), BAD + ((None,), (5.5,), [[5]]), "ScenarioSpec.d_grid"),
+            "eigen_decay_a": Param((0.0, 2.0), BAD, "ScenarioSpec.eigen_decay_a"),
+            "snr_target": Param((10.0,), BAD, "ScenarioSpec.snr_target"),
+            "replicates": Param((1, 3), BAD_COUNTS, "ScenarioSpec.replicates"),
+            "base_seed": Param((0, 9), BAD_COUNTS, "ScenarioSpec.base_seed"),
+            "methods": Param((("Zero", "OLS"),), ("OLS", None, [["OLS"]]), "ScenarioSpec.methods"),
+            "gct_phi": Param((0.0, 1.0), BAD, "ScenarioSpec.gct_phi"),
+        },
+    ),
+}
+
+
+def case(name: str, **arguments: Any) -> Tuple[str, Dict[str, Any]]:
+    """A call of TABLE[name], each argument not given at its first good value."""
+    params = TABLE[name][1]
+    return name, {arg: arguments.get(arg, param.good[0]) for arg, param in params.items()}
+
+
+# every case once probed to end in a TypeError, in numpy's message, in an
+# accepted value or in a rejection after the folds were decomposed
+PROBED = [
+    case("fit_ridge", lambda_reg="a"),
+    case("cv_error_at", tau="a"),
+    case("soft", tau="a"),
+    case("risk_bound", level="a"),
+    case("weighted_risk_bound", level="a"),
+    case("snr", sigma="a"),
+    case("threshold_scale", delta="a"),
+    case("default_tau", sigma="a"),
+    case("PolyDecay", b="a"),
+    case("ScenarioSpec", n="20"),
+    case("ScenarioSpec", d_grid=(None,)),
+    case("joint_cv", phi_grid=np.array([[0.0, 1.0]])),
+    case("threshold_scale", n=2.5),
+    case("default_tau", n=2.5),
+    case("snr", sigma=math.nan),
+    case("effective_rank", Sigma=[math.nan, 1.0]),
+    case("weighted_risk_bound", theta=[math.nan, 1.0]),
+    case("KernelSpec(poly)", degree=2.0),
+    case("PolyDecay", b=math.nan),
+    case("SpikedTailRandom", noise_var=-1),
+    case("pe_random", Sigma=np.eye(2)),
+    case("joint_cv", phi_grid="ab"),
+    case("kfold_cv", phi=-1),
+    case("joint_cv", L=4, phi_grid=[0, -1]),
+    case("cv_error_at", tau=-1),
+    # the split and grid cases, each checked before any fold is decomposed
+    case("fold_assignment", L=2.5),
+    case("fold_assignment", L=3.0),
+    case("fold_assignment", seed=-1),
+    case("kfold_cv", L="3"),
+    case("kfold_cv_pcr", seed=1.5),
+    case("kfold_cv_ridge", lambda_grid=[[1.0, 2.0]]),
+    case("kfold_cv_ridge", lambda_grid=[1.0, -1.0]),
+    case("grid_cv_oracle", grid=[[1.0], [2.0]]),
+    case("grid_cv_oracle", grid=[0.0, math.nan]),
+]
+
+
+@st.composite
+def cases(draw):
+    name = draw(st.sampled_from(sorted(TABLE)))
+    params = TABLE[name][1]
+    return name, {
+        arg: draw(st.sampled_from(param.good + param.bad)) for arg, param in params.items()
+    }
+
+
+def run(name: str, arguments: Dict[str, Any]) -> Tuple[Optional[str], int, Dataset]:
+    """(the ValueError's message or None, the spectral-core calls, the dataset)."""
+    call = TABLE[name][0]
+    dataset = Dataset(X, Y)
+    spy = mock.Mock(side_effect=canonical._gram_spectrum)
+    with mock.patch.object(canonical, "_gram_spectrum", spy), mock.patch.object(
+        tuning, "_gram_spectrum", spy
+    ), mock.patch.object(kernel, "_gram_spectrum", spy):
+        try:
+            call(dataset, **arguments)
+        except ValueError as exc:
+            return str(exc), spy.call_count, dataset
+    return None, spy.call_count, dataset
+
+
+def check_contract(name: str, arguments: Dict[str, Any]) -> Optional[str]:
+    message, decompositions, dataset = run(name, arguments)
+    params = TABLE[name][1]
+    if all(any(value is good for good in params[arg].good) for arg, value in arguments.items()):
+        assert message is None, (name, arguments, message)
+    if message is not None:
+        names = "|".join(re.escape(param.name or arg) for arg, param in params.items())
+        assert re.match(rf"({names})(\[\d+\])? must be ", message), (name, message)
+        if message.startswith("m must be at most the rank"):
+            return message  # the one bound that only the decomposition gives
+        assert decompositions == 0, (name, arguments, message)
+        assert dataset._memo == {}, (name, arguments, message)
+    return message
+
+
+def with_probed_examples(test):
+    for name, arguments in PROBED:
+        test = example(case=(name, arguments))(test)
+    return test
+
+
+class TestArgumentContract:
+    @settings(max_examples=400, deadline=None)
+    @given(case=cases())
+    @with_probed_examples
+    def test_returns_or_names_the_bad_argument_before_decomposing(self, case):
+        check_contract(*case)
+
+    @pytest.mark.parametrize("name, arguments", PROBED, ids=[n for n, _ in PROBED])
+    def test_each_probed_case_is_rejected(self, name, arguments):
+        assert check_contract(name, arguments) is not None
+
+    def test_good_values_return(self):
+        # the first good value of every argument, and each other good value
+        for name, (_, params) in TABLE.items():
+            for arg, param in params.items():
+                for value in param.good:
+                    assert check_contract(*case(name, **{arg: value})) is None

@@ -95,9 +95,13 @@ class TestGct:
 
     def test_non_numeric_config_is_named(self):
         # both once raised TypeError from a comparison
-        with pytest.raises(ValueError, match=r"^tau must be a nonnegative number, got 'a'"):
+        with pytest.raises(
+            ValueError, match=r"^GctConfig.tau must be a number in \[0, inf\], got 'a'"
+        ):
             GctConfig(tau="a")
-        with pytest.raises(ValueError, match=r"^phi must be nonnegative, got 'a'"):
+        with pytest.raises(
+            ValueError, match=r"^GctConfig.phi must be a number in \[0, inf\), got 'a'"
+        ):
             GctConfig(tau=1.0, phi="a")
 
     def test_infinite_tau_sentinel(self):
@@ -141,7 +145,7 @@ class TestPcr:
 
         ds, _ = random_dataset(8, 10, 4)
         monkeypatch.setattr(estimators, "canonicalize", no_decomposition)
-        with pytest.raises(ValueError, match=r"^m must be an integer, got "):
+        with pytest.raises(ValueError, match=rf"^m must be an integer >= 0, got {m!r}$"):
             fit_pcr(ds, m)
 
     def test_numpy_integer_m(self):
@@ -220,6 +224,19 @@ class TestPredict:
         with pytest.raises(ValueError):
             predict(fit, np.zeros((3, 6)))
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_row_is_not_scanned(self, bad):
+        # NaN in, NaN out, and an infinity gives +-inf, in that row only and
+        # with no RuntimeWarning (which pytest makes an error)
+        ds, _ = random_dataset(20, 10, 5)
+        fit = fit_nct(ds, 0.1)
+        rows = np.random.default_rng(20).standard_normal((6, 5))
+        finite = predict(fit, rows)
+        rows[3, 1] = bad
+        out = predict(fit, rows)
+        np.testing.assert_array_equal(np.delete(out, 3), np.delete(finite, 3))
+        np.testing.assert_array_equal(out[3], bad * np.sign(fit.beta[1]))
+
 
 class TestDefaultTau:
     def test_arithmetic_example(self):
@@ -246,16 +263,18 @@ class TestDefaultTau:
 
     @pytest.mark.parametrize("phi", [-1.0, math.nan, math.inf])
     def test_bad_phi_rejected(self, phi):
-        # the same check and message as GctConfig
-        with pytest.raises(ValueError, match="phi must be nonnegative"):
+        # the same check as GctConfig's phi
+        with pytest.raises(
+            ValueError, match=rf"^phi must be a number in \[0, inf\), got {phi!r}"
+        ):
             default_tau(1.0, 100, 50, 0.05, 2.0, phi=phi, lambda1=4.0)
 
     @pytest.mark.parametrize("value", [math.nan, math.inf])
     def test_non_finite_sigma_and_lambda1_named(self, value):
         # nan once returned nan and inf once gave tau = inf (the zero model)
-        with pytest.raises(ValueError, match=f"sigma must be finite.*got {value!r}"):
+        with pytest.raises(ValueError, match=rf"^sigma must be .*\), got {value!r}"):
             default_tau(value, 100, 50, 0.05, 2.0)
-        with pytest.raises(ValueError, match=f"lambda1 must be finite.*got {value!r}"):
+        with pytest.raises(ValueError, match=rf"^lambda1 must be .*\), got {value!r}"):
             default_tau(1.0, 100, 50, 0.05, 2.0, phi=1.0, lambda1=value)
 
 

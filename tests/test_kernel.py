@@ -2,6 +2,7 @@
 
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -45,22 +46,30 @@ class TestKernelSpec:
             KernelSpec(kind="sigmoid")
         with pytest.raises(ValueError):
             KernelSpec(kind="rbf", gamma=-1.0)
-        for degree in (0, 2.5, math.nan, math.inf):
-            with pytest.raises(ValueError, match="poly degree must be a positive"):
+        # an integral float is not an integer, as for every integer argument
+        for degree in (0, 2.5, math.nan, math.inf, 2.0):
+            with pytest.raises(
+                ValueError, match=rf"^KernelSpec.degree must be an integer >= 1, got {degree!r}"
+            ):
                 KernelSpec(kind="poly", degree=degree)
-        assert KernelSpec(kind="poly", degree=2.0).degree == 2.0  # stored as given
         with pytest.raises(ValueError):
             KernelSpec(kind="poly", scale=0.0)
         for kind, field in [("rbf", "gamma"), ("poly", "coef0"), ("poly", "scale")]:
             for value in (math.nan, math.inf):
-                with pytest.raises(ValueError, match=f"kernel {field} must be finite"):
+                with pytest.raises(
+                    ValueError, match=rf"^KernelSpec.{field} must be a number in .*, got {value!r}"
+                ):
                     KernelSpec(kind=kind, **{field: value})
 
     def test_non_numeric_fields_are_named(self):
         # each once raised TypeError from math.isfinite or a comparison
-        with pytest.raises(ValueError, match=r"^kernel gamma must be finite, got 'a'"):
+        with pytest.raises(
+            ValueError, match=r"^KernelSpec.gamma must be a number in \[0, inf\), got 'a'"
+        ):
             KernelSpec("rbf", gamma="a")
-        with pytest.raises(ValueError, match=r"^poly degree must be a positive integer"):
+        with pytest.raises(
+            ValueError, match=r"^KernelSpec.degree must be an integer >= 1, got 'a'"
+        ):
             KernelSpec("poly", degree="a")
 
 
@@ -89,7 +98,9 @@ class TestGram:
         X = random_points(4, 5, 3)
         X[3, 2] = bad
         for spec in (LINEAR, RBF):
-            with pytest.raises(ValueError, match=r"row 3, column 2"):
+            with pytest.raises(
+                ValueError, match=rf"^points must be finite, got {bad!r} at index \(3, 2\)"
+            ):
                 gram(X, spec)
 
 
@@ -163,11 +174,13 @@ class TestFitKernelGct:
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_non_finite_response_named(self, bad):
-        # the message Dataset gives, not "non-finite input" from the rule
+        # the message Dataset gives, not the thresholding rule's
         X = random_points(5, 8, 3)
         Y = np.random.default_rng(5).standard_normal(8)
         Y[4] = bad
-        with pytest.raises(ValueError, match=r"response has a non-finite value at index \(4,\)"):
+        with pytest.raises(
+            ValueError, match=rf"^response must be finite, got {bad!r} at index \(4,\)"
+        ):
             fit_kernel_gct(X, Y, RBF, GctConfig(tau=0.1))
 
     def test_interpolation_at_tau_zero(self):
@@ -252,6 +265,24 @@ class TestPredictKernel:
         model = fit_kernel_gct(X, np.ones(5), RBF, GctConfig(tau=0.0))
         with pytest.raises(ValueError):
             predict_kernel_batch(model, np.ones((1, 4)))
+
+    @pytest.mark.parametrize("spec", [LINEAR, RBF, POLY], ids=["linear", "rbf", "poly"])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_row_is_not_scanned(self, spec, bad):
+        # NaN in, NaN out, silently; an infinity may make numpy warn (pytest
+        # makes a RuntimeWarning an error), and here it gives NaN too
+        X = random_points(15, 8, 3)
+        Y = np.random.default_rng(15).standard_normal(8)
+        model = fit_kernel_gct(X, Y, spec, GctConfig(tau=0.1), center_response=True)
+        rows = random_points(16, 5, 3)
+        finite = predict_kernel_batch(model, rows)
+        rows[2, 0] = bad
+        with warnings.catch_warnings():
+            if math.isinf(bad):
+                warnings.simplefilter("ignore", RuntimeWarning)
+            out = predict_kernel_batch(model, rows)
+        np.testing.assert_array_equal(np.delete(out, 2), np.delete(finite, 2))
+        assert math.isnan(out[2])
 
 
 class TestInSampleError:

@@ -199,14 +199,15 @@ class TestRiskBound:
     @pytest.mark.parametrize("level", [math.nan, math.inf])
     def test_non_finite_level_named(self, level):
         # nan once gave sandwich_core = nan beside a finite lq_bound
-        with pytest.raises(ValueError, match=f"level must be finite.*got {level!r}"):
+        message = rf"^level must be a number in \(0, inf\), got {level!r}"
+        with pytest.raises(ValueError, match=message):
             risk_bound(np.ones(2), level)
-        with pytest.raises(ValueError, match=f"level must be finite.*got {level!r}"):
+        with pytest.raises(ValueError, match=message):
             weighted_risk_bound(np.ones(2), np.array([2.0, 1.0]), level, 1.0)
 
     def test_nan_theta_named(self):
         # once gave sandwich_core = nan beside lq_bound = 0.25
-        with pytest.raises(ValueError, match=r"^theta has a non-finite value at index \(1,\)"):
+        with pytest.raises(ValueError, match=r"^theta must be finite, got nan at index \(1,\)"):
             risk_bound(np.array([1.0, math.nan]), 0.5)
 
     def test_two_dimensional_theta_named(self):
@@ -243,6 +244,8 @@ class TestWeightedRiskBound:
 
     @pytest.mark.parametrize("phi", [-1.0, math.nan, math.inf])
     def test_bad_phi_rejected(self, phi):
-        # the same check and message as GctConfig
-        with pytest.raises(ValueError, match="phi must be nonnegative"):
+        # the same check as GctConfig's phi
+        with pytest.raises(
+            ValueError, match=rf"^phi must be a number in \[0, inf\), got {phi!r}"
+        ):
             weighted_risk_bound(np.ones(2), np.array([2.0, 1.0]), 1.0, phi)

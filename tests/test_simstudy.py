@@ -1,6 +1,7 @@
 """Tests for the Monte Carlo comparison harness."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -49,28 +50,38 @@ class TestScenarioSpec:
         with pytest.raises(ValueError):
             PolyDecay(b=-0.5)
         for bad in (math.nan, math.inf):
-            with pytest.raises(ValueError, match="decay exponent must be finite"):
+            with pytest.raises(
+                ValueError, match=rf"^ScenarioSpec.eigen_decay_a must be .*, got {bad!r}"
+            ):
                 make_spec(eigen_decay_a=bad)
-            with pytest.raises(ValueError, match="SNR must be finite"):
+            with pytest.raises(
+                ValueError, match=rf"^ScenarioSpec.snr_target must be .*, got {bad!r}"
+            ):
                 make_spec(snr_target=bad)
-        for n, d_grid in ((0, (5,)), (-1, (5,)), (20, (0,)), (20, (5, -3))):
-            with pytest.raises(ValueError, match="n and every d must be at least 1"):
+        for n, d_grid, field in (
+            (0, (5,), "n"), (-1, (5,), "n"), (20, (0,), "d_grid[0]"), (20, (5, -3), "d_grid[1]")
+        ):
+            with pytest.raises(
+                ValueError, match=rf"^ScenarioSpec.{re.escape(field)} must be an integer >= 1"
+            ):
                 make_spec(n=n, d_grid=d_grid)
         with pytest.raises(ValueError, match="method NCT-CV needs n >= 10"):
             make_spec(n=8, methods=("Zero", "NCT-CV"))
         make_spec(n=10, methods=("NCT-CV",))  # one row per fold is enough
         make_spec(n=8, methods=("Zero", "OLS"))  # no CV method, no fold bound
-        with pytest.raises(ValueError, match="phi must be nonnegative"):
+        with pytest.raises(
+            ValueError, match=r"^ScenarioSpec.gct_phi must be a number in \[0, inf\), got nan"
+        ):
             make_spec(gct_phi=math.nan)
-        with pytest.raises(ValueError, match="unknown coefficient pattern"):
+        with pytest.raises(ValueError, match=r"^ScenarioSpec.coef_pattern must be one of"):
             make_spec(coef_pattern=object())
 
     def test_methods_as_one_string_is_named(self):
-        with pytest.raises(ValueError, match=r"^methods must be a sequence .*'OLS'"):
+        with pytest.raises(ValueError, match=r"^ScenarioSpec.methods must be a sequence, got 'OLS'"):
             make_spec(methods="OLS")
         data = spec_to_dict(make_spec())
         data["methods"] = "OLS"
-        with pytest.raises(ValueError, match=r"^methods must be a sequence"):
+        with pytest.raises(ValueError, match=r"^ScenarioSpec.methods must be a sequence"):
             spec_from_dict(data)
 
     @pytest.mark.parametrize("replicates", [1.5, 2.0, "2", 0])
@@ -356,12 +367,32 @@ class TestSerialization:
         data["coef_pattern"] = {"kind": "spiked-tail-random", "count": 2, "window": 6}
         assert spec_from_dict(data).coef_pattern == SpikedTailRandom(count=2, window=6)
         assert spec_from_dict(data).coef_pattern.noise_var is None
-        data["coef_pattern"] = {"kind": "spiked-head", "count": 3.0}
+        data["coef_pattern"] = {"kind": "spiked-head", "count": 3, "value": 1}
         pattern = spec_from_dict(data).coef_pattern
         assert pattern == SpikedHead(count=3, value=1.0)
         assert type(pattern.count) is int and type(pattern.value) is float
         data["coef_pattern"] = {"kind": "poly-decay", "b": 2}
         assert type(spec_from_dict(data).coef_pattern.b) is float
+
+    @pytest.mark.parametrize(
+        "pattern, message",
+        [
+            ({"kind": "spiked-head", "count": 2.5}, "SpikedHead.count .* got 2.5"),
+            ({"kind": "spiked-head", "count": "3"}, "SpikedHead.count .* got '3'"),
+            ({"kind": "spiked-head", "count": 3.0}, "SpikedHead.count .* got 3.0"),
+            (
+                {"kind": "spiked-tail-random", "count": 1, "window": 3.7},
+                "SpikedTailRandom.window .* got 3.7",
+            ),
+        ],
+        ids=["fractional", "string", "integral-float", "window"],
+    )
+    def test_pattern_integers_are_not_truncated(self, pattern, message):
+        # int() once made these SpikedHead(count=2), 3, 3 and window=3
+        data = spec_to_dict(make_spec())
+        data["coef_pattern"] = pattern
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            spec_from_dict(data)
 
     def test_spec_from_dict_bad_pattern(self):
         data = spec_to_dict(make_spec())

@@ -302,15 +302,15 @@ class TestGridOracle:
 
     @pytest.mark.parametrize("tau", [-1.0, -math.inf, math.nan])
     def test_bad_tau_rejected_before_any_fold(self, monkeypatch, tau):
-        # the error cv_error_at raises, before a fold is decomposed
+        # the domain cv_error_at checks, before a fold is decomposed
         ds = random_dataset(10, 10, 3)
-        with pytest.raises(ValueError, match="finite nonnegative real") as direct:
-            cv_error_at(ds, 2, 0.0, SOFT_RULE, 0, tau)
         monkeypatch.setattr(tuning, "_fold_spectra", no_folds)
+        domain = rf"must be a number in \[0, inf\], got {tau!r}$"
+        with pytest.raises(ValueError, match=f"^tau {domain}"):
+            cv_error_at(ds, 2, 0.0, SOFT_RULE, 0, tau)
         for rule in (SOFT_RULE, HARD_RULE):
-            with pytest.raises(ValueError) as oracle:
+            with pytest.raises(ValueError, match=rf"^grid\[1\] {domain}"):
                 grid_cv_oracle(ds, 2, 0.0, rule, np.array([0.0, tau, 1.0]), seed=0)
-            assert str(oracle.value) == str(direct.value)
 
     @pytest.mark.parametrize("grid", [[[1.0, 2.0]], [[1.0], [2.0]], 1.0])
     def test_grid_must_be_1d_before_any_fold(self, monkeypatch, grid):
@@ -323,9 +323,9 @@ class TestGridOracle:
 
         monkeypatch.setattr(tuning, "_fold", fold)
         ds = random_dataset(44, 12, 5)
-        with pytest.raises(ValueError, match=r"^lambda_grid must be 1-D"):
+        with pytest.raises(ValueError, match=r"^lambda_grid must be a nonempty 1-D grid, got"):
             kfold_cv_ridge(ds, 3, grid)
-        with pytest.raises(ValueError, match=r"^grid must be 1-D"):
+        with pytest.raises(ValueError, match=r"^grid must be a nonempty 1-D grid, got"):
             grid_cv_oracle(ds, 3, 0.0, SOFT_RULE, grid, 0)
         assert calls == []
         assert "fold_spectra" not in ds._memo
@@ -386,19 +386,22 @@ class TestJointCv:
             joint_cv(ds, 3, [], seed=0)
 
     @pytest.mark.parametrize("phi", [-1.0, math.nan, math.inf])
-    def test_bad_phi_rejected(self, phi):
-        # the same check and message as GctConfig
+    def test_bad_phi_rejected(self, monkeypatch, phi):
+        # the same check as GctConfig's phi, before a fold is decomposed
         ds = random_dataset(12, 10, 4)
-        with pytest.raises(ValueError, match="phi must be nonnegative"):
+        monkeypatch.setattr(tuning, "_fold", no_folds)
+        domain = rf"must be a number in \[0, inf\), got {phi!r}$"
+        with pytest.raises(ValueError, match=f"^phi {domain}"):
             kfold_cv(ds, 3, phi)
-        with pytest.raises(ValueError, match="phi must be nonnegative"):
+        with pytest.raises(ValueError, match=rf"^phi_grid\[1\] {domain}"):
             joint_cv(ds, 3, [0.0, phi])
-        with pytest.raises(ValueError, match="phi must be nonnegative"):
+        with pytest.raises(ValueError, match=f"^phi {domain}"):
             cv_error_at(ds, 3, phi, SOFT_RULE, 0, 0.1)
-        with pytest.raises(ValueError, match="phi must be nonnegative"):
+        with pytest.raises(ValueError, match=f"^phi {domain}"):
             grid_cv_oracle(ds, 3, phi, SOFT_RULE, np.array([0.0, 0.1]), 0)
-        with pytest.raises(ValueError, match="phi must be nonnegative"):
+        with pytest.raises(ValueError, match=f"^GctConfig.phi {domain}"):
             GctConfig(tau=0.0, phi=phi)
+        assert ds._memo == {}
 
 
 class TestBaselineCv:
@@ -449,14 +452,14 @@ class TestBaselineCv:
 
     @pytest.mark.parametrize("lam", [-1.0, -math.inf, math.nan])
     def test_ridge_bad_lambda_rejected_before_any_fold(self, monkeypatch, lam):
-        # fit_ridge's error, before a fold is decomposed
+        # fit_ridge's domain, before a fold is decomposed
         ds = random_dataset(14, 18, 9)
-        with pytest.raises(ValueError, match="lambda_reg must be nonnegative") as fit:
+        domain = rf"must be a number in \[0, inf\], got {lam!r}$"
+        with pytest.raises(ValueError, match=f"^lambda_reg {domain}"):
             fit_ridge(ds, lam)
         monkeypatch.setattr(tuning, "_fold_spectra", no_folds)
-        with pytest.raises(ValueError) as cv:
+        with pytest.raises(ValueError, match=rf"^lambda_grid\[0\] {domain}"):
             kfold_cv_ridge(ds, 3, np.array([lam, 1.0]), seed=4)
-        assert str(cv.value) == str(fit.value)
         assert "fold_spectra" not in ds._memo
 
 

@@ -122,9 +122,49 @@ MUTANTS = (
     Mutant(
         "seed dropped from the fold-spectra memo key",
         "src/ctreg/tuning.py",
-        "key = _check_split(L, seed)",
-        "key = (_check_split(L, seed)[0],)",
+        'key = (_integer("L", L, 2), _integer("seed", seed, 0))',
+        'key = (_integer("L", L, 2),)',
         ("tests/test_memo.py",),
+    ),
+    # the argument contract (errors.py) and its check-before-the-folds order
+    Mutant(
+        "_integer accepts an integral float",
+        "src/ctreg/errors.py",
+        "        integer = operator.index(value)\n",
+        "        integer = (\n"
+        "            int(value) if isinstance(value, float) and value.is_integer()\n"
+        "            else operator.index(value)\n"
+        "        )\n",
+        (
+            "tests/test_contract.py::TestArgumentContract::"
+            "test_each_probed_case_is_rejected",
+        ),
+    ),
+    Mutant(
+        "_real lets NaN through",
+        "src/ctreg/errors.py",
+        '        and (low < value or (ends[0] == "[" and low == value))\n'
+        '        and (value < high or (ends[1] == "]" and value == high))\n',
+        '        and not (value < low or (ends[0] == "(" and value == low))\n'
+        '        and not (value > high or (ends[1] == ")" and value == high))\n',
+        (
+            "tests/test_contract.py::TestArgumentContract::"
+            "test_each_probed_case_is_rejected",
+        ),
+    ),
+    Mutant(
+        "joint_cv checks phi after the folds",
+        "src/ctreg/tuning.py",
+        '    phis = _grid("phi_grid", phi_grid, 0, math.inf, "[)")\n'
+        "    _check_path_rule(rule)\n"
+        "    spectra = _memo_fold_spectra(dataset, L, seed)\n",
+        "    _check_path_rule(rule)\n"
+        "    spectra = _memo_fold_spectra(dataset, L, seed)\n"
+        '    phis = _grid("phi_grid", phi_grid, 0, math.inf, "[)")\n',
+        (
+            "tests/test_contract.py::TestArgumentContract::"
+            "test_each_probed_case_is_rejected",
+        ),
     ),
     Mutant(
         "positional center_response",

@@ -15,7 +15,7 @@ CV fold spectra and kernel matrices go through the same core.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Tuple
+from typing import Callable, Dict, Hashable, Tuple, TypeVar
 
 import numpy as np
 from numpy.typing import NDArray
@@ -24,6 +24,7 @@ from ._blas import pinned
 from .errors import ZeroDesignError, _finite
 
 FloatArray = NDArray[np.float64]
+T = TypeVar("T")
 
 # relative eigenvalue floor of every design decomposition (see canonicalize)
 RANK_REL_TOL = 1e-12
@@ -35,13 +36,15 @@ class Dataset:
 
     Construction copies both arrays and makes the copies read-only, so a
     Dataset never changes after it is made.  That lets it keep a private
-    memo of what its arrays determine: the full decomposition, filled by
-    ``canonicalize``, and the spectra of the last fold split a CV tuner
-    used (see ``kfold_cv``).  The memo holds one decomposition (d*r + n*r
-    floats for rank r) and one split; it is not part of the repr, of
-    equality (two Datasets are equal when their arrays are) or of
-    pickling, and ``dataclasses.replace`` or a copy starts with an empty
-    one.
+    memo of what its arrays determine: the products of X that every
+    decomposition reads (X X^T, n*n floats, or X^T X, X^T y and the squared
+    row norms, d*d + d + n floats, or both when the full decomposition and
+    the CV folds take different routes; see ``_products``), the full
+    decomposition, filled by ``canonicalize`` (d*r + n*r floats for rank
+    r), and the spectra of the last fold split a CV tuner used (see
+    ``kfold_cv``).  The memo is not part of the repr, of equality (two
+    Datasets are equal when their arrays are) or of pickling, and
+    ``dataclasses.replace`` or a copy starts with an empty one.
     """
 
     design: FloatArray
@@ -151,6 +154,47 @@ def _pivot_signs(vectors: FloatArray) -> FloatArray:
     return signs
 
 
+def _memoized(memo: dict, name: str, key: Hashable, make: Callable[[], T]) -> T:
+    """The value kept under ``name`` in a memo if it was made for ``key``,
+    else ``make()``, kept there in its place.
+
+    The entry is stored and read as one (key, value) tuple: threads racing
+    on one memo may each compute it, but a hit always matches its key.
+    """
+    entry = memo.get(name)
+    if entry is not None and entry[0] == key:
+        return entry[1]
+    value = make()
+    memo[name] = (key, value)
+    return value
+
+
+def _products(dataset: Dataset, wide: bool) -> Tuple[FloatArray, ...]:
+    """The products of X that its decompositions read: (X X^T,) when
+    ``wide``, else (X^T X, X^T y, the squared row norms of X), which a tall
+    CV fold downdates.
+
+    They are formed once per Dataset, on one BLAS thread (see
+    ``_blas.pinned``), so no bit depends on the BLAS thread count, and kept
+    read-only in its memo; ``canonicalize`` and every fold split read them.
+    """
+
+    def make() -> Tuple[FloatArray, ...]:
+        X = dataset.design
+        with pinned():
+            if wide:
+                products = (X @ X.T,)
+            else:
+                row_norms = np.einsum("ij,ij->i", X, X)
+                products = (X.T @ X, X.T @ dataset.response, row_norms)
+        for array in products:
+            array.flags.writeable = False
+        return products
+
+    name = "outer_products" if wide else "inner_products"
+    return _memoized(dataset._memo, name, None, make)
+
+
 def canonicalize(dataset: Dataset) -> CanonicalDecomposition:
     """Compute the canonical decomposition of a dataset.
 
@@ -174,14 +218,17 @@ def canonicalize(dataset: Dataset) -> CanonicalDecomposition:
     at the floor of 1e-12 it is about 1e-4.
 
     The decomposition is computed once per Dataset and kept in its memo:
-    later calls return the same object, whose arrays are read-only.
+    later calls return the same object, whose arrays are read-only.  Its
+    Gram matrix is the product X X^T or X^T X that the memo keeps for the
+    CV folds too (see ``_products``), divided by n.
 
     Memory: each vector matrix is built once and scaled and sign-flipped in
-    place, and the memo keeps those same arrays.  Beyond X, the peak is the
-    Gram matrix (and ``eigh``'s work on it) plus one array of retained
-    vectors: d*r floats when n <= d, else n*r.  At 200 x 4000 and at
-    4000 x 200 the peak traced by tracemalloc is 6.8 MB, of which 6.7 MB is
-    what the memo keeps.
+    place, and the memo keeps those same arrays and the Gram matrix.
+    Beyond X, the peak is the Gram matrix (and ``eigh``'s work on it) plus
+    one array of retained vectors: d*r floats when n <= d, else n*r.  At
+    200 x 4000 and at 4000 x 200 the peak traced by tracemalloc is 7.1 MB,
+    nearly all of it what the memo keeps: 6.7 MB of decomposition and
+    0.3 MB of products.
 
     Threads: the Gram product, its ``eigh`` and the product that recovers
     the other vectors run with OpenBLAS pinned to one thread (see
@@ -194,32 +241,27 @@ def canonicalize(dataset: Dataset) -> CanonicalDecomposition:
     2000 x 500 and 6-8 -> 9 ms at 1000 x 200.  In a loop that alternates
     fits and CV, as ``run_experiment`` does, the pin is a net gain.
     """
-    cached = dataset._memo.get("decomposition")
-    if cached is not None:
-        return cached
+    return _memoized(dataset._memo, "decomposition", None, lambda: _decompose(dataset))
+
+
+def _decompose(dataset: Dataset) -> CanonicalDecomposition:
     X = dataset.design
     n, d = X.shape
+    wide = n <= d
     with pinned():
-        if n <= d:
-            eigenvalues, V, _ = _gram_spectrum(X @ X.T / n, RANK_REL_TOL)
-            U = X.T @ V
-            U /= np.sqrt(n * eigenvalues)
-        else:
-            eigenvalues, U, _ = _gram_spectrum(X.T @ X / n, RANK_REL_TOL)
-            V = X @ U
-            V /= np.sqrt(n * eigenvalues)
+        gram = _products(dataset, wide)[0] / n
+        eigenvalues, vectors, _ = _gram_spectrum(gram, RANK_REL_TOL)
+        other = (X.T if wide else X) @ vectors
+        other /= np.sqrt(n * eigenvalues)
     if eigenvalues.size == 0:
         raise ZeroDesignError("zero design matrix")
+    U, V = (other, vectors) if wide else (vectors, other)
     signs = _pivot_signs(U)
     U *= signs
     V *= signs
-    dec = CanonicalDecomposition(
-        eigenvalues=eigenvalues, right_vectors=U, left_vectors=V
-    )
-    for array in (dec.eigenvalues, dec.right_vectors, dec.left_vectors):
+    for array in (eigenvalues, U, V):
         array.flags.writeable = False
-    dataset._memo["decomposition"] = dec
-    return dec
+    return CanonicalDecomposition(eigenvalues, U, V)
 
 
 def canonical_ls(dec: CanonicalDecomposition, Y: FloatArray) -> FloatArray:

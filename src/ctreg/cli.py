@@ -15,7 +15,7 @@ from typing import Any, Callable, Dict, List, NamedTuple, Optional, Sequence, Tu
 import numpy as np
 
 from .canonical import CanonicalDecomposition, Dataset, canonicalize, to_theta
-from .errors import CtregError, UsageError
+from .errors import CtregError, UsageError, _real
 from .estimators import (
     FitResult,
     GctConfig,
@@ -527,6 +527,8 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 
 
 def cmd_diagnose(args: argparse.Namespace) -> int:
+    if args.sigma is not None:
+        _real("--sigma", args.sigma, 0, math.inf, "[)")
     X, Y = load_dataset(args.input, args.response)
     dataset = Dataset(X, Y)
     dec = canonicalize(dataset)

@@ -6,7 +6,8 @@ one form of message, ``<name> must be <domain>, got <value>``: the name is
 the parameter's, ``Class.field`` for a dataclass field, and ``name[i]`` for
 entry i of a sequence or grid.  Nothing is decomposed, and no memo is
 filled, before the check; the one bound found later is ``fit_pcr``'s m
-above the rank, which only the decomposition gives.  The four helpers
+above the rank but not above min(n, d), which only the decomposition
+gives.  The four helpers
 below make every such check:
 
 - ``_integer``: an integer (numpy's too, not an integral float) of at

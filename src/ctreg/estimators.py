@@ -106,10 +106,13 @@ def fit_pcr(dataset: Dataset, m: int) -> FitResult:
     """Least squares on the first m principal-component scores.
 
     m is an integer (numpy's too) in [0, rank]; anything else raises
-    ``ValueError`` naming m, before the decomposition unless m is an
-    integer above the rank.
+    ``ValueError`` naming m, before the decomposition unless m lies between
+    the rank and min(n, d), which only the decomposition can tell.
     """
     m = _integer("m", m, 0)
+    most = min(dataset.n, dataset.d)
+    if m > most:
+        raise ValueError(f"m must be at most min(n, d) = {most}, got {m}")
     dec = canonicalize(dataset)
     if m > dec.rank:
         raise ValueError(f"m must be at most the rank {dec.rank}, got {m}")

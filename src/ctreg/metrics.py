@@ -32,6 +32,8 @@ def mse_fixed(
     d = dec.right_vectors.shape[0]
     if beta_hat.shape != (d,) or beta.shape != (d,):
         raise ValueError(f"coefficient vectors must have length {d}")
+    _finite("beta_hat", beta_hat)
+    _finite("beta", beta)
     diff = to_theta(dec, beta_hat - beta)
     return float(diff @ diff)
 
@@ -47,6 +49,9 @@ def pe_random(beta_hat: FloatArray, beta: FloatArray, Sigma: FloatArray) -> floa
         )
     if Sigma.shape != 2 * beta.shape:
         raise ValueError(f"Sigma must be of shape {2 * beta.shape}, got {Sigma.shape}")
+    _finite("beta_hat", beta_hat)
+    _finite("beta", beta)
+    _finite("Sigma", Sigma)
     diff = beta_hat - beta
     value = float(diff @ Sigma @ diff)
     if value < -1e-10 * max(1.0, float(np.abs(Sigma).max())):

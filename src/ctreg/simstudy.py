@@ -16,6 +16,7 @@ import hashlib
 import io
 import json
 import math
+import numbers
 import typing
 from collections.abc import Iterable
 from dataclasses import dataclass
@@ -306,28 +307,37 @@ def run_experiment(spec: ScenarioSpec) -> ExperimentTable:
 CSV_COLUMNS = tuple(field.name for field in dataclasses.fields(TableRow))
 
 
-def _coerce(hint: Any, value: Any, types: Tuple[type, ...]) -> Any:
-    """``value`` as the annotated type (float, int, str or Optional[float])
-    if that type is one of ``types``, else unchanged."""
+_Converters = Dict[type, Callable[[Any], Any]]
+
+
+def _coerce(hint: Any, value: Any, convert: _Converters) -> Any:
+    """``value`` passed through ``convert[t]`` for its annotated type t
+    (float, int, str or Optional[float]) if there is one, else unchanged."""
     if typing.get_origin(hint) is Union:
         if value is None:
             return None
         (hint,) = (arg for arg in typing.get_args(hint) if arg is not type(None))
-    return hint(value) if hint in types else value
+    return convert[hint](value) if hint in convert else value
 
 
-def _from_fields(cls: Type[Any], data: Dict[str, Any], types: Tuple[type, ...]) -> Any:
-    """An instance of the dataclass ``cls`` from ``data``, each field of one
-    of ``types`` converted to its annotation; an omitted field takes its
+def _from_fields(cls: Type[Any], data: Dict[str, Any], convert: _Converters) -> Any:
+    """An instance of the dataclass ``cls`` from ``data``, each field
+    coerced by ``convert`` for its annotation; an omitted field takes its
     default, or raises ``KeyError`` if it has none."""
     hints = typing.get_type_hints(cls)
     return cls(
         **{
-            field.name: _coerce(hints[field.name], data[field.name], types)
+            field.name: _coerce(hints[field.name], data[field.name], convert)
             for field in dataclasses.fields(cls)
             if field.name in data or field.default is dataclasses.MISSING
         }
     )
+
+
+def _json_float(value: Any) -> Any:
+    """A JSON number as a float; anything else unconverted, so that the
+    field's own check rejects it by name (a string is not a number)."""
+    return float(value) if isinstance(value, numbers.Real) else value
 
 
 def emit_table(table: ExperimentTable, path: str) -> None:
@@ -351,7 +361,7 @@ def parse_table(path: str) -> ExperimentTable:
         if reader.fieldnames is None or tuple(reader.fieldnames) != CSV_COLUMNS:
             raise ValueError(f"unexpected results CSV header in {path}")
         rows: List[TableRow] = [
-            _from_fields(TableRow, record, (int, float)) for record in reader
+            _from_fields(TableRow, record, {int: int, float: float}) for record in reader
         ]
     digest = rows[0].scenario_hash if rows else ""
     return ExperimentTable(rows=tuple(rows), scenario_hash=digest, base_seed=0)
@@ -375,15 +385,17 @@ def spec_from_dict(data: dict) -> ScenarioSpec:
     if not isinstance(kind, str) or kind not in _PATTERN_OF_KIND:
         raise ValueError(f"unknown coefficient pattern kind {kind!r}")
     # the integers reach the dataclasses unconverted, to be checked there,
-    # as int() would truncate them
+    # as int() would truncate them; so do floats that are not JSON numbers
     return ScenarioSpec(
         n=data["n"],
         d_grid=data["d_grid"],
-        eigen_decay_a=float(data["eigen_decay_a"]),
-        coef_pattern=_from_fields(_PATTERN_OF_KIND[kind], pattern_data, (float,)),
-        snr_target=float(data["snr_target"]),
+        eigen_decay_a=_json_float(data["eigen_decay_a"]),
+        coef_pattern=_from_fields(
+            _PATTERN_OF_KIND[kind], pattern_data, {float: _json_float}
+        ),
+        snr_target=_json_float(data["snr_target"]),
         replicates=data["replicates"],
         base_seed=data["base_seed"],
         methods=data["methods"],
-        gct_phi=float(data.get("gct_phi", 1.0)),
+        gct_phi=_json_float(data.get("gct_phi", 1.0)),
     )

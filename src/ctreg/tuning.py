@@ -11,10 +11,10 @@ Every tuner works on one fold-spectra object: each training block is
 decomposed once, and the phi-independent pieces (canonical LS
 coefficients, eigenvalues, validation scores, validation responses) are
 kept.  A training block with no more rows than columns is an ``eigh`` of
-its block of the full Gram matrix X X^T, formed once per split, and its
-validation scores come from the cross block without touching the
+its block of the full Gram matrix X X^T, formed once per Dataset, and
+its validation scores come from the cross block without touching the
 columns; a taller block is an ``eigh`` of X^T X, also formed once per
-split, less the validation block's X_v^T X_v (formed directly when the
+Dataset, less the validation block's X_v^T X_v (formed directly when the
 validation block carries more of ||X||_F^2 than the training block).  The L
 decompositions run side by side on up to min(L, CPUs) threads, the caller
 and helpers that are started for the map and joined before it returns (see
@@ -32,15 +32,15 @@ The public tuners keep the spectra of the last split in the Dataset's
 memo, keyed on (L, seed), so tuning several rules or methods on one split
 decomposes its folds once.
 A brute-force grid oracle and a single-tau evaluator with identical fold
-construction use neither that engine nor the memo and are kept for
-testing.
+construction use neither that engine nor the fold-spectra memo and are
+kept for testing.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 from numpy.typing import NDArray
@@ -51,6 +51,8 @@ from .canonical import (
     CanonicalDecomposition,
     Dataset,
     _gram_spectrum,
+    _memoized,
+    _products,
 )
 from .errors import ZeroDesignError, _grid, _integer, _real
 from .estimators import _shrink
@@ -174,32 +176,7 @@ class _FoldSpectra:
     )
 
 
-class _Products(NamedTuple):
-    """The products of X formed once per split, before the fold map: X X^T
-    if some training block has no more rows than columns, and X^T X, X^T y
-    and the squared row norms if some block is taller."""
-
-    outer: Optional[FloatArray]
-    inner: Optional[FloatArray]
-    cross: Optional[FloatArray]
-    row_norms: Optional[FloatArray]
-
-
-def _products(dataset: Dataset, assignment: NDArray[np.int64]) -> _Products:
-    X, Y = dataset.design, dataset.response
-    sizes = np.bincount(assignment)
-    outer = X @ X.T if dataset.n - sizes.max() <= dataset.d else None
-    if dataset.n - sizes.min() <= dataset.d:
-        return _Products(outer, None, None, None)
-    return _Products(outer, X.T @ X, X.T @ Y, np.einsum("ij,ij->i", X, X))
-
-
-def _fold(
-    dataset: Dataset,
-    products: _Products,
-    assignment: NDArray[np.int64],
-    fold_id: int,
-) -> _Fold:
+def _fold(dataset: Dataset, assignment: NDArray[np.int64], fold_id: int) -> _Fold:
     """One fold's spectrum: an ``eigh`` of its block of X X^T when the
     training block has no more rows than columns, else of its X_t^T X_t.
     That is X^T X - X_v^T X_v, downdated by the validation block, unless
@@ -211,15 +188,16 @@ def _fold(
     n_t = int(np.count_nonzero(train))
     if n_t <= dataset.d:
         root_n = math.sqrt(n_t)
-        outer = products.outer
+        (outer,) = _products(dataset, True)
         eig, V, _ = _gram_spectrum(outer[np.ix_(train, train)] / n_t, RANK_REL_TOL)
         theta = V.T @ Y[train] / root_n
         scores = outer[np.ix_(val, train)] @ V / (root_n * eig)
     else:
+        inner, cross, row_norms = _products(dataset, False)
         X_v = X[val]
-        if products.row_norms[val].sum() <= products.row_norms[train].sum():
-            gram = products.inner - X_v.T @ X_v
-            b = products.cross - X_v.T @ Y[val]
+        if row_norms[val].sum() <= row_norms[train].sum():
+            gram = inner - X_v.T @ X_v
+            b = cross - X_v.T @ Y[val]
         else:
             X_t = X[train]
             gram, b = X_t.T @ X_t, X_t.T @ Y[train]
@@ -238,31 +216,27 @@ def _fold_spectra(dataset: Dataset, L: int, seed: int) -> _FoldSpectra:
     """The spectra of the L training blocks of fold_assignment(n, L, seed),
     decomposed side by side by ``fold_map``."""
     assignment = fold_assignment(dataset.n, L, seed)
-    # the products are pinned too, so no bit depends on the BLAS thread count
+    train_sizes = dataset.n - np.bincount(assignment)
     with pinned():
-        products = _products(dataset, assignment)
-        folds = fold_map(
-            lambda fold_id: _fold(dataset, products, assignment, fold_id), L
-        )
+        # the products the folds read are formed here, before the helpers start
+        for wide in set((train_sizes <= dataset.d).tolist()):
+            _products(dataset, wide)
+        folds = fold_map(lambda fold_id: _fold(dataset, assignment, fold_id), L)
     return _FoldSpectra(assignment=assignment, folds=tuple(folds))
 
 
 def _memo_fold_spectra(dataset: Dataset, L: int, seed: int) -> _FoldSpectra:
     """``_fold_spectra`` through the dataset's one-entry memo, keyed on (L, seed).
 
-    The entry is stored and read as one (key, spectra) tuple: threads racing
-    on one dataset may each compute it, but a hit always matches its key.
-    Only the public tuners use the memo; ``cv_error_at`` and
-    ``grid_cv_oracle`` build fresh spectra, so the oracles stay independent.
-    L and the seed are checked before the memo is read.
+    Only the public tuners use this entry; ``cv_error_at`` and
+    ``grid_cv_oracle`` build fresh spectra, so the oracles stay independent
+    of the path engine (all of them read the products of X, as every
+    decomposition does).  L and the seed are checked before the memo is read.
     """
     key = (_integer("L", L, 2), _integer("seed", seed, 0))
-    entry = dataset._memo.get("fold_spectra")
-    if entry is not None and entry[0] == key:
-        return entry[1]
-    spectra = _fold_spectra(dataset, L, seed)
-    dataset._memo["fold_spectra"] = (key, spectra)
-    return spectra
+    return _memoized(
+        dataset._memo, "fold_spectra", key, lambda: _fold_spectra(dataset, L, seed)
+    )
 
 
 def _cv_error(
@@ -337,20 +311,12 @@ def _path_sums(
     spectra: _FoldSpectra, magnitudes: List[FloatArray], phi: float
 ) -> List[_PrefixSums]:
     """Every fold's ``_prefix_sums`` at phi, through the spectra's one-entry
-    memo keyed on phi.
+    memo keyed on phi."""
 
-    The entry is stored and read as one (phi, sums) tuple, as in
-    ``_memo_fold_spectra``: threads racing on one spectra object may each
-    compute it, but a hit always matches its phi.
-    """
-    entry = spectra._memo.get("path_sums")
-    if entry is not None and entry[0] == phi:
-        return entry[1]
-    sums = [
-        _prefix_sums(fold, mags, phi) for fold, mags in zip(spectra.folds, magnitudes)
-    ]
-    spectra._memo["path_sums"] = (phi, sums)
-    return sums
+    def make() -> List[_PrefixSums]:
+        return [_prefix_sums(f, m, phi) for f, m in zip(spectra.folds, magnitudes)]
+
+    return _memoized(spectra._memo, "path_sums", phi, make)
 
 
 def _soft_path(
@@ -491,8 +457,9 @@ def kfold_cv(
     raises ``ValueError``, as in ``GctConfig``, before a fold is decomposed.
 
     Tall folds: a training block with more rows than columns is decomposed
-    from X^T X - X_v^T X_v, with X^T X and X^T y formed once per split, and
-    no copy of the training rows.  That Gram matrix has an error of about
+    from X^T X - X_v^T X_v, with X^T X and X^T y formed once per Dataset
+    (and kept in its memo, see ``canonical._products``), and no copy of the
+    training rows.  That Gram matrix has an error of about
     eps ||X^T X||, where a direct X_t^T X_t has eps ||X_t^T X_t||; the
     downdate is used only when ||X_v||_F^2 <= ||X_t||_F^2, so its error is
     at most about twice the direct product's (and a validation block that

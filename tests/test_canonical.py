@@ -194,9 +194,10 @@ class TestPivotSigns:
 class TestMemoryFloor:
     @pytest.mark.parametrize("n, d", [(200, 4000), (4000, 200)])
     def test_peak_is_the_kept_arrays(self, n, d):
-        # beyond X, the decomposition holds the Gram matrix and one array of
-        # retained vectors at a time; here that array is the one the memo
-        # keeps, so the peak is the kept arrays plus a small share
+        # beyond X, the decomposition holds the Gram matrix, which the memo
+        # keeps for the CV folds, and one array of retained vectors at a
+        # time; here that array is the one the memo keeps, so the peak is
+        # the kept arrays plus a small share
         ds, _ = random_dataset(18, n, d)
         tracing = tracemalloc.is_tracing()
         tracemalloc.start()
@@ -209,6 +210,7 @@ class TestMemoryFloor:
             if not tracing:
                 tracemalloc.stop()
         kept = [dec.eigenvalues, dec.right_vectors, dec.left_vectors]
+        kept += canonical._products(ds, n <= d)
         budget = sum(a.nbytes for a in kept) + 0.1 * max(a.nbytes for a in kept)
         assert peak <= budget, (peak, budget)
 

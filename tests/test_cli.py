@@ -715,6 +715,28 @@ class TestSimulate:
         assert not out.exists()
 
 
+    def test_string_float_field_exit_two(self, tmp_path, capsys):
+        scenario = {
+            "n": 20,
+            "d_grid": [5],
+            "eigen_decay_a": 2.0,
+            "coef_pattern": {"kind": "poly-decay", "b": "x"},
+            "snr_target": 10.0,
+            "replicates": 1,
+            "base_seed": 7,
+            "methods": ["Zero"],
+        }
+        spath = str(tmp_path / "s.json")
+        with open(spath, "w") as handle:
+            json.dump(scenario, handle)
+        out = tmp_path / "r.csv"
+        assert main(["simulate", "--scenario", spath, "--output", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            "error: bad scenario: PolyDecay.b must be a number in [0, inf), got 'x'\n"
+        )
+        assert not out.exists()
+
+
 class TestDiagnose:
     def test_identity_covariance_effective_rank(self, tmp_path, capsys):
         rng = np.random.default_rng(9)
@@ -738,6 +760,26 @@ class TestDiagnose:
         report = json.loads(capsys.readouterr().out)
         assert "joint_effective_dimension" in report
         assert report["snr"] > 0
+
+    @pytest.mark.parametrize("sigma", ["nan", "-1", "inf"])
+    def test_bad_sigma_exit_one_before_the_csv_is_read(self, tmp_path, capsys, sigma):
+        # once exit 0: nan and -1 left out snr without a word, inf reported 0
+        missing = str(tmp_path / "missing.csv")
+        assert main(["diagnose", "--input", missing, "--response", "y",
+                     "--sigma", sigma]) == 1
+        assert capsys.readouterr().err == (
+            f"error: --sigma must be a number in [0, inf), got {float(sigma)!r}\n"
+        )
+
+    def test_zero_sigma_omits_snr(self, data_csv, tmp_path, capsys):
+        path, X, Y = data_csv
+        beta_path = str(tmp_path / "beta.csv")
+        with open(beta_path, "w") as handle:
+            handle.write("\n".join(["0.5", "1.0", "-1.0", "0.0"]) + "\n")
+        assert main(["diagnose", "--input", path, "--response", "y",
+                     "--beta", beta_path, "--sigma", "0"]) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert "mse_zero" in report and "snr" not in report
 
 
 def reject_constant(name):

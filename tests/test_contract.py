@@ -44,6 +44,7 @@ from ctreg import (
     kfold_cv,
     kfold_cv_pcr,
     kfold_cv_ridge,
+    mse_fixed,
     pe_random,
     risk_bound,
     snr,
@@ -57,6 +58,10 @@ RNG = np.random.default_rng(20)
 X = RNG.standard_normal((12, 5))
 Y = X @ np.array([1.0, -1.0, 0.5, 0.0, 2.0]) + 0.3 * RNG.standard_normal(12)
 Y_NAN = np.where(np.arange(12) == 4, math.nan, Y)
+# made outside every call, so the table's calls of mse_fixed decompose nothing
+DEC = canonical.canonicalize(Dataset(X, Y))
+COEFFICIENTS = ([1.0, 0.0, 2.0, 0.5, -1.0],)
+BAD_COEFFICIENTS = ([1.0, math.nan, 2.0, 0.5, -1.0], [1.0, 0.0, 2.0, 0.5, -math.inf])
 
 BAD = ("a", None, math.nan, math.inf, -math.inf, 2.5, -1)
 BAD_COUNTS = BAD + (3.0, "3", 13)  # 13 folds are more than the 12 rows
@@ -156,8 +161,22 @@ TABLE: Dict[str, Tuple[Callable[..., Any], Dict[str, Param]]] = {
         {"theta_full_norm": Param((1.0,), BAD), "q": Param((0.0, 1.0, 2.0), BAD)},
     ),
     "pe_random": (
-        lambda ds, Sigma: pe_random(np.ones(3), np.zeros(3), Sigma),
-        {"Sigma": Param((np.eye(3),), (np.eye(2), np.ones(3), [[1.0]]))},
+        lambda ds, **args: pe_random(**args),
+        {
+            "beta_hat": Param(COEFFICIENTS, BAD_COEFFICIENTS),
+            "beta": Param((np.zeros(5),), BAD_COEFFICIENTS),
+            "Sigma": Param(
+                (np.eye(5),),
+                (np.eye(2), np.ones(5), [[1.0]], np.where(np.eye(5) > 0, 1.0, math.nan)),
+            ),
+        },
+    ),
+    "mse_fixed": (
+        lambda ds, **args: mse_fixed(**args, dec=DEC),
+        {
+            "beta_hat": Param(COEFFICIENTS, BAD_COEFFICIENTS),
+            "beta": Param((np.zeros(5),), BAD_COEFFICIENTS),
+        },
     ),
     "soft": (
         lambda ds, z, tau: soft(z, tau),
@@ -302,6 +321,17 @@ PROBED = [
     case("grid_cv_oracle", grid=[[1.0], [2.0]]),
     case("grid_cv_oracle", grid=[0.0, math.nan]),
 ]
+# probed later, each under its own id, so the ids pytest numbers above stay
+NAMED_PROBES = {
+    "pe_random(Sigma=nan)": case("pe_random", Sigma=np.where(np.eye(5) > 0, 1.0, math.nan)),
+    "pe_random(beta_hat=nan)": case("pe_random", beta_hat=BAD_COEFFICIENTS[0]),
+    "pe_random(beta=-inf)": case("pe_random", beta=BAD_COEFFICIENTS[1]),
+    "mse_fixed(beta_hat=nan)": case("mse_fixed", beta_hat=BAD_COEFFICIENTS[0]),
+    "mse_fixed(beta=-inf)": case("mse_fixed", beta=BAD_COEFFICIENTS[1]),
+    "fit_pcr(m=13)": case("fit_pcr", m=13),
+}
+PROBES = PROBED + list(NAMED_PROBES.values())
+PROBE_IDS = [name for name, _ in PROBED] + list(NAMED_PROBES)
 
 
 @st.composite
@@ -344,7 +374,7 @@ def check_contract(name: str, arguments: Dict[str, Any]) -> Optional[str]:
 
 
 def with_probed_examples(test):
-    for name, arguments in PROBED:
+    for name, arguments in PROBES:
         test = example(case=(name, arguments))(test)
     return test
 
@@ -356,7 +386,7 @@ class TestArgumentContract:
     def test_returns_or_names_the_bad_argument_before_decomposing(self, case):
         check_contract(*case)
 
-    @pytest.mark.parametrize("name, arguments", PROBED, ids=[n for n, _ in PROBED])
+    @pytest.mark.parametrize("name, arguments", PROBES, ids=PROBE_IDS)
     def test_each_probed_case_is_rejected(self, name, arguments):
         assert check_contract(name, arguments) is not None
 

@@ -148,6 +148,17 @@ class TestPcr:
         with pytest.raises(ValueError, match=rf"^m must be an integer >= 0, got {m!r}$"):
             fit_pcr(ds, m)
 
+    def test_m_above_the_rank_named_after_decomposing(self):
+        # rank 3 < min(n, d) = 4: only the decomposition finds m = 4 too large
+        X = np.random.default_rng(8).standard_normal((10, 4))
+        X[:, 3] = 0.0
+        ds = Dataset(X, np.ones(10))
+        with pytest.raises(ValueError, match=r"^m must be at most the rank 3, got 4$"):
+            fit_pcr(ds, 4)
+        assert "decomposition" in ds._memo
+        with pytest.raises(ValueError, match=r"^m must be at most min\(n, d\) = 4, got 5$"):
+            fit_pcr(Dataset(X, np.ones(10)), 5)
+
     def test_numpy_integer_m(self):
         ds, _ = random_dataset(8, 10, 4)
         fit = fit_pcr(ds, np.int64(2))

@@ -1,4 +1,5 @@
-"""Tests for the Dataset memo: one decomposition and one fold split per dataset."""
+"""Tests for the Dataset memo: the products of X, one decomposition and one
+fold split per dataset."""
 
 import copy
 import dataclasses
@@ -118,7 +119,7 @@ class TestMemoizedTuners:
         ds = Dataset(*arrays(1, 50, 6))
         for seed in range(5):
             kfold_cv(ds, 5, 0.0, SOFT_RULE, seed)
-        assert set(ds._memo) == {"fold_spectra"}
+        assert set(ds._memo) == {"inner_products", "fold_spectra"}
         key, _ = ds._memo["fold_spectra"]
         assert key == (5, 4)
 
@@ -234,6 +235,79 @@ class TestDatasetMemo:
         assert bits(kfold_cv(other, 3, 0.0, SOFT_RULE, 1)) == bits(
             kfold_cv(Dataset(X, -Y), 3, 0.0, SOFT_RULE, 1)
         )
+
+
+def decomposition_bits(dec):
+    return bits((dec.eigenvalues, dec.right_vectors, dec.left_vectors))
+
+
+# the route of the full decomposition and of every 5-fold training block:
+# X X^T for both when wide, X^T X for both when tall
+ROUTES = [((30, 60), "outer_products"), ((60, 10), "inner_products")]
+
+
+class TestProducts:
+    """canonicalize and every fold split read one products entry per route."""
+
+    @pytest.mark.parametrize("fit_first", [True, False], ids=["fit-first", "cv-first"])
+    @pytest.mark.parametrize("shape, name", ROUTES, ids=["wide", "tall"])
+    def test_canonicalize_and_the_folds_read_one_entry(self, shape, name, fit_first):
+        X, Y = arrays(14, *shape)
+        ds = Dataset(X, Y)
+        steps = [lambda: canonicalize(ds), lambda: kfold_cv(ds, 5, 0.0, SOFT_RULE, 1)]
+        if not fit_first:
+            steps.reverse()
+        steps[0]()
+        products = ds._memo[name][1]
+        steps[1]()
+        assert ds._memo[name][1] is products
+        assert set(ds._memo) == {name, "decomposition", "fold_spectra"}
+        fresh = Dataset(X, Y)
+        assert decomposition_bits(canonicalize(ds)) == decomposition_bits(
+            canonicalize(fresh)
+        )
+        assert bits(kfold_cv(ds, 5, 0.0, SOFT_RULE, 1)) == bits(
+            kfold_cv(fresh, 5, 0.0, SOFT_RULE, 1)
+        )
+
+    @pytest.mark.parametrize("shape, name", ROUTES, ids=["wide", "tall"])
+    def test_canonicalize_decomposes_the_kept_gram(self, shape, name):
+        # a Gram matrix scaled by 4 in the memo scales every eigenvalue by 4
+        X, Y = arrays(15, *shape)
+        ds = Dataset(X, Y)
+        kfold_cv(ds, 5, 0.0, SOFT_RULE, 0)
+        gram, *rest = ds._memo[name][1]
+        ds._memo[name] = (None, (4.0 * gram, *rest))
+        np.testing.assert_allclose(
+            canonicalize(ds).eigenvalues,
+            4.0 * canonicalize(Dataset(X, Y)).eigenvalues,
+            rtol=1e-12,
+        )
+
+    @pytest.mark.parametrize("shape", [(30, 60), (60, 10), (55, 50)])
+    def test_same_shape_datasets_in_turn_give_fresh_bits(self, shape):
+        data = [arrays(16, *shape), arrays(17, *shape)]
+        shared = [Dataset(X, Y) for X, Y in data]
+        for seed in (0, 1):
+            for ds, (X, Y) in zip(shared, data):
+                assert bits(kfold_cv(ds, 10, 0.0, SOFT_RULE, seed)) == bits(
+                    kfold_cv(Dataset(X, Y), 10, 0.0, SOFT_RULE, seed)
+                )
+                assert bits(fit_ridge(ds, 0.1)) == bits(fit_ridge(Dataset(X, Y), 0.1))
+
+    def test_routes_that_differ_keep_both_products(self):
+        # 55 x 50 is tall, and its 10-fold training blocks (49 or 50 rows) wide
+        X, Y = arrays(18, 55, 50)
+        ds = Dataset(X, Y)
+        fit_ridge(ds, 0.1)
+        kfold_cv_ridge(ds, 10, RIDGE_GRID, 0)
+        assert set(ds._memo) == {
+            "inner_products", "outer_products", "decomposition", "fold_spectra"
+        }
+        assert [a.shape for a in ds._memo["inner_products"][1]] == [(50, 50), (50,), (55,)]
+        assert [a.shape for a in ds._memo["outer_products"][1]] == [(55, 55)]
+        for _, products in (ds._memo["inner_products"], ds._memo["outer_products"]):
+            assert not any(array.flags.writeable for array in products)
 
 
 # the four paths cv_tall-like callers take on one split

@@ -394,6 +394,34 @@ class TestSerialization:
         with pytest.raises(ValueError, match=f"^{message}$"):
             spec_from_dict(data)
 
+    @pytest.mark.parametrize(
+        "field, value, message",
+        [
+            ("eigen_decay_a", "a", r"ScenarioSpec.eigen_decay_a .* got 'a'"),
+            ("snr_target", "2", r"ScenarioSpec.snr_target .* got '2'"),
+            ("gct_phi", "1", r"ScenarioSpec.gct_phi .* got '1'"),
+            ("coef_pattern", {"kind": "poly-decay", "b": "x"}, r"PolyDecay.b .* got 'x'"),
+            (
+                "coef_pattern",
+                {"kind": "spiked-head", "count": 2, "value": "1"},
+                r"SpikedHead.value .* got '1'",
+            ),
+            (
+                "coef_pattern",
+                {"kind": "spiked-tail-random", "count": 1, "window": 3, "noise_var": "0.1"},
+                r"SpikedTailRandom.noise_var .* got '0.1'",
+            ),
+        ],
+        ids=["scenario-float", "numeric-string", "defaulted-float", "pattern-float",
+             "pattern-float-with-default", "optional-float"],
+    )
+    def test_string_floats_are_named(self, field, value, message):
+        # float() once turned "2" into 2.0 and "a" into a message naming no field
+        data = spec_to_dict(make_spec())
+        data[field] = value
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            spec_from_dict(data)
+
     def test_spec_from_dict_bad_pattern(self):
         data = spec_to_dict(make_spec())
         for kind in ("nope", ["poly-decay"]):

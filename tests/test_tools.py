@@ -1,6 +1,9 @@
 """Tests for the repository tools under tools/."""
 
 import importlib.util
+import re
+import subprocess
+import sys
 from pathlib import Path
 
 TOOLS = Path(__file__).resolve().parent.parent / "tools"
@@ -54,3 +57,29 @@ def test_every_mutant_matches_its_file_once():
         assert mutant.new != mutant.old, mutant.name
         for test in mutant.tests:
             assert (mutants.ROOT / test.split("::")[0]).exists(), (mutant.name, test)
+
+
+def test_result_hashes_prints_one_sha256_per_family():
+    done = subprocess.run(
+        [sys.executable, str(TOOLS / "result_hashes.py")],
+        capture_output=True,
+        text=True,
+        timeout=300,
+        check=True,
+    )
+    lines = done.stdout.splitlines()
+    assert [line.split(" ")[0] for line in lines] == [
+        "fits",
+        "kfold_cv",
+        "joint_cv",
+        "kfold_cv_pcr",
+        "kfold_cv_ridge",
+        "cv_error_at",
+        "grid_cv_oracle",
+        "run_experiment",
+        "cli_fit",
+        "cli_cv",
+    ]
+    for line in lines:
+        assert re.fullmatch(r"[a-z_]+ [0-9a-f]{64}", line), line
+    assert done.stderr == ""

@@ -795,13 +795,13 @@ def meeting_folds(monkeypatch, first_delay=0.0):
     seen = []
     decompose = tuning._fold
 
-    def fold(dataset, gram, assignment, fold_id):
+    def fold(dataset, assignment, fold_id):
         seen.append((fold_id, threading.current_thread().name, CONTROL.get()))
         if fold_id < 2:
             barrier.wait()
             if fold_id == 0:
                 time.sleep(first_delay)
-        return decompose(dataset, gram, assignment, fold_id)
+        return decompose(dataset, assignment, fold_id)
 
     monkeypatch.setattr(tuning, "_fold", fold)
     return seen
@@ -868,9 +868,9 @@ class TestFoldMap:
         names = []
         decompose = tuning._fold
 
-        def fold(dataset, gram, assignment, fold_id):
+        def fold(dataset, assignment, fold_id):
             names.append(threading.current_thread().name)
-            return decompose(dataset, gram, assignment, fold_id)
+            return decompose(dataset, assignment, fold_id)
 
         monkeypatch.setattr(tuning, "_fold", fold)
         assert spectra_bits(_fold_spectra(ds, 5, 2)) == serial

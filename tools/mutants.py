@@ -66,22 +66,22 @@ MUTANTS = (
     Mutant(
         "downdate guard inverted",
         "src/ctreg/tuning.py",
-        "if products.row_norms[val].sum() <= products.row_norms[train].sum():",
-        "if products.row_norms[val].sum() > products.row_norms[train].sum():",
+        "if row_norms[val].sum() <= row_norms[train].sum():",
+        "if row_norms[val].sum() > row_norms[train].sum():",
         ("tests/test_tuning.py::TestTallDowndate",),
     ),
     Mutant(
         "b not downdated",
         "src/ctreg/tuning.py",
-        "b = products.cross - X_v.T @ Y[val]",
-        "b = products.cross",
+        "b = cross - X_v.T @ Y[val]",
+        "b = cross",
         ("tests/test_tuning.py",),
     ),
     Mutant(
         "path memo ignores phi",
         "src/ctreg/tuning.py",
-        "if entry is not None and entry[0] == phi:",
-        "if entry is not None:",
+        '_memoized(spectra._memo, "path_sums", phi, make)',
+        '_memoized(spectra._memo, "path_sums", None, make)',
         ("tests/test_memo.py",),
     ),
     Mutant(
@@ -125,6 +125,27 @@ MUTANTS = (
         'key = (_integer("L", L, 2), _integer("seed", seed, 0))',
         'key = (_integer("L", L, 2),)',
         ("tests/test_memo.py",),
+    ),
+    # the Dataset memo's one products entry per route
+    Mutant(
+        "one products memo shared by every Dataset",
+        "src/ctreg/canonical.py",
+        "return _memoized(dataset._memo, name, None, make)",
+        "return _memoized(_products.__dict__, name, None, make)",
+        (
+            "tests/test_memo.py::TestProducts::"
+            "test_same_shape_datasets_in_turn_give_fresh_bits",
+        ),
+    ),
+    Mutant(
+        "canonicalize forms its own Gram instead of reading the memo",
+        "src/ctreg/canonical.py",
+        "_products(dataset, wide)[0] / n",
+        "(X @ X.T if wide else X.T @ X) / n",
+        (
+            "tests/test_memo.py::TestProducts::"
+            "test_canonicalize_and_the_folds_read_one_entry",
+        ),
     ),
     # the argument contract (errors.py) and its check-before-the-folds order
     Mutant(
@@ -236,8 +257,8 @@ MUTANTS = (
     Mutant(
         "canonicalize not pinned",
         "src/ctreg/canonical.py",
-        "    with pinned():\n        if n <= d:\n",
-        "    if True:\n        if n <= d:\n",
+        "    with pinned():\n        gram = _products(dataset, wide)[0] / n\n",
+        "    if True:\n        gram = _products(dataset, wide)[0] / n\n",
         (
             "tests/test_canonical.py::TestPinnedDecomposition::"
             "test_fits_do_not_depend_on_the_blas_thread_count",

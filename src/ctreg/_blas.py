@@ -25,6 +25,14 @@ after a quiet pause.
 The OpenBLAS that numpy loaded is found through /proc/self/maps and called
 through ctypes.  Without it (another BLAS, or no /proc) the calling thread
 runs a map alone and nothing is pinned.
+
+The same scan finds that OpenBLAS's ``LAPACKE_dsyevd``, which
+``eigh_in_place`` calls on the caller's own buffer: the ``dsyevd('L')``
+that ``numpy.linalg.eigh`` runs, without numpy's copy of the matrix or its
+separate output for the vectors.  An n x n decomposition then needs the
+matrix plus the LAPACK workspace of about 2 n^2 floats, 3 n^2 in all,
+where ``numpy.linalg.eigh`` needs 5 n^2 with its input.  Without the
+binding ``eigh_in_place`` is ``numpy.linalg.eigh``, with the same bits.
 """
 
 from __future__ import annotations
@@ -34,9 +42,13 @@ import ctypes
 import functools
 import os
 import threading
-from typing import Any, Callable, Dict, Iterator, List, NamedTuple, Optional, TypeVar
+from typing import Any, Callable, Dict, Iterator, List, NamedTuple, Optional, Tuple, TypeVar
+
+import numpy as np
+from numpy.typing import NDArray
 
 T = TypeVar("T")
+FloatArray = NDArray[np.float64]
 
 # (get, set) thread-count functions of the OpenBLAS builds numpy ships or links
 _SYMBOLS = (
@@ -45,6 +57,15 @@ _SYMBOLS = (
     ("openblas_get_num_threads64_", "openblas_set_num_threads64_"),
     ("openblas_get_num_threads", "openblas_set_num_threads"),
 )
+# LAPACKE_dsyevd of the same builds; a name ending in 64_ takes 64-bit
+# LAPACK integers, the others 32-bit ones
+_SYEVD_SYMBOLS = (
+    "scipy_LAPACKE_dsyevd64_",
+    "scipy_LAPACKE_dsyevd",
+    "LAPACKE_dsyevd64_",
+    "LAPACKE_dsyevd",
+)
+_LAPACK_COL_MAJOR = 102
 
 
 class ThreadControl(NamedTuple):
@@ -53,19 +74,33 @@ class ThreadControl(NamedTuple):
     set: Callable[[int], None]
 
 
+class Eigensolver(NamedTuple):
+    symbol: str
+    int_bits: int  # the width of its LAPACK integers
+    syevd: Callable[..., int]
+
+
 @functools.lru_cache(maxsize=None)
-def thread_control() -> Optional[ThreadControl]:
-    """The thread-count functions of the loaded OpenBLAS, or None."""
+def _openblas_libraries() -> Tuple[ctypes.CDLL, ...]:
+    """The OpenBLAS libraries mapped into this process, by path."""
     try:
         with open("/proc/self/maps") as handle:
             paths = {line.split()[-1] for line in handle if "openblas" in line.lower()}
     except OSError:
-        return None
+        return ()
+    libraries = []
     for path in sorted(paths):
         try:
-            lib = ctypes.CDLL(path)
+            libraries.append(ctypes.CDLL(path))
         except OSError:
             continue
+    return tuple(libraries)
+
+
+@functools.lru_cache(maxsize=None)
+def thread_control() -> Optional[ThreadControl]:
+    """The thread-count functions of the loaded OpenBLAS, or None."""
+    for lib in _openblas_libraries():
         for get_name, set_name in _SYMBOLS:
             get, set_ = getattr(lib, get_name, None), getattr(lib, set_name, None)
             if get is not None and set_ is not None:
@@ -73,6 +108,66 @@ def thread_control() -> Optional[ThreadControl]:
                 set_.argtypes, set_.restype = [ctypes.c_int], None
                 return ThreadControl(get_name, get, set_)
     return None
+
+
+@functools.lru_cache(maxsize=None)
+def eigensolver() -> Optional[Eigensolver]:
+    """``LAPACKE_dsyevd`` of the loaded OpenBLAS, or None."""
+    for lib in _openblas_libraries():
+        for name in _SYEVD_SYMBOLS:
+            syevd = getattr(lib, name, None)
+            if syevd is not None:
+                lapack_int = ctypes.c_int64 if name.endswith("64_") else ctypes.c_int32
+                # (layout, jobz, uplo, n, a, lda, w) -> info
+                syevd.argtypes = [
+                    ctypes.c_int,
+                    ctypes.c_char,
+                    ctypes.c_char,
+                    lapack_int,
+                    ctypes.c_void_p,
+                    lapack_int,
+                    ctypes.c_void_p,
+                ]
+                syevd.restype = lapack_int
+                return Eigensolver(name, 8 * ctypes.sizeof(lapack_int), syevd)
+    return None
+
+
+def eigh_in_place(a: FloatArray) -> Tuple[FloatArray, FloatArray]:
+    """(eigenvalues in ascending order, eigenvectors as columns) of a square
+    float64 matrix, computed by LAPACK ``dsyevd`` from its lower triangle in
+    a's own buffer, which ends up holding the vectors: the vector matrix
+    returned is a view of a.
+
+    a must be writeable and C- or F-contiguous.  The buffer is read in
+    column-major order, so a C-contiguous a gives the bits that
+    ``numpy.linalg.eigh(a)`` gives only when it is exactly symmetric; an
+    F-contiguous one gives them for any a.  Without ``eigensolver()``, and
+    for a matrix with a NaN entry (which LAPACKE refuses before it computes
+    anything), this is ``numpy.linalg.eigh(a)`` and a is not written.  A
+    decomposition that does not converge raises ``LinAlgError``, as
+    ``numpy.linalg.eigh`` does.  The call releases the GIL.
+    """
+    n = a.shape[0]
+    if not (
+        a.dtype == np.float64
+        and a.shape == (n, n)
+        and a.flags.writeable
+        and (a.flags.c_contiguous or a.flags.f_contiguous)
+    ):
+        raise ValueError("eigh_in_place needs a writeable contiguous square float64 array")
+    solver = eigensolver()
+    if solver is None:
+        return np.linalg.eigh(a)
+    w = np.empty(n)
+    info = solver.syevd(_LAPACK_COL_MAJOR, b"V", b"L", n, a.ctypes.data, max(n, 1), w.ctypes.data)
+    if info == -5:  # LAPACKE's NaN check of a
+        return np.linalg.eigh(a)
+    if info > 0:
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+    if info < 0:
+        raise ValueError(f"{solver.symbol} rejected argument {-info}")
+    return w, (a.T if a.flags.c_contiguous else a)
 
 
 def usable_cpus() -> int:

@@ -20,7 +20,7 @@ from typing import Callable, Dict, Hashable, Tuple, TypeVar
 import numpy as np
 from numpy.typing import NDArray
 
-from ._blas import pinned
+from ._blas import eigh_in_place, pinned
 from .errors import ZeroDesignError, _finite
 
 FloatArray = NDArray[np.float64]
@@ -129,8 +129,15 @@ def _gram_spectrum(
     scaling of the matrix keeps the same components.  Callers pass a fixed
     floor: ``RANK_REL_TOL`` for designs and ``kernel.KERNEL_RANK_REL_TOL``
     for kernel matrices.
+
+    The n x n matrix is decomposed in its own buffer
+    (``_blas.eigh_in_place``), which is left holding the unsorted vectors,
+    so every caller passes a temporary: one that is exactly symmetric, or
+    an F-order copy.  Either gives the bits of ``numpy.linalg.eigh(gram)``.
+    The peak is ``gram`` plus the LAPACK workspace of about 2 n^2 floats,
+    then ``gram`` plus the sorted vectors.
     """
-    eig, vec = np.linalg.eigh(gram)  # ascending
+    eig, vec = eigh_in_place(gram)  # ascending
     r = int(np.count_nonzero(eig > rank_rel_tol * eig[-1]))
     order = np.argsort(-eig, kind="stable")[:r]
     return eig[order], vec[:, order], float(eig[0])
@@ -223,12 +230,14 @@ def canonicalize(dataset: Dataset) -> CanonicalDecomposition:
     CV folds too (see ``_products``), divided by n.
 
     Memory: each vector matrix is built once and scaled and sign-flipped in
-    place, and the memo keeps those same arrays and the Gram matrix.
-    Beyond X, the peak is the Gram matrix (and ``eigh``'s work on it) plus
-    one array of retained vectors: d*r floats when n <= d, else n*r.  At
-    200 x 4000 and at 4000 x 200 the peak traced by tracemalloc is 7.1 MB,
-    nearly all of it what the memo keeps: 6.7 MB of decomposition and
-    0.3 MB of products.
+    place, and the memo keeps those same arrays and the products.  Beyond X
+    and the products, the m x m Gram matrix (m = min(n, d)) is decomposed
+    in its own buffer, next to about 2 m^2 floats of LAPACK workspace (see
+    ``_gram_spectrum``); after that the peak is that buffer plus one array
+    of retained vectors: d*r floats when n <= d, else n*r.  At 200 x 4000
+    and at 4000 x 200 the peak traced by tracemalloc (which does not see
+    the LAPACK workspace) is 7.1 MB, nearly all of it what the memo keeps:
+    6.7 MB of decomposition and 0.3 MB of products.
 
     Threads: the Gram product, its ``eigh`` and the product that recovers
     the other vectors run with OpenBLAS pinned to one thread (see

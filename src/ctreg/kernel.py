@@ -33,6 +33,9 @@ FloatArray = NDArray[np.float64]
 # relative eigenvalue floor and PSD slack of every kernel decomposition
 KERNEL_RANK_REL_TOL = 1e-10
 
+# rows per block of the elementwise kernel steps and of the symmetrization
+_BLOCK = 256
+
 # each kernel kind's KernelSpec fields and their types, in the order that
 # ``ctreg --kernel kind:v1,...`` takes them and a model file writes them
 KERNEL_PARAMS: Dict[str, Tuple[Tuple[str, type], ...]] = {
@@ -67,17 +70,28 @@ class KernelSpec:
 
 
 def _cross_gram(spec: KernelSpec, A: FloatArray, B: FloatArray) -> FloatArray:
-    """k(a_i, b_j) for every row pair, computed inside the one A B^T buffer."""
+    """k(a_i, b_j) for every row pair, computed inside the one A B^T buffer.
+
+    The product is one matrix product into that buffer: a product per row
+    block would change the last bits where OpenBLAS takes its small-matrix
+    kernel for the block and not for the whole.  What follows it is
+    elementwise and runs in row blocks, so the peak is the buffer plus
+    _BLOCK rows of temporaries.
+    """
     if spec.kind == "linear":
         return A @ B.T
     if spec.kind == "rbf":
         # |a|^2 + |b|^2 - 2 a.b; (-2A) @ B^T stays a gemm when B is A, where
         # A @ A.T would go to syrk and change the bits
         out = (-2.0 * A) @ B.T
-        out += np.add.outer(np.sum(A**2, axis=1), np.sum(B**2, axis=1))
-        np.maximum(out, 0.0, out=out)
-        out *= -spec.gamma
-        return np.exp(out, out=out)
+        sq_a, sq_b = np.sum(A**2, axis=1), np.sum(B**2, axis=1)
+        for i in range(0, out.shape[0], _BLOCK):
+            block = out[i : i + _BLOCK]
+            block += np.add.outer(sq_a[i : i + _BLOCK], sq_b)
+            np.maximum(block, 0.0, out=block)
+            block *= -spec.gamma
+            np.exp(block, out=block)
+        return out
     out = A @ B.T
     out *= spec.scale
     out += spec.coef0
@@ -85,44 +99,44 @@ def _cross_gram(spec: KernelSpec, A: FloatArray, B: FloatArray) -> FloatArray:
     return out
 
 
+def _symmetrize(K: FloatArray) -> None:
+    """K <- (K + K^T) / 2 in place, one pair of _BLOCK x _BLOCK blocks at a
+    time: each upper block is averaged with its mirror, then written over
+    the mirror.  The two entries of a pair are one sum, so K ends exactly
+    symmetric, with the bits of (K + K.T) / 2."""
+    n = K.shape[0]
+    for i in range(0, n, _BLOCK):
+        rows = slice(i, i + _BLOCK)
+        for j in range(i, n, _BLOCK):
+            cols = slice(j, j + _BLOCK)
+            upper = K[rows, cols]
+            upper += K[cols, rows].T
+            upper *= 0.5
+            if j > i:
+                K[cols, rows] = upper.T
+
+
 def gram(points: FloatArray, spec: KernelSpec) -> FloatArray:
-    """Kernel matrix K_ij = k(x_i, x_j), exactly symmetric."""
+    """Kernel matrix K_ij = k(x_i, x_j), exactly symmetric.
+
+    It is built and symmetrized in its one n^2 buffer (see ``_cross_gram``
+    and ``_symmetrize``); the peak beyond it is _BLOCK rows of temporaries.
+    """
     points = np.asarray(points, dtype=np.float64)
     if points.ndim != 2 or points.shape[0] < 1:
         raise ValueError("points must be a nonempty 2-D array")
     _finite("points", points)
     K = _cross_gram(spec, points, points)
-    if not np.all(np.isfinite(K)):
+    # max and min carry any NaN or infinity, with no n^2 temporary
+    if not (np.isfinite(K.max()) and np.isfinite(K.min())):
         raise ValueError("non-finite kernel matrix entries")
-    K += K.T
-    K *= 0.5
+    _symmetrize(K)
     return K
 
 
-def kernel_canonicalize(K: FloatArray) -> Tuple[FloatArray, FloatArray]:
-    """Eigendecomposition of K/n with the small-spectrum floor applied.
-
-    Returns (eigenvalues, left_vectors) with eigenvalues non-increasing,
-    from the spectral core that ``canonicalize`` uses.  Eigenvalues within
-    KERNEL_RANK_REL_TOL (1e-10) of zero, relative to the top one, are
-    dropped; one below -KERNEL_RANK_REL_TOL times the top one raises an
-    error.  The floor is fixed.  Each left vector's largest-magnitude entry
-    is positive.
-
-    ``eigh`` runs on K itself and the retained eigenvalues are then divided
-    by n; the floor and the PSD test are ratios, so neither depends on the
-    scale.  K is never written (a read-only K is fine), and no scaled copy
-    is made: while ``eigh`` runs, the live memory is K plus 4 n^2 floats
-    (numpy's copy of K, the LAPACK workspace of about 2 n^2 and the output
-    vectors), and the signs, found with no n^2 temporary, are applied in
-    place to the sorted vectors.
-
-    This is the one decomposition in ctreg left on OpenBLAS's own threads,
-    so its last bits depend on the BLAS thread count: at 2000 x 2000 they
-    pay off (the decomposition takes 0.9-1.0 s on 2 threads, against
-    1.4-1.6 s pinned to one), and no CV fold map follows a kernel fit.
-    """
-    K = np.asarray(K, dtype=np.float64)
+def _kernel_spectrum(K: FloatArray) -> Tuple[FloatArray, FloatArray]:
+    """``kernel_canonicalize`` on a K of the caller's that the decomposition
+    may overwrite: exactly symmetric, or F-order (see ``_gram_spectrum``)."""
     n = K.shape[0]
     if K.shape != (n, n):
         raise ValueError("kernel matrix must be square")
@@ -139,6 +153,35 @@ def kernel_canonicalize(K: FloatArray) -> Tuple[FloatArray, FloatArray]:
         raise NotPositiveSemidefiniteError("kernel matrix not positive semidefinite")
     vec *= _pivot_signs(vec)  # vec is the core's own sorted copy
     return eig / n, vec
+
+
+def kernel_canonicalize(K: FloatArray) -> Tuple[FloatArray, FloatArray]:
+    """Eigendecomposition of K/n with the small-spectrum floor applied.
+
+    Returns (eigenvalues, left_vectors) with eigenvalues non-increasing,
+    from the spectral core that ``canonicalize`` uses.  Eigenvalues within
+    KERNEL_RANK_REL_TOL (1e-10) of zero, relative to the top one, are
+    dropped; one below -KERNEL_RANK_REL_TOL times the top one raises an
+    error.  The floor is fixed.  Each left vector's largest-magnitude entry
+    is positive.
+
+    The decomposition runs on an F-order copy of K, and the retained
+    eigenvalues are then divided by n; the floor and the PSD test are
+    ratios, so neither depends on the scale.  K is never written (a
+    read-only K is fine), and the copy, read in its own memory order, gives
+    the bits of ``numpy.linalg.eigh(K)`` even for a K that is only
+    symmetric within the tolerance.  While the decomposition runs, the live
+    memory is K plus 3 n^2 floats (the copy, which becomes the vectors, and
+    the LAPACK workspace of about 2 n^2); the signs, found with no n^2
+    temporary, are applied in place to the sorted vectors.
+
+    This is the one decomposition in ctreg left on OpenBLAS's own threads,
+    so its last bits depend on the BLAS thread count: at 2000 x 2000 they
+    pay off (the decomposition takes 0.9-1.0 s on 2 threads, against
+    1.4-1.6 s pinned to one), and no CV fold map follows a kernel fit.
+    """
+    K = np.asarray(K, dtype=np.float64)
+    return _kernel_spectrum(np.array(K, order="F"))
 
 
 @dataclass(frozen=True)
@@ -182,9 +225,10 @@ def fit_kernel_gct(
     A non-finite response entry is a ValueError that names its index.
 
     The spectrum is one ``eigh`` of the Gram matrix K itself, whose
-    eigenvalues are then divided by n (see ``kernel_canonicalize``).  Peak
-    memory is K plus 4 n^2 floats inside ``eigh``; the Gram matrix is built
-    in one n^2 buffer.
+    eigenvalues are then divided by n (see ``kernel_canonicalize``), run
+    in K's own buffer, which ``gram`` builds in one n^2 array: no copy of K
+    is made.  Peak memory is K plus the LAPACK workspace of about 2 n^2
+    floats, 3 n^2 in all.
     """
     points = np.asarray(points, dtype=np.float64)
     Y = np.asarray(Y, dtype=np.float64)
@@ -197,8 +241,7 @@ def fit_kernel_gct(
         response_mean = float(Y.mean())
         Y = Y - response_mean
 
-    K = gram(points, spec)
-    eig, vec = kernel_canonicalize(K)
+    eig, vec = _kernel_spectrum(gram(points, spec))
     theta_ls = vec.T @ Y / math.sqrt(n)
     theta_hat = _shrink(eig, theta_ls, config.rule, config.tau, config.phi)
     alpha = vec @ (theta_hat / eig) / math.sqrt(n)

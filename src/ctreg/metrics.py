@@ -30,8 +30,9 @@ def mse_fixed(
     beta_hat = np.asarray(beta_hat, dtype=np.float64)
     beta = np.asarray(beta, dtype=np.float64)
     d = dec.right_vectors.shape[0]
-    if beta_hat.shape != (d,) or beta.shape != (d,):
-        raise ValueError(f"coefficient vectors must have length {d}")
+    for name, vector in (("beta_hat", beta_hat), ("beta", beta)):
+        if vector.shape != (d,):
+            raise ValueError(f"{name} must be of shape {(d,)}, got {vector.shape}")
     _finite("beta_hat", beta_hat)
     _finite("beta", beta)
     diff = to_theta(dec, beta_hat - beta)
@@ -43,10 +44,10 @@ def pe_random(beta_hat: FloatArray, beta: FloatArray, Sigma: FloatArray) -> floa
     beta_hat = np.asarray(beta_hat, dtype=np.float64)
     beta = np.asarray(beta, dtype=np.float64)
     Sigma = np.asarray(Sigma, dtype=np.float64)
-    if beta_hat.ndim != 1 or beta.shape != beta_hat.shape:
-        raise ValueError(
-            f"beta must be 1-D of beta_hat's shape {beta_hat.shape}, got {beta.shape}"
-        )
+    if beta_hat.ndim != 1:
+        raise ValueError(f"beta_hat must be 1-D, got shape {beta_hat.shape}")
+    if beta.shape != beta_hat.shape:
+        raise ValueError(f"beta must be of shape {beta_hat.shape}, got {beta.shape}")
     if Sigma.shape != 2 * beta.shape:
         raise ValueError(f"Sigma must be of shape {2 * beta.shape}, got {Sigma.shape}")
     _finite("beta_hat", beta_hat)

@@ -215,6 +215,61 @@ class TestMemoryFloor:
         assert peak <= budget, (peak, budget)
 
 
+def symmetric_matrix(seed, n):
+    A = np.random.default_rng(seed).standard_normal((n, n + 3))
+    return A @ A.T  # exactly symmetric
+
+
+class TestEighInPlace:
+    """The spectral core's LAPACK call: numpy.linalg.eigh's bits, in the
+    caller's buffer."""
+
+    @pytest.mark.parametrize("n", [1, 2, 40, 300])
+    def test_bits_of_numpy_eigh_in_the_callers_buffer(self, n):
+        G = symmetric_matrix(n, n)
+        expected = np.linalg.eigh(G)
+        work = G.copy()
+        eig, vec = _blas.eigh_in_place(work)
+        assert np.array_equal(eig, expected[0]) and np.array_equal(vec, expected[1])
+        if _blas.eigensolver() is not None:
+            assert np.shares_memory(vec, work)
+
+    def test_f_order_is_read_in_its_own_order(self):
+        # symmetric only to roundoff: an F-order buffer is what numpy
+        # decomposes, whichever triangle differs
+        G = symmetric_matrix(7, 60)
+        G += 1e-12 * np.random.default_rng(7).standard_normal(G.shape)
+        expected = np.linalg.eigh(G)
+        eig, vec = _blas.eigh_in_place(np.array(G, order="F"))
+        assert np.array_equal(eig, expected[0]) and np.array_equal(vec, expected[1])
+
+    def test_both_routes_and_nan_as_numpy(self, monkeypatch):
+        G = symmetric_matrix(8, 30)
+        G[3, 3] = np.nan
+        expected = np.linalg.eigh(G)
+        routes = [_blas.eigh_in_place(G.copy())]
+        monkeypatch.setattr(_blas, "eigensolver", lambda: None)
+        routes.append(_blas.eigh_in_place(G.copy()))
+        for eig, vec in routes:
+            np.testing.assert_array_equal(eig, expected[0])
+            np.testing.assert_array_equal(vec, expected[1])
+
+    def test_unwritable_or_strided_buffers_rejected(self):
+        G = symmetric_matrix(9, 6)
+        G.flags.writeable = False
+        for bad in (G, symmetric_matrix(9, 12)[::2, ::2], np.ones((3, 4))):
+            with pytest.raises(ValueError, match="writeable contiguous square"):
+                _blas.eigh_in_place(bad)
+
+    def test_gram_spectrum_uses_its_argument_as_the_workspace(self):
+        # every caller passes a temporary; the core's own output is a copy
+        G = symmetric_matrix(10, 50)
+        work = G.copy()
+        eig, vec, _ = canonical._gram_spectrum(work, canonical.RANK_REL_TOL)
+        assert not np.shares_memory(vec, work)
+        np.testing.assert_allclose(vec * eig @ vec.T, G, atol=1e-12 * eig[0])
+
+
 class TestGramRouteAccuracy:
     """The Gram eigendecomposition resolves an eigenvalue lambda_j to about
     eps * lambda_max / lambda_j relative; minimum-norm coefficients and fitted

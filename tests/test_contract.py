@@ -329,6 +329,22 @@ NAMED_PROBES = {
     "mse_fixed(beta_hat=nan)": case("mse_fixed", beta_hat=BAD_COEFFICIENTS[0]),
     "mse_fixed(beta=-inf)": case("mse_fixed", beta=BAD_COEFFICIENTS[1]),
     "fit_pcr(m=13)": case("fit_pcr", m=13),
+    # shape errors, each once named for the wrong argument or for neither
+    "mse_fixed(beta_hat=ones(3), beta=zeros(4))": case(
+        "mse_fixed", beta_hat=np.ones(3), beta=np.zeros(4)
+    ),
+    "mse_fixed(beta=zeros(4))": case("mse_fixed", beta=np.zeros(4)),
+    "pe_random(beta_hat=ones((2, 2)), beta=zeros((2, 2)))": case(
+        "pe_random", beta_hat=np.ones((2, 2)), beta=np.zeros((2, 2)), Sigma=np.eye(2)
+    ),
+    "pe_random(beta=zeros(4))": case("pe_random", beta=np.zeros(4)),
+}
+# the argument that each shape probe's message must name
+SHAPE_PROBES = {
+    "mse_fixed(beta_hat=ones(3), beta=zeros(4))": "beta_hat",
+    "mse_fixed(beta=zeros(4))": "beta",
+    "pe_random(beta_hat=ones((2, 2)), beta=zeros((2, 2)))": "beta_hat",
+    "pe_random(beta=zeros(4))": "beta",
 }
 PROBES = PROBED + list(NAMED_PROBES.values())
 PROBE_IDS = [name for name, _ in PROBED] + list(NAMED_PROBES)
@@ -389,6 +405,11 @@ class TestArgumentContract:
     @pytest.mark.parametrize("name, arguments", PROBES, ids=PROBE_IDS)
     def test_each_probed_case_is_rejected(self, name, arguments):
         assert check_contract(name, arguments) is not None
+
+    @pytest.mark.parametrize("probe", SHAPE_PROBES)
+    def test_shape_errors_name_their_own_argument(self, probe):
+        message = check_contract(*NAMED_PROBES[probe])
+        assert message.startswith(f"{SHAPE_PROBES[probe]} must be "), message
 
     def test_good_values_return(self):
         # the first good value of every argument, and each other good value

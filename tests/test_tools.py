@@ -79,6 +79,13 @@ def test_result_hashes_prints_one_sha256_per_family():
         "run_experiment",
         "cli_fit",
         "cli_cv",
+        "gram",
+        "cross_gram",
+        "kernel_canonicalize",
+        "fit_kernel_gct",
+        "predict_kernel_batch",
+        "cli_kernel_fit",
+        "cli_kernel_predict",
     ]
     for line in lines:
         assert re.fullmatch(r"[a-z_]+ [0-9a-f]{64}", line), line

@@ -335,6 +335,31 @@ MUTANTS = (
         "if err < best_err:",
         ("tests/test_tuning.py::TestExactTies",),
     ),
+    # the in-place decomposition and the blocked kernel matrices
+    Mutant(
+        "dsyevd reads the upper triangle",
+        "src/ctreg/_blas.py",
+        'b"V", b"L"',
+        'b"V", b"U"',
+        (
+            "tests/test_canonical.py::TestEighInPlace",
+            "tests/test_kernel.py::TestKernelCanonicalize",
+        ),
+    ),
+    Mutant(
+        "kernel_canonicalize decomposes K without its copy",
+        "src/ctreg/kernel.py",
+        'return _kernel_spectrum(np.array(K, order="F"))',
+        "return _kernel_spectrum(K)",
+        ("tests/test_kernel.py::TestKernelCanonicalize",),
+    ),
+    Mutant(
+        "block symmetrization skips the mirror write",
+        "src/ctreg/kernel.py",
+        "            if j > i:\n                K[cols, rows] = upper.T\n",
+        "",
+        ("tests/test_kernel.py::TestGram",),
+    ),
     Mutant(
         "fold map results in completion order",
         "src/ctreg/_blas.py",

@@ -7,7 +7,12 @@ fits before CV and CV before fits, so a memo that changes a result shows.
 The families are the fits, the four tuners (``kfold_cv``, ``joint_cv``,
 ``kfold_cv_pcr``, ``kfold_cv_ridge``), ``cv_error_at``, ``grid_cv_oracle``,
 one ``run_experiment`` results CSV, and the files and output of
-``ctreg fit`` and ``ctreg cv``.
+``ctreg fit`` and ``ctreg cv``.  The kernel families are ``gram`` and
+``_cross_gram`` for each kernel kind, ``kernel_canonicalize`` (of Gram
+matrices and of matrices symmetric only within its tolerance),
+``fit_kernel_gct``, ``predict_kernel_batch``, the model file of
+``ctreg kernel-fit`` and the predictions of ``ctreg predict`` on it, at
+sizes below and above the kernel module's block of rows.
 
 It imports ctreg from the ``src`` directory of the checkout it sits in, so
 a copy of this file in another checkout hashes that checkout.  Needs numpy;
@@ -15,8 +20,11 @@ it takes a few seconds.  Run from anywhere:
 
     python tools/result_hashes.py
 
-It prints ``<family> <sha256>`` lines.  The same lines from two checkouts,
-or at ``OPENBLAS_NUM_THREADS=1`` and ``=2``, mean the same bits.
+It prints ``<family> <sha256>`` lines.  The same lines from two checkouts
+mean the same bits.  The families before the kernel ones do not depend on
+the BLAS thread count, so their lines at ``OPENBLAS_NUM_THREADS=1`` and
+``=2`` match too; a kernel decomposition runs on OpenBLAS's own threads,
+so compare the kernel families of two checkouts at one thread count.
 """
 
 from __future__ import annotations
@@ -40,23 +48,29 @@ from ctreg import (  # noqa: E402
     SOFT_RULE,
     Dataset,
     GctConfig,
+    KernelSpec,
     PolyDecay,
     ScenarioSpec,
     cv_error_at,
     emit_table,
     fit_gct,
+    fit_kernel_gct,
     fit_min_norm_ls,
     fit_nct,
     fit_pcr,
     fit_ridge,
+    gram,
     grid_cv_oracle,
     joint_cv,
+    kernel_canonicalize,
     kfold_cv,
     kfold_cv_pcr,
     kfold_cv_ridge,
+    predict_kernel_batch,
     run_experiment,
 )
 from ctreg.cli import main as cli_main  # noqa: E402
+from ctreg.kernel import _cross_gram  # noqa: E402
 
 # wide, tall, and tall with wide 10-fold training blocks
 SHAPES = ((40, 90), (90, 12), (55, 50))
@@ -77,6 +91,20 @@ FAMILIES = (
     "run_experiment",
     "cli_fit",
     "cli_cv",
+    "gram",
+    "cross_gram",
+    "kernel_canonicalize",
+    "fit_kernel_gct",
+    "predict_kernel_batch",
+    "cli_kernel_fit",
+    "cli_kernel_predict",
+)
+# kernel problems: (points, new points), below and above 256 rows, 3 features
+KERNEL_SIZES = ((40, 25), (300, 420))
+KERNEL_SPECS = (
+    KernelSpec("linear"),
+    KernelSpec("rbf", gamma=0.5),
+    KernelSpec("poly", degree=3, coef0=1.0, scale=0.3),
 )
 
 
@@ -160,6 +188,14 @@ def experiment_hash(h: "hashlib._Hash", tmp: Path) -> None:
     h.update((tmp / "table.csv").read_bytes())
 
 
+def write_csv(path: Path, table: np.ndarray, with_y: bool) -> Path:
+    """A CSV with columns x0, x1, ... (and y last, if ``with_y``)."""
+    names = [f"x{j}" for j in range(table.shape[1] - with_y)] + ["y"] * with_y
+    rows = [",".join(repr(float(v)) for v in row) for row in table]
+    path.write_text("\n".join([",".join(names), *rows]) + "\n")
+    return path
+
+
 def cli_hashes(hashes: Dict[str, "hashlib._Hash"], tmp: Path) -> None:
     """Run ``ctreg fit`` and ``ctreg cv`` in process and hash what they write."""
     commands = {
@@ -175,10 +211,7 @@ def cli_hashes(hashes: Dict[str, "hashlib._Hash"], tmp: Path) -> None:
     }
     for index, (n, d) in enumerate(SHAPES):
         X, Y = problem(n, d)
-        data = tmp / f"data{index}.csv"
-        header = ",".join([f"x{j}" for j in range(d)] + ["y"])
-        rows = [",".join(repr(float(v)) for v in (*x, y)) for x, y in zip(X, Y)]
-        data.write_text("\n".join([header, *rows]) + "\n")
+        data = write_csv(tmp / f"data{index}.csv", np.column_stack([X, Y]), with_y=True)
         for family, argvs in commands.items():
             for argv in argvs:
                 model = tmp / "model.json"
@@ -195,12 +228,56 @@ def cli_hashes(hashes: Dict[str, "hashlib._Hash"], tmp: Path) -> None:
                 model.unlink()
 
 
+def kernel_problem(n: int, m: int) -> tuple:
+    rng = np.random.default_rng(7 * n + m)
+    X = rng.standard_normal((n, 3))
+    return X, np.sin(X[:, 0]) + 0.1 * rng.standard_normal(n), rng.standard_normal((m, 3))
+
+
+def kernel_hashes(hashes: Dict[str, "hashlib._Hash"]) -> None:
+    for n, m in KERNEL_SIZES:
+        X, Y, new = kernel_problem(n, m)
+        # symmetric within kernel_canonicalize's tolerance, not exactly
+        wobble = 1e-13 * np.random.default_rng(n).standard_normal((n, n))
+        for spec in KERNEL_SPECS:
+            K = gram(X, spec)
+            feed(hashes["gram"], K)
+            feed(hashes["cross_gram"], [_cross_gram(spec, new, X), _cross_gram(spec, X, new)])
+            feed(hashes["kernel_canonicalize"], [kernel_canonicalize(K + np.eye(n))])
+            feed(hashes["kernel_canonicalize"], [kernel_canonicalize(K + np.eye(n) + wobble)])
+            for config in (GctConfig(tau=0.05), GctConfig(tau=0.05, phi=1.0, rule=HARD_RULE)):
+                model = fit_kernel_gct(X, Y, spec, config, center_response=True)
+                feed(hashes["fit_kernel_gct"], model)
+                feed(hashes["predict_kernel_batch"], predict_kernel_batch(model, new))
+
+
+def cli_kernel_hashes(hashes: Dict[str, "hashlib._Hash"], tmp: Path) -> None:
+    """Run ``ctreg kernel-fit`` and ``ctreg predict`` on its model in process."""
+    model, preds = tmp / "kernel_model.json", tmp / "preds.txt"
+    for index, (n, m) in enumerate(KERNEL_SIZES):
+        X, Y, new = kernel_problem(n, m)
+        data = write_csv(tmp / f"kernel{index}.csv", np.column_stack([X, Y]), with_y=True)
+        rows = write_csv(tmp / f"kernel_new{index}.csv", new, with_y=False)
+        for kernel in ("linear", "rbf:0.5", "poly:3,1,0.3"):
+            for argv in (
+                ["kernel-fit", "--input", str(data), "--response", "y", "--kernel", kernel,
+                 "--tau", "0.05", "--output", str(model)],
+                ["predict", "--model", str(model), "--input", str(rows), "--output", str(preds)],
+            ):
+                if cli_main(argv) != 0:
+                    raise SystemExit(f"ctreg {' '.join(argv)} exited nonzero")
+            hashes["cli_kernel_fit"].update(model.read_bytes())
+            hashes["cli_kernel_predict"].update(preds.read_bytes())
+
+
 def main() -> int:
     hashes = {name: hashlib.sha256() for name in FAMILIES}
     library_hashes(hashes)
+    kernel_hashes(hashes)
     with tempfile.TemporaryDirectory(prefix="ctreg-hashes-") as tmp:
         experiment_hash(hashes["run_experiment"], Path(tmp))
         cli_hashes(hashes, Path(tmp))
+        cli_kernel_hashes(hashes, Path(tmp))
     for name in FAMILIES:
         print(f"{name} {hashes[name].hexdigest()}")
     return 0

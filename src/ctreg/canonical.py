@@ -138,9 +138,15 @@ def _gram_spectrum(
     then ``gram`` plus the sorted vectors.
     """
     eig, vec = eigh_in_place(gram)  # ascending
-    r = int(np.count_nonzero(eig > rank_rel_tol * eig[-1]))
-    order = np.argsort(-eig, kind="stable")[:r]
+    order = _retained(eig, rank_rel_tol)
     return eig[order], vec[:, order], float(eig[0])
+
+
+def _retained(eig: FloatArray, rank_rel_tol: float) -> NDArray[np.intp]:
+    """The indices of the ascending eigenvalues eig above the floor (see
+    ``_gram_spectrum``), the largest first."""
+    r = int(np.count_nonzero(eig > rank_rel_tol * eig[-1]))
+    return np.argsort(-eig, kind="stable")[:r]
 
 
 def _pivot_signs(vectors: FloatArray) -> FloatArray:

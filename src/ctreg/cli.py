@@ -456,6 +456,7 @@ def cmd_fit(args: argparse.Namespace) -> int:
     name, values = _named(
         "--method", args.method, methods, lambda name, **values: (name, values)
     )
+    check_writable(args.output)
     X, Y = load_dataset(args.input, args.response)
     X, Y, offsets = _center(X, Y, not args.no_center)
     fit = _FIT_METHODS[name][1](args, Dataset(X, Y), *values.values())
@@ -487,6 +488,8 @@ def cmd_cv(args: argparse.Namespace) -> int:
 
 
 def cmd_predict(args: argparse.Namespace) -> int:
+    if args.output is not None:
+        check_writable(args.output)
     payload = _load_model(args.model)
     _, data = read_csv(args.input)
     kind = payload["model_kind"]
@@ -507,6 +510,7 @@ def cmd_predict(args: argparse.Namespace) -> int:
 
 def cmd_kernel_fit(args: argparse.Namespace) -> int:
     spec = _named("--kernel", args.kernel, KERNEL_PARAMS, KernelSpec)
+    check_writable(args.output)
     X, Y = load_dataset(args.input, args.response)
     config = GctConfig(tau=args.tau, phi=args.phi, rule=_RULES[args.rule])
     model = fit_kernel_gct(X, Y, spec, config, center_response=not args.no_center)

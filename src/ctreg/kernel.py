@@ -6,18 +6,27 @@ basis sqrt(n) V as in the linear case, the shrunken canonical
 coefficients determine the in-sample fit, and the minimum-RKHS-norm
 interpolant of that fit is a kernel expansion with explicit dual
 coefficients alpha = V Lambda^{-2} theta_hat / sqrt(n).
+
+That explicit form needs V only through two products, V^T Y and
+V (theta_hat / lambda), so ``fit_kernel_gct`` never forms V: it keeps K
+as LAPACK's tridiagonal reduction leaves it, K = Q T Q^T with
+T = Z diag(w) Z^T, and applies Q and Z to vectors.  A model forms V when
+``left_vectors`` or ``theta_hat`` is first read.  ``kernel_canonicalize``
+returns V, and forms it as ``numpy.linalg.eigh`` does.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+import threading
+from dataclasses import dataclass, field
 from typing import Dict, Optional, Tuple
 
 import numpy as np
 from numpy.typing import NDArray
 
-from .canonical import _gram_spectrum, _pivot_signs
+from ._blas import EighFactors, eigh_factors
+from .canonical import _gram_spectrum, _pivot_signs, _retained
 from .errors import (
     NotPositiveSemidefiniteError,
     ZeroDesignError,
@@ -27,6 +36,7 @@ from .errors import (
 )
 from .estimators import GctConfig, _shrink
 from .metrics import joint_effective_dimension
+from .thresholding import RuleKind
 
 FloatArray = NDArray[np.float64]
 
@@ -134,9 +144,10 @@ def gram(points: FloatArray, spec: KernelSpec) -> FloatArray:
     return K
 
 
-def _kernel_spectrum(K: FloatArray) -> Tuple[FloatArray, FloatArray]:
-    """``kernel_canonicalize`` on a K of the caller's that the decomposition
-    may overwrite: exactly symmetric, or F-order (see ``_gram_spectrum``)."""
+def _symmetric_copy(K: FloatArray) -> FloatArray:
+    """An F-order float64 copy of a caller's kernel matrix, checked square
+    and symmetric within the tolerance."""
+    K = np.array(K, dtype=np.float64, order="F")
     n = K.shape[0]
     if K.shape != (n, n):
         raise ValueError("kernel matrix must be square")
@@ -145,14 +156,32 @@ def _kernel_spectrum(K: FloatArray) -> Tuple[FloatArray, FloatArray]:
         K, K.T, atol=1e-10 * max(1.0, float(np.abs(K).max()))
     ):
         raise ValueError("kernel matrix must be symmetric")
+    return K
+
+
+def _require_nonzero(K: FloatArray) -> None:
     if not np.any(K):
         raise ZeroDesignError("zero kernel matrix")
 
-    eig, vec, smallest = _gram_spectrum(K, KERNEL_RANK_REL_TOL)
+
+def _require_psd(eig: FloatArray, smallest: float) -> None:
+    """Raise unless eig, the retained eigenvalues largest first, is not
+    empty and the smallest eigenvalue is above -KERNEL_RANK_REL_TOL times
+    the largest."""
     if eig.size == 0 or smallest < -KERNEL_RANK_REL_TOL * eig[0]:
         raise NotPositiveSemidefiniteError("kernel matrix not positive semidefinite")
-    vec *= _pivot_signs(vec)  # vec is the core's own sorted copy
-    return eig / n, vec
+
+
+def _factor(K: FloatArray) -> Tuple[EighFactors, NDArray[np.intp]]:
+    """(``eigh_factors(K)``, the indices of its eigenvalues above the
+    floor, the largest first) for a nonzero K that the factors may
+    overwrite: exactly symmetric, or F-order.  K's buffer ends up holding
+    Q's reflectors.  The checks are ``kernel_canonicalize``'s."""
+    _require_nonzero(K)
+    factors = eigh_factors(K)
+    order = _retained(factors.eigenvalues, KERNEL_RANK_REL_TOL)
+    _require_psd(factors.eigenvalues[order], factors.eigenvalues[0])
+    return factors, order
 
 
 def kernel_canonicalize(K: FloatArray) -> Tuple[FloatArray, FloatArray]:
@@ -175,13 +204,60 @@ def kernel_canonicalize(K: FloatArray) -> Tuple[FloatArray, FloatArray]:
     the LAPACK workspace of about 2 n^2); the signs, found with no n^2
     temporary, are applied in place to the sorted vectors.
 
-    This is the one decomposition in ctreg left on OpenBLAS's own threads,
-    so its last bits depend on the BLAS thread count: at 2000 x 2000 they
-    pay off (the decomposition takes 0.9-1.0 s on 2 threads, against
-    1.4-1.6 s pinned to one), and no CV fold map follows a kernel fit.
+    Its eigenvalues are bit for bit those of ``fit_kernel_gct`` on the same
+    Gram matrix, which stops the same LAPACK decomposition before it forms
+    the vectors; its vectors and theirs differ in the last bits.
+
+    This and the kernel fit are the decompositions in ctreg left on
+    OpenBLAS's own threads, so their last bits depend on the BLAS thread
+    count: at 2000 x 2000 they pay off (the decomposition takes 0.9-1.0 s
+    on 2 threads, against 1.4-1.6 s pinned to one), and no CV fold map
+    follows a kernel fit.
     """
-    K = np.asarray(K, dtype=np.float64)
-    return _kernel_spectrum(np.array(K, order="F"))
+    K = _symmetric_copy(K)
+    _require_nonzero(K)
+    eig, vec, smallest = _gram_spectrum(K, KERNEL_RANK_REL_TOL)
+    _require_psd(eig, smallest)
+    vec *= _pivot_signs(vec)  # vec is the core's own sorted copy
+    return eig / K.shape[0], vec
+
+
+class _Basis:
+    """The retained left vectors V of a kernel fit, formed on first read.
+
+    Until then it holds the fit's factors, 2 n^2 floats: K's buffer with
+    Q's reflectors, and Z.  The first read forms Q Z[:, order] with one
+    ``dormtr`` on its n x r columns, 2 n^2 r flops, makes each column's
+    largest-magnitude entry positive (``_pivot_signs``) and drops the
+    factors, so V, n * r floats, is all that is kept.  A lock makes threads
+    that read at once form V once.  A pickle holds V and its signs.
+    """
+
+    def __init__(self, factors: EighFactors, order: NDArray[np.intp]) -> None:
+        self._lock = threading.Lock()
+        self._factors: Optional[EighFactors] = factors
+        self._order: Optional[NDArray[np.intp]] = order
+        self._formed: Optional[Tuple[FloatArray, FloatArray]] = None
+
+    def get(self) -> Tuple[FloatArray, FloatArray]:
+        """(V, the column signs s with V = Q Z[:, order] diag(s))."""
+        with self._lock:
+            if self._formed is None:
+                assert self._factors is not None and self._order is not None
+                columns = np.asfortranarray(self._factors.vectors[:, self._order])
+                vec = self._factors.apply(columns)
+                signs = _pivot_signs(vec)
+                vec *= signs
+                self._formed = (vec, signs)
+                self._factors = self._order = None
+            return self._formed
+
+    def __getstate__(self) -> Tuple[FloatArray, FloatArray]:
+        return self.get()
+
+    def __setstate__(self, formed: Tuple[FloatArray, FloatArray]) -> None:
+        self.__init__(None, None)  # type: ignore[arg-type]
+        self._formed = formed
 
 
 @dataclass(frozen=True)
@@ -197,16 +273,31 @@ class KernelPredictor:
 
 @dataclass(frozen=True)
 class KernelModel(KernelPredictor):
-    """A fitted RKHS model: the predictor plus the retained spectrum."""
+    """A fitted RKHS model: the predictor plus the retained spectrum.
 
-    theta_hat: FloatArray
+    ``left_vectors`` and ``theta_hat`` are formed on first read, which
+    costs the back-transformation the fit skipped (0.33 s at 2000 x 2000,
+    rank 2000, on 2 cores; see ``_Basis``); the private fields are not
+    part of the repr or of equality.
+    """
+
     eigenvalues: FloatArray
-    left_vectors: FloatArray
     config: GctConfig
+    # theta_hat in the unsigned basis Q Z[:, order], and that basis
+    _theta: FloatArray = field(repr=False, compare=False)
+    _basis: _Basis = field(repr=False, compare=False)
 
     @property
     def rank(self) -> int:
         return self.eigenvalues.shape[0]
+
+    @property
+    def left_vectors(self) -> FloatArray:
+        return self._basis.get()[0]
+
+    @property
+    def theta_hat(self) -> FloatArray:
+        return self._basis.get()[1] * self._theta
 
 
 def fit_kernel_gct(
@@ -224,11 +315,27 @@ def fit_kernel_gct(
     response mean is subtracted first and added back by every prediction.
     A non-finite response entry is a ValueError that names its index.
 
-    The spectrum is one ``eigh`` of the Gram matrix K itself, whose
-    eigenvalues are then divided by n (see ``kernel_canonicalize``), run
-    in K's own buffer, which ``gram`` builds in one n^2 array: no copy of K
-    is made.  Peak memory is K plus the LAPACK workspace of about 2 n^2
-    floats, 3 n^2 in all.
+    The spectrum comes from K itself, whose eigenvalues are then divided by
+    n, with the floor and checks of ``kernel_canonicalize``.  K, which
+    ``gram`` builds exactly symmetric in one n^2 array, is factored in its
+    own buffer as K = Q Z diag(w) Z^T Q^T (``_blas.eigh_factors``), and V
+    is never formed: V^T Y is Z^T (Q^T Y) and V c is Q (Z c), four products
+    of O(n^2) each where forming V costs 2 n^3 flops.  Soft and hard
+    thresholding are odd maps, so the column signs of V cancel out of
+    alpha; a custom rule's map need not be odd, so its fit forms V first
+    and shrinks in V's signs, paying what reading ``left_vectors`` costs.
+
+    Cost: the reduction and the tridiagonal eigensolver, 0.53-0.60 s at
+    2000 x 2000 on 2 cores, where ``eigh`` took 0.82-0.93 s.  Memory: the
+    peak is K, Z and the LAPACK workspace of about n^2 floats, 3 n^2 in
+    all, as with ``eigh``.  The model holds K's buffer and Z, 2 n^2 floats,
+    until its vectors are read, then n * r.  Accuracy: the eigenvalues are
+    bit for bit those of ``kernel_canonicalize(K)``; alpha and theta_hat
+    agree with the ones built from the formed vectors to within roundoff,
+    about eps * lambda_max / lambda_min relative (see ``canonicalize``).
+    ``dsyevd`` first scales a K whose largest entry lies beyond about
+    1e+-146 into that range, and this route does not (see
+    ``_blas.eigh_factors``).
     """
     points = np.asarray(points, dtype=np.float64)
     Y = np.asarray(Y, dtype=np.float64)
@@ -241,19 +348,28 @@ def fit_kernel_gct(
         response_mean = float(Y.mean())
         Y = Y - response_mean
 
-    eig, vec = _kernel_spectrum(gram(points, spec))
-    theta_ls = vec.T @ Y / math.sqrt(n)
-    theta_hat = _shrink(eig, theta_ls, config.rule, config.tau, config.phi)
-    alpha = vec @ (theta_hat / eig) / math.sqrt(n)
+    factors, order = _factor(gram(points, spec))
+    eig = factors.eigenvalues[order] / n
+    root_n = math.sqrt(n)
+    basis = _Basis(factors, order)
+    # theta and alpha in the unsigned basis Q Z[:, order]
+    projection = factors.vectors.T @ factors.apply(np.array(Y), transpose=True)
+    theta_ls = projection[order] / root_n
+    # soft and hard are odd maps; a custom map is applied in V's own signs
+    signs = basis.get()[1] if config.rule.kind is RuleKind.CUSTOM else 1.0
+    theta_hat = signs * _shrink(eig, signs * theta_ls, config.rule, config.tau, config.phi)
+    coeffs = np.zeros(n)
+    coeffs[order] = theta_hat / eig
+    alpha = factors.apply(factors.vectors @ coeffs) / root_n
     return KernelModel(
         training_points=points,
         dual_coeffs=alpha,
-        theta_hat=theta_hat,
         eigenvalues=eig,
-        left_vectors=vec,
         config=config,
         kernel=spec,
         response_mean=response_mean,
+        _theta=theta_hat,
+        _basis=basis,
     )
 
 
@@ -317,10 +433,21 @@ def kernel_in_sample_error(
 
 
 def kernel_effective_dimension(K: FloatArray, f_values: FloatArray, q: float) -> float:
-    """Joint effective dimension || V^T f / ||f||_2 ||_q^q of a kernel problem."""
+    """Joint effective dimension || V^T f / ||f||_2 ||_q^q of a kernel problem.
+
+    V^T f is read from the factors of an F-order copy of K as Z^T (Q^T f),
+    as the fit reads V^T Y: no V is formed.  The q-norm does not depend on
+    the signs of V's columns.  K is checked as ``kernel_canonicalize``
+    checks it.
+    """
+    _real("q", q, 0, 2, "[]")
     f = np.asarray(f_values, dtype=np.float64)
     norm = float(np.linalg.norm(f))
     if norm <= 0:
         raise ValueError("f must be nonzero")
-    _, vec = kernel_canonicalize(np.asarray(K, dtype=np.float64))
-    return joint_effective_dimension(vec.T @ f / norm, 1.0, q)
+    K = _symmetric_copy(K)
+    if f.shape != (K.shape[0],):
+        raise ValueError(f"f_values must have length {K.shape[0]}, got {f.shape}")
+    factors, order = _factor(K)
+    projection = factors.vectors.T @ factors.apply(np.array(f), transpose=True)
+    return joint_effective_dimension(projection[order] / norm, 1.0, q)

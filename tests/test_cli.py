@@ -1043,6 +1043,36 @@ class TestOutputPaths:
             f"error: cannot write {out}: No such file or directory\n"
         )
 
+    @pytest.mark.parametrize("command", ["fit", "kernel-fit", "predict"])
+    def test_output_checked_before_any_input_is_read(self, data_csv, tmp_path, capsys,
+                                                     monkeypatch, command):
+        # a 2000-point kernel fit once ran whole before a missing directory
+        # ended it with exit 2
+        path, _, _ = data_csv
+        model = str(tmp_path / "m.json")
+        assert main(fit_argv(path, "fit", model)) == 0
+        calls = []
+
+        def spy(name):
+            def record(*args, **kwargs):
+                calls.append(name)
+                raise AssertionError(f"{name} ran before the output check")
+
+            return record
+
+        for name in ("read_csv", "_load_model", "fit_gct", "fit_kernel_gct"):
+            monkeypatch.setattr(cli, name, spy(name))
+        out = str(tmp_path / "missing" / "out")
+        if command == "predict":
+            argv = ["predict", "--model", model, "--input", path, "--output", out]
+        else:
+            argv = fit_argv(path, command, out)
+        assert main(argv) == 2
+        assert calls == []
+        assert capsys.readouterr().err == (
+            f"error: cannot write {out}: No such file or directory\n"
+        )
+
     @pytest.mark.parametrize("command", ["fit", "cv"])
     def test_output_that_is_a_directory_exit_two(self, data_csv, tmp_path, capsys,
                                                  command):

@@ -2,8 +2,11 @@
 
 import math
 import os
+import pickle
 import subprocess
 import sys
+import threading
+import time
 import tracemalloc
 import warnings
 
@@ -31,7 +34,8 @@ from ctreg import (
     predict,
     predict_kernel_batch,
 )
-from ctreg import _blas, kernel
+from ctreg import RuleKind, ThresholdRule, _blas, cli, kernel
+from ctreg.canonical import _pivot_signs
 from ctreg.kernel import KERNEL_RANK_REL_TOL, _cross_gram, _symmetrize
 
 LINEAR = KernelSpec(kind="linear")
@@ -386,6 +390,17 @@ class TestKernelEffectiveDimension:
         with pytest.raises(ValueError):
             kernel_effective_dimension(gram(X, RBF), np.zeros(4), 1.0)
 
+    def test_arguments_checked_before_the_decomposition(self, monkeypatch):
+        def must_not_run(K):
+            raise AssertionError("K was decomposed")
+
+        monkeypatch.setattr(kernel, "eigh_factors", must_not_run)
+        X = random_points(24, 4, 2)
+        with pytest.raises(ValueError, match=r"^q must be a number in \[0, 2\], got 5.0"):
+            kernel_effective_dimension(gram(X, RBF), np.ones(4), 5.0)
+        with pytest.raises(ValueError, match=r"^f_values must have length 4, got \(3,\)"):
+            kernel_effective_dimension(gram(X, RBF), np.ones(3), 1.0)
+
 
 class TestKernelInvariants:
     def test_representer_reproduction(self):
@@ -452,16 +467,19 @@ def _reference_gram(points, spec):
 
 
 def _reference_fit(points, Y, spec, config):
-    """(eigenvalues, dual coefficients) by the route that ran eigh on K / n."""
+    """(eigenvalues, dual coefficients, theta_hat, left vectors) by the route
+    that ran eigh on K / n and formed every vector, with the pivot signs
+    that a rule which is not odd needs."""
     n = Y.shape[0]
     eig, vec = np.linalg.eigh(_reference_gram(points, spec) / n)
     r = int(np.count_nonzero(eig > KERNEL_RANK_REL_TOL * eig[-1]))
     order = np.argsort(-eig, kind="stable")[:r]
     eig, vec = eig[order], vec[:, order]
+    vec = vec * _pivot_signs(vec)
     weights = eig ** (config.phi / 2.0)
     theta_ls = vec.T @ Y / math.sqrt(n)
     theta_hat = apply_rule(config.rule, weights * theta_ls, config.tau) / weights
-    return eig, vec @ (theta_hat / eig) / math.sqrt(n)
+    return eig, vec @ (theta_hat / eig) / math.sqrt(n), theta_hat, vec
 
 
 BIT_SPECS = [LINEAR, RBF, KernelSpec(kind="rbf", gamma=0.0),
@@ -505,18 +523,28 @@ class TestGramBitIdentity:
         )
 
 
+# one-sided hard thresholding: not an odd map, so it depends on the signs
+# of the canonical basis
+ONE_SIDED_RULE = ThresholdRule(
+    RuleKind.CUSTOM, custom_fn=lambda z, tau: z if z >= tau else 0.0, custom_constant=3.0
+)
+RULES = [SOFT_RULE, HARD_RULE, ONE_SIDED_RULE]
+RULE_IDS = ["soft", "hard", "one-sided"]
+
+
 class TestFitMatchesScaledRoute:
-    """eigh of K then division by n, against eigh of K / n.
+    """The factored fit on K then division by n, against eigh of K / n
+    with every vector formed.
 
     The two routes differ only by roundoff.  Eigenvalues agree to
     32 eps lambda_max absolute, and by the accuracy contract of the
-    spectral core the dual coefficients and predictions agree to
-    32 eps lambda_max / lambda_min relative, with lambda_min the smallest
-    retained eigenvalue.
+    spectral core the dual coefficients, predictions, theta_hat and the
+    in-sample fit V theta_hat agree to 32 eps lambda_max / lambda_min
+    relative, with lambda_min the smallest retained eigenvalue.
     """
 
     @pytest.mark.parametrize("spec", [LINEAR, RBF, POLY], ids=_spec_id)
-    @pytest.mark.parametrize("rule", [SOFT_RULE, HARD_RULE], ids=["soft", "hard"])
+    @pytest.mark.parametrize("rule", RULES, ids=RULE_IDS)
     @pytest.mark.parametrize("phi", [0.0, 1.0])
     def test_within_roundoff(self, spec, rule, phi):
         X = random_points(35, 120, 3)
@@ -524,15 +552,137 @@ class TestFitMatchesScaledRoute:
         Y = np.sin(X[:, 0]) + 0.1 * rng.standard_normal(120)
         config = GctConfig(tau=0.01, phi=phi, rule=rule)
         model = fit_kernel_gct(X, Y, spec, config)
-        eig, alpha = _reference_fit(X, Y, spec, config)
+        eig, alpha, theta_hat, vec = _reference_fit(X, Y, spec, config)
         assert model.rank == eig.shape[0]
         assert np.max(np.abs(model.eigenvalues - eig)) <= 32 * EPS * eig[0]
         bound = 32 * EPS * eig[0] / eig[-1]
-        assert np.linalg.norm(model.dual_coeffs - alpha) <= bound * np.linalg.norm(alpha)
+
+        def close(actual, expected):
+            error = np.linalg.norm(actual - expected)
+            assert error <= bound * np.linalg.norm(expected), error
+
+        close(model.dual_coeffs, alpha)
         holdout = rng.standard_normal((50, 3))
         expected = _reference_cross_gram(spec, holdout, X) @ alpha
-        difference = predict_kernel_batch(model, holdout) - expected
-        assert np.linalg.norm(difference) <= bound * np.linalg.norm(expected)
+        close(predict_kernel_batch(model, holdout), expected)
+        close(model.theta_hat, theta_hat)
+        close(model.left_vectors @ model.theta_hat, vec @ theta_hat)
+
+
+def _factored_problem(n=300, seed=41):
+    X = random_points(seed, n, 3)
+    return X, np.sin(X[:, 0]) + 0.1 * np.random.default_rng(seed).standard_normal(n)
+
+
+def _spy_on_apply(monkeypatch, delay=0.0):
+    """The shapes of every block that EighFactors.apply gets, in call order;
+    a block of several columns waits ``delay`` seconds first."""
+    shapes = []
+    apply = _blas.EighFactors.apply
+
+    def spy(self, x, transpose=False):
+        shapes.append(x.shape)
+        if x.ndim == 2:
+            time.sleep(delay)
+        return apply(self, x, transpose)
+
+    monkeypatch.setattr(_blas.EighFactors, "apply", spy)
+    return shapes
+
+
+class TestFactoredFit:
+    """The fit reads V only through K's tridiagonal factors: Q^T Y, Z^T,
+    Z c and Q; V is formed once, when it is first read."""
+
+    @pytest.mark.parametrize("spec", [LINEAR, RBF, POLY], ids=_spec_id)
+    def test_eigenvalues_are_kernel_canonicalize_bits(self, spec):
+        X, Y = _factored_problem()
+        model = fit_kernel_gct(X, Y, spec, GctConfig(tau=0.01))
+        assert np.array_equal(model.eigenvalues, kernel_canonicalize(gram(X, spec))[0])
+
+    def test_no_n_by_n_block_is_transformed(self, monkeypatch, tmp_path):
+        shapes = _spy_on_apply(monkeypatch)
+        X, Y = _factored_problem()
+        for rule in (SOFT_RULE, HARD_RULE):
+            model = fit_kernel_gct(X, Y, RBF, GctConfig(tau=0.01, rule=rule))
+            predict_kernel_batch(model, X[:5])
+        data = tmp_path / "train.csv"
+        np.savetxt(data, np.column_stack([X, Y]), delimiter=",", header="a,b,c,y",
+                   comments="")
+        assert cli.main(["kernel-fit", "--input", str(data), "--response", "y",
+                         "--kernel", "rbf:0.5", "--tau", "0.01",
+                         "--output", str(tmp_path / "k.json")]) == 0
+        # Q^T Y and Q (Z c) per fit, and nothing else
+        assert shapes == [(300,)] * 6
+
+    def test_signed_vectors_are_formed_once_on_first_read(self, monkeypatch):
+        X, Y = _factored_problem()
+        model = fit_kernel_gct(X, Y, RBF, GctConfig(tau=0.01))
+        shapes = _spy_on_apply(monkeypatch, delay=0.05)
+        readers = 4  # more than the cores of a 2-core machine
+        barrier = threading.Barrier(readers, timeout=10)
+        reads = []
+
+        def read():
+            barrier.wait()
+            reads.append(model.left_vectors)
+
+        threads = [threading.Thread(target=read) for _ in range(readers)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=30)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert shapes == [(300, model.rank)]
+        assert len(reads) == readers
+        assert all(read is model.left_vectors for read in reads)
+        model.theta_hat  # reads the formed signs
+        assert shapes == [(300, model.rank)]
+        # each column's largest-magnitude entry is positive
+        vec = model.left_vectors
+        assert np.all(vec[np.argmax(np.abs(vec), axis=0), np.arange(model.rank)] > 0)
+
+    def test_custom_rule_forms_the_vectors_during_the_fit(self, monkeypatch):
+        shapes = _spy_on_apply(monkeypatch)
+        X, Y = _factored_problem()
+        model = fit_kernel_gct(X, Y, RBF, GctConfig(tau=0.01, rule=ONE_SIDED_RULE))
+        assert shapes == [(300,), (300, model.rank), (300,)]
+
+    @pytest.mark.parametrize("read_first", [False, True], ids=["unread", "read"])
+    def test_pickle_round_trip(self, read_first):
+        X, Y = _factored_problem()
+        model = fit_kernel_gct(X, Y, RBF, GctConfig(tau=0.01, phi=1.0), center_response=True)
+        if read_first:
+            model.left_vectors  # forms V before the pickle does
+        copy = pickle.loads(pickle.dumps(model))
+        for name in ("dual_coeffs", "eigenvalues", "left_vectors", "theta_hat"):
+            assert np.array_equal(getattr(copy, name), getattr(model, name)), name
+        assert copy.response_mean == model.response_mean and copy.config == model.config
+        assert np.array_equal(predict_kernel_batch(copy, X[:7]), predict_kernel_batch(model, X[:7]))
+
+    @pytest.mark.parametrize("rule", RULES, ids=RULE_IDS)
+    def test_fallback_agrees_within_roundoff(self, monkeypatch, rule):
+        # numpy.linalg.eigh with Q the identity, read by the same fit code
+        X, Y = _factored_problem()
+        config = GctConfig(tau=0.01, phi=1.0, rule=rule)
+        factored = fit_kernel_gct(X, Y, RBF, config)
+        monkeypatch.setattr(_blas, "tridiagonal_solver", lambda: None)
+        fallback = fit_kernel_gct(X, Y, RBF, config)
+        eig = fallback.eigenvalues
+        # numpy.linalg.eigh is dsyevd, which stops where the factors do
+        assert np.array_equal(factored.eigenvalues, eig)
+        assert np.array_equal(fallback.left_vectors, kernel_canonicalize(gram(X, RBF))[1])
+        bound = 32 * EPS * eig[0] / eig[-1]
+        for name in ("dual_coeffs", "theta_hat"):
+            expected = getattr(fallback, name)
+            error = np.linalg.norm(getattr(factored, name) - expected)
+            assert error <= bound * np.linalg.norm(expected), name
+        assert np.max(np.abs(factored.left_vectors - fallback.left_vectors)) <= bound
 
 
 def _peak_doubles(fn, *args):
@@ -553,7 +703,7 @@ def _peak_doubles(fn, *args):
 
 class TestMemory:
     """Each Gram is built in its one buffer, with no second matrix of its
-    size, and the fit decomposes that buffer with no copy of K."""
+    size, and the fit factors that buffer with no copy of K."""
 
     N = 300
 
@@ -582,8 +732,9 @@ class TestMemory:
 
     @pytest.mark.parametrize("spec", [LINEAR, RBF, POLY], ids=_spec_id)
     def test_fit_kernel_gct(self, spec):
-        # K, which becomes the vectors, and their sorted copy: 1.9-2.1 N^2
-        # (numpy.linalg.eigh's output for the vectors made the rbf fit 3 N^2)
+        # K, which keeps Q's reflectors, and Z: 2.03-2.04 N^2 (dsyevd's
+        # vectors in K and their sorted copy measured 1.9-2.1 N^2, and
+        # numpy.linalg.eigh's output for the vectors made the rbf fit 3 N^2)
         X = random_points(39, self.N, 5)
         Y = np.random.default_rng(39).standard_normal(self.N)
         peak = _peak_doubles(fit_kernel_gct, X, Y, spec, GctConfig(tau=0.0))
@@ -622,10 +773,11 @@ print((peak_kib() - before) * 1024 / 8)
 )
 class TestResidentPeak:
     """The resident peak of a fit, LAPACK's workspace included, which
-    tracemalloc cannot see: K plus the dsyevd workspace of about 2 n^2
+    tracemalloc cannot see: K, Z and the dstedc workspace of about n^2
     floats, where a copy of K for numpy.linalg.eigh and its separate
     output for the vectors would add 2 n^2 more.  At n = 1500 the growth
-    measured 3.05 n^2, and 4.81 n^2 through numpy.linalg.eigh."""
+    measured 3.13 n^2 (3.05 n^2 when dsyevd formed the vectors in K, and
+    4.81 n^2 through numpy.linalg.eigh)."""
 
     def test_fit_kernel_gct(self):
         n = 1500

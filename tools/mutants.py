@@ -51,8 +51,8 @@ MUTANTS = (
     Mutant(
         "unstable eigenvalue sort (a reversed ascending sort flips ties)",
         "src/ctreg/canonical.py",
-        'order = np.argsort(-eig, kind="stable")[:r]',
-        "order = np.argsort(eig)[::-1][:r]",
+        'return np.argsort(-eig, kind="stable")[:r]',
+        "return np.argsort(eig)[::-1][:r]",
         ("tests/test_canonical.py",),
     ),
     Mutant(
@@ -349,8 +349,8 @@ MUTANTS = (
     Mutant(
         "kernel_canonicalize decomposes K without its copy",
         "src/ctreg/kernel.py",
-        'return _kernel_spectrum(np.array(K, order="F"))',
-        "return _kernel_spectrum(K)",
+        'K = np.array(K, dtype=np.float64, order="F")',
+        "K = np.asarray(K, dtype=np.float64)",
         ("tests/test_kernel.py::TestKernelCanonicalize",),
     ),
     Mutant(
@@ -359,6 +359,52 @@ MUTANTS = (
         "            if j > i:\n                K[cols, rows] = upper.T\n",
         "",
         ("tests/test_kernel.py::TestGram",),
+    ),
+    # the kernel fit from the tridiagonal factors, and its lazily formed vectors
+    Mutant(
+        "Q^T skipped: theta from Z^T Y",
+        "src/ctreg/kernel.py",
+        "factors.apply(np.array(Y), transpose=True)",
+        "np.array(Y)",
+        ("tests/test_kernel.py::TestFitMatchesScaledRoute",),
+    ),
+    Mutant(
+        "dormtr applies Q where Q^T is asked for",
+        "src/ctreg/_blas.py",
+        'b"T" if transpose else b"N"',
+        'b"N" if transpose else b"T"',
+        ("tests/test_kernel.py::TestFitMatchesScaledRoute",),
+    ),
+    Mutant(
+        "pivot signs skipped on the lazily formed vectors",
+        "src/ctreg/kernel.py",
+        "                signs = _pivot_signs(vec)\n",
+        "                signs = np.ones(vec.shape[1])\n",
+        ("tests/test_kernel.py::TestFactoredFit",),
+    ),
+    Mutant(
+        "custom rule shrunk in the unsigned basis",
+        "src/ctreg/kernel.py",
+        "signs = basis.get()[1] if config.rule.kind is RuleKind.CUSTOM else 1.0",
+        "signs = 1.0",
+        ("tests/test_kernel.py::TestFitMatchesScaledRoute",),
+    ),
+    Mutant(
+        "lazy vectors formed without the lock",
+        "src/ctreg/kernel.py",
+        "        with self._lock:\n            if self._formed is None:\n",
+        "        if True:\n            if self._formed is None:\n",
+        (
+            "tests/test_kernel.py::TestFactoredFit::"
+            "test_signed_vectors_are_formed_once_on_first_read",
+        ),
+    ),
+    Mutant(
+        "kernel effective dimension without Q^T",
+        "src/ctreg/kernel.py",
+        "factors.apply(np.array(f), transpose=True)",
+        "np.array(f)",
+        ("tests/test_kernel.py::TestKernelEffectiveDimension",),
     ),
     Mutant(
         "fold map results in completion order",

@@ -107,6 +107,20 @@ KERNEL_SPECS = (
     KernelSpec("poly", degree=3, coef0=1.0, scale=0.3),
 )
 
+# what a KernelModel gives, in the order of its fields when it held them
+# all, so that the same bits give the same hash; left_vectors and theta_hat
+# are formed on first read
+MODEL_VALUES = (
+    "training_points",
+    "dual_coeffs",
+    "kernel",
+    "response_mean",
+    "theta_hat",
+    "eigenvalues",
+    "left_vectors",
+    "config",
+)
+
 
 def feed(h: "hashlib._Hash", value: Any) -> None:
     """Add the exact bytes of a result to a hash."""
@@ -247,7 +261,7 @@ def kernel_hashes(hashes: Dict[str, "hashlib._Hash"]) -> None:
             feed(hashes["kernel_canonicalize"], [kernel_canonicalize(K + np.eye(n) + wobble)])
             for config in (GctConfig(tau=0.05), GctConfig(tau=0.05, phi=1.0, rule=HARD_RULE)):
                 model = fit_kernel_gct(X, Y, spec, config, center_response=True)
-                feed(hashes["fit_kernel_gct"], model)
+                feed(hashes["fit_kernel_gct"], [getattr(model, name) for name in MODEL_VALUES])
                 feed(hashes["predict_kernel_batch"], predict_kernel_batch(model, new))
 
 

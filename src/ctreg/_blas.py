@@ -26,27 +26,23 @@ The OpenBLAS that numpy loaded is found through /proc/self/maps and called
 through ctypes.  Without it (another BLAS, or no /proc) the calling thread
 runs a map alone and nothing is pinned.
 
-The same scan finds that OpenBLAS's ``LAPACKE_dsyevd``, which
-``eigh_in_place`` calls on the caller's own buffer: the ``dsyevd('L')``
-that ``numpy.linalg.eigh`` runs, without numpy's copy of the matrix or its
-separate output for the vectors.  An n x n decomposition then needs the
-matrix plus the LAPACK workspace of about 2 n^2 floats, 3 n^2 in all,
-where ``numpy.linalg.eigh`` needs 5 n^2 with its input.  Without the
-binding ``eigh_in_place`` is ``numpy.linalg.eigh``, with the same bits.
-
-``eigh_factors`` runs the same decomposition without its last step.
-``LAPACKE_dsytrd`` and ``LAPACKE_dstedc`` leave a = Q Z diag(w) Z^T Q^T,
-with Q as Householder reflectors in a's buffer, and ``LAPACKE_dormtr``
-multiplies vectors by Q or Q^T (``EighFactors.apply``); the scan binds the
-three only when one library has all of them under one name variant.
-``dsyevd`` is those two calls plus a ``dormtr`` that forms Q Z, 2 n^3
-flops, about 0.3 s of the 0.82-0.93 s that a 2000 x 2000 ``eigh`` takes on
-2 cores.  A caller that needs only a few products with the eigenvectors
-skips that step and gets the same eigenvalue bits, with the same 3 n^2
-peak (a, Z and the ``dstedc`` workspace of about n^2).  Products read
-through Q and Z differ from those with ``dsyevd``'s vectors in the last
-bits: Q Z is not bit for bit dsyevd's vectors (at 2000 x 2000 the largest
-entry difference was 4.4e-16).
+The same scan finds the one symmetric eigensolver of ctreg, which
+``eigh_factors`` runs in the caller's own buffer.  ``numpy.linalg.eigh``
+runs LAPACK ``dsyevd('L')``, which is ``dsytrd`` (a = Q T Q^T with T
+tridiagonal, Q as Householder reflectors in a's lower triangle),
+``dstedc('I')`` (T = Z diag(w) Z^T) and a ``dormtr`` that forms the
+vectors Q Z, 2 n^3 flops.  ``LAPACKE_dsytrd`` and ``LAPACKE_dstedc`` run
+the first two and leave the factors; ``EighFactors.form`` runs the third
+in Z's buffer with the workspace dsyevd gives it, so the eigenvalues and
+vectors are ``numpy.linalg.eigh``'s bit for bit, and ``EighFactors.apply``
+multiplies a few vectors by Q or Q^T at 2 n^2 flops each, for a caller
+that never forms the vectors.  ``eigh_factors`` also repeats dsyevd's
+scaling of a matrix whose largest entry lies outside about 1e+-146.  The
+scan binds the three routines (``LAPACKE_dormtr_work`` for the third) only
+when one library has all of them under one name variant; without them the
+factors are ``numpy.linalg.eigh``'s, with Q the identity.  The peak is the
+matrix plus about 2 n^2 floats (Z and the LAPACK workspace), 3 n^2 in all,
+where ``numpy.linalg.eigh`` needs 5 n^2 with its input.
 """
 
 from __future__ import annotations
@@ -54,6 +50,7 @@ from __future__ import annotations
 import contextlib
 import ctypes
 import functools
+import math
 import os
 import threading
 from typing import Any, Callable, Dict, Iterator, List, NamedTuple, Optional, Tuple, TypeVar
@@ -80,6 +77,11 @@ _LAPACKE_NAMES = (
     "LAPACKE_{}",
 )
 _LAPACK_COL_MAJOR = 102
+# dsyevd scales a matrix whose largest entry magnitude lies outside
+# [_RMIN, _RMAX] into that range first: sqrt(safe minimum / eps) and the
+# square root of its inverse, as LAPACK computes them
+_SMLNUM = float(np.finfo(np.float64).tiny / np.finfo(np.float64).eps)
+_RMIN, _RMAX = math.sqrt(_SMLNUM), math.sqrt(1.0 / _SMLNUM)
 
 
 class ThreadControl(NamedTuple):
@@ -88,14 +90,8 @@ class ThreadControl(NamedTuple):
     set: Callable[[int], None]
 
 
-class Eigensolver(NamedTuple):
-    symbol: str
-    int_bits: int  # the width of its LAPACK integers
-    syevd: Callable[..., int]
-
-
 class TridiagonalSolver(NamedTuple):
-    symbols: Tuple[str, ...]  # the names of sytrd, stedc and ormtr
+    symbols: Tuple[str, ...]  # the names of sytrd, stedc and ormtr_work
     sytrd: Callable[..., int]
     stedc: Callable[..., int]
     ormtr: Callable[..., int]
@@ -104,10 +100,10 @@ class TridiagonalSolver(NamedTuple):
 # the arguments of each LAPACKE routine bound here: "l" the layout (an
 # int), "c" a char, "i" a LAPACK integer, "p" an array
 _SIGNATURES = {
-    "dsyevd": "lccipip",  # layout, jobz, uplo, n, a, lda, w
     "dsytrd": "lcipippp",  # layout, uplo, n, a, lda, d, e, tau
     "dstedc": "lcipppi",  # layout, compz, n, d, e, z, ldz
-    "dormtr": "lccciipippi",  # layout, side, uplo, trans, m, n, a, lda, tau, c, ldc
+    # layout, side, uplo, trans, m, n, a, lda, tau, c, ldc, work, lwork
+    "dormtr_work": "lccciipippipi",
 }
 
 
@@ -141,12 +137,14 @@ def thread_control() -> Optional[ThreadControl]:
     return None
 
 
-def _lapacke(*routines: str) -> Optional[Tuple[List[str], int, List[Any]]]:
-    """(names, integer bits, functions) of the LAPACKE routines, all from one
-    loaded OpenBLAS under one name variant, typed by _SIGNATURES; or None."""
+@functools.lru_cache(maxsize=None)
+def tridiagonal_solver() -> Optional[TridiagonalSolver]:
+    """``LAPACKE_dsytrd``, ``LAPACKE_dstedc`` and ``LAPACKE_dormtr_work``,
+    all from one loaded OpenBLAS under one name variant and typed by
+    _SIGNATURES; or None."""
     for lib in _openblas_libraries():
         for pattern in _LAPACKE_NAMES:
-            names = [pattern.format(routine) for routine in routines]
+            names = [pattern.format(routine) for routine in _SIGNATURES]
             funcs = [getattr(lib, name, None) for name in names]
             if any(func is None for func in funcs):
                 continue
@@ -157,32 +155,11 @@ def _lapacke(*routines: str) -> Optional[Tuple[List[str], int, List[Any]]]:
                 "i": lapack_int,
                 "p": ctypes.c_void_p,
             }
-            for routine, func in zip(routines, funcs):
-                func.argtypes = [types[code] for code in _SIGNATURES[routine]]
+            for signature, func in zip(_SIGNATURES.values(), funcs):
+                func.argtypes = [types[code] for code in signature]
                 func.restype = lapack_int
-            return names, 8 * ctypes.sizeof(lapack_int), funcs
+            return TridiagonalSolver(tuple(names), *funcs)
     return None
-
-
-@functools.lru_cache(maxsize=None)
-def eigensolver() -> Optional[Eigensolver]:
-    """``LAPACKE_dsyevd`` of the loaded OpenBLAS, or None."""
-    found = _lapacke("dsyevd")
-    if found is None:
-        return None
-    names, bits, funcs = found
-    return Eigensolver(names[0], bits, funcs[0])
-
-
-@functools.lru_cache(maxsize=None)
-def tridiagonal_solver() -> Optional[TridiagonalSolver]:
-    """``LAPACKE_dsytrd``, ``LAPACKE_dstedc`` and ``LAPACKE_dormtr`` of one
-    loaded OpenBLAS, or None."""
-    found = _lapacke("dsytrd", "dstedc", "dormtr")
-    if found is None:
-        return None
-    names, _, funcs = found
-    return TridiagonalSolver(tuple(names), *funcs)
 
 
 def _square(a: FloatArray, what: str) -> int:
@@ -199,47 +176,38 @@ def _square(a: FloatArray, what: str) -> int:
     return n
 
 
-def eigh_in_place(a: FloatArray) -> Tuple[FloatArray, FloatArray]:
-    """(eigenvalues in ascending order, eigenvectors as columns) of a square
-    float64 matrix, computed by LAPACK ``dsyevd`` from its lower triangle in
-    a's own buffer, which ends up holding the vectors: the vector matrix
-    returned is a view of a.
-
-    a must be writeable and C- or F-contiguous.  The buffer is read in
-    column-major order, so a C-contiguous a gives the bits that
-    ``numpy.linalg.eigh(a)`` gives only when it is exactly symmetric; an
-    F-contiguous one gives them for any a.  Without ``eigensolver()``, and
-    for a matrix with a NaN entry (which LAPACKE refuses before it computes
-    anything), this is ``numpy.linalg.eigh(a)`` and a is not written.  A
-    decomposition that does not converge raises ``LinAlgError``, as
-    ``numpy.linalg.eigh`` does.  The call releases the GIL.
-    """
-    n = _square(a, "eigh_in_place")
-    solver = eigensolver()
-    if solver is None:
-        return np.linalg.eigh(a)
-    w = np.empty(n)
-    info = solver.syevd(_LAPACK_COL_MAJOR, b"V", b"L", n, a.ctypes.data, max(n, 1), w.ctypes.data)
-    if info == -5:  # LAPACKE's NaN check of a
-        return np.linalg.eigh(a)
-    if info > 0:
-        raise np.linalg.LinAlgError("Eigenvalues did not converge")
-    if info < 0:
-        raise ValueError(f"{solver.symbol} rejected argument {-info}")
-    return w, (a.T if a.flags.c_contiguous else a)
-
-
 class EighFactors(NamedTuple):
     """a = Q Z diag(eigenvalues) Z^T Q^T, with Q orthogonal and held as the
     Householder reflectors that ``dsytrd`` leaves, and Z orthonormal: the
-    eigenvectors of a are the columns of Q Z, which are never formed here.
+    eigenvectors of a are the columns of Q Z, which ``form`` computes.
     Without ``tridiagonal_solver()`` Q is the identity and Z holds them."""
 
     eigenvalues: FloatArray  # ascending
-    vectors: FloatArray  # Z, n x n
+    vectors: FloatArray  # Z, n x n, F-order; Q Z once formed
     reflectors: Optional[FloatArray]  # Q's reflectors (column-major view), or None
     tau: Optional[FloatArray]  # their scalar factors, or None
     solver: Optional[TridiagonalSolver]  # what made them, or None
+
+    def _ormtr(self, x: FloatArray, trans: bytes, lwork: Optional[int] = None) -> None:
+        """x <- Q x (trans N) or Q^T x (trans T) by ``dormtr``, with lwork
+        floats of workspace, or the size ``LAPACKE_dormtr`` would query."""
+        assert self.solver is not None and self.reflectors is not None
+        n = self.reflectors.shape[0]
+
+        def call(work: FloatArray, size: int) -> None:
+            info = self.solver.ormtr(
+                _LAPACK_COL_MAJOR, b"L", b"L", trans, n, x.shape[1] if x.ndim == 2 else 1,
+                self.reflectors.ctypes.data, max(n, 1), self.tau.ctypes.data,
+                x.ctypes.data, max(n, 1), work.ctypes.data, size,
+            )
+            if info != 0:
+                raise ValueError(f"{self.solver.symbols[2]} rejected argument {-info}")
+
+        if lwork is None:
+            query = np.empty(1)
+            call(query, -1)
+            lwork = int(query[0])
+        call(np.empty(lwork), lwork)
 
     def apply(self, x: FloatArray, transpose: bool = False) -> FloatArray:
         """Q x, or Q^T x with ``transpose``, computed by ``dormtr`` in the
@@ -247,62 +215,83 @@ class EighFactors(NamedTuple):
         column or several) and returned: 2 n^2 flops per column."""
         if self.solver is None:
             return x
-        n = self.reflectors.shape[0]
         if not (
             x.dtype == np.float64
             and x.ndim in (1, 2)
-            and x.shape[0] == n
+            and x.shape[0] == self.vectors.shape[0]
             and x.flags.writeable
             and x.flags.f_contiguous
         ):
             raise ValueError("apply needs a writeable F-contiguous float64 array of n rows")
-        info = self.solver.ormtr(
-            _LAPACK_COL_MAJOR,
-            b"L",
-            b"L",
-            b"T" if transpose else b"N",
-            n,
-            x.shape[1] if x.ndim == 2 else 1,
-            self.reflectors.ctypes.data,
-            max(n, 1),
-            self.tau.ctypes.data,
-            x.ctypes.data,
-            max(n, 1),
-        )
-        if info != 0:
-            raise ValueError(f"{self.solver.symbols[2]} rejected argument {-info}")
+        self._ormtr(x, b"T" if transpose else b"N")
         return x
+
+    def form(self) -> FloatArray:
+        """The eigenvectors Q Z as columns, computed by ``dormtr`` in Z's
+        buffer and returned: 2 n^3 flops, after which ``vectors`` holds
+        them and Z is gone, so it runs once.
+
+        It passes the workspace that ``dsyevd`` passes, n^2 + 4 n + 1
+        floats.  ``LAPACKE_dormtr`` would query less, and ``dormtr`` then
+        applies the reflectors in smaller blocks, which changes the last
+        bits; with dsyevd's the vectors are ``numpy.linalg.eigh``'s."""
+        if self.solver is not None:
+            n = self.vectors.shape[0]
+            self._ormtr(self.vectors, b"N", n * n + 4 * n + 1)
+        return self.vectors
+
+
+def _range_scale(f: FloatArray) -> Optional[float]:
+    """dsyevd's scale factor for the lower triangle of f: the one that
+    brings its largest entry magnitude into [_RMIN, _RMAX], or None when
+    it lies there or is zero, infinite or NaN.  The diagonal's largest
+    magnitude and the whole buffer's bound it, and only when they leave the
+    range is the triangle read column by column; no n x n temporary is
+    made."""
+    low, high = np.abs(f.diagonal()).max(), max(f.max(), -f.min())
+    if _RMIN <= low and high <= _RMAX:
+        return None
+    top = np.max([np.abs(f[j:, j]).max() for j in range(f.shape[0])])
+    if 0 < top < _RMIN:
+        return _RMIN / top
+    if _RMAX < top < math.inf:  # an infinite entry is left to LAPACK
+        return _RMAX / top
+    return None
 
 
 def eigh_factors(a: FloatArray) -> EighFactors:
-    """The factors of a symmetric eigendecomposition of a square float64
-    matrix, from its lower triangle, with the eigenvectors left unformed.
+    """The factors of the symmetric eigendecomposition of a square float64
+    matrix, from its lower triangle, with the eigenvectors left unformed:
+    ``dsytrd`` and ``dstedc('I')`` in a's own buffer, the first two steps of
+    the ``dsyevd`` that ``numpy.linalg.eigh`` runs, after dsyevd's range
+    scaling.  The eigenvalues carry the bits of ``numpy.linalg.eigh(a)``,
+    and so do the vectors that ``EighFactors.form`` makes; a caller that
+    needs only a few products with the vectors makes them with
+    ``EighFactors.apply`` at 2 n^2 flops each.  The peak is a, Z and the
+    ``dstedc`` workspace of about n^2 floats, 3 n^2 in all, as it is while
+    ``form`` runs; the factors hold a and Z.
 
-    ``dsyevd`` is ``dsytrd`` (a = Q T Q^T with T tridiagonal, Q's reflectors
-    left in a's lower triangle), ``dstedc('I')`` (T = Z diag(w) Z^T) and
-    ``dormtr`` (the vectors Q Z, 2 n^3 flops).  This runs the first two in
-    a's own buffer and stops there, so the eigenvalues carry the bits of
-    ``eigh_in_place(a)``, and a caller that needs only a few products with
-    the vectors makes them with ``EighFactors.apply`` at 2 n^2 flops each.
-    The peak is a, Z and the ``dstedc`` workspace of about n^2 floats,
-    3 n^2 in all, as for ``eigh_in_place``; the factors hold a and Z.
-
-    a must be writeable and C- or F-contiguous, and is read in column-major
-    order as in ``eigh_in_place``.  Unlike ``dsyevd``, which first scales a
-    matrix whose largest entry lies beyond about 1e146, or below about
-    1e-146, into that range, this scales nothing, so such a matrix is
-    reduced at its own size (50 x 50 Gram matrices scaled by 1e-200, 1e200
-    and 1e300 still gave eigenvalues within 7e-16 of numpy's, relative to
-    the largest).  Without ``tridiagonal_solver()``, and for a matrix with
-    a NaN entry (which LAPACKE refuses before it computes anything), the
-    factors are ``numpy.linalg.eigh(a)`` with Q the identity, and a is not
-    written.  A decomposition that does not converge raises
-    ``LinAlgError``.  The calls release the GIL.
+    a must be writeable and C- or F-contiguous.  Its buffer is read in
+    column-major order, so a C-contiguous a gives the bits that
+    ``numpy.linalg.eigh(a)`` gives only when it is exactly symmetric; an
+    F-contiguous one gives them for any a.  A matrix whose largest entry
+    in that triangle lies beyond about 1e146, or below about 1e-146, is
+    scaled into that range first and its eigenvalues scaled back, as
+    dsyevd does.  Without ``tridiagonal_solver()``, and for a matrix with
+    a NaN entry in that triangle (which LAPACKE refuses before it computes
+    anything), the factors are ``numpy.linalg.eigh(a)`` with Q the
+    identity, and a is not written.  A decomposition that does not
+    converge raises ``LinAlgError``, as ``numpy.linalg.eigh`` does.  The
+    calls release the GIL.
     """
     n = _square(a, "eigh_factors")
     solver = tridiagonal_solver()
     if solver is None:
         return EighFactors(*np.linalg.eigh(a), None, None, None)
+    lower = a.T if a.flags.c_contiguous else a  # the buffer in column-major order
+    scale = _range_scale(lower) if n > 1 else None  # dsyevd returns a 1 x 1 a as is
+    if scale is not None:
+        a *= scale
     w, e, tau = np.empty(n), np.empty(max(n - 1, 1)), np.empty(max(n - 1, 1))
     info = solver.sytrd(
         _LAPACK_COL_MAJOR, b"L", n, a.ctypes.data, max(n, 1),
@@ -320,7 +309,9 @@ def eigh_factors(a: FloatArray) -> EighFactors:
         raise np.linalg.LinAlgError("Eigenvalues did not converge")
     if info < 0:
         raise ValueError(f"{solver.symbols[1]} rejected argument {-info}")
-    return EighFactors(w, z, a.T if a.flags.c_contiguous else a, tau, solver)
+    if scale is not None:
+        w *= 1.0 / scale
+    return EighFactors(w, z, lower, tau, solver)
 
 
 def usable_cpus() -> int:

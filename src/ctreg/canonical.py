@@ -9,7 +9,8 @@ which is where all the thresholding estimators in this package operate.
 The factors come from one spectral core: a symmetric eigendecomposition
 (``eigh``) of the smaller of the scaled Gram matrices X X^T / n and
 X^T X / n, with the other set of vectors recovered by one product with X.
-CV fold spectra and kernel matrices go through the same core.
+CV fold spectra go through the same core, and kernel matrices through the
+same eigensolver (``_blas.eigh_factors``).
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from typing import Callable, Dict, Hashable, Tuple, TypeVar
 import numpy as np
 from numpy.typing import NDArray
 
-from ._blas import eigh_in_place, pinned
+from ._blas import eigh_factors, pinned
 from .errors import ZeroDesignError, _finite
 
 FloatArray = NDArray[np.float64]
@@ -93,7 +94,7 @@ class Dataset:
         return self.design.shape[1]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CanonicalDecomposition:
     """X / sqrt(n) = V diag(sqrt(eigenvalues)) U^T, small components dropped.
 
@@ -115,36 +116,32 @@ class CanonicalDecomposition:
         return np.sqrt(self.eigenvalues)
 
 
-def _gram_spectrum(
-    gram: FloatArray, rank_rel_tol: float
-) -> Tuple[FloatArray, FloatArray, float]:
+def _gram_spectrum(gram: FloatArray) -> Tuple[FloatArray, FloatArray]:
     """Eigenpairs of a symmetric Gram matrix above the rank floor.
 
-    Returns (eigenvalues, vectors, smallest): the eigenvalues greater than
-    rank_rel_tol times the largest one in non-increasing order (a stable
-    sort, so exactly equal eigenvalues keep index order), their orthonormal
-    eigenvectors as columns (a new array the caller may write), and the
-    smallest eigenvalue before the floor.  Nothing is kept when the largest
-    eigenvalue is not positive.  The floor is relative, so any positive
-    scaling of the matrix keeps the same components.  Callers pass a fixed
-    floor: ``RANK_REL_TOL`` for designs and ``kernel.KERNEL_RANK_REL_TOL``
-    for kernel matrices.
+    Returns (eigenvalues, vectors): the eigenvalues greater than
+    RANK_REL_TOL times the largest one in non-increasing order (a stable
+    sort, so exactly equal eigenvalues keep index order) and their
+    orthonormal eigenvectors as columns (a new array the caller may write).
+    Nothing is kept when the largest eigenvalue is not positive.  The floor
+    is relative, so any positive scaling of the matrix keeps the same
+    components.
 
-    The n x n matrix is decomposed in its own buffer
-    (``_blas.eigh_in_place``), which is left holding the unsorted vectors,
-    so every caller passes a temporary: one that is exactly symmetric, or
-    an F-order copy.  Either gives the bits of ``numpy.linalg.eigh(gram)``.
-    The peak is ``gram`` plus the LAPACK workspace of about 2 n^2 floats,
-    then ``gram`` plus the sorted vectors.
+    The n x n matrix is factored in its own buffer (``_blas.eigh_factors``)
+    and its vectors formed, so every caller passes a temporary: one that is
+    exactly symmetric, or an F-order copy.  Either gives the bits of
+    ``numpy.linalg.eigh(gram)``.  The peak is ``gram`` plus about 2 n^2
+    floats (Z and the LAPACK workspace), then ``gram``, the formed vectors
+    and the retained ones.
     """
-    eig, vec = eigh_in_place(gram)  # ascending
-    order = _retained(eig, rank_rel_tol)
-    return eig[order], vec[:, order], float(eig[0])
+    factors = eigh_factors(gram)
+    order = _retained(factors.eigenvalues, RANK_REL_TOL)
+    return factors.eigenvalues[order], factors.form()[:, order]
 
 
 def _retained(eig: FloatArray, rank_rel_tol: float) -> NDArray[np.intp]:
-    """The indices of the ascending eigenvalues eig above the floor (see
-    ``_gram_spectrum``), the largest first."""
+    """The indices of the ascending eigenvalues eig greater than
+    rank_rel_tol times the largest one, the largest first."""
     r = int(np.count_nonzero(eig > rank_rel_tol * eig[-1]))
     return np.argsort(-eig, kind="stable")[:r]
 
@@ -238,12 +235,12 @@ def canonicalize(dataset: Dataset) -> CanonicalDecomposition:
     Memory: each vector matrix is built once and scaled and sign-flipped in
     place, and the memo keeps those same arrays and the products.  Beyond X
     and the products, the m x m Gram matrix (m = min(n, d)) is decomposed
-    in its own buffer, next to about 2 m^2 floats of LAPACK workspace (see
-    ``_gram_spectrum``); after that the peak is that buffer plus one array
-    of retained vectors: d*r floats when n <= d, else n*r.  At 200 x 4000
-    and at 4000 x 200 the peak traced by tracemalloc (which does not see
-    the LAPACK workspace) is 7.1 MB, nearly all of it what the memo keeps:
-    6.7 MB of decomposition and 0.3 MB of products.
+    in its own buffer, next to about 2 m^2 floats (Z and the LAPACK
+    workspace; see ``_gram_spectrum``); after that the peak is that buffer
+    plus one array of retained vectors: d*r floats when n <= d, else n*r.
+    At 200 x 4000 and at 4000 x 200 the peak traced by tracemalloc (which
+    does not see the ``dstedc`` workspace) is 7.4 MB, nearly all of it what
+    the memo keeps: 6.7 MB of decomposition and 0.3 MB of products.
 
     Threads: the Gram product, its ``eigh`` and the product that recovers
     the other vectors run with OpenBLAS pinned to one thread (see
@@ -265,7 +262,7 @@ def _decompose(dataset: Dataset) -> CanonicalDecomposition:
     wide = n <= d
     with pinned():
         gram = _products(dataset, wide)[0] / n
-        eigenvalues, vectors, _ = _gram_spectrum(gram, RANK_REL_TOL)
+        eigenvalues, vectors = _gram_spectrum(gram)
         other = (X.T if wide else X) @ vectors
         other /= np.sqrt(n * eigenvalues)
     if eigenvalues.size == 0:

@@ -15,7 +15,7 @@ from typing import Any, Callable, Dict, List, NamedTuple, Optional, Sequence, Tu
 import numpy as np
 
 from .canonical import CanonicalDecomposition, Dataset, canonicalize, to_theta
-from .errors import CtregError, UsageError, _real
+from .errors import CtregError, UsageError, _grid, _integer, _real
 from .estimators import (
     FitResult,
     GctConfig,
@@ -467,13 +467,19 @@ def cmd_fit(args: argparse.Namespace) -> int:
 def cmd_cv(args: argparse.Namespace) -> int:
     if args.folds < 2:
         raise _bad_value("--folds", str(args.folds), "an integer >= 2")
-    phis = [args.phi]
-    if args.phi_grid is not None:
+    _integer("--seed", args.seed, 0)
+    if args.phi_grid is None:
+        _real("--phi", args.phi, 0, math.inf, "[)")
+        phis = [args.phi]
+    else:
         floats = (float,) * (args.phi_grid.count(",") + 1)
         phis = _numbers("--phi-grid", args.phi_grid, floats, "<phi>[,<phi>...]")
+        _grid("--phi-grid", phis, 0, math.inf, "[)")
     if args.fit_out is not None:
         check_writable(args.fit_out)
     X, Y = load_dataset(args.input, args.response)
+    if args.folds > X.shape[0]:  # the one flag bound that needs the data
+        raise ValueError(f"--folds must be at most the row count {X.shape[0]}, got {args.folds}")
     X, Y, offsets = _center(X, Y, not args.no_center)
     dataset = Dataset(X, Y)
     rule = _RULES[args.rule]
@@ -533,6 +539,8 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 def cmd_diagnose(args: argparse.Namespace) -> int:
     if args.sigma is not None:
         _real("--sigma", args.sigma, 0, math.inf, "[)")
+    _real("--delta", args.delta, 0, 1, "()")
+    _real("--alpha", args.alpha, 0, 2, "(]")
     X, Y = load_dataset(args.input, args.response)
     dataset = Dataset(X, Y)
     dec = canonicalize(dataset)

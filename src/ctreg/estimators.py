@@ -54,7 +54,7 @@ class RidgeConfig:
 MethodConfig = Union[GctConfig, PcrConfig, RidgeConfig]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FitResult:
     """A fitted model in both original and canonical coordinates."""
 

@@ -26,7 +26,7 @@ import numpy as np
 from numpy.typing import NDArray
 
 from ._blas import EighFactors, eigh_factors
-from .canonical import _gram_spectrum, _pivot_signs, _retained
+from .canonical import _pivot_signs, _retained
 from .errors import (
     NotPositiveSemidefiniteError,
     ZeroDesignError,
@@ -159,29 +159,32 @@ def _symmetric_copy(K: FloatArray) -> FloatArray:
     return K
 
 
-def _require_nonzero(K: FloatArray) -> None:
-    if not np.any(K):
-        raise ZeroDesignError("zero kernel matrix")
-
-
-def _require_psd(eig: FloatArray, smallest: float) -> None:
-    """Raise unless eig, the retained eigenvalues largest first, is not
-    empty and the smallest eigenvalue is above -KERNEL_RANK_REL_TOL times
-    the largest."""
-    if eig.size == 0 or smallest < -KERNEL_RANK_REL_TOL * eig[0]:
-        raise NotPositiveSemidefiniteError("kernel matrix not positive semidefinite")
-
-
 def _factor(K: FloatArray) -> Tuple[EighFactors, NDArray[np.intp]]:
     """(``eigh_factors(K)``, the indices of its eigenvalues above the
-    floor, the largest first) for a nonzero K that the factors may
-    overwrite: exactly symmetric, or F-order.  K's buffer ends up holding
-    Q's reflectors.  The checks are ``kernel_canonicalize``'s."""
-    _require_nonzero(K)
+    floor, the largest first) for a K that the factors may overwrite:
+    exactly symmetric, or F-order.  K's buffer ends up holding Q's
+    reflectors.  A zero K, or one with an eigenvalue below
+    -KERNEL_RANK_REL_TOL times the largest, raises."""
+    if not np.any(K):
+        raise ZeroDesignError("zero kernel matrix")
     factors = eigh_factors(K)
-    order = _retained(factors.eigenvalues, KERNEL_RANK_REL_TOL)
-    _require_psd(factors.eigenvalues[order], factors.eigenvalues[0])
+    eig = factors.eigenvalues
+    order = _retained(eig, KERNEL_RANK_REL_TOL)
+    if order.size == 0 or eig[0] < -KERNEL_RANK_REL_TOL * eig[-1]:
+        raise NotPositiveSemidefiniteError("kernel matrix not positive semidefinite")
     return factors, order
+
+
+def _signed_vectors(
+    factors: EighFactors, order: NDArray[np.intp]
+) -> Tuple[FloatArray, FloatArray]:
+    """(V, s): the retained vectors Q Z[:, order], formed (``form``, so
+    Z is gone after it) and made to have each column's largest-magnitude
+    entry positive by the column signs s, applied in place."""
+    vec = factors.form()[:, order]
+    signs = _pivot_signs(vec)
+    vec *= signs
+    return vec, signs
 
 
 def kernel_canonicalize(K: FloatArray) -> Tuple[FloatArray, FloatArray]:
@@ -200,13 +203,12 @@ def kernel_canonicalize(K: FloatArray) -> Tuple[FloatArray, FloatArray]:
     read-only K is fine), and the copy, read in its own memory order, gives
     the bits of ``numpy.linalg.eigh(K)`` even for a K that is only
     symmetric within the tolerance.  While the decomposition runs, the live
-    memory is K plus 3 n^2 floats (the copy, which becomes the vectors, and
-    the LAPACK workspace of about 2 n^2); the signs, found with no n^2
+    memory is K plus 3 n^2 floats (the copy, Z, which becomes the vectors,
+    and the LAPACK workspace of about n^2); the signs, found with no n^2
     temporary, are applied in place to the sorted vectors.
 
-    Its eigenvalues are bit for bit those of ``fit_kernel_gct`` on the same
-    Gram matrix, which stops the same LAPACK decomposition before it forms
-    the vectors; its vectors and theirs differ in the last bits.
+    It factors K as ``fit_kernel_gct`` does, so its eigenvalues are bit for
+    bit the fit's, and its vectors are the fit's ``left_vectors``.
 
     This and the kernel fit are the decompositions in ctreg left on
     OpenBLAS's own threads, so their last bits depend on the BLAS thread
@@ -215,22 +217,18 @@ def kernel_canonicalize(K: FloatArray) -> Tuple[FloatArray, FloatArray]:
     follows a kernel fit.
     """
     K = _symmetric_copy(K)
-    _require_nonzero(K)
-    eig, vec, smallest = _gram_spectrum(K, KERNEL_RANK_REL_TOL)
-    _require_psd(eig, smallest)
-    vec *= _pivot_signs(vec)  # vec is the core's own sorted copy
-    return eig / K.shape[0], vec
+    factors, order = _factor(K)
+    return factors.eigenvalues[order] / K.shape[0], _signed_vectors(factors, order)[0]
 
 
 class _Basis:
     """The retained left vectors V of a kernel fit, formed on first read.
 
     Until then it holds the fit's factors, 2 n^2 floats: K's buffer with
-    Q's reflectors, and Z.  The first read forms Q Z[:, order] with one
-    ``dormtr`` on its n x r columns, 2 n^2 r flops, makes each column's
-    largest-magnitude entry positive (``_pivot_signs``) and drops the
-    factors, so V, n * r floats, is all that is kept.  A lock makes threads
-    that read at once form V once.  A pickle holds V and its signs.
+    Q's reflectors, and Z.  The first read forms Q Z in Z's buffer, keeps
+    the retained columns with their signs (``_signed_vectors``) and drops
+    the factors, so V, n * r floats, is all that is kept.  A lock makes
+    threads that read at once form V once.  A pickle holds V and its signs.
     """
 
     def __init__(self, factors: EighFactors, order: NDArray[np.intp]) -> None:
@@ -244,11 +242,7 @@ class _Basis:
         with self._lock:
             if self._formed is None:
                 assert self._factors is not None and self._order is not None
-                columns = np.asfortranarray(self._factors.vectors[:, self._order])
-                vec = self._factors.apply(columns)
-                signs = _pivot_signs(vec)
-                vec *= signs
-                self._formed = (vec, signs)
+                self._formed = _signed_vectors(self._factors, self._order)
                 self._factors = self._order = None
             return self._formed
 
@@ -260,7 +254,7 @@ class _Basis:
         self._formed = formed
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class KernelPredictor:
     """What prediction needs: f(x) = sum_i alpha_i k(x_i, x), plus the
     response mean when the fit centered the response (else None)."""
@@ -271,21 +265,22 @@ class KernelPredictor:
     response_mean: Optional[float]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class KernelModel(KernelPredictor):
     """A fitted RKHS model: the predictor plus the retained spectrum.
 
     ``left_vectors`` and ``theta_hat`` are formed on first read, which
-    costs the back-transformation the fit skipped (0.33 s at 2000 x 2000,
-    rank 2000, on 2 cores; see ``_Basis``); the private fields are not
-    part of the repr or of equality.
+    costs the back-transformation the fit skipped (0.33 s at 2000 x 2000
+    on 2 cores; see ``_Basis``); the private fields are not part of the
+    repr.  A model, like every result object, compares and hashes by
+    identity: its fields are arrays.
     """
 
     eigenvalues: FloatArray
     config: GctConfig
     # theta_hat in the unsigned basis Q Z[:, order], and that basis
-    _theta: FloatArray = field(repr=False, compare=False)
-    _basis: _Basis = field(repr=False, compare=False)
+    _theta: FloatArray = field(repr=False)
+    _basis: _Basis = field(repr=False)
 
     @property
     def rank(self) -> int:
@@ -323,19 +318,18 @@ def fit_kernel_gct(
     of O(n^2) each where forming V costs 2 n^3 flops.  Soft and hard
     thresholding are odd maps, so the column signs of V cancel out of
     alpha; a custom rule's map need not be odd, so its fit forms V first
-    and shrinks in V's signs, paying what reading ``left_vectors`` costs.
+    and shrinks in V's signs, paying what reading ``left_vectors`` costs,
+    and reads alpha from the formed vectors as (Q Z) c.
 
     Cost: the reduction and the tridiagonal eigensolver, 0.53-0.60 s at
     2000 x 2000 on 2 cores, where ``eigh`` took 0.82-0.93 s.  Memory: the
     peak is K, Z and the LAPACK workspace of about n^2 floats, 3 n^2 in
     all, as with ``eigh``.  The model holds K's buffer and Z, 2 n^2 floats,
-    until its vectors are read, then n * r.  Accuracy: the eigenvalues are
-    bit for bit those of ``kernel_canonicalize(K)``; alpha and theta_hat
-    agree with the ones built from the formed vectors to within roundoff,
-    about eps * lambda_max / lambda_min relative (see ``canonicalize``).
-    ``dsyevd`` first scales a K whose largest entry lies beyond about
-    1e+-146 into that range, and this route does not (see
-    ``_blas.eigh_factors``).
+    until its vectors are read, then n * r.  Accuracy: the eigenvalues and
+    ``left_vectors`` are bit for bit those of ``kernel_canonicalize(K)``;
+    alpha and theta_hat agree with the ones built from the formed vectors
+    to within roundoff, about eps * lambda_max / lambda_min relative (see
+    ``canonicalize``).
     """
     points = np.asarray(points, dtype=np.float64)
     Y = np.asarray(Y, dtype=np.float64)
@@ -356,11 +350,14 @@ def fit_kernel_gct(
     projection = factors.vectors.T @ factors.apply(np.array(Y), transpose=True)
     theta_ls = projection[order] / root_n
     # soft and hard are odd maps; a custom map is applied in V's own signs
-    signs = basis.get()[1] if config.rule.kind is RuleKind.CUSTOM else 1.0
+    custom = config.rule.kind is RuleKind.CUSTOM
+    signs = basis.get()[1] if custom else 1.0
     theta_hat = signs * _shrink(eig, signs * theta_ls, config.rule, config.tau, config.phi)
     coeffs = np.zeros(n)
     coeffs[order] = theta_hat / eig
-    alpha = factors.apply(factors.vectors @ coeffs) / root_n
+    # once V is formed, Z's buffer holds Q Z
+    alpha = factors.vectors @ coeffs if custom else factors.apply(factors.vectors @ coeffs)
+    alpha /= root_n
     return KernelModel(
         training_points=points,
         dual_coeffs=alpha,

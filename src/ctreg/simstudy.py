@@ -172,7 +172,7 @@ class ScenarioSpec:
         _real("ScenarioSpec.gct_phi", self.gct_phi, 0, math.inf, "[)")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ScenarioDraw:
     dataset: Dataset
     beta: FloatArray

@@ -47,7 +47,6 @@ from numpy.typing import NDArray
 
 from ._blas import fold_map, pinned
 from .canonical import (
-    RANK_REL_TOL,
     CanonicalDecomposition,
     Dataset,
     _gram_spectrum,
@@ -69,7 +68,7 @@ FloatArray = NDArray[np.float64]
 TIE_RTOL = 1e-14
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CvResult:
     tau_cv: float
     cv_error_at_tau: float
@@ -189,7 +188,7 @@ def _fold(dataset: Dataset, assignment: NDArray[np.int64], fold_id: int) -> _Fol
     if n_t <= dataset.d:
         root_n = math.sqrt(n_t)
         (outer,) = _products(dataset, True)
-        eig, V, _ = _gram_spectrum(outer[np.ix_(train, train)] / n_t, RANK_REL_TOL)
+        eig, V = _gram_spectrum(outer[np.ix_(train, train)] / n_t)
         theta = V.T @ Y[train] / root_n
         scores = outer[np.ix_(val, train)] @ V / (root_n * eig)
     else:
@@ -201,7 +200,7 @@ def _fold(dataset: Dataset, assignment: NDArray[np.int64], fold_id: int) -> _Fol
         else:
             X_t = X[train]
             gram, b = X_t.T @ X_t, X_t.T @ Y[train]
-        eig, U, _ = _gram_spectrum(gram / n_t, RANK_REL_TOL)
+        eig, U = _gram_spectrum(gram / n_t)
         s = np.sqrt(eig)
         theta = U.T @ b / (n_t * s)
         scores = X_v @ U / s

@@ -220,19 +220,37 @@ def symmetric_matrix(seed, n):
     return A @ A.T  # exactly symmetric
 
 
-class TestEighInPlace:
-    """The spectral core's LAPACK call: numpy.linalg.eigh's bits, in the
-    caller's buffer."""
+def factored_eigh(a):
+    """(eigenvalues, vectors) of a from its factors, the vectors formed."""
+    factors = _blas.eigh_factors(a)
+    return factors.eigenvalues, factors.form()
 
-    @pytest.mark.parametrize("n", [1, 2, 40, 300])
-    def test_bits_of_numpy_eigh_in_the_callers_buffer(self, n):
-        G = symmetric_matrix(n, n)
-        expected = np.linalg.eigh(G)
-        work = G.copy()
-        eig, vec = _blas.eigh_in_place(work)
-        assert np.array_equal(eig, expected[0]) and np.array_equal(vec, expected[1])
-        if _blas.eigensolver() is not None:
-            assert np.shares_memory(vec, work)
+
+class TestEighInPlace:
+    """The one LAPACK eigensolver: ``eigh_factors`` and the forming step give
+    numpy.linalg.eigh's bits, in the caller's buffer, with the LAPACKE
+    binding and without it."""
+
+    # dsyevd scales a matrix whose largest entry lies outside about 1e+-146
+    SCALES = (1.0, 1e-200, 1e200, 1e-300, 1e300)
+
+    @pytest.mark.parametrize("n", [1, 2, 40, 64, 65, 300])
+    def test_bits_of_numpy_eigh_in_the_callers_buffer(self, monkeypatch, n):
+        for binding in (True, False):
+            if not binding:
+                monkeypatch.setattr(_blas, "tridiagonal_solver", lambda: None)
+            for scale in self.SCALES:
+                G = scale * symmetric_matrix(n, n)
+                expected = np.linalg.eigh(G)
+                for order in ("C", "F"):
+                    work = np.array(G, order=order)
+                    factors = _blas.eigh_factors(work)
+                    vec = factors.form()
+                    assert np.array_equal(factors.eigenvalues, expected[0]), (scale, order)
+                    assert np.array_equal(vec, expected[1]), (scale, order)
+                    assert vec is factors.vectors
+                    if binding and _blas.tridiagonal_solver() is not None:
+                        assert np.shares_memory(factors.reflectors, work)
 
     def test_f_order_is_read_in_its_own_order(self):
         # symmetric only to roundoff: an F-order buffer is what numpy
@@ -240,16 +258,16 @@ class TestEighInPlace:
         G = symmetric_matrix(7, 60)
         G += 1e-12 * np.random.default_rng(7).standard_normal(G.shape)
         expected = np.linalg.eigh(G)
-        eig, vec = _blas.eigh_in_place(np.array(G, order="F"))
+        eig, vec = factored_eigh(np.array(G, order="F"))
         assert np.array_equal(eig, expected[0]) and np.array_equal(vec, expected[1])
 
     def test_both_routes_and_nan_as_numpy(self, monkeypatch):
         G = symmetric_matrix(8, 30)
         G[3, 3] = np.nan
         expected = np.linalg.eigh(G)
-        routes = [_blas.eigh_in_place(G.copy())]
-        monkeypatch.setattr(_blas, "eigensolver", lambda: None)
-        routes.append(_blas.eigh_in_place(G.copy()))
+        routes = [factored_eigh(G.copy())]
+        monkeypatch.setattr(_blas, "tridiagonal_solver", lambda: None)
+        routes.append(factored_eigh(G.copy()))
         for eig, vec in routes:
             np.testing.assert_array_equal(eig, expected[0])
             np.testing.assert_array_equal(vec, expected[1])
@@ -259,13 +277,13 @@ class TestEighInPlace:
         G.flags.writeable = False
         for bad in (G, symmetric_matrix(9, 12)[::2, ::2], np.ones((3, 4))):
             with pytest.raises(ValueError, match="writeable contiguous square"):
-                _blas.eigh_in_place(bad)
+                _blas.eigh_factors(bad)
 
     def test_gram_spectrum_uses_its_argument_as_the_workspace(self):
         # every caller passes a temporary; the core's own output is a copy
         G = symmetric_matrix(10, 50)
         work = G.copy()
-        eig, vec, _ = canonical._gram_spectrum(work, canonical.RANK_REL_TOL)
+        eig, vec = canonical._gram_spectrum(work)
         assert not np.shares_memory(vec, work)
         np.testing.assert_allclose(vec * eig @ vec.T, G, atol=1e-12 * eig[0])
 
@@ -428,9 +446,9 @@ class TestPinnedDecomposition:
         seen = []
         core = canonical._gram_spectrum
 
-        def spy(gram, rank_rel_tol):
+        def spy(gram):
             seen.append(blas_threads())
-            return core(gram, rank_rel_tol)
+            return core(gram)
 
         monkeypatch.setattr(canonical, "_gram_spectrum", spy)
         ds, _ = random_dataset(40, n, d)
@@ -443,7 +461,7 @@ class TestPinnedDecomposition:
         assert blas_threads() == 2
 
     def test_count_restored_when_the_core_raises(self, monkeypatch, blas_threads):
-        def broken(gram, rank_rel_tol):
+        def broken(gram):
             raise np.linalg.LinAlgError("no convergence")
 
         monkeypatch.setattr(canonical, "_gram_spectrum", broken)

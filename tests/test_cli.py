@@ -597,9 +597,32 @@ class TestCv:
                      "--fit-out", out] + flags) == 1
         captured = capsys.readouterr()
         assert captured.out == ""
-        # --phi is a grid of one
-        assert re.fullmatch(r"error: phi_grid\[\d\] must be a number in \[0, inf\), got "
-                            r"(inf|nan|-1\.0)\n", captured.err)
+        assert re.fullmatch(r"error: (--phi|--phi-grid\[\d\]) must be a number in "
+                            r"\[0, inf\), got (inf|nan|-1\.0)\n", captured.err)
+
+    @pytest.mark.parametrize(
+        "flags, message",
+        [
+            (["--phi", "nan"], "--phi must be a number in [0, inf), got nan"),
+            (["--phi-grid", "0,-1"], "--phi-grid[1] must be a number in [0, inf), got -1.0"),
+            (["--seed", "-1"], "--seed must be an integer >= 0, got -1"),
+        ],
+    )
+    def test_bad_value_named_by_its_flag_before_the_csv_is_read(
+        self, tmp_path, capsys, flags, message
+    ):
+        missing = str(tmp_path / "missing.csv")
+        assert main(["cv", "--input", missing, "--response", "y"] + flags) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+
+    def test_more_folds_than_rows_named_by_its_flag(self, tmp_path, capsys):
+        rng = np.random.default_rng(8)
+        path = str(tmp_path / "d.csv")
+        write_csv(path, rng.standard_normal((30, 4)), rng.standard_normal(30))
+        assert main(["cv", "--input", path, "--response", "y", "--folds", "40"]) == 1
+        assert capsys.readouterr().err == (
+            "error: --folds must be at most the row count 30, got 40\n"
+        )
 
 
 class TestKernelFit:
@@ -770,6 +793,20 @@ class TestDiagnose:
         assert capsys.readouterr().err == (
             f"error: --sigma must be a number in [0, inf), got {float(sigma)!r}\n"
         )
+
+    @pytest.mark.parametrize(
+        "flags, message",
+        [
+            (["--delta", "2"], "--delta must be a number in (0, 1), got 2.0"),
+            (["--alpha", "0"], "--alpha must be a number in (0, 2], got 0.0"),
+        ],
+    )
+    def test_bad_value_named_by_its_flag_before_the_csv_is_read(
+        self, tmp_path, capsys, flags, message
+    ):
+        missing = str(tmp_path / "missing.csv")
+        assert main(["diagnose", "--input", missing, "--response", "y"] + flags) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
 
     def test_zero_sigma_omits_snr(self, data_csv, tmp_path, capsys):
         path, X, Y = data_csv
@@ -1224,7 +1261,7 @@ ARGV_FLAGS = {
         **FIT_FLAGS,
         "--folds": (["2", "3"], ["1", "0", "99", "x"], False),
         "--phi-grid": (["0,1"], ["-1", "nan", "0,x", ""], False),
-        "--seed": (["0", "-1"], ["x"], False),
+        "--seed": (["0", "3"], ["-1", "x"], False),
         "--fit-out": (*OUTPUTS, False),
     },
     "kernel-fit": {

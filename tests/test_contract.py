@@ -3,9 +3,9 @@
 Each public function in TABLE runs over small vocabularies of good and bad
 values for its arguments.  A call returns, or raises ``ValueError`` (a
 ``CtregError`` is one) whose message starts with the name of an argument,
-and a call with only good values returns.  A spy on ``_gram_spectrum``,
-the one spectral core, and on the kernel fit's ``eigh_factors`` shows that
-no rejected call decomposed anything, and the dataset's memo is left empty.
+and a call with only good values returns.  A spy on ``eigh_factors``, the
+one eigensolver, where ``canonical`` and ``kernel`` bind it, shows that no
+rejected call decomposed anything, and the dataset's memo is left empty.
 """
 
 import math
@@ -52,7 +52,7 @@ from ctreg import (
     threshold_scale,
     weighted_risk_bound,
 )
-from ctreg import canonical, kernel, tuning
+from ctreg import _blas, canonical, kernel
 
 RNG = np.random.default_rng(20)
 X = RNG.standard_normal((12, 5))
@@ -363,18 +363,15 @@ def run(name: str, arguments: Dict[str, Any]) -> Tuple[Optional[str], int, Datas
     """(the ValueError's message or None, the spectral-core calls, the dataset)."""
     call = TABLE[name][0]
     dataset = Dataset(X, Y)
-    spy = mock.Mock(side_effect=canonical._gram_spectrum)
-    factors_spy = mock.Mock(side_effect=kernel.eigh_factors)
-    with mock.patch.object(canonical, "_gram_spectrum", spy), mock.patch.object(
-        tuning, "_gram_spectrum", spy
-    ), mock.patch.object(kernel, "_gram_spectrum", spy), mock.patch.object(
-        kernel, "eigh_factors", factors_spy
+    spy = mock.Mock(side_effect=_blas.eigh_factors)
+    with mock.patch.object(canonical, "eigh_factors", spy), mock.patch.object(
+        kernel, "eigh_factors", spy
     ):
         try:
             call(dataset, **arguments)
         except ValueError as exc:
-            return str(exc), spy.call_count + factors_spy.call_count, dataset
-    return None, spy.call_count + factors_spy.call_count, dataset
+            return str(exc), spy.call_count, dataset
+    return None, spy.call_count, dataset
 
 
 def check_contract(name: str, arguments: Dict[str, Any]) -> Optional[str]:

@@ -174,13 +174,13 @@ class TestKernelCanonicalize:
 
     @pytest.mark.parametrize("wobble", [0.0, 1e-12], ids=["symmetric", "near-symmetric"])
     def test_same_bits_on_both_routes(self, monkeypatch, wobble):
-        # LAPACKE in the copy's buffer, and numpy.linalg.eigh without it; a K
+        # the factors of the copy, and numpy.linalg.eigh without them; a K
         # symmetric only within the tolerance is read in its own order
         n = 300
         K = gram(random_points(31, n, 3), RBF) + np.eye(n)
         K += wobble * np.random.default_rng(31).standard_normal((n, n))
         routes = [kernel_canonicalize(K)]
-        monkeypatch.setattr(_blas, "eigensolver", lambda: None)
+        monkeypatch.setattr(_blas, "tridiagonal_solver", lambda: None)
         routes.append(kernel_canonicalize(K))
         eig, vec = np.linalg.eigh(K)
         order = np.argsort(-eig, kind="stable")
@@ -574,19 +574,31 @@ def _factored_problem(n=300, seed=41):
     return X, np.sin(X[:, 0]) + 0.1 * np.random.default_rng(seed).standard_normal(n)
 
 
-def _spy_on_apply(monkeypatch, delay=0.0):
-    """The shapes of every block that EighFactors.apply gets, in call order;
-    a block of several columns waits ``delay`` seconds first."""
+def _spy_on_apply(monkeypatch):
+    """The shapes of every block that EighFactors.apply gets, in call order."""
     shapes = []
     apply = _blas.EighFactors.apply
 
     def spy(self, x, transpose=False):
         shapes.append(x.shape)
-        if x.ndim == 2:
-            time.sleep(delay)
         return apply(self, x, transpose)
 
     monkeypatch.setattr(_blas.EighFactors, "apply", spy)
+    return shapes
+
+
+def _spy_on_form(monkeypatch, delay=0.0):
+    """The shapes of the vectors that EighFactors.form makes, in call order;
+    each call waits ``delay`` seconds first."""
+    shapes = []
+    form = _blas.EighFactors.form
+
+    def spy(self):
+        shapes.append(self.vectors.shape)
+        time.sleep(delay)
+        return form(self)
+
+    monkeypatch.setattr(_blas.EighFactors, "form", spy)
     return shapes
 
 
@@ -599,6 +611,12 @@ class TestFactoredFit:
         X, Y = _factored_problem()
         model = fit_kernel_gct(X, Y, spec, GctConfig(tau=0.01))
         assert np.array_equal(model.eigenvalues, kernel_canonicalize(gram(X, spec))[0])
+
+    @pytest.mark.parametrize("spec", [LINEAR, RBF, POLY], ids=_spec_id)
+    def test_left_vectors_are_kernel_canonicalize_bits(self, spec):
+        X, Y = _factored_problem()
+        model = fit_kernel_gct(X, Y, spec, GctConfig(tau=0.01))
+        assert np.array_equal(model.left_vectors, kernel_canonicalize(gram(X, spec))[1])
 
     def test_no_n_by_n_block_is_transformed(self, monkeypatch, tmp_path):
         shapes = _spy_on_apply(monkeypatch)
@@ -618,7 +636,7 @@ class TestFactoredFit:
     def test_signed_vectors_are_formed_once_on_first_read(self, monkeypatch):
         X, Y = _factored_problem()
         model = fit_kernel_gct(X, Y, RBF, GctConfig(tau=0.01))
-        shapes = _spy_on_apply(monkeypatch, delay=0.05)
+        shapes = _spy_on_form(monkeypatch, delay=0.05)
         readers = 4  # more than the cores of a 2-core machine
         barrier = threading.Barrier(readers, timeout=10)
         reads = []
@@ -638,20 +656,23 @@ class TestFactoredFit:
         finally:
             sys.setswitchinterval(interval)
         assert not any(thread.is_alive() for thread in threads)
-        assert shapes == [(300, model.rank)]
+        assert shapes == [(300, 300)]
         assert len(reads) == readers
         assert all(read is model.left_vectors for read in reads)
         model.theta_hat  # reads the formed signs
-        assert shapes == [(300, model.rank)]
+        assert shapes == [(300, 300)]
         # each column's largest-magnitude entry is positive
         vec = model.left_vectors
         assert np.all(vec[np.argmax(np.abs(vec), axis=0), np.arange(model.rank)] > 0)
 
     def test_custom_rule_forms_the_vectors_during_the_fit(self, monkeypatch):
-        shapes = _spy_on_apply(monkeypatch)
+        applied, formed = _spy_on_apply(monkeypatch), _spy_on_form(monkeypatch)
         X, Y = _factored_problem()
         model = fit_kernel_gct(X, Y, RBF, GctConfig(tau=0.01, rule=ONE_SIDED_RULE))
-        assert shapes == [(300,), (300, model.rank), (300,)]
+        # Q^T Y, then V formed once; alpha is read from the formed vectors
+        assert applied == [(300,)] and formed == [(300, 300)]
+        model.left_vectors
+        assert formed == [(300, 300)]
 
     @pytest.mark.parametrize("read_first", [False, True], ids=["unread", "read"])
     def test_pickle_round_trip(self, read_first):
@@ -674,23 +695,25 @@ class TestFactoredFit:
         monkeypatch.setattr(_blas, "tridiagonal_solver", lambda: None)
         fallback = fit_kernel_gct(X, Y, RBF, config)
         eig = fallback.eigenvalues
-        # numpy.linalg.eigh is dsyevd, which stops where the factors do
+        # numpy.linalg.eigh is dsyevd, whose steps the factors and the
+        # forming step repeat
         assert np.array_equal(factored.eigenvalues, eig)
+        assert np.array_equal(factored.left_vectors, fallback.left_vectors)
         assert np.array_equal(fallback.left_vectors, kernel_canonicalize(gram(X, RBF))[1])
         bound = 32 * EPS * eig[0] / eig[-1]
         for name in ("dual_coeffs", "theta_hat"):
             expected = getattr(fallback, name)
             error = np.linalg.norm(getattr(factored, name) - expected)
             assert error <= bound * np.linalg.norm(expected), name
-        assert np.max(np.abs(factored.left_vectors - fallback.left_vectors)) <= bound
 
 
 def _peak_doubles(fn, *args):
     """Peak of the numpy allocations made while fn runs, in float64 units.
 
     tracemalloc sees every array numpy allocates, but not the buffers
-    LAPACK works in: the dsyevd workspace (about 2 n^2 floats) that LAPACKE
-    allocates is not counted here (see TestResidentPeak).
+    LAPACKE allocates: the dstedc workspace (about n^2 floats) is not
+    counted here (see TestResidentPeak).  The forming step's workspace is a
+    numpy array, and is counted.
     """
     tracemalloc.start()
     try:

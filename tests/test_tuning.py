@@ -746,9 +746,9 @@ class TestTallDowndate:
         seen = []
         spectrum = tuning._gram_spectrum
 
-        def spy(gram, rel_tol):
+        def spy(gram):
             seen.append(matrix_bits(gram))
-            return spectrum(gram, rel_tol)
+            return spectrum(gram)
 
         monkeypatch.setattr(tuning, "_gram_spectrum", spy)
         _fold_spectra(ds, 5, 0)

@@ -296,8 +296,8 @@ MUTANTS = (
     Mutant(
         "kernel PSD check dropped",
         "src/ctreg/kernel.py",
-        "if eig.size == 0 or smallest < -KERNEL_RANK_REL_TOL * eig[0]:",
-        "if eig.size == 0:",
+        "if order.size == 0 or eig[0] < -KERNEL_RANK_REL_TOL * eig[-1]:",
+        "if order.size == 0:",
         ("tests/test_kernel.py",),
     ),
     Mutant(
@@ -335,16 +335,30 @@ MUTANTS = (
         "if err < best_err:",
         ("tests/test_tuning.py::TestExactTies",),
     ),
-    # the in-place decomposition and the blocked kernel matrices
+    # the one eigensolver and the blocked kernel matrices
     Mutant(
-        "dsyevd reads the upper triangle",
+        "dsytrd reads the upper triangle",
         "src/ctreg/_blas.py",
-        'b"V", b"L"',
-        'b"V", b"U"',
+        '_LAPACK_COL_MAJOR, b"L", n, a.ctypes.data',
+        '_LAPACK_COL_MAJOR, b"U", n, a.ctypes.data',
         (
             "tests/test_canonical.py::TestEighInPlace",
             "tests/test_kernel.py::TestKernelCanonicalize",
         ),
+    ),
+    Mutant(
+        "vectors formed with LAPACKE's queried workspace",
+        "src/ctreg/_blas.py",
+        'self._ormtr(self.vectors, b"N", n * n + 4 * n + 1)',
+        'self._ormtr(self.vectors, b"N")',
+        ("tests/test_canonical.py::TestEighInPlace",),
+    ),
+    Mutant(
+        "range scaling skipped",
+        "src/ctreg/_blas.py",
+        "scale = _range_scale(lower) if n > 1 else None",
+        "scale = None",
+        ("tests/test_canonical.py::TestEighInPlace",),
     ),
     Mutant(
         "kernel_canonicalize decomposes K without its copy",
@@ -378,15 +392,15 @@ MUTANTS = (
     Mutant(
         "pivot signs skipped on the lazily formed vectors",
         "src/ctreg/kernel.py",
-        "                signs = _pivot_signs(vec)\n",
-        "                signs = np.ones(vec.shape[1])\n",
+        "    signs = _pivot_signs(vec)\n",
+        "    signs = np.ones(vec.shape[1])\n",
         ("tests/test_kernel.py::TestFactoredFit",),
     ),
     Mutant(
         "custom rule shrunk in the unsigned basis",
         "src/ctreg/kernel.py",
-        "signs = basis.get()[1] if config.rule.kind is RuleKind.CUSTOM else 1.0",
-        "signs = 1.0",
+        "signs = basis.get()[1] if custom else 1.0",
+        "signs = basis.get()[1] ** 2 if custom else 1.0",
         ("tests/test_kernel.py::TestFitMatchesScaledRoute",),
     ),
     Mutant(

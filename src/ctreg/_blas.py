@@ -31,18 +31,25 @@ The same scan finds the one symmetric eigensolver of ctreg, which
 runs LAPACK ``dsyevd('L')``, which is ``dsytrd`` (a = Q T Q^T with T
 tridiagonal, Q as Householder reflectors in a's lower triangle),
 ``dstedc('I')`` (T = Z diag(w) Z^T) and a ``dormtr`` that forms the
-vectors Q Z, 2 n^3 flops.  ``LAPACKE_dsytrd`` and ``LAPACKE_dstedc`` run
-the first two and leave the factors; ``EighFactors.form`` runs the third
-in Z's buffer with the workspace dsyevd gives it, so the eigenvalues and
-vectors are ``numpy.linalg.eigh``'s bit for bit, and ``EighFactors.apply``
-multiplies a few vectors by Q or Q^T at 2 n^2 flops each, for a caller
-that never forms the vectors.  ``eigh_factors`` also repeats dsyevd's
-scaling of a matrix whose largest entry lies outside about 1e+-146.  The
-scan binds the three routines (``LAPACKE_dormtr_work`` for the third) only
-when one library has all of them under one name variant; without them the
-factors are ``numpy.linalg.eigh``'s, with Q the identity.  The peak is the
-matrix plus about 2 n^2 floats (Z and the LAPACK workspace), 3 n^2 in all,
-where ``numpy.linalg.eigh`` needs 5 n^2 with its input.
+vectors Q Z, 2 n^3 flops.  ``eigh_factors`` runs the first two and leaves
+the factors: ``LAPACKE_dsytrd`` in a's buffer, ``LAPACKE_dtrttp_work``
+to copy a's lower triangle, reflectors and all, into a packed array of
+n (n + 1) / 2 floats, and ``LAPACKE_dstedc_work``, which writes Z over a
+with a workspace that ctreg allocates and frees.  ``EighFactors.form``
+runs the third in Z's buffer with the workspace dsyevd gives it, so the
+eigenvalues and vectors are ``numpy.linalg.eigh``'s bit for bit, and
+``EighFactors.apply`` multiplies a few vectors by Q or Q^T at 2 n^2 flops
+each, for a caller that never forms the vectors; both unpack the
+reflectors (``LAPACKE_dtpttr_work``) into an n x n array that lives for
+the one ``dormtr`` call (``LAPACKE_dormtr_work``).  ``eigh_factors`` also
+repeats dsyevd's scaling of a matrix whose largest entry lies outside
+about 1e+-146.  The scan binds the five routines only when one library
+has all of them under one name variant; without them the factors are
+``numpy.linalg.eigh``'s, with Q the identity.  The peak is the matrix
+plus about 1.5 n^2 floats (the packed triangle and the ``dstedc``
+workspace, or the packed triangle and the unpacked one while ``dormtr``
+runs), 2.5 n^2 in all, where ``numpy.linalg.eigh`` needs 5 n^2 with its
+input; the factors hold 1.5 n^2.
 """
 
 from __future__ import annotations
@@ -91,17 +98,23 @@ class ThreadControl(NamedTuple):
 
 
 class TridiagonalSolver(NamedTuple):
-    symbols: Tuple[str, ...]  # the names of sytrd, stedc and ormtr_work
+    symbols: Tuple[str, ...]  # the bound names, in the order of _SIGNATURES
     sytrd: Callable[..., int]
+    trttp: Callable[..., int]
     stedc: Callable[..., int]
+    tpttr: Callable[..., int]
     ormtr: Callable[..., int]
+    lapack_int: type  # the ctypes type of a LAPACK integer, as iwork holds it
 
 
 # the arguments of each LAPACKE routine bound here: "l" the layout (an
 # int), "c" a char, "i" a LAPACK integer, "p" an array
 _SIGNATURES = {
     "dsytrd": "lcipippp",  # layout, uplo, n, a, lda, d, e, tau
-    "dstedc": "lcipppi",  # layout, compz, n, d, e, z, ldz
+    "dtrttp_work": "lcipip",  # layout, uplo, n, a, lda, ap
+    # layout, compz, n, d, e, z, ldz, work, lwork, iwork, liwork
+    "dstedc_work": "lcipppipipi",
+    "dtpttr_work": "lcippi",  # layout, uplo, n, ap, a, lda
     # layout, side, uplo, trans, m, n, a, lda, tau, c, ldc, work, lwork
     "dormtr_work": "lccciipippipi",
 }
@@ -139,7 +152,8 @@ def thread_control() -> Optional[ThreadControl]:
 
 @functools.lru_cache(maxsize=None)
 def tridiagonal_solver() -> Optional[TridiagonalSolver]:
-    """``LAPACKE_dsytrd``, ``LAPACKE_dstedc`` and ``LAPACKE_dormtr_work``,
+    """The LAPACKE routines of _SIGNATURES (``LAPACKE_dsytrd`` and the
+    ``_work`` forms of ``dtrttp``, ``dstedc``, ``dtpttr`` and ``dormtr``),
     all from one loaded OpenBLAS under one name variant and typed by
     _SIGNATURES; or None."""
     for lib in _openblas_libraries():
@@ -158,7 +172,7 @@ def tridiagonal_solver() -> Optional[TridiagonalSolver]:
             for signature, func in zip(_SIGNATURES.values(), funcs):
                 func.argtypes = [types[code] for code in signature]
                 func.restype = lapack_int
-            return TridiagonalSolver(tuple(names), *funcs)
+            return TridiagonalSolver(tuple(names), *funcs, lapack_int)
     return None
 
 
@@ -183,25 +197,40 @@ class EighFactors(NamedTuple):
     Without ``tridiagonal_solver()`` Q is the identity and Z holds them."""
 
     eigenvalues: FloatArray  # ascending
-    vectors: FloatArray  # Z, n x n, F-order; Q Z once formed
-    reflectors: Optional[FloatArray]  # Q's reflectors (column-major view), or None
-    tau: Optional[FloatArray]  # their scalar factors, or None
+    vectors: FloatArray  # Z, n x n, F-order, in a's buffer; Q Z once formed
+    reflectors: Optional[FloatArray]  # a's lower triangle, packed by columns, or None
+    tau: Optional[FloatArray]  # the reflectors' scalar factors, or None
     solver: Optional[TridiagonalSolver]  # what made them, or None
+
+    def _unpacked(self) -> FloatArray:
+        """A new n x n F-order array whose lower triangle holds the packed
+        one; its strict upper triangle is left unwritten."""
+        assert self.solver is not None and self.reflectors is not None
+        n = self.vectors.shape[0]
+        unpacked = np.empty((n, n), order="F")
+        info = self.solver.tpttr(
+            _LAPACK_COL_MAJOR, b"L", n, self.reflectors.ctypes.data,
+            unpacked.ctypes.data, max(n, 1),
+        )
+        _check(self.solver, 3, info)
+        return unpacked
 
     def _ormtr(self, x: FloatArray, trans: bytes, lwork: Optional[int] = None) -> None:
         """x <- Q x (trans N) or Q^T x (trans T) by ``dormtr``, with lwork
-        floats of workspace, or the size ``LAPACKE_dormtr`` would query."""
-        assert self.solver is not None and self.reflectors is not None
-        n = self.reflectors.shape[0]
+        floats of workspace, or the size ``LAPACKE_dormtr`` would query.
+        The reflectors are unpacked for this call alone; ``dormtr`` reads
+        the strict lower triangle only."""
+        assert self.solver is not None and self.tau is not None
+        solver, n = self.solver, self.vectors.shape[0]
+        unpacked = self._unpacked()
 
         def call(work: FloatArray, size: int) -> None:
-            info = self.solver.ormtr(
+            info = solver.ormtr(
                 _LAPACK_COL_MAJOR, b"L", b"L", trans, n, x.shape[1] if x.ndim == 2 else 1,
-                self.reflectors.ctypes.data, max(n, 1), self.tau.ctypes.data,
+                unpacked.ctypes.data, max(n, 1), self.tau.ctypes.data,
                 x.ctypes.data, max(n, 1), work.ctypes.data, size,
             )
-            if info != 0:
-                raise ValueError(f"{self.solver.symbols[2]} rejected argument {-info}")
+            _check(solver, 4, info)
 
         if lwork is None:
             query = np.empty(1)
@@ -212,7 +241,8 @@ class EighFactors(NamedTuple):
     def apply(self, x: FloatArray, transpose: bool = False) -> FloatArray:
         """Q x, or Q^T x with ``transpose``, computed by ``dormtr`` in the
         buffer of x (a writeable F-contiguous float64 array of n rows, one
-        column or several) and returned: 2 n^2 flops per column."""
+        column or several) and returned: 2 n^2 flops per column, and an
+        n x n copy of the reflectors while it runs."""
         if self.solver is None:
             return x
         if not (
@@ -232,13 +262,21 @@ class EighFactors(NamedTuple):
         them and Z is gone, so it runs once.
 
         It passes the workspace that ``dsyevd`` passes, n^2 + 4 n + 1
-        floats.  ``LAPACKE_dormtr`` would query less, and ``dormtr`` then
-        applies the reflectors in smaller blocks, which changes the last
-        bits; with dsyevd's the vectors are ``numpy.linalg.eigh``'s."""
+        floats, of which ``dormtr`` writes a block of columns.
+        ``LAPACKE_dormtr`` would query less, and ``dormtr`` then applies
+        the reflectors in smaller blocks, which changes the last bits; with
+        dsyevd's the vectors are ``numpy.linalg.eigh``'s."""
         if self.solver is not None:
             n = self.vectors.shape[0]
             self._ormtr(self.vectors, b"N", n * n + 4 * n + 1)
         return self.vectors
+
+
+def _check(solver: TridiagonalSolver, routine: int, info: int) -> None:
+    """A ValueError naming the routine-th bound routine when its LAPACKE
+    call rejected an argument (info < 0)."""
+    if info < 0:
+        raise ValueError(f"{solver.symbols[routine]} rejected argument {-info}")
 
 
 def _range_scale(f: FloatArray) -> Optional[float]:
@@ -262,14 +300,20 @@ def _range_scale(f: FloatArray) -> Optional[float]:
 def eigh_factors(a: FloatArray) -> EighFactors:
     """The factors of the symmetric eigendecomposition of a square float64
     matrix, from its lower triangle, with the eigenvectors left unformed:
-    ``dsytrd`` and ``dstedc('I')`` in a's own buffer, the first two steps of
-    the ``dsyevd`` that ``numpy.linalg.eigh`` runs, after dsyevd's range
-    scaling.  The eigenvalues carry the bits of ``numpy.linalg.eigh(a)``,
-    and so do the vectors that ``EighFactors.form`` makes; a caller that
-    needs only a few products with the vectors makes them with
-    ``EighFactors.apply`` at 2 n^2 flops each.  The peak is a, Z and the
-    ``dstedc`` workspace of about n^2 floats, 3 n^2 in all, as it is while
-    ``form`` runs; the factors hold a and Z.
+    ``dsytrd`` and ``dstedc('I')``, the first two steps of the ``dsyevd``
+    that ``numpy.linalg.eigh`` runs, after dsyevd's range scaling.  The
+    eigenvalues carry the bits of ``numpy.linalg.eigh(a)``, and so do the
+    vectors that ``EighFactors.form`` makes; a caller that needs only a few
+    products with the vectors makes them with ``EighFactors.apply`` at
+    2 n^2 flops each.
+
+    ``dsytrd`` runs in a's buffer, and leaves Q's reflectors in its strict
+    lower triangle.  That triangle is copied into a packed array of
+    n (n + 1) / 2 floats, and ``dstedc`` then writes Z over a, with a
+    workspace of n^2 + 4 n + 1 floats and 3 + 5 n integers that lives for
+    that call.  So the peak is a plus about 1.5 n^2 floats, as it is while
+    ``form`` or ``apply`` runs, and the factors hold Z, in a's buffer, and
+    the packed triangle: 1.5 n^2 in all.
 
     a must be writeable and C- or F-contiguous.  Its buffer is read in
     column-major order, so a C-contiguous a gives the bits that
@@ -280,9 +324,11 @@ def eigh_factors(a: FloatArray) -> EighFactors:
     dsyevd does.  Without ``tridiagonal_solver()``, and for a matrix with
     a NaN entry in that triangle (which LAPACKE refuses before it computes
     anything), the factors are ``numpy.linalg.eigh(a)`` with Q the
-    identity, and a is not written.  A decomposition that does not
-    converge raises ``LinAlgError``, as ``numpy.linalg.eigh`` does.  The
-    calls release the GIL.
+    identity, and a is not written.  A tridiagonal matrix with a NaN
+    entry (from an infinite entry of a) is refused as ``LAPACKE_dstedc``
+    refuses it, with a ValueError.  A decomposition that does not converge
+    raises ``LinAlgError``, as ``numpy.linalg.eigh`` does.  The calls
+    release the GIL.
     """
     n = _square(a, "eigh_factors")
     solver = tridiagonal_solver()
@@ -299,19 +345,29 @@ def eigh_factors(a: FloatArray) -> EighFactors:
     )
     if info == -4:  # LAPACKE's NaN check of a
         return EighFactors(*np.linalg.eigh(a), None, None, None)
-    if info < 0:
-        raise ValueError(f"{solver.symbols[0]} rejected argument {-info}")
-    z = np.empty((n, n), order="F")
+    _check(solver, 0, info)
+    packed = np.empty(n * (n + 1) // 2)
+    info = solver.trttp(
+        _LAPACK_COL_MAJOR, b"L", n, a.ctypes.data, max(n, 1), packed.ctypes.data
+    )
+    _check(solver, 1, info)
+    # the NaN check of d and e that LAPACKE_dstedc makes and its _work form skips
+    for position, values in ((4, w), (5, e[: n - 1])):
+        if np.isnan(values).any():
+            _check(solver, 2, -position)
+    z = lower  # Z is written over the reflectors' old buffer
+    work = np.empty(n * n + 4 * n + 1)
+    iwork = np.empty(3 + 5 * n, dtype=solver.lapack_int)
     info = solver.stedc(
-        _LAPACK_COL_MAJOR, b"I", n, w.ctypes.data, e.ctypes.data, z.ctypes.data, max(n, 1)
+        _LAPACK_COL_MAJOR, b"I", n, w.ctypes.data, e.ctypes.data, z.ctypes.data, max(n, 1),
+        work.ctypes.data, work.size, iwork.ctypes.data, iwork.size,
     )
     if info > 0:
         raise np.linalg.LinAlgError("Eigenvalues did not converge")
-    if info < 0:
-        raise ValueError(f"{solver.symbols[1]} rejected argument {-info}")
+    _check(solver, 2, info)
     if scale is not None:
         w *= 1.0 / scale
-    return EighFactors(w, z, lower, tau, solver)
+    return EighFactors(w, z, packed, tau, solver)
 
 
 def usable_cpus() -> int:

@@ -130,9 +130,11 @@ def _gram_spectrum(gram: FloatArray) -> Tuple[FloatArray, FloatArray]:
     The n x n matrix is factored in its own buffer (``_blas.eigh_factors``)
     and its vectors formed, so every caller passes a temporary: one that is
     exactly symmetric, or an F-order copy.  Either gives the bits of
-    ``numpy.linalg.eigh(gram)``.  The peak is ``gram`` plus about 2 n^2
-    floats (Z and the LAPACK workspace), then ``gram``, the formed vectors
-    and the retained ones.
+    ``numpy.linalg.eigh(gram)``.  The peak is ``gram`` plus about 1.5 n^2
+    floats (the packed reflectors, and the ``dstedc`` workspace or, while
+    the vectors are formed, the unpacked reflectors); Z and then the
+    formed vectors are written over ``gram``, and the retained ones are
+    copied out of them.
     """
     factors = eigh_factors(gram)
     order = _retained(factors.eigenvalues, RANK_REL_TOL)
@@ -235,12 +237,12 @@ def canonicalize(dataset: Dataset) -> CanonicalDecomposition:
     Memory: each vector matrix is built once and scaled and sign-flipped in
     place, and the memo keeps those same arrays and the products.  Beyond X
     and the products, the m x m Gram matrix (m = min(n, d)) is decomposed
-    in its own buffer, next to about 2 m^2 floats (Z and the LAPACK
-    workspace; see ``_gram_spectrum``); after that the peak is that buffer
-    plus one array of retained vectors: d*r floats when n <= d, else n*r.
-    At 200 x 4000 and at 4000 x 200 the peak traced by tracemalloc (which
-    does not see the ``dstedc`` workspace) is 7.4 MB, nearly all of it what
-    the memo keeps: 6.7 MB of decomposition and 0.3 MB of products.
+    in its own buffer, next to about 1.5 m^2 floats (the packed reflectors
+    and a LAPACK workspace; see ``_gram_spectrum``); after that the peak is
+    that buffer plus one array of retained vectors: d*r floats when
+    n <= d, else n*r.  At 200 x 4000 and at 4000 x 200 the peak traced by
+    tracemalloc is 7.4 MB, nearly all of it what the memo keeps: 6.7 MB of
+    decomposition and 0.3 MB of products.
 
     Threads: the Gram product, its ``eigh`` and the product that recovers
     the other vectors run with OpenBLAS pinned to one thread (see

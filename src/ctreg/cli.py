@@ -188,8 +188,9 @@ def load_dataset(path: str, response: str) -> Tuple[np.ndarray, np.ndarray]:
 
 _RULES = {"soft": SOFT_RULE, "hard": HARD_RULE}
 
-# The value grammar of --kernel, --method, --tau, --tau-auto, --phi and --phi-grid:
-# comma-separated numbers, after "name:" where a flag names a table entry.
+# The value grammar of every flag that takes numbers (--kernel, --method,
+# --phi-grid and those of _NUMBER_FLAGS): comma-separated numbers, after
+# "name:" where a flag names a table entry.
 # Fields are the (name, type) of each number.
 Fields = Tuple[Tuple[str, type], ...]
 
@@ -235,6 +236,11 @@ _NUMBER_FLAGS: Dict[str, Tuple[str, Tuple[type, ...], str]] = {
     "phi": ("--phi", (float,), "<phi>"),
     "tau": ("--tau", (float,), "<tau>"),
     "tau_auto": ("--tau-auto", (float,) * 3, "<sigma>,<delta>,<alpha>"),
+    "folds": ("--folds", (int,), "an integer >= 2"),
+    "seed": ("--seed", (int,), "<seed>"),
+    "sigma": ("--sigma", (float,), "<sigma>"),
+    "delta": ("--delta", (float,), "<delta>"),
+    "alpha": ("--alpha", (float,), "<alpha>"),
 }
 
 
@@ -607,9 +613,9 @@ def build_parser() -> argparse.ArgumentParser:
         parents=[data_flags, fit_flags],
         help="tune the threshold by exact-path K-fold CV",
     )
-    cv.add_argument("--folds", type=int, default=10)
+    cv.add_argument("--folds", default="10")
     cv.add_argument("--phi-grid", default=None)
-    cv.add_argument("--seed", type=int, default=0)
+    cv.add_argument("--seed", default="0")
     cv.add_argument("--fit-out", default=None)
     cv.set_defaults(func=cmd_cv)
 
@@ -636,9 +642,9 @@ def build_parser() -> argparse.ArgumentParser:
         "diagnose", parents=[data_flags], help="print diagnostic metrics as JSON"
     )
     diag.add_argument("--beta", default=None, help="CSV with true coefficients")
-    diag.add_argument("--sigma", type=float, default=None)
-    diag.add_argument("--delta", type=float, default=0.05)
-    diag.add_argument("--alpha", type=float, default=2.0)
+    diag.add_argument("--sigma", default=None)
+    diag.add_argument("--delta", default="0.05")
+    diag.add_argument("--alpha", default="2.0")
     diag.set_defaults(func=cmd_diagnose)
 
     return parser

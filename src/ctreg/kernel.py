@@ -8,10 +8,11 @@ interpolant of that fit is a kernel expansion with explicit dual
 coefficients alpha = V Lambda^{-2} theta_hat / sqrt(n).
 
 That explicit form needs V only through two products, V^T Y and
-V (theta_hat / lambda), so ``fit_kernel_gct`` never forms V: it keeps K
-as LAPACK's tridiagonal reduction leaves it, K = Q T Q^T with
-T = Z diag(w) Z^T, and applies Q and Z to vectors.  A model forms V when
-``left_vectors`` or ``theta_hat`` is first read.  ``kernel_canonicalize``
+V (theta_hat / lambda), so ``fit_kernel_gct`` never forms V: it keeps the
+factors of LAPACK's tridiagonal reduction, K = Q T Q^T with
+T = Z diag(w) Z^T, Z in K's buffer and Q as packed reflectors, and
+applies Q and Z to vectors.  A model forms V when ``left_vectors`` or
+``theta_hat`` is first read.  ``kernel_canonicalize``
 returns V, and forms it as ``numpy.linalg.eigh`` does.
 """
 
@@ -162,9 +163,10 @@ def _symmetric_copy(K: FloatArray) -> FloatArray:
 def _factor(K: FloatArray) -> Tuple[EighFactors, NDArray[np.intp]]:
     """(``eigh_factors(K)``, the indices of its eigenvalues above the
     floor, the largest first) for a K that the factors may overwrite:
-    exactly symmetric, or F-order.  K's buffer ends up holding Q's
-    reflectors.  A zero K, or one with an eigenvalue below
-    -KERNEL_RANK_REL_TOL times the largest, raises."""
+    exactly symmetric, or F-order.  K's buffer ends up holding Z, and the
+    factors hold Q's reflectors packed, n^2 / 2 floats more.  A zero K, or
+    one with an eigenvalue below -KERNEL_RANK_REL_TOL times the largest,
+    raises."""
     if not np.any(K):
         raise ZeroDesignError("zero kernel matrix")
     factors = eigh_factors(K)
@@ -203,9 +205,11 @@ def kernel_canonicalize(K: FloatArray) -> Tuple[FloatArray, FloatArray]:
     read-only K is fine), and the copy, read in its own memory order, gives
     the bits of ``numpy.linalg.eigh(K)`` even for a K that is only
     symmetric within the tolerance.  While the decomposition runs, the live
-    memory is K plus 3 n^2 floats (the copy, Z, which becomes the vectors,
-    and the LAPACK workspace of about n^2); the signs, found with no n^2
-    temporary, are applied in place to the sorted vectors.
+    memory is K plus 2.5 n^2 floats: the copy, in which Z is written and
+    then becomes the vectors, the packed reflectors, and a LAPACK workspace
+    of about n^2 (``dstedc``'s, or the unpacked reflectors while the
+    vectors are formed).  The signs, found with no n^2 temporary, are
+    applied in place to the sorted vectors.
 
     It factors K as ``fit_kernel_gct`` does, so its eigenvalues are bit for
     bit the fit's, and its vectors are the fit's ``left_vectors``.
@@ -224,10 +228,11 @@ def kernel_canonicalize(K: FloatArray) -> Tuple[FloatArray, FloatArray]:
 class _Basis:
     """The retained left vectors V of a kernel fit, formed on first read.
 
-    Until then it holds the fit's factors, 2 n^2 floats: K's buffer with
-    Q's reflectors, and Z.  The first read forms Q Z in Z's buffer, keeps
-    the retained columns with their signs (``_signed_vectors``) and drops
-    the factors, so V, n * r floats, is all that is kept.  A lock makes
+    Until then it holds the fit's factors, 1.5 n^2 floats: Z in K's
+    buffer, and Q's reflectors packed.  The first read forms Q Z in Z's
+    buffer (with the reflectors unpacked, n^2 floats more, while it runs),
+    keeps the retained columns with their signs (``_signed_vectors``) and
+    drops the factors, so V, n * r floats, is all that is kept.  A lock makes
     threads that read at once form V once.  A pickle holds V and its signs.
     """
 
@@ -271,9 +276,10 @@ class KernelModel(KernelPredictor):
 
     ``left_vectors`` and ``theta_hat`` are formed on first read, which
     costs the back-transformation the fit skipped (0.33 s at 2000 x 2000
-    on 2 cores; see ``_Basis``); the private fields are not part of the
-    repr.  A model, like every result object, compares and hashes by
-    identity: its fields are arrays.
+    on 2 cores; see ``_Basis``); until then the model holds 1.5 n^2 floats
+    of factors.  The private fields are not part of the repr.  A model,
+    like every result object, compares and hashes by identity: its fields
+    are arrays.
     """
 
     eigenvalues: FloatArray
@@ -323,13 +329,15 @@ def fit_kernel_gct(
 
     Cost: the reduction and the tridiagonal eigensolver, 0.53-0.60 s at
     2000 x 2000 on 2 cores, where ``eigh`` took 0.82-0.93 s.  Memory: the
-    peak is K, Z and the LAPACK workspace of about n^2 floats, 3 n^2 in
-    all, as with ``eigh``.  The model holds K's buffer and Z, 2 n^2 floats,
-    until its vectors are read, then n * r.  Accuracy: the eigenvalues and
-    ``left_vectors`` are bit for bit those of ``kernel_canonicalize(K)``;
-    alpha and theta_hat agree with the ones built from the formed vectors
-    to within roundoff, about eps * lambda_max / lambda_min relative (see
-    ``canonicalize``).
+    peak is 2.5 n^2 floats: K, in which Z is written, the packed reflectors
+    (n^2 / 2), and the ``dstedc`` workspace of about n^2, or the unpacked
+    reflectors while Q is applied; ``eigh`` needs 5 n^2.  The model holds
+    Z and the packed reflectors, 1.5 n^2 floats, until its vectors are
+    read, then n * r; a prediction at m points beside it adds m * n.
+    Accuracy: the eigenvalues and ``left_vectors`` are bit for bit those
+    of ``kernel_canonicalize(K)``; alpha and theta_hat agree with the ones
+    built from the formed vectors to within roundoff, about
+    eps * lambda_max / lambda_min relative (see ``canonicalize``).
     """
     points = np.asarray(points, dtype=np.float64)
     Y = np.asarray(Y, dtype=np.float64)

@@ -220,6 +220,32 @@ def symmetric_matrix(seed, n):
     return A @ A.T  # exactly symmetric
 
 
+class GuardedNumpy:
+    """numpy, except that ``empty`` returns memory whose bytes are all 0xFF
+    (a NaN as float64, -1 as an integer), followed by a guard region of as
+    many bytes again; ``intact`` tells whether every guard still holds
+    them, and ``allocated`` lists each (shape, dtype) asked for."""
+
+    def __init__(self):
+        self.allocated = []
+        self._buffers = []  # (raw bytes, the array's size in bytes)
+
+    def __getattr__(self, name):
+        return getattr(np, name)
+
+    def empty(self, shape, dtype=np.float64, order="C"):
+        shape = (shape,) if isinstance(shape, int) else tuple(shape)
+        dtype = np.dtype(dtype)
+        self.allocated.append((shape, dtype))
+        size = int(np.prod(shape)) * dtype.itemsize
+        raw = np.full(2 * size + 8, 0xFF, dtype=np.uint8)
+        self._buffers.append((raw, size))
+        return raw[:size].view(dtype).reshape(shape, order=order)
+
+    def intact(self):
+        return all(np.all(raw[size:] == 0xFF) for raw, size in self._buffers)
+
+
 def factored_eigh(a):
     """(eigenvalues, vectors) of a from its factors, the vectors formed."""
     factors = _blas.eigh_factors(a)
@@ -250,7 +276,46 @@ class TestEighInPlace:
                     assert np.array_equal(vec, expected[1]), (scale, order)
                     assert vec is factors.vectors
                     if binding and _blas.tridiagonal_solver() is not None:
-                        assert np.shares_memory(factors.reflectors, work)
+                        # Z, then the vectors, are written over the matrix
+                        assert np.shares_memory(vec, work)
+
+    @pytest.mark.parametrize("n", [1, 2, 40, 300])
+    def test_unwritten_memory_is_never_read(self, monkeypatch, n):
+        # every array _blas allocates starts as NaN bits, guarded past its
+        # end, and the packed diagonal, which dormtr must not read, is NaN
+        # too: apply and form give the bits they give without any of it,
+        # and no LAPACK call writes past the end of a buffer
+        G = symmetric_matrix(n + 11, n)
+        x = np.asfortranarray(np.random.default_rng(n).standard_normal((n, 3)))
+        for binding in (True, False):
+            if not binding:
+                monkeypatch.setattr(_blas, "tridiagonal_solver", lambda: None)
+            solver = _blas.tridiagonal_solver()
+            guarded = GuardedNumpy()
+            with monkeypatch.context() as patch:
+                patch.setattr(_blas, "np", guarded)
+                factors = _blas.eigh_factors(G.copy())
+                if solver is None:
+                    assert factors.reflectors is None and factors.tau is None
+                else:
+                    assert factors.reflectors.shape == (n * (n + 1) // 2,)
+                    assert factors.tau.shape == (max(n - 1, 1),)
+                    # dstedc's iwork, one LAPACK integer per entry
+                    lapack_int = np.dtype(np.int64 if solver.symbols[0].endswith("64_")
+                                          else np.int32)
+                    assert ((3 + 5 * n,), lapack_int) in guarded.allocated
+                    columns = np.arange(n)
+                    factors.reflectors[columns * n - columns * (columns - 1) // 2] = np.nan
+                actual = [factors.apply(x.copy(order="F"), transpose)
+                          for transpose in (True, False)]
+                actual.append(factors.form())
+            assert guarded.intact(), binding
+            plain = _blas.eigh_factors(G.copy())
+            expected = [plain.apply(x.copy(order="F"), transpose) for transpose in (True, False)]
+            expected.append(plain.form())
+            assert np.array_equal(factors.eigenvalues, plain.eigenvalues), binding
+            for got, want in zip(actual, expected):
+                assert np.array_equal(got, want), binding
 
     def test_f_order_is_read_in_its_own_order(self):
         # symmetric only to roundoff: an F-order buffer is what numpy

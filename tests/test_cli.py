@@ -228,7 +228,7 @@ class TestParser:
         ),
         "cv": (
             {"input": "d.csv", "response": "y"},
-            {"folds": 10, "phi": "0", "phi_grid": None, "rule": "soft", "seed": 0,
+            {"folds": "10", "phi": "0", "phi_grid": None, "rule": "soft", "seed": "0",
              "no_center": False, "fit_out": None},
         ),
         "predict": (
@@ -245,7 +245,7 @@ class TestParser:
         ),
         "diagnose": (
             {"input": "d.csv", "response": "y"},
-            {"beta": None, "sigma": None, "delta": 0.05, "alpha": 2.0},
+            {"beta": None, "sigma": None, "delta": "0.05", "alpha": "2.0"},
         ),
     }
 
@@ -899,8 +899,9 @@ METHOD_GRAMMAR = "ols | nct | gct | pcr:<m> | ridge:<lambda>"
 
 
 class TestValueGrammar:
-    """--kernel, --method, --tau, --tau-auto, --phi-grid and --folds: one
-    grammar, one error line for a malformed value."""
+    """--kernel, --method, --tau, --tau-auto, --phi, --phi-grid, --folds,
+    --seed, --sigma, --delta and --alpha: one grammar, one error line for a
+    malformed value."""
 
     @pytest.mark.parametrize(
         "command, flag, text, expected",
@@ -924,13 +925,17 @@ class TestValueGrammar:
         + [("cv", "--phi-grid", text, "<phi>[,<phi>...]") for text in ["", "0,x", "0,,1", "1,"]]
         + [(command, "--phi", text, "<phi>") for command in ["fit", "cv", "kernel-fit"]
            for text in ["abc", "", "0,1"]]
-        + [("cv", "--folds", text, "an integer >= 2") for text in ["1", "0", "-3"]],
+        + [("cv", "--folds", text, "an integer >= 2")
+           for text in ["1", "0", "-3", "2.5", "x", "", "4,5"]]
+        + [("cv", "--seed", text, "<seed>") for text in ["x", "1.5", "", "0,1"]]
+        + [("diagnose", flag, text, f"<{flag[2:]}>") for flag in ["--sigma", "--delta", "--alpha"]
+           for text in ["abc", "", "0.1,0.2"]],
     )
     def test_malformed_value_exit_two(self, data_csv, tmp_path, capsys, command, flag,
                                       text, expected):
         path, _, _ = data_csv
         argv = [command, "--input", path, "--response", "y", f"{flag}={text}"]
-        if command != "cv":
+        if command in ("fit", "kernel-fit"):
             argv += ["--output", str(tmp_path / "m.json")]
         if command == "kernel-fit" and flag != "--kernel":
             argv += ["--kernel", "linear"]
@@ -1045,6 +1050,24 @@ class TestValueGrammar:
         assert capsys.readouterr().err == (
             "error: bad --folds value '1': expected an integer >= 2\n"
         )
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["cv", "--folds", "2.5"], "bad --folds value '2.5': expected an integer >= 2"),
+            (["cv", "--seed", "x"], "bad --seed value 'x': expected <seed>"),
+            (["diagnose", "--sigma", "abc"], "bad --sigma value 'abc': expected <sigma>"),
+            (["diagnose", "--delta", "x"], "bad --delta value 'x': expected <delta>"),
+            (["cv", "--folds", "1"], "bad --folds value '1': expected an integer >= 2"),
+        ],
+    )
+    def test_once_argparse_typed_flags_give_one_line(self, tmp_path, capsys, argv, message):
+        rng = np.random.default_rng(8)
+        path = str(tmp_path / "d.csv")
+        write_csv(path, rng.standard_normal((30, 4)), rng.standard_normal(30))
+        assert main([argv[0], "--input", path, "--response", "y", *argv[1:]]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err == f"error: {message}\n"
 
 
 def fit_argv(path, command, out):
@@ -1259,9 +1282,9 @@ ARGV_FLAGS = {
     "cv": {
         **DATA_FLAGS,
         **FIT_FLAGS,
-        "--folds": (["2", "3"], ["1", "0", "99", "x"], False),
+        "--folds": (["2", "3"], ["1", "0", "99", "x", "2.5"], False),
         "--phi-grid": (["0,1"], ["-1", "nan", "0,x", ""], False),
-        "--seed": (["0", "3"], ["-1", "x"], False),
+        "--seed": (["0", "3"], ["-1", "x", "1.5"], False),
         "--fit-out": (*OUTPUTS, False),
     },
     "kernel-fit": {
@@ -1293,35 +1316,69 @@ ARGV_FLAGS = {
 }
 
 
+# the flags of the value grammar: a malformed value is exit 2 with the line
+# "error: bad <flag> value ..."
+GRAMMAR_FLAGS = {"--method", "--kernel", "--tau", "--tau-auto", "--phi", "--phi-grid",
+                 "--folds", "--seed", "--sigma", "--delta", "--alpha"}
+# the flags whose well-formed values outside their domains are exit 1 with
+# the line "error: <flag> must be ..." (or "<flag>[i]" for a grid entry)
+DOMAIN_FLAGS = {"cv": {"--phi", "--phi-grid", "--seed", "--folds"},
+                "diagnose": {"--sigma", "--delta", "--alpha"}}
+
+
 @st.composite
 def command_lines(draw):
-    """A subcommand whose flags come from small vocabularies: required flags
-    are usually given, optional ones half the time, and a value is bad one
-    time in five."""
+    """(argv, the flags given a value from their bad vocabulary, whether
+    every required flag is given) for a subcommand whose flags come from
+    small vocabularies: required flags are usually given, optional ones half
+    the time, and a value is bad one time in five."""
     command = draw(st.sampled_from(sorted(ARGV_FLAGS)))
-    argv = [command]
-    for flag, (good, bad, required) in ARGV_FLAGS[command].items():
+    argv, bad, complete = [command], [], True
+    for flag, (good, bad_values, required) in ARGV_FLAGS[command].items():
         if draw(st.integers(0, 19)) < (19 if required else 10):
-            argv += [flag, draw(st.sampled_from(bad if draw(st.integers(0, 4)) == 0 else good))]
+            is_bad = draw(st.integers(0, 4)) == 0
+            argv += [flag, draw(st.sampled_from(bad_values if is_bad else good))]
+            bad += [flag] if is_bad else []
+        else:
+            complete = complete and not required
     if command in ("fit", "cv", "kernel-fit") and draw(st.booleans()):
         argv.append("--no-center")
-    return argv
+    return argv, bad, complete
+
+
+def run_main(argv):
+    """(exit code, the error: lines) of main(argv)."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    return code, [line for line in err.getvalue().splitlines() if "error:" in line]
 
 
 class TestExitCodeContract:
     """The README's exit codes over generated command lines of every
     subcommand: 0, 1 or 2, never an exception, and a failure writes exactly
-    one error line (ours, or argparse's "ctreg <command>: error:")."""
+    one error line (ours, or argparse's "ctreg <command>: error:").  A
+    failure caused by the one bad value of a complete command line (with a
+    good value in its place the outcome differs) starts by naming the flag
+    when it is a number flag's: as a bad value (exit 2), or, for the flags
+    that cv and diagnose check, as a value outside its domain (exit 1)."""
 
     @settings(max_examples=300, deadline=None)
     @given(command_lines())
-    def test_main_exits_0_1_or_2_with_one_error_line(self, argv_files, argv):
-        argv = [argv_files.get(arg, arg) for arg in argv]
-        out, err = io.StringIO(), io.StringIO()
-        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-            code = main(argv)
+    def test_main_exits_0_1_or_2_with_one_error_line(self, argv_files, drawn):
+        argv, bad, complete = drawn
+        code, lines = run_main([argv_files.get(arg, arg) for arg in argv])
         assert code in (0, 1, 2)
-        if code != 0:
-            lines = [line for line in err.getvalue().splitlines() if "error:" in line]
-            assert len(lines) == 1, err.getvalue()
-            assert re.match(r"(ctreg [\w-]+: )?error: ", lines[0]), lines[0]
+        if code == 0:
+            return
+        assert len(lines) == 1, lines
+        assert re.match(r"(ctreg [\w-]+: )?error: ", lines[0]), lines[0]
+        if not (complete and len(bad) == 1 and bad[0] in GRAMMAR_FLAGS):
+            return
+        flag, command = bad[0], argv[0]
+        if code == 1 and flag not in DOMAIN_FLAGS.get(command, ()):
+            return
+        swapped = list(argv)
+        swapped[argv.index(flag) + 1] = ARGV_FLAGS[command][flag][0][0]
+        if run_main([argv_files.get(arg, arg) for arg in swapped]) != (code, lines):
+            assert re.match(rf"error: (bad )?{re.escape(flag)}[ \[]", lines[0]), lines[0]

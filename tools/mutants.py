@@ -339,12 +339,48 @@ MUTANTS = (
     Mutant(
         "dsytrd reads the upper triangle",
         "src/ctreg/_blas.py",
-        '_LAPACK_COL_MAJOR, b"L", n, a.ctypes.data',
-        '_LAPACK_COL_MAJOR, b"U", n, a.ctypes.data',
+        'solver.sytrd(\n        _LAPACK_COL_MAJOR, b"L"',
+        'solver.sytrd(\n        _LAPACK_COL_MAJOR, b"U"',
         (
             "tests/test_canonical.py::TestEighInPlace",
             "tests/test_kernel.py::TestKernelCanonicalize",
         ),
+    ),
+    # the packed reflectors, Z written over the matrix, and dstedc's workspace
+    Mutant(
+        "reflectors packed from the upper triangle",
+        "src/ctreg/_blas.py",
+        'solver.trttp(\n        _LAPACK_COL_MAJOR, b"L"',
+        'solver.trttp(\n        _LAPACK_COL_MAJOR, b"U"',
+        ("tests/test_canonical.py::TestEighInPlace",),
+    ),
+    Mutant(
+        "reflectors unpacked into the upper triangle",
+        "src/ctreg/_blas.py",
+        'self.solver.tpttr(\n            _LAPACK_COL_MAJOR, b"L"',
+        'self.solver.tpttr(\n            _LAPACK_COL_MAJOR, b"U"',
+        ("tests/test_canonical.py::TestEighInPlace",),
+    ),
+    Mutant(
+        "Z written to a fresh buffer",
+        "src/ctreg/_blas.py",
+        "    z = lower  #",
+        '    z = np.empty((n, n), order="F")  #',
+        ("tests/test_kernel.py::TestResidentPeak::test_fit_kernel_gct",),
+    ),
+    Mutant(
+        "model keeps the unpacked reflectors",
+        "src/ctreg/kernel.py",
+        "    basis = _Basis(factors, order)\n",
+        "    basis = _Basis(factors, order)\n    basis.reflectors = factors._unpacked()\n",
+        ("tests/test_kernel.py::TestResidentPeak::test_predict_while_the_model_is_alive",),
+    ),
+    Mutant(
+        "iwork with 32-bit entries on the 64_ binding",
+        "src/ctreg/_blas.py",
+        "iwork = np.empty(3 + 5 * n, dtype=solver.lapack_int)",
+        "iwork = np.empty(3 + 5 * n, dtype=np.int32)",
+        ("tests/test_canonical.py::TestEighInPlace::test_unwritten_memory_is_never_read",),
     ),
     Mutant(
         "vectors formed with LAPACKE's queried workspace",

@@ -11,9 +11,11 @@ That explicit form needs V only through two products, V^T Y and
 V (theta_hat / lambda), so ``fit_kernel_gct`` never forms V: it keeps the
 factors of LAPACK's tridiagonal reduction, K = Q T Q^T with
 T = Z diag(w) Z^T, Z in K's buffer and Q as packed reflectors, and
-applies Q and Z to vectors.  A model forms V when ``left_vectors`` or
-``theta_hat`` is first read.  ``kernel_canonicalize``
-returns V, and forms it as ``numpy.linalg.eigh`` does.
+applies Q and Z to vectors.  ``_Basis`` holds these factors, and every
+read of V goes through it (its docstring states the read contract).  A
+model forms V when ``left_vectors`` or ``theta_hat`` is first read.
+``kernel_canonicalize`` returns V, and forms it as ``numpy.linalg.eigh``
+does.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ from __future__ import annotations
 import math
 import threading
 from dataclasses import dataclass, field
-from typing import Dict, Optional, Tuple
+from typing import Any, Dict, Optional, Tuple
 
 import numpy as np
 from numpy.typing import NDArray
@@ -146,47 +148,101 @@ def gram(points: FloatArray, spec: KernelSpec) -> FloatArray:
 
 
 def _symmetric_copy(K: FloatArray) -> FloatArray:
-    """An F-order float64 copy of a caller's kernel matrix, checked square
-    and symmetric within the tolerance."""
+    """An F-order float64 copy of a caller's kernel matrix, checked finite,
+    square and symmetric within the tolerance."""
     K = np.array(K, dtype=np.float64, order="F")
-    n = K.shape[0]
-    if K.shape != (n, n):
-        raise ValueError("kernel matrix must be square")
+    _finite("K", K)
+    if K.ndim != 2 or K.shape[0] != K.shape[1]:
+        raise ValueError(f"K must be square, got shape {K.shape}")
     # exact symmetry (what ``gram`` returns) implies the tolerance check
     if not np.array_equal(K, K.T) and not np.allclose(
         K, K.T, atol=1e-10 * max(1.0, float(np.abs(K).max()))
     ):
-        raise ValueError("kernel matrix must be symmetric")
+        raise ValueError("K must be symmetric to within 1e-10 * max(1, max |K_ij|)")
     return K
 
 
-def _factor(K: FloatArray) -> Tuple[EighFactors, NDArray[np.intp]]:
-    """(``eigh_factors(K)``, the indices of its eigenvalues above the
-    floor, the largest first) for a K that the factors may overwrite:
-    exactly symmetric, or F-order.  K's buffer ends up holding Z, and the
-    factors hold Q's reflectors packed, n^2 / 2 floats more.  A zero K, or
-    one with an eigenvalue below -KERNEL_RANK_REL_TOL times the largest,
-    raises."""
-    if not np.any(K):
-        raise ZeroDesignError("zero kernel matrix")
-    factors = eigh_factors(K)
-    eig = factors.eigenvalues
-    order = _retained(eig, KERNEL_RANK_REL_TOL)
-    if order.size == 0 or eig[0] < -KERNEL_RANK_REL_TOL * eig[-1]:
-        raise NotPositiveSemidefiniteError("kernel matrix not positive semidefinite")
-    return factors, order
+class _Basis:
+    """The retained eigenvectors of a kernel matrix K, read through its
+    factors until they are formed.  Every read of V in this module goes
+    through it.
 
+    ``_Basis(K)`` factors K in its own buffer, so K must be exactly
+    symmetric or F-order: K = Q Z diag(w) Z^T Q^T (``_blas.eigh_factors``),
+    with Z written over K and Q held as packed reflectors, 1.5 n^2 floats.
+    ``order`` indexes the eigenvalues above KERNEL_RANK_REL_TOL times the
+    largest, the largest first, and ``eigenvalues`` holds them (of K, not
+    K / n).  A zero K, or one with an eigenvalue below
+    -KERNEL_RANK_REL_TOL times the largest, raises.
 
-def _signed_vectors(
-    factors: EighFactors, order: NDArray[np.intp]
-) -> Tuple[FloatArray, FloatArray]:
-    """(V, s): the retained vectors Q Z[:, order], formed (``form``, so
-    Z is gone after it) and made to have each column's largest-magnitude
-    entry positive by the column signs s, applied in place."""
-    vec = factors.form()[:, order]
-    signs = _pivot_signs(vec)
-    vec *= signs
-    return vec, signs
+    The read contract.  ``project(f)`` = U^T f and ``expand(c)`` = U c are
+    taken in the unsigned basis U = Q Z[:, order].  Until V is formed they
+    run on the factors, as Z^T (Q^T f) and Q (Z c), O(n^2) flops each and
+    an n x n copy of the reflectors while Q is applied; so an in-sample
+    read of a model that was never read costs O(n^2), not the 2 n^3 of
+    forming V.  ``formed()`` forms (V, s) once, V = U diag(s) with each
+    column's largest-magnitude entry made positive by the signs s: Q Z in
+    Z's buffer with dsyevd's workspace (so V is ``numpy.linalg.eigh``'s,
+    bit for bit, then sorted and signed), after which only V, n * r floats,
+    is kept.  From then on ``project`` and ``expand`` read (V, s).  The two
+    routes agree to within roundoff: their products differ by less than
+    32 n eps |f| or 32 n eps |c| (measured below 0.06 n eps at n <= 700,
+    on both eigensolver routes).  One lock guards the factors, so threads
+    that read at once form V once and never read Z while it is
+    overwritten.  A pickle holds V and its signs.
+    """
+
+    def __init__(self, K: FloatArray) -> None:
+        if not np.any(K):
+            raise ZeroDesignError("zero kernel matrix")
+        factors = eigh_factors(K)
+        eig = factors.eigenvalues
+        self.order = _retained(eig, KERNEL_RANK_REL_TOL)
+        if self.order.size == 0 or eig[0] < -KERNEL_RANK_REL_TOL * eig[-1]:
+            raise NotPositiveSemidefiniteError("kernel matrix not positive semidefinite")
+        self.eigenvalues = eig[self.order]
+        self._lock = threading.Lock()
+        self._factors: Optional[EighFactors] = factors
+        self._formed: Optional[Tuple[FloatArray, FloatArray]] = None
+
+    def formed(self) -> Tuple[FloatArray, FloatArray]:
+        """(V, s), formed on the first call."""
+        with self._lock:
+            if self._formed is None:
+                vec = self._factors.form()[:, self.order]
+                signs = _pivot_signs(vec)
+                vec *= signs
+                self._formed, self._factors = (vec, signs), None
+            return self._formed
+
+    def project(self, f: FloatArray) -> FloatArray:
+        """U^T f for a float64 vector f of length n."""
+        with self._lock:
+            if self._formed is None:
+                factors = self._factors
+                projection = factors.vectors.T @ factors.apply(np.array(f), transpose=True)
+                return projection[self.order]
+            vec, signs = self._formed
+        return signs * (vec.T @ f)
+
+    def expand(self, c: FloatArray) -> FloatArray:
+        """U c for a float64 vector c of length r."""
+        with self._lock:
+            if self._formed is None:
+                factors = self._factors
+                # scattered into n entries: Z[:, order] would copy n * r floats
+                full = np.zeros(factors.vectors.shape[0])
+                full[self.order] = c
+                return factors.apply(factors.vectors @ full)
+            vec, signs = self._formed
+        return vec @ (signs * c)
+
+    def __getstate__(self) -> Dict[str, Any]:
+        self.formed()
+        return dict(self.__dict__, _lock=None)
+
+    def __setstate__(self, state: Dict[str, Any]) -> None:
+        self.__dict__.update(state, _lock=threading.Lock())
 
 
 def kernel_canonicalize(K: FloatArray) -> Tuple[FloatArray, FloatArray]:
@@ -197,11 +253,12 @@ def kernel_canonicalize(K: FloatArray) -> Tuple[FloatArray, FloatArray]:
     KERNEL_RANK_REL_TOL (1e-10) of zero, relative to the top one, are
     dropped; one below -KERNEL_RANK_REL_TOL times the top one raises an
     error.  The floor is fixed.  Each left vector's largest-magnitude entry
-    is positive.
+    is positive.  A non-finite entry of K is a ValueError that names its
+    index.
 
-    The decomposition runs on an F-order copy of K, and the retained
-    eigenvalues are then divided by n; the floor and the PSD test are
-    ratios, so neither depends on the scale.  K is never written (a
+    The decomposition runs on an F-order copy of K (``_Basis``), and the
+    retained eigenvalues are then divided by n; the floor and the PSD test
+    are ratios, so neither depends on the scale.  K is never written (a
     read-only K is fine), and the copy, read in its own memory order, gives
     the bits of ``numpy.linalg.eigh(K)`` even for a K that is only
     symmetric within the tolerance.  While the decomposition runs, the live
@@ -221,42 +278,8 @@ def kernel_canonicalize(K: FloatArray) -> Tuple[FloatArray, FloatArray]:
     follows a kernel fit.
     """
     K = _symmetric_copy(K)
-    factors, order = _factor(K)
-    return factors.eigenvalues[order] / K.shape[0], _signed_vectors(factors, order)[0]
-
-
-class _Basis:
-    """The retained left vectors V of a kernel fit, formed on first read.
-
-    Until then it holds the fit's factors, 1.5 n^2 floats: Z in K's
-    buffer, and Q's reflectors packed.  The first read forms Q Z in Z's
-    buffer (with the reflectors unpacked, n^2 floats more, while it runs),
-    keeps the retained columns with their signs (``_signed_vectors``) and
-    drops the factors, so V, n * r floats, is all that is kept.  A lock makes
-    threads that read at once form V once.  A pickle holds V and its signs.
-    """
-
-    def __init__(self, factors: EighFactors, order: NDArray[np.intp]) -> None:
-        self._lock = threading.Lock()
-        self._factors: Optional[EighFactors] = factors
-        self._order: Optional[NDArray[np.intp]] = order
-        self._formed: Optional[Tuple[FloatArray, FloatArray]] = None
-
-    def get(self) -> Tuple[FloatArray, FloatArray]:
-        """(V, the column signs s with V = Q Z[:, order] diag(s))."""
-        with self._lock:
-            if self._formed is None:
-                assert self._factors is not None and self._order is not None
-                self._formed = _signed_vectors(self._factors, self._order)
-                self._factors = self._order = None
-            return self._formed
-
-    def __getstate__(self) -> Tuple[FloatArray, FloatArray]:
-        return self.get()
-
-    def __setstate__(self, formed: Tuple[FloatArray, FloatArray]) -> None:
-        self.__init__(None, None)  # type: ignore[arg-type]
-        self._formed = formed
+    basis = _Basis(K)
+    return basis.eigenvalues / K.shape[0], basis.formed()[0]
 
 
 @dataclass(frozen=True, eq=False)
@@ -274,12 +297,14 @@ class KernelPredictor:
 class KernelModel(KernelPredictor):
     """A fitted RKHS model: the predictor plus the retained spectrum.
 
-    ``left_vectors`` and ``theta_hat`` are formed on first read, which
-    costs the back-transformation the fit skipped (0.33 s at 2000 x 2000
-    on 2 cores; see ``_Basis``); until then the model holds 1.5 n^2 floats
-    of factors.  The private fields are not part of the repr.  A model,
-    like every result object, compares and hashes by identity: its fields
-    are arrays.
+    It reads V through its ``_Basis`` (see the read contract there):
+    ``left_vectors`` and ``theta_hat`` form V on first read, which costs
+    the back-transformation the fit skipped (0.33 s at 2000 x 2000 on
+    2 cores), while ``in_sample_fit`` and ``kernel_in_sample_error`` read
+    an unread model on its factors at O(n^2).  Until V is formed the model
+    holds 1.5 n^2 floats of factors.  The private fields are not part of
+    the repr.  A model, like every result object, compares and hashes by
+    identity: its fields are arrays.
     """
 
     eigenvalues: FloatArray
@@ -294,11 +319,11 @@ class KernelModel(KernelPredictor):
 
     @property
     def left_vectors(self) -> FloatArray:
-        return self._basis.get()[0]
+        return self._basis.formed()[0]
 
     @property
     def theta_hat(self) -> FloatArray:
-        return self._basis.get()[1] * self._theta
+        return self._basis.formed()[1] * self._theta
 
 
 def fit_kernel_gct(
@@ -319,13 +344,13 @@ def fit_kernel_gct(
     The spectrum comes from K itself, whose eigenvalues are then divided by
     n, with the floor and checks of ``kernel_canonicalize``.  K, which
     ``gram`` builds exactly symmetric in one n^2 array, is factored in its
-    own buffer as K = Q Z diag(w) Z^T Q^T (``_blas.eigh_factors``), and V
-    is never formed: V^T Y is Z^T (Q^T Y) and V c is Q (Z c), four products
-    of O(n^2) each where forming V costs 2 n^3 flops.  Soft and hard
-    thresholding are odd maps, so the column signs of V cancel out of
-    alpha; a custom rule's map need not be odd, so its fit forms V first
-    and shrinks in V's signs, paying what reading ``left_vectors`` costs,
-    and reads alpha from the formed vectors as (Q Z) c.
+    own buffer by ``_Basis``, and V^T Y and V c are read as its read
+    contract says: on the factors, four products of O(n^2) each where
+    forming V costs 2 n^3 flops.  Soft and hard thresholding are odd maps,
+    so the column signs of V cancel out of alpha and a soft or hard fit
+    never forms V; a custom rule's map need not be odd, so its fit forms V
+    to shrink in V's signs, paying what reading ``left_vectors`` costs,
+    and its alpha is then read from the formed vectors.
 
     Cost: the reduction and the tridiagonal eigensolver, 0.53-0.60 s at
     2000 x 2000 on 2 cores, where ``eigh`` took 0.82-0.93 s.  Memory: the
@@ -350,22 +375,15 @@ def fit_kernel_gct(
         response_mean = float(Y.mean())
         Y = Y - response_mean
 
-    factors, order = _factor(gram(points, spec))
-    eig = factors.eigenvalues[order] / n
+    basis = _Basis(gram(points, spec))
+    eig = basis.eigenvalues / n
     root_n = math.sqrt(n)
-    basis = _Basis(factors, order)
-    # theta and alpha in the unsigned basis Q Z[:, order]
-    projection = factors.vectors.T @ factors.apply(np.array(Y), transpose=True)
-    theta_ls = projection[order] / root_n
-    # soft and hard are odd maps; a custom map is applied in V's own signs
-    custom = config.rule.kind is RuleKind.CUSTOM
-    signs = basis.get()[1] if custom else 1.0
+    # theta and alpha in the unsigned basis; a custom map, which need not
+    # be odd, is applied in V's own signs
+    theta_ls = basis.project(Y) / root_n
+    signs = basis.formed()[1] if config.rule.kind is RuleKind.CUSTOM else 1.0
     theta_hat = signs * _shrink(eig, signs * theta_ls, config.rule, config.tau, config.phi)
-    coeffs = np.zeros(n)
-    coeffs[order] = theta_hat / eig
-    # once V is formed, Z's buffer holds Q Z
-    alpha = factors.vectors @ coeffs if custom else factors.apply(factors.vectors @ coeffs)
-    alpha /= root_n
+    alpha = basis.expand(theta_hat / eig) / root_n
     return KernelModel(
         training_points=points,
         dual_coeffs=alpha,
@@ -399,9 +417,14 @@ def predict_kernel_batch(model: KernelPredictor, X: FloatArray) -> FloatArray:
 
 
 def in_sample_fit(model: KernelModel) -> FloatArray:
-    """Fitted values at the training points, sqrt(n) V theta_hat."""
-    n = model.training_points.shape[0]
-    values = math.sqrt(n) * model.left_vectors @ model.theta_hat
+    """Fitted values at the training points, sqrt(n) V theta_hat.
+
+    They are read through the model's ``_Basis`` (see its read contract):
+    on a model whose vectors were never read, one O(n^2) product on the
+    factors that forms nothing; after the first read, from the formed
+    vectors.  The two agree to within 32 n eps times the norm of the fit.
+    """
+    values = math.sqrt(model.training_points.shape[0]) * model._basis.expand(model._theta)
     if model.response_mean is not None:
         values = values + model.response_mean
     return values
@@ -420,39 +443,45 @@ def kernel_in_sample_error(
     """Average squared in-sample error against true function values.
 
     The total splits exactly into the canonical-coefficient distance plus
-    the part of f outside the retained spectral span.
+    the part of f outside the retained spectral span.  A non-finite entry
+    of f is a ValueError that names its index.  V is read through the
+    model's ``_Basis`` (see its read contract), three O(n^2) products on
+    an unread model's factors; each part agrees with the one read from the
+    formed vectors to within 32 n eps (|f| + |fit|)^2 / n, with f and the
+    fit centered when the model is.
     """
     f = np.asarray(f_true_values, dtype=np.float64)
     n = model.training_points.shape[0]
     if f.shape != (n,):
         raise ValueError(f"f_true_values must have length {n}, got {f.shape}")
+    _finite("f_true_values", f)
     if model.response_mean is not None:
         f = f - model.response_mean
-    fitted = math.sqrt(n) * model.left_vectors @ model.theta_hat
-    total = float(np.sum((fitted - f) ** 2)) / n
-    theta_true = model.left_vectors.T @ f / math.sqrt(n)
-    canonical = float(np.sum((model.theta_hat - theta_true) ** 2))
-    projection = math.sqrt(n) * model.left_vectors @ theta_true
-    outside = float(np.sum((f - projection) ** 2)) / n
+    # theta_hat and the true coefficients in the unsigned basis, whose
+    # signs cancel from every part
+    root_n = math.sqrt(n)
+    total = float(np.sum((root_n * model._basis.expand(model._theta) - f) ** 2)) / n
+    theta_true = model._basis.project(f) / root_n
+    canonical = float(np.sum((model._theta - theta_true) ** 2))
+    outside = float(np.sum((f - root_n * model._basis.expand(theta_true)) ** 2)) / n
     return InSampleError(total=total, canonical=canonical, outside_span=outside)
 
 
 def kernel_effective_dimension(K: FloatArray, f_values: FloatArray, q: float) -> float:
     """Joint effective dimension || V^T f / ||f||_2 ||_q^q of a kernel problem.
 
-    V^T f is read from the factors of an F-order copy of K as Z^T (Q^T f),
-    as the fit reads V^T Y: no V is formed.  The q-norm does not depend on
-    the signs of V's columns.  K is checked as ``kernel_canonicalize``
-    checks it.
+    V^T f is read through the ``_Basis`` of an F-order copy of K, on its
+    factors: no V is formed.  The q-norm does not depend on the signs of
+    V's columns.  K is checked as ``kernel_canonicalize`` checks it, and a
+    non-finite entry of f is a ValueError that names its index.
     """
     _real("q", q, 0, 2, "[]")
     f = np.asarray(f_values, dtype=np.float64)
+    _finite("f_values", f)
     norm = float(np.linalg.norm(f))
     if norm <= 0:
-        raise ValueError("f must be nonzero")
+        raise ValueError("f_values must be nonzero")
     K = _symmetric_copy(K)
     if f.shape != (K.shape[0],):
         raise ValueError(f"f_values must have length {K.shape[0]}, got {f.shape}")
-    factors, order = _factor(K)
-    projection = factors.vectors.T @ factors.apply(np.array(f), transpose=True)
-    return joint_effective_dimension(projection[order] / norm, 1.0, q)
+    return joint_effective_dimension(_Basis(K).project(f) / norm, 1.0, q)

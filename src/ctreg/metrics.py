@@ -65,6 +65,14 @@ def snr(beta: FloatArray, covariance: FloatArray, sigma: float) -> float:
     _real("sigma", sigma, 0, math.inf, "()")
     beta = np.asarray(beta, dtype=np.float64)
     covariance = np.asarray(covariance, dtype=np.float64)
+    if beta.ndim != 1:
+        raise ValueError(f"beta must be 1-D, got shape {beta.shape}")
+    if covariance.shape != 2 * beta.shape:
+        raise ValueError(
+            f"covariance must be of shape {2 * beta.shape}, got {covariance.shape}"
+        )
+    _finite("beta", beta)
+    _finite("covariance", covariance)
     return math.sqrt(max(float(beta @ covariance @ beta), 0.0)) / sigma
 
 
@@ -100,6 +108,7 @@ def joint_effective_dimension(
     _real("q", q, 0, 2, "[]")
     _real("theta_full_norm", theta_full_norm, 0, math.inf, "()")
     theta_scaled = np.asarray(theta_scaled, dtype=np.float64)
+    _finite("theta_scaled", theta_scaled)
     return _lq_pseudo_norm(theta_scaled, q) / theta_full_norm**q
 
 

@@ -53,7 +53,7 @@ from .canonical import (
     _memoized,
     _products,
 )
-from .errors import ZeroDesignError, _grid, _integer, _real
+from .errors import ZeroDesignError, _finite, _grid, _integer, _real
 from .estimators import _shrink
 from .thresholding import RuleKind, SOFT_RULE, ThresholdRule
 
@@ -109,9 +109,11 @@ def breakpoints(
     Returns {0} united with the weighted magnitudes lam_j^(phi/2)|theta_j|;
     at and above the maximum the soft-rule estimator is identically zero.
     """
+    _real("phi", phi, 0, math.inf, "[)")
     theta_ls = np.asarray(theta_ls, dtype=np.float64)
     if theta_ls.shape != (dec.rank,):
-        raise ValueError("theta length must equal decomposition rank")
+        raise ValueError(f"theta_ls must be of shape {(dec.rank,)}, got {theta_ls.shape}")
+    _finite("theta_ls", theta_ls)
     return _breakpoints(_magnitudes(dec.eigenvalues, theta_ls, phi))
 
 

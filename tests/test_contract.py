@@ -28,6 +28,7 @@ from ctreg import (
     SpikedHead,
     SpikedTailRandom,
     apply_rule,
+    breakpoints,
     check_rule,
     cv_error_at,
     default_tau,
@@ -37,10 +38,14 @@ from ctreg import (
     fit_pcr,
     fit_ridge,
     fold_assignment,
+    gram,
     grid_cv_oracle,
     hard,
     joint_cv,
     joint_effective_dimension,
+    kernel_canonicalize,
+    kernel_effective_dimension,
+    kernel_in_sample_error,
     kfold_cv,
     kfold_cv_pcr,
     kfold_cv_ridge,
@@ -62,6 +67,19 @@ Y_NAN = np.where(np.arange(12) == 4, math.nan, Y)
 DEC = canonical.canonicalize(Dataset(X, Y))
 COEFFICIENTS = ([1.0, 0.0, 2.0, 0.5, -1.0],)
 BAD_COEFFICIENTS = ([1.0, math.nan, 2.0, 0.5, -1.0], [1.0, 0.0, 2.0, 0.5, -math.inf])
+# a kernel matrix, and a model fitted outside every call, whose in-sample
+# reads decompose nothing
+RBF = KernelSpec("rbf", gamma=0.5)
+K = gram(X, RBF)
+K_BAD = (
+    np.where(np.eye(12) > 0, math.nan, K),
+    np.where(np.arange(12) == 3, math.inf, K),
+    K[:5],
+    K[0, 0],
+    K + np.triu(np.ones((12, 12)), 1),
+)
+KERNEL_MODEL = fit_kernel_gct(X, Y, RBF, GctConfig(0.1))
+Y_BAD = (Y_NAN, np.where(np.arange(12) == 7, -math.inf, Y))
 
 BAD = ("a", None, math.nan, math.inf, -math.inf, 2.5, -1)
 BAD_COUNTS = BAD + (3.0, "3", 13)  # 13 folds are more than the 12 rows
@@ -149,16 +167,26 @@ TABLE: Dict[str, Tuple[Callable[..., Any], Dict[str, Param]]] = {
         },
     ),
     "snr": (
-        lambda ds, sigma: snr(np.ones(2), np.eye(2), sigma),
-        {"sigma": Param((0.5, 2.0), BAD)},
+        lambda ds, **args: snr(**args),
+        {
+            "beta": Param((np.ones(2),), ([1.0, math.nan], np.ones((2, 2)))),
+            "covariance": Param(
+                (np.eye(2),), (np.eye(3), np.ones(2), [[1.0, 0.0], [0.0, math.inf]])
+            ),
+            "sigma": Param((0.5, 2.0), BAD),
+        },
     ),
     "effective_rank": (
         lambda ds, Sigma: effective_rank(Sigma),
         {"Sigma": Param(([2.0, 1.0], np.eye(2)), ([math.nan, 1.0], [[1.0, math.inf]]))},
     ),
     "joint_effective_dimension": (
-        lambda ds, **args: joint_effective_dimension([0.5, 0.1], **args),
-        {"theta_full_norm": Param((1.0,), BAD), "q": Param((0.0, 1.0, 2.0), BAD)},
+        lambda ds, **args: joint_effective_dimension(**args),
+        {
+            "theta_scaled": Param(([0.5, 0.1],), ([0.5, math.nan], [-math.inf])),
+            "theta_full_norm": Param((1.0,), BAD),
+            "q": Param((0.0, 1.0, 2.0), BAD),
+        },
     ),
     "pe_random": (
         lambda ds, **args: pe_random(**args),
@@ -218,6 +246,23 @@ TABLE: Dict[str, Tuple[Callable[..., Any], Dict[str, Param]]] = {
             "gamma": Param((0.5,), BAD, "KernelSpec.gamma"),
             "tau": Param((0.0, 0.1), BAD, "GctConfig.tau"),
         },
+    ),
+    "kernel_canonicalize": (lambda ds, K: kernel_canonicalize(K), {"K": Param((K,), K_BAD)}),
+    "kernel_effective_dimension": (
+        lambda ds, **args: kernel_effective_dimension(**args),
+        {
+            "K": Param((K,), K_BAD),
+            "f_values": Param((Y,), Y_BAD + (np.zeros(12),)),
+            "q": Param((0.0, 1.0, 2.0), BAD),
+        },
+    ),
+    "kernel_in_sample_error": (
+        lambda ds, f_true_values: kernel_in_sample_error(KERNEL_MODEL, f_true_values),
+        {"f_true_values": Param((Y,), Y_BAD)},
+    ),
+    "breakpoints": (
+        lambda ds, **args: breakpoints(DEC, **args),
+        {"theta_ls": Param(COEFFICIENTS, BAD_COEFFICIENTS + (np.ones(4),)), "phi": PHI},
     ),
     "fold_assignment": (
         lambda ds, **args: fold_assignment(**args),
@@ -329,6 +374,22 @@ NAMED_PROBES = {
     "mse_fixed(beta_hat=nan)": case("mse_fixed", beta_hat=BAD_COEFFICIENTS[0]),
     "mse_fixed(beta=-inf)": case("mse_fixed", beta=BAD_COEFFICIENTS[1]),
     "fit_pcr(m=13)": case("fit_pcr", m=13),
+    # once accepted, or rejected only by LAPACK, by numpy's message or by an IndexError
+    "kernel_canonicalize(K=nan)": case("kernel_canonicalize", K=K_BAD[0]),
+    "kernel_canonicalize(K=inf)": case("kernel_canonicalize", K=K_BAD[1]),
+    "kernel_canonicalize(K=K[0, 0])": case("kernel_canonicalize", K=K_BAD[3]),
+    "kernel_effective_dimension(f_values=nan)": case(
+        "kernel_effective_dimension", f_values=Y_NAN
+    ),
+    "kernel_in_sample_error(f_true_values=nan)": case(
+        "kernel_in_sample_error", f_true_values=Y_NAN
+    ),
+    "breakpoints(phi=-1)": case("breakpoints", phi=-1),
+    "breakpoints(theta_ls=nan)": case("breakpoints", theta_ls=BAD_COEFFICIENTS[0]),
+    "snr(beta=nan)": case("snr", beta=np.array([1.0, math.nan])),
+    "joint_effective_dimension(theta_scaled=nan)": case(
+        "joint_effective_dimension", theta_scaled=[0.5, math.nan]
+    ),
     # shape errors, each once named for the wrong argument or for neither
     "mse_fixed(beta_hat=ones(3), beta=zeros(4))": case(
         "mse_fixed", beta_hat=np.ones(3), beta=np.zeros(4)
@@ -338,6 +399,8 @@ NAMED_PROBES = {
         "pe_random", beta_hat=np.ones((2, 2)), beta=np.zeros((2, 2)), Sigma=np.eye(2)
     ),
     "pe_random(beta=zeros(4))": case("pe_random", beta=np.zeros(4)),
+    "snr(covariance=eye(3))": case("snr", covariance=np.eye(3)),
+    "breakpoints(theta_ls=ones(4))": case("breakpoints", theta_ls=np.ones(4)),
 }
 # the argument that each shape probe's message must name
 SHAPE_PROBES = {
@@ -345,6 +408,8 @@ SHAPE_PROBES = {
     "mse_fixed(beta=zeros(4))": "beta",
     "pe_random(beta_hat=ones((2, 2)), beta=zeros((2, 2)))": "beta_hat",
     "pe_random(beta=zeros(4))": "beta",
+    "snr(covariance=eye(3))": "covariance",
+    "breakpoints(theta_ls=ones(4))": "theta_ls",
 }
 PROBES = PROBED + list(NAMED_PROBES.values())
 PROBE_IDS = [name for name, _ in PROBED] + list(NAMED_PROBES)

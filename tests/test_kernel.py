@@ -602,6 +602,41 @@ def _spy_on_form(monkeypatch, delay=0.0):
     return shapes
 
 
+def _in_sample_reads(model, f):
+    """(in_sample_fit, the three kernel_in_sample_error parts) of a model."""
+    error = kernel_in_sample_error(model, f)
+    return in_sample_fit(model), (error.total, error.canonical, error.outside_span)
+
+
+def _formed_reads(model, f):
+    """The in-sample reads computed here from the formed vectors."""
+    n = model.training_points.shape[0]
+    vec, theta_hat = model.left_vectors, model.theta_hat
+    mean = model.response_mean or 0.0
+    fitted = math.sqrt(n) * (vec @ theta_hat)
+    theta_true = vec.T @ (f - mean) / math.sqrt(n)
+    projection = math.sqrt(n) * (vec @ theta_true)
+    parts = (
+        float(np.sum((fitted - (f - mean)) ** 2)) / n,
+        float(np.sum((theta_hat - theta_true) ** 2)),
+        float(np.sum((f - mean - projection) ** 2)) / n,
+    )
+    return fitted + mean, parts
+
+
+def _assert_reads_close(actual, expected, model, f):
+    """Within the bounds that in_sample_fit and kernel_in_sample_error
+    state: 32 n eps |fit| for the fit, and 32 n eps (|f| + |fit|)^2 / n
+    for each part of the error, with f and the fit centered."""
+    n = model.training_points.shape[0]
+    mean = model.response_mean or 0.0
+    fit_norm = np.linalg.norm(expected[0] - mean)
+    assert np.linalg.norm(actual[0] - expected[0]) <= 32 * n * EPS * fit_norm
+    scale = (np.linalg.norm(f - mean) + fit_norm) ** 2 / n
+    for part, expected_part in zip(actual[1], expected[1]):
+        assert abs(part - expected_part) <= 32 * n * EPS * scale, (part, expected_part)
+
+
 class TestFactoredFit:
     """The fit reads V only through K's tridiagonal factors: Q^T Y, Z^T,
     Z c and Q; V is formed once, when it is first read."""
@@ -635,17 +670,25 @@ class TestFactoredFit:
 
     def test_signed_vectors_are_formed_once_on_first_read(self, monkeypatch):
         X, Y = _factored_problem()
-        model = fit_kernel_gct(X, Y, RBF, GctConfig(tau=0.01))
+        config = GctConfig(tau=0.01)
+        serial = in_sample_fit(fit_kernel_gct(X, Y, RBF, config))
+        model = fit_kernel_gct(X, Y, RBF, config)
         shapes = _spy_on_form(monkeypatch, delay=0.05)
-        readers = 4  # more than the cores of a 2-core machine
-        barrier = threading.Barrier(readers, timeout=10)
-        reads = []
+        readers = 4  # of each kind, more than the cores of a 2-core machine
+        barrier = threading.Barrier(2 * readers, timeout=10)
+        reads, fits = [], []
 
         def read():
             barrier.wait()
             reads.append(model.left_vectors)
 
+        def read_fit():
+            # on the factors, or on V, as the other readers leave it
+            barrier.wait()
+            fits.append(in_sample_fit(model))
+
         threads = [threading.Thread(target=read) for _ in range(readers)]
+        threads += [threading.Thread(target=read_fit) for _ in range(readers)]
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
@@ -657,8 +700,10 @@ class TestFactoredFit:
             sys.setswitchinterval(interval)
         assert not any(thread.is_alive() for thread in threads)
         assert shapes == [(300, 300)]
-        assert len(reads) == readers
+        assert len(reads) == len(fits) == readers
         assert all(read is model.left_vectors for read in reads)
+        for fit in fits:
+            assert np.linalg.norm(fit - serial) <= 32 * 300 * EPS * np.linalg.norm(serial)
         model.theta_hat  # reads the formed signs
         assert shapes == [(300, 300)]
         # each column's largest-magnitude entry is positive
@@ -680,11 +725,43 @@ class TestFactoredFit:
         model = fit_kernel_gct(X, Y, RBF, GctConfig(tau=0.01, phi=1.0), center_response=True)
         if read_first:
             model.left_vectors  # forms V before the pickle does
+        f = np.cos(X[:, 1])
+        before = _in_sample_reads(model, f)
         copy = pickle.loads(pickle.dumps(model))
         for name in ("dual_coeffs", "eigenvalues", "left_vectors", "theta_hat"):
             assert np.array_equal(getattr(copy, name), getattr(model, name)), name
+        # the pickle forms V, so both now read it; an unread model read the
+        # factors before
+        reads = _in_sample_reads(copy, f)
+        assert np.array_equal(reads[0], in_sample_fit(model))
+        assert reads[1] == _in_sample_reads(model, f)[1]
+        _assert_reads_close(reads, before, model, f)
         assert copy.response_mean == model.response_mean and copy.config == model.config
         assert np.array_equal(predict_kernel_batch(copy, X[:7]), predict_kernel_batch(model, X[:7]))
+
+    def test_in_sample_reads_of_an_unread_model_form_nothing(self, monkeypatch):
+        formed = _spy_on_form(monkeypatch)
+        X, Y = _factored_problem()
+        for rule in (SOFT_RULE, HARD_RULE):
+            model = fit_kernel_gct(X, Y, RBF, GctConfig(tau=0.01, phi=1.0, rule=rule))
+            _in_sample_reads(model, np.cos(X[:, 1]))
+        assert formed == []
+
+    @pytest.mark.parametrize("route", ["factors", "eigh"])
+    @pytest.mark.parametrize("rule", RULES, ids=RULE_IDS)
+    def test_in_sample_reads_agree_with_the_formed_vectors(self, monkeypatch, rule, route):
+        # a soft or hard model is read on its factors first, then on V; a
+        # custom rule's fit has formed V already
+        if route == "eigh":
+            monkeypatch.setattr(_blas, "tridiagonal_solver", lambda: None)
+        X, Y = _factored_problem()
+        f = np.cos(X[:, 1]) + 0.3 * X[:, 2]
+        config = GctConfig(tau=0.01, phi=1.0, rule=rule)
+        model = fit_kernel_gct(X, Y, RBF, config, center_response=True)
+        unread = _in_sample_reads(model, f)
+        expected = _formed_reads(model, f)
+        _assert_reads_close(unread, expected, model, f)
+        _assert_reads_close(_in_sample_reads(model, f), expected, model, f)
 
     @pytest.mark.parametrize("rule", RULES, ids=RULE_IDS)
     def test_fallback_agrees_within_roundoff(self, monkeypatch, rule):

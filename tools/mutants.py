@@ -296,8 +296,8 @@ MUTANTS = (
     Mutant(
         "kernel PSD check dropped",
         "src/ctreg/kernel.py",
-        "if order.size == 0 or eig[0] < -KERNEL_RANK_REL_TOL * eig[-1]:",
-        "if order.size == 0:",
+        "if self.order.size == 0 or eig[0] < -KERNEL_RANK_REL_TOL * eig[-1]:",
+        "if self.order.size == 0:",
         ("tests/test_kernel.py",),
     ),
     Mutant(
@@ -371,8 +371,9 @@ MUTANTS = (
     Mutant(
         "model keeps the unpacked reflectors",
         "src/ctreg/kernel.py",
-        "    basis = _Basis(factors, order)\n",
-        "    basis = _Basis(factors, order)\n    basis.reflectors = factors._unpacked()\n",
+        "        self._factors: Optional[EighFactors] = factors\n",
+        "        self._factors: Optional[EighFactors] = factors\n"
+        "        self.reflectors = factors._unpacked()\n",
         ("tests/test_kernel.py::TestResidentPeak::test_predict_while_the_model_is_alive",),
     ),
     Mutant(
@@ -410,12 +411,12 @@ MUTANTS = (
         "",
         ("tests/test_kernel.py::TestGram",),
     ),
-    # the kernel fit from the tridiagonal factors, and its lazily formed vectors
+    # every read of V through _Basis: on the factors, then on the lazily formed vectors
     Mutant(
         "Q^T skipped: theta from Z^T Y",
         "src/ctreg/kernel.py",
-        "factors.apply(np.array(Y), transpose=True)",
-        "np.array(Y)",
+        "factors.apply(np.array(f), transpose=True)",
+        "np.array(f)",
         ("tests/test_kernel.py::TestFitMatchesScaledRoute",),
     ),
     Mutant(
@@ -428,25 +429,52 @@ MUTANTS = (
     Mutant(
         "pivot signs skipped on the lazily formed vectors",
         "src/ctreg/kernel.py",
-        "    signs = _pivot_signs(vec)\n",
-        "    signs = np.ones(vec.shape[1])\n",
+        "                signs = _pivot_signs(vec)\n",
+        "                signs = np.ones(vec.shape[1])\n",
         ("tests/test_kernel.py::TestFactoredFit",),
     ),
     Mutant(
         "custom rule shrunk in the unsigned basis",
         "src/ctreg/kernel.py",
-        "signs = basis.get()[1] if custom else 1.0",
-        "signs = basis.get()[1] ** 2 if custom else 1.0",
+        "signs = basis.formed()[1] if",
+        "signs = basis.formed()[1] ** 2 if",
         ("tests/test_kernel.py::TestFitMatchesScaledRoute",),
     ),
     Mutant(
         "lazy vectors formed without the lock",
         "src/ctreg/kernel.py",
-        "        with self._lock:\n            if self._formed is None:\n",
-        "        if True:\n            if self._formed is None:\n",
+        '"""(V, s), formed on the first call."""\n        with self._lock:\n',
+        '"""(V, s), formed on the first call."""\n        if True:\n',
         (
             "tests/test_kernel.py::TestFactoredFit::"
             "test_signed_vectors_are_formed_once_on_first_read",
+        ),
+    ),
+    Mutant(
+        "formed-mode project drops the signs",
+        "src/ctreg/kernel.py",
+        "return signs * (vec.T @ f)",
+        "return vec.T @ f",
+        (
+            "tests/test_kernel.py::TestFactoredFit::"
+            "test_in_sample_reads_agree_with_the_formed_vectors",
+        ),
+    ),
+    Mutant(
+        "expand scatters without order",
+        "src/ctreg/kernel.py",
+        "full[self.order] = c",
+        "full[: c.size] = c",
+        ("tests/test_kernel.py::TestFitMatchesScaledRoute",),
+    ),
+    Mutant(
+        "in_sample_fit expands the signed theta_hat",
+        "src/ctreg/kernel.py",
+        "model._basis.expand(model._theta)\n",
+        "model._basis.expand(model.theta_hat)\n",
+        (
+            "tests/test_kernel.py::TestFactoredFit::"
+            "test_in_sample_reads_of_an_unread_model_form_nothing",
         ),
     ),
     Mutant(

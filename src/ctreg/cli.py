@@ -434,9 +434,25 @@ _MODEL_KINDS = {
 }
 
 
-def _fit_gct(args: argparse.Namespace, dataset: Dataset, phi: float) -> FitResult:
-    if args.tau is not None and args.tau_auto is not None:
+# the domains of --tau-auto's sigma, delta and alpha (see default_tau)
+_TAU_AUTO_DOMAINS = ((0, math.inf, "[)"), (0, 1, "()"), (0, 2, "(]"))
+
+
+def _check_gct_flags(args: argparse.Namespace, phi: bool) -> None:
+    """Check the --tau and --tau-auto values, and --phi if ``phi``, that a
+    GCT fit reads, under the flags' names, before any CSV is read."""
+    tau_auto = getattr(args, "tau_auto", None)
+    if args.tau is not None and tau_auto is not None:
         raise UsageError("--tau and --tau-auto are mutually exclusive")
+    if args.tau is not None:
+        _real("--tau", args.tau, 0, math.inf, "[]")
+    for i, (value, domain) in enumerate(zip(tau_auto or (), _TAU_AUTO_DOMAINS)):
+        _real(f"--tau-auto[{i}]", value, *domain)
+    if phi:
+        _real("--phi", args.phi, 0, math.inf, "[)")
+
+
+def _fit_gct(args: argparse.Namespace, dataset: Dataset, phi: float) -> FitResult:
     tau = 0.0 if args.tau is None else args.tau
     if args.tau_auto is not None:
         sigma, delta, alpha = args.tau_auto
@@ -462,6 +478,8 @@ def cmd_fit(args: argparse.Namespace) -> int:
     name, values = _named(
         "--method", args.method, methods, lambda name, **values: (name, values)
     )
+    if name in ("nct", "gct"):
+        _check_gct_flags(args, phi=name == "gct")
     check_writable(args.output)
     X, Y = load_dataset(args.input, args.response)
     X, Y, offsets = _center(X, Y, not args.no_center)
@@ -522,6 +540,7 @@ def cmd_predict(args: argparse.Namespace) -> int:
 
 def cmd_kernel_fit(args: argparse.Namespace) -> int:
     spec = _named("--kernel", args.kernel, KERNEL_PARAMS, KernelSpec)
+    _check_gct_flags(args, phi=True)
     check_writable(args.output)
     X, Y = load_dataset(args.input, args.response)
     config = GctConfig(tau=args.tau, phi=args.phi, rule=_RULES[args.rule])

@@ -15,18 +15,25 @@ below make every such check:
 - ``_real``: a real number (numpy's too), not NaN, inside an interval,
   returned unchanged (so an int stays an int in a model file or a scenario
   hash);
-- ``_finite``: an array with no NaN or infinite entry;
+- ``_array``: an array argument, read with ``np.asarray(value,
+  dtype=np.float64)`` (so a float64 array keeps its memory order and
+  bits), of a given shape and, unless the caller skips the scan, with no
+  NaN or infinite entry;
 - ``_grid``: a nonempty 1-D grid whose entries each pass ``_real``.
 
-Array lengths and shapes that must match each other are checked where
-they are used, with messages that name the array.
+An array's messages are ``<name> must be a real array, got <value>``
+(for text, a ragged nest or anything else numpy cannot read as floats),
+``<name> must be of shape (12,), got (11,)`` and ``<name> must be finite,
+got nan at index (4,)``.  A free axis is written as a letter, as in
+``(m, 5)``: it takes any size of at least 1, the same size wherever the
+letter repeats.
 """
 
 from __future__ import annotations
 
 import numbers
 import operator
-from typing import Any
+from typing import Any, Dict, Optional, Tuple, Union
 
 import numpy as np
 from numpy.typing import ArrayLike, NDArray
@@ -79,14 +86,37 @@ def _real(name: str, value: Any, low: float, high: float, ends: str) -> None:
         )
 
 
-def _finite(name: str, values: NDArray[np.float64]) -> None:
-    """Check that an array has no NaN or infinite entry; the message gives
-    the first such entry and its index."""
-    if not np.all(np.isfinite(values)):
-        index = tuple(int(i) for i in np.argwhere(~np.isfinite(values))[0])
-        raise ValueError(
-            f"{name} must be finite, got {float(values[index])!r} at index {index}"
+def _array(
+    name: str,
+    value: ArrayLike,
+    shape: Optional[Tuple[Union[int, str], ...]] = None,
+    *,
+    scan: bool = True,
+    copy: bool = False,
+) -> NDArray[np.float64]:
+    """``value`` as a float64 array, a new one if ``copy``, checked to have
+    ``shape`` (any shape if None; a str axis is free, see above) and, if
+    ``scan``, only finite entries; the message gives the first NaN or
+    infinite entry and its index."""
+    try:
+        array = (np.array if copy else np.asarray)(value, dtype=np.float64)
+    except (TypeError, ValueError):  # text, a ragged nest, an object
+        raise ValueError(f"{name} must be a real array, got {value!r:.80}") from None
+    if shape is not None:
+        free: Dict[str, int] = {}  # each letter's size, from its first axis
+        sizes = tuple(
+            free.setdefault(axis, size) if isinstance(axis, str) else axis
+            for axis, size in zip(shape, array.shape)
         )
+        if len(shape) != array.ndim or sizes != array.shape or 0 in sizes:
+            axes = ", ".join(map(str, shape)) + ("," if len(shape) == 1 else "")
+            raise ValueError(f"{name} must be of shape ({axes}), got {array.shape}")
+    if scan and not np.all(np.isfinite(array)):
+        index = tuple(int(i) for i in np.argwhere(~np.isfinite(array))[0])
+        raise ValueError(
+            f"{name} must be finite, got {float(array[index])!r} at index {index}"
+        )
+    return array
 
 
 def _grid(

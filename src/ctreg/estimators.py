@@ -21,7 +21,7 @@ from .canonical import (
     canonicalize,
     to_beta,
 )
-from .errors import _integer, _real
+from .errors import _array, _integer, _real
 from .metrics import threshold_scale
 from .thresholding import SOFT_RULE, ThresholdRule, apply_rule
 
@@ -144,11 +144,7 @@ def predict(fit: FitResult, Xnew: FloatArray) -> FloatArray:
     meet or an infinity meets a zero coefficient.  Every other row is
     predicted as if that row were finite.
     """
-    Xnew = np.asarray(Xnew, dtype=np.float64)
-    if Xnew.ndim != 2 or Xnew.shape[1] != fit.beta.shape[0]:
-        raise ValueError(
-            f"Xnew must have {fit.beta.shape[0]} columns, got shape {Xnew.shape}"
-        )
+    Xnew = _array("Xnew", Xnew, ("m", fit.beta.shape[0]), scan=False)
     return Xnew @ fit.beta
 
 

@@ -33,7 +33,7 @@ from .canonical import _pivot_signs, _retained
 from .errors import (
     NotPositiveSemidefiniteError,
     ZeroDesignError,
-    _finite,
+    _array,
     _integer,
     _real,
 )
@@ -135,10 +135,7 @@ def gram(points: FloatArray, spec: KernelSpec) -> FloatArray:
     It is built and symmetrized in its one n^2 buffer (see ``_cross_gram``
     and ``_symmetrize``); the peak beyond it is _BLOCK rows of temporaries.
     """
-    points = np.asarray(points, dtype=np.float64)
-    if points.ndim != 2 or points.shape[0] < 1:
-        raise ValueError("points must be a nonempty 2-D array")
-    _finite("points", points)
+    points = _array("points", points, ("n", "p"))
     K = _cross_gram(spec, points, points)
     # max and min carry any NaN or infinity, with no n^2 temporary
     if not (np.isfinite(K.max()) and np.isfinite(K.min())):
@@ -150,10 +147,7 @@ def gram(points: FloatArray, spec: KernelSpec) -> FloatArray:
 def _symmetric_copy(K: FloatArray) -> FloatArray:
     """An F-order float64 copy of a caller's kernel matrix, checked finite,
     square and symmetric within the tolerance."""
-    K = np.array(K, dtype=np.float64, order="F")
-    _finite("K", K)
-    if K.ndim != 2 or K.shape[0] != K.shape[1]:
-        raise ValueError(f"K must be square, got shape {K.shape}")
+    K = np.array(_array("K", K, ("n", "n")), order="F")
     # exact symmetry (what ``gram`` returns) implies the tolerance check
     if not np.array_equal(K, K.T) and not np.allclose(
         K, K.T, atol=1e-10 * max(1.0, float(np.abs(K).max()))
@@ -364,12 +358,9 @@ def fit_kernel_gct(
     built from the formed vectors to within roundoff, about
     eps * lambda_max / lambda_min relative (see ``canonicalize``).
     """
-    points = np.asarray(points, dtype=np.float64)
-    Y = np.asarray(Y, dtype=np.float64)
+    points = _array("points", points, ("n", "p"))
     n = points.shape[0]
-    if Y.shape != (n,):
-        raise ValueError(f"response must have length {n}, got {Y.shape}")
-    _finite("response", Y)
+    Y = _array("Y", Y, (n,))
     response_mean = None
     if center_response:
         response_mean = float(Y.mean())
@@ -405,11 +396,7 @@ def predict_kernel_batch(model: KernelPredictor, X: FloatArray) -> FloatArray:
     ("invalid value encountered").  Every other row is predicted as if that
     row were finite.
     """
-    X = np.asarray(X, dtype=np.float64)
-    if X.ndim != 2 or X.shape[1] != model.training_points.shape[1]:
-        raise ValueError(
-            f"points must have {model.training_points.shape[1]} columns"
-        )
+    X = _array("X", X, ("m", model.training_points.shape[1]), scan=False)
     values = _cross_gram(model.kernel, X, model.training_points) @ model.dual_coeffs
     if model.response_mean is not None:
         values = values + model.response_mean
@@ -450,11 +437,8 @@ def kernel_in_sample_error(
     formed vectors to within 32 n eps (|f| + |fit|)^2 / n, with f and the
     fit centered when the model is.
     """
-    f = np.asarray(f_true_values, dtype=np.float64)
     n = model.training_points.shape[0]
-    if f.shape != (n,):
-        raise ValueError(f"f_true_values must have length {n}, got {f.shape}")
-    _finite("f_true_values", f)
+    f = _array("f_true_values", f_true_values, (n,))
     if model.response_mean is not None:
         f = f - model.response_mean
     # theta_hat and the true coefficients in the unsigned basis, whose
@@ -476,12 +460,9 @@ def kernel_effective_dimension(K: FloatArray, f_values: FloatArray, q: float) ->
     non-finite entry of f is a ValueError that names its index.
     """
     _real("q", q, 0, 2, "[]")
-    f = np.asarray(f_values, dtype=np.float64)
-    _finite("f_values", f)
+    K = _symmetric_copy(K)
+    f = _array("f_values", f_values, (K.shape[0],))
     norm = float(np.linalg.norm(f))
     if norm <= 0:
         raise ValueError("f_values must be nonzero")
-    K = _symmetric_copy(K)
-    if f.shape != (K.shape[0],):
-        raise ValueError(f"f_values must have length {K.shape[0]}, got {f.shape}")
     return joint_effective_dimension(_Basis(K).project(f) / norm, 1.0, q)

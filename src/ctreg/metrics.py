@@ -15,7 +15,7 @@ import numpy as np
 from numpy.typing import NDArray
 
 from .canonical import CanonicalDecomposition, to_theta
-from .errors import _finite, _integer, _real
+from .errors import _array, _integer, _real
 
 FloatArray = NDArray[np.float64]
 
@@ -27,32 +27,19 @@ def mse_fixed(
     beta_hat: FloatArray, beta: FloatArray, dec: CanonicalDecomposition
 ) -> float:
     """In-sample error (bhat - b)^T SigmaHat (bhat - b) via the canonical map."""
-    beta_hat = np.asarray(beta_hat, dtype=np.float64)
-    beta = np.asarray(beta, dtype=np.float64)
     d = dec.right_vectors.shape[0]
-    for name, vector in (("beta_hat", beta_hat), ("beta", beta)):
-        if vector.shape != (d,):
-            raise ValueError(f"{name} must be of shape {(d,)}, got {vector.shape}")
-    _finite("beta_hat", beta_hat)
-    _finite("beta", beta)
+    beta_hat = _array("beta_hat", beta_hat, (d,))
+    beta = _array("beta", beta, (d,))
     diff = to_theta(dec, beta_hat - beta)
     return float(diff @ diff)
 
 
 def pe_random(beta_hat: FloatArray, beta: FloatArray, Sigma: FloatArray) -> float:
     """Population prediction error (bhat - b)^T Sigma (bhat - b)."""
-    beta_hat = np.asarray(beta_hat, dtype=np.float64)
-    beta = np.asarray(beta, dtype=np.float64)
-    Sigma = np.asarray(Sigma, dtype=np.float64)
-    if beta_hat.ndim != 1:
-        raise ValueError(f"beta_hat must be 1-D, got shape {beta_hat.shape}")
-    if beta.shape != beta_hat.shape:
-        raise ValueError(f"beta must be of shape {beta_hat.shape}, got {beta.shape}")
-    if Sigma.shape != 2 * beta.shape:
-        raise ValueError(f"Sigma must be of shape {2 * beta.shape}, got {Sigma.shape}")
-    _finite("beta_hat", beta_hat)
-    _finite("beta", beta)
-    _finite("Sigma", Sigma)
+    beta_hat = _array("beta_hat", beta_hat, ("d",))
+    d = beta_hat.shape[0]
+    beta = _array("beta", beta, (d,))
+    Sigma = _array("Sigma", Sigma, (d, d))
     diff = beta_hat - beta
     value = float(diff @ Sigma @ diff)
     if value < -1e-10 * max(1.0, float(np.abs(Sigma).max())):
@@ -63,32 +50,21 @@ def pe_random(beta_hat: FloatArray, beta: FloatArray, Sigma: FloatArray) -> floa
 def snr(beta: FloatArray, covariance: FloatArray, sigma: float) -> float:
     """Signal-to-noise ratio sqrt(beta^T Cov beta) / sigma."""
     _real("sigma", sigma, 0, math.inf, "()")
-    beta = np.asarray(beta, dtype=np.float64)
-    covariance = np.asarray(covariance, dtype=np.float64)
-    if beta.ndim != 1:
-        raise ValueError(f"beta must be 1-D, got shape {beta.shape}")
-    if covariance.shape != 2 * beta.shape:
-        raise ValueError(
-            f"covariance must be of shape {2 * beta.shape}, got {covariance.shape}"
-        )
-    _finite("beta", beta)
-    _finite("covariance", covariance)
+    beta = _array("beta", beta, ("d",))
+    covariance = _array("covariance", covariance, 2 * beta.shape)
     return math.sqrt(max(float(beta @ covariance @ beta), 0.0)) / sigma
 
 
 def effective_rank(Sigma: Union[FloatArray, "np.ndarray"]) -> float:
     """Trace over spectral norm; accepts a PSD matrix or its eigenvalue vector."""
-    Sigma = np.asarray(Sigma, dtype=np.float64)
-    _finite("Sigma", Sigma)
+    Sigma = _array("Sigma", Sigma, scan=False)
+    Sigma = _array("Sigma", Sigma, ("d",) if Sigma.ndim == 1 else ("d", "d"))
     if Sigma.ndim == 1:
         top = float(np.max(Sigma))
         total = float(np.sum(Sigma))
-    elif Sigma.ndim == 2:
-        eig = np.linalg.eigvalsh(Sigma)
-        top = float(eig[-1])
-        total = float(np.trace(Sigma))
     else:
-        raise ValueError("expected a matrix or an eigenvalue vector")
+        top = float(np.linalg.eigvalsh(Sigma)[-1])
+        total = float(np.trace(Sigma))
     if top <= 0:
         raise ValueError("effective rank undefined for a zero matrix")
     return total / top
@@ -107,8 +83,7 @@ def joint_effective_dimension(
     """||theta_{<=k}||_q^q / ||theta||_2^q for the leading scaled coefficients."""
     _real("q", q, 0, 2, "[]")
     _real("theta_full_norm", theta_full_norm, 0, math.inf, "()")
-    theta_scaled = np.asarray(theta_scaled, dtype=np.float64)
-    _finite("theta_scaled", theta_scaled)
+    theta_scaled = _array("theta_scaled", theta_scaled, ("k",))
     return _lq_pseudo_norm(theta_scaled, q) / theta_full_norm**q
 
 
@@ -140,10 +115,7 @@ def risk_bound(theta: FloatArray, level: float) -> RiskBoundReport:
     The relaxation is minimized over RISK_Q_GRID, q = 0, 0.01, ..., 2.
     """
     _real("level", level, 0, math.inf, "()")
-    theta = np.asarray(theta, dtype=np.float64)
-    if theta.ndim != 1:
-        raise ValueError(f"theta must be a 1-D array, got shape {theta.shape}")
-    _finite("theta", theta)
+    theta = _array("theta", theta, ("r",))
     core = float(np.sum(np.minimum(level, np.abs(theta)) ** 2))
     best = math.inf
     best_q = 0.0
@@ -162,11 +134,8 @@ def weighted_risk_bound(
     sum_j min((lam_1/lam_j)^(phi/2) * level, |theta_j|)^2."""
     _real("level", level, 0, math.inf, "()")
     _real("phi", phi, 0, math.inf, "[)")
-    theta = np.asarray(theta, dtype=np.float64)
-    eigenvalues = np.asarray(eigenvalues, dtype=np.float64)
-    if theta.shape != eigenvalues.shape:
-        raise ValueError("theta and eigenvalues must have the same length")
-    _finite("theta", theta)
+    theta = _array("theta", theta, ("r",))
+    eigenvalues = _array("eigenvalues", eigenvalues, theta.shape)
     if not (np.all(eigenvalues > 0) and np.all(np.diff(eigenvalues) <= 0)):
         raise ValueError("eigenvalues must be positive and non-increasing")
     weights = (eigenvalues[0] / eigenvalues) ** (phi / 2.0)

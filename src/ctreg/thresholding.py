@@ -15,28 +15,29 @@ from typing import Callable, Optional
 import numpy as np
 from numpy.typing import ArrayLike, NDArray
 
-from .errors import _finite, _grid, _real
+from .errors import _array, _grid, _real
 
 FloatArray = NDArray[np.float64]
 
 
-def _validate(z: ArrayLike, tau: float) -> FloatArray:
-    _real("tau", tau, 0, math.inf, "[)")
-    z = np.asarray(z, dtype=np.float64)
-    _finite("z", z)
-    return z
+def _soft(z: FloatArray, tau: float) -> FloatArray:
+    return np.sign(z) * np.maximum(np.abs(z) - tau, 0.0)
+
+
+def _hard(z: FloatArray, tau: float) -> FloatArray:
+    return np.where(np.abs(z) >= tau, z, 0.0)
 
 
 def soft(z: ArrayLike, tau: float) -> FloatArray:
     """Soft thresholding, component-wise: sign(z) * max(|z| - tau, 0)."""
-    z = _validate(z, tau)
-    return np.sign(z) * np.maximum(np.abs(z) - tau, 0.0)
+    _real("tau", tau, 0, math.inf, "[)")
+    return _soft(_array("z", z), tau)
 
 
 def hard(z: ArrayLike, tau: float) -> FloatArray:
     """Hard thresholding, component-wise: z where |z| >= tau, else 0 (boundary kept)."""
-    z = _validate(z, tau)
-    return np.where(np.abs(z) >= tau, z, 0.0)
+    _real("tau", tau, 0, math.inf, "[)")
+    return _hard(_array("z", z), tau)
 
 
 class RuleKind(Enum):
@@ -84,18 +85,19 @@ def apply_rule(rule: ThresholdRule, v: FloatArray, tau: float) -> FloatArray:
 
     Infinite tau is accepted as a sentinel meaning "threshold everything"
     for the soft and hard rules.  A custom rule's map is called once per
-    component.
+    component.  Like ``soft`` and ``hard``, it takes v of any shape.
     """
     _real("tau", tau, 0, math.inf, "[]")
-    v = np.asarray(v, dtype=np.float64)
+    v = _array("v", v)
     if tau == math.inf and rule.kind is not RuleKind.CUSTOM:
         return np.zeros_like(v)
     if rule.kind is RuleKind.SOFT:
-        return soft(v, tau)
+        return _soft(v, tau)
     if rule.kind is RuleKind.HARD:
-        return hard(v, tau)
+        return _hard(v, tau)
     assert rule.custom_fn is not None
-    return np.array([rule.custom_fn(z, tau) for z in v], dtype=np.float64)
+    values = [rule.custom_fn(z, tau) for z in v.flat]
+    return np.array(values, dtype=np.float64).reshape(v.shape)
 
 
 @dataclass(frozen=True)

@@ -53,7 +53,7 @@ from .canonical import (
     _memoized,
     _products,
 )
-from .errors import ZeroDesignError, _finite, _grid, _integer, _real
+from .errors import ZeroDesignError, _array, _grid, _integer, _real
 from .estimators import _shrink
 from .thresholding import RuleKind, SOFT_RULE, ThresholdRule
 
@@ -110,10 +110,7 @@ def breakpoints(
     at and above the maximum the soft-rule estimator is identically zero.
     """
     _real("phi", phi, 0, math.inf, "[)")
-    theta_ls = np.asarray(theta_ls, dtype=np.float64)
-    if theta_ls.shape != (dec.rank,):
-        raise ValueError(f"theta_ls must be of shape {(dec.rank,)}, got {theta_ls.shape}")
-    _finite("theta_ls", theta_ls)
+    theta_ls = _array("theta_ls", theta_ls, (dec.rank,))
     return _breakpoints(_magnitudes(dec.eigenvalues, theta_ls, phi))
 
 

@@ -325,17 +325,36 @@ class TestFit:
         assert main(["fit", "--input", path, "--response", "y", "--method", "gct",
                      "--phi", "nan", "--tau-auto", "1,0.05,2",
                      "--output", str(tmp_path / "m.json")]) == 1
-        assert "error: phi must be a number in [0, inf), got nan" in capsys.readouterr().err
+        assert "error: --phi must be a number in [0, inf), got nan" in capsys.readouterr().err
 
     @pytest.mark.parametrize("sigma", ["nan", "inf"])
     def test_tau_auto_non_finite_sigma_exit_one(self, data_csv, tmp_path, capsys, sigma):
-        # the message names sigma, not the tau it would have produced
+        # the message names sigma's flag entry, not the tau it would have produced
         path, _, _ = data_csv
         assert main(["fit", "--input", path, "--response", "y", "--method", "nct",
                      "--tau-auto", f"{sigma},0.05,2",
                      "--output", str(tmp_path / "m.json")]) == 1
-        assert (f"error: sigma must be a number in [0, inf), got {sigma}"
+        assert (f"error: --tau-auto[0] must be a number in [0, inf), got {sigma}"
                 in capsys.readouterr().err)
+
+    @pytest.mark.parametrize(
+        "flags, message",
+        [
+            (["--method", "gct", "--phi", "-1"], "--phi must be a number in [0, inf), got -1.0"),
+            (["--tau", "-1"], "--tau must be a number in [0, inf], got -1.0"),
+            (["--method", "gct", "--tau", "nan"], "--tau must be a number in [0, inf], got nan"),
+            (["--tau-auto=-1,0.05,2"], "--tau-auto[0] must be a number in [0, inf), got -1.0"),
+            (["--tau-auto", "1,2,2"], "--tau-auto[1] must be a number in (0, 1), got 2.0"),
+            (["--tau-auto", "1,0.05,3"], "--tau-auto[2] must be a number in (0, 2], got 3.0"),
+        ],
+    )
+    def test_bad_value_named_by_its_flag_before_the_csv_is_read(
+        self, tmp_path, capsys, flags, message
+    ):
+        missing = str(tmp_path / "missing.csv")
+        assert main(["fit", "--input", missing, "--response", "y",
+                     "--output", str(tmp_path / "m.json")] + flags) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
 
     def test_response_by_index(self, tmp_path):
         rng = np.random.default_rng(2)
@@ -657,6 +676,21 @@ class TestKernelFit:
                      "--output", str(tmp_path / "k.json")]) == 2
         assert "bad --tau value 'abc'" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "flags, message",
+        [
+            (["--tau", "-1"], "--tau must be a number in [0, inf], got -1.0"),
+            (["--phi", "nan"], "--phi must be a number in [0, inf), got nan"),
+        ],
+    )
+    def test_bad_value_named_by_its_flag_before_the_csv_is_read(
+        self, tmp_path, capsys, flags, message
+    ):
+        missing = str(tmp_path / "missing.csv")
+        assert main(["kernel-fit", "--input", missing, "--response", "y", "--kernel",
+                     "rbf:0.5", "--output", str(tmp_path / "m.json")] + flags) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+
     def test_bad_kernel_spec(self, data_csv, tmp_path):
         path, _, _ = data_csv
         for kernel in ("wavelet", "rbf:inf", "rbf:nan", "poly:2,nan,1", "poly:2,0,inf"):
@@ -965,7 +999,11 @@ class TestValueGrammar:
         "method, unused",
         [(method, ["--tau", "0.5", "--tau-auto", "1,0.05,2", "--phi", "1"])
          for method in ["ols", "pcr:2", "ridge:0.1"]]
-        + [("nct", ["--phi", "1"])],
+        + [("nct", ["--phi", "1"])]
+        # outside their domains too: a method checks only the flags it reads
+        + [("ols", ["--tau", "-1", "--tau-auto", "1,2,2", "--phi", "-1"]),
+           ("ridge:0.1", ["--tau", "nan", "--phi", "inf"]),
+           ("nct", ["--phi", "-1"])],
     )
     def test_well_formed_unused_flags_are_accepted(self, data_csv, tmp_path, method, unused):
         path, _, _ = data_csv

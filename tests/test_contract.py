@@ -29,6 +29,7 @@ from ctreg import (
     SpikedTailRandom,
     apply_rule,
     breakpoints,
+    canonical_ls,
     check_rule,
     cv_error_at,
     default_tau,
@@ -51,10 +52,14 @@ from ctreg import (
     kfold_cv_ridge,
     mse_fixed,
     pe_random,
+    predict,
+    predict_kernel_batch,
     risk_bound,
     snr,
     soft,
     threshold_scale,
+    to_beta,
+    to_theta,
     weighted_risk_bound,
 )
 from ctreg import _blas, canonical, kernel
@@ -63,10 +68,22 @@ RNG = np.random.default_rng(20)
 X = RNG.standard_normal((12, 5))
 Y = X @ np.array([1.0, -1.0, 0.5, 0.0, 2.0]) + 0.3 * RNG.standard_normal(12)
 Y_NAN = np.where(np.arange(12) == 4, math.nan, Y)
-# made outside every call, so the table's calls of mse_fixed decompose nothing
+# made outside every call, so the table's calls that read a decomposition
+# or a fit decompose nothing
 DEC = canonical.canonicalize(Dataset(X, Y))
+FIT = fit_nct(Dataset(X, Y), 0.1)
 COEFFICIENTS = ([1.0, 0.0, 2.0, 0.5, -1.0],)
-BAD_COEFFICIENTS = ([1.0, math.nan, 2.0, 0.5, -1.0], [1.0, 0.0, 2.0, 0.5, -math.inf])
+# every array vocabulary holds a non-finite entry, a wrong length, a wrong
+# rank and text
+BAD_COEFFICIENTS = (
+    [1.0, math.nan, 2.0, 0.5, -1.0],
+    [1.0, 0.0, 2.0, 0.5, -math.inf],
+    np.ones(4),
+    np.ones((5, 1)),
+    "ab",
+)
+X_NAN = np.where(np.arange(5) == 2, math.nan, X)
+X_BAD = (X_NAN, X[:, 0], X[None], "ab")
 # a kernel matrix, and a model fitted outside every call, whose in-sample
 # reads decompose nothing
 RBF = KernelSpec("rbf", gamma=0.5)
@@ -77,9 +94,11 @@ K_BAD = (
     K[:5],
     K[0, 0],
     K + np.triu(np.ones((12, 12)), 1),
+    K[None],
+    "ab",
 )
 KERNEL_MODEL = fit_kernel_gct(X, Y, RBF, GctConfig(0.1))
-Y_BAD = (Y_NAN, np.where(np.arange(12) == 7, -math.inf, Y))
+Y_BAD = (Y_NAN, np.where(np.arange(12) == 7, -math.inf, Y), Y[:11], Y[:, None], "ab")
 
 BAD = ("a", None, math.nan, math.inf, -math.inf, 2.5, -1)
 BAD_COUNTS = BAD + (3.0, "3", 13)  # 13 folds are more than the 12 rows
@@ -111,6 +130,10 @@ def _spec(**fields):
 SPLIT = {"L": Param((3, np.int64(4)), BAD_COUNTS), "seed": Param((0, 7), BAD_COUNTS)}
 PHI = Param((0.0, 1.0, np.float64(2.0)), BAD)
 RULE = Param((SOFT_RULE, HARD_RULE), ())
+# soft, hard and apply_rule map components, so any shape is good
+COMPONENTS = ([1.0, -2.0], 0.5, [], np.ones((2, 2)))
+# predict and predict_kernel_batch do not scan their rows: a NaN is good
+ROWS = Param((X, X[:3], X_NAN), (X[:, :4], X[0], X[None], "ab"))
 
 # name -> (call(dataset, **arguments), {argument: Param})
 TABLE: Dict[str, Tuple[Callable[..., Any], Dict[str, Param]]] = {
@@ -151,17 +174,37 @@ TABLE: Dict[str, Tuple[Callable[..., Any], Dict[str, Param]]] = {
             "alpha": Param((2.0,), BAD),
         },
     ),
+    "Dataset": (
+        lambda ds, **args: Dataset(**args),
+        {
+            "design": Param((X,), X_BAD + (X[:11], np.ones((0, 5)), np.ones((12, 0)))),
+            "response": Param((Y,), Y_BAD),
+        },
+    ),
+    "canonical_ls": (lambda ds, Y: canonical_ls(DEC, Y), {"Y": Param((Y,), Y_BAD)}),
+    "to_beta": (
+        lambda ds, theta: to_beta(DEC, theta),
+        {"theta": Param(COEFFICIENTS, BAD_COEFFICIENTS)},
+    ),
+    "to_theta": (
+        lambda ds, beta: to_theta(DEC, beta),
+        {"beta": Param(COEFFICIENTS, BAD_COEFFICIENTS)},
+    ),
+    "predict": (lambda ds, Xnew: predict(FIT, Xnew), {"Xnew": ROWS}),
     "risk_bound": (
         lambda ds, **args: risk_bound(**args),
         {
-            "theta": Param(([1.0, -0.5],), ([1.0, math.nan], [[1.0]])),
+            "theta": Param(([1.0, -0.5],), ([1.0, math.nan], [], [[1.0]], "ab")),
             "level": Param((0.5, 1.0), BAD),
         },
     ),
     "weighted_risk_bound": (
-        lambda ds, **args: weighted_risk_bound(**args, eigenvalues=[2.0, 1.0]),
+        lambda ds, **args: weighted_risk_bound(**args),
         {
-            "theta": Param(([1.0, -0.5],), ([math.nan, 1.0],)),
+            "theta": Param(([1.0, -0.5],), ([math.nan, 1.0], [1.0, 2.0, 3.0], [[1.0, 2.0]], "ab")),
+            "eigenvalues": Param(
+                ([2.0, 1.0],), ([math.inf, 1.0], [2.0], [[2.0, 1.0]], "ab", [1.0, 2.0])
+            ),
             "level": Param((0.5,), BAD),
             "phi": PHI,
         },
@@ -169,21 +212,30 @@ TABLE: Dict[str, Tuple[Callable[..., Any], Dict[str, Param]]] = {
     "snr": (
         lambda ds, **args: snr(**args),
         {
-            "beta": Param((np.ones(2),), ([1.0, math.nan], np.ones((2, 2)))),
+            "beta": Param(
+                (np.ones(2),), ([1.0, math.nan], np.ones(3), np.ones((2, 2)), "ab")
+            ),
             "covariance": Param(
-                (np.eye(2),), (np.eye(3), np.ones(2), [[1.0, 0.0], [0.0, math.inf]])
+                (np.eye(2),), (np.eye(3), np.ones(2), [[1.0, 0.0], [0.0, math.inf]], "ab")
             ),
             "sigma": Param((0.5, 2.0), BAD),
         },
     ),
     "effective_rank": (
         lambda ds, Sigma: effective_rank(Sigma),
-        {"Sigma": Param(([2.0, 1.0], np.eye(2)), ([math.nan, 1.0], [[1.0, math.inf]]))},
+        {
+            "Sigma": Param(
+                ([2.0, 1.0], np.eye(2)),
+                ([math.nan, 1.0], [[1.0, math.inf]], [], np.ones((2, 3)), np.ones((2, 2, 2)), "ab"),
+            )
+        },
     ),
     "joint_effective_dimension": (
         lambda ds, **args: joint_effective_dimension(**args),
         {
-            "theta_scaled": Param(([0.5, 0.1],), ([0.5, math.nan], [-math.inf])),
+            "theta_scaled": Param(
+                ([0.5, 0.1],), ([0.5, math.nan], [-math.inf], [], [[0.5]], "ab")
+            ),
             "theta_full_norm": Param((1.0,), BAD),
             "q": Param((0.0, 1.0, 2.0), BAD),
         },
@@ -195,7 +247,7 @@ TABLE: Dict[str, Tuple[Callable[..., Any], Dict[str, Param]]] = {
             "beta": Param((np.zeros(5),), BAD_COEFFICIENTS),
             "Sigma": Param(
                 (np.eye(5),),
-                (np.eye(2), np.ones(5), [[1.0]], np.where(np.eye(5) > 0, 1.0, math.nan)),
+                (np.eye(2), np.ones(5), [[1.0]], np.where(np.eye(5) > 0, 1.0, math.nan), "ab"),
             ),
         },
     ),
@@ -208,15 +260,19 @@ TABLE: Dict[str, Tuple[Callable[..., Any], Dict[str, Param]]] = {
     ),
     "soft": (
         lambda ds, z, tau: soft(z, tau),
-        {"z": Param(([1.0, -2.0],), ([math.nan],)), "tau": Param((0.0, 1.0), BAD)},
+        {"z": Param(COMPONENTS, ([math.nan], "ab")), "tau": Param((0.0, 1.0), BAD)},
     ),
     "hard": (
         lambda ds, z, tau: hard(z, tau),
-        {"z": Param(([1.0, -2.0],), ([math.inf],)), "tau": Param((0.0, 1.0), BAD)},
+        {"z": Param(COMPONENTS, ([math.inf], "ab")), "tau": Param((0.0, 1.0), BAD)},
     ),
     "apply_rule": (
-        lambda ds, rule, tau: apply_rule(rule, [1.0, -2.0], tau),
-        {"rule": RULE, "tau": Param((0.0, 1.0, INF), BAD)},
+        lambda ds, rule, v, tau: apply_rule(rule, v, tau),
+        {
+            "rule": RULE,
+            "v": Param(COMPONENTS, ([1.0, math.nan], [[-math.inf]], "ab")),
+            "tau": Param((0.0, 1.0, INF), BAD),
+        },
     ),
     "check_rule": (
         lambda ds, **args: check_rule(SOFT_RULE, **args),
@@ -238,15 +294,18 @@ TABLE: Dict[str, Tuple[Callable[..., Any], Dict[str, Param]]] = {
         },
     ),
     "fit_kernel_gct": (
-        lambda ds, Y, gamma, tau: fit_kernel_gct(
-            X, Y, KernelSpec("rbf", gamma=gamma), GctConfig(tau)
+        lambda ds, points, Y, gamma, tau: fit_kernel_gct(
+            points, Y, KernelSpec("rbf", gamma=gamma), GctConfig(tau)
         ),
         {
-            "Y": Param((Y,), (Y_NAN,), "response"),
+            "points": Param((X,), X_BAD),
+            "Y": Param((Y,), Y_BAD),
             "gamma": Param((0.5,), BAD, "KernelSpec.gamma"),
             "tau": Param((0.0, 0.1), BAD, "GctConfig.tau"),
         },
     ),
+    "gram": (lambda ds, points: gram(points, RBF), {"points": Param((X,), X_BAD)}),
+    "predict_kernel_batch": (lambda ds, X: predict_kernel_batch(KERNEL_MODEL, X), {"X": ROWS}),
     "kernel_canonicalize": (lambda ds, K: kernel_canonicalize(K), {"K": Param((K,), K_BAD)}),
     "kernel_effective_dimension": (
         lambda ds, **args: kernel_effective_dimension(**args),
@@ -401,6 +460,42 @@ NAMED_PROBES = {
     "pe_random(beta=zeros(4))": case("pe_random", beta=np.zeros(4)),
     "snr(covariance=eye(3))": case("snr", covariance=np.eye(3)),
     "breakpoints(theta_ls=ones(4))": case("breakpoints", theta_ls=np.ones(4)),
+    # once NaN results, a RuntimeWarning, numpy's message or a message in
+    # another form
+    "canonical_ls(Y=nan)": case("canonical_ls", Y=Y_NAN),
+    "to_beta(theta=nan)": case("to_beta", theta=[math.nan] * 5),
+    "to_theta(beta=inf)": case("to_theta", beta=[math.inf] * 5),
+    "weighted_risk_bound(eigenvalues=inf)": case(
+        "weighted_risk_bound", theta=[1, 2], eigenvalues=[math.inf, 1], phi=1
+    ),
+    "risk_bound(theta='ab')": case("risk_bound", theta="ab", level=1),
+    "pe_random(beta_hat='ab')": case("pe_random", beta_hat="ab"),
+    "kernel_canonicalize(K='ab')": case("kernel_canonicalize", K="ab"),
+    "snr(beta=ragged)": case("snr", beta=[[1.0], [1.0, 2.0]]),
+    "apply_rule(v=nan)": case("apply_rule", rule=HARD_RULE, v=[math.nan, 1.0], tau=0.5),
+    "effective_rank(Sigma=ones((2, 2, 2)))": case("effective_rank", Sigma=np.ones((2, 2, 2))),
+    "weighted_risk_bound(theta=[1, 2, 3])": case(
+        "weighted_risk_bound", theta=[1, 2, 3], phi=0
+    ),
+    "Dataset(response=Y[:11])": case("Dataset", response=Y[:11]),
+    "canonical_ls(Y=Y[:11])": case("canonical_ls", Y=Y[:11]),
+    "to_beta(theta=ones(4))": case("to_beta", theta=np.ones(4)),
+    "to_theta(beta=ones((5, 1)))": case("to_theta", beta=np.ones((5, 1))),
+    "predict(Xnew=ones(5))": case("predict", Xnew=np.ones(5)),
+    "predict_kernel_batch(X=ones(5))": case("predict_kernel_batch", X=np.ones(5)),
+    "gram(points=X[0])": case("gram", points=X[0]),
+    "fit_kernel_gct(Y=Y[:11])": case("fit_kernel_gct", Y=Y[:11]),
+    "kernel_effective_dimension(f_values=Y[:11])": case(
+        "kernel_effective_dimension", f_values=Y[:11], q=1
+    ),
+    "kernel_in_sample_error(f_true_values=Y[:11])": case(
+        "kernel_in_sample_error", f_true_values=Y[:11]
+    ),
+    "kernel_canonicalize(K=K[:5])": case("kernel_canonicalize", K=K[:5]),
+    "risk_bound(theta=ones((2, 2)))": case("risk_bound", theta=np.ones((2, 2))),
+    "joint_effective_dimension(theta_scaled=[[0.5]])": case(
+        "joint_effective_dimension", theta_scaled=[[0.5]]
+    ),
 }
 # the argument that each shape probe's message must name
 SHAPE_PROBES = {
@@ -410,6 +505,34 @@ SHAPE_PROBES = {
     "pe_random(beta=zeros(4))": "beta",
     "snr(covariance=eye(3))": "covariance",
     "breakpoints(theta_ls=ones(4))": "theta_ls",
+    "weighted_risk_bound(theta=[1, 2, 3])": "eigenvalues",
+    "effective_rank(Sigma=ones((2, 2, 2)))": "Sigma",
+    "Dataset(response=Y[:11])": "response",
+    "canonical_ls(Y=Y[:11])": "Y",
+    "to_beta(theta=ones(4))": "theta",
+    "to_theta(beta=ones((5, 1)))": "beta",
+    "predict(Xnew=ones(5))": "Xnew",
+    "predict_kernel_batch(X=ones(5))": "X",
+    "gram(points=X[0])": "points",
+    "fit_kernel_gct(Y=Y[:11])": "Y",
+    "kernel_effective_dimension(f_values=Y[:11])": "f_values",
+    "kernel_in_sample_error(f_true_values=Y[:11])": "f_true_values",
+    "kernel_canonicalize(K=K[:5])": "K",
+    "risk_bound(theta=ones((2, 2)))": "theta",
+    "joint_effective_dimension(theta_scaled=[[0.5]])": "theta_scaled",
+}
+# the argument that each other array probe's message must name: a
+# non-finite entry, or a value numpy cannot read as floats
+ARRAY_PROBES = {
+    "canonical_ls(Y=nan)": "Y",
+    "to_beta(theta=nan)": "theta",
+    "to_theta(beta=inf)": "beta",
+    "weighted_risk_bound(eigenvalues=inf)": "eigenvalues",
+    "risk_bound(theta='ab')": "theta",
+    "pe_random(beta_hat='ab')": "beta_hat",
+    "kernel_canonicalize(K='ab')": "K",
+    "snr(beta=ragged)": "beta",
+    "apply_rule(v=nan)": "v",
 }
 PROBES = PROBED + list(NAMED_PROBES.values())
 PROBE_IDS = [name for name, _ in PROBED] + list(NAMED_PROBES)
@@ -474,7 +597,12 @@ class TestArgumentContract:
     @pytest.mark.parametrize("probe", SHAPE_PROBES)
     def test_shape_errors_name_their_own_argument(self, probe):
         message = check_contract(*NAMED_PROBES[probe])
-        assert message.startswith(f"{SHAPE_PROBES[probe]} must be "), message
+        assert message.startswith(f"{SHAPE_PROBES[probe]} must be of shape ("), message
+
+    @pytest.mark.parametrize("probe", ARRAY_PROBES)
+    def test_array_errors_name_their_own_argument(self, probe):
+        message = check_contract(*NAMED_PROBES[probe])
+        assert re.match(rf"{ARRAY_PROBES[probe]} must be (finite|a real array), ", message)
 
     def test_good_values_return(self):
         # the first good value of every argument, and each other good value

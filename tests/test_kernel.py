@@ -212,12 +212,12 @@ class TestFitKernelGct:
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_non_finite_response_named(self, bad):
-        # the message Dataset gives, not the thresholding rule's
+        # the message names the parameter, Y, not the thresholding rule's v
         X = random_points(5, 8, 3)
         Y = np.random.default_rng(5).standard_normal(8)
         Y[4] = bad
         with pytest.raises(
-            ValueError, match=rf"^response must be finite, got {bad!r} at index \(4,\)"
+            ValueError, match=rf"^Y must be finite, got {bad!r} at index \(4,\)"
         ):
             fit_kernel_gct(X, Y, RBF, GctConfig(tau=0.1))
 
@@ -398,7 +398,7 @@ class TestKernelEffectiveDimension:
         X = random_points(24, 4, 2)
         with pytest.raises(ValueError, match=r"^q must be a number in \[0, 2\], got 5.0"):
             kernel_effective_dimension(gram(X, RBF), np.ones(4), 5.0)
-        with pytest.raises(ValueError, match=r"^f_values must have length 4, got \(3,\)"):
+        with pytest.raises(ValueError, match=r"^f_values must be of shape \(4,\), got \(3,\)"):
             kernel_effective_dimension(gram(X, RBF), np.ones(3), 1.0)
 
 

@@ -211,7 +211,7 @@ class TestRiskBound:
             risk_bound(np.array([1.0, math.nan]), 0.5)
 
     def test_two_dimensional_theta_named(self):
-        with pytest.raises(ValueError, match=r"^theta must be a 1-D array, got shape \(2, 2\)"):
+        with pytest.raises(ValueError, match=r"^theta must be of shape \(r,\), got \(2, 2\)"):
             risk_bound(np.ones((2, 2)), 0.5)
 
 

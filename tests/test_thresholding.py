@@ -82,11 +82,13 @@ class TestApplyRule:
         np.testing.assert_array_equal(apply_rule(HARD_RULE, v, 0.0), v)
 
     def test_custom_equal_to_soft_matches(self):
+        # component-wise for v of any shape, as the soft rule is
         rule = ThresholdRule(RuleKind.CUSTOM, custom_fn=soft, custom_constant=3.0)
-        v = np.random.default_rng(0).standard_normal(20)
-        np.testing.assert_array_equal(
-            apply_rule(rule, v, 0.7), apply_rule(SOFT_RULE, v, 0.7)
-        )
+        for shape in [(20,), (4, 5), ()]:
+            v = np.random.default_rng(0).standard_normal(shape)
+            np.testing.assert_array_equal(
+                apply_rule(rule, v, 0.7), apply_rule(SOFT_RULE, v, 0.7)
+            )
 
     def test_infinite_tau_sentinel(self):
         v = np.array([5.0, -2.0])

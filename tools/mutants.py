@@ -174,6 +174,20 @@ MUTANTS = (
         ),
     ),
     Mutant(
+        "array helper skips the shape comparison",
+        "src/ctreg/errors.py",
+        "    if shape is not None:\n",
+        "    if False:\n",
+        ("tests/test_contract.py",),
+    ),
+    Mutant(
+        "array helper skips the finite check",
+        "src/ctreg/errors.py",
+        "    if scan and not np.all(np.isfinite(array)):\n",
+        "    if False:\n",
+        ("tests/test_contract.py",),
+    ),
+    Mutant(
         "joint_cv checks phi after the folds",
         "src/ctreg/tuning.py",
         '    phis = _grid("phi_grid", phi_grid, 0, math.inf, "[)")\n'
@@ -400,8 +414,8 @@ MUTANTS = (
     Mutant(
         "kernel_canonicalize decomposes K without its copy",
         "src/ctreg/kernel.py",
-        'K = np.array(K, dtype=np.float64, order="F")',
-        "K = np.asarray(K, dtype=np.float64)",
+        'K = np.array(_array("K", K, ("n", "n")), order="F")',
+        'K = _array("K", K, ("n", "n"))',
         ("tests/test_kernel.py::TestKernelCanonicalize",),
     ),
     Mutant(

@@ -15,7 +15,7 @@ from typing import Any, Callable, Dict, List, NamedTuple, Optional, Sequence, Tu
 import numpy as np
 
 from .canonical import CanonicalDecomposition, Dataset, canonicalize, to_theta
-from .errors import CtregError, UsageError, _grid, _integer, _real
+from .errors import CtregError, UsageError, _array, _grid, _integer, _real
 from .estimators import (
     FitResult,
     GctConfig,
@@ -342,41 +342,17 @@ def _load_model(path: str) -> dict:
     return payload
 
 
-def _model_array(value: object, field: str, ndim: int) -> np.ndarray:
-    """A model-file field as a finite float array with ndim dimensions."""
-    try:
-        array = np.asarray(value, dtype=np.float64)
-    except (TypeError, ValueError) as exc:
-        raise UsageError(f"model field {field} is not numeric") from exc
-    if array.ndim != ndim:
-        raise UsageError(
-            f"model field {field} must have {ndim} dimension(s), got {array.ndim}"
-        )
-    if not np.all(np.isfinite(array)):
-        raise UsageError(f"model field {field} has a non-finite value")
-    return array
-
-
-def _model_mean(value: object, field: str) -> Optional[float]:
-    """A finite model-file mean, or None for null."""
-    return None if value is None else float(_model_array(value, field, 0))
-
-
 Predictor = Callable[[np.ndarray], np.ndarray]
 
 
 def _read_linear_model(payload: dict) -> Tuple[int, Predictor]:
-    beta = _model_array(payload["beta"], "beta", 1)
+    beta = _array("model field beta", payload["beta"], ("d",))
     x_means, y_mean = None, None
     centering = payload.get("centering")
     if centering is not None:
-        x_means = _model_array(centering["x_means"], "centering.x_means", 1)
-        if x_means.shape != beta.shape:
-            raise UsageError(
-                f"model field centering.x_means has {x_means.shape[0]} entries, "
-                f"beta has {beta.shape[0]}"
-            )
-        y_mean = _model_mean(centering["y_mean"], "centering.y_mean")
+        x_means = _array("model field centering.x_means", centering["x_means"], beta.shape)
+        if centering["y_mean"] is not None:
+            y_mean = float(_array("model field centering.y_mean", centering["y_mean"], ()))
 
     def predict_rows(data: np.ndarray) -> np.ndarray:
         # a fit on centered data: yhat = y_mean + (x - x_means)^T beta
@@ -389,35 +365,14 @@ def _read_linear_model(payload: dict) -> Tuple[int, Predictor]:
 
 
 def _read_kernel_model(payload: dict) -> Tuple[int, Predictor]:
-    training_points = _model_array(payload["training_points"], "training_points", 2)
-    dual_coeffs = _model_array(payload["dual_coeffs"], "dual_coeffs", 1)
-    if dual_coeffs.shape[0] != training_points.shape[0]:
-        raise UsageError(
-            f"model field dual_coeffs has {dual_coeffs.shape[0]} entries for "
-            f"{training_points.shape[0]} training points"
-        )
-    kernel = payload["kernel"]
     # a field the file leaves out takes its KernelSpec default
-    params = {}
-    for key, kind in _KERNEL_FIELDS.items():
-        if key in kernel:
-            value = float(_model_array(kernel[key], f"kernel.{key}", 0))
-            if kind(value) != value:
-                raise UsageError(
-                    f"model field kernel.{key} is not {kind.__name__}: {value!r}"
-                )
-            params[key] = kind(value)
     model = KernelPredictor(
-        training_points=training_points,
-        dual_coeffs=dual_coeffs,
-        kernel=KernelSpec(kind=kernel["kind"], **params),
-        response_mean=_model_mean(payload.get("response_mean"), "response_mean"),
+        payload["training_points"],
+        payload["dual_coeffs"],
+        KernelSpec(**payload["kernel"]),
+        payload.get("response_mean"),
     )
-    return training_points.shape[1], lambda data: predict_kernel_batch(model, data)
-
-
-# every field of any kernel kind, with its type
-_KERNEL_FIELDS = dict(field for fields in KERNEL_PARAMS.values() for field in fields)
+    return model.training_points.shape[1], lambda data: predict_kernel_batch(model, data)
 
 
 class _ModelKind(NamedTuple):
@@ -582,10 +537,6 @@ def cmd_diagnose(args: argparse.Namespace) -> int:
     if args.beta is not None:
         _, beta_data = read_csv(args.beta)
         beta = beta_data.reshape(-1)
-        if beta.shape[0] != dataset.d:
-            raise CtregError(
-                f"true-coefficient file has {beta.shape[0]} values, expected {dataset.d}"
-            )
         theta = to_theta(dec, beta)
         theta_norm = float(np.linalg.norm(theta))
         mse_hat = mse_fixed(np.zeros(dataset.d), beta, dec)

@@ -71,12 +71,12 @@ class KernelSpec:
     def __post_init__(self) -> None:
         if self.kind not in KERNEL_PARAMS:
             raise ValueError(f"unknown kernel kind {self.kind!r}")
-        # the fields of the kind first, then the finiteness of every field
+        # degree and the fields of the kind first, then the finiteness of
+        # every field: a field is checked whatever the kind
+        object.__setattr__(self, "degree", _integer("KernelSpec.degree", self.degree, 1))
         if self.kind == "rbf":
             _real("KernelSpec.gamma", self.gamma, 0, math.inf, "[)")
         if self.kind == "poly":
-            degree = _integer("KernelSpec.degree", self.degree, 1)
-            object.__setattr__(self, "degree", degree)
             _real("KernelSpec.scale", self.scale, 0, math.inf, "()")
         for name in ("gamma", "coef0", "scale"):
             _real(f"KernelSpec.{name}", getattr(self, name), -math.inf, math.inf, "()")
@@ -279,12 +279,29 @@ def kernel_canonicalize(K: FloatArray) -> Tuple[FloatArray, FloatArray]:
 @dataclass(frozen=True, eq=False)
 class KernelPredictor:
     """What prediction needs: f(x) = sum_i alpha_i k(x_i, x), plus the
-    response mean when the fit centered the response (else None)."""
+    response mean when the fit centered the response (else None).
+
+    It checks its fields as every public type does (see ``ctreg.errors``):
+    ``training_points`` is read as an (n, p) float array and
+    ``dual_coeffs`` as an (n,) one, both finite, and a ``response_mean``
+    other than None must be a finite number.  So a predictor built from a
+    model file, or by hand, fails here with the field's name, not in the
+    first prediction.
+    """
 
     training_points: FloatArray
     dual_coeffs: FloatArray
     kernel: KernelSpec
     response_mean: Optional[float]
+
+    def __post_init__(self) -> None:
+        points = _array("KernelPredictor.training_points", self.training_points, ("n", "p"))
+        n = points.shape[0]
+        coeffs = _array("KernelPredictor.dual_coeffs", self.dual_coeffs, (n,))
+        object.__setattr__(self, "training_points", points)
+        object.__setattr__(self, "dual_coeffs", coeffs)
+        if self.response_mean is not None:
+            _real("KernelPredictor.response_mean", self.response_mean, -math.inf, math.inf, "()")
 
 
 @dataclass(frozen=True, eq=False)
@@ -464,5 +481,5 @@ def kernel_effective_dimension(K: FloatArray, f_values: FloatArray, q: float) ->
     f = _array("f_values", f_values, (K.shape[0],))
     norm = float(np.linalg.norm(f))
     if norm <= 0:
-        raise ValueError("f_values must be nonzero")
+        raise ValueError(f"f_values must be nonzero, got {f.tolist()!r:.80}")
     return joint_effective_dimension(_Basis(K).project(f) / norm, 1.0, q)

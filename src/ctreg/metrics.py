@@ -43,7 +43,10 @@ def pe_random(beta_hat: FloatArray, beta: FloatArray, Sigma: FloatArray) -> floa
     diff = beta_hat - beta
     value = float(diff @ Sigma @ diff)
     if value < -1e-10 * max(1.0, float(np.abs(Sigma).max())):
-        raise ValueError("covariance matrix is not positive semidefinite")
+        raise ValueError(
+            f"Sigma must be positive semidefinite, got (beta_hat - beta)^T Sigma "
+            f"(beta_hat - beta) = {value!r}"
+        )
     return max(value, 0.0)
 
 
@@ -66,7 +69,10 @@ def effective_rank(Sigma: Union[FloatArray, "np.ndarray"]) -> float:
         top = float(np.linalg.eigvalsh(Sigma)[-1])
         total = float(np.trace(Sigma))
     if top <= 0:
-        raise ValueError("effective rank undefined for a zero matrix")
+        raise ValueError(
+            f"Sigma must be nonzero with a positive largest eigenvalue, got largest "
+            f"eigenvalue {top!r}"
+        )
     return total / top
 
 
@@ -137,6 +143,9 @@ def weighted_risk_bound(
     theta = _array("theta", theta, ("r",))
     eigenvalues = _array("eigenvalues", eigenvalues, theta.shape)
     if not (np.all(eigenvalues > 0) and np.all(np.diff(eigenvalues) <= 0)):
-        raise ValueError("eigenvalues must be positive and non-increasing")
+        raise ValueError(
+            "eigenvalues must be positive and non-increasing, "
+            f"got {eigenvalues.tolist()!r:.80}"
+        )
     weights = (eigenvalues[0] / eigenvalues) ** (phi / 2.0)
     return float(np.sum(np.minimum(weights * level, np.abs(theta)) ** 2))

@@ -498,6 +498,14 @@ class TestPredict:
                 lambda p: p["dual_coeffs"].__setitem__(3, float("nan")),
                 id="dual_coeffs-nan",
             ),
+            # once predicted: KernelSpec takes no other key, and an integral
+            # float degree or a quoted number is not converted
+            pytest.param("kernel-fit", lambda p: p["kernel"].update(width=1.0),
+                         id="kernel-unknown-key"),
+            pytest.param("kernel-fit", lambda p: p["kernel"].update(degree=2.0),
+                         id="degree-float"),
+            pytest.param("kernel-fit", lambda p: p.update(response_mean="0.5"),
+                         id="response_mean-quoted"),
         ],
     )
     def test_malformed_model_fields_exit_two(self, data_csv, tmp_path, method, mutate):
@@ -507,25 +515,25 @@ class TestPredict:
         "method, mutate, field",
         [
             pytest.param("fit", lambda p: p["centering"].update(y_mean=float("inf")),
-                         "centering.y_mean", id="y_mean-inf"),
+                         "model field centering.y_mean", id="y_mean-inf"),
             pytest.param("fit", lambda p: p["beta"].__setitem__(0, float("nan")),
-                         "beta", id="beta-nan"),
+                         "model field beta", id="beta-nan"),
             pytest.param("kernel-fit", lambda p: p.update(response_mean=float("nan")),
-                         "response_mean", id="response_mean-nan"),
+                         "KernelPredictor.response_mean", id="response_mean-nan"),
             pytest.param("kernel-fit", lambda p: p["kernel"].update(gamma=float("nan")),
-                         "kernel.gamma", id="gamma-nan"),
+                         "KernelSpec.gamma", id="gamma-nan"),
             pytest.param("kernel-fit", lambda p: p["kernel"].update(degree=2.5),
-                         "kernel.degree", id="degree-fractional"),
+                         "KernelSpec.degree", id="degree-fractional"),
             pytest.param("kernel-fit",
                          lambda p: p.update(training_points=p["training_points"][0]),
-                         "training_points", id="training_points-1d"),
+                         "KernelPredictor.training_points", id="training_points-1d"),
         ],
     )
     def test_bad_model_field_is_named(
         self, data_csv, tmp_path, capsys, method, mutate, field
     ):
         assert self.predict_with_edited_model(data_csv, tmp_path, method, mutate) == 2
-        assert f"model field {field} " in capsys.readouterr().err
+        assert f"{field} " in capsys.readouterr().err
 
     def test_kernel_model_needs_only_what_predict_uses(self, data_csv, tmp_path, capsys):
         def strip(payload):
@@ -841,6 +849,15 @@ class TestDiagnose:
         missing = str(tmp_path / "missing.csv")
         assert main(["diagnose", "--input", missing, "--response", "y"] + flags) == 1
         assert capsys.readouterr().err == f"error: {message}\n"
+
+    def test_wrong_length_beta_named(self, data_csv, tmp_path, capsys):
+        path, _, _ = data_csv
+        beta_path = str(tmp_path / "beta.csv")
+        with open(beta_path, "w") as handle:
+            handle.write("0.5\n1.0\n-1.0\n")
+        assert main(["diagnose", "--input", path, "--response", "y",
+                     "--beta", beta_path]) == 1
+        assert capsys.readouterr().err == "error: beta must be of shape (4,), got (3,)\n"
 
     def test_zero_sigma_omits_snr(self, data_csv, tmp_path, capsys):
         path, X, Y = data_csv

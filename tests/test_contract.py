@@ -22,6 +22,7 @@ from ctreg import (
     SOFT_RULE,
     Dataset,
     GctConfig,
+    KernelPredictor,
     KernelSpec,
     PolyDecay,
     ScenarioSpec,
@@ -98,6 +99,7 @@ K_BAD = (
     "ab",
 )
 KERNEL_MODEL = fit_kernel_gct(X, Y, RBF, GctConfig(0.1))
+ALPHA = KERNEL_MODEL.dual_coeffs
 Y_BAD = (Y_NAN, np.where(np.arange(12) == 7, -math.inf, Y), Y[:11], Y[:, None], "ab")
 
 BAD = ("a", None, math.nan, math.inf, -math.inf, 2.5, -1)
@@ -226,7 +228,15 @@ TABLE: Dict[str, Tuple[Callable[..., Any], Dict[str, Param]]] = {
         {
             "Sigma": Param(
                 ([2.0, 1.0], np.eye(2)),
-                ([math.nan, 1.0], [[1.0, math.inf]], [], np.ones((2, 3)), np.ones((2, 2, 2)), "ab"),
+                (
+                    [math.nan, 1.0],
+                    [[1.0, math.inf]],
+                    [],
+                    np.ones((2, 3)),
+                    np.ones((2, 2, 2)),
+                    "ab",
+                    np.zeros(2),
+                ),
             )
         },
     ),
@@ -247,7 +257,14 @@ TABLE: Dict[str, Tuple[Callable[..., Any], Dict[str, Param]]] = {
             "beta": Param((np.zeros(5),), BAD_COEFFICIENTS),
             "Sigma": Param(
                 (np.eye(5),),
-                (np.eye(2), np.ones(5), [[1.0]], np.where(np.eye(5) > 0, 1.0, math.nan), "ab"),
+                (
+                    np.eye(2),
+                    np.ones(5),
+                    [[1.0]],
+                    np.where(np.eye(5) > 0, 1.0, math.nan),
+                    "ab",
+                    -np.eye(5),
+                ),
             ),
         },
     ),
@@ -282,8 +299,11 @@ TABLE: Dict[str, Tuple[Callable[..., Any], Dict[str, Param]]] = {
         },
     ),
     "KernelSpec(rbf)": (
-        lambda ds, gamma: KernelSpec("rbf", gamma=gamma),
-        {"gamma": Param((0.0, 0.5), BAD, "KernelSpec.gamma")},
+        lambda ds, gamma, degree: KernelSpec("rbf", gamma=gamma, degree=degree),
+        {
+            "gamma": Param((0.0, 0.5), BAD, "KernelSpec.gamma"),
+            "degree": Param((2, np.int64(3)), BAD_COUNTS, "KernelSpec.degree"),
+        },
     ),
     "KernelSpec(poly)": (
         lambda ds, degree, coef0, scale: KernelSpec("poly", 1.0, degree, coef0, scale),
@@ -306,6 +326,25 @@ TABLE: Dict[str, Tuple[Callable[..., Any], Dict[str, Param]]] = {
     ),
     "gram": (lambda ds, points: gram(points, RBF), {"points": Param((X,), X_BAD)}),
     "predict_kernel_batch": (lambda ds, X: predict_kernel_batch(KERNEL_MODEL, X), {"X": ROWS}),
+    # a predictor made by hand, as from a model file, then used
+    "KernelPredictor": (
+        lambda ds, **fields: predict_kernel_batch(KernelPredictor(kernel=RBF, **fields), X[:3]),
+        {
+            "training_points": Param(
+                (X, X.tolist()), (X_NAN, X[:11], X[0], "ab"), "KernelPredictor.training_points"
+            ),
+            "dual_coeffs": Param(
+                (ALPHA, ALPHA.tolist()),
+                (np.where(np.arange(12) == 2, math.nan, ALPHA), ALPHA[:11], ALPHA[None], "ab"),
+                "KernelPredictor.dual_coeffs",
+            ),
+            "response_mean": Param(
+                (None, 0.5, np.float64(-1.0)),
+                (math.nan, INF, -INF, "a"),
+                "KernelPredictor.response_mean",
+            ),
+        },
+    ),
     "kernel_canonicalize": (lambda ds, K: kernel_canonicalize(K), {"K": Param((K,), K_BAD)}),
     "kernel_effective_dimension": (
         lambda ds, **args: kernel_effective_dimension(**args),
@@ -496,6 +535,19 @@ NAMED_PROBES = {
     "joint_effective_dimension(theta_scaled=[[0.5]])": case(
         "joint_effective_dimension", theta_scaled=[[0.5]]
     ),
+    # once a numpy matmul message, a NaN prediction or an accepted value
+    "KernelPredictor(dual_coeffs=ALPHA[:11])": case("KernelPredictor", dual_coeffs=ALPHA[:11]),
+    "KernelPredictor(response_mean=nan)": case("KernelPredictor", response_mean=math.nan),
+    "KernelSpec(rbf, degree=2.5)": case("KernelSpec(rbf)", degree=2.5),
+    # once a message with no value or not naming the argument
+    "effective_rank(Sigma=zeros(2))": case("effective_rank", Sigma=np.zeros(2)),
+    "pe_random(Sigma=-eye(5))": case("pe_random", Sigma=-np.eye(5)),
+    "weighted_risk_bound(eigenvalues=[1, 2])": case(
+        "weighted_risk_bound", eigenvalues=[1.0, 2.0]
+    ),
+    "kernel_effective_dimension(f_values=zeros(12))": case(
+        "kernel_effective_dimension", f_values=np.zeros(12)
+    ),
 }
 # the argument that each shape probe's message must name
 SHAPE_PROBES = {
@@ -520,6 +572,7 @@ SHAPE_PROBES = {
     "kernel_canonicalize(K=K[:5])": "K",
     "risk_bound(theta=ones((2, 2)))": "theta",
     "joint_effective_dimension(theta_scaled=[[0.5]])": "theta_scaled",
+    "KernelPredictor(dual_coeffs=ALPHA[:11])": "KernelPredictor.dual_coeffs",
 }
 # the argument that each other array probe's message must name: a
 # non-finite entry, or a value numpy cannot read as floats
@@ -533,6 +586,19 @@ ARRAY_PROBES = {
     "kernel_canonicalize(K='ab')": "K",
     "snr(beta=ragged)": "beta",
     "apply_rule(v=nan)": "v",
+}
+# the argument that each value probe's message must name, before the value
+VALUE_PROBES = {
+    "KernelPredictor(response_mean=nan)": "KernelPredictor.response_mean",
+    "KernelSpec(rbf, degree=2.5)": "KernelSpec.degree",
+    "effective_rank(Sigma=zeros(2))": "Sigma",
+    "pe_random(Sigma=-eye(5))": "Sigma",
+    "weighted_risk_bound(eigenvalues=[1, 2])": "eigenvalues",
+    "kernel_effective_dimension(f_values=zeros(12))": "f_values",
+}
+# good values once rejected by an error other than ValueError
+RETURNING_PROBES = {
+    "KernelPredictor(training_points=list)": case("KernelPredictor", training_points=X.tolist()),
 }
 PROBES = PROBED + list(NAMED_PROBES.values())
 PROBE_IDS = [name for name, _ in PROBED] + list(NAMED_PROBES)
@@ -603,6 +669,15 @@ class TestArgumentContract:
     def test_array_errors_name_their_own_argument(self, probe):
         message = check_contract(*NAMED_PROBES[probe])
         assert re.match(rf"{ARRAY_PROBES[probe]} must be (finite|a real array), ", message)
+
+    @pytest.mark.parametrize("probe", VALUE_PROBES)
+    def test_value_errors_name_their_argument_and_value(self, probe):
+        message = check_contract(*NAMED_PROBES[probe])
+        assert re.match(rf"{re.escape(VALUE_PROBES[probe])} must be .+, got \S", message)
+
+    @pytest.mark.parametrize("probe", RETURNING_PROBES)
+    def test_each_returning_probe_returns(self, probe):
+        assert check_contract(*RETURNING_PROBES[probe]) is None
 
     def test_good_values_return(self):
         # the first good value of every argument, and each other good value

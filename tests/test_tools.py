@@ -79,6 +79,8 @@ def test_result_hashes_prints_one_sha256_per_family():
         "run_experiment",
         "cli_fit",
         "cli_cv",
+        "cli_predict",
+        "cli_diagnose",
         "gram",
         "cross_gram",
         "kernel_canonicalize",

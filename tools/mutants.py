@@ -243,6 +243,29 @@ MUTANTS = (
         '("degree", float)',
         ("tests/test_cli.py",),
     ),
+    # a model file's kernel fields are checked by KernelPredictor and KernelSpec
+    Mutant(
+        "KernelPredictor skips the dual_coeffs shape",
+        "src/ctreg/kernel.py",
+        '_array("KernelPredictor.dual_coeffs", self.dual_coeffs, (n,))',
+        '_array("KernelPredictor.dual_coeffs", self.dual_coeffs)',
+        ("tests/test_contract.py", "tests/test_cli.py::TestPredict"),
+    ),
+    Mutant(
+        "KernelPredictor keeps a non-finite response_mean",
+        "src/ctreg/kernel.py",
+        "        if self.response_mean is not None:\n",
+        "        if isinstance(self.response_mean, str):\n",
+        ("tests/test_contract.py", "tests/test_cli.py::TestPredict"),
+    ),
+    Mutant(
+        "KernelSpec checks degree for poly only",
+        "src/ctreg/kernel.py",
+        '        object.__setattr__(self, "degree", _integer("KernelSpec.degree", self.degree, 1))\n',
+        '        if self.kind == "poly":\n'
+        '            object.__setattr__(self, "degree", _integer("KernelSpec.degree", self.degree, 1))\n',
+        ("tests/test_contract.py", "tests/test_cli.py::TestPredict"),
+    ),
     Mutant(
         "the atomic writer's OSError mapping dropped",
         "src/ctreg/files.py",

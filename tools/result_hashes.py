@@ -6,8 +6,10 @@ a wide design (n < d), a tall one (n > d) and a mixed one (tall, with wide
 fits before CV and CV before fits, so a memo that changes a result shows.
 The families are the fits, the four tuners (``kfold_cv``, ``joint_cv``,
 ``kfold_cv_pcr``, ``kfold_cv_ridge``), ``cv_error_at``, ``grid_cv_oracle``,
-one ``run_experiment`` results CSV, and the files and output of
-``ctreg fit`` and ``ctreg cv``.  The kernel families are ``gram`` and
+one ``run_experiment`` results CSV, the files and output of ``ctreg fit``
+and ``ctreg cv``, the output of ``ctreg predict`` on each of their model
+files (centered and ``--no-center``), and the output of ``ctreg diagnose``
+with ``--beta`` and ``--sigma``.  The kernel families are ``gram`` and
 ``_cross_gram`` for each kernel kind, ``kernel_canonicalize`` (of Gram
 matrices and of matrices symmetric only within its tolerance),
 ``fit_kernel_gct``, ``predict_kernel_batch``, the model file of
@@ -23,8 +25,9 @@ it takes a few seconds.  Run from anywhere:
 It prints ``<family> <sha256>`` lines.  The same lines from two checkouts
 mean the same bits.  The families before the kernel ones do not depend on
 the BLAS thread count, so their lines at ``OPENBLAS_NUM_THREADS=1`` and
-``=2`` match too; a kernel decomposition runs on OpenBLAS's own threads,
-so compare the kernel families of two checkouts at one thread count.
+``=2`` match too (CI compares every line before ``gram``); a kernel
+decomposition runs on OpenBLAS's own threads, so compare the kernel
+families of two checkouts at one thread count.
 """
 
 from __future__ import annotations
@@ -91,6 +94,8 @@ FAMILIES = (
     "run_experiment",
     "cli_fit",
     "cli_cv",
+    "cli_predict",
+    "cli_diagnose",
     "gram",
     "cross_gram",
     "kernel_canonicalize",
@@ -210,8 +215,19 @@ def write_csv(path: Path, table: np.ndarray, with_y: bool) -> Path:
     return path
 
 
+def run_cli(argv: List[str]) -> str:
+    """What ``ctreg argv`` prints, run in process; a nonzero exit stops the run."""
+    stdout = io.StringIO()
+    with contextlib.redirect_stdout(stdout):
+        code = cli_main(argv)
+    if code != 0:
+        raise SystemExit(f"ctreg {' '.join(argv)} exited {code}")
+    return stdout.getvalue()
+
+
 def cli_hashes(hashes: Dict[str, "hashlib._Hash"], tmp: Path) -> None:
-    """Run ``ctreg fit`` and ``ctreg cv`` in process and hash what they write."""
+    """Run ``ctreg fit``, ``cv`` and ``diagnose`` in process and hash what
+    they write, and what ``ctreg predict`` prints on each model file."""
     commands = {
         "cli_fit": [
             ["fit", "--method", "nct", "--tau", "0.05"],
@@ -226,20 +242,21 @@ def cli_hashes(hashes: Dict[str, "hashlib._Hash"], tmp: Path) -> None:
     for index, (n, d) in enumerate(SHAPES):
         X, Y = problem(n, d)
         data = write_csv(tmp / f"data{index}.csv", np.column_stack([X, Y]), with_y=True)
+        rng = np.random.default_rng(index)
+        rows = write_csv(tmp / f"rows{index}.csv", rng.standard_normal((7, d)), with_y=False)
+        beta = write_csv(tmp / f"beta{index}.csv", rng.standard_normal((d, 1)), with_y=False)
+        inputs = ["--input", str(data), "--response", "y"]
         for family, argvs in commands.items():
             for argv in argvs:
                 model = tmp / "model.json"
                 flag = "--output" if argv[0] == "fit" else "--fit-out"
-                stdout = io.StringIO()
-                with contextlib.redirect_stdout(stdout):
-                    code = cli_main(
-                        argv + ["--input", str(data), "--response", "y", flag, str(model)]
-                    )
-                if code != 0:
-                    raise SystemExit(f"ctreg {' '.join(argv)} exited {code}")
-                hashes[family].update(stdout.getvalue().encode())
+                hashes[family].update(run_cli(argv + inputs + [flag, str(model)]).encode())
                 hashes[family].update(model.read_bytes())
+                predictions = run_cli(["predict", "--model", str(model), "--input", str(rows)])
+                hashes["cli_predict"].update(predictions.encode())
                 model.unlink()
+        report = run_cli(["diagnose", *inputs, "--beta", str(beta), "--sigma", "0.3"])
+        hashes["cli_diagnose"].update(report.encode())
 
 
 def kernel_problem(n: int, m: int) -> tuple:
@@ -278,8 +295,7 @@ def cli_kernel_hashes(hashes: Dict[str, "hashlib._Hash"], tmp: Path) -> None:
                  "--tau", "0.05", "--output", str(model)],
                 ["predict", "--model", str(model), "--input", str(rows), "--output", str(preds)],
             ):
-                if cli_main(argv) != 0:
-                    raise SystemExit(f"ctreg {' '.join(argv)} exited nonzero")
+                run_cli(argv)
             hashes["cli_kernel_fit"].update(model.read_bytes())
             hashes["cli_kernel_predict"].update(preds.read_bytes())
 

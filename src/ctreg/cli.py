@@ -10,7 +10,7 @@ import argparse
 import json
 import math
 import sys
-from typing import Any, Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -323,7 +323,13 @@ def _read_json(path: str, what: str) -> Any:
         raise UsageError(f"{what} {path} is not valid JSON") from exc
 
 
-def _load_model(path: str) -> dict:
+Predictor = Callable[[np.ndarray], np.ndarray]
+
+
+def _load_model(path: str) -> Tuple[int, Predictor]:
+    """The model file in path, read by its kind's reader: the column count
+    of the input rows and their predictor.  A missing key or a field its
+    reader rejects is a usage error naming the model."""
     payload = _read_json(path, "model")
     if not isinstance(payload, dict):
         raise UsageError(f"model {path} is not a JSON object")
@@ -336,13 +342,12 @@ def _load_model(path: str) -> dict:
         raise UsageError(f"model {path} lacks model_kind")
     if not isinstance(kind, str) or kind not in _MODEL_KINDS:
         raise UsageError(f"model {path} has unknown model_kind {kind!r}")
-    missing = [key for key in _MODEL_KINDS[kind].required if key not in payload]
-    if missing:
-        raise UsageError(f"{kind} model {path} lacks {', '.join(missing)}")
-    return payload
-
-
-Predictor = Callable[[np.ndarray], np.ndarray]
+    try:
+        return _MODEL_KINDS[kind](payload)
+    except KeyError as exc:
+        raise UsageError(f"{kind} model {path} lacks {exc.args[0]}") from exc
+    except (TypeError, ValueError) as exc:
+        raise UsageError(f"malformed {kind} model {path}: {exc}") from exc
 
 
 def _read_linear_model(payload: dict) -> Tuple[int, Predictor]:
@@ -375,17 +380,11 @@ def _read_kernel_model(payload: dict) -> Tuple[int, Predictor]:
     return model.training_points.shape[1], lambda data: predict_kernel_batch(model, data)
 
 
-class _ModelKind(NamedTuple):
-    required: Tuple[str, ...]  # the keys predict needs
-    # model file -> (column count of the input rows, their predictions)
-    read: Callable[[dict], Tuple[int, Predictor]]
-
-
-_MODEL_KINDS = {
-    "linear": _ModelKind(("beta",), _read_linear_model),
-    "kernel": _ModelKind(
-        ("kernel", "training_points", "dual_coeffs"), _read_kernel_model
-    ),
+# model_kind -> its reader: model file -> (column count of the input rows,
+# their predictions)
+_MODEL_KINDS: Dict[str, Callable[[dict], Tuple[int, Predictor]]] = {
+    "linear": _read_linear_model,
+    "kernel": _read_kernel_model,
 }
 
 
@@ -428,11 +427,20 @@ _FIT_METHODS: Dict[str, Tuple[Fields, Callable[..., FitResult]]] = {
 }
 
 
+def _method(name: str, **values: Any) -> Tuple[str, Dict[str, Any]]:
+    """(name, values) of a --method value, with pcr's m and ridge's lambda
+    checked in the domains of fit_pcr and fit_ridge, before any CSV is read;
+    an m above min(n, d) or the rank needs the data."""
+    if "m" in values:
+        _integer("m", values["m"], 0)
+    if "lambda" in values:
+        _real("lambda", values["lambda"], 0, math.inf, "[]")
+    return name, values
+
+
 def cmd_fit(args: argparse.Namespace) -> int:
     methods = {name: fields for name, (fields, _) in _FIT_METHODS.items()}
-    name, values = _named(
-        "--method", args.method, methods, lambda name, **values: (name, values)
-    )
+    name, values = _named("--method", args.method, methods, _method)
     if name in ("nct", "gct"):
         _check_gct_flags(args, phi=name == "gct")
     check_writable(args.output)
@@ -475,13 +483,8 @@ def cmd_cv(args: argparse.Namespace) -> int:
 def cmd_predict(args: argparse.Namespace) -> int:
     if args.output is not None:
         check_writable(args.output)
-    payload = _load_model(args.model)
+    columns, predict_rows = _load_model(args.model)
     _, data = read_csv(args.input)
-    kind = payload["model_kind"]
-    try:
-        columns, predict_rows = _MODEL_KINDS[kind].read(payload)
-    except (KeyError, TypeError, ValueError) as exc:
-        raise UsageError(f"malformed {kind} model {args.model}: {exc!r}") from exc
     if data.shape[1] != columns:
         raise CtregError(f"model expects {columns} columns, input has {data.shape[1]}")
     preds = predict_rows(data)

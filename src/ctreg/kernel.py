@@ -69,8 +69,9 @@ class KernelSpec:
     scale: float = 1.0  # poly
 
     def __post_init__(self) -> None:
-        if self.kind not in KERNEL_PARAMS:
-            raise ValueError(f"unknown kernel kind {self.kind!r}")
+        if not isinstance(self.kind, str) or self.kind not in KERNEL_PARAMS:
+            kinds = ", ".join(KERNEL_PARAMS)
+            raise ValueError(f"KernelSpec.kind must be one of {kinds}, got {self.kind!r}")
         # degree and the fields of the kind first, then the finiteness of
         # every field: a field is checked whatever the kind
         object.__setattr__(self, "degree", _integer("KernelSpec.degree", self.degree, 1))

@@ -312,19 +312,24 @@ _Converters = Dict[type, Callable[[Any], Any]]
 
 def _coerce(hint: Any, value: Any, convert: _Converters) -> Any:
     """``value`` passed through ``convert[t]`` for its annotated type t
-    (float, int, str or Optional[float]) if there is one, else unchanged."""
-    if typing.get_origin(hint) is Union:
+    (Optional[t] for a non-None value) if there is one, else unchanged."""
+    args = typing.get_args(hint)
+    if type(None) in args:
         if value is None:
             return None
-        (hint,) = (arg for arg in typing.get_args(hint) if arg is not type(None))
+        (hint,) = (arg for arg in args if arg is not type(None))
     return convert[hint](value) if hint in convert else value
 
 
 def _from_fields(cls: Type[Any], data: Dict[str, Any], convert: _Converters) -> Any:
     """An instance of the dataclass ``cls`` from ``data``, each field
     coerced by ``convert`` for its annotation; an omitted field takes its
-    default, or raises ``KeyError`` if it has none."""
+    default, or raises ``KeyError`` if it has none, and a key that is not
+    a field raises ``ValueError``."""
     hints = typing.get_type_hints(cls)
+    for key in data:
+        if key not in hints:
+            raise ValueError(f"{cls.__name__} has no field {key!r}")
     return cls(
         **{
             field.name: _coerce(hints[field.name], data[field.name], convert)
@@ -379,23 +384,14 @@ def spec_to_dict(spec: ScenarioSpec) -> dict:
 
 
 def spec_from_dict(data: dict) -> ScenarioSpec:
-    """Inverse of spec_to_dict; an omitted pattern field takes its default."""
-    pattern_data = data["coef_pattern"]
-    kind = pattern_data["kind"]
+    """Inverse of spec_to_dict; an omitted field with a default takes it.
+
+    The integers reach the dataclasses unconverted, to be checked there, as
+    int() would truncate them; so do floats that are not JSON numbers."""
+    kind = data["coef_pattern"]["kind"]
     if not isinstance(kind, str) or kind not in _PATTERN_OF_KIND:
         raise ValueError(f"unknown coefficient pattern kind {kind!r}")
-    # the integers reach the dataclasses unconverted, to be checked there,
-    # as int() would truncate them; so do floats that are not JSON numbers
-    return ScenarioSpec(
-        n=data["n"],
-        d_grid=data["d_grid"],
-        eigen_decay_a=_json_float(data["eigen_decay_a"]),
-        coef_pattern=_from_fields(
-            _PATTERN_OF_KIND[kind], pattern_data, {float: _json_float}
-        ),
-        snr_target=_json_float(data["snr_target"]),
-        replicates=data["replicates"],
-        base_seed=data["base_seed"],
-        methods=data["methods"],
-        gct_phi=_json_float(data.get("gct_phi", 1.0)),
-    )
+    fields = {key: value for key, value in data["coef_pattern"].items() if key != "kind"}
+    convert: _Converters = {float: _json_float}
+    pattern = _from_fields(_PATTERN_OF_KIND[kind], fields, convert)
+    return _from_fields(ScenarioSpec, {**data, "coef_pattern": pattern}, convert)

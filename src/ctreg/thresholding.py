@@ -20,11 +20,11 @@ from .errors import _array, _grid, _real
 FloatArray = NDArray[np.float64]
 
 
-def _soft(z: FloatArray, tau: float) -> FloatArray:
+def _soft(z: FloatArray, tau: float | FloatArray) -> FloatArray:
     return np.sign(z) * np.maximum(np.abs(z) - tau, 0.0)
 
 
-def _hard(z: FloatArray, tau: float) -> FloatArray:
+def _hard(z: FloatArray, tau: float | FloatArray) -> FloatArray:
     return np.where(np.abs(z) >= tau, z, 0.0)
 
 

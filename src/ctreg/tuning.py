@@ -55,7 +55,7 @@ from .canonical import (
 )
 from .errors import ZeroDesignError, _array, _grid, _integer, _real
 from .estimators import _shrink
-from .thresholding import RuleKind, SOFT_RULE, ThresholdRule
+from .thresholding import RuleKind, SOFT_RULE, ThresholdRule, _hard, _soft
 
 FloatArray = NDArray[np.float64]
 
@@ -489,14 +489,8 @@ def _fold_errors_on_grid(
     """Validation error of one fold at every grid point at once."""
     weights = fold.eigenvalues ** (phi / 2.0)
     weighted = weights * fold.theta_ls
-    if rule.kind is RuleKind.SOFT:
-        shrunk = np.sign(weighted)[:, None] * np.maximum(
-            np.abs(weighted)[:, None] - taus[None, :], 0.0
-        )
-    else:
-        shrunk = np.where(
-            np.abs(weighted)[:, None] >= taus[None, :], weighted[:, None], 0.0
-        )
+    threshold = _soft if rule.kind is RuleKind.SOFT else _hard
+    shrunk = threshold(weighted[:, None], taus[None, :])
     theta_hat = shrunk / weights[:, None]  # r x m
     residual = fold.y_val[:, None] - fold.scores @ theta_hat
     return np.sum(residual**2, axis=0) / fold.y_val.shape[0]

@@ -356,6 +356,30 @@ class TestFit:
                      "--output", str(tmp_path / "m.json")] + flags) == 1
         assert capsys.readouterr().err == f"error: {message}\n"
 
+    @pytest.mark.parametrize(
+        "method, reason",
+        [
+            ("ridge:-1", "lambda must be a number in [0, inf], got -1.0"),
+            ("ridge:nan", "lambda must be a number in [0, inf], got nan"),
+            ("pcr:-1", "m must be an integer >= 0, got -1"),
+        ],
+    )
+    def test_bad_method_field_named_before_the_csv_is_read(
+        self, tmp_path, capsys, method, reason
+    ):
+        missing = str(tmp_path / "missing.csv")
+        assert main(["fit", "--input", missing, "--response", "y", "--method", method,
+                     "--output", str(tmp_path / "m.json")]) == 2
+        assert capsys.readouterr().err == (
+            f"error: bad --method value {method!r}: expected {METHOD_GRAMMAR} ({reason})\n"
+        )
+
+    def test_pcr_m_above_the_data_exit_one_after_the_read(self, data_csv, tmp_path, capsys):
+        path, _, _ = data_csv  # 12 x 4
+        assert main(["fit", "--input", path, "--response", "y", "--method", "pcr:5",
+                     "--output", str(tmp_path / "m.json")]) == 1
+        assert capsys.readouterr().err == "error: m must be at most min(n, d) = 4, got 5\n"
+
     def test_response_by_index(self, tmp_path):
         rng = np.random.default_rng(2)
         X = rng.standard_normal((8, 2))
@@ -462,8 +486,9 @@ class TestPredict:
         assert message in capsys.readouterr().err
 
     @staticmethod
-    def predict_with_edited_model(data_csv, tmp_path, method, mutate):
-        """Fit with ``method``, edit the model file in place, run predict."""
+    def predict_with_edited_model(data_csv, tmp_path, method, mutate, newdata=None):
+        """Fit with ``method``, edit the model file in place, run predict on
+        newdata (by default the training rows)."""
         path, X, _ = data_csv
         model_path = str(tmp_path / "m.json")
         extra = ["--kernel", "rbf:0.5"] if method == "kernel-fit" else []
@@ -473,8 +498,9 @@ class TestPredict:
         mutate(payload)
         with open(model_path, "w") as handle:
             json.dump(payload, handle)
-        newdata = str(tmp_path / "new.csv")
-        np.savetxt(newdata, X, delimiter=",")
+        if newdata is None:
+            newdata = str(tmp_path / "new.csv")
+            np.savetxt(newdata, X, delimiter=",")
         return main(["predict", "--model", model_path, "--input", newdata])
 
     @pytest.mark.parametrize(
@@ -534,6 +560,36 @@ class TestPredict:
     ):
         assert self.predict_with_edited_model(data_csv, tmp_path, method, mutate) == 2
         assert f"{field} " in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "method, mutate, message",
+        [
+            pytest.param("kernel-fit", lambda p: p.pop("dual_coeffs"),
+                         "kernel model {} lacks dual_coeffs", id="dual_coeffs-missing"),
+            pytest.param("kernel-fit", lambda p: p["kernel"].update(kind=["rbf"]),
+                         "malformed kernel model {}: KernelSpec.kind must be one of "
+                         "linear, rbf, poly, got ['rbf']", id="kind-list"),
+            pytest.param("kernel-fit", lambda p: p["kernel"].update(kind="tree"),
+                         "malformed kernel model {}: KernelSpec.kind must be one of "
+                         "linear, rbf, poly, got 'tree'", id="kind-unknown"),
+            pytest.param("kernel-fit", lambda p: p["kernel"].update(gamma=float("nan")),
+                         "malformed kernel model {}: KernelSpec.gamma must be a number "
+                         "in [0, inf), got nan", id="gamma-nan"),
+            pytest.param("fit", lambda p: p["centering"].pop("x_means"),
+                         "linear model {} lacks x_means", id="x_means-missing"),
+            pytest.param("fit", lambda p: p["beta"].__setitem__(0, float("nan")),
+                         "malformed linear model {}: model field beta must be finite, "
+                         "got nan at index (0,)", id="beta-nan"),
+        ],
+    )
+    def test_model_read_before_the_csv(self, data_csv, tmp_path, capsys, method, mutate,
+                                       message):
+        # the message names the model in the reader's own words: no CSV is
+        # read, and no exception type wraps the reason
+        missing = str(tmp_path / "missing.csv")
+        assert self.predict_with_edited_model(data_csv, tmp_path, method, mutate, missing) == 2
+        message = message.format(tmp_path / "m.json")
+        assert capsys.readouterr().err == f"error: {message}\n"
 
     def test_kernel_model_needs_only_what_predict_uses(self, data_csv, tmp_path, capsys):
         def strip(payload):
@@ -799,6 +855,35 @@ class TestSimulate:
         assert capsys.readouterr().err == (
             "error: bad scenario: PolyDecay.b must be a number in [0, inf), got 'x'\n"
         )
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "edit, message",
+        [
+            (lambda s: s.update(gct_ph=3.0), "ScenarioSpec has no field 'gct_ph'"),
+            (lambda s: s["coef_pattern"].update(bb=1.0), "PolyDecay has no field 'bb'"),
+        ],
+        ids=["scenario-key", "pattern-key"],
+    )
+    def test_unknown_key_exit_two(self, tmp_path, capsys, edit, message):
+        # each key was once skipped: gct_ph ran GCT-CV at the default phi
+        scenario = {
+            "n": 20,
+            "d_grid": [5],
+            "eigen_decay_a": 2.0,
+            "coef_pattern": {"kind": "poly-decay", "b": 2.0},
+            "snr_target": 10.0,
+            "replicates": 1,
+            "base_seed": 7,
+            "methods": ["Zero"],
+        }
+        edit(scenario)
+        spath = str(tmp_path / "s.json")
+        with open(spath, "w") as handle:
+            json.dump(scenario, handle)
+        out = tmp_path / "r.csv"
+        assert main(["simulate", "--scenario", spath, "--output", str(out)]) == 2
+        assert capsys.readouterr().err == f"error: bad scenario: {message}\n"
         assert not out.exists()
 
 

@@ -298,6 +298,15 @@ TABLE: Dict[str, Tuple[Callable[..., Any], Dict[str, Param]]] = {
             "z_grid": Param((np.linspace(-2.0, 2.0, 5),), BAD_GRIDS),
         },
     ),
+    "KernelSpec": (
+        lambda ds, kind: KernelSpec(kind),
+        {
+            "kind": Param(
+                ("linear", "rbf", "poly"), ("tree", ["rbf"], {"kind": "rbf"}, None, 1),
+                "KernelSpec.kind",
+            ),
+        },
+    ),
     "KernelSpec(rbf)": (
         lambda ds, gamma, degree: KernelSpec("rbf", gamma=gamma, degree=degree),
         {
@@ -539,6 +548,10 @@ NAMED_PROBES = {
     "KernelPredictor(dual_coeffs=ALPHA[:11])": case("KernelPredictor", dual_coeffs=ALPHA[:11]),
     "KernelPredictor(response_mean=nan)": case("KernelPredictor", response_mean=math.nan),
     "KernelSpec(rbf, degree=2.5)": case("KernelSpec(rbf)", degree=2.5),
+    # once a TypeError, or a message not naming the field
+    "KernelSpec(kind=['rbf'])": case("KernelSpec", kind=["rbf"]),
+    "KernelSpec(kind={'kind': 'rbf'})": case("KernelSpec", kind={"kind": "rbf"}),
+    "KernelSpec(kind='tree')": case("KernelSpec", kind="tree"),
     # once a message with no value or not naming the argument
     "effective_rank(Sigma=zeros(2))": case("effective_rank", Sigma=np.zeros(2)),
     "pe_random(Sigma=-eye(5))": case("pe_random", Sigma=-np.eye(5)),
@@ -591,6 +604,9 @@ ARRAY_PROBES = {
 VALUE_PROBES = {
     "KernelPredictor(response_mean=nan)": "KernelPredictor.response_mean",
     "KernelSpec(rbf, degree=2.5)": "KernelSpec.degree",
+    "KernelSpec(kind=['rbf'])": "KernelSpec.kind",
+    "KernelSpec(kind={'kind': 'rbf'})": "KernelSpec.kind",
+    "KernelSpec(kind='tree')": "KernelSpec.kind",
     "effective_rank(Sigma=zeros(2))": "Sigma",
     "pe_random(Sigma=-eye(5))": "Sigma",
     "weighted_risk_bound(eigenvalues=[1, 2])": "eigenvalues",

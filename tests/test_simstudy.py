@@ -422,6 +422,23 @@ class TestSerialization:
         with pytest.raises(ValueError, match=f"^{message}$"):
             spec_from_dict(data)
 
+    @pytest.mark.parametrize(
+        "edit, message",
+        [
+            (lambda data: data.update(gct_ph=3.0), r"^ScenarioSpec has no field 'gct_ph'$"),
+            (lambda data: data["coef_pattern"].update(bb=1.0), r"^PolyDecay has no field 'bb'$"),
+            (lambda data: data.update(coef_pattern={"kind": "isotropic-gaussian", "b": 1}),
+             r"^IsotropicGaussian has no field 'b'$"),
+        ],
+        ids=["scenario-key", "pattern-key", "fieldless-pattern"],
+    )
+    def test_unknown_keys_are_refused(self, edit, message):
+        # each was once skipped, so a misspelt gct_phi ran at the default 1.0
+        data = spec_to_dict(make_spec())
+        edit(data)
+        with pytest.raises(ValueError, match=message):
+            spec_from_dict(data)
+
     def test_spec_from_dict_bad_pattern(self):
         data = spec_to_dict(make_spec())
         for kind in ("nope", ["poly-decay"]):

@@ -81,6 +81,7 @@ def test_result_hashes_prints_one_sha256_per_family():
         "cli_cv",
         "cli_predict",
         "cli_diagnose",
+        "cli_simulate",
         "gram",
         "cross_gram",
         "kernel_canonicalize",

@@ -223,6 +223,27 @@ MUTANTS = (
         ("tests/test_cli.py",),
     ),
     Mutant(
+        "ctreg predict reads the CSV before the model",
+        "src/ctreg/cli.py",
+        "    columns, predict_rows = _load_model(args.model)\n    _, data = read_csv(args.input)\n",
+        "    _, data = read_csv(args.input)\n    columns, predict_rows = _load_model(args.model)\n",
+        ("tests/test_cli.py::TestPredict",),
+    ),
+    Mutant(
+        "--method skips its field checks",
+        "src/ctreg/cli.py",
+        '_named("--method", args.method, methods, _method)',
+        '_named("--method", args.method, methods, lambda name, **values: (name, values))',
+        ("tests/test_cli.py::TestFit",),
+    ),
+    Mutant(
+        "_from_fields keeps a key that is not a field",
+        "src/ctreg/simstudy.py",
+        'raise ValueError(f"{cls.__name__} has no field {key!r}")',
+        "pass",
+        ("tests/test_simstudy.py::TestSerialization",),
+    ),
+    Mutant(
         "deprecated np.row_stack for the path segments",
         "src/ctreg/tuning.py",
         "segments = np.column_stack((lo, hi, taus, errors))",

@@ -8,8 +8,9 @@ The families are the fits, the four tuners (``kfold_cv``, ``joint_cv``,
 ``kfold_cv_pcr``, ``kfold_cv_ridge``), ``cv_error_at``, ``grid_cv_oracle``,
 one ``run_experiment`` results CSV, the files and output of ``ctreg fit``
 and ``ctreg cv``, the output of ``ctreg predict`` on each of their model
-files (centered and ``--no-center``), and the output of ``ctreg diagnose``
-with ``--beta`` and ``--sigma``.  The kernel families are ``gram`` and
+files (centered and ``--no-center``), the output of ``ctreg diagnose``
+with ``--beta`` and ``--sigma``, and the results CSV of ``ctreg simulate``
+on a scenario JSON file.  The kernel families are ``gram`` and
 ``_cross_gram`` for each kernel kind, ``kernel_canonicalize`` (of Gram
 matrices and of matrices symmetric only within its tolerance),
 ``fit_kernel_gct``, ``predict_kernel_batch``, the model file of
@@ -36,6 +37,7 @@ import contextlib
 import dataclasses
 import hashlib
 import io
+import json
 import sys
 import tempfile
 from pathlib import Path
@@ -96,6 +98,7 @@ FAMILIES = (
     "cli_cv",
     "cli_predict",
     "cli_diagnose",
+    "cli_simulate",
     "gram",
     "cross_gram",
     "kernel_canonicalize",
@@ -259,6 +262,26 @@ def cli_hashes(hashes: Dict[str, "hashlib._Hash"], tmp: Path) -> None:
         hashes["cli_diagnose"].update(report.encode())
 
 
+def cli_simulate_hash(h: "hashlib._Hash", tmp: Path) -> None:
+    """Hash the results CSV of ``ctreg simulate`` on a scenario file whose
+    float fields are written both as integers and as floats, and which
+    leaves gct_phi to its default."""
+    scenario = {
+        "n": 30,
+        "d_grid": [10, 45],
+        "eigen_decay_a": 1,
+        "coef_pattern": {"kind": "spiked-head", "count": 3, "value": 2},
+        "snr_target": 4.5,
+        "replicates": 2,
+        "base_seed": 5,
+        "methods": ["GCT-CV", "NCT-CV", "Ridge-CV", "Zero"],
+    }
+    path, table = tmp / "scenario.json", tmp / "simulate.csv"
+    path.write_text(json.dumps(scenario))
+    run_cli(["simulate", "--scenario", str(path), "--output", str(table)])
+    h.update(table.read_bytes())
+
+
 def kernel_problem(n: int, m: int) -> tuple:
     rng = np.random.default_rng(7 * n + m)
     X = rng.standard_normal((n, 3))
@@ -307,6 +330,7 @@ def main() -> int:
     with tempfile.TemporaryDirectory(prefix="ctreg-hashes-") as tmp:
         experiment_hash(hashes["run_experiment"], Path(tmp))
         cli_hashes(hashes, Path(tmp))
+        cli_simulate_hash(hashes["cli_simulate"], Path(tmp))
         cli_kernel_hashes(hashes, Path(tmp))
     for name in FAMILIES:
         print(f"{name} {hashes[name].hexdigest()}")

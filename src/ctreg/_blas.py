@@ -14,13 +14,27 @@ map and the BLAS work that feeds it, so none of the results depends on the
 BLAS thread count.
 
 The pin also covers the decompositions that run between maps, such as
-``canonicalize``'s, not only the maps.  After a call that ran on several
-threads, an OpenBLAS worker busy-waits for about 0.12 s before it sleeps
-(measured after one 400 x 400 gemm: the process used 120-130 ms of CPU
-time during a 0.3 s sleep).  On 2 cores that worker takes the core the
-next map's helper needs: on a shared 2-core machine a 1000 x 200, L = 10
-fold map took a median 110 ms right after an unpinned gemm, against 78 ms
-after a quiet pause.
+``canonicalize``'s, not only the maps, and it stops OpenBLAS's worker
+threads.  After a call that ran on several threads, an OpenBLAS worker
+busy-waits for about 0.12 s before it sleeps, and setting the count starts
+a stopped pool's workers, which spin the same way (measured after one
+400 x 400 gemm on 2 threads: the process used 120-130 ms of CPU time during
+a 0.3 s sleep under a pin that only sets the count, and under 1 ms under
+one that stops the pool).  On 2 cores that worker takes the core the next
+map's helper needs: the benchmark's cv_wide workload (200 x 4000, L = 10
+CV, with threaded products between the CV calls) ran at a median 30.8 ops/s
+with the worker spinning and at 46.3 with the pool stopped (BENCH_31.json).
+So the first pin on the process's only Python thread sets the count to 1
+and then joins the workers (``blas_thread_shutdown_``, which OpenBLAS's own
+at-fork handler calls), or writes the count into ``blas_cpu_number`` if
+they are already gone; and the last pin to end, finding them gone, writes
+the saved count there.  That is the state OpenBLAS leaves a forked child
+in: the workers start again at the next multi-threaded call, and none spins
+after a map that no threaded call follows.  Stopping the pool is safe with
+one Python thread, as OpenBLAS has a job in flight only while a thread is
+inside BLAS.  The pin leaves the pool running, and only sets the count,
+while another Python thread is alive, and where OpenBLAS lacks those
+symbols.
 
 The OpenBLAS that numpy loaded is found through /proc/self/maps and called
 through ctypes.  Without it (another BLAS, or no /proc) the calling thread
@@ -75,6 +89,9 @@ _SYMBOLS = (
     ("openblas_get_num_threads64_", "openblas_set_num_threads64_"),
     ("openblas_get_num_threads", "openblas_set_num_threads"),
 )
+# the worker pool's shutdown and the two globals that say whether it runs
+# and on how many threads, under one name in those builds
+_POOL_SYMBOLS = ("blas_thread_shutdown_", "blas_server_avail", "blas_cpu_number")
 # the names of a LAPACKE routine in the same builds; a name ending in 64_
 # takes 64-bit LAPACK integers, the others 32-bit ones
 _LAPACKE_NAMES = (
@@ -91,10 +108,17 @@ _SMLNUM = float(np.finfo(np.float64).tiny / np.finfo(np.float64).eps)
 _RMIN, _RMAX = math.sqrt(_SMLNUM), math.sqrt(1.0 / _SMLNUM)
 
 
+class ThreadPool(NamedTuple):
+    shutdown: Callable[[], int]  # joins the workers
+    available: ctypes.c_int  # nonzero while the workers run
+    count: ctypes.c_int  # the thread count that get and set read and write
+
+
 class ThreadControl(NamedTuple):
     symbol: str  # the getter's name
     get: Callable[[], int]
-    set: Callable[[int], None]
+    set: Callable[[int], None]  # also starts the workers of a stopped pool
+    pool: Optional[ThreadPool]  # None where the library lacks _POOL_SYMBOLS
 
 
 class TridiagonalSolver(NamedTuple):
@@ -146,8 +170,20 @@ def thread_control() -> Optional[ThreadControl]:
             if get is not None and set_ is not None:
                 get.argtypes, get.restype = [], ctypes.c_int
                 set_.argtypes, set_.restype = [ctypes.c_int], None
-                return ThreadControl(get_name, get, set_)
+                return ThreadControl(get_name, get, set_, _thread_pool(lib))
     return None
+
+
+def _thread_pool(lib: ctypes.CDLL) -> Optional[ThreadPool]:
+    """The _POOL_SYMBOLS of lib, or None if it lacks one."""
+    shutdown, *names = _POOL_SYMBOLS
+    try:
+        func = getattr(lib, shutdown)
+        available, count = (ctypes.c_int.in_dll(lib, name) for name in names)
+    except (AttributeError, ValueError):
+        return None
+    func.argtypes, func.restype = [], ctypes.c_int
+    return ThreadPool(func, available, count)
 
 
 @functools.lru_cache(maxsize=None)
@@ -386,7 +422,7 @@ def _after_fork_in_child() -> None:
     it starts unpinned, with a new lock and the count the pins found."""
     global _lock, _pins
     if _pins and (control := thread_control()) is not None:
-        control.set(_saved)
+        _restore(control)
     _lock, _pins = threading.Lock(), 0
 
 
@@ -394,10 +430,42 @@ if hasattr(os, "register_at_fork"):  # not on Windows, which has no fork
     os.register_at_fork(after_in_child=_after_fork_in_child)
 
 
+def _pin(control: ThreadControl) -> None:
+    """The count set to 1 and, on the process's only Python thread, the
+    workers stopped: joined if they run, else left stopped, as ``set``
+    would start them."""
+    pool = control.pool
+    if pool is None or threading.active_count() > 1:
+        control.set(1)
+    elif pool.available.value:
+        control.set(1)
+        pool.shutdown()
+    else:
+        pool.count.value = 1
+
+
+def _restore(control: ThreadControl) -> None:
+    """The count the first pin found put back; stopped workers start again
+    at the next multi-threaded call, not here."""
+    pool = control.pool
+    if pool is not None and not pool.available.value:
+        pool.count.value = _saved
+    else:
+        control.set(_saved)
+
+
 @contextlib.contextmanager
 def pinned() -> Iterator[Optional[ThreadControl]]:
-    """OpenBLAS on one thread for the duration (nothing to do without it);
-    yields ``thread_control()``."""
+    """OpenBLAS on one thread for the duration, with its workers stopped
+    when the first pin begins on the process's only Python thread (nothing
+    to do without OpenBLAS); yields ``thread_control()``.
+
+    After the last pin ends the count is the one the first found, and
+    workers it stopped start again at the next multi-threaded BLAS call, so
+    none spins after the pin unless such a call follows.  With another
+    Python thread alive, or without ``ThreadControl.pool``, the pin only
+    sets the count, and a worker left spinning by an earlier threaded call
+    keeps spinning for up to about 0.12 s."""
     global _pins, _saved
     control = thread_control()
     if control is None:
@@ -406,7 +474,7 @@ def pinned() -> Iterator[Optional[ThreadControl]]:
     with _lock:
         if _pins == 0:
             _saved = control.get()
-            control.set(1)
+            _pin(control)
         _pins += 1
     try:
         yield control
@@ -414,7 +482,7 @@ def pinned() -> Iterator[Optional[ThreadControl]]:
         with _lock:
             _pins -= 1
             if _pins == 0:
-                control.set(_saved)
+                _restore(control)
 
 
 def fold_map(func: Callable[[int], T], count: int) -> List[T]:

@@ -239,9 +239,14 @@ def canonicalize(dataset: Dataset) -> CanonicalDecomposition:
     Threads: the Gram product, its ``eigh`` and the product that recovers
     the other vectors run with OpenBLAS pinned to one thread (see
     ``_blas.pinned``), as the CV fold spectra do, so the decomposition,
-    and every fit built on it, does not depend on the BLAS thread count,
-    and no OpenBLAS worker is left spinning into the next CV fold map.  A
-    memo hit takes no pin.  Alone, the pinned decomposition is slower, a
+    and every fit built on it, does not depend on the BLAS thread count.
+    Begun on the process's only Python thread, the pin also stops the
+    OpenBLAS workers, so none that an earlier multi-threaded call left
+    busy-waiting (for about 0.12 s) keeps a core from this decomposition or
+    the next CV fold map; the next multi-threaded call starts them again.
+    With another Python thread alive, or an OpenBLAS without the pool
+    symbols, the pin only sets the count and such a worker keeps spinning.
+    A memo hit takes no pin.  Alone, the pinned decomposition is slower, a
     cost paid once per Dataset: medians on 2 cores (numpy 2.4 with its
     OpenBLAS) went 19-20 -> 33 ms at 200 x 4000, 46-52 -> 77-84 ms at
     2000 x 500 and 6-8 -> 9 ms at 1000 x 200.  In a loop that alternates

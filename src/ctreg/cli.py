@@ -350,14 +350,26 @@ def _load_model(path: str) -> Tuple[int, Predictor]:
         raise UsageError(f"malformed {kind} model {path}: {exc}") from exc
 
 
+def _field(block: Any, path: str) -> Any:
+    """The value that path's last key names in the model block that its
+    other keys name; a block without that key raises a KeyError naming the
+    whole path."""
+    key = path.rsplit(".", 1)[-1]
+    if isinstance(block, dict) and key not in block:
+        raise KeyError(path)
+    return block[key]
+
+
 def _read_linear_model(payload: dict) -> Tuple[int, Predictor]:
     beta = _array("model field beta", payload["beta"], ("d",))
     x_means, y_mean = None, None
     centering = payload.get("centering")
     if centering is not None:
-        x_means = _array("model field centering.x_means", centering["x_means"], beta.shape)
-        if centering["y_mean"] is not None:
-            y_mean = float(_array("model field centering.y_mean", centering["y_mean"], ()))
+        x_means = _field(centering, "centering.x_means")
+        x_means = _array("model field centering.x_means", x_means, beta.shape)
+        y_mean = _field(centering, "centering.y_mean")
+        if y_mean is not None:
+            y_mean = float(_array("model field centering.y_mean", y_mean, ()))
 
     def predict_rows(data: np.ndarray) -> np.ndarray:
         # a fit on centered data: yhat = y_mean + (x - x_means)^T beta
@@ -370,12 +382,12 @@ def _read_linear_model(payload: dict) -> Tuple[int, Predictor]:
 
 
 def _read_kernel_model(payload: dict) -> Tuple[int, Predictor]:
-    # a field the file leaves out takes its KernelSpec default
+    # a field the file leaves out takes its KernelSpec default; kind has none
+    training_points, dual_coeffs = payload["training_points"], payload["dual_coeffs"]
+    kernel = payload["kernel"]
+    _field(kernel, "kernel.kind")
     model = KernelPredictor(
-        payload["training_points"],
-        payload["dual_coeffs"],
-        KernelSpec(**payload["kernel"]),
-        payload.get("response_mean"),
+        training_points, dual_coeffs, KernelSpec(**kernel), payload.get("response_mean")
     )
     return model.training_points.shape[1], lambda data: predict_kernel_batch(model, data)
 

@@ -360,14 +360,25 @@ def emit_table(table: ExperimentTable, path: str) -> None:
 
 
 def parse_table(path: str) -> ExperimentTable:
-    """Read back a results CSV written by emit_table."""
+    """Read back a results CSV written by emit_table.  Blank lines are
+    skipped, and a row with more or fewer cells than the header is a
+    ``ValueError`` naming the file and the row (1 for the first row after
+    the header)."""
     with open(path, newline="") as handle:
-        reader = csv.DictReader(handle)
-        if reader.fieldnames is None or tuple(reader.fieldnames) != CSV_COLUMNS:
+        reader = csv.reader(handle)
+        if tuple(next(reader, ())) != CSV_COLUMNS:
             raise ValueError(f"unexpected results CSV header in {path}")
-        rows: List[TableRow] = [
-            _from_fields(TableRow, record, {int: int, float: float}) for record in reader
-        ]
+        rows: List[TableRow] = []
+        for number, cells in enumerate(reader, 1):
+            if not cells:
+                continue
+            if len(cells) != len(CSV_COLUMNS):
+                raise ValueError(
+                    f"results CSV {path} row {number} has {len(cells)} cells, "
+                    f"the header {len(CSV_COLUMNS)}"
+                )
+            record = dict(zip(CSV_COLUMNS, cells))
+            rows.append(_from_fields(TableRow, record, {int: int, float: float}))
     digest = rows[0].scenario_hash if rows else ""
     return ExperimentTable(rows=tuple(rows), scenario_hash=digest, base_seed=0)
 

@@ -471,12 +471,16 @@ def kfold_cv(
     count is pinned to 1 process-wide, which also holds BLAS calls made by
     other threads to one thread, and the count is restored afterwards.  Every
     fold is computed on one BLAS thread, so the fold spectra, and this
-    result, do not depend on the BLAS thread count.  A caveat: a
-    multi-threaded BLAS call that the caller makes just before CV leaves an
-    OpenBLAS worker spinning for about 0.12 s on the core a helper needs.
-    On 2 cores, a 200 x 4000, L = 10 call that missed the memo took a median
-    60 ms right after three 200 x 4000 matrix-vector products, against
-    37 ms after a pause.
+    result, do not depend on the BLAS thread count.  A multi-threaded BLAS
+    call that the caller makes just before CV leaves an OpenBLAS worker
+    spinning for about 0.12 s on the core a helper needs; called on the
+    process's only Python thread, the pin stops OpenBLAS's workers first,
+    and the caller's next multi-threaded call starts them again.  With
+    another Python thread alive, or an OpenBLAS without the pool symbols
+    (see ``_blas.pinned``), the worker keeps spinning: on 2 cores, a
+    200 x 4000, L = 10 call that missed the memo took a median 38 ms right
+    after three 200 x 4000 by 4000 x 50 products with the pool left
+    running, against 26 ms with it stopped and 28 ms after a 0.2 s pause.
     """
     _real("phi", phi, 0, math.inf, "[)")
     _check_path_rule(rule)

@@ -576,7 +576,11 @@ class TestPredict:
                          "malformed kernel model {}: KernelSpec.gamma must be a number "
                          "in [0, inf), got nan", id="gamma-nan"),
             pytest.param("fit", lambda p: p["centering"].pop("x_means"),
-                         "linear model {} lacks x_means", id="x_means-missing"),
+                         "linear model {} lacks centering.x_means", id="x_means-missing"),
+            pytest.param("fit", lambda p: p["centering"].pop("y_mean"),
+                         "linear model {} lacks centering.y_mean", id="y_mean-missing"),
+            pytest.param("kernel-fit", lambda p: p["kernel"].pop("kind"),
+                         "kernel model {} lacks kernel.kind", id="kind-missing"),
             pytest.param("fit", lambda p: p["beta"].__setitem__(0, float("nan")),
                          "malformed linear model {}: model field beta must be finite, "
                          "got nan at index (0,)", id="beta-nan"),

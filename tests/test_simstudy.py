@@ -314,6 +314,20 @@ class TestSerialization:
         with pytest.raises(ValueError):
             parse_table(path)
 
+    @pytest.mark.parametrize("cells", [1, -1])
+    def test_row_of_another_length_named(self, tmp_path, cells):
+        # one cell more or less than the header, in the second row
+        table = run_experiment(make_spec(methods=("Zero", "OLS")))
+        path = tmp_path / "out.csv"
+        emit_table(table, str(path))
+        lines = path.read_text().splitlines()
+        lines[2] = lines[2] + ",x" if cells > 0 else lines[2].rsplit(",", 1)[0]
+        path.write_text("\n".join(lines) + "\n")
+        count = len(lines[2].split(","))
+        message = f"results CSV {path} row 2 has {count} cells, the header 7"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            parse_table(str(path))
+
     def test_spec_dict_round_trip(self):
         for pattern in (
             PolyDecay(b=1.5),

@@ -1,5 +1,6 @@
 """Tests for the exact solution-path K-fold cross-validation."""
 
+import contextlib
 import math
 import os
 import signal
@@ -771,6 +772,10 @@ CONTROL = _blas.thread_control()
 needs_openblas = pytest.mark.skipif(
     CONTROL is None, reason="no OpenBLAS thread control: fold maps are plain loops"
 )
+needs_pool = pytest.mark.skipif(
+    CONTROL is None or CONTROL.pool is None,
+    reason="no OpenBLAS pool symbols: the pin only sets the thread count",
+)
 
 
 def spectra_bits(spectra):
@@ -805,6 +810,20 @@ def meeting_folds(monkeypatch, first_delay=0.0):
 
     monkeypatch.setattr(tuning, "_fold", fold)
     return seen
+
+
+def threaded_product():
+    """A 400 x 400 matrix product, which OpenBLAS splits over its threads."""
+    a = np.random.default_rng(40).standard_normal((400, 400))
+    return a @ a
+
+
+def cpu_seconds_asleep(seconds=0.3):
+    """The process's CPU time while the calling thread sleeps: what other
+    threads, such as a spinning OpenBLAS worker, use meanwhile."""
+    start = time.process_time()
+    time.sleep(seconds)
+    return time.process_time() - start
 
 
 def helper_threads():
@@ -939,10 +958,25 @@ class TestFoldMap:
 
     @needs_fork
     def test_child_forked_during_a_pin_runs_cv(self, monkeypatch, blas_threads):
+        self.fork_during_a_pin(monkeypatch, blas_threads, stopped=False)
+
+    @needs_fork
+    @needs_pool
+    def test_child_forked_while_a_pin_stopped_the_pool_runs_cv(
+        self, monkeypatch, blas_threads
+    ):
+        self.fork_during_a_pin(monkeypatch, blas_threads, stopped=True)
+
+    @staticmethod
+    def fork_during_a_pin(monkeypatch, blas_threads, stopped):
         # at the fork another thread is inside a pin and holds the pin lock;
         # neither ends in the child, which must not wait for the lock and
-        # must start from the count that pin found
+        # must start from the count that pin found, and whose threaded
+        # product must start the pool again.  With ``stopped`` the first pin
+        # began on the only Python thread, so the pool was down before the
+        # fork too.
         cpus(monkeypatch, 2)
+        expected = threaded_product()
         holding, release = threading.Event(), threading.Event()
 
         def hold():
@@ -950,19 +984,27 @@ class TestFoldMap:
                 holding.set()
                 release.wait(timeout=120)
 
-        holder = threading.Thread(target=hold)
-        holder.start()
-        try:
-            assert holding.wait(timeout=10)
+        with contextlib.ExitStack() as stack:
+            if stopped:
+                stack.enter_context(_blas.pinned())
+                assert CONTROL.pool.available.value == 0
+            holder = threading.Thread(target=hold)
+            holder.start()
+            try:
+                assert holding.wait(timeout=10)
 
-            def child():
-                kfold_cv(random_dataset(36, 60, 8), 5)
-                return 0 if blas_threads() == 2 else 3
+                def child():
+                    kfold_cv(random_dataset(36, 60, 8), 5)
+                    if blas_threads() != 2:
+                        return 3
+                    if matrix_bits(threaded_product()) != matrix_bits(expected):
+                        return 4
+                    return 0 if CONTROL.pool is None or CONTROL.pool.available.value else 5
 
-            assert forked(child) == 0
-        finally:
-            release.set()
-            holder.join(timeout=10)
+                assert forked(child) == 0
+            finally:
+                release.set()
+                holder.join(timeout=10)
         assert not holder.is_alive()
         assert blas_threads() == 2
 
@@ -997,3 +1039,55 @@ class TestFoldMap:
         ]
         assert outputs[0].count("\n") == 3
         assert outputs[0] == outputs[1]
+
+
+@needs_pool
+class TestPinStopsThePool:
+    def test_no_worker_spins_during_a_pin(self, blas_threads):
+        # unstopped, the worker of the product busy-waits for about 0.12 s
+        assert threading.active_count() == 1
+        threaded_product()
+        with _blas.pinned():
+            assert cpu_seconds_asleep() < 0.03
+
+    def test_pool_returns_at_the_next_threaded_call(self, monkeypatch, blas_threads):
+        assert threading.active_count() == 1
+        cpus(monkeypatch, 2)
+        expected = threaded_product()
+        assert CONTROL.pool.available.value
+        kfold_cv(random_dataset(38, 60, 8), 5)
+        assert blas_threads() == 2
+        # stopped until a threaded call needs it, so nothing spins meanwhile
+        assert CONTROL.pool.available.value == 0
+        assert cpu_seconds_asleep() < 0.03
+        assert matrix_bits(threaded_product()) == matrix_bits(expected)
+        assert CONTROL.pool.available.value
+
+    def test_pool_left_running_beside_another_python_thread(self, monkeypatch, blas_threads):
+        calls = []
+
+        def shutdown():
+            calls.append(threading.active_count())
+            return CONTROL.pool.shutdown()
+
+        recorded = CONTROL._replace(pool=CONTROL.pool._replace(shutdown=shutdown))
+        monkeypatch.setattr(_blas, "thread_control", lambda: recorded)
+        release = threading.Event()
+        other = threading.Thread(target=release.wait, args=(10,))
+        other.start()
+        try:
+            threaded_product()
+            with _blas.pinned():
+                assert blas_threads() == 1
+                assert CONTROL.pool.available.value
+        finally:
+            release.set()
+            other.join(timeout=10)
+        assert not other.is_alive()
+        assert calls == []
+        assert blas_threads() == 2
+        # the recorder is the one the pin calls once the other thread is gone
+        threaded_product()
+        with _blas.pinned():
+            pass
+        assert calls == [1]

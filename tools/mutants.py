@@ -298,11 +298,28 @@ MUTANTS = (
     Mutant(
         "the OpenBLAS thread count not restored after a fold map",
         "src/ctreg/_blas.py",
-        "            if _pins == 0:\n                control.set(_saved)\n",
+        "            if _pins == 0:\n                _restore(control)\n",
         "",
         (
             "tests/test_tuning.py::TestFoldMap",
             "tests/test_memo.py::TestMemoizedTuners::test_threads_racing_on_one_dataset",
+        ),
+    ),
+    Mutant(
+        "pin leaves the pool running",
+        "src/ctreg/_blas.py",
+        "        control.set(1)\n        pool.shutdown()\n",
+        "        control.set(1)\n",
+        ("tests/test_tuning.py::TestPinStopsThePool",),
+    ),
+    Mutant(
+        "pool stopped while another Python thread is alive",
+        "src/ctreg/_blas.py",
+        "if pool is None or threading.active_count() > 1:",
+        "if pool is None:",
+        (
+            "tests/test_tuning.py::TestPinStopsThePool::"
+            "test_pool_left_running_beside_another_python_thread",
         ),
     ),
     Mutant(

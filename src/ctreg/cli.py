@@ -10,11 +10,13 @@ import argparse
 import json
 import math
 import sys
+from dataclasses import dataclass
+from types import SimpleNamespace
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .canonical import CanonicalDecomposition, Dataset, canonicalize, to_theta
+from .canonical import Dataset, canonicalize, to_theta
 from .errors import CtregError, UsageError, _array, _grid, _integer, _real
 from .estimators import (
     FitResult,
@@ -25,7 +27,8 @@ from .estimators import (
     fit_pcr,
     fit_ridge,
 )
-from .files import atomic_write, check_writable
+from . import files
+from .files import atomic_write, check_writable, read_json
 from .kernel import (
     KERNEL_PARAMS,
     KernelModel,
@@ -41,7 +44,7 @@ from .metrics import (
     threshold_scale,
 )
 from .simstudy import emit_table, run_experiment, spec_from_dict
-from .thresholding import HARD_RULE, SOFT_RULE
+from .thresholding import HARD_RULE, SOFT_RULE, ThresholdRule
 from .tuning import joint_cv
 
 # version 2 writes tau = inf as null; version-1 files (which may hold the
@@ -255,149 +258,141 @@ def _parse_numbers(args: argparse.Namespace) -> None:
             setattr(args, dest, values if len(values) > 1 else values[0])
 
 
-Offsets = Optional[Tuple[np.ndarray, float]]
+Predictor = Callable[[np.ndarray], np.ndarray]
+
+
+@dataclass(frozen=True)
+class Centering:
+    """The means that a fit on centered data subtracted; a model file may
+    hold y_mean as null, for no response offset."""
+
+    x_means: np.ndarray
+    y_mean: Optional[float]
 
 
 def _center(
     X: np.ndarray, Y: np.ndarray, enabled: bool
-) -> Tuple[np.ndarray, np.ndarray, Offsets]:
+) -> Tuple[np.ndarray, np.ndarray, Optional[Centering]]:
     if not enabled:
         return X, Y, None
-    x_means = X.mean(axis=0)
-    y_mean = float(Y.mean())
-    return X - x_means, Y - y_mean, (x_means, y_mean)
+    centering = Centering(X.mean(axis=0), float(Y.mean()))
+    return X - centering.x_means, Y - centering.y_mean, centering
 
 
-def _gct_config_json(config: GctConfig) -> dict:
-    rule = config.rule.kind.value
-    return {"tau": _tau_json(config.tau), "phi": config.phi, "rule": rule}
+@dataclass(frozen=True)
+class Spectrum:
+    """The retained spectrum, written for people and other tools."""
+
+    rank: int
+    eigenvalues: np.ndarray
 
 
-def _model_json(
-    kind: str, spectrum: CanonicalDecomposition | KernelModel, fields: dict
-) -> str:
-    """A model file: the schema header, fields, then the retained spectrum."""
-    header = {"schema_version": SCHEMA_VERSION, "model_kind": kind}
-    eigenvalues = spectrum.eigenvalues.tolist()
-    decomposition = {"rank": spectrum.rank, "eigenvalues": eigenvalues}
-    return _dumps({**header, **fields, "decomposition": decomposition}, indent=2) + "\n"
+@dataclass(frozen=True, kw_only=True)
+class ModelFile:
+    """The header of a model file; model_kind names the layout of the rest,
+    whose config records the fit for people and other tools (predict does
+    not read it)."""
+
+    schema_version: int
+    model_kind: str
+
+    def __post_init__(self) -> None:
+        try:
+            if _integer("schema_version", self.schema_version, 1) in READABLE_SCHEMA_VERSIONS:
+                return
+        except ValueError:
+            pass
+        raise UsageError(f"unsupported model schema version {self.schema_version!r}")
 
 
-def _linear_model_json(fit: FitResult, method: str, offsets: Offsets) -> str:
-    """The model file of a fit on data centered by offsets = (x_means, y_mean),
-    or on raw data when offsets is None."""
-    if isinstance(fit.config, GctConfig):
-        config = {"method": method, **_gct_config_json(fit.config)}
-    else:
-        config = {"method": method, **vars(fit.config)}
-    centering = None
-    if offsets is not None:
-        x_means, y_mean = offsets
-        centering = {"x_means": x_means.tolist(), "y_mean": y_mean}
-    fields = {"beta": fit.beta.tolist(), "config": config, "centering": centering}
-    return _model_json("linear", fit.decomposition, fields)
+@dataclass(frozen=True, kw_only=True)
+class LinearModelFile(ModelFile):
+    """A linear model: ȳ + (x − x̄)ᵀβ, or xᵀβ when centering is null."""
+
+    beta: np.ndarray
+    config: Any = None
+    centering: Optional[Centering]
+    decomposition: Optional[Spectrum] = None
+
+    def predictor(self) -> Tuple[int, Predictor]:
+        beta, centering = _array("model field beta", self.beta, ("d",)), self.centering
+        x_means, y_mean = None, None
+        if centering is not None:
+            x_means = _array("model field centering.x_means", centering.x_means, beta.shape)
+            if centering.y_mean is not None:
+                y_mean = float(_array("model field centering.y_mean", centering.y_mean, ()))
+
+        def predict_rows(data: np.ndarray) -> np.ndarray:
+            preds = (data if x_means is None else data - x_means) @ beta
+            return preds if y_mean is None else y_mean + preds
+
+        return beta.shape[0], predict_rows
+
+
+@dataclass(frozen=True, kw_only=True)
+class KernelModelFile(ModelFile):
+    """A kernel model, read by the library types: its fields are checked,
+    and named, by ``KernelPredictor`` and ``KernelSpec``."""
+
+    training_points: np.ndarray
+    dual_coeffs: np.ndarray
+    kernel: KernelSpec
+    config: Any = None
+    response_mean: Optional[float]
+    decomposition: Optional[Spectrum] = None
+
+    def predictor(self) -> Tuple[int, Predictor]:
+        fields = (self.training_points, self.dual_coeffs, self.kernel, self.response_mean)
+        model = KernelPredictor(*fields)
+        return model.training_points.shape[1], lambda data: predict_kernel_batch(model, data)
+
+
+_MODEL_KINDS = {"linear": LinearModelFile, "kernel": KernelModelFile}
+
+
+def _kernel_json(spec: KernelSpec) -> dict:
+    names = [name for name, _ in KERNEL_PARAMS[spec.kind]]
+    return files._to_tagged("kind", spec.kind, spec, {}, names)
+
+
+# how a model file writes values: tau = inf (or a ridge lambda = inf) as
+# null, a rule as its kind's name and an array as a (nested) list
+_TO_JSON = {float: _tau_json, ThresholdRule: lambda rule: rule.kind.value,
+            np.ndarray: np.ndarray.tolist, KernelSpec: _kernel_json}
+
+
+def _model_json(kind: str, **fields: Any) -> str:
+    """A model file: the header, then the fields of its kind's layout, read
+    from ``fields`` (any other key is not written)."""
+    source = SimpleNamespace(schema_version=SCHEMA_VERSION, model_kind=kind, **fields)
+    return _dumps(files._to_fields(_MODEL_KINDS[kind], source, _TO_JSON), indent=2) + "\n"
+
+
+def _linear_model_json(fit: FitResult, method: str, centering: Optional[Centering]) -> str:
+    """The model file of a fit on data centered by centering, or on raw data
+    when it is None."""
+    config = files._to_tagged("method", method, fit.config, _TO_JSON)
+    return _model_json("linear", **{**vars(fit), "config": config, "centering": centering})
 
 
 def _kernel_model_json(model: KernelModel) -> str:
-    spec = model.kernel
-    params = {name: getattr(spec, name) for name, _ in KERNEL_PARAMS[spec.kind]}
-    fields = {
-        "training_points": model.training_points.tolist(),
-        "dual_coeffs": model.dual_coeffs.tolist(),
-        "kernel": {"kind": spec.kind, **params},
-        "config": _gct_config_json(model.config),
-        "response_mean": model.response_mean,
-    }
-    return _model_json("kernel", model, fields)
-
-
-def _read_json(path: str, what: str) -> Any:
-    """The JSON document in path; a file that cannot be read or decoded, or
-    that is not JSON, is a usage error naming what it should hold."""
-    try:
-        with open(path) as handle:
-            return json.load(handle)
-    except (OSError, UnicodeDecodeError) as exc:
-        raise UsageError(f"cannot read {what} {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise UsageError(f"{what} {path} is not valid JSON") from exc
-
-
-Predictor = Callable[[np.ndarray], np.ndarray]
+    config = files._to_fields(GctConfig, model.config, _TO_JSON)
+    return _model_json("kernel", **{**vars(model), "config": config, "decomposition": model})
 
 
 def _load_model(path: str) -> Tuple[int, Predictor]:
-    """The model file in path, read by its kind's reader: the column count
-    of the input rows and their predictor.  A missing key or a field its
-    reader rejects is a usage error naming the model."""
-    payload = _read_json(path, "model")
-    if not isinstance(payload, dict):
-        raise UsageError(f"model {path} is not a JSON object")
-    if payload.get("schema_version") not in READABLE_SCHEMA_VERSIONS:
-        raise UsageError(
-            f"unsupported model schema version {payload.get('schema_version')!r}"
-        )
-    kind = payload.get("model_kind")
-    if kind is None:
-        raise UsageError(f"model {path} lacks model_kind")
-    if not isinstance(kind, str) or kind not in _MODEL_KINDS:
-        raise UsageError(f"model {path} has unknown model_kind {kind!r}")
+    """The model file in path, read by the layout its model_kind names: the
+    column count of the input rows and their predictor.  A missing key or a
+    field its layout rejects is a usage error naming the model."""
+    payload, what = read_json(path, "model"), "model"
     try:
-        return _MODEL_KINDS[kind](payload)
+        kind, layout, fields = files._tagged(payload, "model_kind", _MODEL_KINDS)
+        what = f"{kind} model"
+        return files._from_fields(layout, fields, {}).predictor()
     except KeyError as exc:
-        raise UsageError(f"{kind} model {path} lacks {exc.args[0]}") from exc
+        raise UsageError(f"{what} {path} lacks {exc.args[0]}") from exc
     except (TypeError, ValueError) as exc:
-        raise UsageError(f"malformed {kind} model {path}: {exc}") from exc
-
-
-def _field(block: Any, path: str) -> Any:
-    """The value that path's last key names in the model block that its
-    other keys name; a block without that key raises a KeyError naming the
-    whole path."""
-    key = path.rsplit(".", 1)[-1]
-    if isinstance(block, dict) and key not in block:
-        raise KeyError(path)
-    return block[key]
-
-
-def _read_linear_model(payload: dict) -> Tuple[int, Predictor]:
-    beta = _array("model field beta", payload["beta"], ("d",))
-    x_means, y_mean = None, None
-    centering = payload.get("centering")
-    if centering is not None:
-        x_means = _field(centering, "centering.x_means")
-        x_means = _array("model field centering.x_means", x_means, beta.shape)
-        y_mean = _field(centering, "centering.y_mean")
-        if y_mean is not None:
-            y_mean = float(_array("model field centering.y_mean", y_mean, ()))
-
-    def predict_rows(data: np.ndarray) -> np.ndarray:
-        # a fit on centered data: yhat = y_mean + (x - x_means)^T beta
-        if x_means is not None:
-            data = data - x_means
-        preds = data @ beta
-        return preds if y_mean is None else y_mean + preds
-
-    return beta.shape[0], predict_rows
-
-
-def _read_kernel_model(payload: dict) -> Tuple[int, Predictor]:
-    # a field the file leaves out takes its KernelSpec default; kind has none
-    training_points, dual_coeffs = payload["training_points"], payload["dual_coeffs"]
-    kernel = payload["kernel"]
-    _field(kernel, "kernel.kind")
-    model = KernelPredictor(
-        training_points, dual_coeffs, KernelSpec(**kernel), payload.get("response_mean")
-    )
-    return model.training_points.shape[1], lambda data: predict_kernel_batch(model, data)
-
-
-# model_kind -> its reader: model file -> (column count of the input rows,
-# their predictions)
-_MODEL_KINDS: Dict[str, Callable[[dict], Tuple[int, Predictor]]] = {
-    "linear": _read_linear_model,
-    "kernel": _read_kernel_model,
-}
+        raise UsageError(f"malformed {what} {path}: {exc}") from exc
 
 
 # the domains of --tau-auto's sigma, delta and alpha (see default_tau)
@@ -457,9 +452,9 @@ def cmd_fit(args: argparse.Namespace) -> int:
         _check_gct_flags(args, phi=name == "gct")
     check_writable(args.output)
     X, Y = load_dataset(args.input, args.response)
-    X, Y, offsets = _center(X, Y, not args.no_center)
+    X, Y, centering = _center(X, Y, not args.no_center)
     fit = _FIT_METHODS[name][1](args, Dataset(X, Y), *values.values())
-    atomic_write(args.output, _linear_model_json(fit, args.method, offsets))
+    atomic_write(args.output, _linear_model_json(fit, args.method, centering))
     return EXIT_OK
 
 
@@ -479,7 +474,7 @@ def cmd_cv(args: argparse.Namespace) -> int:
     X, Y = load_dataset(args.input, args.response)
     if args.folds > X.shape[0]:  # the one flag bound that needs the data
         raise ValueError(f"--folds must be at most the row count {X.shape[0]}, got {args.folds}")
-    X, Y, offsets = _center(X, Y, not args.no_center)
+    X, Y, centering = _center(X, Y, not args.no_center)
     dataset = Dataset(X, Y)
     rule = _RULES[args.rule]
     phi, tau, result = joint_cv(dataset, args.folds, phis, rule, args.seed)
@@ -488,7 +483,7 @@ def cmd_cv(args: argparse.Namespace) -> int:
     print(_dumps(report))
     if args.fit_out is not None:
         fit = fit_gct(dataset, GctConfig(tau=tau, phi=phi, rule=rule))
-        atomic_write(args.fit_out, _linear_model_json(fit, "gct", offsets))
+        atomic_write(args.fit_out, _linear_model_json(fit, "gct", centering))
     return EXIT_OK
 
 
@@ -520,10 +515,12 @@ def cmd_kernel_fit(args: argparse.Namespace) -> int:
 
 
 def cmd_simulate(args: argparse.Namespace) -> int:
-    data = _read_json(args.scenario, "scenario")
+    data = read_json(args.scenario, "scenario")
     try:
         spec = spec_from_dict(data)
-    except (KeyError, ValueError, TypeError) as exc:
+    except KeyError as exc:
+        raise UsageError(f"bad scenario: lacks {exc.args[0]}") from exc
+    except (ValueError, TypeError) as exc:
         raise UsageError(f"bad scenario: {exc}") from exc
     check_writable(args.output)
     table = run_experiment(spec)

@@ -10,8 +10,8 @@ above the rank but not above min(n, d), which only the decomposition
 gives.  The four helpers
 below make every such check:
 
-- ``_integer``: an integer (numpy's too, not an integral float) of at
-  least a bound, returned as a Python int;
+- ``_integer``: an integer (numpy's too, not an integral float or a
+  bool) of at least a bound, returned as a Python int;
 - ``_real``: a real number (numpy's too), not NaN, inside an interval,
   returned unchanged (so an int stays an int in a model file or a scenario
   hash);
@@ -66,7 +66,7 @@ def _integer(name: str, value: Any, least: int) -> int:
         integer = operator.index(value)
     except TypeError:
         integer = least - 1
-    if integer < least:
+    if integer < least or isinstance(value, bool):
         raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
     return integer
 

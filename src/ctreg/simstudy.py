@@ -16,8 +16,7 @@ import hashlib
 import io
 import json
 import math
-import numbers
-import typing
+import functools
 from collections.abc import Iterable
 from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Optional, Tuple, Type, Union
@@ -28,7 +27,7 @@ from numpy.typing import NDArray
 from .canonical import Dataset
 from .errors import ExperimentError, _integer, _real
 from .estimators import GctConfig, fit_gct, fit_min_norm_ls, fit_pcr, fit_ridge
-from .files import atomic_write
+from .files import _from_fields, _json_float, _tagged, _to_fields, _to_tagged, atomic_write
 from .thresholding import SOFT_RULE
 from .tuning import kfold_cv, kfold_cv_pcr, kfold_cv_ridge
 
@@ -307,42 +306,31 @@ def run_experiment(spec: ScenarioSpec) -> ExperimentTable:
 CSV_COLUMNS = tuple(field.name for field in dataclasses.fields(TableRow))
 
 
-_Converters = Dict[type, Callable[[Any], Any]]
+def _cell(kind: type, text: str, column: str) -> Any:
+    """A results CSV cell as ``kind``; a cell that is not one names its column."""
+    try:
+        return kind(text)
+    except ValueError as exc:
+        raise ValueError(f"column {column}: {exc}") from None
 
 
-def _coerce(hint: Any, value: Any, convert: _Converters) -> Any:
-    """``value`` passed through ``convert[t]`` for its annotated type t
-    (Optional[t] for a non-None value) if there is one, else unchanged."""
-    args = typing.get_args(hint)
-    if type(None) in args:
-        if value is None:
-            return None
-        (hint,) = (arg for arg in args if arg is not type(None))
-    return convert[hint](value) if hint in convert else value
+_CELLS = {kind: functools.partial(_cell, kind) for kind in (int, float)}
 
 
-def _from_fields(cls: Type[Any], data: Dict[str, Any], convert: _Converters) -> Any:
-    """An instance of the dataclass ``cls`` from ``data``, each field
-    coerced by ``convert`` for its annotation; an omitted field takes its
-    default, or raises ``KeyError`` if it has none, and a key that is not
-    a field raises ``ValueError``."""
-    hints = typing.get_type_hints(cls)
-    for key in data:
-        if key not in hints:
-            raise ValueError(f"{cls.__name__} has no field {key!r}")
-    return cls(
-        **{
-            field.name: _coerce(hints[field.name], data[field.name], convert)
-            for field in dataclasses.fields(cls)
-            if field.name in data or field.default is dataclasses.MISSING
-        }
-    )
+def _pattern_from_dict(block: Any, path: str) -> CoefPattern:
+    what = "coefficient pattern kind"
+    _, cls, fields = _tagged(block, "kind", _PATTERN_OF_KIND, f"{path}.", what)
+    return _from_fields(cls, fields, _FROM_JSON, f"{path}.")
 
 
-def _json_float(value: Any) -> Any:
-    """A JSON number as a float; anything else unconverted, so that the
-    field's own check rejects it by name (a string is not a number)."""
-    return float(value) if isinstance(value, numbers.Real) else value
+def _pattern_to_dict(pattern: CoefPattern) -> Dict[str, Any]:
+    return _to_tagged("kind", _KIND_OF_PATTERN[type(pattern)], pattern, {})
+
+
+# a scenario file's number in a float field is read as a float (so "b": 2
+# and "b": 2.0 give one spec and one hash), and its integers unconverted, to
+# be checked by the dataclasses
+_FROM_JSON = {float: _json_float, CoefPattern: _pattern_from_dict}
 
 
 def emit_table(table: ExperimentTable, path: str) -> None:
@@ -355,7 +343,7 @@ def emit_table(table: ExperimentTable, path: str) -> None:
     text = io.StringIO()
     writer = csv.writer(text)
     writer.writerow(CSV_COLUMNS)
-    writer.writerows(dataclasses.astuple(row) for row in table.rows)
+    writer.writerows(_to_fields(TableRow, row, {}).values() for row in table.rows)
     atomic_write(path, text.getvalue())
 
 
@@ -363,7 +351,8 @@ def parse_table(path: str) -> ExperimentTable:
     """Read back a results CSV written by emit_table.  Blank lines are
     skipped, and a row with more or fewer cells than the header is a
     ``ValueError`` naming the file and the row (1 for the first row after
-    the header)."""
+    the header), and so is a cell that is not of its column's type, with
+    the column's name too."""
     with open(path, newline="") as handle:
         reader = csv.reader(handle)
         if tuple(next(reader, ())) != CSV_COLUMNS:
@@ -377,8 +366,10 @@ def parse_table(path: str) -> ExperimentTable:
                     f"results CSV {path} row {number} has {len(cells)} cells, "
                     f"the header {len(CSV_COLUMNS)}"
                 )
-            record = dict(zip(CSV_COLUMNS, cells))
-            rows.append(_from_fields(TableRow, record, {int: int, float: float}))
+            try:
+                rows.append(_from_fields(TableRow, dict(zip(CSV_COLUMNS, cells)), _CELLS))
+            except ValueError as exc:
+                raise ValueError(f"results CSV {path} row {number} {exc}") from None
     digest = rows[0].scenario_hash if rows else ""
     return ExperimentTable(rows=tuple(rows), scenario_hash=digest, base_seed=0)
 
@@ -386,23 +377,13 @@ def parse_table(path: str) -> ExperimentTable:
 def spec_to_dict(spec: ScenarioSpec) -> dict:
     """JSON-ready form of a scenario, mirroring the field names; the pattern
     is its fields after its "kind" string."""
-    data = dataclasses.asdict(spec)
-    data["coef_pattern"] = {
-        "kind": _KIND_OF_PATTERN[type(spec.coef_pattern)],
-        **data["coef_pattern"],
-    }
-    return data
+    return _to_fields(ScenarioSpec, spec, {CoefPattern: _pattern_to_dict})
 
 
 def spec_from_dict(data: dict) -> ScenarioSpec:
     """Inverse of spec_to_dict; an omitted field with a default takes it.
 
     The integers reach the dataclasses unconverted, to be checked there, as
-    int() would truncate them; so do floats that are not JSON numbers."""
-    kind = data["coef_pattern"]["kind"]
-    if not isinstance(kind, str) or kind not in _PATTERN_OF_KIND:
-        raise ValueError(f"unknown coefficient pattern kind {kind!r}")
-    fields = {key: value for key, value in data["coef_pattern"].items() if key != "kind"}
-    convert: _Converters = {float: _json_float}
-    pattern = _from_fields(_PATTERN_OF_KIND[kind], fields, convert)
-    return _from_fields(ScenarioSpec, {**data, "coef_pattern": pattern}, convert)
+    int() would truncate them; so do floats that are not JSON numbers.  A
+    missing field raises KeyError with its key path (``coef_pattern.kind``)."""
+    return _from_fields(ScenarioSpec, data, _FROM_JSON)

@@ -11,6 +11,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from ctreg import (
+    HARD_RULE,
+    SOFT_RULE,
     Dataset,
     GctConfig,
     KernelSpec,
@@ -463,6 +465,17 @@ class TestPredict:
             json.dump(payload, handle)
         assert main(["predict", "--model", model_path, "--input", path]) == 2
 
+    @pytest.mark.parametrize("version", [True, 1.0, 0, "2", None])
+    def test_schema_version_must_be_a_readable_integer(self, data_csv, tmp_path, capsys,
+                                                       version):
+        # true and 1.0 were once read as versions 1 and 2
+        def mutate(payload):
+            payload["schema_version"] = version
+
+        missing = str(tmp_path / "missing.csv")
+        assert self.predict_with_edited_model(data_csv, tmp_path, "fit", mutate, missing) == 2
+        assert capsys.readouterr().err == f"error: unsupported model schema version {version!r}\n"
+
     @pytest.mark.parametrize(
         "mutate, message",
         [
@@ -584,6 +597,36 @@ class TestPredict:
             pytest.param("fit", lambda p: p["beta"].__setitem__(0, float("nan")),
                          "malformed linear model {}: model field beta must be finite, "
                          "got nan at index (0,)", id="beta-nan"),
+            # each of these once predicted with exit 0: a misspelt or missing
+            # centering or response_mean lost x-bar and y-bar, and any other
+            # key was skipped
+            pytest.param("fit", lambda p: p.update(centring=p.pop("centering")),
+                         "malformed linear model {}: LinearModelFile has no field "
+                         "'centring'", id="centering-misspelt"),
+            pytest.param("fit", lambda p: p.pop("centering"),
+                         "linear model {} lacks centering", id="centering-missing"),
+            pytest.param("kernel-fit", lambda p: p.pop("response_mean"),
+                         "kernel model {} lacks response_mean", id="response_mean-missing"),
+            pytest.param("fit", lambda p: p.update(note="refit"),
+                         "malformed linear model {}: LinearModelFile has no field 'note'",
+                         id="linear-unknown-key"),
+            pytest.param("kernel-fit", lambda p: p["decomposition"].pop("eigenvalues"),
+                         "kernel model {} lacks decomposition.eigenvalues",
+                         id="eigenvalues-missing"),
+            # a block that is not an object, or a key KernelSpec lacks, is
+            # named by its key path and layout, not by a Python error
+            pytest.param("kernel-fit", lambda p: p.update(kernel=[1]),
+                         "malformed kernel model {}: kernel must be a JSON object, got [1]",
+                         id="kernel-list"),
+            pytest.param("kernel-fit", lambda p: p.update(kernel=None),
+                         "malformed kernel model {}: kernel must be a JSON object, got None",
+                         id="kernel-null"),
+            pytest.param("fit", lambda p: p.update(centering=[1, 2]),
+                         "malformed linear model {}: centering must be a JSON object, "
+                         "got [1, 2]", id="centering-list"),
+            pytest.param("kernel-fit", lambda p: p["kernel"].update(width=1.0),
+                         "malformed kernel model {}: KernelSpec has no field 'width'",
+                         id="kernel-unknown-key"),
         ],
     )
     def test_model_read_before_the_csv(self, data_csv, tmp_path, capsys, method, mutate,
@@ -618,6 +661,80 @@ class TestPredict:
         expected = (X - x_means) @ np.array(model["beta"])
         printed = np.array(capsys.readouterr().out.split(), dtype=np.float64)
         np.testing.assert_array_equal(printed, expected)
+
+
+# a linear fit: (the --method text, fit(dataset)); every rule, tau = inf
+# (the zero estimator, written as null) and ridge's lambda = inf included
+LINEAR_FITS = st.one_of(
+    st.just(("ols", fit_min_norm_ls)),
+    st.builds(
+        lambda tau, phi, rule: ("gct", lambda ds: fit_gct(ds, GctConfig(tau, phi, rule))),
+        st.floats(0, 2) | st.just(float("inf")),
+        st.floats(0, 2),
+        st.sampled_from([SOFT_RULE, HARD_RULE]),
+    ),
+    st.builds(lambda m: (f"pcr:{m}", lambda ds: fit_pcr(ds, m)), st.integers(0, 3)),
+    st.builds(
+        lambda lam: (f"ridge:{lam!r}", lambda ds: fit_ridge(ds, lam)),
+        st.floats(0, 10) | st.just(float("inf")),
+    ),
+)
+KERNEL_SPECS = st.one_of(
+    st.just(KernelSpec("linear")),
+    st.builds(lambda gamma: KernelSpec("rbf", gamma=gamma), st.floats(0, 2)),
+    st.builds(
+        lambda degree, coef0, scale: KernelSpec("poly", degree=degree, coef0=coef0, scale=scale),
+        st.integers(1, 3),
+        st.floats(0, 2),
+        st.floats(0.1, 2),
+    ),
+)
+
+
+class TestModelRoundTrip:
+    """A model file written by fit, cv or kernel-fit reads back to the same
+    predictions, bit for bit."""
+
+    @staticmethod
+    def draw(seed, n, d):
+        rng = np.random.default_rng(seed)
+        return rng.standard_normal((n, d)), rng.standard_normal(n), rng.standard_normal((4, d))
+
+    @staticmethod
+    def read_back(tmp_path_factory, text, Xnew):
+        path = str(tmp_path_factory.mktemp("model") / "m.json")
+        with open(path, "w") as handle:
+            handle.write(text)
+        columns, predict_rows = cli._load_model(path)
+        assert columns == Xnew.shape[1]
+        return predict_rows(Xnew)
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.integers(4, 8), st.integers(3, 6), LINEAR_FITS,
+           st.booleans())
+    def test_linear(self, tmp_path_factory, seed, n, d, method, center):
+        X, Y, Xnew = self.draw(seed, n, d)
+        text, fit = method
+        Xc, Yc, centering = cli._center(X, Y, center)
+        result = fit(Dataset(Xc, Yc))
+        written = cli._linear_model_json(result, text, centering)
+        if centering is None:
+            expected = predict(result, Xnew)
+        else:
+            expected = centering.y_mean + predict(result, Xnew - centering.x_means)
+        assert json.loads(written)["config"]["method"] == text
+        np.testing.assert_array_equal(self.read_back(tmp_path_factory, written, Xnew), expected)
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.integers(3, 8), st.integers(1, 4), KERNEL_SPECS,
+           st.floats(0, 1), st.sampled_from([SOFT_RULE, HARD_RULE]), st.booleans())
+    def test_kernel(self, tmp_path_factory, seed, n, d, spec, tau, rule, center):
+        X, Y, Xnew = self.draw(seed, n, d)
+        model = fit_kernel_gct(X, Y, spec, GctConfig(tau, 1.0, rule), center_response=center)
+        written = cli._kernel_model_json(model)
+        np.testing.assert_array_equal(
+            self.read_back(tmp_path_factory, written, Xnew), predict_kernel_batch(model, Xnew)
+        )
 
 
 class TestCv:
@@ -859,6 +976,40 @@ class TestSimulate:
         assert capsys.readouterr().err == (
             "error: bad scenario: PolyDecay.b must be a number in [0, inf), got 'x'\n"
         )
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "document, message",
+        [
+            (lambda s: {**s, "coef_pattern": {"b": 2.0}}, "lacks coef_pattern.kind"),
+            (lambda s: {k: v for k, v in s.items() if k != "n"}, "lacks n"),
+            (lambda s: {**s, "coef_pattern": "poly-decay"},
+             "coef_pattern must be a JSON object, got 'poly-decay'"),
+            (lambda s: [s["n"], s["d_grid"]],
+             "ScenarioSpec must be a JSON object, got [20, [5]]"),
+        ],
+        ids=["kind-missing", "n-missing", "pattern-string", "list"],
+    )
+    def test_malformed_scenario_named_exit_two(self, tmp_path, capsys, document, message):
+        # these once read "bad scenario: 'kind'", "'n'", "string indices must
+        # be integers, not 'str'" and "list indices must be integers or
+        # slices, not str"
+        scenario = {
+            "n": 20,
+            "d_grid": [5],
+            "eigen_decay_a": 2.0,
+            "coef_pattern": {"kind": "poly-decay", "b": 2.0},
+            "snr_target": 10.0,
+            "replicates": 1,
+            "base_seed": 7,
+            "methods": ["Zero"],
+        }
+        spath = str(tmp_path / "s.json")
+        with open(spath, "w") as handle:
+            json.dump(document(scenario), handle)
+        out = tmp_path / "r.csv"
+        assert main(["simulate", "--scenario", spath, "--output", str(out)]) == 2
+        assert capsys.readouterr().err == f"error: bad scenario: {message}\n"
         assert not out.exists()
 
     @pytest.mark.parametrize(

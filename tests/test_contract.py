@@ -103,7 +103,7 @@ ALPHA = KERNEL_MODEL.dual_coeffs
 Y_BAD = (Y_NAN, np.where(np.arange(12) == 7, -math.inf, Y), Y[:11], Y[:, None], "ab")
 
 BAD = ("a", None, math.nan, math.inf, -math.inf, 2.5, -1)
-BAD_COUNTS = BAD + (3.0, "3", 13)  # 13 folds are more than the 12 rows
+BAD_COUNTS = BAD + (3.0, "3", True, 13)  # 13 folds are more than the 12 rows
 BAD_GRIDS = ([[0.0, 1.0]], [], "ab", 1.0, [0.0, None], [0.0, math.nan], [0.0, -1.0])
 INF = math.inf
 

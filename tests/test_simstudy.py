@@ -1,12 +1,15 @@
 """Tests for the Monte Carlo comparison harness."""
 
+import json
 import math
 import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ctreg import (
+    ExperimentTable,
     IsotropicGaussian,
     PolyDecay,
     ScenarioSpec,
@@ -20,6 +23,7 @@ from ctreg import (
     spec_from_dict,
     spec_to_dict,
 )
+from ctreg.simstudy import CSV_COLUMNS, KNOWN_METHODS, TableRow
 
 
 def make_spec(**overrides):
@@ -328,6 +332,27 @@ class TestSerialization:
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             parse_table(str(path))
 
+    @pytest.mark.parametrize(
+        "column, cell, reason",
+        [
+            ("d", "5x", "invalid literal for int() with base 10: '5x'"),
+            ("median_rel_pe", "0.5.1", "could not convert string to float: '0.5.1'"),
+        ],
+    )
+    def test_bad_cell_named_by_row_and_column(self, tmp_path, column, cell, reason):
+        # the reason alone once named neither the file, the row nor the column
+        table = run_experiment(make_spec(methods=("Zero", "OLS")))
+        path = tmp_path / "out.csv"
+        emit_table(table, str(path))
+        lines = path.read_text().splitlines()
+        cells = lines[1].split(",")
+        cells[CSV_COLUMNS.index(column)] = cell
+        lines[1] = ",".join(cells)
+        path.write_text("\n".join(lines) + "\n")
+        message = f"results CSV {path} row 1 column {column}: {reason}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            parse_table(str(path))
+
     def test_spec_dict_round_trip(self):
         for pattern in (
             PolyDecay(b=1.5),
@@ -460,7 +485,7 @@ class TestSerialization:
             with pytest.raises(ValueError, match="unknown coefficient pattern kind"):
                 spec_from_dict(data)
         data["coef_pattern"] = {"kind": "poly-decay"}
-        with pytest.raises(KeyError, match="'b'"):
+        with pytest.raises(KeyError, match="'coef_pattern.b'"):
             spec_from_dict(data)
 
     def test_hash_stable_and_sensitive(self):
@@ -468,3 +493,59 @@ class TestSerialization:
         assert scenario_hash(spec) == scenario_hash(make_spec())
         assert scenario_hash(spec) != scenario_hash(make_spec(base_seed=124))
         assert len(scenario_hash(spec)) == 12
+
+
+# every pattern kind, its fields drawn as a scenario file holds them (a
+# float field as a float: an int-valued b hashes as an int, see
+# test_scenario_hash_pinned_per_pattern, and reads back as a float)
+PATTERNS = st.one_of(
+    st.builds(PolyDecay, b=st.floats(0, 10)),
+    st.builds(SpikedHead, count=st.integers(0, 50), value=st.floats(-1e3, 1e3)),
+    st.builds(
+        SpikedTailRandom,
+        count=st.integers(0, 20),
+        window=st.integers(1, 20),
+        noise_var=st.none() | st.floats(0, 10),
+    ),
+    st.just(IsotropicGaussian()),
+)
+SPECS = st.builds(
+    ScenarioSpec,
+    n=st.integers(10, 500),
+    d_grid=st.lists(st.integers(1, 400), max_size=4),
+    eigen_decay_a=st.floats(0, 5),
+    coef_pattern=PATTERNS,
+    snr_target=st.floats(1e-3, 1e3),
+    replicates=st.integers(1, 100),
+    base_seed=st.integers(0, 2**63),
+    methods=st.lists(st.sampled_from(KNOWN_METHODS), max_size=3),
+    gct_phi=st.floats(0, 4),
+)
+CELL_TEXT = st.text(st.characters(blacklist_categories=("Cs",), blacklist_characters="\x00"),
+                    max_size=8)
+ROWS = st.lists(
+    st.builds(TableRow, CELL_TEXT, st.integers(), st.integers(), st.integers(), st.floats(),
+              st.floats(), CELL_TEXT),
+    max_size=5,
+)
+
+
+class TestRoundTrip:
+    """Each file ctreg writes reads back to what was written."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(SPECS)
+    def test_scenario_round_trip(self, spec):
+        loaded = spec_from_dict(json.loads(json.dumps(spec_to_dict(spec))))
+        assert loaded == spec
+        assert scenario_hash(loaded) == scenario_hash(spec)
+
+    @settings(max_examples=40, deadline=None)
+    @given(ROWS)
+    def test_results_csv_round_trip(self, tmp_path_factory, rows):
+        digest = rows[0].scenario_hash if rows else ""
+        table = ExperimentTable(rows=tuple(rows), scenario_hash=digest, base_seed=0)
+        path = str(tmp_path_factory.mktemp("table") / "t.csv")
+        emit_table(table, path)
+        # repr, not ==: a NaN cell reads back as NaN
+        assert repr(parse_table(path)) == repr(table)

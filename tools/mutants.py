@@ -211,8 +211,8 @@ MUTANTS = (
     Mutant(
         "x_means dropped from the linear predict",
         "src/ctreg/cli.py",
-        "            data = data - x_means\n",
-        "            data = data\n",
+        "preds = (data if x_means is None else data - x_means) @ beta",
+        "preds = data @ beta",
         ("tests/test_cli.py",),
     ),
     Mutant(
@@ -238,10 +238,28 @@ MUTANTS = (
     ),
     Mutant(
         "_from_fields keeps a key that is not a field",
-        "src/ctreg/simstudy.py",
+        "src/ctreg/files.py",
         'raise ValueError(f"{cls.__name__} has no field {key!r}")',
         "pass",
         ("tests/test_simstudy.py::TestSerialization",),
+    ),
+    # the file layer names a missing key by its whole path, and the model
+    # reader refuses a key that its layout does not declare
+    Mutant(
+        "key-path prefix dropped",
+        "src/ctreg/files.py",
+        "raise KeyError(path + field.name)",
+        "raise KeyError(field.name)",
+        ("tests/test_cli.py::TestPredict",),
+    ),
+    Mutant(
+        "model reader keeps an undeclared key",
+        "src/ctreg/cli.py",
+        "return files._from_fields(layout, fields, {}).predictor()",
+        "return files._from_fields(\n"
+        "            layout, {k: v for k, v in fields.items() if k in layout.__dataclass_fields__}, {}\n"
+        "        ).predictor()",
+        ("tests/test_cli.py::TestPredict",),
     ),
     Mutant(
         "deprecated np.row_stack for the path segments",

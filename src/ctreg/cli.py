@@ -355,6 +355,20 @@ def _kernel_json(spec: KernelSpec) -> dict:
     return files._to_tagged("kind", spec.kind, spec, {}, names)
 
 
+def _kernel_from_json(block: Any, path: str) -> KernelSpec:
+    """A kernel block, read as a ``KernelSpec`` layout, that holds exactly
+    the keys ``_kernel_json`` writes for its kind: none of another kind's
+    fields, and none left to a ``KernelSpec`` default."""
+    spec = files._from_fields(KernelSpec, block, {}, f"{path}.")
+    written = _kernel_json(spec)
+    for key in [*block, *written]:
+        if key not in written:
+            raise ValueError(f"KernelSpec.{key} is not a field of the {spec.kind} kernel")
+        if key not in block:
+            raise KeyError(f"{path}.{key}")
+    return spec
+
+
 # how a model file writes values: tau = inf (or a ridge lambda = inf) as
 # null, a rule as its kind's name and an array as a (nested) list
 _TO_JSON = {float: _tau_json, ThresholdRule: lambda rule: rule.kind.value,
@@ -388,7 +402,7 @@ def _load_model(path: str) -> Tuple[int, Predictor]:
     try:
         kind, layout, fields = files._tagged(payload, "model_kind", _MODEL_KINDS)
         what = f"{kind} model"
-        return files._from_fields(layout, fields, {}).predictor()
+        return files._from_fields(layout, fields, {KernelSpec: _kernel_from_json}).predictor()
     except KeyError as exc:
         raise UsageError(f"{what} {path} lacks {exc.args[0]}") from exc
     except (TypeError, ValueError) as exc:

@@ -13,8 +13,9 @@ below make every such check:
 - ``_integer``: an integer (numpy's too, not an integral float or a
   bool) of at least a bound, returned as a Python int;
 - ``_real``: a real number (numpy's too), not NaN, inside an interval,
-  returned unchanged (so an int stays an int in a model file or a scenario
-  hash);
+  returned unchanged (so a file writer converts a float field itself:
+  ``spec_to_dict`` writes b = 2 as 2.0, and ``scenario_hash`` gives both
+  one digest);
 - ``_array``: an array argument, read with ``np.asarray(value,
   dtype=np.float64)`` (so a float64 array keeps its memory order and
   bits), of a given shape and, unless the caller skips the scan, with no

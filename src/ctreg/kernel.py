@@ -11,25 +11,25 @@ That explicit form needs V only through two products, V^T Y and
 V (theta_hat / lambda), so ``fit_kernel_gct`` never forms V: it keeps the
 factors of LAPACK's tridiagonal reduction, K = Q T Q^T with
 T = Z diag(w) Z^T, Z in K's buffer and Q as packed reflectors, and
-applies Q and Z to vectors.  ``_Basis`` holds these factors, and every
-read of V goes through it (its docstring states the read contract).  A
-model forms V when ``left_vectors`` or ``theta_hat`` is first read.
-``kernel_canonicalize`` returns V, and forms it as ``numpy.linalg.eigh``
-does.
+applies Q and Z to vectors.  ``canonical._Basis``, the one basis that
+designs and CV folds use too, holds these factors, and every read of V
+goes through it (its docstring states the read contract);
+``_kernel_basis`` builds it with the kernel floor and the zero and PSD
+checks.  A model forms V when ``left_vectors`` or ``theta_hat`` is first
+read.  ``kernel_canonicalize`` returns V, and forms it as
+``numpy.linalg.eigh`` does.
 """
 
 from __future__ import annotations
 
 import math
-import threading
 from dataclasses import dataclass, field
-from typing import Any, Dict, Optional, Tuple
+from typing import Dict, Optional, Tuple
 
 import numpy as np
 from numpy.typing import NDArray
 
-from ._blas import EighFactors, eigh_factors
-from .canonical import _pivot_signs, _retained
+from .canonical import _Basis
 from .errors import (
     NotPositiveSemidefiniteError,
     ZeroDesignError,
@@ -157,87 +157,17 @@ def _symmetric_copy(K: FloatArray) -> FloatArray:
     return K
 
 
-class _Basis:
-    """The retained eigenvectors of a kernel matrix K, read through its
-    factors until they are formed.  Every read of V in this module goes
-    through it.
-
-    ``_Basis(K)`` factors K in its own buffer, so K must be exactly
-    symmetric or F-order: K = Q Z diag(w) Z^T Q^T (``_blas.eigh_factors``),
-    with Z written over K and Q held as packed reflectors, 1.5 n^2 floats.
-    ``order`` indexes the eigenvalues above KERNEL_RANK_REL_TOL times the
-    largest, the largest first, and ``eigenvalues`` holds them (of K, not
-    K / n).  A zero K, or one with an eigenvalue below
-    -KERNEL_RANK_REL_TOL times the largest, raises.
-
-    The read contract.  ``project(f)`` = U^T f and ``expand(c)`` = U c are
-    taken in the unsigned basis U = Q Z[:, order].  Until V is formed they
-    run on the factors, as Z^T (Q^T f) and Q (Z c), O(n^2) flops each and
-    an n x n copy of the reflectors while Q is applied; so an in-sample
-    read of a model that was never read costs O(n^2), not the 2 n^3 of
-    forming V.  ``formed()`` forms (V, s) once, V = U diag(s) with each
-    column's largest-magnitude entry made positive by the signs s: Q Z in
-    Z's buffer with dsyevd's workspace (so V is ``numpy.linalg.eigh``'s,
-    bit for bit, then sorted and signed), after which only V, n * r floats,
-    is kept.  From then on ``project`` and ``expand`` read (V, s).  The two
-    routes agree to within roundoff: their products differ by less than
-    32 n eps |f| or 32 n eps |c| (measured below 0.06 n eps at n <= 700,
-    on both eigensolver routes).  One lock guards the factors, so threads
-    that read at once form V once and never read Z while it is
-    overwritten.  A pickle holds V and its signs.
-    """
-
-    def __init__(self, K: FloatArray) -> None:
-        if not np.any(K):
-            raise ZeroDesignError("zero kernel matrix")
-        factors = eigh_factors(K)
-        eig = factors.eigenvalues
-        self.order = _retained(eig, KERNEL_RANK_REL_TOL)
-        if self.order.size == 0 or eig[0] < -KERNEL_RANK_REL_TOL * eig[-1]:
-            raise NotPositiveSemidefiniteError("kernel matrix not positive semidefinite")
-        self.eigenvalues = eig[self.order]
-        self._lock = threading.Lock()
-        self._factors: Optional[EighFactors] = factors
-        self._formed: Optional[Tuple[FloatArray, FloatArray]] = None
-
-    def formed(self) -> Tuple[FloatArray, FloatArray]:
-        """(V, s), formed on the first call."""
-        with self._lock:
-            if self._formed is None:
-                vec = self._factors.form()[:, self.order]
-                signs = _pivot_signs(vec)
-                vec *= signs
-                self._formed, self._factors = (vec, signs), None
-            return self._formed
-
-    def project(self, f: FloatArray) -> FloatArray:
-        """U^T f for a float64 vector f of length n."""
-        with self._lock:
-            if self._formed is None:
-                factors = self._factors
-                projection = factors.vectors.T @ factors.apply(np.array(f), transpose=True)
-                return projection[self.order]
-            vec, signs = self._formed
-        return signs * (vec.T @ f)
-
-    def expand(self, c: FloatArray) -> FloatArray:
-        """U c for a float64 vector c of length r."""
-        with self._lock:
-            if self._formed is None:
-                factors = self._factors
-                # scattered into n entries: Z[:, order] would copy n * r floats
-                full = np.zeros(factors.vectors.shape[0])
-                full[self.order] = c
-                return factors.apply(factors.vectors @ full)
-            vec, signs = self._formed
-        return vec @ (signs * c)
-
-    def __getstate__(self) -> Dict[str, Any]:
-        self.formed()
-        return dict(self.__dict__, _lock=None)
-
-    def __setstate__(self, state: Dict[str, Any]) -> None:
-        self.__dict__.update(state, _lock=threading.Lock())
+def _kernel_basis(K: FloatArray) -> _Basis:
+    """The ``_Basis`` of a kernel matrix, which it factors in its own
+    buffer, at KERNEL_RANK_REL_TOL.  Its eigenvalues are those of K, not
+    K / n.  A zero K, or one with an eigenvalue below -KERNEL_RANK_REL_TOL
+    times the largest, raises."""
+    if not np.any(K):
+        raise ZeroDesignError("zero kernel matrix")
+    basis = _Basis(K, KERNEL_RANK_REL_TOL)
+    if basis.order.size == 0 or basis.smallest < -KERNEL_RANK_REL_TOL * basis.eigenvalues[0]:
+        raise NotPositiveSemidefiniteError("kernel matrix not positive semidefinite")
+    return basis
 
 
 def kernel_canonicalize(K: FloatArray) -> Tuple[FloatArray, FloatArray]:
@@ -251,12 +181,12 @@ def kernel_canonicalize(K: FloatArray) -> Tuple[FloatArray, FloatArray]:
     is positive.  A non-finite entry of K is a ValueError that names its
     index.
 
-    The decomposition runs on an F-order copy of K (``_Basis``), and the
-    retained eigenvalues are then divided by n; the floor and the PSD test
-    are ratios, so neither depends on the scale.  K is never written (a
-    read-only K is fine), and the copy, read in its own memory order, gives
-    the bits of ``numpy.linalg.eigh(K)`` even for a K that is only
-    symmetric within the tolerance.  While the decomposition runs, the live
+    The decomposition runs on an F-order copy of K (``_kernel_basis``),
+    and the retained eigenvalues are then divided by n; the floor and the
+    PSD test are ratios, so neither depends on the scale.  K is never
+    written (a read-only K is fine), and the copy, read in its own memory
+    order, gives the bits of ``numpy.linalg.eigh(K)`` even for a K that is
+    only symmetric within the tolerance.  While the decomposition runs, the live
     memory is K plus 2.5 n^2 floats: the copy, in which Z is written and
     then becomes the vectors, the packed reflectors, and a LAPACK workspace
     of about n^2 (``dstedc``'s, or the unpacked reflectors while the
@@ -273,7 +203,7 @@ def kernel_canonicalize(K: FloatArray) -> Tuple[FloatArray, FloatArray]:
     follows a kernel fit.
     """
     K = _symmetric_copy(K)
-    basis = _Basis(K)
+    basis = _kernel_basis(K)
     return basis.eigenvalues / K.shape[0], basis.formed()[0]
 
 
@@ -283,11 +213,11 @@ class KernelPredictor:
     response mean when the fit centered the response (else None).
 
     It checks its fields as every public type does (see ``ctreg.errors``):
-    ``training_points`` is read as an (n, p) float array and
-    ``dual_coeffs`` as an (n,) one, both finite, and a ``response_mean``
-    other than None must be a finite number.  So a predictor built from a
-    model file, or by hand, fails here with the field's name, not in the
-    first prediction.
+    ``kernel`` must be a ``KernelSpec``, ``training_points`` is read as an
+    (n, p) float array and ``dual_coeffs`` as an (n,) one, both finite, and
+    a ``response_mean`` other than None must be a finite number.  So a
+    predictor built from a model file, or by hand, fails here with the
+    field's name, not in the first prediction.
     """
 
     training_points: FloatArray
@@ -296,6 +226,9 @@ class KernelPredictor:
     response_mean: Optional[float]
 
     def __post_init__(self) -> None:
+        if not isinstance(self.kernel, KernelSpec):
+            kernel = f"{self.kernel!r:.80}"
+            raise ValueError(f"KernelPredictor.kernel must be a KernelSpec, got {kernel}")
         points = _array("KernelPredictor.training_points", self.training_points, ("n", "p"))
         n = points.shape[0]
         coeffs = _array("KernelPredictor.dual_coeffs", self.dual_coeffs, (n,))
@@ -384,7 +317,7 @@ def fit_kernel_gct(
         response_mean = float(Y.mean())
         Y = Y - response_mean
 
-    basis = _Basis(gram(points, spec))
+    basis = _kernel_basis(gram(points, spec))
     eig = basis.eigenvalues / n
     root_n = math.sqrt(n)
     # theta and alpha in the unsigned basis; a custom map, which need not
@@ -483,4 +416,4 @@ def kernel_effective_dimension(K: FloatArray, f_values: FloatArray, q: float) ->
     norm = float(np.linalg.norm(f))
     if norm <= 0:
         raise ValueError(f"f_values must be nonzero, got {f.tolist()!r:.80}")
-    return joint_effective_dimension(_Basis(K).project(f) / norm, 1.0, q)
+    return joint_effective_dimension(_kernel_basis(K).project(f) / norm, 1.0, q)

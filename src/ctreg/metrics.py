@@ -27,7 +27,7 @@ def mse_fixed(
     beta_hat: FloatArray, beta: FloatArray, dec: CanonicalDecomposition
 ) -> float:
     """In-sample error (bhat - b)^T SigmaHat (bhat - b) via the canonical map."""
-    d = dec.right_vectors.shape[0]
+    d = dec.design.shape[1]
     beta_hat = _array("beta_hat", beta_hat, (d,))
     beta = _array("beta", beta, (d,))
     diff = to_theta(dec, beta_hat - beta)

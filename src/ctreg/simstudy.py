@@ -324,12 +324,13 @@ def _pattern_from_dict(block: Any, path: str) -> CoefPattern:
 
 
 def _pattern_to_dict(pattern: CoefPattern) -> Dict[str, Any]:
-    return _to_tagged("kind", _KIND_OF_PATTERN[type(pattern)], pattern, {})
+    return _to_tagged("kind", _KIND_OF_PATTERN[type(pattern)], pattern, _TO_JSON)
 
 
-# a scenario file's number in a float field is read as a float (so "b": 2
-# and "b": 2.0 give one spec and one hash), and its integers unconverted, to
-# be checked by the dataclasses
+# a scenario's number in a float field is written and read as a float (so
+# b = 2 and b = 2.0 give one file, one spec and one hash), and its integers
+# are read unconverted, to be checked by the dataclasses
+_TO_JSON = {float: float, CoefPattern: _pattern_to_dict}
 _FROM_JSON = {float: _json_float, CoefPattern: _pattern_from_dict}
 
 
@@ -376,8 +377,9 @@ def parse_table(path: str) -> ExperimentTable:
 
 def spec_to_dict(spec: ScenarioSpec) -> dict:
     """JSON-ready form of a scenario, mirroring the field names; the pattern
-    is its fields after its "kind" string."""
-    return _to_fields(ScenarioSpec, spec, {CoefPattern: _pattern_to_dict})
+    is its fields after its "kind" string, and a float field is written as
+    a float even when it holds an int."""
+    return _to_fields(ScenarioSpec, spec, _TO_JSON)
 
 
 def spec_from_dict(data: dict) -> ScenarioSpec:

@@ -48,8 +48,9 @@ from numpy.typing import NDArray
 from ._blas import fold_map, pinned
 from .canonical import (
     CanonicalDecomposition,
+    RANK_REL_TOL,
     Dataset,
-    _gram_spectrum,
+    _Basis,
     _memoized,
     _products,
 )
@@ -187,7 +188,8 @@ def _fold(dataset: Dataset, assignment: NDArray[np.int64], fold_id: int) -> _Fol
     if n_t <= dataset.d:
         root_n = math.sqrt(n_t)
         (outer,) = _products(dataset, True)
-        eig, V = _gram_spectrum(outer[np.ix_(train, train)] / n_t)
+        basis = _Basis(outer[np.ix_(train, train)] / n_t, RANK_REL_TOL)
+        eig, V = basis.eigenvalues, basis.formed()[0]
         theta = V.T @ Y[train] / root_n
         scores = outer[np.ix_(val, train)] @ V / (root_n * eig)
     else:
@@ -199,7 +201,8 @@ def _fold(dataset: Dataset, assignment: NDArray[np.int64], fold_id: int) -> _Fol
         else:
             X_t = X[train]
             gram, b = X_t.T @ X_t, X_t.T @ Y[train]
-        eig, U = _gram_spectrum(gram / n_t)
+        basis = _Basis(gram / n_t, RANK_REL_TOL)
+        eig, U = basis.eigenvalues, basis.formed()[0]
         s = np.sqrt(eig)
         theta = U.T @ b / (n_t * s)
         scores = X_v @ U / s

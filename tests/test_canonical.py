@@ -1,6 +1,8 @@
 """Tests for the canonical-form decomposition and coordinate maps."""
 
+import contextlib
 import os
+import pickle
 import subprocess
 import sys
 import tracemalloc
@@ -11,14 +13,31 @@ from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
 from ctreg import (
+    HARD_RULE,
+    SOFT_RULE,
+    CanonicalDecomposition,
     Dataset,
+    GctConfig,
     ZeroDesignError,
     canonical_ls,
     canonicalize,
+    cv_error_at,
+    fit_gct,
+    fit_min_norm_ls,
+    fit_nct,
+    fit_pcr,
+    fit_ridge,
+    grid_cv_oracle,
+    joint_cv,
+    kfold_cv,
+    kfold_cv_pcr,
+    kfold_cv_ridge,
+    mse_fixed,
     to_beta,
     to_theta,
 )
 from ctreg import _blas, canonical
+from ctreg.cli import main as cli_main
 
 
 def random_dataset(seed, n, d, noise=1.0):
@@ -194,10 +213,11 @@ class TestPivotSigns:
 class TestMemoryFloor:
     @pytest.mark.parametrize("n, d", [(200, 4000), (4000, 200)])
     def test_peak_is_the_kept_arrays(self, n, d):
-        # beyond X, the decomposition holds the Gram matrix, which the memo
-        # keeps for the CV folds, and one array of retained vectors at a
-        # time; here that array is the one the memo keeps, so the peak is
-        # the kept arrays plus a small share
+        # beyond X, the decomposition holds the m x m products, which the
+        # memo keeps for the CV folds, the Gram matrix it factors with about
+        # 1.5 m^2 floats beside it, and the retained Gram side (m = 200);
+        # the far side, 6.4 MB at these shapes, is never formed, and what
+        # stays is the kept arrays
         ds, _ = random_dataset(18, n, d)
         tracing = tracemalloc.is_tracing()
         tracemalloc.start()
@@ -205,14 +225,14 @@ class TestMemoryFloor:
             tracemalloc.reset_peak()
             before = tracemalloc.get_traced_memory()[0]
             dec = canonicalize(ds)
-            peak = tracemalloc.get_traced_memory()[1] - before
+            held, peak = (value - before for value in tracemalloc.get_traced_memory())
         finally:
             if not tracing:
                 tracemalloc.stop()
-        kept = [dec.eigenvalues, dec.right_vectors, dec.left_vectors]
-        kept += canonical._products(ds, n <= d)
-        budget = sum(a.nbytes for a in kept) + 0.1 * max(a.nbytes for a in kept)
-        assert peak <= budget, (peak, budget)
+        kept = [dec.eigenvalues, dec.gram_vectors, *canonical._products(ds, n <= d)]
+        kept_bytes = sum(a.nbytes for a in kept)
+        assert peak <= 2 * 2**20, (peak, kept_bytes)
+        assert held <= kept_bytes + 2**16, (held, kept_bytes)
 
 
 def symmetric_matrix(seed, n):
@@ -344,11 +364,12 @@ class TestEighInPlace:
             with pytest.raises(ValueError, match="writeable contiguous square"):
                 _blas.eigh_factors(bad)
 
-    def test_gram_spectrum_uses_its_argument_as_the_workspace(self):
-        # every caller passes a temporary; the core's own output is a copy
+    def test_basis_uses_its_argument_as_the_workspace(self):
+        # every caller passes a temporary; the formed basis is a copy
         G = symmetric_matrix(10, 50)
         work = G.copy()
-        eig, vec = canonical._gram_spectrum(work)
+        basis = canonical._Basis(work, canonical.RANK_REL_TOL)
+        eig, vec = basis.eigenvalues, basis.formed()[0]
         assert not np.shares_memory(vec, work)
         np.testing.assert_allclose(vec * eig @ vec.T, G, atol=1e-12 * eig[0])
 
@@ -479,21 +500,140 @@ class TestInvariances:
         np.testing.assert_allclose(fit, fit_rot, atol=1e-8)
 
     def test_sign_flip_invariance(self):
-        from dataclasses import replace
+        # flipped Gram-side columns flip theta_LS and the far side with
+        # them, and leave beta as it was, on both routes
+        for n, d in ((10, 5), (5, 10)):
+            ds, _ = random_dataset(14, n, d)
+            dec = canonicalize(ds)
+            signs = np.array([1.0, -1.0, 1.0, -1.0, -1.0][: dec.rank])
+            flipped = CanonicalDecomposition(dec.eigenvalues, dec.design, dec.gram_vectors * signs)
+            theta = canonical_ls(dec, ds.response)
+            theta_f = canonical_ls(flipped, ds.response)
+            np.testing.assert_array_equal(theta_f, signs * theta)
+            np.testing.assert_array_equal(flipped.right_vectors, dec.right_vectors * signs)
+            np.testing.assert_array_equal(flipped.left_vectors, dec.left_vectors * signs)
+            np.testing.assert_allclose(
+                to_beta(dec, theta), to_beta(flipped, theta_f), atol=1e-10
+            )
 
-        ds, _ = random_dataset(14, 10, 5)
+
+class TestFarSide:
+    """The decomposition keeps the Gram side; the far side is formed only
+    when ``right_vectors`` or ``left_vectors`` asks for it."""
+
+    @pytest.mark.parametrize("n, d", [(8, 20), (20, 8)])
+    def test_far_side_is_the_product_with_x(self, n, d):
+        ds, _ = random_dataset(43, n, d)
         dec = canonicalize(ds)
-        signs = np.array([1.0, -1.0, 1.0, -1.0, -1.0][: dec.rank])
-        flipped = replace(
-            dec,
-            right_vectors=dec.right_vectors * signs,
-            left_vectors=dec.left_vectors * signs,
-        )
-        theta = canonical_ls(dec, ds.response)
-        theta_f = canonical_ls(flipped, ds.response)
+        wide = n <= d
+        far = dec.right_vectors if wide else dec.left_vectors
+        expected = (ds.design.T if wide else ds.design) @ dec.gram_vectors
+        np.testing.assert_allclose(far, expected / (np.sqrt(n) * dec.singular_values), atol=1e-14)
+        assert not far.flags.writeable
+        assert (dec.left_vectors if wide else dec.right_vectors) is dec.gram_vectors
+        assert (dec.right_vectors if wide else dec.left_vectors) is far
+
+    @pytest.mark.parametrize("n, d", [(8, 20), (20, 8)])
+    def test_pickle_round_trip(self, n, d):
+        # a fit, and the decomposition it holds, pickle before and after
+        # the far side is read
+        ds, _ = random_dataset(44, n, d)
+        fit = fit_gct(ds, GctConfig(tau=0.1, phi=1.0))
+        for _ in range(2):
+            copy = pickle.loads(pickle.dumps(fit))
+            np.testing.assert_array_equal(copy.beta, fit.beta)
+            dec, dec_copy = fit.decomposition, copy.decomposition
+            np.testing.assert_array_equal(dec_copy.gram_vectors, dec.gram_vectors)
+            np.testing.assert_array_equal(dec_copy.right_vectors, dec.right_vectors)
+            np.testing.assert_array_equal(dec_copy.left_vectors, dec.left_vectors)
+
+    @pytest.mark.parametrize("n, d", [(24, 40), (40, 6)])
+    def test_no_fit_tuner_or_command_reads_the_far_side(self, monkeypatch, tmp_path, n, d):
+        def far_side(self):
+            raise AssertionError("the far side was formed")
+
+        monkeypatch.setattr(CanonicalDecomposition, "_far_side", property(far_side))
+        ds, beta = random_dataset(45, n, d)
+        dec = canonicalize(ds)
+        fit_nct(ds, 0.1)
+        fit_gct(ds, GctConfig(tau=0.1, phi=1.0, rule=HARD_RULE))
+        fit_pcr(ds, 3)
+        fit_ridge(ds, 0.1)
+        fit_min_norm_ls(ds)
+        kfold_cv(ds, 5, 0.0, SOFT_RULE, 0)
+        joint_cv(ds, 5, (0.0, 1.0), HARD_RULE, 0)
+        kfold_cv_pcr(ds, 5, 0)
+        kfold_cv_ridge(ds, 5, (0.1, 1.0), 0)
+        cv_error_at(ds, 5, 1.0, SOFT_RULE, 0, 0.1)
+        grid_cv_oracle(ds, 5, 1.0, HARD_RULE, (0.0, 0.1), 0)
+        mse_fixed(np.zeros(d), beta, dec)
+        to_theta(dec, beta)
+        data, beta_csv = str(tmp_path / "data.csv"), str(tmp_path / "beta.csv")
+        header = ",".join([f"x{j}" for j in range(d)] + ["y"])
+        np.savetxt(data, np.column_stack((ds.design, ds.response)), delimiter=",",
+                   header=header, comments="")
+        np.savetxt(beta_csv, beta)
+        common = ["--input", data, "--response", "y"]
+        for method in ("ols", "nct", "gct", "pcr:2", "ridge:0.5"):
+            out = str(tmp_path / "m.json")
+            assert cli_main(["fit", *common, "--method", method, "--output", out]) == 0
+        assert cli_main(["fit", *common, "--method", "gct", "--tau-auto", "1,0.05,2",
+                         "--output", out]) == 0
+        assert cli_main(["cv", *common, "--folds", "5", "--fit-out", out]) == 0
+        assert cli_main(["diagnose", *common, "--beta", beta_csv, "--sigma", "0.1"]) == 0
+
+
+class TestRouteCrossing:
+    """n zero columns appended to a tall design send it to the wide route:
+    the spectrum, |theta_LS|, the fitted values of the five fits and their
+    beta, padded with zeros, must agree with the tall route's, to within
+    the documented eps * lambda_max / lambda_min."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n=st.integers(4, 16),
+        share=st.floats(0.0, 1.0),
+        log_ratio=st.floats(1.0, 4.0),
+    )
+    def test_zero_columns_cross_the_routes(self, seed, n, share, log_ratio):
+        rng = np.random.default_rng(seed)
+        d = 1 + int(share * (n // 2 - 1))
+        # eigenvalues log-spaced from 1 to 1 / ratio, so no two are close
+        ratio = 10.0**log_ratio
+        left, _ = np.linalg.qr(rng.standard_normal((n, d)))
+        right, _ = np.linalg.qr(rng.standard_normal((d, d)))
+        X = np.sqrt(n) * (left * np.sqrt(np.logspace(0.0, -log_ratio, d))) @ right.T
+        Y = X @ rng.standard_normal(d) + 0.3 * rng.standard_normal(n)
+        tall, wide = Dataset(X, Y), Dataset(np.hstack([X, np.zeros((n, n))]), Y)
+        dec, dec_wide = canonicalize(tall), canonicalize(wide)
+        eps = np.finfo(float).eps
+        tol = 64 * eps * ratio
+        assert dec_wide.rank == dec.rank == d
         np.testing.assert_allclose(
-            to_beta(dec, theta), to_beta(flipped, theta_f), atol=1e-10
+            dec_wide.eigenvalues, dec.eigenvalues, rtol=0, atol=4 * n * eps * dec.eigenvalues[0]
         )
+        theta = canonical_ls(dec, Y)
+        theta_wide = canonical_ls(dec_wide, Y)
+        assert np.linalg.norm(np.abs(theta_wide) - np.abs(theta)) <= tol * np.linalg.norm(theta)
+        # the hard threshold halfway between the two largest weighted
+        # magnitudes, where roundoff cannot move a coordinate across it
+        mags = np.sort(np.sqrt(dec.eigenvalues) * np.abs(theta))[::-1]
+        tau = (mags[0] + mags[1]) / 2 if d > 1 else mags[0] / 2
+        fits = (
+            fit_min_norm_ls,
+            lambda ds: fit_nct(ds, 0.3 * np.abs(theta).max()),
+            lambda ds: fit_gct(ds, GctConfig(tau=tau, phi=1.0, rule=HARD_RULE)),
+            lambda ds: fit_pcr(ds, int(share * d)),
+            lambda ds: fit_ridge(ds, 0.1),
+        )
+        for fit in fits:
+            beta, beta_wide = fit(tall).beta, fit(wide).beta
+            assert not np.any(beta_wide[d:])
+            gap = np.linalg.norm(beta_wide[:d] - beta)
+            assert gap <= tol * np.linalg.norm(beta), fit
+            fitted = X @ beta
+            assert np.linalg.norm(X @ beta_wide[:d] - fitted) <= tol * np.linalg.norm(fitted)
 
 
 needs_openblas = pytest.mark.skipif(
@@ -509,13 +649,13 @@ class TestPinnedDecomposition:
         self, monkeypatch, blas_threads, n, d
     ):
         seen = []
-        core = canonical._gram_spectrum
+        core = canonical._Basis
 
-        def spy(gram):
+        def spy(gram, rank_rel_tol):
             seen.append(blas_threads())
-            return core(gram)
+            return core(gram, rank_rel_tol)
 
-        monkeypatch.setattr(canonical, "_gram_spectrum", spy)
+        monkeypatch.setattr(canonical, "_Basis", spy)
         ds, _ = random_dataset(40, n, d)
         canonicalize(ds)
         assert seen == [1]
@@ -526,14 +666,34 @@ class TestPinnedDecomposition:
         assert blas_threads() == 2
 
     def test_count_restored_when_the_core_raises(self, monkeypatch, blas_threads):
-        def broken(gram):
+        def broken(gram, rank_rel_tol):
             raise np.linalg.LinAlgError("no convergence")
 
-        monkeypatch.setattr(canonical, "_gram_spectrum", broken)
+        monkeypatch.setattr(canonical, "_Basis", broken)
         ds, _ = random_dataset(41, 10, 4)
         with pytest.raises(np.linalg.LinAlgError):
             canonicalize(ds)
         assert blas_threads() == 2
+
+    @pytest.mark.parametrize("n, d", [(12, 30), (30, 12)])
+    def test_far_side_formed_once_on_one_blas_thread(self, monkeypatch, blas_threads, n, d):
+        seen = []
+        pin = canonical.pinned
+
+        @contextlib.contextmanager
+        def spy():
+            with pin():
+                seen.append(blas_threads())
+                yield
+
+        ds, _ = random_dataset(46, n, d)
+        dec = canonicalize(ds)
+        monkeypatch.setattr(canonical, "pinned", spy)
+        far = dec.right_vectors if n <= d else dec.left_vectors
+        assert seen == [1]
+        assert blas_threads() == 2
+        assert (dec.right_vectors if n <= d else dec.left_vectors) is far
+        assert seen == [1]
 
     def test_memo_hit_takes_no_pin(self, monkeypatch):
         ds, _ = random_dataset(42, 10, 4)
@@ -546,8 +706,9 @@ class TestPinnedDecomposition:
         assert canonicalize(ds) is dec
 
     def test_fits_do_not_depend_on_the_blas_thread_count(self):
-        # both routes; at 2 threads an unpinned Gram product and eigh change
-        # the last bits of 130 x 300 and 400 x 150 fits
+        # both routes, and the far side too; at 2 threads an unpinned Gram
+        # product and eigh change the last bits of 130 x 300 and 400 x 150
+        # fits
         script = (
             "import hashlib, numpy as np\n"
             "from ctreg import Dataset, GctConfig, fit_gct, fit_min_norm_ls\n"
@@ -560,6 +721,8 @@ class TestPinnedDecomposition:
             "    for fit in (fit_gct(ds, GctConfig(tau=0.01, phi=1.0)), fit_pcr(ds, 5),\n"
             "                fit_ridge(ds, 0.1), fit_min_norm_ls(ds)):\n"
             "        h.update(fit.beta.tobytes())\n"
+            "    dec = fit.decomposition\n"
+            "    h.update(dec.right_vectors.tobytes() + dec.left_vectors.tobytes())\n"
             "    print(n, d, h.hexdigest())\n"
         )
         src = os.path.dirname(os.path.dirname(canonical.__file__))

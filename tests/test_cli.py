@@ -396,6 +396,10 @@ class TestFit:
                      "--output", out]) == 0
 
 
+# the kernel block of a poly model whose kind was edited to rbf
+POLY_AS_RBF = {"kind": "rbf", "degree": 3, "coef0": 1.0, "scale": 0.3}
+
+
 class TestPredict:
     def test_round_trip_interpolation(self, tmp_path):
         # d >= n with tau = 0 interpolates the training responses
@@ -545,6 +549,12 @@ class TestPredict:
                          id="degree-float"),
             pytest.param("kernel-fit", lambda p: p.update(response_mean="0.5"),
                          id="response_mean-quoted"),
+            # once predicted with exit 0: a kernel block holds exactly its
+            # kind's fields, so none is taken from a KernelSpec default and a
+            # poly block whose kind was edited to rbf is refused
+            pytest.param("kernel-fit", lambda p: p["kernel"].pop("gamma"),
+                         id="gamma-missing"),
+            pytest.param("kernel-fit", lambda p: p.update(kernel=POLY_AS_RBF), id="poly-as-rbf"),
         ],
     )
     def test_malformed_model_fields_exit_two(self, data_csv, tmp_path, method, mutate):
@@ -594,6 +604,11 @@ class TestPredict:
                          "linear model {} lacks centering.y_mean", id="y_mean-missing"),
             pytest.param("kernel-fit", lambda p: p["kernel"].pop("kind"),
                          "kernel model {} lacks kernel.kind", id="kind-missing"),
+            pytest.param("kernel-fit", lambda p: p["kernel"].pop("gamma"),
+                         "kernel model {} lacks kernel.gamma", id="gamma-missing"),
+            pytest.param("kernel-fit", lambda p: p.update(kernel=POLY_AS_RBF),
+                         "malformed kernel model {}: KernelSpec.degree is not a field "
+                         "of the rbf kernel", id="poly-as-rbf"),
             pytest.param("fit", lambda p: p["beta"].__setitem__(0, float("nan")),
                          "malformed linear model {}: model field beta must be finite, "
                          "got nan at index (0,)", id="beta-nan"),

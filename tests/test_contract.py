@@ -4,8 +4,9 @@ Each public function in TABLE runs over small vocabularies of good and bad
 values for its arguments.  A call returns, or raises ``ValueError`` (a
 ``CtregError`` is one) whose message starts with the name of an argument,
 and a call with only good values returns.  A spy on ``eigh_factors``, the
-one eigensolver, where ``canonical`` and ``kernel`` bind it, shows that no
-rejected call decomposed anything, and the dataset's memo is left empty.
+one eigensolver, where ``canonical`` binds it for the one ``_Basis`` that
+every design, fold and kernel decomposition builds, shows that no rejected
+call decomposed anything, and the dataset's memo is left empty.
 """
 
 import math
@@ -63,7 +64,7 @@ from ctreg import (
     to_theta,
     weighted_risk_bound,
 )
-from ctreg import _blas, canonical, kernel
+from ctreg import _blas, canonical
 
 RNG = np.random.default_rng(20)
 X = RNG.standard_normal((12, 5))
@@ -337,8 +338,11 @@ TABLE: Dict[str, Tuple[Callable[..., Any], Dict[str, Param]]] = {
     "predict_kernel_batch": (lambda ds, X: predict_kernel_batch(KERNEL_MODEL, X), {"X": ROWS}),
     # a predictor made by hand, as from a model file, then used
     "KernelPredictor": (
-        lambda ds, **fields: predict_kernel_batch(KernelPredictor(kernel=RBF, **fields), X[:3]),
+        lambda ds, **fields: predict_kernel_batch(KernelPredictor(**fields), X[:3]),
         {
+            "kernel": Param(
+                (KernelSpec("rbf"), RBF), ("rbf", {"kind": "rbf"}, None), "KernelPredictor.kernel"
+            ),
             "training_points": Param(
                 (X, X.tolist()), (X_NAN, X[:11], X[0], "ab"), "KernelPredictor.training_points"
             ),
@@ -547,6 +551,7 @@ NAMED_PROBES = {
     # once a numpy matmul message, a NaN prediction or an accepted value
     "KernelPredictor(dual_coeffs=ALPHA[:11])": case("KernelPredictor", dual_coeffs=ALPHA[:11]),
     "KernelPredictor(response_mean=nan)": case("KernelPredictor", response_mean=math.nan),
+    "KernelPredictor(kernel='rbf')": case("KernelPredictor", kernel="rbf"),
     "KernelSpec(rbf, degree=2.5)": case("KernelSpec(rbf)", degree=2.5),
     # once a TypeError, or a message not naming the field
     "KernelSpec(kind=['rbf'])": case("KernelSpec", kind=["rbf"]),
@@ -603,6 +608,7 @@ ARRAY_PROBES = {
 # the argument that each value probe's message must name, before the value
 VALUE_PROBES = {
     "KernelPredictor(response_mean=nan)": "KernelPredictor.response_mean",
+    "KernelPredictor(kernel='rbf')": "KernelPredictor.kernel",
     "KernelSpec(rbf, degree=2.5)": "KernelSpec.degree",
     "KernelSpec(kind=['rbf'])": "KernelSpec.kind",
     "KernelSpec(kind={'kind': 'rbf'})": "KernelSpec.kind",
@@ -634,9 +640,7 @@ def run(name: str, arguments: Dict[str, Any]) -> Tuple[Optional[str], int, Datas
     call = TABLE[name][0]
     dataset = Dataset(X, Y)
     spy = mock.Mock(side_effect=_blas.eigh_factors)
-    with mock.patch.object(canonical, "eigh_factors", spy), mock.patch.object(
-        kernel, "eigh_factors", spy
-    ):
+    with mock.patch.object(canonical, "eigh_factors", spy):
         try:
             call(dataset, **arguments)
         except ValueError as exc:

@@ -34,7 +34,7 @@ from ctreg import (
     predict,
     predict_kernel_batch,
 )
-from ctreg import RuleKind, ThresholdRule, _blas, cli, kernel
+from ctreg import RuleKind, ThresholdRule, _blas, canonical, cli, kernel
 from ctreg.canonical import _pivot_signs
 from ctreg.kernel import KERNEL_RANK_REL_TOL, _cross_gram, _symmetrize
 
@@ -394,7 +394,7 @@ class TestKernelEffectiveDimension:
         def must_not_run(K):
             raise AssertionError("K was decomposed")
 
-        monkeypatch.setattr(kernel, "eigh_factors", must_not_run)
+        monkeypatch.setattr(canonical, "eigh_factors", must_not_run)
         X = random_points(24, 4, 2)
         with pytest.raises(ValueError, match=r"^q must be a number in \[0, 2\], got 5.0"):
             kernel_effective_dimension(gram(X, RBF), np.ones(4), 5.0)

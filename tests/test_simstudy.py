@@ -364,10 +364,11 @@ class TestSerialization:
             assert spec_from_dict(spec_to_dict(spec)) == spec
 
     def test_scenario_hash_pinned_per_pattern(self):
-        # literal digests of spec_to_dict's JSON: an int-valued b stays an
-        # int, and an omitted noise_var is serialized as null
+        # literal digests of spec_to_dict's JSON: an int-valued b is written
+        # as a float, and an omitted noise_var is serialized as null
         pinned = [
-            (PolyDecay(b=2), "21e6c6fd8a4d"),
+            (PolyDecay(b=2), "e2a6a51182b9"),
+            (PolyDecay(b=2.0), "e2a6a51182b9"),
             (PolyDecay(b=1.5), "e36f7bf3bd25"),
             (SpikedHead(count=4, value=2.0), "137eda560fd8"),
             (SpikedHead(count=4), "a5c26ee95ec0"),
@@ -495,17 +496,21 @@ class TestSerialization:
         assert len(scenario_hash(spec)) == 12
 
 
-# every pattern kind, its fields drawn as a scenario file holds them (a
-# float field as a float: an int-valued b hashes as an int, see
-# test_scenario_hash_pinned_per_pattern, and reads back as a float)
+# every pattern kind, with an int or a float in each float field: an int
+# is written as a float, so it reads back equal and hashes alike (see
+# test_scenario_hash_pinned_per_pattern)
 PATTERNS = st.one_of(
-    st.builds(PolyDecay, b=st.floats(0, 10)),
-    st.builds(SpikedHead, count=st.integers(0, 50), value=st.floats(-1e3, 1e3)),
+    st.builds(PolyDecay, b=st.floats(0, 10) | st.integers(0, 10)),
+    st.builds(
+        SpikedHead,
+        count=st.integers(0, 50),
+        value=st.floats(-1e3, 1e3) | st.integers(-1000, 1000),
+    ),
     st.builds(
         SpikedTailRandom,
         count=st.integers(0, 20),
         window=st.integers(1, 20),
-        noise_var=st.none() | st.floats(0, 10),
+        noise_var=st.none() | st.floats(0, 10) | st.integers(0, 10),
     ),
     st.just(IsotropicGaussian()),
 )
@@ -513,13 +518,13 @@ SPECS = st.builds(
     ScenarioSpec,
     n=st.integers(10, 500),
     d_grid=st.lists(st.integers(1, 400), max_size=4),
-    eigen_decay_a=st.floats(0, 5),
+    eigen_decay_a=st.floats(0, 5) | st.integers(0, 5),
     coef_pattern=PATTERNS,
-    snr_target=st.floats(1e-3, 1e3),
+    snr_target=st.floats(1e-3, 1e3) | st.integers(1, 1000),
     replicates=st.integers(1, 100),
     base_seed=st.integers(0, 2**63),
     methods=st.lists(st.sampled_from(KNOWN_METHODS), max_size=3),
-    gct_phi=st.floats(0, 4),
+    gct_phi=st.floats(0, 4) | st.integers(0, 4),
 )
 CELL_TEXT = st.text(st.characters(blacklist_categories=("Cs",), blacklist_characters="\x00"),
                     max_size=8)

@@ -745,13 +745,13 @@ class TestTallDowndate:
         ds = outlier_dataset(0, 60, 10)
         assignment = fold_assignment(60, 5, 0)
         seen = []
-        spectrum = tuning._gram_spectrum
+        basis = tuning._Basis
 
-        def spy(gram):
+        def spy(gram, rank_rel_tol):
             seen.append(matrix_bits(gram))
-            return spectrum(gram)
+            return basis(gram, rank_rel_tol)
 
-        monkeypatch.setattr(tuning, "_gram_spectrum", spy)
+        monkeypatch.setattr(tuning, "_Basis", spy)
         _fold_spectra(ds, 5, 0)
         X = ds.design
         expected = []

@@ -51,8 +51,8 @@ MUTANTS = (
     Mutant(
         "unstable eigenvalue sort (a reversed ascending sort flips ties)",
         "src/ctreg/canonical.py",
-        'return np.argsort(-eig, kind="stable")[:r]',
-        "return np.argsort(eig)[::-1][:r]",
+        'self.order = np.argsort(-eig, kind="stable")[:r]',
+        "self.order = np.argsort(eig)[::-1][:r]",
         ("tests/test_canonical.py",),
     ),
     Mutant(
@@ -140,11 +140,37 @@ MUTANTS = (
     Mutant(
         "canonicalize forms its own Gram instead of reading the memo",
         "src/ctreg/canonical.py",
-        "_products(dataset, wide)[0] / n",
-        "(X @ X.T if wide else X.T @ X) / n",
+        "_products(dataset, n <= d)[0] / n",
+        "(X @ X.T if n <= d else X.T @ X) / n",
         (
             "tests/test_memo.py::TestProducts::"
             "test_canonicalize_and_the_folds_read_one_entry",
+        ),
+    ),
+    # the one basis keeps the Gram side: the lifts read X, and the far side
+    # is formed only when read, on one BLAS thread
+    Mutant(
+        "wide to_beta without 1/sqrt(n)",
+        "src/ctreg/canonical.py",
+        "return X.T @ (V @ (theta / dec.eigenvalues)) / np.sqrt(X.shape[0])",
+        "return X.T @ (V @ (theta / dec.eigenvalues))",
+        ("tests/test_canonical.py::TestRouteCrossing",),
+    ),
+    Mutant(
+        "tall canonical_ls divides by s instead of n s",
+        "src/ctreg/canonical.py",
+        "(dec.design.T @ Y) / (n * dec.singular_values)",
+        "(dec.design.T @ Y) / dec.singular_values",
+        ("tests/test_canonical.py::TestRouteCrossing",),
+    ),
+    Mutant(
+        "far side formed unpinned",
+        "src/ctreg/canonical.py",
+        "        with pinned():\n            far = ",
+        "        if True:\n            far = ",
+        (
+            "tests/test_canonical.py::TestPinnedDecomposition::"
+            "test_far_side_formed_once_on_one_blas_thread",
         ),
     ),
     # the argument contract (errors.py) and its check-before-the-folds order
@@ -255,11 +281,34 @@ MUTANTS = (
     Mutant(
         "model reader keeps an undeclared key",
         "src/ctreg/cli.py",
-        "return files._from_fields(layout, fields, {}).predictor()",
+        "return files._from_fields(layout, fields, {KernelSpec: _kernel_from_json}).predictor()",
         "return files._from_fields(\n"
-        "            layout, {k: v for k, v in fields.items() if k in layout.__dataclass_fields__}, {}\n"
+        "            layout,\n"
+        "            {k: v for k, v in fields.items() if k in layout.__dataclass_fields__},\n"
+        "            {KernelSpec: _kernel_from_json},\n"
         "        ).predictor()",
         ("tests/test_cli.py::TestPredict",),
+    ),
+    Mutant(
+        "kernel block may leave out its kind's fields",
+        "src/ctreg/cli.py",
+        "        if key not in block:\n            raise KeyError",
+        "        if False:\n            raise KeyError",
+        ("tests/test_cli.py::TestPredict",),
+    ),
+    Mutant(
+        "kernel block may hold another kind's fields",
+        "src/ctreg/cli.py",
+        "        if key not in written:\n",
+        "        if False:\n",
+        ("tests/test_cli.py::TestPredict",),
+    ),
+    Mutant(
+        "scenario float fields written as given",
+        "src/ctreg/simstudy.py",
+        "_TO_JSON = {float: float, CoefPattern: _pattern_to_dict}",
+        "_TO_JSON = {CoefPattern: _pattern_to_dict}",
+        ("tests/test_simstudy.py::TestSerialization::test_scenario_hash_pinned_per_pattern",),
     ),
     Mutant(
         "deprecated np.row_stack for the path segments",
@@ -289,6 +338,13 @@ MUTANTS = (
         '_array("KernelPredictor.dual_coeffs", self.dual_coeffs, (n,))',
         '_array("KernelPredictor.dual_coeffs", self.dual_coeffs)',
         ("tests/test_contract.py", "tests/test_cli.py::TestPredict"),
+    ),
+    Mutant(
+        "KernelPredictor takes any kernel",
+        "src/ctreg/kernel.py",
+        "        if not isinstance(self.kernel, KernelSpec):\n",
+        "        if False:\n",
+        ("tests/test_contract.py",),
     ),
     Mutant(
         "KernelPredictor keeps a non-finite response_mean",
@@ -350,8 +406,8 @@ MUTANTS = (
     Mutant(
         "canonicalize not pinned",
         "src/ctreg/canonical.py",
-        "    with pinned():\n        gram = _products(dataset, wide)[0] / n\n",
-        "    if True:\n        gram = _products(dataset, wide)[0] / n\n",
+        "    with pinned():\n        basis = _Basis(",
+        "    if True:\n        basis = _Basis(",
         (
             "tests/test_canonical.py::TestPinnedDecomposition::"
             "test_fits_do_not_depend_on_the_blas_thread_count",
@@ -389,8 +445,8 @@ MUTANTS = (
     Mutant(
         "kernel PSD check dropped",
         "src/ctreg/kernel.py",
-        "if self.order.size == 0 or eig[0] < -KERNEL_RANK_REL_TOL * eig[-1]:",
-        "if self.order.size == 0:",
+        "if basis.order.size == 0 or basis.smallest < -KERNEL_RANK_REL_TOL * basis.eigenvalues[0]:",
+        "if basis.order.size == 0:",
         ("tests/test_kernel.py",),
     ),
     Mutant(
@@ -463,7 +519,7 @@ MUTANTS = (
     ),
     Mutant(
         "model keeps the unpacked reflectors",
-        "src/ctreg/kernel.py",
+        "src/ctreg/canonical.py",
         "        self._factors: Optional[EighFactors] = factors\n",
         "        self._factors: Optional[EighFactors] = factors\n"
         "        self.reflectors = factors._unpacked()\n",
@@ -506,11 +562,14 @@ MUTANTS = (
     ),
     # every read of V through _Basis: on the factors, then on the lazily formed vectors
     Mutant(
-        "Q^T skipped: theta from Z^T Y",
-        "src/ctreg/kernel.py",
+        "Q^T skipped: theta and the kernel effective dimension from Z^T f",
+        "src/ctreg/canonical.py",
         "factors.apply(np.array(f), transpose=True)",
         "np.array(f)",
-        ("tests/test_kernel.py::TestFitMatchesScaledRoute",),
+        (
+            "tests/test_kernel.py::TestFitMatchesScaledRoute",
+            "tests/test_kernel.py::TestKernelEffectiveDimension",
+        ),
     ),
     Mutant(
         "dormtr applies Q where Q^T is asked for",
@@ -521,7 +580,7 @@ MUTANTS = (
     ),
     Mutant(
         "pivot signs skipped on the lazily formed vectors",
-        "src/ctreg/kernel.py",
+        "src/ctreg/canonical.py",
         "                signs = _pivot_signs(vec)\n",
         "                signs = np.ones(vec.shape[1])\n",
         ("tests/test_kernel.py::TestFactoredFit",),
@@ -535,7 +594,7 @@ MUTANTS = (
     ),
     Mutant(
         "lazy vectors formed without the lock",
-        "src/ctreg/kernel.py",
+        "src/ctreg/canonical.py",
         '"""(V, s), formed on the first call."""\n        with self._lock:\n',
         '"""(V, s), formed on the first call."""\n        if True:\n',
         (
@@ -545,7 +604,7 @@ MUTANTS = (
     ),
     Mutant(
         "formed-mode project drops the signs",
-        "src/ctreg/kernel.py",
+        "src/ctreg/canonical.py",
         "return signs * (vec.T @ f)",
         "return vec.T @ f",
         (
@@ -555,7 +614,7 @@ MUTANTS = (
     ),
     Mutant(
         "expand scatters without order",
-        "src/ctreg/kernel.py",
+        "src/ctreg/canonical.py",
         "full[self.order] = c",
         "full[: c.size] = c",
         ("tests/test_kernel.py::TestFitMatchesScaledRoute",),
@@ -569,13 +628,6 @@ MUTANTS = (
             "tests/test_kernel.py::TestFactoredFit::"
             "test_in_sample_reads_of_an_unread_model_form_nothing",
         ),
-    ),
-    Mutant(
-        "kernel effective dimension without Q^T",
-        "src/ctreg/kernel.py",
-        "factors.apply(np.array(f), transpose=True)",
-        "np.array(f)",
-        ("tests/test_kernel.py::TestKernelEffectiveDimension",),
     ),
     Mutant(
         "fold map results in completion order",

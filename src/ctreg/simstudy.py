@@ -17,6 +17,7 @@ import io
 import json
 import math
 import functools
+import statistics
 from collections.abc import Iterable
 from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Optional, Tuple, Type, Union
@@ -292,8 +293,8 @@ def run_experiment(spec: ScenarioSpec) -> ExperimentTable:
                     d=d,
                     n=spec.n,
                     replicates=spec.replicates,
-                    median_rel_mse=float(np.median(rel_mse[method])),
-                    median_rel_pe=float(np.median(rel_pe[method])),
+                    median_rel_mse=statistics.median(rel_mse[method]),
+                    median_rel_pe=statistics.median(rel_pe[method]),
                     scenario_hash=digest,
                 )
             )

@@ -23,10 +23,12 @@ process-wide for that time, so BLAS calls in other threads run on one
 thread too; the fold spectra therefore do not depend on the BLAS thread
 count.  Along each fold's coordinates sorted by weighted magnitude, the
 validation residual u_k and the soft-rule slope v_k after k active
-coordinates are cumulative sums of score columns, so every segment's
-quadratic, every hard-rule candidate and every PCR prefix is a gather
-from per-fold prefix arrays; the soft and hard paths at one phi share
-one sweep, kept on the fold spectra for the last phi.  A split is fixed
+coordinates are cumulative sums of score columns, so every PCR prefix and
+the fold means A, B, C of every segment's quadratic A tau^2 + B tau + C
+are gathers from per-fold prefix arrays.  The hard rule keeps |z| >= tau,
+so its error at a breakpoint is the constant term C of the segment one
+breakpoint back: both rules read one set of coefficients per phi, kept on
+the fold spectra for the last phi.  A split is fixed
 by (L, seed): the folds are blocks of a seeded permutation of the rows.
 The public tuners keep the spectra of the last split in the Dataset's
 memo, keyed on (L, seed), so tuning several rules or methods on one split
@@ -92,8 +94,15 @@ def _magnitudes(eigenvalues: FloatArray, theta: FloatArray, phi: float) -> Float
     return eigenvalues ** (phi / 2.0) * np.abs(theta)
 
 
+def _distinct(values: FloatArray) -> FloatArray:
+    """The sorted distinct values: ``np.unique``'s sort and adjacent-inequality
+    mask, without its ``numpy.ma`` check, which imports ``numpy.ma``."""
+    ordered = np.sort(values)
+    return ordered[np.concatenate(([True], ordered[1:] != ordered[:-1]))]
+
+
 def _breakpoints(magnitudes: FloatArray) -> FloatArray:
-    return np.unique(np.concatenate(([0.0], magnitudes)))
+    return _distinct(np.concatenate(([0.0], magnitudes)))
 
 
 def _check_path_rule(rule: ThresholdRule) -> None:
@@ -148,24 +157,11 @@ class _Fold:
 
 
 @dataclass(frozen=True)
-class _PrefixSums:
-    """One fold's prefix sweep at one phi: its weighted magnitudes in
-    ascending order, and the column sums over validation rows of u*u, u*v
-    and v*v, where column k of u (v) is the residual (soft-rule slope) with
-    the k largest magnitudes active, k = 0..r."""
-
-    sorted_magnitudes: FloatArray
-    uu: FloatArray
-    uv: FloatArray
-    vv: FloatArray
-
-
-@dataclass(frozen=True)
 class _FoldSpectra:
     """Everything CV needs from one fold split; independent of phi and of the method.
 
-    ``_memo`` holds the prefix sums of the last phi a path used (see
-    ``_path_sums``), so the soft and hard paths at one phi sweep once.
+    ``_memo`` holds the path coefficients of the last phi a path used (see
+    ``_path_coefficients``), so the soft and hard paths at one phi sweep once.
     """
 
     assignment: NDArray[np.int64]
@@ -290,9 +286,13 @@ def _last_tied_minimum(errors: FloatArray, tol: float) -> int:
     return int(np.flatnonzero(errors <= np.min(errors) + tol)[-1])
 
 
-def _prefix_sums(fold: _Fold, mags: FloatArray, phi: float) -> _PrefixSums:
-    """One fold's residuals u and soft-rule slopes v along its coordinates
-    sorted by weighted magnitude, reduced to their column sums."""
+def _prefix_sums(
+    fold: _Fold, mags: FloatArray, phi: float
+) -> Tuple[FloatArray, FloatArray, FloatArray, FloatArray]:
+    """One fold's prefix sweep at phi: its weighted magnitudes in ascending
+    order, and the column sums over validation rows of u*u, u*v and v*v,
+    where column k of u (v) is the residual (soft-rule slope) with the k
+    largest magnitudes active, k = 0..r."""
     order = np.argsort(-mags, kind="stable")
     u = _prefix_residuals(fold, order)
     slopes = fold.scores[:, order] * (
@@ -300,47 +300,44 @@ def _prefix_sums(fold: _Fold, mags: FloatArray, phi: float) -> _PrefixSums:
     )
     v = np.zeros_like(u)
     np.cumsum(slopes, axis=1, out=v[:, 1:])
-    return _PrefixSums(
-        sorted_magnitudes=np.sort(mags),
-        uu=np.sum(u * u, axis=0),
-        uv=np.sum(u * v, axis=0),
-        vv=np.sum(v * v, axis=0),
+    return (
+        np.sort(mags), np.sum(u * u, axis=0), np.sum(u * v, axis=0), np.sum(v * v, axis=0)
     )
 
 
-def _path_sums(
-    spectra: _FoldSpectra, magnitudes: List[FloatArray], phi: float
-) -> List[_PrefixSums]:
-    """Every fold's ``_prefix_sums`` at phi, through the spectra's one-entry
-    memo keyed on phi."""
+def _path_coefficients(
+    spectra: _FoldSpectra, magnitudes: List[FloatArray], merged: FloatArray, phi: float
+) -> FloatArray:
+    """Rows A, B, C: the fold means of the CV objective A tau^2 + B tau + C
+    just above each point of [-inf] ++ merged, through the spectra's
+    one-entry memo keyed on phi (merged is a function of phi).
 
-    def make() -> List[_PrefixSums]:
-        return [_prefix_sums(f, m, phi) for f, m in zip(spectra.folds, magnitudes)]
+    Above point p, fold f has its k_f coordinates with magnitude above p
+    active, with residual u_{k_f} + tau v_{k_f}.  No magnitude lies strictly
+    between two merged points, so the coordinates with magnitude >= merged[i]
+    are those above the point before it: the hard rule's error at merged[i]
+    is C[i], and C[-1] (nothing active) is its error above the maximum.
+    """
 
-    return _memoized(spectra._memo, "path_sums", phi, make)
+    def make() -> FloatArray:
+        points = np.concatenate(([-math.inf], merged))
+        coefficients = np.zeros((3, points.shape[0]))
+        for fold, mags in zip(spectra.folds, magnitudes):
+            ordered, uu, uv, vv = _prefix_sums(fold, mags, phi)
+            active = ordered.shape[0] - np.searchsorted(ordered, points, side="right")
+            terms = np.stack((vv[active], 2.0 * uv[active], uu[active]))
+            coefficients += terms / fold.y_val.shape[0]
+        return coefficients / len(spectra.folds)
+
+    return _memoized(spectra._memo, "path_coefficients", phi, make)
 
 
 def _soft_path(
-    spectra: _FoldSpectra, sums: List[_PrefixSums], merged: FloatArray
-) -> Tuple[FloatArray, FloatArray, FloatArray, FloatArray]:
-    """Closed-form minimum of A tau^2 + B tau + C on every merged segment.
-
-    On the segment starting at lo, fold f has its k_f coordinates with
-    magnitude above lo active, with residual u_{k_f} + tau v_{k_f}.
-    Returns (lo, hi, tau*, error*) arrays, one entry per segment.
-    """
+    merged: FloatArray, A: FloatArray, B: FloatArray, C: FloatArray
+) -> Tuple[FloatArray, FloatArray]:
+    """Closed-form minimum of A tau^2 + B tau + C on every merged segment
+    [lo, hi], one coefficient triple per segment: (tau*, error*) arrays."""
     lo, hi = merged[:-1], merged[1:]
-    A = np.zeros_like(lo)
-    B = np.zeros_like(lo)
-    C = np.zeros_like(lo)
-    for fold, fold_sums in zip(spectra.folds, sums):
-        m, mags = fold.y_val.shape[0], fold_sums.sorted_magnitudes
-        active = mags.shape[0] - np.searchsorted(mags, lo, side="right")
-        A += fold_sums.vv[active] / m
-        B += 2.0 * fold_sums.uv[active] / m
-        C += fold_sums.uu[active] / m
-    L = len(spectra.folds)
-    A, B, C = A / L, B / L, C / L
 
     def value(t: FloatArray) -> FloatArray:
         return A * t * t + B * t + C
@@ -355,20 +352,7 @@ def _soft_path(
     at_lo = value(lo)
     lower = at_lo < err
     tau, err = np.where(lower, lo, tau), np.where(lower, at_lo, err)
-    return lo, hi, tau, err
-
-
-def _hard_path(
-    spectra: _FoldSpectra, sums: List[_PrefixSums], candidates: FloatArray
-) -> FloatArray:
-    """CV error at each candidate: the boundary component is kept, so fold f
-    fits the coordinates with magnitude >= tau, a prefix of the sorted order."""
-    errors = np.zeros_like(candidates)
-    for fold, fold_sums in zip(spectra.folds, sums):
-        mags = fold_sums.sorted_magnitudes
-        active = mags.shape[0] - np.searchsorted(mags, candidates, side="left")
-        errors += fold_sums.uu[active] / fold.y_val.shape[0]
-    return errors / len(spectra.folds)
+    return tau, err
 
 
 def _path_cv(spectra: _FoldSpectra, phi: float, rule: ThresholdRule) -> CvResult:
@@ -377,29 +361,28 @@ def _path_cv(spectra: _FoldSpectra, phi: float, rule: ThresholdRule) -> CvResult
         _magnitudes(fold.eigenvalues, fold.theta_ls, phi) for fold in spectra.folds
     ]
     fold_bps = [_breakpoints(mags) for mags in magnitudes]
-    merged = np.unique(np.concatenate(fold_bps))
+    merged = _distinct(np.concatenate(fold_bps))
     zero_error = sum(
         float(fold.y_val @ fold.y_val) / fold.y_val.shape[0] for fold in spectra.folds
     ) / len(spectra.folds)
     tol = TIE_RTOL * zero_error
 
     segments = np.empty((0, 4))
-    if rule.kind is RuleKind.SOFT:
-        candidates = merged
-        if merged.shape[0] == 1:
-            best_tau = float(merged[0])  # every theta is zero
-            error = _cv_error(spectra, rule, best_tau, phi)
-            segments = np.array([[best_tau, best_tau, best_tau, error]])
-        else:
-            sums = _path_sums(spectra, magnitudes, phi)
-            lo, hi, taus, errors = _soft_path(spectra, sums, merged)
-            segments = np.column_stack((lo, hi, taus, errors))
-            best_tau = float(taus[_last_tied_minimum(errors, tol)])
+    candidates = merged
+    if rule.kind is RuleKind.SOFT and merged.shape[0] == 1:
+        best_tau = float(merged[0])  # every theta is zero
+        error = _cv_error(spectra, rule, best_tau, phi)
+        segments = np.array([[best_tau, best_tau, best_tau, error]])
+    elif rule.kind is RuleKind.SOFT:
+        coefficients = _path_coefficients(spectra, magnitudes, merged, phi)
+        taus, errors = _soft_path(merged, *coefficients[:, 1:-1])
+        segments = np.column_stack((merged[:-1], merged[1:], taus, errors))
+        best_tau = float(taus[_last_tied_minimum(errors, tol)])
     else:
-        candidates = merged
+        C = _path_coefficients(spectra, magnitudes, merged, phi)[2]
         if merged[-1] > 0:
-            candidates = np.append(candidates, math.inf)
-        errors = _hard_path(spectra, _path_sums(spectra, magnitudes, phi), candidates)
+            candidates = np.append(merged, math.inf)
+        errors = C[: candidates.shape[0]]
         best_tau = float(candidates[_last_tied_minimum(errors, tol)])
 
     return CvResult(
@@ -426,12 +409,16 @@ def kfold_cv(
     """Exact K-fold CV over all tau >= 0.
 
     Soft rule: closed-form minimization of the piecewise-quadratic objective
-    on every segment between merged breakpoints.  Hard rule: one evaluation
-    per merged breakpoint plus a sentinel above the maximum representing the
-    zero estimator (the boundary component is still kept at tau equal to a
-    breakpoint).  The path is derived for these two maps only, so a custom
-    rule raises ``ValueError``, as it does in ``joint_cv`` and
-    ``grid_cv_oracle``; ``cv_error_at`` evaluates any rule at one tau.
+    A tau^2 + B tau + C on every segment between merged breakpoints.  Hard
+    rule: one error per merged breakpoint plus a sentinel above the maximum
+    representing the zero estimator.  The boundary component is still kept
+    at tau equal to a breakpoint, so the hard fit there keeps, unshrunk, the
+    coordinates active on the segment one breakpoint back, and its error is
+    that segment's quadratic at tau = 0, the constant term C.  Both rules
+    read the same coefficients, one set per phi.  The path is derived for
+    these two maps only, so a custom rule raises ``ValueError``, as it does
+    in ``joint_cv`` and ``grid_cv_oracle``; ``cv_error_at`` evaluates any
+    rule at one tau.
 
     After the fold decompositions the soft and hard paths cost O(L m r) for
     L folds of m validation rows and rank r, plus an O(L) gather per

@@ -315,7 +315,7 @@ PATHS = [(0.0, SOFT_RULE), (0.0, HARD_RULE), (1.0, SOFT_RULE), (1.0, HARD_RULE)]
 
 
 class TestPathMemo:
-    """The fold spectra keep the prefix sums of the last phi a path used."""
+    """The fold spectra keep the path coefficients of the last phi a path used."""
 
     @settings(max_examples=30, deadline=None)
     @given(

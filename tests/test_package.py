@@ -1,5 +1,8 @@
 """Tests for the package's public namespace."""
 
+import os
+import subprocess
+import sys
 from types import ModuleType
 
 import numpy as np
@@ -44,3 +47,44 @@ def test_result_objects_compare_and_hash_by_identity():
     for first, second in zip(results(), results()):
         assert first == first and first != second, type(first).__name__
         assert hash(first) == hash(first) and len({first, second}) == 2
+
+
+COLD_START = """
+import sys
+import numpy as np
+import ctreg
+rng = np.random.default_rng(0)
+X = rng.standard_normal((30, 8))
+ds = ctreg.Dataset(X, X @ rng.standard_normal(8) + rng.standard_normal(30))
+spec = ctreg.ScenarioSpec(n=20, d_grid=(6,), eigen_decay_a=1.0,
+                          coef_pattern=ctreg.PolyDecay(1.0), snr_target=1.0,
+                          replicates=2, base_seed=0,
+                          methods=("NCT-CV", "GCT-CV", "PCR-CV", "Ridge-CV"))
+calls = {
+    "kfold_cv": lambda: ctreg.kfold_cv(ds, 5, 1.0, ctreg.SOFT_RULE),
+    "kfold_cv hard": lambda: ctreg.kfold_cv(ds, 5, 0.0, ctreg.HARD_RULE),
+    "joint_cv": lambda: ctreg.joint_cv(ds, 5, [0.0, 2.0]),
+    "kfold_cv_pcr": lambda: ctreg.kfold_cv_pcr(ds, 5),
+    "kfold_cv_ridge": lambda: ctreg.kfold_cv_ridge(ds, 5, np.logspace(-3, 1, 5)),
+    "run_experiment": lambda: ctreg.run_experiment(spec),
+}
+for name, call in calls.items():
+    call()
+    print(name, "numpy.ma" in sys.modules)
+"""
+
+
+def test_cv_and_studies_leave_numpy_ma_unimported():
+    # numpy.ma costs 15-20 ms the first time np.unique or np.median runs
+    src = os.path.dirname(os.path.dirname(ctreg.__file__))
+    done = subprocess.run(
+        [sys.executable, "-c", COLD_START],
+        env=dict(os.environ, PYTHONPATH=src),
+        capture_output=True,
+        text=True,
+        timeout=120,
+        check=True,
+    )
+    lines = done.stdout.splitlines()
+    assert len(lines) == 6
+    assert [line for line in lines if line.endswith("True")] == []

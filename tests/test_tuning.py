@@ -768,6 +768,70 @@ class TestTallDowndate:
         assert sorted(seen) == sorted(expected)
 
 
+class TestZeroColumnsCrossTheRoutes:
+    """[X, 0] with n zero columns has X's nonzero fold spectra, so every
+    tuner must choose as on X.  Every fold of the tall X is tall (a
+    downdate, or a direct product when the outlier row is in its validation
+    block) and every fold of [X, 0] takes the Gram route.  Errors agree
+    within kappa times the path's stated accuracy 4 r eps S, kappa the
+    largest fold condition number; a tau or phi that roundoff moved is
+    accepted when the errors agree within TIE_RTOL * C0 more."""
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n=st.integers(20, 40),
+        share=st.floats(0.1, 0.45),
+        log_ratio=st.floats(0.5, 3.0),
+        outlier=st.booleans(),
+    )
+    def test_tuners_choose_alike_on_both_routes(self, seed, n, share, log_ratio, outlier):
+        drawn = conditioned_dataset(seed, n, max(1, int(share * n)), 10.0**log_ratio)
+        X, Y = drawn.design.copy(), drawn.response
+        if outlier:
+            # row 0 then carries more of ||X||_F^2 than all the other rows
+            X[0] *= math.sqrt(n * np.sum(X * X) / (X[0] @ X[0]))
+        tall, wide = Dataset(X, Y), Dataset(np.hstack([X, np.zeros((n, n))]), Y)
+        L, cv_seed = 5, seed % 1000
+        spectra = _fold_spectra(tall, L, cv_seed)
+        kappa = max(f.eigenvalues[0] / f.eigenvalues[-1] for f in spectra.folds)
+        tol = 64 * np.finfo(float).eps * kappa
+        err_tol = 4 * kappa * roundoff_scale(spectra)
+        tie = TIE_RTOL * np.mean([np.mean(f.y_val**2) for f in spectra.folds])
+
+        def same(call, *args):
+            (choice, error), (chosen, erred) = call(tall, *args), call(wide, *args)
+            moved = not np.allclose(choice, chosen, rtol=tol, atol=0.0)
+            assert abs(error - erred) <= err_tol + moved * tie, (call, args)
+            return choice, chosen
+
+        def path(ds, phi, rule):
+            result = kfold_cv(ds, L, phi, rule, cv_seed)
+            return result.tau_cv, result.cv_error_at_tau
+
+        def joint(ds):
+            phi, tau, result = joint_cv(ds, L, (0.0, 0.5, 2.0), SOFT_RULE, cv_seed)
+            return (phi, tau), result.cv_error_at_tau
+
+        for phi in (0.0, 1.0):
+            for rule in (SOFT_RULE, HARD_RULE):
+                same(path, phi, rule)
+                merged = kfold_cv(tall, L, phi, SOFT_RULE, cv_seed).candidate_set
+                # mid-way across the widest segment, no coordinate is near tau
+                k = int(np.argmax(np.diff(merged)))
+                mid = (merged[k] + merged[k + 1]) / 2
+                assert abs(
+                    cv_error_at(tall, L, phi, rule, cv_seed, mid)
+                    - cv_error_at(wide, L, phi, rule, cv_seed, mid)
+                ) <= err_tol
+                grid = np.linspace(0.0, 1.05 * merged[-1], 40)
+                same(lambda ds: grid_cv_oracle(ds, L, phi, rule, grid, cv_seed))
+        same(joint)
+        m, m_wide = same(lambda ds: kfold_cv_pcr(ds, L, cv_seed))
+        lam, lam_wide = same(lambda ds: kfold_cv_ridge(ds, L, np.logspace(-3, 1, 8), cv_seed))
+        assert (m, lam) == (m_wide, lam_wide)
+
+
 CONTROL = _blas.thread_control()
 needs_openblas = pytest.mark.skipif(
     CONTROL is None, reason="no OpenBLAS thread control: fold maps are plain loops"

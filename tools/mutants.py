@@ -80,8 +80,8 @@ MUTANTS = (
     Mutant(
         "path memo ignores phi",
         "src/ctreg/tuning.py",
-        '_memoized(spectra._memo, "path_sums", phi, make)',
-        '_memoized(spectra._memo, "path_sums", None, make)',
+        '_memoized(spectra._memo, "path_coefficients", phi, make)',
+        '_memoized(spectra._memo, "path_coefficients", None, make)',
         ("tests/test_memo.py",),
     ),
     Mutant(
@@ -313,8 +313,8 @@ MUTANTS = (
     Mutant(
         "deprecated np.row_stack for the path segments",
         "src/ctreg/tuning.py",
-        "segments = np.column_stack((lo, hi, taus, errors))",
-        "segments = np.row_stack((lo, hi, taus, errors)).T",
+        "segments = np.column_stack((merged[:-1], merged[1:], taus, errors))",
+        "segments = np.row_stack((merged[:-1], merged[1:], taus, errors)).T",
         ("tests/test_tuning.py",),
     ),
     Mutant(
@@ -436,10 +436,10 @@ MUTANTS = (
         ("tests/test_tuning.py",),
     ),
     Mutant(
-        "hard boundary searched with side=right",
+        "hard errors read one breakpoint late",
         "src/ctreg/tuning.py",
-        'np.searchsorted(mags, candidates, side="left")',
-        'np.searchsorted(mags, candidates, side="right")',
+        "errors = C[: candidates.shape[0]]",
+        "errors = C[1 : candidates.shape[0] + 1]",
         ("tests/test_tuning.py",),
     ),
     Mutant(
